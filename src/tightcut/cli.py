@@ -128,12 +128,6 @@ def cmd_decompose(args) -> int:
     g = _read_graph(args.graph)
     shore = _parse_shore(args.cut)
     c = g.boundary(shore)
-    if not is_matching_covered(g):
-        raise GraphError("graph is not matching covered")
-    if not is_tight(g, c):
-        raise GraphError("cut is not tight; nothing to decompose")
-    if c.is_trivial:
-        raise GraphError("cut is trivial; nothing to decompose")
     tally = BranchTally()
     cert = decompose_tight_cut(g, c, tally)
     human = sys.stderr if args.json == "-" else sys.stdout

@@ -19,12 +19,11 @@ from .structure import (
     TwoSeparation,
     enumerate_barriers,
     find_2separations,
-    is_barrier,
     two_separation_cuts,
 )
 
 
-def is_tight(g: Graph, c: Cut, *, limit=None) -> bool:
+def is_tight(g: Graph, c: Cut) -> bool:
     """True iff every perfect matching meets the cut exactly once."""
     if c.graph is not g:
         raise GraphError("cut belongs to a different graph")
@@ -35,7 +34,7 @@ def is_tight(g: Graph, c: Cut, *, limit=None) -> bool:
         cut_mask |= 1 << eid
     return all(
         (mask & cut_mask).bit_count() == 1
-        for mask in perfect_matching_masks(g, limit))
+        for mask in perfect_matching_masks(g))
 
 
 def enumerate_tight_cuts(g: Graph, nontrivial_only=False, *,
@@ -89,9 +88,10 @@ class CutClassification:
 def classify_cut(g: Graph, c: Cut, *, max_vertices=16) -> CutClassification:
     """Tightness plus every barrier and two-separation witness.
 
-    Desk scale: barrier candidates per shore are the attachment set of
-    the opposite shore followed by full enumeration within the shore,
-    so the guard applies to shore sizes.
+    Desk scale: the barriers witnessing a shore are drawn from full
+    enumeration within the opposite shore, so the guard applies to shore
+    sizes. A tight shore is odd, so it is witnessed exactly when it is
+    one of the barrier's odd components.
     """
     if c.graph is not g:
         raise GraphError("cut belongs to a different graph")
@@ -102,27 +102,14 @@ def classify_cut(g: Graph, c: Cut, *, max_vertices=16) -> CutClassification:
         return CutClassification(c, False, c.is_trivial, (), ())
 
     shores = c.shores()
-    found: dict[tuple[frozenset[int], int], tuple[Barrier, int]] = {}
+    found: list[tuple[Barrier, int]] = []
     for i, keep in enumerate(shores):
-        other = shores[1 - i]
-        attach = frozenset(
-            w for v in keep for w in g.neighbors(v) if w not in keep)
-        candidates = [attach] if attach else []
-        candidates.extend(
-            b.members
-            for b in enumerate_barriers(g, within=other,
-                                        max_vertices=max_vertices))
-        for members in candidates:
-            key = (members, i)
-            if key in found:
-                continue
-            b = is_barrier(g, members)
-            if b is None:
-                continue
-            if keep in g.components_without(members):
-                found[key] = (b, i)
+        for b in enumerate_barriers(g, within=shores[1 - i],
+                                    max_vertices=max_vertices):
+            if keep in b.odd_parts:
+                found.append((b, i))
     barrier_witnesses = tuple(
-        sorted(found.values(), key=lambda t: (sorted(t[0].members), t[1])))
+        sorted(found, key=lambda t: (sorted(t[0].members), t[1])))
 
     twosep_witnesses = tuple(
         s for s in find_2separations(g) if c in two_separation_cuts(g, s))

@@ -35,8 +35,8 @@ from .structure import (
     find_strict_barrier,
     is_barrier,
     make_two_separation,
-    two_separation_cuts,
 )
+from .verify import witness_failure
 
 BRANCH_SOLE_CROSS_NEIGHBORS = "sole_cross_neighbors"
 BRANCH_FAR_SHORE_BARRIER = "detached_far_shore_barrier"
@@ -114,34 +114,40 @@ def _require_decomposable(g: Graph, c: Cut) -> None:
         raise GraphError("cut is trivial")
 
 
+def _require_witness(g: Graph, c: Cut, cut: Cut, witness, branch: str) -> None:
+    """Hold a produced step to the verifier's witness rule."""
+    reason = witness_failure(g, c, cut, witness)
+    if reason is not None:
+        raise InternalInvariantError(f"{branch}: {reason}")
+
+
 def _finish_barrier(g: Graph, c: Cut, members, shore: frozenset[int],
                     branch: str) -> WitnessFinding:
-    """Re-verify a barrier landed inside one shore and derive its cut."""
+    """Derive the cut of a barrier landed inside one shore and check it."""
     members = frozenset(members)
-    b = is_barrier(g, members)
-    if b is None:
+    if len(members) < 2 or not members < shore:
         raise InternalInvariantError(
-            f"{branch}: {sorted(members)} is not a barrier of the host")
-    if not b.is_nontrivial:
-        raise InternalInvariantError(
-            f"{branch}: barrier {sorted(members)} is trivial")
-    if not members < shore:
-        raise InternalInvariantError(
-            f"{branch}: barrier {sorted(members)} not properly inside "
-            f"shore {sorted(shore)}")
+            f"{branch}: barrier {sorted(members)} is trivial or not properly "
+            f"inside shore {sorted(shore)}")
     opposite = g.vertex_set - shore
-    holder = next((p for p in b.odd_parts if opposite <= p), None)
+    holder = next(
+        (p for p in g.components_without(members) if opposite <= p), None)
     if holder is None:
         raise InternalInvariantError(
-            f"{branch}: no odd component holds the opposite shore")
+            f"{branch}: no component holds the opposite shore")
     derived = g.boundary(holder)
-    if derived.is_trivial:
-        raise InternalInvariantError(f"{branch}: derived cut is trivial")
-    if not is_tight(g, derived):
-        raise InternalInvariantError(f"{branch}: derived cut is not tight")
-    if derived.crosses(c):
-        raise InternalInvariantError(f"{branch}: derived cut crosses the reference")
-    return WitnessFinding("barrier", derived, c, barrier=b, shore=shore)
+    _require_witness(g, c, derived, members, branch)
+    return WitnessFinding("barrier", derived, c,
+                          barrier=is_barrier(g, members), shore=shore)
+
+
+def _finish_twosep(g: Graph, c: Cut, pair, side1, side2, cut_shore,
+                   branch: str) -> WitnessFinding:
+    """Check a two-separation generates the cut with cut_shore."""
+    derived = g.boundary(cut_shore)
+    _require_witness(g, c, derived, (pair, side1, side2), branch)
+    return WitnessFinding("twosep", derived, c,
+                          twosep=make_two_separation(g, pair, side1, side2))
 
 
 def witness_from_edge(g: Graph, c: Cut, eid: int, tally: BranchTally | None = None,
@@ -263,24 +269,14 @@ def witness_from_edge(g: Graph, c: Cut, eid: int, tally: BranchTally | None = No
     # single-member barrier: the pivot and that member separate the graph
     tally.hit(BRANCH_ODD_SIDE_TWOSEP)
     z = min(confined)
-    try:
-        ts = make_two_separation(
-            g, (pivot, z), pivot_part | {z},
-            (g.vertex_set - pivot_part) | {pivot})
-    except GraphError as exc:
-        raise InternalInvariantError(
-            f"pivot component does not separate: {exc}") from exc
-    derived = g.boundary((pivot_part - {pivot}) | {z})
-    if derived.is_trivial:
-        raise InternalInvariantError("derived two-separation cut is trivial")
-    if not is_tight(g, derived):
-        raise InternalInvariantError("derived two-separation cut is not tight")
-    if derived.crosses(c):
-        raise InternalInvariantError("derived two-separation cut crosses the reference")
-    if g.induced(oshore | {pivot}).is_2connected() and derived != c:
+    finding = _finish_twosep(
+        g, c, (pivot, z), pivot_part | {z},
+        (g.vertex_set - pivot_part) | {pivot}, (pivot_part - {pivot}) | {z},
+        BRANCH_ODD_SIDE_TWOSEP)
+    if g.induced(oshore | {pivot}).is_2connected() and finding.cut != c:
         raise InternalInvariantError(
             "two-connected far side must reproduce the reference cut")
-    return WitnessFinding("twosep", derived, c, twosep=ts)
+    return finding
 
 
 def find_noncrossing_witness(g: Graph, c: Cut,
@@ -386,20 +382,8 @@ def find_noncrossing_witness(g: Graph, c: Cut,
     z = next(p for p in sub.twosep.pair if p != s_label)
     if z not in xv:
         raise InternalInvariantError("inner separation pair lands off the far shore")
-    try:
-        ts = make_two_separation(
-            g, (v, z), f1 | {v, z}, g.vertex_set - f1)
-    except GraphError as exc:
-        raise InternalInvariantError(
-            f"block split does not separate at the pulled pair: {exc}") from exc
-    derived = g.boundary(f1 | {v})
-    if derived.is_trivial:
-        raise InternalInvariantError("pulled-back two-separation cut is trivial")
-    if not is_tight(g, derived):
-        raise InternalInvariantError("pulled-back two-separation cut is not tight")
-    if derived.crosses(c):
-        raise InternalInvariantError("pulled-back two-separation cut crosses the reference")
-    return WitnessFinding("twosep", derived, c, twosep=ts)
+    return _finish_twosep(g, c, (v, z), f1 | {v, z}, g.vertex_set - f1,
+                          f1 | {v}, BRANCH_PULLBACK_TWOSEP)
 
 
 def _contract_step(g: Graph, c: Cut, tracked, step_cut: Cut, witness,
@@ -479,10 +463,8 @@ def decompose_tight_cut(g: Graph, c: Cut,
             break
         _, chosen, holder = best
         step_cut = cur_g.boundary(holder)
-        if step_cut.is_trivial or not is_tight(cur_g, step_cut):
-            raise InternalInvariantError("barrier cut is trivial or not tight")
-        if step_cut.crosses(cur_c):
-            raise InternalInvariantError("barrier cut crosses the reference")
+        _require_witness(cur_g, cur_c, step_cut, chosen.members,
+                         BRANCH_BARRIER_PHASE)
         tally.hit(BRANCH_BARRIER_PHASE)
         cur_g, cur_c, tracked = _contract_step(
             cur_g, cur_c, tracked, step_cut, chosen, steps)

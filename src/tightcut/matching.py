@@ -10,7 +10,7 @@ once per endpoint pair.
 Exhaustive perfect-matching enumeration exists as a bounded oracle for
 tightness checks. It refuses to run on graphs above the enumeration
 limit instead of silently truncating; the limit can be overridden via
-the TIGHTCUT_MAX_ENUM environment variable or a ``limit=`` argument.
+the TIGHTCUT_MAX_ENUM environment variable.
 """
 
 from __future__ import annotations
@@ -232,15 +232,7 @@ def find_perfect_matching(g: Graph) -> Matching | None:
     return Matching(eids, g)
 
 
-def _resolve_limit(g: Graph, limit) -> None:
-    cap = enumeration_limit() if limit is None else limit
-    if g.n > cap:
-        raise EnumerationLimitError(
-            f"refusing to enumerate perfect matchings on {g.n} vertices "
-            f"(limit {cap}; raise {ENUMERATION_LIMIT_ENV} or pass limit=)")
-
-
-def perfect_matching_masks(g: Graph, limit=None) -> tuple[int, ...]:
+def perfect_matching_masks(g: Graph) -> tuple[int, ...]:
     """All perfect matchings as edge-id bitmasks, sorted ascending.
 
     Parallel edges give distinct matchings. Backtracking always extends
@@ -251,7 +243,11 @@ def perfect_matching_masks(g: Graph, limit=None) -> tuple[int, ...]:
     got = g._cache.get("pm_masks")
     if got is not None:
         return got
-    _resolve_limit(g, limit)
+    cap = enumeration_limit()
+    if g.n > cap:
+        raise EnumerationLimitError(
+            f"refusing to enumerate perfect matchings on {g.n} vertices "
+            f"(limit {cap}; raise {ENUMERATION_LIMIT_ENV})")
     masks: list[int] = []
     vset = g.vertex_set
     if g.n % 2 == 0:
@@ -276,9 +272,9 @@ def perfect_matching_masks(g: Graph, limit=None) -> tuple[int, ...]:
     return result
 
 
-def all_perfect_matchings(g: Graph, limit=None) -> list[Matching]:
+def all_perfect_matchings(g: Graph) -> list[Matching]:
     out = []
-    for mask in perfect_matching_masks(g, limit):
+    for mask in perfect_matching_masks(g):
         eids = frozenset(eid for eid in g.edge_ids if mask >> eid & 1)
         out.append(Matching(eids, g))
     return out

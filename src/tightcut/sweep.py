@@ -30,10 +30,9 @@ from .structure import (
     is_strict_barrier,
     lift_barrier_over_2sep,
     lift_barrier_over_odd_component,
-    make_two_separation,
     two_separation_cuts,
 )
-from .verify import verify_certificate
+from .verify import verify_certificate, witness_failure
 
 _LIFT_BARRIER_CAP = 3
 _LIFT_INNER_CAP = 5
@@ -132,56 +131,32 @@ def _check_contractions(label: str, g: Graph, c: Cut, all_cuts,
 
 def _verify_finding(label: str, g: Graph, c: Cut, finding,
                     report: SweepReport) -> None:
-    """Re-check a witness finding using only first-principles primitives."""
+    """Re-check a witness finding: the verifier's witness rule plus the
+    WitnessFinding contract."""
     problems = []
     if finding.reference != c:
         problems.append("finding does not reference the input cut")
     w = finding.cut
-    if w.is_trivial:
-        problems.append("witness cut is trivial")
-    if w.crosses(c):
-        problems.append("witness cut crosses the reference cut")
-    if not is_tight(g, w):
-        problems.append("witness cut is not tight")
     if finding.kind == "barrier":
-        b = finding.barrier
+        members = finding.barrier.members
+        reason = witness_failure(g, c, w, members)
         if finding.shore not in c.shores():
             problems.append("barrier shore is not a reference shore")
-        checked = None if b is None else is_barrier(g, b.members)
-        if checked is None:
-            problems.append("witness is not a barrier")
-        else:
-            if not checked.is_nontrivial:
-                problems.append("witness barrier is trivial")
-            if not (b.members < finding.shore):
-                problems.append("barrier not properly inside its shore")
-            comps = set(g.components_without(checked.members))
-            holder = None
-            for shore in w.shores():
-                if shore in comps:
-                    holder = shore
-                    break
-            if holder is None:
-                problems.append("witness cut is not a barrier cut")
-            else:
-                opposite = (c.other_shore if finding.shore == c.shore
-                            else c.shore)
-                if not opposite <= holder:
-                    problems.append(
-                        "barrier cut shore does not hold the opposite shore")
+        elif not (finding.barrier.is_nontrivial and members < finding.shore):
+            problems.append("barrier is trivial or not properly inside its shore")
+        elif reason is None:
+            # the generated shore is the one the barrier misses
+            holder = next(side for side in w.shores() if not side & members)
+            if not g.vertex_set - finding.shore <= holder:
+                problems.append(
+                    "barrier cut shore does not hold the opposite shore")
     elif finding.kind == "twosep":
         s = finding.twosep
-        try:
-            rebuilt = make_two_separation(g, s.pair, s.side1, s.side2)
-        except Exception as exc:
-            problems.append(f"witness is not a two-separation: {exc}")
-        else:
-            if rebuilt != s:
-                problems.append("two-separation does not match its rebuild")
-            if w not in two_separation_cuts(g, s):
-                problems.append("witness cut not generated by the pair")
+        reason = witness_failure(g, c, w, (s.pair, s.side1, s.side2))
     else:
-        problems.append(f"unknown witness kind {finding.kind!r}")
+        reason = f"unknown witness kind {finding.kind!r}"
+    if reason is not None:
+        problems.append(reason)
     for problem in problems:
         _flag(report, "witness", label, problem)
     if not problems:

@@ -7,6 +7,18 @@ by shape (vertex labels and edge multiset; edge ids are not serialized),
 re-validating each witness from first principles, and re-deriving the
 final classification. Failures carry a reason code and the JSON path of
 the offending field.
+
+witness_failure states, once, the rule every contraction step obeys:
+the step cut is tight, nontrivial, does not cross the reference cut,
+and is generated by a valid barrier or two-separation. The
+decomposition procedure and the sweep call it too.
+
+The verifier is independent of the producer's search, not of its
+primitives. Both sides rely on is_matching_covered, is_tight,
+classify_cut, is_barrier, make_two_separation, find_2separations,
+two_separation_cuts, Cut.crosses and the Graph methods boundary,
+contract and cut_from_edge_ids. A Graph handed in by the caller also
+keeps whatever the producer memoized on it, matchings included.
 """
 
 from __future__ import annotations
@@ -190,6 +202,41 @@ def _same_shape(g: Graph, obj: dict) -> bool:
     return g.vertex_set == {v for pair in mine for v in pair}
 
 
+def witness_failure(g: Graph, reference: Cut, cut: Cut, witness) -> str | None:
+    """Why cut is no valid contraction step against reference, or None.
+
+    The witness comes raw: a set of barrier members, or a
+    (pair, side1, side2) tuple for a two-separation. It is re-validated
+    here. The first failing reason code is returned, in this order:
+    R_NOT_TIGHT, R_TRIVIAL, R_CROSSES, R_NOT_BARRIER or R_NOT_TWOSEP,
+    R_NO_GENERATE.
+    """
+    if not is_tight(g, cut):
+        return R_NOT_TIGHT
+    if cut.is_trivial:
+        return R_TRIVIAL
+    if cut.crosses(reference):
+        return R_CROSSES
+    if isinstance(witness, tuple):
+        try:
+            ts = make_two_separation(g, *witness)
+        except GraphError:
+            return R_NOT_TWOSEP
+        if cut not in two_separation_cuts(g, ts):
+            return R_NO_GENERATE
+        return None
+    try:
+        b = is_barrier(g, witness)
+    except GraphError:
+        return R_NOT_BARRIER
+    if b is None:
+        return R_NOT_BARRIER
+    # a tight cut has an odd shore, so only odd components can match it
+    if cut.shore not in b.odd_parts and cut.other_shore not in b.odd_parts:
+        return R_NO_GENERATE
+    return None
+
+
 def verify_certificate(g: Graph, c: Cut, cert) -> VerificationResult:
     """Replay the chain from (g, c) and check the certificate against it."""
     if isinstance(cert, DecompositionCertificate):
@@ -227,34 +274,17 @@ def verify_certificate(g: Graph, c: Cut, cert) -> VerificationResult:
             step_cut = cur_g.boundary(shore)
         except GraphError:
             return fail(R_SCHEMA, path + ".cut_shore")
-        if not is_tight(cur_g, step_cut):
-            return fail(R_NOT_TIGHT, path + ".cut_shore")
-        if step_cut.is_trivial:
-            return fail(R_TRIVIAL, path + ".cut_shore")
-        if step_cut.crosses(cur_c):
-            return fail(R_CROSSES, path + ".cut_shore")
-
         witness = step["witness"]
         if witness["kind"] == "barrier":
-            members = frozenset(witness["members"])
-            try:
-                b = is_barrier(cur_g, members)
-            except GraphError:
-                return fail(R_NOT_BARRIER, path + ".witness")
-            if b is None:
-                return fail(R_NOT_BARRIER, path + ".witness")
-            parts = cur_g.components_without(members)
-            if step_cut.shore not in parts and step_cut.other_shore not in parts:
-                return fail(R_NO_GENERATE, path + ".witness")
+            raw = frozenset(witness["members"])
         else:
-            try:
-                ts = make_two_separation(
-                    cur_g, tuple(witness["pair"]),
-                    frozenset(witness["side1"]), frozenset(witness["side2"]))
-            except GraphError:
-                return fail(R_NOT_TWOSEP, path + ".witness")
-            if step_cut not in two_separation_cuts(cur_g, ts):
-                return fail(R_NO_GENERATE, path + ".witness")
+            raw = (tuple(witness["pair"]), frozenset(witness["side1"]),
+                   frozenset(witness["side2"]))
+        reason = witness_failure(cur_g, cur_c, step_cut, raw)
+        if reason is not None:
+            suffix = (".cut_shore" if reason in (R_NOT_TIGHT, R_TRIVIAL,
+                                                 R_CROSSES) else ".witness")
+            return fail(reason, path + suffix)
 
         contracted = frozenset(step["contracted_shore"])
         if contracted not in step_cut.shores():

@@ -12,6 +12,7 @@ from itertools import combinations
 import pytest
 
 from tightcut.graph import Graph
+from tightcut.instances import CorpusSpec, enumerate_corpus
 
 # acceptance criteria register: test_acceptance records one verdict per
 # criterion here; the summary hook prints them after the test run
@@ -155,6 +156,14 @@ def brute_is_critical(vertices, edges) -> bool:
 
 def cycle(n: int) -> Graph:
     return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
+
+
+@pytest.fixture(scope="session")
+def exhaustive_corpus() -> dict[int, tuple[Graph, ...]]:
+    """Every matching covered graph on n in {2, 4, 6} vertices, built once
+    per session: n = 6 alone walks 2^15 edge subsets."""
+    return {n: tuple(enumerate_corpus(CorpusSpec("exhaustive", n=n)))
+            for n in (2, 4, 6)}
 
 
 @pytest.fixture

@@ -80,8 +80,8 @@ def test_exhaustive_matches_oracle_n4():
             for g in got] == want
 
 
-def test_exhaustive_tight_cut_filter_narrows():
-    base = list(enumerate_corpus(CorpusSpec("exhaustive", n=6)))
+def test_exhaustive_tight_cut_filter_narrows(exhaustive_corpus):
+    base = exhaustive_corpus[6]
     narrowed = list(enumerate_corpus(
         CorpusSpec("exhaustive", n=6, with_nontrivial_tight_cut=True)))
     assert 0 < len(narrowed) < len(base)

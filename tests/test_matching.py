@@ -151,7 +151,6 @@ def test_enumeration_guard_env(monkeypatch, c6):
     assert enumeration_limit() == 4
     with pytest.raises(EnumerationLimitError):
         perfect_matching_masks(c6)
-    assert perfect_matching_masks(c6, limit=6)  # explicit limit wins
     monkeypatch.setenv("TIGHTCUT_MAX_ENUM", "banana")
     with pytest.raises(GraphError):
         enumeration_limit()

@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tightcut.graph import Graph, GraphError, InternalInvariantError
-from tightcut.instances import (
-    CorpusSpec,
-    canonical,
-    enumerate_corpus,
-    fixture_instances,
-)
+from tightcut.instances import canonical, fixture_instances
 from tightcut.matching import is_matching_covered
 from tightcut.structure import (
     barrier_core,
@@ -86,12 +81,12 @@ def test_bricks_have_only_trivial_barriers(k4):
                               nontrivial_only=True) == []
 
 
-def test_matching_covered_barriers_leave_only_odd_components():
+def test_matching_covered_barriers_leave_only_odd_components(
+        exhaustive_corpus):
     # the lemma that makes witness_from_edge's even-component guard
     # unreachable: in a matching covered graph, g - B has exactly |B|
     # components for every barrier B, all of them odd
-    graphs = [g for n in (2, 4, 6)
-              for g in enumerate_corpus(CorpusSpec("exhaustive", n=n))]
+    graphs = [g for n in (2, 4, 6) for g in exhaustive_corpus[n]]
     graphs += [g for _, g, _ in fixture_instances()]
     checked = 0
     for g in graphs:

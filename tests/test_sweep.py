@@ -1,10 +1,17 @@
 """The sweep harness: counters, violations, harvest, and JSON report."""
 
+import dataclasses
 import json
 
-from tightcut.decompose import BranchTally
+import pytest
+
+import tightcut.sweep
+from tightcut.cuts import enumerate_tight_cuts
+from tightcut.decompose import BranchTally, find_noncrossing_witness
 from tightcut.instances import CorpusSpec
+from tightcut.structure import Barrier
 from tightcut.sweep import run_sweep
+from tightcut.verify import R_CROSSES, R_NOT_BARRIER
 
 
 def test_named_sweep_counters():
@@ -81,3 +88,38 @@ def test_report_json_roundtrip():
     assert js["command"] == "sweep"
     assert js["instances"] == 1
     assert js["ok"] is True
+
+
+def _not_a_barrier(finding):
+    # two adjacent vertices inside a reference shore of C6 leave one even
+    # path, so they are no barrier
+    g, shore = finding.reference.graph, finding.reference.shore
+    members = next(frozenset((u, v)) for u in sorted(shore)
+                   for v in g.neighbors(u) if v in shore)
+    return dataclasses.replace(
+        finding, kind="barrier", barrier=Barrier(members, (), g),
+        shore=shore, twosep=None)
+
+
+def _crossing_cut(finding):
+    ref = finding.reference
+    crossing = next(d for d in enumerate_tight_cuts(ref.graph, True)
+                    if d.crosses(ref))
+    return dataclasses.replace(finding, cut=crossing)
+
+
+@pytest.mark.parametrize(
+    "tamper, reason",
+    [(_not_a_barrier, R_NOT_BARRIER), (_crossing_cut, R_CROSSES)],
+    ids=["not_a_barrier", "crossing_cut"])
+def test_sweep_rejects_tampered_witness(monkeypatch, tamper, reason):
+    def tampered(g, c, tally=None):
+        return tamper(find_noncrossing_witness(g, c, tally))
+
+    monkeypatch.setattr(tightcut.sweep, "find_noncrossing_witness", tampered)
+    report = run_sweep([CorpusSpec("named", names=("C2K(3)",))],
+                       include_fixtures=False)
+    assert report.witnesses_verified == 0
+    witness = [v for v in report.violations if v[0] == "witness"]
+    assert len(witness) == report.nontrivial_tight_cuts == 3
+    assert all(detail == reason for _, _, detail in witness)

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from tightcut.decompose import decompose_tight_cut
+from tightcut.decompose import decompose_tight_cut, find_noncrossing_witness
 from tightcut.graph import Graph
 from tightcut.instances import fixture_instances
+from tightcut.structure import Barrier
 from tightcut.verify import (
     R_CONTRACTION,
     R_CROSSES,
@@ -23,6 +24,7 @@ from tightcut.verify import (
     R_STEPS,
     R_TRIVIAL,
     verify_certificate,
+    witness_failure,
 )
 
 from conftest import cycle
@@ -129,3 +131,51 @@ def test_tolerated_variations(c6):
     noisy = cert.to_json_dict()
     noisy["final"]["classification"]["barriers"] = [{"bogus": True}]
     assert verify_certificate(g, c, noisy).ok
+
+
+# the shared witness rule --------------------------------------------------------
+
+def _raw(witness):
+    if isinstance(witness, Barrier):
+        return witness.members
+    return (witness.pair, witness.side1, witness.side2)
+
+
+def test_witness_failure_reason_codes(c6):
+    c = c6.boundary({0, 1, 2})
+    barrier = frozenset({0, 2})  # g - {0, 2} = {1}, {3, 4, 5}
+    twosep = ((0, 3), {0, 1, 2, 3}, {3, 4, 5, 0})
+    assert witness_failure(c6, c, c, barrier) is None
+    assert witness_failure(c6, c, c, twosep) is None
+    # the cut-side codes come first, whatever the witness
+    assert witness_failure(c6, c, c6.boundary({0, 2, 4}), barrier) == R_NOT_TIGHT
+    assert witness_failure(c6, c, c6.boundary({0}), barrier) == R_TRIVIAL
+    assert witness_failure(c6, c, c6.boundary({1, 2, 3}), twosep) == R_CROSSES
+    # g - {0, 1} is one even path
+    assert witness_failure(c6, c, c, frozenset({0, 1})) == R_NOT_BARRIER
+    assert witness_failure(c6, c, c, frozenset({9})) == R_NOT_BARRIER
+    assert witness_failure(
+        c6, c, c, ((0, 1), {0, 1, 2}, {0, 1, 3, 4, 5})) == R_NOT_TWOSEP
+    # {1, 3} is a barrier with odd parts {2} and {0, 4, 5}
+    assert witness_failure(c6, c, c, frozenset({1, 3})) == R_NO_GENERATE
+    # (1, 4) generates the cuts at {2, 3, 4} and {1, 2, 3}
+    assert witness_failure(
+        c6, c, c, ((1, 4), {1, 2, 3, 4}, {4, 5, 0, 1})) == R_NO_GENERATE
+
+
+@pytest.mark.parametrize("name", [f[0] for f in fixture_instances()])
+def test_witness_failure_accepts_produced_witnesses(name):
+    _, g, shore = next(f for f in fixture_instances() if f[0] == name)
+    c = g.boundary(shore)
+    finding = find_noncrossing_witness(g, c)
+    witness = finding.barrier if finding.kind == "barrier" else finding.twosep
+    assert witness_failure(g, c, finding.cut, _raw(witness)) is None
+    cert = decompose_tight_cut(g, c)
+    for step in cert.steps:
+        reference = step.graph.cut_from_edge_ids(c.edge_ids)
+        assert witness_failure(
+            step.graph, reference, step.cut, _raw(step.witness)) is None
+    if cert.steps:
+        # an unwitnessed reference cut is generated by no witness of g
+        assert witness_failure(
+            g, c, c, _raw(cert.steps[0].witness)) == R_NO_GENERATE
