@@ -22,7 +22,7 @@ from .cuts import classify_cut, is_tight
 from .decompose import BranchTally, decompose_tight_cut
 from .dot import graph_to_dot
 from .edgelist import format_edge_list, parse_edge_list, write_edge_list
-from .graph import Cut, Graph, GraphError, InternalInvariantError
+from .graph import Graph, GraphError, InternalInvariantError
 from .instances import (
     RANDOM_MAX_N,
     EXHAUSTIVE_MAX_N,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graph import Cut, EnumerationLimitError, Graph, GraphError
-from .matching import is_matchable, is_matching_covered, perfect_matching_masks
+from .matching import find_perfect_matching, is_matchable, is_matching_covered
 from .structure import (
     Barrier,
     TwoSeparation,
@@ -24,17 +24,30 @@ from .structure import (
 
 
 def is_tight(g: Graph, c: Cut) -> bool:
-    """True iff every perfect matching meets the cut exactly once."""
+    """True iff every perfect matching meets the cut exactly once.
+
+    Every perfect matching meets the cut with the parity of the shore,
+    so an even shore is never tight. For an odd shore the cut is not
+    tight iff two vertex-disjoint cut edges e1, e2 leave
+    g - V(e1) - V(e2) matchable: the shore minus the two ends inside it
+    is odd, so a perfect matching of the rest uses at least one more cut
+    edge; conversely, a perfect matching meeting the cut three or more
+    times contains such a pair. That is O(|C|^2) memoized matchability
+    queries, one per pair of distinct endpoint pairs, after the graph's
+    cached perfect matching has rejected any cut it meets more than once.
+    """
     if c.graph is not g:
         raise GraphError("cut belongs to a different graph")
-    if not is_matchable(g):
+    pm = find_perfect_matching(g)
+    if pm is None:
         raise GraphError("tightness is about perfect matchings; none exist")
-    cut_mask = 0
-    for eid in c.edge_ids:
-        cut_mask |= 1 << eid
-    return all(
-        (mask & cut_mask).bit_count() == 1
-        for mask in perfect_matching_masks(g))
+    if len(c.shore) % 2 == 0 or len(pm.edges & c.edge_ids) > 1:
+        return False
+    ends = sorted({(u, v) if u in c.shore else (v, u)
+                   for u, v in map(g.edge_ends, c.edge_ids)})
+    return not any(
+        x1 != x2 and y1 != y2 and is_matchable(g, frozenset((x1, y1, x2, y2)))
+        for (x1, y1), (x2, y2) in combinations(ends, 2))
 
 
 def enumerate_tight_cuts(g: Graph, nontrivial_only=False, *,

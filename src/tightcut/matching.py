@@ -7,38 +7,20 @@ queries on vertex-deleted subgraphs, memoized per graph and keyed by
 the removed vertex set, so admissibility of parallel edges is computed
 once per endpoint pair.
 
-Exhaustive perfect-matching enumeration exists as a bounded oracle for
-tightness checks. It refuses to run on graphs above the enumeration
-limit instead of silently truncating; the limit can be overridden via
-the TIGHTCUT_MAX_ENUM environment variable.
+Exhaustive perfect-matching enumeration is kept only as the test
+oracle for the polynomial routines; nothing in the package calls it. It
+refuses graphs above ENUMERATION_LIMIT vertices instead of silently
+truncating, and the limit has no override.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from .graph import EnumerationLimitError, Graph, GraphError
 
-DEFAULT_ENUMERATION_LIMIT = 24
-ENUMERATION_LIMIT_ENV = "TIGHTCUT_MAX_ENUM"
-
-
-def enumeration_limit() -> int:
-    """Current vertex-count cap for perfect-matching enumeration."""
-    raw = os.environ.get(ENUMERATION_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_ENUMERATION_LIMIT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise GraphError(
-            f"{ENUMERATION_LIMIT_ENV} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise GraphError(
-            f"{ENUMERATION_LIMIT_ENV} must be nonnegative, got {value}")
-    return value
+ENUMERATION_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -218,18 +200,20 @@ def is_matchable(g: Graph, removed=frozenset()) -> bool:
 
 
 def find_perfect_matching(g: Graph) -> Matching | None:
-    """A perfect matching, or None. Parallel mates use the least edge id."""
-    if g.n % 2:
-        return None
-    mates = g._cache.get("mates")
-    if mates is None:
-        mates = _blossom_mates(g, frozenset())
-        g._cache["mates"] = mates
-    if len(mates) != g.n:
-        return None
-    eids = frozenset(
-        min(g.edges_between(u, v)) for u, v in mates.items() if u < v)
-    return Matching(eids, g)
+    """A perfect matching, or None, computed once per graph.
+
+    Parallel mates use the least edge id.
+    """
+    if "perfect_matching" not in g._cache:
+        found = None
+        if g.n % 2 == 0:
+            mates = _blossom_mates(g, frozenset())
+            if len(mates) == g.n:
+                found = Matching(frozenset(
+                    min(g.edges_between(u, v))
+                    for u, v in mates.items() if u < v), g)
+        g._cache["perfect_matching"] = found
+    return g._cache["perfect_matching"]
 
 
 def perfect_matching_masks(g: Graph) -> tuple[int, ...]:
@@ -243,11 +227,10 @@ def perfect_matching_masks(g: Graph) -> tuple[int, ...]:
     got = g._cache.get("pm_masks")
     if got is not None:
         return got
-    cap = enumeration_limit()
-    if g.n > cap:
+    if g.n > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
             f"refusing to enumerate perfect matchings on {g.n} vertices "
-            f"(limit {cap}; raise {ENUMERATION_LIMIT_ENV})")
+            f"(limit {ENUMERATION_LIMIT})")
     masks: list[int] = []
     vset = g.vertex_set
     if g.n % 2 == 0:

@@ -1,17 +1,22 @@
 """Certificate mutation corpus for the verifier tests.
 
-mutation_corpus takes a genuine DecompositionCertificate and returns
-(label, mutated_json, expected_reason) triples. Schema mutants are
-generated mechanically, one per structural position; semantic mutants
-are built against the real replay chain so the expected reason code is
-known, not guessed. Content under final.classification.barriers and
-.two_separations is advisory and deliberately not mutated.
+mutation_targets builds the genuine certificates the corpus mutates and
+target_mutants mutates each of them; the verifier unit tests and the
+acceptance gate share both. mutation_corpus takes one genuine
+DecompositionCertificate and returns (label, mutated_json,
+expected_reason) triples. Schema mutants are generated mechanically,
+one per structural position; semantic mutants are built against the
+real replay chain so the expected reason code is known, not guessed.
+Content under final.classification.barriers and .two_separations is
+advisory and deliberately not mutated.
 """
 
 import copy
 from itertools import combinations
 
-from tightcut.cuts import enumerate_tight_cuts, is_tight
+from tightcut.cuts import enumerate_tight_cuts
+from tightcut.decompose import decompose_tight_cut
+from tightcut.instances import fixture_instances
 from tightcut.structure import enumerate_barriers, find_2separations, \
     is_barrier, two_separation_cuts
 from tightcut.verify import (
@@ -30,6 +35,8 @@ from tightcut.verify import (
     R_STEPS,
     R_TRIVIAL,
 )
+
+from conftest import cycle
 
 
 def _addresses(obj, trail=()):
@@ -321,3 +328,28 @@ def mutation_corpus(name, cert):
     for label, mutated, code in _semantic_mutants(cert):
         out.append((f"{name}/{label}", mutated, code))
     return out
+
+
+def mutation_targets():
+    """(name, graph, cut, certificate) for each certificate the corpus
+    mutates: C6 and three fixtures, one of them at a tied shore."""
+    fixtures = {name: (g, shore) for name, g, shore in fixture_instances()}
+    targets = [("c6", cycle(6), frozenset({0, 1, 2}))]
+    for name in ("blocked_triangle", "bridged_triangle"):
+        g, shore = fixtures[name]
+        targets.append((name, g, shore))
+    g, _ = fixtures["blocked_pair"]
+    targets.append(("blocked_pair_tie", g, frozenset({0, 2, 3, 4, 5})))
+    out = []
+    for name, g, shore in targets:
+        c = g.boundary(shore)
+        out.append((name, g, c, decompose_tight_cut(g, c)))
+    return out
+
+
+def target_mutants(targets):
+    """(graph, cut, label, mutated_json, expected_reason) for every
+    mutant of every target."""
+    return [(g, c, label, mutated, code)
+            for name, g, c, cert in targets
+            for label, mutated, code in mutation_corpus(name, cert)]

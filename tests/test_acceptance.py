@@ -20,13 +20,12 @@ from tightcut.decompose import (
     BranchTally,
     decompose_tight_cut,
 )
-from tightcut.graph import Graph
 from tightcut.instances import CorpusSpec, canonical, fixture_instances
 from tightcut.sweep import run_sweep
 from tightcut.verify import verify_certificate
 
 from conftest import cycle
-from mutations import mutation_corpus
+from mutations import mutation_targets, target_mutants
 
 RANDOM_SAMPLES_PER_ORDER = 167  # three orders, 501 random graphs total
 TIME_BUDGET_SECONDS = 600.0
@@ -182,19 +181,7 @@ def test_criterion_8_branch_coverage(acceptance):
 
 def test_criterion_9_certificate_mutations():
     problems = []
-    cases = []
-    fixtures = {name: (g, shore) for name, g, shore in fixture_instances()}
-    targets = [("c6", cycle(6), frozenset({0, 1, 2}))]
-    for name in ("blocked_triangle", "bridged_triangle"):
-        g, shore = fixtures[name]
-        targets.append((name, g, shore))
-    g, _ = fixtures["blocked_pair"]
-    targets.append(("blocked_pair_tie", g, frozenset({0, 2, 3, 4, 5})))
-    for name, g, shore in targets:
-        c = g.boundary(shore)
-        cert = decompose_tight_cut(g, c)
-        cases.extend((g, c, label, mutated, code)
-                     for label, mutated, code in mutation_corpus(name, cert))
+    cases = target_mutants(mutation_targets())
     if len(cases) < 100:
         problems.append(f"only {len(cases)} mutants")
     accepted = rewarded = 0

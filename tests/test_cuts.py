@@ -1,12 +1,15 @@
 """Tightness, tight-cut enumeration, and cut classification."""
 
+from itertools import combinations
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tightcut.graph import EnumerationLimitError, Graph, GraphError
 from tightcut.cuts import classify_cut, enumerate_tight_cuts, is_tight
-from tightcut.instances import canonical
-from tightcut.matching import is_matching_covered
+from tightcut.instances import canonical, fixture_instances
+from tightcut.matching import is_matching_covered, perfect_matching_masks
 
 from conftest import brute_is_tight, cycle
 
@@ -42,6 +45,41 @@ def test_is_tight_matches_oracle(half, data):
                               min_size=1, max_size=n - 1))
     assert is_tight(g, g.boundary(shore)) == brute_is_tight(
         range(n), edges, shore)
+
+
+def _check_every_shore(g):
+    """is_tight against the enumeration oracle on every cut of g, odd and
+    even shores alike; returns the number of cuts checked."""
+    masks = perfect_matching_masks(g)
+    anchor, rest = g.vertices[0], g.vertices[1:]
+    checked = 0
+    for size in range(g.n - 1):
+        for combo in combinations(rest, size):
+            c = g.boundary(frozenset((anchor,) + combo))
+            cut_mask = sum(1 << eid for eid in c.edge_ids)
+            want = all((mask & cut_mask).bit_count() == 1 for mask in masks)
+            assert is_tight(g, c) == want, c
+            checked += 1
+    return checked
+
+
+def test_is_tight_agrees_with_enumeration(exhaustive_corpus):
+    graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
+    graphs += [g for _, g, _ in fixture_instances()]
+    assert sum(_check_every_shore(g) for g in graphs) > 10_000
+
+
+def test_is_tight_agrees_with_enumeration_off_matching_covered():
+    rng = Random(5)
+    pairs = list(combinations(range(8), 2))
+    checked = 0
+    while checked < 200:
+        edges = [(0, 1), (2, 3), (4, 5), (6, 7)]
+        edges += [rng.choice(pairs) for _ in range(rng.randint(1, 12))]
+        g = Graph(range(8), edges)
+        if not is_matching_covered(g):
+            _check_every_shore(g)
+            checked += 1
 
 
 # enumerate_tight_cuts ----------------------------------------------------------

@@ -1,9 +1,11 @@
 """Witness search and the tight-cut decomposition chain."""
 
+import json
+
 import pytest
 
 from tightcut.certificate import DecompositionCertificate
-from tightcut.cuts import classify_cut, is_tight
+from tightcut.cuts import is_tight
 from tightcut.decompose import (
     BRANCH_ALREADY_WITNESSED,
     BRANCH_BARRIER_PHASE,
@@ -20,8 +22,9 @@ from tightcut.decompose import (
     find_noncrossing_witness,
     witness_from_edge,
 )
-from tightcut.graph import GraphError
+from tightcut.graph import Graph, GraphError
 from tightcut.instances import fixture_instances
+from tightcut.matching import ENUMERATION_LIMIT
 from tightcut.structure import enumerate_barriers
 from tightcut.verify import verify_certificate
 
@@ -206,6 +209,28 @@ def test_decompose_fixpoint_regression():
     assert cert.r == 4
     assert tally.counts == {BRANCH_BARRIER_PHASE: 3}
     assert verify_certificate(g, c, cert).ok
+
+
+def test_decompose_past_the_enumeration_limit():
+    """Two K_{7,7}, each less one left vertex, whose right sides are
+    joined by a perfect matching: those 7 edges form a tight cut of a
+    graph on 26 vertices, more than perfect-matching enumeration takes."""
+    left_a, right_a = range(0, 6), range(6, 13)
+    left_b, right_b = range(13, 19), range(19, 26)
+    edges = [(u, v) for u in left_a for v in right_a]
+    edges += [(u, v) for u in left_b for v in right_b]
+    edges += list(zip(right_a, right_b))
+    g = Graph(range(26), edges)
+    assert g.n > ENUMERATION_LIMIT
+    c = g.boundary(range(13))
+    cert = decompose_tight_cut(g, c)
+    assert cert.r == 1 and cert.final_classification.witnessed
+    obj = json.loads(json.dumps(cert.to_json_dict()))
+    block = obj["input"]
+    h = Graph(range(block["graph"]["n"]),
+              [tuple(pair) for pair in block["graph"]["edges"]])
+    assert verify_certificate(
+        h, h.boundary(frozenset(block["cut_shore"])), obj).ok
 
 
 def test_decompose_all_nontrivial_cuts_of_blocked_pair():

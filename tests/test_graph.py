@@ -2,7 +2,7 @@
 
 import pytest
 
-from tightcut.graph import Cut, Graph, GraphError
+from tightcut.graph import Graph, GraphError
 
 from conftest import cycle
 

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from tightcut.cuts import enumerate_tight_cuts, is_tight
-from tightcut.graph import Graph, GraphError
+from tightcut.graph import GraphError
 from tightcut.instances import (
     EXHAUSTIVE_MAX_N,
     RANDOM_MAX_N,

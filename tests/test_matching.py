@@ -3,10 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tightcut.graph import EnumerationLimitError, Graph, GraphError
+from tightcut.graph import EnumerationLimitError, Graph
 from tightcut.matching import (
+    ENUMERATION_LIMIT,
     all_perfect_matchings,
-    enumeration_limit,
     find_perfect_matching,
     is_admissible,
     is_bicritical,
@@ -146,19 +146,8 @@ def test_matching_structure_with_removed(c6):
     assert ms.attachments == frozenset({2, 4})
 
 
-def test_enumeration_guard_env(monkeypatch, c6):
-    monkeypatch.setenv("TIGHTCUT_MAX_ENUM", "4")
-    assert enumeration_limit() == 4
+def test_enumeration_guard_is_fixed():
+    assert ENUMERATION_LIMIT == 24
+    assert len(perfect_matching_masks(cycle(ENUMERATION_LIMIT))) == 2
     with pytest.raises(EnumerationLimitError):
-        perfect_matching_masks(c6)
-    monkeypatch.setenv("TIGHTCUT_MAX_ENUM", "banana")
-    with pytest.raises(GraphError):
-        enumeration_limit()
-    monkeypatch.setenv("TIGHTCUT_MAX_ENUM", "-3")
-    with pytest.raises(GraphError):
-        enumeration_limit()
-
-
-def test_enumeration_guard_default(monkeypatch):
-    monkeypatch.delenv("TIGHTCUT_MAX_ENUM", raising=False)
-    assert enumeration_limit() == 24
+        perfect_matching_masks(cycle(ENUMERATION_LIMIT + 2))

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tightcut.graph import Graph, GraphError, InternalInvariantError
+from tightcut.graph import Graph, GraphError
 from tightcut.instances import canonical, fixture_instances
 from tightcut.matching import is_matching_covered
 from tightcut.structure import (
@@ -20,7 +20,7 @@ from tightcut.structure import (
     two_separation_cuts,
 )
 
-from conftest import brute_components, brute_is_barrier, cycle
+from conftest import brute_components, brute_is_barrier
 
 
 # barriers -------------------------------------------------------------------

@@ -27,30 +27,11 @@ from tightcut.verify import (
     witness_failure,
 )
 
-from conftest import cycle
-from mutations import mutation_corpus
+from mutations import mutation_targets, target_mutants
 
 
-def _instances():
-    fixtures = {name: (g, shore) for name, g, shore in fixture_instances()}
-    c6 = cycle(6)
-    out = [("c6", c6, frozenset({0, 1, 2}))]
-    for name in ("blocked_triangle", "bridged_triangle"):
-        g, shore = fixtures[name]
-        out.append((name, g, shore))
-    g, _ = fixtures["blocked_pair"]
-    out.append(("blocked_pair_tie", g, frozenset({0, 2, 3, 4, 5})))
-    return out
-
-
-BASES = []
-CORPUS = []
-for _name, _g, _shore in _instances():
-    _c = _g.boundary(_shore)
-    _cert = decompose_tight_cut(_g, _c)
-    BASES.append((_name, _g, _c, _cert))
-    CORPUS.extend((_g, _c, label, mutated, code)
-                  for label, mutated, code in mutation_corpus(_name, _cert))
+BASES = mutation_targets()
+CORPUS = target_mutants(BASES)
 
 
 def test_corpus_is_large_enough():
