@@ -4,7 +4,8 @@ A cut is tight when every perfect matching uses exactly one of its
 edges. The interesting tight cuts are the witnessed ones: those whose
 shore is an odd component of some barrier complement (a barrier cut),
 or which arise from a two-separation. classify_cut collects all such
-witnesses at desk scale.
+witnesses; its barrier search is exponential only in the size of one
+canonical part.
 """
 
 from __future__ import annotations
@@ -101,10 +102,15 @@ class CutClassification:
 def classify_cut(g: Graph, c: Cut, *, max_vertices=16) -> CutClassification:
     """Tightness plus every barrier and two-separation witness.
 
-    Desk scale: the barriers witnessing a shore are drawn from full
-    enumeration within the opposite shore, so the guard applies to shore
-    sizes. A tight shore is odd, so it is witnessed exactly when it is
-    one of the barrier's odd components.
+    A tight shore is odd, so a barrier B inside the opposite shore
+    witnesses it exactly when the shore is one of the odd components of
+    g - B. Then every neighbour of the shore outside it lies in B, so
+    the search runs only over barriers of the opposite shore containing
+    these attachments: candidates beyond them must be dependent with
+    each of them (see enumerate_barriers), and if the attachments are
+    not pairwise dependent the shore has no barrier witness. The
+    enumeration guard applies to the free candidates: it counts the
+    largest set of them around one vertex, as in enumerate_barriers.
     """
     if c.graph is not g:
         raise GraphError("cut belongs to a different graph")
@@ -117,7 +123,10 @@ def classify_cut(g: Graph, c: Cut, *, max_vertices=16) -> CutClassification:
     shores = c.shores()
     found: list[tuple[Barrier, int]] = []
     for i, keep in enumerate(shores):
+        attachments = frozenset(
+            w for v in keep for w in g.neighbors(v)) - keep
         for b in enumerate_barriers(g, within=shores[1 - i],
+                                    containing=attachments,
                                     max_vertices=max_vertices):
             if keep in b.odd_parts:
                 found.append((b, i))

@@ -157,6 +157,15 @@ def _blossom_mates(g: Graph, removed: frozenset) -> dict[int, int]:
     return {verts[i]: verts[match[i]] for i in range(n) if match[i] != -1}
 
 
+def _maximum_matching(g: Graph) -> dict[int, int]:
+    """One maximum matching of g itself as a mate map, computed once per
+    graph: matching_number(g) and find_perfect_matching share it."""
+    got = g._cache.get("mates")
+    if got is None:
+        got = g._cache["mates"] = _blossom_mates(g, frozenset())
+    return got
+
+
 def _nu_cache(g: Graph) -> dict:
     got = g._cache.get("nu_by_removed")
     if got is None:
@@ -178,7 +187,9 @@ def matching_number(g: Graph, removed=frozenset()) -> int:
     cache = _nu_cache(g)
     got = cache.get(removed)
     if got is None:
-        got = len(_blossom_mates(g, removed)) // 2
+        mates = (_blossom_mates(g, removed) if removed
+                 else _maximum_matching(g))
+        got = len(mates) // 2
         cache[removed] = got
     return got
 
@@ -207,7 +218,7 @@ def find_perfect_matching(g: Graph) -> Matching | None:
     if "perfect_matching" not in g._cache:
         found = None
         if g.n % 2 == 0:
-            mates = _blossom_mates(g, frozenset())
+            mates = _maximum_matching(g)
             if len(mates) == g.n:
                 found = Matching(frozenset(
                     min(g.edges_between(u, v))

@@ -72,12 +72,33 @@ def is_barrier(g: Graph, members) -> Barrier | None:
     return Barrier(members, odd, g)
 
 
-def enumerate_barriers(g: Graph, *, within=None, nontrivial_only=False,
-                       max_vertices=16) -> list[Barrier]:
+def enumerate_barriers(g: Graph, *, within=None, containing=(),
+                       nontrivial_only=False, max_vertices=16) -> list[Barrier]:
     """All barriers drawn from a candidate pool, by size then lex order.
 
-    Desk-scale only: refuses pools larger than max_vertices. Results
-    are cached per pool on the graph.
+    Call u and v dependent when g - u - v is not matchable. Any two
+    members u, v of a barrier B are dependent, in every graph: deleting
+    the rest of B from g - u - v leaves |B| odd components against
+    |B| - 2 deleted vertices, so Tutte's condition fails. Candidates
+    therefore grow only as pairwise dependent sets, and is_barrier
+    decides each one. In a matching covered graph dependence is the
+    Kotzig-Lovasz canonical partition into maximal barriers, so the
+    candidates are the subsets of one part, and a brick has no
+    candidate beyond single vertices. In a graph with no perfect
+    matching every pair may be dependent, and the search is the full
+    subset scan.
+
+    containing: vertices of the pool every returned barrier includes.
+    Only pool vertices dependent with all of them are free candidates,
+    and if they are not pairwise dependent themselves there is no
+    barrier to return.
+
+    Guard: the search is exponential only in the largest set of free
+    candidates around one vertex, that vertex plus its dependent
+    partners among them; in a matching covered graph, the largest
+    canonical part inside the pool. When that exceeds max_vertices,
+    EnumerationLimitError is raised before any subset is tried. Results
+    are cached per pool and containing set on the graph.
     """
     if within is None:
         pool_set = g.vertex_set
@@ -86,27 +107,62 @@ def enumerate_barriers(g: Graph, *, within=None, nontrivial_only=False,
         if not pool_set <= g.vertex_set:
             raise GraphError(
                 f"not vertices of the graph: {sorted(pool_set - g.vertex_set)}")
+    seed = frozenset(containing)
+    if not seed <= pool_set:
+        raise GraphError(
+            f"required members outside the pool: {sorted(seed - pool_set)}")
     cache = g._cache.setdefault("barriers_by_pool", {})
-    got = cache.get(pool_set)
+    got = cache.get((pool_set, seed))
     if got is None:
-        if len(pool_set) > max_vertices:
-            raise EnumerationLimitError(
-                f"barrier enumeration over {len(pool_set)} candidates "
-                f"exceeds the guard of {max_vertices}")
-        pool = sorted(pool_set)
-        found = []
-        # a barrier and its odd components are disjoint, so |B| <= n/2
-        top = min(len(pool), g.n // 2)
-        for size in range(1, top + 1):
-            for combo in combinations(pool, size):
-                b = is_barrier(g, combo)
-                if b is not None:
-                    found.append(b)
-        got = tuple(found)
-        cache[pool_set] = got
+        got = tuple(_search_barriers(g, pool_set, seed, max_vertices))
+        cache[(pool_set, seed)] = got
     if nontrivial_only:
         return [b for b in got if b.is_nontrivial]
     return list(got)
+
+
+def _search_barriers(g: Graph, pool_set: frozenset[int], seed: frozenset[int],
+                     max_vertices: int) -> list[Barrier]:
+    """enumerate_barriers' search: pairwise dependent supersets of seed
+    inside the pool, tested by is_barrier in size then lex order."""
+    def dependent(u: int, v: int) -> bool:
+        return not is_matchable(g, frozenset((u, v)))
+
+    if not all(dependent(u, v) for u, v in combinations(sorted(seed), 2)):
+        return []
+    free = [v for v in sorted(pool_set - seed)
+            if all(dependent(v, a) for a in seed)]
+    partners = {v: frozenset(w for w in free if w != v and dependent(v, w))
+                for v in free}
+    widest = max((1 + len(p) for p in partners.values()), default=0)
+    if widest > max_vertices:
+        raise EnumerationLimitError(
+            f"barrier enumeration over {widest} candidates "
+            f"exceeds the guard of {max_vertices}")
+
+    # a barrier and its odd components are disjoint, so |B| <= n/2
+    room = g.n // 2 - len(seed)
+    if room < 0:
+        return []
+    extensions: list[tuple[int, ...]] = [()] if seed else []
+
+    def grow(chosen: tuple[int, ...], options: list[int]) -> None:
+        if len(chosen) == room:
+            return
+        for i, v in enumerate(options):
+            extended = chosen + (v,)
+            extensions.append(extended)
+            grow(extended, [w for w in options[i + 1:] if w in partners[v]])
+
+    grow((), free)
+    candidates = sorted(tuple(sorted(seed.union(ext))) for ext in extensions)
+    candidates.sort(key=len)
+    found = []
+    for members in candidates:
+        b = is_barrier(g, members)
+        if b is not None:
+            found.append(b)
+    return found
 
 
 def barrier_cuts(g: Graph, b: Barrier) -> tuple[Cut, ...]:

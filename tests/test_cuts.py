@@ -11,7 +11,7 @@ from tightcut.cuts import classify_cut, enumerate_tight_cuts, is_tight
 from tightcut.instances import canonical, fixture_instances
 from tightcut.matching import is_matching_covered, perfect_matching_masks
 
-from conftest import brute_is_tight, cycle
+from conftest import brute_components, brute_is_barrier, brute_is_tight, cycle
 
 
 # is_tight ---------------------------------------------------------------------
@@ -167,3 +167,34 @@ def test_classify_validates(c6, k4):
 def test_every_nontrivial_tight_cut_of_c6_is_witnessed(c6):
     for c in enumerate_tight_cuts(c6, nontrivial_only=True):
         assert classify_cut(c6, c).witnessed
+
+
+def _oracle_barrier_witnesses(g, c):
+    """(members, shore index) for every subset of the opposite shore
+    that is a barrier with the shore among its odd components."""
+    edges = [ends for _, ends in g.edge_items()]
+    shores = c.shores()
+    out = []
+    for i, keep in enumerate(shores):
+        far = sorted(shores[1 - i])
+        for size in range(1, len(far) + 1):
+            for combo in combinations(far, size):
+                if (brute_is_barrier(g.vertices, edges, combo)
+                        and keep in brute_components(g.vertices, edges, combo)):
+                    out.append((frozenset(combo), i))
+    return sorted(out, key=lambda t: (sorted(t[0]), t[1]))
+
+
+def test_classify_barrier_witnesses_match_oracle(exhaustive_corpus):
+    graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
+    graphs += [g for _, g, _ in fixture_instances()]
+    checked = witnessed = 0
+    for g in graphs:
+        for c in enumerate_tight_cuts(g, nontrivial_only=True):
+            got = [(b.members, i)
+                   for b, i in classify_cut(g, c).barrier_witnesses]
+            want = _oracle_barrier_witnesses(g, c)
+            assert got == want, (g, sorted(c.shore))
+            checked += 1
+            witnessed += bool(want)
+    assert checked > 100 and 0 < witnessed < checked

@@ -211,18 +211,22 @@ def test_decompose_fixpoint_regression():
     assert verify_certificate(g, c, cert).ok
 
 
-def test_decompose_past_the_enumeration_limit():
-    """Two K_{7,7}, each less one left vertex, whose right sides are
-    joined by a perfect matching: those 7 edges form a tight cut of a
-    graph on 26 vertices, more than perfect-matching enumeration takes."""
-    left_a, right_a = range(0, 6), range(6, 13)
-    left_b, right_b = range(13, 19), range(19, 26)
+@pytest.mark.parametrize("k", [7, 9])
+def test_decompose_past_the_enumeration_limit(k):
+    """Two K_{k,k}, each less one left vertex, whose right sides are
+    joined by a perfect matching: those k edges form a tight cut of a
+    graph on 4k - 2 vertices, more than perfect-matching enumeration
+    takes. At k = 9 each shore holds 17 vertices, but its largest
+    canonical part only 9, so barrier search stays under its guard."""
+    n = 4 * k - 2
+    left_a, right_a = range(0, k - 1), range(k - 1, 2 * k - 1)
+    left_b, right_b = range(2 * k - 1, 3 * k - 2), range(3 * k - 2, n)
     edges = [(u, v) for u in left_a for v in right_a]
     edges += [(u, v) for u in left_b for v in right_b]
     edges += list(zip(right_a, right_b))
-    g = Graph(range(26), edges)
+    g = Graph(range(n), edges)
     assert g.n > ENUMERATION_LIMIT
-    c = g.boundary(range(13))
+    c = g.boundary(range(2 * k - 1))
     cert = decompose_tight_cut(g, c)
     assert cert.r == 1 and cert.final_classification.witnessed
     obj = json.loads(json.dumps(cert.to_json_dict()))

@@ -1,4 +1,5 @@
-"""No module in src/ or tests/ imports a name it never uses.
+"""No module in src/ or tests/ imports a name it never uses, and no
+module in src/ but matching.py touches the exhaustive test oracles.
 
 Standard library only, so the check runs where no linter is installed.
 An imported name counts as used when it appears as a bare name anywhere
@@ -11,7 +12,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")])
+PACKAGE = sorted(ROOT.glob("src/**/*.py"))
+SOURCES = sorted([*PACKAGE, *ROOT.glob("tests/**/*.py")])
+# perfect-matching enumeration survives only as an oracle for tests
+ORACLES = {"perfect_matching_masks", "all_perfect_matchings"}
 
 
 def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -46,3 +50,40 @@ def test_detector_flags_unused_names():
     "path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def oracle_references(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) for every name, attribute, import or string that
+    mentions an exhaustive oracle."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name in ORACLES:
+            found.add((node.lineno, name))
+    return sorted(found)
+
+
+def test_detector_flags_oracle_references():
+    tree = ast.parse("from .matching import all_perfect_matchings as apm\n"
+                     "import tightcut.matching as m\n"
+                     "m.perfect_matching_masks(g)\n"
+                     "__all__ = ['perfect_matching_masks']\n")
+    assert oracle_references(tree) == [
+        (1, "all_perfect_matchings"), (3, "perfect_matching_masks"),
+        (4, "perfect_matching_masks")]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "matching.py"],
+    ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_exhaustive_oracles_stay_out_of_src(path):
+    assert oracle_references(ast.parse(path.read_text())) == []

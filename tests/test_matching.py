@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tightcut import matching
+from tightcut.cuts import is_tight
 from tightcut.graph import EnumerationLimitError, Graph
 from tightcut.matching import (
     ENUMERATION_LIMIT,
@@ -151,3 +153,20 @@ def test_enumeration_guard_is_fixed():
     assert len(perfect_matching_masks(cycle(ENUMERATION_LIMIT))) == 2
     with pytest.raises(EnumerationLimitError):
         perfect_matching_masks(cycle(ENUMERATION_LIMIT + 2))
+
+
+def test_one_blossom_run_on_the_graph_itself(monkeypatch):
+    # matching_number(g) and find_perfect_matching share one maximum
+    # matching of g, so g itself goes through blossom once
+    removed_sets = []
+    blossom = matching._blossom_mates
+
+    def spy(g, removed):
+        removed_sets.append(removed)
+        return blossom(g, removed)
+
+    monkeypatch.setattr(matching, "_blossom_mates", spy)
+    g = cycle(6)
+    assert is_matching_covered(g)
+    assert is_tight(g, g.boundary({0, 1, 2}))
+    assert removed_sets.count(frozenset()) == 1

@@ -1,11 +1,15 @@
 """Barriers, two-separations, strict barriers, and the lifting maps."""
 
+from itertools import combinations
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tightcut.graph import Graph, GraphError
+from tightcut.cuts import enumerate_tight_cuts
+from tightcut.graph import EnumerationLimitError, Graph, GraphError
 from tightcut.instances import canonical, fixture_instances
-from tightcut.matching import is_matching_covered
+from tightcut.matching import is_matchable, is_matching_covered
 from tightcut.structure import (
     barrier_core,
     barrier_cuts,
@@ -98,6 +102,116 @@ def test_matching_covered_barriers_leave_only_odd_components(
             assert len(comps) == len(b.members), (g, b)
             checked += 1
     assert checked > len(graphs)
+
+
+def _oracle_barriers(g):
+    """Every barrier of g by size then lex order, by the subset oracle."""
+    edges = [ends for _, ends in g.edge_items()]
+    return [frozenset(combo)
+            for size in range(1, g.n)
+            for combo in combinations(g.vertices, size)
+            if brute_is_barrier(g.vertices, edges, combo)]
+
+
+def _check_barrier_search(g, pools, seeds=()):
+    """enumerate_barriers against the oracle on each pool, and on the
+    whole vertex set with each seed required."""
+    every = _oracle_barriers(g)
+    for pool in pools:
+        got = [b.members for b in enumerate_barriers(g, within=pool)]
+        assert got == [b for b in every if b <= pool], (g, sorted(pool))
+    for seed in map(frozenset, seeds):
+        got = [b.members for b in enumerate_barriers(g, containing=seed)]
+        assert got == [b for b in every if seed <= b], (g, sorted(seed))
+    return len(every)
+
+
+def test_barrier_search_matches_oracle_on_shores(exhaustive_corpus):
+    graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
+    graphs += [g for _, g, _ in fixture_instances()]
+    found = 0
+    for g in graphs:
+        pools = {g.vertex_set}
+        pools.update(side for c in enumerate_tight_cuts(g)
+                     for side in c.shores())
+        found += _check_barrier_search(g, pools)
+    assert found > len(graphs)
+
+
+def test_barrier_search_matches_oracle_off_matching_covered():
+    # dependence is no partition here, but Tutte's bound still holds
+    rng = Random(6)
+    pairs = list(combinations(range(8), 2))
+    checked = 0
+    while checked < 200:
+        edges = [(0, 1), (2, 3), (4, 5), (6, 7)]
+        edges += [rng.choice(pairs) for _ in range(rng.randint(1, 12))]
+        g = Graph(range(8), edges)
+        if not is_matching_covered(g):
+            pools = {g.vertex_set, frozenset(range(4)), frozenset({0, 3, 5, 6})}
+            _check_barrier_search(g, pools, [{0}, {1, 6}, {2, 4, 7}])
+            checked += 1
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (0, 2), (0, 3)],                                  # star
+    [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],          # 2 K3
+    [(u, v) for u in range(2) for v in range(2, 6)],           # K_{2,4}
+    [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6),
+     (7, 8), (8, 9), (7, 9), (0, 1), (0, 4), (0, 7)],          # 3 K3 at 0
+], ids=["star", "two_triangles", "k24", "triangle_flower"])
+def test_barrier_search_matches_oracle_without_perfect_matching(edges):
+    g = Graph.from_edges(edges)
+    assert g.n % 2 == 0 and not is_matchable(g)
+    _check_barrier_search(g, {g.vertex_set}, [{v} for v in g.vertices])
+
+
+def test_enumerate_barriers_containing(c6):
+    got = enumerate_barriers(c6, within={0, 1, 2, 3, 4}, containing={0, 2})
+    assert [sorted(b.members) for b in got] == [[0, 2], [0, 2, 4]]
+    # 0 and 1 are adjacent in a matching covered graph: never together
+    assert enumerate_barriers(c6, containing={0, 1}) == []
+    with pytest.raises(GraphError):
+        enumerate_barriers(c6, within={0, 1}, containing={2})
+
+
+def _dependence_classes(g):
+    """Map each vertex u to u and every v with g - u - v not matchable."""
+    return {u: frozenset({u} | {v for v in g.vertices if v != u
+                               and not is_matchable(g, {u, v})})
+            for u in g.vertices}
+
+
+def test_dependence_is_the_canonical_partition(exhaustive_corpus):
+    graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
+    graphs += [g for _, g, _ in fixture_instances()]
+    graphs += [canonical("k4"), canonical("petersen")]
+    for g in graphs:
+        assert is_matching_covered(g)
+        classes = _dependence_classes(g)
+        edges = [ends for _, ends in g.edge_items()]
+        for u, part in classes.items():
+            # an equivalence relation: each member has the same class
+            assert all(classes[v] == part for v in part), (g, u)
+            assert is_barrier(g, part) is not None, (g, sorted(part))
+            assert brute_is_barrier(g.vertices, edges, part)
+    for name in ("k4", "petersen"):
+        g = canonical(name)
+        assert all(len(part) == 1
+                   for part in _dependence_classes(g).values())
+
+
+def test_barrier_guard_counts_one_canonical_part(c6):
+    # the guard measures the largest canonical part, not the pool
+    assert len(enumerate_barriers(canonical("petersen"),
+                                  max_vertices=1)) == 10
+    with pytest.raises(EnumerationLimitError, match="3 candidates"):
+        enumerate_barriers(c6, max_vertices=2)
+    k = Graph(range(34), [(u, v) for u in range(17) for v in range(17, 34)])
+    with pytest.raises(EnumerationLimitError, match="17 candidates"):
+        enumerate_barriers(k)
+    # a GraphError, so the command line reports it with exit code 2
+    assert issubclass(EnumerationLimitError, GraphError)
 
 
 def test_barrier_cuts(c6):
