@@ -5,7 +5,8 @@ edges. The interesting tight cuts are the witnessed ones: those whose
 shore is an odd component of some barrier complement (a barrier cut),
 or which arise from a two-separation. classify_cut collects all such
 witnesses; its barrier search is exponential only in the size of one
-canonical part.
+canonical part, and its two-separation witnesses come from one cut
+edge (twoseps_generating).
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from .structure import (
     Barrier,
     TwoSeparation,
     enumerate_barriers,
-    find_2separations,
-    two_separation_cuts,
+    twoseps_generating,
 )
 
 
@@ -111,6 +111,8 @@ def classify_cut(g: Graph, c: Cut, *, max_vertices=16) -> CutClassification:
     not pairwise dependent the shore has no barrier witness. The
     enumeration guard applies to the free candidates: it counts the
     largest set of them around one vertex, as in enumerate_barriers.
+    The two-separation witnesses are the O(n) candidates
+    twoseps_generating derives from one cut edge.
     """
     if c.graph is not g:
         raise GraphError("cut belongs to a different graph")
@@ -133,8 +135,7 @@ def classify_cut(g: Graph, c: Cut, *, max_vertices=16) -> CutClassification:
     barrier_witnesses = tuple(
         sorted(found, key=lambda t: (sorted(t[0].members), t[1])))
 
-    twosep_witnesses = tuple(
-        s for s in find_2separations(g) if c in two_separation_cuts(g, s))
+    twosep_witnesses = tuple(twoseps_generating(g, c))
 
     return CutClassification(
         c, True, c.is_trivial, barrier_witnesses, twosep_witnesses)

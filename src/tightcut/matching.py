@@ -1,11 +1,23 @@
 """Perfect matchings and the predicates built on them.
 
-The polynomial-time core is a blossom-contraction maximum matching
-search. Everything else (admissibility, matching covered, critical,
-bicritical, the exposed/attachment split) reduces to matchability
-queries on vertex-deleted subgraphs, memoized per graph and keyed by
-the removed vertex set, so admissibility of parallel edges is computed
-once per endpoint pair.
+The polynomial-time core is one Edmonds alternating search
+(_alternating_search) over a vertex index and sorted adjacency built
+once per graph. Everything else (admissibility, matching covered,
+critical, bicritical, the exposed/attachment split) reduces to
+matchability queries on vertex-deleted subgraphs, answered in one of
+two ways:
+
+- Dependence rows. When g has a perfect matching M, row(x) is the set
+  of v with g - x - v matchable: the outer vertices of one search from
+  the mate x' of x in g - x, started from M - xx'. One search answers
+  every pair query at x, so n searches answer all O(n^2) of them;
+  is_matchable and matching_number use the rows for every pair
+  {u, v}, cached per graph.
+- Warm-started search. Every other removed set, and every query on a
+  graph without a perfect matching, runs _blossom_mates: it starts
+  from g's cached maximum matching less the edges at removed vertices
+  and searches only from the vertices that leaves exposed. Results are
+  memoized per graph, keyed by the removed set.
 
 Exhaustive perfect-matching enumeration is kept only as the test
 oracle for the polynomial routines; nothing in the package calls it. It
@@ -18,7 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graph import EnumerationLimitError, Graph, GraphError
+from .graph import (
+    EnumerationLimitError,
+    Graph,
+    GraphError,
+    InternalInvariantError,
+)
 
 ENUMERATION_LIMIT = 24
 
@@ -54,38 +71,37 @@ class Matching:
         return f"Matching({sorted(self.edges)})"
 
 
-def _blossom_mates(g: Graph, removed: frozenset) -> dict[int, int]:
-    """Maximum matching of g - removed as a symmetric mate map.
+def _search_index(g: Graph) -> tuple[tuple[int, ...], dict[int, int],
+                                     list[list[int]]]:
+    """The sorted vertices of g, their positions, and sorted adjacency
+    rows over positions (parallel edges merged), built once per graph."""
+    got = g._cache.get("search_index")
+    if got is None:
+        verts = g.vertices
+        index = {v: i for i, v in enumerate(verts)}
+        adj = [[index[w] for w in g.neighbors(v)] for v in verts]
+        got = g._cache["search_index"] = (verts, index, adj)
+    return got
 
-    Blossom contraction over a breadth-first alternating forest, O(V^3).
-    Vertices, adjacency rows, and search order are all sorted, so the
-    result is deterministic.
+
+def _alternating_search(adj: list[list[int]], match: list[int],
+                        dead: list[bool], root: int) -> list[bool] | None:
+    """Edmonds' search from the exposed vertex root, ignoring dead
+    vertices.
+
+    Grows one alternating tree over a breadth-first queue, contracting
+    blossoms onto their bases. An augmenting path is applied to match
+    in place and None is returned. Otherwise the outer flags are
+    returned: v is outer iff an even alternating path leads from root
+    to v, iff swapping along it gives a matching of the same size that
+    misses v instead of root (Edmonds 1965).
     """
-    verts = [v for v in g.vertices if v not in removed]
-    index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    seen_pairs: set[tuple[int, int]] = set()
-    for _, (u, v) in g.edge_items():
-        if u in removed or v in removed or (u, v) in seen_pairs:
-            continue
-        seen_pairs.add((u, v))
-        adj[index[u]].append(index[v])
-        adj[index[v]].append(index[u])
-    for row in adj:
-        row.sort()
-
-    match = [-1] * n
-    for v in range(n):
-        if match[v] == -1:
-            for w in adj[v]:
-                if match[w] == -1:
-                    match[v] = w
-                    match[w] = v
-                    break
-
+    n = len(adj)
     p = [-1] * n
     base = list(range(n))
+    outer = [False] * n
+    outer[root] = True
+    queue = [root]
 
     def lca(a: int, b: int) -> int:
         used = [False] * n
@@ -111,58 +127,108 @@ def _blossom_mates(g: Graph, removed: frozenset) -> dict[int, int]:
             child = match[v]
             v = p[match[v]]
 
-    def find_path(root: int) -> bool:
-        for i in range(n):
-            p[i] = -1
-            base[i] = i
-        used = [False] * n
-        used[root] = True
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    curbase = lca(v, to)
-                    in_blossom = [False] * n
-                    mark_path(v, curbase, to, in_blossom)
-                    mark_path(to, curbase, v, in_blossom)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
-                            base[i] = curbase
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
-                elif p[to] == -1:
-                    p[to] = v
-                    if match[to] == -1:
-                        cur = to
-                        while cur != -1:
-                            prev = p[cur]
-                            nxt = match[prev]
-                            match[cur] = prev
-                            match[prev] = cur
-                            cur = nxt
-                        return True
-                    used[match[to]] = True
-                    queue.append(match[to])
-        return False
+    qi = 0
+    while qi < len(queue):
+        v = queue[qi]
+        qi += 1
+        for to in adj[v]:
+            if dead[to] or base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] != -1 and p[match[to]] != -1):
+                curbase = lca(v, to)
+                in_blossom = [False] * n
+                mark_path(v, curbase, to, in_blossom)
+                mark_path(to, curbase, v, in_blossom)
+                for i in range(n):
+                    if in_blossom[base[i]]:
+                        base[i] = curbase
+                        if not outer[i]:
+                            outer[i] = True
+                            queue.append(i)
+            elif p[to] == -1:
+                p[to] = v
+                if match[to] == -1:
+                    cur = to
+                    while cur != -1:
+                        prev = p[cur]
+                        nxt = match[prev]
+                        match[cur] = prev
+                        match[prev] = cur
+                        cur = nxt
+                    return None
+                outer[match[to]] = True
+                queue.append(match[to])
+    return outer
 
+
+def _blossom_mates(g: Graph, removed: frozenset) -> dict[int, int]:
+    """Maximum matching of g - removed as a symmetric mate map.
+
+    Runs _alternating_search from every exposed vertex once, O(V^3).
+    With vertices removed the start is g's cached maximum matching less
+    the edges at removed vertices, so at most |removed| more vertices
+    are exposed; on g itself it is a greedy matching in sorted order.
+    Everything is sorted, so the result is deterministic.
+    """
+    verts, index, adj = _search_index(g)
+    n = len(verts)
+    dead = [False] * n
+    for v in removed:
+        dead[index[v]] = True
+    match = [-1] * n
+    if removed:
+        for v, w in _maximum_matching(g).items():
+            if not (dead[index[v]] or dead[index[w]]):
+                match[index[v]] = index[w]
+    else:
+        for v in range(n):
+            if match[v] == -1:
+                for w in adj[v]:
+                    if match[w] == -1:
+                        match[v] = w
+                        match[w] = v
+                        break
     for v in range(n):
-        if match[v] == -1:
-            find_path(v)
+        if match[v] == -1 and not dead[v]:
+            _alternating_search(adj, match, dead, v)
     return {verts[i]: verts[match[i]] for i in range(n) if match[i] != -1}
 
 
 def _maximum_matching(g: Graph) -> dict[int, int]:
     """One maximum matching of g itself as a mate map, computed once per
-    graph: matching_number(g) and find_perfect_matching share it."""
+    graph: matching_number, find_perfect_matching, the warm start of
+    _blossom_mates and the dependence rows share it."""
     got = g._cache.get("mates")
     if got is None:
         got = g._cache["mates"] = _blossom_mates(g, frozenset())
+    return got
+
+
+def _dependence_row(g: Graph, x: int) -> frozenset[int]:
+    """Every v with g - x - v matchable, for g with a perfect matching M.
+
+    M less the edge xx' is a maximum matching of g - x that misses only
+    x', so v qualifies iff some matching of that size misses v, iff v is
+    outer in one search from x' in g - x. That search cannot augment,
+    since g - x has odd order. Rows are cached per graph.
+    """
+    rows = g._cache.setdefault("dependence_rows", {})
+    got = rows.get(x)
+    if got is None:
+        verts, index, adj = _search_index(g)
+        mates = _maximum_matching(g)
+        match = [index[mates[v]] for v in verts]
+        i = index[x]
+        j = match[i]
+        match[i] = match[j] = -1
+        dead = [False] * len(verts)
+        dead[i] = True
+        outer = _alternating_search(adj, match, dead, j)
+        if outer is None:
+            raise InternalInvariantError(
+                f"search from the mate of {x} augmented in g - {x}, "
+                "which has odd order")
+        got = rows[x] = frozenset(v for v, o in zip(verts, outer) if o)
     return got
 
 
@@ -181,9 +247,22 @@ def _validate_removed(g: Graph, removed: frozenset) -> None:
 
 
 def matching_number(g: Graph, removed=frozenset()) -> int:
-    """Size of a maximum matching of g - removed."""
+    """Size of a maximum matching of g - removed.
+
+    When g has a perfect matching and removed is a pair {u, v}, the
+    answer is n/2 - 1 if v is in the dependence row of u and n/2 - 2
+    otherwise (deleting two vertices costs a perfect matching at most
+    two edges); a row already computed for either end is used. Every
+    other query runs _blossom_mates once and is memoized.
+    """
     removed = frozenset(removed)
     _validate_removed(g, removed)
+    if len(removed) == 2 and len(_maximum_matching(g)) == g.n:
+        rows = g._cache.get("dependence_rows", {})
+        u, v = sorted(removed)
+        if v in rows and u not in rows:
+            u, v = v, u
+        return g.n // 2 - (1 if v in _dependence_row(g, u) else 2)
     cache = _nu_cache(g)
     got = cache.get(removed)
     if got is None:

@@ -213,18 +213,34 @@ def make_two_separation(g: Graph, pair, side1, side2) -> TwoSeparation:
     return TwoSeparation((u, v), s1, s2, g)
 
 
+# groupings find_2separations tries for one vertex pair, at most
+GROUPING_LIMIT = 1 << 16
+
+
 def find_2separations(g: Graph) -> list[TwoSeparation]:
     """All two-separations, sorted by (pair, side1).
 
     Every grouping of the components of g - {u, v} into two even sides
     counts, with the component holding the smallest vertex fixed on
-    side one so each unordered split appears once.
+    side one so each unordered split appears once. k components give
+    2^(k-1) groupings, so the listing is exponential: when some pair
+    has more than GROUPING_LIMIT, EnumerationLimitError is raised
+    before any grouping is built. The witnesses of one cut come from
+    twoseps_generating instead.
     """
-    out = []
+    splits = []
     for u, v in combinations(g.vertices, 2):
         parts = g.components_without(frozenset((u, v)))
         if len(parts) < 2:
             continue
+        if 1 << (len(parts) - 1) > GROUPING_LIMIT:
+            raise EnumerationLimitError(
+                f"two-separation listing over {len(parts)} components of "
+                f"g - {{{u}, {v}}} exceeds the guard of {GROUPING_LIMIT} "
+                "groupings")
+        splits.append((u, v, parts))
+    out = []
+    for u, v, parts in splits:
         head, rest = parts[0], parts[1:]
         for bits in range(1 << len(rest)):
             group1 = set(head)
@@ -240,6 +256,48 @@ def find_2separations(g: Graph) -> list[TwoSeparation]:
             except GraphError as exc:
                 raise InternalInvariantError(
                     f"component grouping failed validation: {exc}") from exc
+    out.sort(key=lambda s: (s.pair, sorted(s.side1)))
+    return out
+
+
+def twoseps_generating(g: Graph, c: Cut) -> list[TwoSeparation]:
+    """The two-separations generating c, sorted by (pair, side1).
+
+    A two-separation with pair {p, q} generates c = boundary(S) exactly
+    when q is in S, p is not, and its sides are S + p and (V - S) + q;
+    the other shore of c gives the same separations with p and q
+    swapped. No edge joins S - q to (V - S) - p, so every cut edge has
+    near end q or far end p (Lovasz-Plummer, Matching Theory, 1986).
+    Hence one cut edge x0y0 fixes q = x0, with p the common far end of
+    the cut edges not at x0, or p = y0, with q the common near end of
+    the cut edges not at y0; when no cut edge is left, any vertex of
+    the other side qualifies. That is O(n) candidate pairs, and each is
+    checked by make_two_separation and two_separation_cuts.
+    """
+    if c.graph is not g:
+        raise GraphError("cut belongs to a different graph")
+    shore, far = c.shore, c.other_shore
+    ends = sorted((u, v) if u in shore else (v, u)
+                  for u, v in map(g.edge_ends, c.edge_ids))
+    if not ends:  # g is disconnected: any pair across the cut may do
+        candidates = {(p, q) for p in far for q in shore}
+    else:
+        x0, y0 = ends[0]
+        far_ends = {y for x, y in ends if x != x0}
+        near_ends = {x for x, y in ends if y != y0}
+        candidates = set()
+        if len(far_ends) <= 1:
+            candidates.update((p, x0) for p in far_ends or far)
+        if len(near_ends) <= 1:
+            candidates.update((y0, q) for q in near_ends or shore)
+    out = []
+    for p, q in candidates:
+        try:
+            s = make_two_separation(g, (p, q), shore | {p}, far | {q})
+        except GraphError:
+            continue
+        if c in two_separation_cuts(g, s):
+            out.append(s)
     out.sort(key=lambda s: (s.pair, sorted(s.side1)))
     return out
 

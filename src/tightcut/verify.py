@@ -15,7 +15,7 @@ decomposition procedure and the sweep call it too.
 
 The verifier is independent of the producer's search, not of its
 primitives. Both sides rely on is_matching_covered, is_tight,
-classify_cut, is_barrier, make_two_separation, find_2separations,
+classify_cut, is_barrier, make_two_separation, twoseps_generating,
 two_separation_cuts, Cut.crosses and the Graph methods boundary,
 contract and cut_from_edge_ids. A Graph handed in by the caller also
 keeps whatever the producer memoized on it, matchings included.
@@ -30,10 +30,10 @@ from .cuts import classify_cut, is_tight
 from .graph import Cut, Graph, GraphError
 from .matching import is_matching_covered
 from .structure import (
-    find_2separations,
     is_barrier,
     make_two_separation,
     two_separation_cuts,
+    twoseps_generating,
 )
 
 R_SCHEMA = "schema violation"
@@ -313,10 +313,7 @@ def verify_certificate(g: Graph, c: Cut, cert) -> VerificationResult:
         cls = classify_cut(cur_g, cur_c)
         if not cls.witnessed:
             return fail(R_FINAL_WITNESSED, "$.final.classification")
-    else:
-        generated = any(
-            cur_c in two_separation_cuts(cur_g, s)
-            for s in find_2separations(cur_g))
-        if not generated or not embedded["two_separations"]:
-            return fail(R_FINAL_2SEP, "$.final.classification")
+    elif (not twoseps_generating(cur_g, cur_c)
+          or not embedded["two_separations"]):
+        return fail(R_FINAL_2SEP, "$.final.classification")
     return VerificationResult(True, ())

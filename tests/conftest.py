@@ -56,6 +56,30 @@ def brute_max_matching(vertices, edges) -> int:
     return rec(frozenset(verts))
 
 
+def brute_matching_numbers(vertices, edges):
+    """nu(live): maximum matching size of the subgraph induced on the
+    vertex set live, by memoized recursion; one memo per graph serves
+    every vertex-deleted subgraph of it."""
+    adj = {v: set() for v in vertices}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    memo: dict[frozenset[int], int] = {frozenset(): 0}
+
+    def nu(live) -> int:
+        live = frozenset(live)
+        got = memo.get(live)
+        if got is None:
+            v = min(live)
+            rest = live - {v}
+            got = max([nu(rest)] + [1 + nu(rest - {w})
+                                    for w in adj[v] & rest])
+            memo[live] = got
+        return got
+
+    return nu
+
+
 def brute_perfect_matchings(vertices, edges) -> set[frozenset[int]]:
     """All perfect matchings as frozensets of edge positions."""
     verts = sorted(vertices)
@@ -156,6 +180,29 @@ def brute_is_critical(vertices, edges) -> bool:
 
 def cycle(n: int) -> Graph:
     return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
+
+
+def glued(k: int) -> Graph:
+    """Two K_{k,k}, each less one left vertex, whose right sides are
+    joined by a perfect matching: matching covered, n = 4k - 2. Those k
+    edges form a tight cut with shore range(2k - 1)."""
+    n = 4 * k - 2
+    left_a, right_a = range(0, k - 1), range(k - 1, 2 * k - 1)
+    left_b, right_b = range(2 * k - 1, 3 * k - 2), range(3 * k - 2, n)
+    edges = [(u, v) for u in left_a for v in right_a]
+    edges += [(u, v) for u in left_b for v in right_b]
+    edges += list(zip(right_a, right_b))
+    return Graph(range(n), edges)
+
+
+def theta(k: int) -> Graph:
+    """Hubs 0 and 1 joined by k paths 0 - a_i - b_i - 1 of length 3, with
+    a_i = 2 + 2i and b_i = 3 + 2i: matching covered, n = 2k + 2."""
+    edges = []
+    for i in range(k):
+        a, b = 2 + 2 * i, 3 + 2 * i
+        edges += [(0, a), (a, b), (b, 1)]
+    return Graph(range(2 * k + 2), edges)
 
 
 @pytest.fixture(scope="session")

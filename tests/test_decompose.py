@@ -28,6 +28,8 @@ from tightcut.matching import ENUMERATION_LIMIT
 from tightcut.structure import enumerate_barriers
 from tightcut.verify import verify_certificate
 
+from conftest import glued, theta
+
 
 FIXTURES = {name: (g, shore) for name, g, shore in fixture_instances()}
 
@@ -218,23 +220,37 @@ def test_decompose_past_the_enumeration_limit(k):
     graph on 4k - 2 vertices, more than perfect-matching enumeration
     takes. At k = 9 each shore holds 17 vertices, but its largest
     canonical part only 9, so barrier search stays under its guard."""
-    n = 4 * k - 2
-    left_a, right_a = range(0, k - 1), range(k - 1, 2 * k - 1)
-    left_b, right_b = range(2 * k - 1, 3 * k - 2), range(3 * k - 2, n)
-    edges = [(u, v) for u in left_a for v in right_a]
-    edges += [(u, v) for u in left_b for v in right_b]
-    edges += list(zip(right_a, right_b))
-    g = Graph(range(n), edges)
+    g = glued(k)
     assert g.n > ENUMERATION_LIMIT
     c = g.boundary(range(2 * k - 1))
     cert = decompose_tight_cut(g, c)
     assert cert.r == 1 and cert.final_classification.witnessed
+    assert verifies_on_rebuilt_graph(cert)
+
+
+def verifies_on_rebuilt_graph(cert) -> bool:
+    """Verify the certificate's JSON round trip against a graph built
+    from that JSON alone, so that nothing the producer cached helps."""
     obj = json.loads(json.dumps(cert.to_json_dict()))
     block = obj["input"]
     h = Graph(range(block["graph"]["n"]),
               [tuple(pair) for pair in block["graph"]["edges"]])
-    assert verify_certificate(
+    return verify_certificate(
         h, h.boundary(frozenset(block["cut_shore"])), obj).ok
+
+
+def test_decompose_theta_past_the_two_separation_listing():
+    """Hubs 0 and 1 joined by 20 paths of length 3 (n = 42). Deleting the
+    hubs leaves 20 components, 2^19 groupings for a listing of all
+    two-separations; the witness of the cut around hub 0 and its first
+    path comes from one cut edge instead."""
+    g = theta(20)
+    c = g.boundary({0, 2, 3})
+    cert = decompose_tight_cut(g, c)
+    assert cert.r == 1
+    assert [s.pair for s in cert.final_classification.twosep_witnesses] == [
+        (0, 1)]
+    assert verifies_on_rebuilt_graph(cert)
 
 
 def test_decompose_all_nontrivial_cuts_of_blocked_pair():

@@ -1,11 +1,15 @@
 """Matching kernel against the brute-force oracle."""
 
+from itertools import combinations
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tightcut import matching
 from tightcut.cuts import is_tight
 from tightcut.graph import EnumerationLimitError, Graph
+from tightcut.instances import canonical, fixture_instances
 from tightcut.matching import (
     ENUMERATION_LIMIT,
     all_perfect_matchings,
@@ -23,9 +27,11 @@ from tightcut.matching import (
 from conftest import (
     brute_is_critical,
     brute_is_matching_covered,
+    brute_matching_numbers,
     brute_max_matching,
     brute_perfect_matchings,
     cycle,
+    glued,
 )
 
 
@@ -170,3 +176,89 @@ def test_one_blossom_run_on_the_graph_itself(monkeypatch):
     assert is_matching_covered(g)
     assert is_tight(g, g.boundary({0, 1, 2}))
     assert removed_sets.count(frozenset()) == 1
+
+
+def test_is_matching_covered_runs_rows_not_one_blossom_per_edge(monkeypatch):
+    # one blossom run on g, then at most one row search per vertex, in
+    # place of one blossom run per edge (66 here)
+    blossom_sets, row_searches, inside = [], [], []
+    blossom, search = matching._blossom_mates, matching._alternating_search
+
+    def spy_blossom(g, removed):
+        blossom_sets.append(removed)
+        inside.append(removed)
+        try:
+            return blossom(g, removed)
+        finally:
+            inside.pop()
+
+    def spy_search(adj, match, dead, root):
+        if not inside:
+            row_searches.append(root)
+        return search(adj, match, dead, root)
+
+    monkeypatch.setattr(matching, "_blossom_mates", spy_blossom)
+    monkeypatch.setattr(matching, "_alternating_search", spy_search)
+    g = glued(6)
+    assert g.n == 22 and g.m == 66
+    assert is_matching_covered(g)
+    assert blossom_sets == [frozenset()]
+    assert 0 < len(row_searches) <= g.n
+
+
+def _pair_query_graphs(exhaustive_corpus):
+    """The exhaustive corpus and the fixtures; 200 matchable n = 8 graphs
+    that are not matching covered; even graphs with no perfect matching;
+    odd-order graphs."""
+    graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
+    graphs += [g for _, g, _ in fixture_instances()]
+    rng = Random(11)
+    pairs = list(combinations(range(8), 2))
+    found = 0
+    while found < 200:
+        edges = [(0, 1), (2, 3), (4, 5), (6, 7)]
+        edges += [rng.choice(pairs) for _ in range(rng.randint(1, 12))]
+        g = Graph(range(8), edges)
+        if not is_matching_covered(g):
+            graphs.append(g)
+            found += 1
+    graphs += [Graph.from_edges(edges) for edges in (
+        [(0, 1), (0, 2), (0, 3)],
+        [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
+        [(u, v) for u in range(2) for v in range(2, 6)],
+        [(u, v) for u in range(3) for v in range(3, 9)] + [(0, 1)],
+        [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6),
+         (7, 8), (8, 9), (7, 9), (0, 1), (0, 4), (0, 7)])]
+    graphs += [cycle(5), cycle(7), canonical("k4").without_vertices({0}),
+               Graph(range(3)), Graph.from_edges([(0, 1), (1, 2)])]
+    for n in (5, 7, 9):
+        odd_pairs = list(combinations(range(n), 2))
+        for _ in range(10):
+            graphs.append(Graph(range(n), rng.sample(odd_pairs, 2 * n)))
+    return graphs
+
+
+def test_pair_queries_match_the_oracle(exhaustive_corpus):
+    """Dependence rows and the warm-started search against memoized
+    exhaustive recursion, on every removed set of size 0 to 4, and
+    matching_structure(g, {a}) for every vertex a."""
+    for g in _pair_query_graphs(exhaustive_corpus):
+        edges = dict(g.edge_items())
+        nu = brute_matching_numbers(g.vertices, edges.values())
+        h = Graph(g.vertices, edges)  # fresh caches for matching_structure
+        for a in h.vertices:
+            live = h.vertex_set - {a}
+            exposed = {v for v in live if nu(live - {v}) == nu(live)}
+            attachments = {w for v in exposed for w in h.neighbors(v)
+                           if w != a and w not in exposed}
+            ms = matching_structure(h, {a})
+            assert ms.exposed == exposed, (h, a)
+            assert ms.attachments == attachments, (h, a)
+            assert ms.deficiency == len(live) - 2 * nu(live), (h, a)
+        for k in range(min(4, g.n) + 1):
+            for removed in combinations(g.vertices, k):
+                live = g.vertex_set.difference(removed)
+                want = nu(live)
+                assert is_matchable(g, removed) == (2 * want == len(live)), (
+                    g, removed)
+                assert matching_number(g, removed) == want, (g, removed)

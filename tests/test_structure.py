@@ -1,5 +1,6 @@
 """Barriers, two-separations, strict barriers, and the lifting maps."""
 
+import time
 from itertools import combinations
 from random import Random
 
@@ -8,9 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from tightcut.cuts import enumerate_tight_cuts
 from tightcut.graph import EnumerationLimitError, Graph, GraphError
-from tightcut.instances import canonical, fixture_instances
+from tightcut.instances import (
+    CorpusSpec,
+    canonical,
+    enumerate_corpus,
+    fixture_instances,
+)
 from tightcut.matching import is_matchable, is_matching_covered
 from tightcut.structure import (
+    GROUPING_LIMIT,
     barrier_core,
     barrier_cuts,
     enumerate_barriers,
@@ -22,9 +29,10 @@ from tightcut.structure import (
     lift_barrier_over_odd_component,
     make_two_separation,
     two_separation_cuts,
+    twoseps_generating,
 )
 
-from conftest import brute_components, brute_is_barrier
+from conftest import brute_components, brute_is_barrier, cycle, theta
 
 
 # barriers -------------------------------------------------------------------
@@ -253,6 +261,57 @@ def test_make_two_separation_validation(c6):
 def test_bricks_have_no_2separations(k4):
     assert find_2separations(k4) == []
     assert find_2separations(canonical("petersen")) == []
+
+
+def test_twoseps_generating_c6(c6):
+    c = c6.boundary({0, 1, 2})
+    assert [s.pair for s in twoseps_generating(c6, c)] == [(0, 3), (2, 5)]
+    assert twoseps_generating(c6, c6.boundary({0})) == []
+    with pytest.raises(GraphError):
+        twoseps_generating(c6, cycle(6).boundary({0, 1, 2}))
+
+
+def test_twoseps_generating_matches_the_listing(exhaustive_corpus):
+    # every nontrivial tight cut of the exhaustive corpus, the fixtures
+    # and random matching covered graphs on 8 to 12 vertices
+    graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
+    graphs += [g for _, g, _ in fixture_instances()]
+    for n in (8, 10, 12):
+        graphs += enumerate_corpus(
+            CorpusSpec("random", n=n, samples=40, seed=1000 + n))
+    cuts = witnessed = 0
+    for g in graphs:
+        listing = find_2separations(g)
+        for c in enumerate_tight_cuts(g, nontrivial_only=True):
+            want = [s for s in listing if c in two_separation_cuts(g, s)]
+            got = twoseps_generating(g, c)
+            assert got == want, (g, c)
+            cuts += 1
+            witnessed += bool(want)
+    assert cuts > 2000 and 0 < witnessed < cuts
+
+
+def test_twoseps_generating_matches_the_listing_on_any_cut():
+    # graphs with cut vertices, or no edge across the cut, take the
+    # branches a matching covered graph never reaches
+    rng = Random(9)
+    for _ in range(400):
+        n = rng.choice([4, 6, 7, 8, 10])
+        pairs = list(combinations(range(n), 2))
+        g = Graph(range(n), rng.sample(pairs, rng.randint(0, len(pairs))))
+        listing = find_2separations(g)
+        for _ in range(5):
+            c = g.boundary(rng.sample(range(n), rng.randint(1, n - 1)))
+            assert twoseps_generating(g, c) == [
+                s for s in listing if c in two_separation_cuts(g, s)], (g, c)
+
+
+def test_find_2separations_guard_fails_fast():
+    assert GROUPING_LIMIT == 1 << 16
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitError, match="18 components"):
+        find_2separations(theta(18))
+    assert time.perf_counter() - start < 1.0
 
 
 # strict barriers -------------------------------------------------------------
