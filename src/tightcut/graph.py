@@ -401,7 +401,9 @@ class Graph:
                             verts.add(a)
                             verts.add(b)
                         out.append(frozenset(verts))
-            assert not estack
+            if estack:
+                raise InternalInvariantError(
+                    "edges left on the stack after a DFS tree closed")
         got = tuple(sorted(out, key=lambda s: (min(s), len(s), sorted(s))))
         self._cache["blocks"] = got
         return got

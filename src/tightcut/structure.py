@@ -8,7 +8,11 @@ component to one vertex and dropping everything else).
 
 Strict barriers confined to one shore are what explains a dead cut: a
 cut none of whose edges lies in any perfect matching. find_strict_barrier
-locates one, tagged with the shore that contains it.
+locates one with a single construction: for a vertex a of a shore S,
+the set {a} + A(g[S] - a), a plus the Gallai-Edmonds attachment set of
+the shore subgraph without a, verified as a confined strict barrier
+and tagged with S. Its docstring proves that every such barrier is
+the candidate of each of its members, so the construction misses none.
 """
 
 from __future__ import annotations
@@ -385,9 +389,6 @@ def _attachments(g: Graph, shore: frozenset[int]) -> list[int]:
 
 def _confined(g: Graph, members, shore: frozenset[int]) -> StrictBarrier | None:
     """Verify a candidate: barrier of g, parts inside shore, strict."""
-    members = frozenset(members)
-    if not members or not members <= shore:
-        return None
     b = is_barrier(g, members)
     if b is None:
         return None
@@ -396,85 +397,47 @@ def _confined(g: Graph, members, shore: frozenset[int]) -> StrictBarrier | None:
     return is_strict_barrier(g, b)
 
 
-def _constructive_candidates(g: Graph, shore: frozenset[int]):
-    """Candidate barriers confined to one shore, most promising first.
-
-    All candidates get verified by the caller, so this only has to be
-    generous, not sound. Sources, in order: single-vertex deletions of
-    the shore subgraph (attachment seeds first), pair deletions that
-    break matchability, shore projections of near-barriers around each
-    cut edge, and greedily grown maximal barriers of the shore subgraph.
-    """
-    h = g.induced(shore)
-    attach = _attachments(g, shore)
-    seeds = attach + [v for v in sorted(shore) if v not in set(attach)]
-
-    for a in seeds:
-        ms = matching_structure(h, frozenset((a,)))
-        yield ms.attachments | {a}
-
-    for a, b in combinations(sorted(shore), 2):
-        if is_matchable(h, frozenset((a, b))):
-            continue
-        ms = matching_structure(h, frozenset((a, b)))
-        yield ms.attachments | {a, b}
-
-    for eid in sorted(g.boundary(shore).edge_ids):
-        u, v = g.edge_ends(eid)
-        ms = matching_structure(g, frozenset((u, v)))
-        yield (ms.attachments | {u, v}) & shore
-
-    for a in seeds:
-        grown = {a}
-        for b in sorted(shore):
-            if b in grown or len(grown) + 1 == len(shore):
-                continue
-            if is_barrier(h, frozenset(grown | {b})) is not None:
-                grown.add(b)
-        yield frozenset(grown)
-
-
-def _find_confined_constructive(g, shore) -> StrictBarrier | None:
-    seen: set[frozenset[int]] = set()
-    for candidate in _constructive_candidates(g, shore):
-        candidate = frozenset(candidate)
-        if not candidate or candidate in seen:
-            continue
-        seen.add(candidate)
-        hit = _confined(g, candidate, shore)
-        if hit is not None:
-            return hit
-    return None
-
-
-def _find_confined_exhaustive(g, shore) -> StrictBarrier | None:
-    if len(shore) > 18:
-        raise EnumerationLimitError(
-            f"exhaustive barrier search over a {len(shore)}-vertex shore")
-    pool = sorted(shore)
-    # the barrier and its odd parts both fit inside the shore
-    for size in range(1, len(pool) // 2 + 1):
-        for combo in combinations(pool, size):
-            hit = _confined(g, combo, shore)
-            if hit is not None:
-                return hit
-    return None
-
-
-def find_strict_barrier(g: Graph, x, *, strategy="auto") -> ShoreBarrier:
+def find_strict_barrier(g: Graph, x) -> ShoreBarrier:
     """A strict barrier confined to one shore of the dead cut at x.
 
     Preconditions: g matchable, both shore subgraphs connected, and no
-    boundary edge of x admissible. Such a barrier always exists; not
-    finding one means the implementation is wrong, hence the internal
-    error at the bottom.
+    boundary edge of x admissible. For each shore S in the order
+    (x, V - x), with h = g[S], and each a in S (attachments first, then
+    the rest, each in vertex order) the candidate {a} + A(h - a) is
+    verified by _confined; the first hit is returned.
 
-    strategy: "constructive" tries verified candidates grown from
-    matching structure; "exhaustive" scans shore subsets by size then
-    lex order; "auto" tries constructive first, then exhaustive.
+    A confined strict barrier exists; that is the structure theory
+    behind the tight cut lemma (Lovasz-Plummer, Matching Theory, 1986,
+    ch. 3 and 5), not re-proved here. It needs the connected shores: the
+    edges 04 and 13 as one shore and 25 as the other, joined by 02, 24,
+    15 and 35, make a dead cut with no barrier confined to either shore.
+
+    The loop misses none: every strict barrier B confined to a shore S
+    is the candidate of each of its members. Proof: the cut is dead, so
+    every perfect matching M of g avoids it and is perfect on h. M
+    matches B onto its odd parts K_1..K_k, one edge each, so M is
+    perfect on every other component of h - B, and those are even. Fix
+    a in B and recall that D(h - a) is the set of t with h - a - t
+    matchable.
+    - t in K_i: the core is bipartite and matching covered, so every
+      nonempty proper set of members has more neighbouring parts than
+      members, and deleting a and K_i from it leaves a perfect matching
+      (Hall). That matching sends B - a into the other parts, each
+      entered at one vertex r_j; K_j - r_j and K_i - t are matchable,
+      the parts being single vertices or critical; M covers the rest of
+      h. So t is in D.
+    - t in B - a: deleting the other k - 2 members from h - a - t
+      leaves the k odd parts, so h - a - t is not matchable.
+    - t in an even component E of h - B: deleting B - a (k - 1
+      vertices) from h - a - t leaves the k odd parts and the odd set
+      E - t, so h - a - t is not matchable.
+    So D(h - a) is the union of the K_i. Their neighbours outside them
+    lie in B, and each member of B has a core edge (the core is
+    connected), so A(h - a) = B - a and the candidate is B itself.
+    Hence the hit comes from the first shore holding a confined strict
+    barrier, and finding none means the implementation is wrong: the
+    internal error at the bottom.
     """
-    if strategy not in ("auto", "constructive", "exhaustive"):
-        raise GraphError(f"unknown strategy: {strategy!r}")
     x = frozenset(x)
     if not x <= g.vertex_set:
         raise GraphError(f"not vertices of the graph: {sorted(x - g.vertex_set)}")
@@ -488,22 +451,18 @@ def find_strict_barrier(g: Graph, x, *, strategy="auto") -> ShoreBarrier:
     for eid in sorted(g.boundary(x).edge_ids):
         if is_admissible(g, eid):
             raise GraphError(f"cut edge {eid} is admissible; the cut is not dead")
-    # a dead cut in a matchable graph has even shores
-    assert len(x) % 2 == 0
+    if len(x) % 2:
+        raise InternalInvariantError(
+            "odd shore of a matchable graph without admissible cut edges")
 
-    shores = (x, xbar)
-    if strategy in ("auto", "constructive"):
-        for shore in shores:
-            hit = _find_confined_constructive(g, shore)
+    for shore in (x, xbar):
+        h = g.induced(shore)
+        attach = _attachments(g, shore)
+        for a in attach + sorted(shore.difference(attach)):
+            members = matching_structure(h, frozenset((a,))).attachments | {a}
+            hit = _confined(g, members, shore)
             if hit is not None:
                 return ShoreBarrier(hit, shore)
-        if strategy == "constructive":
-            raise InternalInvariantError(
-                "constructive candidates missed every confined strict barrier")
-    for shore in shores:
-        hit = _find_confined_exhaustive(g, shore)
-        if hit is not None:
-            return ShoreBarrier(hit, shore)
     raise InternalInvariantError(
         "no confined strict barrier exists for a dead cut; "
         "this contradicts the structure theory")

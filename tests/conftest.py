@@ -176,6 +176,40 @@ def brute_is_critical(vertices, edges) -> bool:
     return True
 
 
+def brute_confined_strict_barrier(vertices, edges, shore):
+    """The first subset of shore, by size then lex order, that is a
+    strict barrier with every odd component inside shore, or None.
+
+    Strict: every odd component is a single vertex or critical, and the
+    core (members against odd components, each collapsed to one vertex,
+    parallel edges kept) is matching covered. The barrier and its odd
+    components both fit inside the shore, so sizes stop at half of it.
+    """
+    shore = frozenset(shore)
+    pool = sorted(shore)
+    for size in range(1, len(pool) // 2 + 1):
+        for members in combinations(pool, size):
+            members = frozenset(members)
+            odd = [comp for comp in brute_components(vertices, edges, members)
+                   if len(comp) % 2]
+            if len(odd) != size or not all(comp <= shore for comp in odd):
+                continue
+            if not all(brute_is_critical(comp, [(u, v) for u, v in edges
+                                                if u in comp and v in comp])
+                       for comp in odd):
+                continue
+            label = {v: i for i, comp in enumerate(odd) for v in comp}
+            core_edges = [(("b", u), ("k", label[w]))
+                          for a, b in edges
+                          for u, w in ((a, b), (b, a))
+                          if u in members and w in label]
+            core_vertices = ([("b", v) for v in members]
+                             + [("k", i) for i in range(len(odd))])
+            if brute_is_matching_covered(core_vertices, core_edges):
+                return members
+    return None
+
+
 # shared graphs ------------------------------------------------------------
 
 def cycle(n: int) -> Graph:
@@ -203,6 +237,19 @@ def theta(k: int) -> Graph:
         a, b = 2 + 2 * i, 3 + 2 * i
         edges += [(0, a), (a, b), (b, 1)]
     return Graph(range(2 * k + 2), edges)
+
+
+# the acceptance gate's corpus specs: exhaustive over n in {2, 4, 6} and
+# this many seeded random graphs for each n in {8, 10, 12}, with seed n;
+# the gate's sweep adds the pinned fixtures
+GATE_SAMPLES_PER_ORDER = 167
+
+
+def gate_specs() -> list[CorpusSpec]:
+    specs = [CorpusSpec("exhaustive", n=n) for n in (2, 4, 6)]
+    specs += [CorpusSpec("random", n=n, samples=GATE_SAMPLES_PER_ORDER,
+                         seed=n) for n in (8, 10, 12)]
+    return specs
 
 
 @pytest.fixture(scope="session")

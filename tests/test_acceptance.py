@@ -20,14 +20,13 @@ from tightcut.decompose import (
     BranchTally,
     decompose_tight_cut,
 )
-from tightcut.instances import CorpusSpec, canonical, fixture_instances
+from tightcut.instances import canonical, fixture_instances
 from tightcut.sweep import run_sweep
 from tightcut.verify import verify_certificate
 
-from conftest import cycle
+from conftest import GATE_SAMPLES_PER_ORDER, cycle, gate_specs
 from mutations import mutation_targets, target_mutants
 
-RANDOM_SAMPLES_PER_ORDER = 167  # three orders, 501 random graphs total
 TIME_BUDGET_SECONDS = 600.0
 
 
@@ -42,12 +41,9 @@ def conclude(n, problems, detail=""):
 
 @pytest.fixture(scope="module")
 def acceptance():
-    specs = [CorpusSpec("exhaustive", n=n) for n in (2, 4, 6)]
-    specs += [CorpusSpec("random", n=n, samples=RANDOM_SAMPLES_PER_ORDER,
-                         seed=n) for n in (8, 10, 12)]
     tally = BranchTally()
-    report = run_sweep(specs, include_fixtures=True, command="acceptance",
-                       tally=tally)
+    report = run_sweep(gate_specs(), include_fixtures=True,
+                       command="acceptance", tally=tally)
     return report, tally
 
 
@@ -60,7 +56,7 @@ def test_criterion_1_witnessed_cut_sweep(acceptance):
     report, _ = acceptance
     problems = violations_of(report, "matching_covered", "connectivity",
                              "witness", "fixture")
-    if report.instances < 3 * RANDOM_SAMPLES_PER_ORDER:
+    if report.instances < 3 * GATE_SAMPLES_PER_ORDER:
         problems.append(f"corpus too small: {report.instances}")
     if report.graphs_with_nontrivial_tight_cut == 0:
         problems.append("no graph with a nontrivial tight cut")
@@ -145,14 +141,15 @@ def test_criterion_5_lift_scenarios(acceptance):
     conclude(5, problems, f"{report.lift_scenarios} lifts, all barriers")
 
 
-def test_criterion_6_strict_barrier_strategies(acceptance):
+def test_criterion_6_strict_barrier_setups(acceptance):
     report, _ = acceptance
     problems = violations_of(report, "strict_barrier")
     if report.strict_barrier_instances < 200:
         problems.append(
-            f"only {report.strict_barrier_instances} dual-strategy instances")
+            f"only {report.strict_barrier_instances} dead-cut setups")
     conclude(6, problems,
-             f"{report.strict_barrier_instances} instances, both strategies")
+             f"{report.strict_barrier_instances} dead-cut setups, each a "
+             "confined strict barrier")
 
 
 def test_criterion_7_brick_sanity():

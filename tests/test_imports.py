@@ -1,7 +1,8 @@
 """No module in src/ or tests/ imports a name it never uses, no module
-in src/ but matching.py touches the exhaustive test oracles, and only
+in src/ but matching.py touches the exhaustive test oracles, only
 structure.py, sweep.py and the package's __init__.py name the
-two-separation listing.
+two-separation listing, and src/ has no assert statement: python -O
+strips them, so invariant guards raise InternalInvariantError instead.
 
 Standard library only, so the check runs where no linter is installed.
 An imported name counts as used when it appears as a bare name anywhere
@@ -100,3 +101,22 @@ def test_exhaustive_oracles_stay_out_of_src(path):
     ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_two_separation_listing_stays_off_the_certify_path(path):
     assert oracle_references(ast.parse(path.read_text()), LISTING) == []
+
+
+def assert_lines(tree: ast.Module) -> list[int]:
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert))
+
+
+def test_detector_flags_asserts():
+    tree = ast.parse("def f(x):\n"
+                     "    if x:\n"
+                     "        assert x > 0, 'positive'\n"
+                     "    return x\n")
+    assert assert_lines(tree) == [3]
+
+
+@pytest.mark.parametrize(
+    "path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_asserts_in_src(path):
+    assert assert_lines(ast.parse(path.read_text())) == []

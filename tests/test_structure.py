@@ -15,7 +15,7 @@ from tightcut.instances import (
     enumerate_corpus,
     fixture_instances,
 )
-from tightcut.matching import is_matchable, is_matching_covered
+from tightcut.matching import is_admissible, is_matchable, is_matching_covered
 from tightcut.structure import (
     GROUPING_LIMIT,
     barrier_core,
@@ -31,8 +31,16 @@ from tightcut.structure import (
     two_separation_cuts,
     twoseps_generating,
 )
+from tightcut.sweep import dead_cut_setups
 
-from conftest import brute_components, brute_is_barrier, cycle, theta
+from conftest import (
+    brute_components,
+    brute_confined_strict_barrier,
+    brute_is_barrier,
+    cycle,
+    gate_specs,
+    theta,
+)
 
 
 # barriers -------------------------------------------------------------------
@@ -359,28 +367,108 @@ def dead_cut_instance():
     return g, frozenset({0, 1})
 
 
-@pytest.mark.parametrize("strategy", ["constructive", "exhaustive", "auto"])
-def test_find_strict_barrier_on_dead_cut(strategy):
+def pivot_setups(g, c):
+    """(stripped, dead shore) for each good edge of c and each endpoint
+    with two distinct cross neighbours, as witness_from_edge builds
+    them: the pivot loses its edges into its own shore, which leaves a
+    dead cut at that shore less the pivot."""
+    for eid in sorted(c.edge_ids):
+        a, b = g.edge_ends(eid)
+        u, v = (a, b) if a in c.shore else (b, a)
+        if not (g.induced(c.shore - {u}).is_connected()
+                and g.induced(c.other_shore - {v}).is_connected()):
+            continue
+        for pivot, pshore in ((u, c.shore), (v, c.other_shore)):
+            if sum(w not in pshore for w in g.neighbors(pivot)) < 2:
+                continue
+            inward = [inc for inc in g.incident(pivot)
+                      if set(g.edge_ends(inc)) - {pivot} <= pshore]
+            yield g.without_edges(inward), pshore - {pivot}
+
+
+def test_find_strict_barrier_on_dead_cut():
     g, x = dead_cut_instance()
-    hit = find_strict_barrier(g, x, strategy=strategy)
-    b = hit.witness.barrier
-    assert b.members <= hit.shore
-    assert hit.shore in (x, g.vertex_set - x)
-    assert all(part <= hit.shore for part in b.odd_parts)
+    hit = find_strict_barrier(g, x)
+    assert (hit.shore, hit.witness.barrier.members) == (x, frozenset({0}))
+    assert hit.witness.barrier.odd_parts == (frozenset({1}),)
     assert is_matching_covered(hit.witness.core)
+
+
+def test_find_strict_barrier_on_a_pivot_stripped_fixture():
+    g, shore = next((g, shore) for name, g, shore in fixture_instances()
+                    if name == "blocked_triangle")
+    stripped, x = next(pivot_setups(g, g.boundary(shore)))
+    assert x == {0, 1}
+    hit = find_strict_barrier(stripped, x)
+    # the first shore {0, 1} holds none, so the hit is on the second
+    assert hit.shore == stripped.vertex_set - x
+    assert hit.witness.barrier.members == {8}
+    assert hit.witness.barrier.odd_parts == (frozenset({2, 5, 6}),)
 
 
 def test_find_strict_barrier_validates(c6):
     with pytest.raises(GraphError):
-        find_strict_barrier(c6, {0, 1}, strategy="nonsense")
-    with pytest.raises(GraphError):
         find_strict_barrier(c6, set())
+    with pytest.raises(GraphError):
+        find_strict_barrier(c6, {0, 9})           # 9 is not a vertex
+    with pytest.raises(GraphError):
+        find_strict_barrier(c6, range(6))         # the whole vertex set
+    with pytest.raises(GraphError, match="not matchable"):
+        find_strict_barrier(Graph(range(4), [(0, 1), (0, 2), (0, 3)]), {0, 1})
     # C6's cuts all have admissible edges, so the cut is not dead
     with pytest.raises(GraphError):
         find_strict_barrier(c6, {0, 1})
     g, _ = dead_cut_instance()
     with pytest.raises(GraphError):
         find_strict_barrier(g, {0, 4})  # disconnected shore subgraph
+    # a dead cut whose shore {0, 1, 3, 4} is two disjoint edges: no
+    # strict barrier is confined to either shore, so the search needs
+    # connected shores
+    edges = [(0, 4), (1, 3), (2, 5), (0, 2), (2, 4), (1, 5), (3, 5)]
+    g, x = Graph(range(6), edges), frozenset({0, 1, 3, 4})
+    assert not any(is_admissible(g, eid) for eid in g.boundary(x).edge_ids)
+    for shore in (x, g.vertex_set - x):
+        assert brute_confined_strict_barrier(range(6), edges, shore) is None
+    with pytest.raises(GraphError, match="connected"):
+        find_strict_barrier(g, x)
+
+
+@pytest.fixture(scope="module")
+def dead_cut_setups_of_the_gate(exhaustive_corpus):
+    """The sweep's dead-cut setups on the acceptance corpus, then the
+    pivot-stripped setups of every good edge on the fixtures."""
+    fixtures = [g for _, g, _ in fixture_instances()]
+    graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
+    graphs += [g for spec in gate_specs() if spec.mode == "random"
+               for g in enumerate_corpus(spec)]
+    gate, pivoted = [], []
+    for g in graphs + fixtures:
+        gate.extend(dead_cut_setups(
+            g, enumerate_tight_cuts(g, nontrivial_only=True)))
+    for g in fixtures:
+        for c in enumerate_tight_cuts(g, nontrivial_only=True):
+            pivoted.extend(pivot_setups(g, c))
+    return gate, pivoted
+
+
+def test_find_strict_barrier_matches_the_subset_scan(
+        dead_cut_setups_of_the_gate):
+    gate, pivoted = dead_cut_setups_of_the_gate
+    assert len(gate) == 6800 and len(pivoted) == 206
+    for inner, x in gate + pivoted:
+        hit = find_strict_barrier(inner, x)
+        shores = (x, inner.vertex_set - x)
+        b = is_barrier(inner, hit.witness.barrier.members)
+        assert b is not None and hit.shore in shores, (inner, x)
+        assert all(part <= hit.shore for part in b.odd_parts), (inner, x)
+        assert is_strict_barrier(inner, b) is not None, (inner, x)
+        # the scan finds one too, and the first shore holding one is the
+        # shore the construction reports
+        edges = [inner.edge_ends(eid) for eid in inner.edge_ids]
+        first = next((shore for shore in shores
+                      if brute_confined_strict_barrier(
+                          inner.vertices, edges, shore) is not None), None)
+        assert hit.shore == first, (inner, x)
 
 
 # lifts ------------------------------------------------------------------------
