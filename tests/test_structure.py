@@ -386,12 +386,31 @@ def pivot_setups(g, c):
             yield g.without_edges(inward), pshore - {pivot}
 
 
-def test_find_strict_barrier_on_dead_cut():
+@pytest.mark.parametrize("case", ["constructive", "exhaustive", "auto"])
+def test_find_strict_barrier_on_dead_cut(case):
+    """constructive: the exact answer on P4; exhaustive: the subset scan
+    agrees on the shore and the members; auto: the cut given by its
+    other shore is answered from that shore by the mirror barrier."""
     g, x = dead_cut_instance()
     hit = find_strict_barrier(g, x)
-    assert (hit.shore, hit.witness.barrier.members) == (x, frozenset({0}))
-    assert hit.witness.barrier.odd_parts == (frozenset({1}),)
+    b = is_barrier(g, hit.witness.barrier.members)
+    assert b is not None and is_strict_barrier(g, b) is not None
+    assert all(part <= hit.shore for part in b.odd_parts)
     assert is_matching_covered(hit.witness.core)
+    if case == "constructive":
+        assert (hit.shore, b.members) == (x, frozenset({0}))
+        assert b.odd_parts == (frozenset({1}),)
+    elif case == "exhaustive":
+        edges = [g.edge_ends(eid) for eid in g.edge_ids]
+        assert hit.shore == x
+        assert brute_confined_strict_barrier(g.vertices, edges, x) == b.members
+    else:
+        y = g.vertex_set - x
+        mirror = find_strict_barrier(g, y)
+        assert (mirror.shore, mirror.witness.barrier.members) == (
+            y, frozenset({5}))
+        assert mirror.witness.barrier.odd_parts == (frozenset({4}),)
+        assert is_matching_covered(mirror.witness.core)
 
 
 def test_find_strict_barrier_on_a_pivot_stripped_fixture():
