@@ -19,7 +19,7 @@ import sys
 
 from .certificate import DecompositionCertificate
 from .cuts import classify_cut, is_tight
-from .decompose import BranchTally, decompose_tight_cut
+from .decompose import decompose_tight_cut
 from .dot import graph_to_dot
 from .edgelist import format_edge_list, parse_edge_list, write_edge_list
 from .graph import Graph, GraphError, InternalInvariantError
@@ -128,8 +128,7 @@ def cmd_decompose(args) -> int:
     g = _read_graph(args.graph)
     shore = _parse_shore(args.cut)
     c = g.boundary(shore)
-    tally = BranchTally()
-    cert = decompose_tight_cut(g, c, tally)
+    cert = decompose_tight_cut(g, c)
     human = sys.stderr if args.json == "-" else sys.stdout
     print(f"input: {g.n} vertices, {g.m} edges, "
           f"cut shore {_set_text(c.shore)}", file=human)

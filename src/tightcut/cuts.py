@@ -99,7 +99,7 @@ class CutClassification:
             self.barrier_witnesses or self.twosep_witnesses)
 
 
-def classify_cut(g: Graph, c: Cut, *, max_vertices=16) -> CutClassification:
+def classify_cut(g: Graph, c: Cut) -> CutClassification:
     """Tightness plus every barrier and two-separation witness.
 
     A tight shore is odd, so a barrier B inside the opposite shore
@@ -128,8 +128,7 @@ def classify_cut(g: Graph, c: Cut, *, max_vertices=16) -> CutClassification:
         attachments = frozenset(
             w for v in keep for w in g.neighbors(v)) - keep
         for b in enumerate_barriers(g, within=shores[1 - i],
-                                    containing=attachments,
-                                    max_vertices=max_vertices):
+                                    containing=attachments):
             if keep in b.odd_parts:
                 found.append((b, i))
     barrier_witnesses = tuple(

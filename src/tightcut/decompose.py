@@ -8,12 +8,11 @@ deleted, and witness_from_edge explains the cut directly; or the
 canonical shore splits at a block boundary into a strictly smaller
 instance whose answer pulls back.
 
-decompose_tight_cut drives this to completion. It first contracts away
-nontrivial barriers confined to a shore (at most one contraction per
-side), then repeatedly contracts the off-shore side of the
-two-separation cut the witness search finds, until the reference cut
-itself is a two-separation cut of the contracted graph. The certificate
-records every step for independent replay.
+decompose_tight_cut drives this to completion in one loop. Each round
+contracts a confined nontrivial barrier's cut when a shore holds one,
+stops when the reference cut is a two-separation cut, and otherwise
+contracts the two-separation cut the witness search finds. The
+certificate records every step for independent replay.
 
 Most intermediate claims here are theorems, not expectations; when one
 fails the code raises InternalInvariantError rather than improvising,
@@ -35,6 +34,7 @@ from .structure import (
     find_strict_barrier,
     is_barrier,
     make_two_separation,
+    twoseps_generating,
 )
 from .verify import witness_failure
 
@@ -414,19 +414,54 @@ def _contract_step(g: Graph, c: Cut, tracked, step_cut: Cut, witness,
     return new_g, new_c, new_tracked
 
 
+def _min_holder_barrier(g: Graph, tracked) -> tuple[Barrier, Cut] | None:
+    """The barrier step's choice, as (barrier, cut of its holder) or None.
+
+    In the first shore S of tracked that holds a nontrivial barrier B,
+    take the B whose holder (the odd component of g - B holding the
+    opposite shore O) is smallest, ties broken by the sorted holder,
+    then the sorted members. A holder exists: O is connected (tight cut
+    shores are) and avoids B, and every component of g - B is odd
+    (test_matching_covered_barriers_leave_only_odd_components checks the
+    lemma). A holder equal to O, which B = S would force, means B
+    witnesses the reference cut. The initial classification excludes
+    that, and a barrier step keeps it excluded. The step contracts V - H
+    to h for the holder H of B. Were a shore X an odd component of the
+    result minus a barrier B', then lift_barrier_over_odd_component
+    makes B', or B + (B' - h) when h is in B', a barrier one graph
+    earlier, with X (h expanded to the connected V - H) as an odd
+    component: if h is in B', X lies in H, whose edges leaving H end in
+    B. After a two-separation step no proof is known; that the guard
+    never fires there is observed only.
+    """
+    for side in tracked:
+        opposite = g.vertex_set - side
+        found = []
+        for b in enumerate_barriers(g, within=side, nontrivial_only=True):
+            holder = next((p for p in b.odd_parts if opposite <= p), None)
+            if holder is None or holder == opposite:
+                raise InternalInvariantError(
+                    f"confined barrier {sorted(b.members)} leaves the "
+                    f"opposite shore as a component or in no odd one")
+            key = (len(holder), sorted(holder), sorted(b.members))
+            found.append((key, b, holder))
+        if found:
+            _, b, holder = min(found, key=lambda t: t[0])
+            return b, g.boundary(holder)
+    return None
+
+
 def decompose_tight_cut(g: Graph, c: Cut,
                         tally: BranchTally | None = None) -> DecompositionCertificate:
     """Contract a nontrivial tight cut down to a witnessed one.
 
     Already-witnessed cuts return a one-graph certificate. Otherwise
-    repeated barrier-cut contractions (off-canonical side first,
-    smallest usable odd component preferred) remove every nontrivial
-    barrier confined strictly inside a shore; one round per side is
-    usually enough, but ties in the odd-component size can force more,
-    so the loop runs to a fixpoint. Then each round asks
-    find_noncrossing_witness for a two-separation cut, whose shore
-    inside a reference shore gets contracted, until the reference cut
-    is itself a two-separation cut of the current graph.
+    each round of one loop takes the first step that applies: contract
+    the barrier cut _min_holder_barrier picks (its docstring proves the
+    guards there); stop once the reference cut is a two-separation cut;
+    or contract the two-separation cut find_noncrossing_witness finds.
+    Barrier steps come first: letting the witness search choose every
+    step lengthens chains and can turn the reference into a barrier cut.
     """
     _require_decomposable(g, c)
     if tally is None:
@@ -440,64 +475,28 @@ def decompose_tight_cut(g: Graph, c: Cut,
     cur_g, cur_c = g, c
     tracked = [c.other_shore, c.shore]
     for _ in range(g.n):
-        best = None
-        for side in tracked:
-            opposite = cur_g.vertex_set - side
-            for b in enumerate_barriers(cur_g, within=side,
-                                        nontrivial_only=True):
-                if not b.members < side:
-                    continue
-                holder = next(
-                    (p for p in b.odd_parts if opposite <= p), None)
-                if holder is None or holder == opposite:
-                    # holder == opposite would contract a whole shore
-                    # away; such a barrier witnesses the reference cut
-                    # and is caught below if it ever outlives the loop
-                    continue
-                key = (len(holder), sorted(holder), sorted(b.members))
-                if best is None or key < best[0]:
-                    best = (key, b, holder)
-            if best is not None:
-                break
-        if best is None:
-            break
-        _, chosen, holder = best
-        step_cut = cur_g.boundary(holder)
-        _require_witness(cur_g, cur_c, step_cut, chosen.members,
-                         BRANCH_BARRIER_PHASE)
-        tally.hit(BRANCH_BARRIER_PHASE)
-        cur_g, cur_c, tracked = _contract_step(
-            cur_g, cur_c, tracked, step_cut, chosen, steps)
-    else:
-        raise InternalInvariantError("barrier phase loop did not terminate")
-
-    # both shores must now be free of confined nontrivial barriers
-    for side in tracked:
-        for b in enumerate_barriers(cur_g, within=side, nontrivial_only=True):
-            if b.members < side:
+        picked = _min_holder_barrier(cur_g, tracked)
+        if picked is not None:
+            witness, step_cut = picked
+            _require_witness(cur_g, cur_c, step_cut, witness.members,
+                             BRANCH_BARRIER_PHASE)
+            tally.hit(BRANCH_BARRIER_PHASE)
+        elif twoseps_generating(cur_g, cur_c):
+            final = classify_cut(cur_g, cur_c)
+            if final.barrier_witnesses:
                 raise InternalInvariantError(
-                    f"confined barrier {sorted(b.members)} survived the "
-                    f"barrier phases")
-
-    final_cls = None
-    for _ in range(cur_g.n + 1):
-        cls = classify_cut(cur_g, cur_c)
-        if cls.barrier_witnesses:
-            raise InternalInvariantError(
-                "barrier witness appeared despite clean shores")
-        if cls.twosep_witnesses:
-            final_cls = cls
-            break
-        finding = find_noncrossing_witness(cur_g, cur_c, tally)
-        if finding.kind != "twosep":
-            raise InternalInvariantError(
-                "witness search returned a barrier despite clean shores")
-        if finding.cut == cur_c:
-            raise InternalInvariantError(
-                "reference reproduced without a classification witness")
-        tally.hit(BRANCH_TWOSEP_STEP)
+                    "barrier witness appeared despite clean shores")
+            return DecompositionCertificate(g, c, tuple(steps), cur_g, final)
+        else:
+            finding = find_noncrossing_witness(cur_g, cur_c, tally)
+            if finding.kind != "twosep":
+                raise InternalInvariantError(
+                    "witness search returned a barrier despite clean shores")
+            if finding.cut == cur_c:
+                raise InternalInvariantError(
+                    "reference reproduced without a classification witness")
+            tally.hit(BRANCH_TWOSEP_STEP)
+            step_cut, witness = finding.cut, finding.twosep
         cur_g, cur_c, tracked = _contract_step(
-            cur_g, cur_c, tracked, finding.cut, finding.twosep, steps)
-    if final_cls is None:
-        raise InternalInvariantError("reduction did not terminate")
-    return DecompositionCertificate(g, c, tuple(steps), cur_g, final_cls)
+            cur_g, cur_c, tracked, step_cut, witness, steps)
+    raise InternalInvariantError("reduction did not terminate")

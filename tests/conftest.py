@@ -239,6 +239,34 @@ def theta(k: int) -> Graph:
     return Graph(range(2 * k + 2), edges)
 
 
+def inflated(g: Graph, shore, k: int) -> tuple[Graph, frozenset[int]]:
+    """Splice K_{k,k} into g at its highest-labelled far-shore vertex v,
+    relabelled to range(n); returns the graph and the shore's image.
+
+    v is replaced by K_{k,k} minus one vertex h. The k neighbours of h
+    take over v's edges, round robin, so that each keeps at least one
+    edge outside and v's edges all survive. The inserted part is
+    bipartite with one more vertex on the attached side, so its own cut
+    and the reference cut stay tight and the graph matching covered.
+    The benchmark keeps its own copy in bench/workloads.py.
+    """
+    far = g.vertex_set - shore
+    v = max(far)
+    nbrs = sorted(w for eid in g.edge_ids for w in g.edge_ends(eid)
+                  if v in g.edge_ends(eid) and w != v)
+    base = [g.edge_ends(eid) for eid in g.edge_ids
+            if v not in g.edge_ends(eid)]
+    start = max(g.vertices) + 1
+    left = [start + i for i in range(k - 1)]
+    right = [start + k - 1 + j for j in range(k)]
+    edges = base + [(x, y) for x in left for y in right]
+    edges += [(right[i % k], nbrs[i % len(nbrs)])
+              for i in range(max(k, len(nbrs)))]
+    order = sorted(g.vertex_set - {v}) + left + right
+    label = {x: i for i, x in enumerate(order)}
+    return (Graph(range(len(order)), [(label[a], label[b]) for a, b in edges]),
+            frozenset(label[x] for x in shore))
+
 # the acceptance gate's corpus specs: exhaustive over n in {2, 4, 6} and
 # this many seeded random graphs for each n in {8, 10, 12}, with seed n;
 # the gate's sweep adds the pinned fixtures

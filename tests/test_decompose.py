@@ -1,11 +1,13 @@
 """Witness search and the tight-cut decomposition chain."""
 
 import json
+from collections import Counter
 
 import pytest
 
+import tightcut.decompose
 from tightcut.certificate import DecompositionCertificate
-from tightcut.cuts import is_tight
+from tightcut.cuts import classify_cut, enumerate_tight_cuts, is_tight
 from tightcut.decompose import (
     BRANCH_ALREADY_WITNESSED,
     BRANCH_BARRIER_PHASE,
@@ -28,7 +30,7 @@ from tightcut.matching import ENUMERATION_LIMIT
 from tightcut.structure import enumerate_barriers
 from tightcut.verify import verify_certificate
 
-from conftest import glued, theta
+from conftest import glued, inflated, theta
 
 
 FIXTURES = {name: (g, shore) for name, g, shore in fixture_instances()}
@@ -194,8 +196,9 @@ def test_decompose_fixture_chain(name):
 
 
 def test_decompose_fixpoint_regression():
-    """Three confined far-side barriers tie on holder size; one pass per
-    side is not enough and the phase loop must run to a fixpoint."""
+    """Three confined far-side barriers tie on holder size; one barrier
+    step per side is not enough, and the loop must keep taking barrier
+    steps until no shore holds a confined barrier."""
     g, _ = FIXTURES["blocked_pair"]
     shore = frozenset({0, 2, 3, 4, 5})
     c = g.boundary(shore)
@@ -211,6 +214,62 @@ def test_decompose_fixpoint_regression():
     assert cert.r == 4
     assert tally.counts == {BRANCH_BARRIER_PHASE: 3}
     assert verify_certificate(g, c, cert).ok
+
+
+def test_decompose_takes_the_barrier_step_first():
+    """Barrier steps come before two-separation steps: the confined
+    barrier {5, 8} contracts {0, 5, 8}, which leaves a two-separation
+    cut with pair (7, 10). Asking the witness search first breaks the
+    reduction on this cut."""
+    g = Graph(range(10), [
+        (0, 5), (0, 8), (1, 3), (1, 5), (1, 7), (2, 4), (2, 5), (2, 6),
+        (2, 7), (2, 9), (3, 5), (3, 7), (4, 5), (4, 7), (4, 8), (4, 9),
+        (6, 7), (6, 8), (8, 9)])
+    c = g.boundary({0, 1, 3, 5, 8})
+    tally = BranchTally()
+    cert = decompose_tight_cut(g, c, tally)
+    assert cert.r == 2
+    assert tally.counts == {BRANCH_BARRIER_PHASE: 1}
+    (step,) = cert.steps
+    assert step.witness.members == {5, 8}
+    assert step.contracted_shore == {0, 5, 8}
+    assert [s.pair for s in cert.final_classification.twosep_witnesses] == [
+        (7, 10)]
+    assert verify_certificate(g, c, cert).ok
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_decompose_classifies_at_most_twice(name, monkeypatch):
+    """One classification of the input cut, and one of the final cut
+    when a reduction ran: no round classifies."""
+    calls = []
+
+    def counted(g, c):
+        calls.append(c)
+        return classify_cut(g, c)
+
+    monkeypatch.setattr(tightcut.decompose, "classify_cut", counted)
+    g, c = fixture_cut(name)
+    cert = decompose_tight_cut(g, c)
+    assert len(calls) == (1 if cert.r == 1 else 2)
+
+
+def test_decompose_inflated_fixture_cuts():
+    """Both shores of every nontrivial tight cut of every fixture, with
+    K_{k,k} spliced into the far shore for k = 2..7: 864 cuts, 240 of
+    them needing reduction rounds."""
+    rs = Counter()
+    for _, g, _ in fixture_instances():
+        for cut in enumerate_tight_cuts(g, nontrivial_only=True):
+            for shore in cut.shores():
+                for k in range(2, 8):
+                    h, s = inflated(g, shore, k)
+                    c = h.boundary(s)
+                    cert = decompose_tight_cut(h, c)
+                    rs[cert.r] += 1
+                    assert (cert.r == 1) == classify_cut(h, c).witnessed
+                    assert verifies_on_rebuilt_graph(cert)
+    assert rs == {1: 624, 2: 54, 3: 138, 4: 48}
 
 
 @pytest.mark.parametrize("k", [7, 9])
@@ -254,7 +313,6 @@ def test_decompose_theta_past_the_two_separation_listing():
 
 
 def test_decompose_all_nontrivial_cuts_of_blocked_pair():
-    from tightcut.cuts import enumerate_tight_cuts
     g, _ = FIXTURES["blocked_pair"]
     cuts = enumerate_tight_cuts(g, nontrivial_only=True)
     assert len(cuts) == 24
