@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certificate import DecompositionCertificate, Step
-from .cuts import classify_cut, is_tight
+from .cuts import CutClassification, classify_cut, is_tight
 from .graph import Cut, Graph, GraphError, InternalInvariantError
 from .matching import is_matching_covered
 from .structure import (
@@ -481,11 +481,10 @@ def decompose_tight_cut(g: Graph, c: Cut,
             _require_witness(cur_g, cur_c, step_cut, witness.members,
                              BRANCH_BARRIER_PHASE)
             tally.hit(BRANCH_BARRIER_PHASE)
-        elif twoseps_generating(cur_g, cur_c):
-            final = classify_cut(cur_g, cur_c)
-            if final.barrier_witnesses:
-                raise InternalInvariantError(
-                    "barrier witness appeared despite clean shores")
+        elif twoseps := twoseps_generating(cur_g, cur_c):
+            # a barrier witness would be nontrivial (g is 2-connected) and lie
+            # in a shore, not all of it, so _min_holder_barrier had raised
+            final = CutClassification(cur_c, True, False, (), tuple(twoseps))
             return DecompositionCertificate(g, c, tuple(steps), cur_g, final)
         else:
             finding = find_noncrossing_witness(cur_g, cur_c, tally)

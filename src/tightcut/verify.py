@@ -4,21 +4,22 @@ verify_certificate trusts nothing from the certificate body: it walks
 the JSON schema first, then recomputes the whole contraction chain from
 the host graph, checking each declared graph against the recomputed one
 by shape (vertex labels and edge multiset; edge ids are not serialized),
-re-validating each witness from first principles, and re-deriving the
-final classification. Failures carry a reason code and the JSON path of
-the offending field.
+re-validating each witness from first principles, and replaying the
+final claims. Failures carry a reason code and the JSON path of the
+offending field.
 
-witness_failure states, once, the rule every contraction step obeys:
-the step cut is tight, nontrivial, does not cross the reference cut,
-and is generated by a valid barrier or two-separation. The
-decomposition procedure and the sweep call it too.
+witness_failure states, once, the rule every contraction step and final
+claim obeys: the cut is tight, nontrivial, does not cross the reference
+cut, and is generated by a valid barrier or two-separation. The
+decomposition procedure and the sweep call it too. That the final lists
+hold every witness of the cut stays unchecked.
 
 The verifier is independent of the producer's search, not of its
 primitives. Both sides rely on is_matching_covered, is_tight,
-classify_cut, is_barrier, make_two_separation, twoseps_generating,
-two_separation_cuts, Cut.crosses and the Graph methods boundary,
-contract and cut_from_edge_ids. A Graph handed in by the caller also
-keeps whatever the producer memoized on it, matchings included.
+is_barrier, make_two_separation, two_separation_cuts, Cut.crosses and
+the Graph methods boundary, contract and cut_from_edge_ids. A Graph
+handed in by the caller also keeps whatever the producer memoized on
+it, matchings included.
 """
 
 from __future__ import annotations
@@ -26,15 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certificate import DecompositionCertificate
-from .cuts import classify_cut, is_tight
+from .cuts import is_tight
 from .graph import Cut, Graph, GraphError
 from .matching import is_matching_covered
-from .structure import (
-    is_barrier,
-    make_two_separation,
-    two_separation_cuts,
-    twoseps_generating,
-)
+from .structure import is_barrier, make_two_separation, two_separation_cuts
 
 R_SCHEMA = "schema violation"
 R_INPUT = "input mismatch"
@@ -124,6 +120,21 @@ def _check_witness_obj(obj, path, failures) -> bool:
     return False
 
 
+def _check_claim(obj, kind, path, failures) -> bool:
+    """A final claim is a step witness less its kind; a barrier claim adds
+    the index of the shore it leaves as an odd part."""
+    if not isinstance(obj, dict) or "kind" in obj:
+        failures.append((R_SCHEMA, path))
+        return False
+    witness = dict(obj, kind=kind)
+    if kind == "barrier":
+        index = witness.pop("shore_index", None)
+        if not _is_int(index) or index not in (0, 1):
+            failures.append((R_SCHEMA, path + ".shore_index"))
+            return False
+    return _check_witness_obj(witness, path, failures)
+
+
 def _check_schema(cert, failures) -> bool:
     if not isinstance(cert, dict) or set(cert) != {
             "input", "steps", "final", "r"}:
@@ -180,11 +191,16 @@ def _check_schema(cert, failures) -> bool:
                     failures.append(
                         (R_SCHEMA, f"$.final.classification.{name}"))
                     ok = False
-            for name in ("barriers", "two_separations"):
+            for name, kind in (("barriers", "barrier"),
+                               ("two_separations", "twosep")):
+                path = f"$.final.classification.{name}"
                 if not isinstance(cls[name], list):
-                    failures.append(
-                        (R_SCHEMA, f"$.final.classification.{name}"))
+                    failures.append((R_SCHEMA, path))
                     ok = False
+                    continue
+                for i, obj in enumerate(cls[name]):
+                    ok = _check_claim(
+                        obj, kind, f"{path}[{i}]", failures) and ok
     if not _is_int(cert["r"]) or cert["r"] < 1:
         failures.append((R_SCHEMA, "$.r"))
         ok = False
@@ -200,6 +216,13 @@ def _same_shape(g: Graph, obj: dict) -> bool:
         return False
     # isolated vertices have no serialized identity, so require none
     return g.vertex_set == {v for pair in mine for v in pair}
+
+
+def _raw(obj):
+    """A serialized witness in the form witness_failure takes."""
+    if "members" in obj:
+        return frozenset(obj["members"])
+    return (tuple(obj["pair"]), frozenset(obj["side1"]), frozenset(obj["side2"]))
 
 
 def witness_failure(g: Graph, reference: Cut, cut: Cut, witness) -> str | None:
@@ -244,8 +267,6 @@ def verify_certificate(g: Graph, c: Cut, cert) -> VerificationResult:
     failures: list[tuple[str, str]] = []
     if not _check_schema(cert, failures):
         return VerificationResult(False, tuple(failures))
-    if failures:
-        return VerificationResult(False, tuple(failures))
 
     def fail(code: str, path: str) -> VerificationResult:
         return VerificationResult(False, ((code, path),))
@@ -274,13 +295,7 @@ def verify_certificate(g: Graph, c: Cut, cert) -> VerificationResult:
             step_cut = cur_g.boundary(shore)
         except GraphError:
             return fail(R_SCHEMA, path + ".cut_shore")
-        witness = step["witness"]
-        if witness["kind"] == "barrier":
-            raw = frozenset(witness["members"])
-        else:
-            raw = (tuple(witness["pair"]), frozenset(witness["side1"]),
-                   frozenset(witness["side2"]))
-        reason = witness_failure(cur_g, cur_c, step_cut, raw)
+        reason = witness_failure(cur_g, cur_c, step_cut, _raw(step["witness"]))
         if reason is not None:
             suffix = (".cut_shore" if reason in (R_NOT_TIGHT, R_TRIVIAL,
                                                  R_CROSSES) else ".witness")
@@ -305,15 +320,28 @@ def verify_certificate(g: Graph, c: Cut, cert) -> VerificationResult:
 
     if not _same_shape(cur_g, cert["final"]["graph"]):
         return fail(R_CONTRACTION, "$.final.graph")
-    embedded = cert["final"]["classification"]
-    if not embedded["witnessed"]:
+    claims = cert["final"]["classification"]
+    path = "$.final.classification"
+    if not claims["witnessed"]:
         # honest certs always end witnessed; a false flag is tampering
-        return fail(R_FINAL_WITNESSED, "$.final.classification")
-    if cert["r"] == 1:
-        cls = classify_cut(cur_g, cur_c)
-        if not cls.witnessed:
-            return fail(R_FINAL_WITNESSED, "$.final.classification")
-    elif (not twoseps_generating(cur_g, cur_c)
-          or not embedded["two_separations"]):
-        return fail(R_FINAL_2SEP, "$.final.classification")
+        return fail(R_FINAL_WITNESSED, path)
+    if cert["r"] > 1 and not claims["two_separations"]:
+        return fail(R_FINAL_2SEP, path)
+    # the replay has proved cur_c tight and nontrivial
+    if not claims["tight"]:
+        return fail(R_FINAL_WITNESSED, path + ".tight")
+    if claims["trivial"]:
+        return fail(R_FINAL_WITNESSED, path + ".trivial")
+    if not claims["barriers"] and not claims["two_separations"]:
+        return fail(R_FINAL_WITNESSED, path)
+    for name, code in (("barriers", R_FINAL_WITNESSED),
+                       ("two_separations", R_FINAL_2SEP)):
+        for i, claim in enumerate(claims[name]):
+            raw = _raw(claim)
+            # the shore among the odd parts avoids the barrier, which meets
+            # the other shore, so shore_index names the one it avoids
+            if witness_failure(cur_g, cur_c, cur_c, raw) is not None or (
+                    name == "barriers"
+                    and raw & cur_c.shores()[claim["shore_index"]]):
+                return fail(code, f"{path}.{name}[{i}]")
     return VerificationResult(True, ())

@@ -7,8 +7,9 @@ DecompositionCertificate and returns (label, mutated_json,
 expected_reason) triples. Schema mutants are generated mechanically,
 one per structural position; semantic mutants are built against the
 real replay chain so the expected reason code is known, not guessed.
-Content under final.classification.barriers and .two_separations is
-advisory and deliberately not mutated.
+The final classification's claims are mutated like everything else:
+schema mutants reach the entries of its barriers and two_separations
+lists, and semantic mutants falsify each claim in turn.
 """
 
 import copy
@@ -76,21 +77,12 @@ def _signature(trail):
     return tuple("*" if isinstance(k, int) else k for k in trail)
 
 
-def _advisory(trail):
-    body = trail[:-1]
-    return "barriers" in body or "two_separations" in body
-
-
 def _schema_mutants(base):
     seen = set()
     for trail, node in _addresses(base):
-        if _advisory(trail):
-            continue
         if isinstance(node, dict):
             for k in node:
                 sub = trail + (k,)
-                if _advisory(sub):
-                    continue
                 sig = ("del",) + _signature(sub)
                 if sig not in seen:
                     seen.add(sig)
@@ -312,9 +304,33 @@ def _semantic_mutants(cert):
         out["r"] -= 1
         yield "truncated-steps", out, R_CONTRACTION
 
+    claims = ("final", "classification")
     yield ("unwitnessed:final",
-           _replaced(base, ("final", "classification", "witnessed"),
-                     False), R_FINAL_WITNESSED)
+           _replaced(base, claims + ("witnessed",), False), R_FINAL_WITNESSED)
+    yield ("untight:final",
+           _replaced(base, claims + ("tight",), False), R_FINAL_WITNESSED)
+    yield ("trivial:final",
+           _replaced(base, claims + ("trivial",), True), R_FINAL_WITNESSED)
+    barriers = base["final"]["classification"]["barriers"]
+    yield ("ghost-barrier:final",
+           _replaced(base, claims + ("barriers",),
+                     barriers + [{"members": [999], "shore_index": 0}]),
+           R_FINAL_WITNESSED)
+    if barriers:
+        flipped = copy.deepcopy(barriers)
+        flipped[0]["shore_index"] ^= 1
+        yield ("flipped-shore:final",
+               _replaced(base, claims + ("barriers",), flipped),
+               R_FINAL_WITNESSED)
+    twoseps = base["final"]["classification"]["two_separations"]
+    bogus = {"pair": [0, 1], "side1": [0, 1], "side2": [0, 1]}
+    yield ("bogus-twosep:final",
+           _replaced(base, claims + ("two_separations",), twoseps + [bogus]),
+           R_FINAL_2SEP)
+    if not cert.steps:
+        out = copy.deepcopy(base)
+        out["final"]["classification"].update(barriers=[], two_separations=[])
+        yield "no-witnesses:final", out, R_FINAL_WITNESSED
 
 
 def mutation_corpus(name, cert):

@@ -239,9 +239,9 @@ def test_decompose_takes_the_barrier_step_first():
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
-def test_decompose_classifies_at_most_twice(name, monkeypatch):
-    """One classification of the input cut, and one of the final cut
-    when a reduction ran: no round classifies."""
+def test_decompose_classifies_once(name, monkeypatch):
+    """One classification, of the input cut: no round classifies, and
+    the final classification of a reduction is the stop test's list."""
     calls = []
 
     def counted(g, c):
@@ -251,7 +251,7 @@ def test_decompose_classifies_at_most_twice(name, monkeypatch):
     monkeypatch.setattr(tightcut.decompose, "classify_cut", counted)
     g, c = fixture_cut(name)
     cert = decompose_tight_cut(g, c)
-    assert len(calls) == (1 if cert.r == 1 else 2)
+    assert len(calls) == 1
 
 
 def test_decompose_inflated_fixture_cuts():

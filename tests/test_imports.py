@@ -1,8 +1,9 @@
 """No module in src/ or tests/ imports a name it never uses, no module
 in src/ but matching.py touches the exhaustive test oracles, only
 structure.py, sweep.py and the package's __init__.py name the
-two-separation listing, and src/ has no assert statement: python -O
-strips them, so invariant guards raise InternalInvariantError instead.
+two-separation listing, verify.py names no search routine of the
+producer, and src/ has no assert statement: python -O strips them, so
+invariant guards raise InternalInvariantError instead.
 
 Standard library only, so the check runs where no linter is installed.
 An imported name counts as used when it appears as a bare name anywhere
@@ -23,6 +24,11 @@ ORACLES = {"perfect_matching_masks", "all_perfect_matchings"}
 # the sweep's all-separations checks use it
 LISTING = {"find_2separations"}
 LISTING_MODULES = {"structure.py", "sweep.py", "__init__.py"}
+# the verifier replays witnesses through primitives it shares with the
+# producer, and runs none of the producer's searches
+SEARCHES = {"classify_cut", "twoseps_generating", "enumerate_barriers",
+            "find_2separations", "find_noncrossing_witness",
+            "decompose_tight_cut"}
 
 
 def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -101,6 +107,11 @@ def test_exhaustive_oracles_stay_out_of_src(path):
     ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_two_separation_listing_stays_off_the_certify_path(path):
     assert oracle_references(ast.parse(path.read_text()), LISTING) == []
+
+
+def test_verifier_runs_no_search():
+    path = ROOT / "src" / "tightcut" / "verify.py"
+    assert oracle_references(ast.parse(path.read_text()), SEARCHES) == []
 
 
 def assert_lines(tree: ast.Module) -> list[int]:

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from tightcut.certificate import graph_to_json
+from tightcut.cli import main
 from tightcut.decompose import decompose_tight_cut, find_noncrossing_witness
 from tightcut.graph import Graph
 from tightcut.instances import fixture_instances
@@ -108,10 +110,12 @@ def test_tolerated_variations(c6):
     extra = cert.to_json_dict()
     extra["final"]["classification"]["note"] = "anything"
     assert verify_certificate(g, c, extra).ok
-    # advisory witness lists are not replayed element by element
+    # but every entry of its witness lists is checked
     noisy = cert.to_json_dict()
     noisy["final"]["classification"]["barriers"] = [{"bogus": True}]
-    assert verify_certificate(g, c, noisy).ok
+    (failure,) = verify_certificate(g, c, noisy).failures
+    assert failure[0] == R_SCHEMA
+    assert failure[1].startswith("$.final.classification.barriers[0]")
 
 
 # the shared witness rule --------------------------------------------------------
@@ -160,3 +164,32 @@ def test_witness_failure_accepts_produced_witnesses(name):
         # an unwitnessed reference cut is generated by no witness of g
         assert witness_failure(
             g, c, c, _raw(cert.steps[0].witness)) == R_NO_GENERATE
+
+
+def test_final_claims_replay_past_the_barrier_search(tmp_path, capsys):
+    """K_{20,20} with right vertex 39 split into the path 39-40-41 from 0
+    to 1. The cut around the path has the barrier witness {0, 1}, but
+    barrier search around it would face 18 candidates, more than its
+    guard of 16, and so would classify_cut and decompose. The verifier
+    replays the listed witness instead of searching."""
+    edges = [(x, y) for x in range(20) for y in range(20, 39)]
+    edges += [(0, 39), (39, 40), (40, 41), (41, 1)]
+    g = Graph(range(42), edges)
+    shore = frozenset({39, 40, 41})
+    c = g.boundary(shore)
+    graph = graph_to_json(g)
+    cert = {
+        "input": {"graph": graph, "cut_shore": sorted(shore)},
+        "steps": [],
+        "final": {"graph": graph, "classification": {
+            "tight": True, "trivial": False, "witnessed": True,
+            "barriers": [{"members": [0, 1],
+                          "shore_index": c.shores().index(shore)}],
+            "two_separations": []}},
+        "r": 1,
+    }
+    assert verify_certificate(g, c, cert).ok
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert main(["verify", str(path)]) == 0
+    assert "certificate OK (r=1)" in capsys.readouterr().out
