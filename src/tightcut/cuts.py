@@ -23,6 +23,9 @@ from .structure import (
     twoseps_generating,
 )
 
+# vertices enumerate_tight_cuts takes, at most: it tries 2^(n-2) shores
+TIGHT_CUT_LIMIT = 16
+
 
 def is_tight(g: Graph, c: Cut) -> bool:
     """True iff every perfect matching meets the cut exactly once.
@@ -51,17 +54,17 @@ def is_tight(g: Graph, c: Cut) -> bool:
         for (x1, y1), (x2, y2) in combinations(ends, 2))
 
 
-def enumerate_tight_cuts(g: Graph, nontrivial_only=False, *,
-                         max_vertices=16) -> list[Cut]:
+def enumerate_tight_cuts(g: Graph, nontrivial_only=False) -> list[Cut]:
     """Every tight cut once, by shore size then lex order.
 
     Only shores containing the smallest vertex are generated, which is
-    exactly the canonical form, so no deduplication is needed.
+    exactly the canonical form, so no deduplication is needed. Graphs
+    on more than TIGHT_CUT_LIMIT vertices raise EnumerationLimitError.
     """
-    if g.n > max_vertices:
+    if g.n > TIGHT_CUT_LIMIT:
         raise EnumerationLimitError(
             f"tight-cut enumeration on {g.n} vertices exceeds the guard "
-            f"of {max_vertices}")
+            f"of {TIGHT_CUT_LIMIT}")
     if not is_matchable(g):
         raise GraphError("tight cuts are about perfect matchings; none exist")
     if g.n < 2:

@@ -71,13 +71,6 @@ class BranchTally:
     def hit(self, branch: str) -> None:
         self.counts[branch] = self.counts.get(branch, 0) + 1
 
-    def update(self, other: "BranchTally") -> None:
-        for branch, count in other.counts.items():
-            self.counts[branch] = self.counts.get(branch, 0) + count
-
-    def missing(self) -> frozenset[str]:
-        return REQUIRED_BRANCHES - set(self.counts)
-
     def __repr__(self):
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self.counts.items()))
         return f"BranchTally({inner})"
@@ -87,20 +80,15 @@ class BranchTally:
 class WitnessFinding:
     """A witnessed tight cut that does not cross the reference cut.
 
-    kind "barrier": barrier is nontrivial and properly inside the
-    reference shore given in shore; cut is the boundary of the odd
-    component of g - barrier that holds the entire opposite shore.
-
-    kind "twosep": twosep generates cut, whose off-reference shore lies
-    inside one reference shore.
+    A Barrier witness is nontrivial and lies properly inside one shore
+    of the reference cut; cut is the boundary of the odd component of
+    g - barrier that holds the entire opposite shore. A TwoSeparation
+    witness generates cut, whose off-reference shore lies inside one
+    reference shore.
     """
 
-    kind: str
     cut: Cut
-    reference: Cut
-    barrier: Barrier | None = None
-    shore: frozenset[int] | None = None
-    twosep: TwoSeparation | None = None
+    witness: Barrier | TwoSeparation
 
 
 def _require_decomposable(g: Graph, c: Cut) -> None:
@@ -137,8 +125,7 @@ def _finish_barrier(g: Graph, c: Cut, members, shore: frozenset[int],
             f"{branch}: no component holds the opposite shore")
     derived = g.boundary(holder)
     _require_witness(g, c, derived, members, branch)
-    return WitnessFinding("barrier", derived, c,
-                          barrier=is_barrier(g, members), shore=shore)
+    return WitnessFinding(derived, is_barrier(g, members))
 
 
 def _finish_twosep(g: Graph, c: Cut, pair, side1, side2, cut_shore,
@@ -146,8 +133,7 @@ def _finish_twosep(g: Graph, c: Cut, pair, side1, side2, cut_shore,
     """Check a two-separation generates the cut with cut_shore."""
     derived = g.boundary(cut_shore)
     _require_witness(g, c, derived, (pair, side1, side2), branch)
-    return WitnessFinding("twosep", derived, c,
-                          twosep=make_two_separation(g, pair, side1, side2))
+    return WitnessFinding(derived, make_two_separation(g, pair, side1, side2))
 
 
 def witness_from_edge(g: Graph, c: Cut, eid: int, tally: BranchTally | None = None,
@@ -222,10 +208,10 @@ def witness_from_edge(g: Graph, c: Cut, eid: int, tally: BranchTally | None = No
             raise InternalInvariantError(
                 f"dead-cut search rejected a theorem-backed setup: {exc}") from exc
         if tagged.shore == xu - {u}:
-            members = tagged.witness.barrier.members | {u}
+            members = tagged.barrier.members | {u}
             return _finish_barrier(g, c, members, xu, BRANCH_SOLE_CROSS_NEIGHBORS)
         if tagged.shore == xv - {v}:
-            members = tagged.witness.barrier.members | {v}
+            members = tagged.barrier.members | {v}
             return _finish_barrier(g, c, members, xv, BRANCH_SOLE_CROSS_NEIGHBORS)
         raise InternalInvariantError("confined barrier tagged with a foreign shore")
 
@@ -244,12 +230,12 @@ def witness_from_edge(g: Graph, c: Cut, eid: int, tally: BranchTally | None = No
     if tagged.shore == dead_shore:
         # barrier and components live away from the pivot's horizon
         tally.hit(BRANCH_FAR_SHORE_BARRIER)
-        members = tagged.witness.barrier.members | {pivot}
+        members = tagged.barrier.members | {pivot}
         return _finish_barrier(g, c, members, pshore, BRANCH_FAR_SHORE_BARRIER)
     if tagged.shore != oshore | {pivot}:
         raise InternalInvariantError("confined barrier tagged with a foreign shore")
 
-    confined = tagged.witness.barrier.members
+    confined = tagged.barrier.members
     if pivot in confined:
         raise InternalInvariantError("pivot inside the confined barrier")
     parts = stripped.components_without(confined)
@@ -363,9 +349,9 @@ def find_noncrossing_witness(g: Graph, c: Cut,
         raise InternalInvariantError(
             f"block split instance rejected a theorem-backed edge: {exc}") from exc
 
-    if sub.kind == "barrier":
+    if isinstance(sub.witness, Barrier):
         tally.hit(BRANCH_PULLBACK_BARRIER)
-        members = sub.barrier.members
+        members = sub.witness.members
         if s_label in members:
             lifted = (members - {s_label}) | {v}
             return _finish_barrier(g, c, lifted, xu, BRANCH_PULLBACK_BARRIER)
@@ -379,7 +365,7 @@ def find_noncrossing_witness(g: Graph, c: Cut,
     if sub.cut != c2:
         raise InternalInvariantError(
             "inner two-separation does not reproduce the reference cut")
-    z = next(p for p in sub.twosep.pair if p != s_label)
+    z = next(p for p in sub.witness.pair if p != s_label)
     if z not in xv:
         raise InternalInvariantError("inner separation pair lands off the far shore")
     return _finish_twosep(g, c, (v, z), f1 | {v, z}, g.vertex_set - f1,
@@ -488,14 +474,14 @@ def decompose_tight_cut(g: Graph, c: Cut,
             return DecompositionCertificate(g, c, tuple(steps), cur_g, final)
         else:
             finding = find_noncrossing_witness(cur_g, cur_c, tally)
-            if finding.kind != "twosep":
+            if not isinstance(finding.witness, TwoSeparation):
                 raise InternalInvariantError(
                     "witness search returned a barrier despite clean shores")
             if finding.cut == cur_c:
                 raise InternalInvariantError(
                     "reference reproduced without a classification witness")
             tally.hit(BRANCH_TWOSEP_STEP)
-            step_cut, witness = finding.cut, finding.twosep
+            step_cut, witness = finding.cut, finding.witness
         cur_g, cur_c, tracked = _contract_step(
             cur_g, cur_c, tracked, step_cut, witness, steps)
     raise InternalInvariantError("reduction did not terminate")

@@ -1,10 +1,11 @@
 """Canonical graphs, generated corpora, and pinned fixtures.
 
 Exhaustive mode walks every labeled simple graph on n vertices (desk
-scale, n <= 7) and keeps the ones passing the filters. Random mode uses
-rejection sampling over a cycling density schedule; the distribution is
-deliberately NOT uniform over matching covered graphs, it just spreads
-densities enough to vary the structure. Same spec, same graphs, always.
+scale, n <= 7) and keeps the connected matching covered ones. Random
+mode uses rejection sampling over a cycling density schedule; the
+distribution is deliberately NOT uniform over matching covered graphs,
+it just spreads densities enough to vary the structure. Same spec, same
+graphs, always.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from random import Random
 
-from .cuts import enumerate_tight_cuts
 from .graph import Graph, GraphError
 from .matching import is_matching_covered
 
@@ -102,40 +102,31 @@ class CorpusSpec:
     n: int = 0
     samples: int = 0
     seed: int = 0
-    matching_covered_only: bool = True
-    with_nontrivial_tight_cut: bool = False
     names: tuple[str, ...] = ()
 
 
-def _keep(g: Graph, spec: CorpusSpec) -> bool:
-    if not g.is_connected():
-        return False
-    if spec.matching_covered_only and not is_matching_covered(g):
-        return False
-    if spec.with_nontrivial_tight_cut and not enumerate_tight_cuts(
-            g, nontrivial_only=True):
-        return False
-    return True
+def _keep(g: Graph) -> bool:
+    return g.is_connected() and is_matching_covered(g)
 
 
 def _exhaustive(spec: CorpusSpec):
     if not 1 <= spec.n <= EXHAUSTIVE_MAX_N:
         raise GraphError(
             f"exhaustive mode handles 1 <= n <= {EXHAUSTIVE_MAX_N}")
-    if spec.matching_covered_only and spec.n % 2:
+    if spec.n % 2:  # no perfect matching; n = 7 would walk 2^21 subsets
         return
     pairs = list(combinations(range(spec.n), 2))
     for bits in range(1, 1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
         g = Graph(range(spec.n), edges)
-        if _keep(g, spec):
+        if _keep(g):
             yield g
 
 
 def _random(spec: CorpusSpec):
     if not 4 <= spec.n <= RANDOM_MAX_N:
         raise GraphError(f"random mode handles 4 <= n <= {RANDOM_MAX_N}")
-    if spec.matching_covered_only and spec.n % 2:
+    if spec.n % 2:
         raise GraphError("odd order cannot be matching covered")
     if spec.samples <= 0:
         return
@@ -153,7 +144,7 @@ def _random(spec: CorpusSpec):
         p = min(0.95, density / (spec.n - 1))
         edges = [pair for pair in pairs if rng.random() < p]
         g = Graph(range(spec.n), edges)
-        if _keep(g, spec):
+        if _keep(g):
             produced += 1
             yield g
 
@@ -167,7 +158,7 @@ def enumerate_corpus(spec: CorpusSpec):
     elif spec.mode == "named":
         for name in spec.names:
             g = canonical(name)
-            if _keep(g, spec):
+            if _keep(g):
                 yield g
     else:
         raise GraphError(f"unknown corpus mode: {spec.mode!r}")

@@ -76,8 +76,12 @@ def is_barrier(g: Graph, members) -> Barrier | None:
     return Barrier(members, odd, g)
 
 
+# free candidates around one vertex that enumerate_barriers takes, at most
+BARRIER_LIMIT = 16
+
+
 def enumerate_barriers(g: Graph, *, within=None, containing=(),
-                       nontrivial_only=False, max_vertices=16) -> list[Barrier]:
+                       nontrivial_only=False) -> list[Barrier]:
     """All barriers drawn from a candidate pool, by size then lex order.
 
     Call u and v dependent when g - u - v is not matchable. Any two
@@ -100,9 +104,10 @@ def enumerate_barriers(g: Graph, *, within=None, containing=(),
     Guard: the search is exponential only in the largest set of free
     candidates around one vertex, that vertex plus its dependent
     partners among them; in a matching covered graph, the largest
-    canonical part inside the pool. When that exceeds max_vertices,
-    EnumerationLimitError is raised before any subset is tried. Results
-    are cached per pool and containing set on the graph.
+    canonical part inside the pool, however large the pool is. When that
+    exceeds BARRIER_LIMIT, EnumerationLimitError is raised before any
+    subset is tried. Results are cached per pool and containing set on
+    the graph.
     """
     if within is None:
         pool_set = g.vertex_set
@@ -118,15 +123,15 @@ def enumerate_barriers(g: Graph, *, within=None, containing=(),
     cache = g._cache.setdefault("barriers_by_pool", {})
     got = cache.get((pool_set, seed))
     if got is None:
-        got = tuple(_search_barriers(g, pool_set, seed, max_vertices))
+        got = tuple(_search_barriers(g, pool_set, seed))
         cache[(pool_set, seed)] = got
     if nontrivial_only:
         return [b for b in got if b.is_nontrivial]
     return list(got)
 
 
-def _search_barriers(g: Graph, pool_set: frozenset[int], seed: frozenset[int],
-                     max_vertices: int) -> list[Barrier]:
+def _search_barriers(g: Graph, pool_set: frozenset[int],
+                     seed: frozenset[int]) -> list[Barrier]:
     """enumerate_barriers' search: pairwise dependent supersets of seed
     inside the pool, tested by is_barrier in size then lex order."""
     def dependent(u: int, v: int) -> bool:
@@ -139,10 +144,10 @@ def _search_barriers(g: Graph, pool_set: frozenset[int], seed: frozenset[int],
     partners = {v: frozenset(w for w in free if w != v and dependent(v, w))
                 for v in free}
     widest = max((1 + len(p) for p in partners.values()), default=0)
-    if widest > max_vertices:
+    if widest > BARRIER_LIMIT:
         raise EnumerationLimitError(
             f"barrier enumeration over {widest} candidates "
-            f"exceeds the guard of {max_vertices}")
+            f"exceeds the guard of {BARRIER_LIMIT}")
 
     # a barrier and its odd components are disjoint, so |B| <= n/2
     room = g.n // 2 - len(seed)
@@ -351,34 +356,21 @@ def barrier_core(g: Graph, b: Barrier) -> Graph:
     return Graph(vertices, edges, provenance=provenance)
 
 
-class StrictBarrier(NamedTuple):
-    """A barrier whose odd parts are trivial or critical, with mc core."""
-
-    barrier: Barrier
-    core: Graph
-
-
-def is_strict_barrier(g: Graph, b: Barrier) -> StrictBarrier | None:
-    """The StrictBarrier witness, or None.
-
-    Strict means every odd component is a single vertex or critical,
-    and the barrier core is matching covered.
-    """
+def is_strict_barrier(g: Graph, b: Barrier) -> bool:
+    """True iff every odd component of g - B is a single vertex or
+    critical, and the barrier core is matching covered."""
     if b.graph is not g:
         raise GraphError("barrier belongs to a different graph")
-    for part in b.odd_parts:
-        if len(part) > 1 and not is_critical(g.induced(part)):
-            return None
-    c = barrier_core(g, b)
-    if not is_matching_covered(c):
-        return None
-    return StrictBarrier(b, c)
+    if any(len(part) > 1 and not is_critical(g.induced(part))
+           for part in b.odd_parts):
+        return False
+    return is_matching_covered(barrier_core(g, b))
 
 
 class ShoreBarrier(NamedTuple):
     """A strict barrier confined, odd parts included, to one cut shore."""
 
-    witness: StrictBarrier
+    barrier: Barrier
     shore: frozenset[int]
 
 
@@ -387,14 +379,14 @@ def _attachments(g: Graph, shore: frozenset[int]) -> list[int]:
         v for v in shore if any(w not in shore for w in g.neighbors(v)))
 
 
-def _confined(g: Graph, members, shore: frozenset[int]) -> StrictBarrier | None:
+def _confined(g: Graph, members, shore: frozenset[int]) -> Barrier | None:
     """Verify a candidate: barrier of g, parts inside shore, strict."""
     b = is_barrier(g, members)
     if b is None:
         return None
     if any(not part <= shore for part in b.odd_parts):
         return None
-    return is_strict_barrier(g, b)
+    return b if is_strict_barrier(g, b) else None
 
 
 def find_strict_barrier(g: Graph, x) -> ShoreBarrier:

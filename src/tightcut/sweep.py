@@ -24,6 +24,8 @@ from .graph import Cut, Graph
 from .instances import CorpusSpec, canonical, enumerate_corpus, fixture_instances
 from .matching import is_matching_covered
 from .structure import (
+    Barrier,
+    TwoSeparation,
     enumerate_barriers,
     find_2separations,
     find_strict_barrier,
@@ -132,30 +134,31 @@ def _check_contractions(label: str, g: Graph, c: Cut, all_cuts,
 
 def _verify_finding(label: str, g: Graph, c: Cut, finding,
                     report: SweepReport) -> None:
-    """Re-check a witness finding: the verifier's witness rule plus the
-    WitnessFinding contract."""
+    """Re-check the finding for the reference cut c: the verifier's
+    witness rule, and for a barrier the rest of the WitnessFinding
+    contract. The barrier is nontrivial, lies properly inside one shore
+    of c, and the shore of the finding's cut it misses holds the other
+    shore of c."""
     problems = []
-    if finding.reference != c:
-        problems.append("finding does not reference the input cut")
-    w = finding.cut
-    if finding.kind == "barrier":
-        members = finding.barrier.members
+    w, witness = finding.cut, finding.witness
+    if isinstance(witness, Barrier):
+        members = witness.members
         reason = witness_failure(g, c, w, members)
-        if finding.shore not in c.shores():
-            problems.append("barrier shore is not a reference shore")
-        elif not (finding.barrier.is_nontrivial and members < finding.shore):
-            problems.append("barrier is trivial or not properly inside its shore")
+        shore = next((side for side in c.shores() if members < side), None)
+        if shore is None or not witness.is_nontrivial:
+            problems.append(
+                "barrier is trivial or not properly inside a reference shore")
         elif reason is None:
             # the generated shore is the one the barrier misses
             holder = next(side for side in w.shores() if not side & members)
-            if not g.vertex_set - finding.shore <= holder:
+            if not g.vertex_set - shore <= holder:
                 problems.append(
                     "barrier cut shore does not hold the opposite shore")
-    elif finding.kind == "twosep":
-        s = finding.twosep
-        reason = witness_failure(g, c, w, (s.pair, s.side1, s.side2))
+    elif isinstance(witness, TwoSeparation):
+        reason = witness_failure(
+            g, c, w, (witness.pair, witness.side1, witness.side2))
     else:
-        reason = f"unknown witness kind {finding.kind!r}"
+        reason = f"unknown witness {witness!r}"
     if reason is not None:
         problems.append(reason)
     for problem in problems:
@@ -276,7 +279,7 @@ def _strict_barrier_setups(label: str, g: Graph, cuts, report: SweepReport
         setup_label = f"{label}:dead{sorted(x)}"
         found = find_strict_barrier(inner, x)
         report.strict_barrier_instances += 1
-        checked = is_barrier(inner, found.witness.barrier.members)
+        checked = is_barrier(inner, found.barrier.members)
         if checked is None:
             _flag(report, "strict_barrier", setup_label,
                   "result is not a barrier")
@@ -287,7 +290,7 @@ def _strict_barrier_setups(label: str, g: Graph, cuts, report: SweepReport
         if any(not part <= found.shore for part in checked.odd_parts):
             _flag(report, "strict_barrier", setup_label,
                   "result is not confined to its shore")
-        if is_strict_barrier(inner, checked) is None:
+        if not is_strict_barrier(inner, checked):
             _flag(report, "strict_barrier", setup_label,
                   "result is not strict")
 
@@ -336,12 +339,10 @@ def _check_graph(label: str, g: Graph, report: SweepReport,
 
 
 def run_sweep(specs: Sequence[CorpusSpec], *, include_fixtures: bool = True,
-              command: str = "sweep",
-              tally: BranchTally | None = None) -> SweepReport:
+              command: str = "sweep") -> SweepReport:
     """Run the full check battery over the corpora the specs describe."""
     report = SweepReport(command=command)
-    if tally is None:
-        tally = BranchTally()
+    tally = BranchTally()
     start = time.perf_counter()
     for spec in specs:
         if spec.mode == "named":

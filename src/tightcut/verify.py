@@ -8,11 +8,13 @@ re-validating each witness from first principles, and replaying the
 final claims. Failures carry a reason code and the JSON path of the
 offending field.
 
-witness_failure states, once, the rule every contraction step and final
-claim obeys: the cut is tight, nontrivial, does not cross the reference
-cut, and is generated by a valid barrier or two-separation. The
-decomposition procedure and the sweep call it too. That the final lists
-hold every witness of the cut stays unchecked.
+witness_failure states, once, the rule every contraction step obeys:
+the cut is tight, nontrivial, does not cross the reference cut, and is
+generated by a valid barrier or two-separation. The decomposition
+procedure and the sweep call it too. A final claim is held to the last
+part alone, _generation_failure, because the replay has already proved
+the final cut tight and nontrivial, and a cut never crosses itself.
+That the final lists hold every witness of the cut stays unchecked.
 
 The verifier is independent of the producer's search, not of its
 primitives. Both sides rely on is_matching_covered, is_tight,
@@ -231,8 +233,7 @@ def witness_failure(g: Graph, reference: Cut, cut: Cut, witness) -> str | None:
     The witness comes raw: a set of barrier members, or a
     (pair, side1, side2) tuple for a two-separation. It is re-validated
     here. The first failing reason code is returned, in this order:
-    R_NOT_TIGHT, R_TRIVIAL, R_CROSSES, R_NOT_BARRIER or R_NOT_TWOSEP,
-    R_NO_GENERATE.
+    R_NOT_TIGHT, R_TRIVIAL, R_CROSSES, then _generation_failure's.
     """
     if not is_tight(g, cut):
         return R_NOT_TIGHT
@@ -240,6 +241,12 @@ def witness_failure(g: Graph, reference: Cut, cut: Cut, witness) -> str | None:
         return R_TRIVIAL
     if cut.crosses(reference):
         return R_CROSSES
+    return _generation_failure(g, cut, witness)
+
+
+def _generation_failure(g: Graph, cut: Cut, witness) -> str | None:
+    """Why the raw witness does not generate cut, or None: R_NOT_BARRIER
+    or R_NOT_TWOSEP for an invalid witness, else R_NO_GENERATE."""
     if isinstance(witness, tuple):
         try:
             ts = make_two_separation(g, *witness)
@@ -327,7 +334,8 @@ def verify_certificate(g: Graph, c: Cut, cert) -> VerificationResult:
         return fail(R_FINAL_WITNESSED, path)
     if cert["r"] > 1 and not claims["two_separations"]:
         return fail(R_FINAL_2SEP, path)
-    # the replay has proved cur_c tight and nontrivial
+    # the replay has proved cur_c tight and nontrivial, so a claim need
+    # only generate it
     if not claims["tight"]:
         return fail(R_FINAL_WITNESSED, path + ".tight")
     if claims["trivial"]:
@@ -340,7 +348,7 @@ def verify_certificate(g: Graph, c: Cut, cert) -> VerificationResult:
             raw = _raw(claim)
             # the shore among the odd parts avoids the barrier, which meets
             # the other shore, so shore_index names the one it avoids
-            if witness_failure(cur_g, cur_c, cur_c, raw) is not None or (
+            if _generation_failure(cur_g, cur_c, raw) is not None or (
                     name == "barriers"
                     and raw & cur_c.shores()[claim["shore_index"]]):
                 return fail(code, f"{path}.{name}[{i}]")

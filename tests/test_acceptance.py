@@ -15,11 +15,7 @@ import pytest
 
 import conftest
 from tightcut.cuts import classify_cut, enumerate_tight_cuts, is_tight
-from tightcut.decompose import (
-    REQUIRED_BRANCHES,
-    BranchTally,
-    decompose_tight_cut,
-)
+from tightcut.decompose import REQUIRED_BRANCHES, decompose_tight_cut
 from tightcut.instances import canonical, fixture_instances
 from tightcut.sweep import run_sweep
 from tightcut.verify import verify_certificate
@@ -40,11 +36,9 @@ def conclude(n, problems, detail=""):
 
 
 @pytest.fixture(scope="module")
-def acceptance():
-    tally = BranchTally()
-    report = run_sweep(gate_specs(), include_fixtures=True,
-                       command="acceptance", tally=tally)
-    return report, tally
+def report():
+    return run_sweep(gate_specs(), include_fixtures=True,
+                     command="acceptance")
 
 
 def violations_of(report, *kinds):
@@ -52,8 +46,7 @@ def violations_of(report, *kinds):
             for kind, label, detail in report.violations if kind in kinds]
 
 
-def test_criterion_1_witnessed_cut_sweep(acceptance):
-    report, _ = acceptance
+def test_criterion_1_witnessed_cut_sweep(report):
     problems = violations_of(report, "matching_covered", "connectivity",
                              "witness", "fixture")
     if report.instances < 3 * GATE_SAMPLES_PER_ORDER:
@@ -70,8 +63,7 @@ def test_criterion_1_witnessed_cut_sweep(acceptance):
              f"{report.elapsed:.0f}s")
 
 
-def test_criterion_2_noncrossing_witness_per_cut(acceptance):
-    report, _ = acceptance
+def test_criterion_2_noncrossing_witness_per_cut(report):
     problems = violations_of(report, "witness")
     if report.witnesses_verified != report.nontrivial_tight_cuts:
         problems.append(
@@ -81,8 +73,7 @@ def test_criterion_2_noncrossing_witness_per_cut(acceptance):
              f"{report.witnesses_verified} findings re-verified")
 
 
-def test_criterion_3_decomposition_chains(acceptance):
-    report, _ = acceptance
+def test_criterion_3_decomposition_chains(report):
     problems = violations_of(report, "certificate")
     if report.decompositions != report.nontrivial_tight_cuts:
         problems.append("not every nontrivial tight cut was decomposed")
@@ -119,8 +110,7 @@ def test_criterion_3_decomposition_chains(acceptance):
              f"{len(pinned)} pinned")
 
 
-def test_criterion_4_contraction_and_transfer(acceptance):
-    report, _ = acceptance
+def test_criterion_4_contraction_and_transfer(report):
     problems = violations_of(report, "contraction", "transfer")
     if report.contraction_checks != 2 * report.nontrivial_tight_cuts:
         problems.append(
@@ -133,16 +123,14 @@ def test_criterion_4_contraction_and_transfer(acceptance):
              f"{report.transfer_checks} transfers")
 
 
-def test_criterion_5_lift_scenarios(acceptance):
-    report, _ = acceptance
+def test_criterion_5_lift_scenarios(report):
     problems = violations_of(report, "lift")
     if report.lift_scenarios < 1000:
         problems.append(f"only {report.lift_scenarios} lift scenarios")
     conclude(5, problems, f"{report.lift_scenarios} lifts, all barriers")
 
 
-def test_criterion_6_strict_barrier_setups(acceptance):
-    report, _ = acceptance
+def test_criterion_6_strict_barrier_setups(report):
     problems = violations_of(report, "strict_barrier")
     if report.strict_barrier_instances < 200:
         problems.append(
@@ -167,11 +155,10 @@ def test_criterion_7_brick_sanity():
     conclude(7, problems, "K4/Petersen clean, C6 cut tight and witnessed")
 
 
-def test_criterion_8_branch_coverage(acceptance):
-    report, tally = acceptance
-    missing = sorted(REQUIRED_BRANCHES - set(tally.counts))
+def test_criterion_8_branch_coverage(report):
+    missing = sorted(REQUIRED_BRANCHES - set(report.branch_counts))
     problems = [f"branch {name} never fired" for name in missing]
-    fired = sorted(set(tally.counts) & REQUIRED_BRANCHES)
+    fired = sorted(set(report.branch_counts) & REQUIRED_BRANCHES)
     conclude(8, problems, f"{len(fired)}/{len(REQUIRED_BRANCHES)} "
              "required branches fired")
 

@@ -8,6 +8,7 @@ import pytest
 
 from tightcut.cli import main
 from tightcut.edgelist import parse_edge_list, write_edge_list
+from tightcut.graph import Graph
 from tightcut.instances import fixture_instances
 from tightcut.matching import is_matching_covered
 
@@ -127,6 +128,21 @@ def test_decompose_rejects_unusable_cuts(c6_file, capsys):
     assert "not tight" in capsys.readouterr().err
     assert main(["decompose", c6_file, "--cut", "0"]) == 2
     assert "trivial" in capsys.readouterr().err
+
+
+def test_size_guard_exits_2(tmp_path, capsys):
+    """K_{20,20} with right vertex 39 split into the path 39-40-41 from 0
+    to 1. The barrier search around the cut at the path faces 18
+    candidates, more than its fixed guard of 16."""
+    edges = [(x, y) for x in range(20) for y in range(20, 39)]
+    edges += [(0, 39), (39, 40), (40, 41), (41, 1)]
+    path = str(tmp_path / "split.el")
+    write_edge_list(Graph(range(42), edges), path)
+    for command in ("decompose", "check"):
+        assert main([command, path, "--cut", "39,40,41"]) == 2
+        err = capsys.readouterr().err
+        assert "exceeds the guard of 16" in err
+        assert "Traceback" not in err
 
 
 # verify --------------------------------------------------------------------------

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tightcut.graph import EnumerationLimitError, Graph, GraphError
-from tightcut.cuts import classify_cut, enumerate_tight_cuts, is_tight
+from tightcut.cuts import (
+    TIGHT_CUT_LIMIT,
+    classify_cut,
+    enumerate_tight_cuts,
+    is_tight,
+)
 from tightcut.instances import canonical, fixture_instances
 from tightcut.matching import is_matching_covered, perfect_matching_masks
 
@@ -101,10 +106,11 @@ def test_bricks_have_no_nontrivial_tight_cuts(k4):
 
 
 def test_enumerate_tight_cuts_guard_and_inputs():
-    big = cycle(18)
-    with pytest.raises(EnumerationLimitError):
-        enumerate_tight_cuts(big)
-    assert len(enumerate_tight_cuts(big, max_vertices=18)) > 0
+    # the guard is fixed at 16 vertices: C16 passes, C18 does not
+    assert TIGHT_CUT_LIMIT == 16
+    assert len(enumerate_tight_cuts(cycle(16))) == 64
+    with pytest.raises(EnumerationLimitError, match="exceeds the guard of 16"):
+        enumerate_tight_cuts(cycle(18))
     odd = cycle(5)
     with pytest.raises(GraphError):
         enumerate_tight_cuts(odd)

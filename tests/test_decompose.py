@@ -27,7 +27,7 @@ from tightcut.decompose import (
 from tightcut.graph import Graph, GraphError
 from tightcut.instances import fixture_instances
 from tightcut.matching import ENUMERATION_LIMIT
-from tightcut.structure import enumerate_barriers
+from tightcut.structure import Barrier, TwoSeparation, enumerate_barriers
 from tightcut.verify import verify_certificate
 
 from conftest import glued, inflated, theta
@@ -43,21 +43,19 @@ def fixture_cut(name):
 
 def check_finding(g, c, finding):
     """The postconditions every witness finding promises."""
-    assert finding.reference == c
     assert not finding.cut.is_trivial
     assert is_tight(g, finding.cut)
     assert not finding.cut.crosses(c)
-    if finding.kind == "barrier":
-        b = finding.barrier
-        assert b.is_nontrivial
-        assert b.members < finding.shore
-        assert finding.shore in (c.shore, c.other_shore)
-        opposite = g.vertex_set - finding.shore
-        assert any(opposite <= part for part in b.odd_parts)
+    w = finding.witness
+    if isinstance(w, Barrier):
+        assert w.is_nontrivial
+        [shore] = [side for side in c.shores() if w.members < side]
+        opposite = g.vertex_set - shore
+        assert any(opposite <= part for part in w.odd_parts)
     else:
-        assert finding.kind == "twosep"
-        cuts = (g.boundary(finding.twosep.side1 - {finding.twosep.pair[0]}),
-                g.boundary(finding.twosep.side1 - {finding.twosep.pair[1]}))
+        assert isinstance(w, TwoSeparation)
+        cuts = (g.boundary(w.side1 - {w.pair[0]}),
+                g.boundary(w.side1 - {w.pair[1]}))
         assert finding.cut in cuts
 
 
@@ -101,7 +99,7 @@ def test_find_witness_double_bowtie():
     tally = BranchTally()
     finding = find_noncrossing_witness(g, c, tally)
     check_finding(g, c, finding)
-    assert finding.kind == "twosep"
+    assert isinstance(finding.witness, TwoSeparation)
     assert tally.counts == {BRANCH_BLOCK_SPLIT: 1,
                             BRANCH_ODD_SIDE_TWOSEP: 1,
                             BRANCH_PULLBACK_TWOSEP: 1}
@@ -112,8 +110,7 @@ def test_find_witness_shielded_bowtie():
     tally = BranchTally()
     finding = find_noncrossing_witness(g, c, tally)
     check_finding(g, c, finding)
-    assert finding.kind == "barrier"
-    assert finding.barrier.members == frozenset({0, 1})
+    assert finding.witness.members == frozenset({0, 1})
     assert finding.cut.shore == frozenset({0, 1, 2})
     assert tally.counts == {BRANCH_BLOCK_SPLIT: 1,
                             BRANCH_FAR_SHORE_BARRIER: 1,
@@ -125,7 +122,7 @@ def test_find_witness_blocked_triangle():
     tally = BranchTally()
     finding = find_noncrossing_witness(g, c, tally)
     check_finding(g, c, finding)
-    assert finding.kind == "barrier"
+    assert isinstance(finding.witness, Barrier)
     assert tally.counts == {BRANCH_GOOD_EDGE: 1,
                             BRANCH_SOLE_CROSS_NEIGHBORS: 1}
 
@@ -319,15 +316,3 @@ def test_decompose_all_nontrivial_cuts_of_blocked_pair():
     for c in cuts:
         cert = decompose_tight_cut(g, c)
         assert verify_certificate(g, c, cert).ok
-
-
-def test_tally_update_and_missing():
-    a, b = BranchTally(), BranchTally()
-    a.hit(BRANCH_BARRIER_PHASE)
-    b.hit(BRANCH_BARRIER_PHASE)
-    b.hit(BRANCH_TWOSEP_STEP)
-    a.update(b)
-    assert a.counts[BRANCH_BARRIER_PHASE] == 2
-    assert a.counts[BRANCH_TWOSEP_STEP] == 1
-    assert BRANCH_TWOSEP_STEP not in a.missing()
-    assert BRANCH_SOLE_CROSS_NEIGHBORS in a.missing()

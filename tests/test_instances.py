@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from tightcut.cuts import enumerate_tight_cuts, is_tight
+from tightcut.cuts import is_tight
 from tightcut.graph import GraphError
 from tightcut.instances import (
     EXHAUSTIVE_MAX_N,
@@ -80,15 +80,6 @@ def test_exhaustive_matches_oracle_n4():
             for g in got] == want
 
 
-def test_exhaustive_tight_cut_filter_narrows(exhaustive_corpus):
-    base = exhaustive_corpus[6]
-    narrowed = list(enumerate_corpus(
-        CorpusSpec("exhaustive", n=6, with_nontrivial_tight_cut=True)))
-    assert 0 < len(narrowed) < len(base)
-    for g in narrowed[:5]:
-        assert enumerate_tight_cuts(g, nontrivial_only=True)
-
-
 def test_exhaustive_odd_n_is_empty():
     assert list(enumerate_corpus(CorpusSpec("exhaustive", n=5))) == []
 
@@ -125,15 +116,13 @@ def test_random_seed_changes_output():
 
 
 def test_random_products_pass_filters():
-    spec = CorpusSpec("random", n=10, samples=4, seed=3,
-                      with_nontrivial_tight_cut=True)
+    spec = CorpusSpec("random", n=10, samples=4, seed=3)
     out = list(enumerate_corpus(spec))
     assert len(out) == 4
     for g in out:
         assert g.n == 10
         assert g.is_connected()
         assert is_matching_covered(g)
-        assert enumerate_tight_cuts(g, nontrivial_only=True)
 
 
 def test_random_bounds():

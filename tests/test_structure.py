@@ -17,6 +17,7 @@ from tightcut.instances import (
 )
 from tightcut.matching import is_admissible, is_matchable, is_matching_covered
 from tightcut.structure import (
+    BARRIER_LIMIT,
     GROUPING_LIMIT,
     barrier_core,
     barrier_cuts,
@@ -217,14 +218,14 @@ def test_dependence_is_the_canonical_partition(exhaustive_corpus):
                    for part in _dependence_classes(g).values())
 
 
-def test_barrier_guard_counts_one_canonical_part(c6):
-    # the guard measures the largest canonical part, not the pool
-    assert len(enumerate_barriers(canonical("petersen"),
-                                  max_vertices=1)) == 10
-    with pytest.raises(EnumerationLimitError, match="3 candidates"):
-        enumerate_barriers(c6, max_vertices=2)
+def test_barrier_guard_counts_one_canonical_part():
+    # the guard measures the largest canonical part, not the pool: C18
+    # offers 18 candidates, but its two canonical parts hold 9 each
+    assert BARRIER_LIMIT == 16
+    assert len(enumerate_barriers(cycle(18))) == 1022
     k = Graph(range(34), [(u, v) for u in range(17) for v in range(17, 34)])
-    with pytest.raises(EnumerationLimitError, match="17 candidates"):
+    with pytest.raises(EnumerationLimitError,
+                       match="17 candidates exceeds the guard of 16"):
         enumerate_barriers(k)
     # a GraphError, so the command line reports it with exit code 2
     assert issubclass(EnumerationLimitError, GraphError)
@@ -327,13 +328,13 @@ def test_find_2separations_guard_fails_fast():
 def test_strictness_hand_cases(c6):
     loose = is_barrier(c6, {0, 2})
     # the path component 3-4-5 is not critical
-    assert is_strict_barrier(c6, loose) is None
+    assert is_strict_barrier(c6, loose) is False
     tight = is_barrier(c6, {0, 2, 4})
-    sb = is_strict_barrier(c6, tight)
-    assert sb is not None
-    assert sb.core.n == 6
-    assert sb.core.m == 6
-    assert is_matching_covered(sb.core)
+    assert is_strict_barrier(c6, tight) is True
+    core = barrier_core(c6, tight)
+    assert core.n == 6
+    assert core.m == 6
+    assert is_matching_covered(core)
 
 
 def test_barrier_core_shape(c6):
@@ -393,10 +394,10 @@ def test_find_strict_barrier_on_dead_cut(case):
     other shore is answered from that shore by the mirror barrier."""
     g, x = dead_cut_instance()
     hit = find_strict_barrier(g, x)
-    b = is_barrier(g, hit.witness.barrier.members)
-    assert b is not None and is_strict_barrier(g, b) is not None
+    b = is_barrier(g, hit.barrier.members)
+    assert b is not None and is_strict_barrier(g, b)
     assert all(part <= hit.shore for part in b.odd_parts)
-    assert is_matching_covered(hit.witness.core)
+    assert is_matching_covered(barrier_core(g, hit.barrier))
     if case == "constructive":
         assert (hit.shore, b.members) == (x, frozenset({0}))
         assert b.odd_parts == (frozenset({1}),)
@@ -407,10 +408,10 @@ def test_find_strict_barrier_on_dead_cut(case):
     else:
         y = g.vertex_set - x
         mirror = find_strict_barrier(g, y)
-        assert (mirror.shore, mirror.witness.barrier.members) == (
+        assert (mirror.shore, mirror.barrier.members) == (
             y, frozenset({5}))
-        assert mirror.witness.barrier.odd_parts == (frozenset({4}),)
-        assert is_matching_covered(mirror.witness.core)
+        assert mirror.barrier.odd_parts == (frozenset({4}),)
+        assert is_matching_covered(barrier_core(g, mirror.barrier))
 
 
 def test_find_strict_barrier_on_a_pivot_stripped_fixture():
@@ -421,8 +422,8 @@ def test_find_strict_barrier_on_a_pivot_stripped_fixture():
     hit = find_strict_barrier(stripped, x)
     # the first shore {0, 1} holds none, so the hit is on the second
     assert hit.shore == stripped.vertex_set - x
-    assert hit.witness.barrier.members == {8}
-    assert hit.witness.barrier.odd_parts == (frozenset({2, 5, 6}),)
+    assert hit.barrier.members == {8}
+    assert hit.barrier.odd_parts == (frozenset({2, 5, 6}),)
 
 
 def test_find_strict_barrier_validates(c6):
@@ -477,10 +478,10 @@ def test_find_strict_barrier_matches_the_subset_scan(
     for inner, x in gate + pivoted:
         hit = find_strict_barrier(inner, x)
         shores = (x, inner.vertex_set - x)
-        b = is_barrier(inner, hit.witness.barrier.members)
+        b = is_barrier(inner, hit.barrier.members)
         assert b is not None and hit.shore in shores, (inner, x)
         assert all(part <= hit.shore for part in b.odd_parts), (inner, x)
-        assert is_strict_barrier(inner, b) is not None, (inner, x)
+        assert is_strict_barrier(inner, b), (inner, x)
         # the scan finds one too, and the first shore holding one is the
         # shore the construction reports
         edges = [inner.edge_ends(eid) for eid in inner.edge_ids]

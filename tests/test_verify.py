@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+import tightcut.verify
 from tightcut.certificate import graph_to_json
 from tightcut.cli import main
+from tightcut.cuts import is_tight
 from tightcut.decompose import decompose_tight_cut, find_noncrossing_witness
 from tightcut.graph import Graph
 from tightcut.instances import fixture_instances
@@ -153,8 +155,7 @@ def test_witness_failure_accepts_produced_witnesses(name):
     _, g, shore = next(f for f in fixture_instances() if f[0] == name)
     c = g.boundary(shore)
     finding = find_noncrossing_witness(g, c)
-    witness = finding.barrier if finding.kind == "barrier" else finding.twosep
-    assert witness_failure(g, c, finding.cut, _raw(witness)) is None
+    assert witness_failure(g, c, finding.cut, _raw(finding.witness)) is None
     cert = decompose_tight_cut(g, c)
     for step in cert.steps:
         reference = step.graph.cut_from_edge_ids(c.edge_ids)
@@ -164,6 +165,25 @@ def test_witness_failure_accepts_produced_witnesses(name):
         # an unwitnessed reference cut is generated by no witness of g
         assert witness_failure(
             g, c, c, _raw(cert.steps[0].witness)) == R_NO_GENERATE
+
+
+@pytest.mark.parametrize("name", [f[0] for f in fixture_instances()])
+def test_verify_tests_each_cut_for_tightness_once(name, monkeypatch):
+    """One tightness test for the input cut and two per step, the step's
+    cut and the reference after the contraction. The final claims only
+    have to generate the final cut, which the replay has proved tight."""
+    _, g, shore = next(f for f in fixture_instances() if f[0] == name)
+    c = g.boundary(shore)
+    cert = decompose_tight_cut(g, c)
+    calls = []
+
+    def counted(h, d):
+        calls.append(d)
+        return is_tight(h, d)
+
+    monkeypatch.setattr(tightcut.verify, "is_tight", counted)
+    assert verify_certificate(g, c, cert).ok
+    assert len(calls) == 2 * cert.r - 1
 
 
 def test_final_claims_replay_past_the_barrier_search(tmp_path, capsys):
