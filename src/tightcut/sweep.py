@@ -21,7 +21,7 @@ from typing import Sequence
 from .cuts import classify_cut, enumerate_tight_cuts, is_tight
 from .decompose import BranchTally, decompose_tight_cut, find_noncrossing_witness
 from .graph import Cut, Graph
-from .instances import CorpusSpec, canonical, enumerate_corpus, fixture_instances
+from .instances import CorpusSpec, enumerate_corpus, fixture_instances
 from .matching import is_matching_covered
 from .structure import (
     Barrier,
@@ -345,16 +345,13 @@ def run_sweep(specs: Sequence[CorpusSpec], *, include_fixtures: bool = True,
     tally = BranchTally()
     start = time.perf_counter()
     for spec in specs:
-        if spec.mode == "named":
-            for name in spec.names:
-                _check_graph(f"named-{name.lower()}", canonical(name),
-                             report, tally)
-            continue
         for idx, g in enumerate(enumerate_corpus(spec), 1):
             if spec.mode == "exhaustive":
                 label = f"exhaustive-n{spec.n}-#{idx}"
-            else:
+            elif spec.mode == "random":
                 label = f"random-n{spec.n}-s{spec.seed}-#{idx}"
+            else:
+                label = f"named-#{idx}"
             _check_graph(label, g, report, tally)
     if include_fixtures:
         for name, g, shore in fixture_instances():

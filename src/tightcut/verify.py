@@ -8,20 +8,36 @@ re-validating each witness from first principles, and replaying the
 final claims. Failures carry a reason code and the JSON path of the
 offending field.
 
-witness_failure states, once, the rule every contraction step obeys:
-the cut is tight, nontrivial, does not cross the reference cut, and is
-generated by a valid barrier or two-separation. The decomposition
-procedure and the sweep call it too. A final claim is held to the last
-part alone, _generation_failure, because the replay has already proved
-the final cut tight and nontrivial, and a cut never crosses itself.
+witness_failure states, once, the rule every contraction step and, with
+the final cut as its own reference, every final claim obeys: the cut is
+nontrivial, does not cross the reference, and a valid barrier or
+two-separation generates it. The producer and the sweep call it too.
 That the final lists hold every witness of the cut stays unchecked.
 
+No cut is tested for tightness: the witnesses prove it. Each graph of
+the chain has a perfect matching M (the host is matching covered, and M
+meets a tight cut once, so it leaves one in each contraction).
+Fact 1: barrier and two-separation cuts are tight. If g - B has |B| odd
+components, each sends at least one of the |B| edges of M at B, so
+exactly one, and its cut holds every edge leaving it. For a
+two-separation {u, v} with even sides S1, S2, 0 or 2 vertices of
+A = S1 - {u, v} are matched to u or v, so the cut at A + v (A + u is
+symmetric) holds one edge of M: the one at v (uv, or into S2) with 0,
+the one from u into A with 2.
+Fact 2: if C does not cross a tight cut D and h collapses a D-shore
+inside a shore of C, then C tight in h makes C tight in g: M less its
+edges inside that shore is a perfect matching of h meeting C in the
+same edges. The converse, for matching covered g, goes unused.
+The replay checks that each witness generates its cut and each
+contracted shore lies inside a reference shore; by Fact 1, then Fact 2
+once per step back from the last graph, the input cut is tight.
+
 The verifier is independent of the producer's search, not of its
-primitives. Both sides rely on is_matching_covered, is_tight,
-is_barrier, make_two_separation, two_separation_cuts, Cut.crosses and
-the Graph methods boundary, contract and cut_from_edge_ids. A Graph
-handed in by the caller also keeps whatever the producer memoized on
-it, matchings included.
+primitives. Both sides rely on is_matching_covered, is_barrier,
+make_two_separation, two_separation_cuts, Cut.crosses and the Graph
+methods boundary, contract and cut_from_edge_ids. A Graph handed in by
+the caller also keeps whatever the producer memoized on it, matchings
+included.
 """
 
 from __future__ import annotations
@@ -29,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certificate import DecompositionCertificate
-from .cuts import is_tight
 from .graph import Cut, Graph, GraphError
 from .matching import is_matching_covered
 from .structure import is_barrier, make_two_separation, two_separation_cuts
@@ -40,7 +55,6 @@ R_CONTRACTION = "contraction mismatch"
 R_NOT_BARRIER = "witness not a barrier"
 R_NOT_TWOSEP = "witness not a two-separation"
 R_NO_GENERATE = "witness does not generate cut"
-R_NOT_TIGHT = "cut not tight"
 R_TRIVIAL = "cut trivial"
 R_CROSSES = "cut crosses reference"
 R_REF = "reference cut corrupted"
@@ -233,20 +247,13 @@ def witness_failure(g: Graph, reference: Cut, cut: Cut, witness) -> str | None:
     The witness comes raw: a set of barrier members, or a
     (pair, side1, side2) tuple for a two-separation. It is re-validated
     here. The first failing reason code is returned, in this order:
-    R_NOT_TIGHT, R_TRIVIAL, R_CROSSES, then _generation_failure's.
+    R_TRIVIAL, R_CROSSES, R_NOT_BARRIER or R_NOT_TWOSEP for an invalid
+    witness, else R_NO_GENERATE. A cut that passes is tight (Fact 1).
     """
-    if not is_tight(g, cut):
-        return R_NOT_TIGHT
     if cut.is_trivial:
         return R_TRIVIAL
     if cut.crosses(reference):
         return R_CROSSES
-    return _generation_failure(g, cut, witness)
-
-
-def _generation_failure(g: Graph, cut: Cut, witness) -> str | None:
-    """Why the raw witness does not generate cut, or None: R_NOT_BARRIER
-    or R_NOT_TWOSEP for an invalid witness, else R_NO_GENERATE."""
     if isinstance(witness, tuple):
         try:
             ts = make_two_separation(g, *witness)
@@ -261,7 +268,6 @@ def _generation_failure(g: Graph, cut: Cut, witness) -> str | None:
         return R_NOT_BARRIER
     if b is None:
         return R_NOT_BARRIER
-    # a tight cut has an odd shore, so only odd components can match it
     if cut.shore not in b.odd_parts and cut.other_shore not in b.odd_parts:
         return R_NO_GENERATE
     return None
@@ -278,11 +284,7 @@ def verify_certificate(g: Graph, c: Cut, cert) -> VerificationResult:
     def fail(code: str, path: str) -> VerificationResult:
         return VerificationResult(False, ((code, path),))
 
-    if c.graph is not g or not is_matching_covered(g):
-        return fail(R_INPUT, "$")
-    if not is_tight(g, c):
-        return fail(R_INPUT, "$")
-    if c.is_trivial:
+    if c.graph is not g or not is_matching_covered(g) or c.is_trivial:
         return fail(R_INPUT, "$")
     if not _same_shape(g, cert["input"]["graph"]):
         return fail(R_INPUT, "$.input.graph")
@@ -304,8 +306,8 @@ def verify_certificate(g: Graph, c: Cut, cert) -> VerificationResult:
             return fail(R_SCHEMA, path + ".cut_shore")
         reason = witness_failure(cur_g, cur_c, step_cut, _raw(step["witness"]))
         if reason is not None:
-            suffix = (".cut_shore" if reason in (R_NOT_TIGHT, R_TRIVIAL,
-                                                 R_CROSSES) else ".witness")
+            suffix = (".cut_shore" if reason in (R_TRIVIAL, R_CROSSES)
+                      else ".witness")
             return fail(reason, path + suffix)
 
         contracted = frozenset(step["contracted_shore"])
@@ -322,7 +324,7 @@ def verify_certificate(g: Graph, c: Cut, cert) -> VerificationResult:
             cur_c = cur_g.cut_from_edge_ids(cur_c.edge_ids)
         except GraphError:
             return fail(R_REF, path)
-        if cur_c.is_trivial or not is_tight(cur_g, cur_c):
+        if cur_c.is_trivial:
             return fail(R_REF, path)
 
     if not _same_shape(cur_g, cert["final"]["graph"]):
@@ -334,8 +336,6 @@ def verify_certificate(g: Graph, c: Cut, cert) -> VerificationResult:
         return fail(R_FINAL_WITNESSED, path)
     if cert["r"] > 1 and not claims["two_separations"]:
         return fail(R_FINAL_2SEP, path)
-    # the replay has proved cur_c tight and nontrivial, so a claim need
-    # only generate it
     if not claims["tight"]:
         return fail(R_FINAL_WITNESSED, path + ".tight")
     if claims["trivial"]:
@@ -348,7 +348,7 @@ def verify_certificate(g: Graph, c: Cut, cert) -> VerificationResult:
             raw = _raw(claim)
             # the shore among the odd parts avoids the barrier, which meets
             # the other shore, so shore_index names the one it avoids
-            if _generation_failure(cur_g, cur_c, raw) is not None or (
+            if witness_failure(cur_g, cur_c, cur_c, raw) is not None or (
                     name == "barriers"
                     and raw & cur_c.shores()[claim["shore_index"]]):
                 return fail(code, f"{path}.{name}[{i}]")

@@ -28,7 +28,6 @@ from tightcut.verify import (
     R_INPUT,
     R_NO_GENERATE,
     R_NOT_BARRIER,
-    R_NOT_TIGHT,
     R_NOT_TWOSEP,
     R_REMOVES,
     R_SCHEMA,
@@ -173,9 +172,11 @@ def _probe_nongenerating_barrier(g, step_cut):
     return None
 
 
-def _probe_nontight_shore(g):
-    # even proper shores are never tight: crossings have even parity
-    return sorted(g.vertices)[:2]
+def _probe_nontight_shore(c):
+    # even proper shores are never tight: crossings have even parity. Two
+    # vertices of the smaller reference shore never cross the reference,
+    # so only the generation check is left to refuse them
+    return sorted(min(c.shores(), key=len))[:2]
 
 
 def _probe_crossing_shore(g, c):
@@ -220,7 +221,7 @@ def _semantic_mutants(cert):
                R_CONTRACTION)
         yield ("nontight:steps[0]",
                _replaced(base, prefix + ("cut_shore",),
-                         _probe_nontight_shore(g0)), R_NOT_TIGHT)
+                         _probe_nontight_shore(ref0)), R_NO_GENERATE)
         yield ("trivial:steps[0]",
                _replaced(base, prefix + ("cut_shore",), [g0.vertices[0]]),
                R_TRIVIAL)

@@ -2,7 +2,7 @@
 in src/ but matching.py touches the exhaustive test oracles, only
 structure.py, sweep.py and the package's __init__.py name the
 two-separation listing, verify.py names no search routine of the
-producer, and src/ has no assert statement: python -O strips them, so
+producer and no tightness test, and src/ has no assert statement: python -O strips them, so
 invariant guards raise InternalInvariantError instead.
 
 Standard library only, so the check runs where no linter is installed.
@@ -25,10 +25,11 @@ ORACLES = {"perfect_matching_masks", "all_perfect_matchings"}
 LISTING = {"find_2separations"}
 LISTING_MODULES = {"structure.py", "sweep.py", "__init__.py"}
 # the verifier replays witnesses through primitives it shares with the
-# producer, and runs none of the producer's searches
+# producer, and runs none of the producer's searches, nor a tightness
+# test: its witnesses prove every cut of the chain tight
 SEARCHES = {"classify_cut", "twoseps_generating", "enumerate_barriers",
             "find_2separations", "find_noncrossing_witness",
-            "decompose_tight_cut"}
+            "decompose_tight_cut", "is_tight"}
 
 
 def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:

@@ -9,7 +9,7 @@ import tightcut.instances
 import tightcut.sweep
 from tightcut.cuts import enumerate_tight_cuts
 from tightcut.decompose import find_noncrossing_witness
-from tightcut.instances import CorpusSpec
+from tightcut.instances import CorpusSpec, enumerate_corpus
 from tightcut.structure import Barrier
 from tightcut.sweep import run_sweep
 from tightcut.verify import R_CROSSES, R_NOT_BARRIER
@@ -73,6 +73,18 @@ def test_unfiltered_corpus_surfaces_violations(monkeypatch):
     assert js["ok"] is False
     assert all(set(v) == {"kind", "label", "detail"} for v in js["violations"])
     json.dumps(js)
+
+
+def test_named_sweep_takes_the_corpus_path(monkeypatch):
+    """A named spec yields the same graphs through run_sweep as through
+    enumerate_corpus, so the corpus filter applies to both."""
+    keep = tightcut.instances._keep
+    monkeypatch.setattr(tightcut.instances, "_keep",
+                        lambda g: keep(g) and g.n != 4)  # refuse K4
+    spec = CorpusSpec("named", names=("K4", "PETERSEN"))
+    report = run_sweep([spec], include_fixtures=False)
+    assert report.instances == len(list(enumerate_corpus(spec))) == 1
+    assert report.ok
 
 
 def test_report_json_roundtrip():

@@ -1,17 +1,24 @@
 """Certificate verification: honest replays pass, every mutant fails."""
 
 import json
+import sys
+from itertools import combinations
 
 import pytest
 
-import tightcut.verify
+import tightcut.cuts
 from tightcut.certificate import graph_to_json
 from tightcut.cli import main
-from tightcut.cuts import is_tight
+from tightcut.cuts import enumerate_tight_cuts, is_tight
 from tightcut.decompose import decompose_tight_cut, find_noncrossing_witness
 from tightcut.graph import Graph
 from tightcut.instances import fixture_instances
-from tightcut.structure import Barrier
+from tightcut.structure import (
+    Barrier,
+    enumerate_barriers,
+    find_2separations,
+    two_separation_cuts,
+)
 from tightcut.verify import (
     R_CONTRACTION,
     R_CROSSES,
@@ -20,7 +27,6 @@ from tightcut.verify import (
     R_INPUT,
     R_NO_GENERATE,
     R_NOT_BARRIER,
-    R_NOT_TIGHT,
     R_NOT_TWOSEP,
     R_REMOVES,
     R_SCHEMA,
@@ -31,6 +37,7 @@ from tightcut.verify import (
     witness_failure,
 )
 
+from conftest import brute_is_tight, cycle
 from mutations import mutation_targets, target_mutants
 
 
@@ -46,7 +53,7 @@ def test_corpus_covers_every_reachable_reason():
     covered = {code for _, _, _, _, code in CORPUS}
     assert covered >= {
         R_SCHEMA, R_INPUT, R_STEPS, R_CONTRACTION, R_NOT_BARRIER,
-        R_NOT_TWOSEP, R_NO_GENERATE, R_NOT_TIGHT, R_TRIVIAL, R_CROSSES,
+        R_NOT_TWOSEP, R_NO_GENERATE, R_TRIVIAL, R_CROSSES,
         R_SHORE, R_REMOVES, R_FINAL_2SEP, R_FINAL_WITNESSED}
 
 
@@ -89,9 +96,9 @@ def test_input_preconditions(c6, k4):
     # trivial reference cut
     assert verify_certificate(
         c6, c6.boundary({0}), cert).failures == ((R_INPUT, "$"),)
-    # non-tight reference cut
-    assert verify_certificate(
-        c6, c6.boundary({0, 2, 4}), cert).failures == ((R_INPUT, "$"),)
+    # non-tight reference cut: not the certificate's, which is tight
+    assert verify_certificate(c6, c6.boundary({0, 2, 4}), cert).failures \
+        == ((R_INPUT, "$.input.cut_shore"),)
     # cut of a different graph
     assert verify_certificate(
         c6, k4.boundary({0}), cert).failures == ((R_INPUT, "$"),)
@@ -135,7 +142,6 @@ def test_witness_failure_reason_codes(c6):
     assert witness_failure(c6, c, c, barrier) is None
     assert witness_failure(c6, c, c, twosep) is None
     # the cut-side codes come first, whatever the witness
-    assert witness_failure(c6, c, c6.boundary({0, 2, 4}), barrier) == R_NOT_TIGHT
     assert witness_failure(c6, c, c6.boundary({0}), barrier) == R_TRIVIAL
     assert witness_failure(c6, c, c6.boundary({1, 2, 3}), twosep) == R_CROSSES
     # g - {0, 1} is one even path
@@ -143,6 +149,9 @@ def test_witness_failure_reason_codes(c6):
     assert witness_failure(c6, c, c, frozenset({9})) == R_NOT_BARRIER
     assert witness_failure(
         c6, c, c, ((0, 1), {0, 1, 2}, {0, 1, 3, 4, 5})) == R_NOT_TWOSEP
+    # an even shore is no odd part of a barrier nor a two-separation cut
+    assert witness_failure(c6, c, c6.boundary({0, 1}), barrier) == R_NO_GENERATE
+    assert witness_failure(c6, c, c6.boundary({0, 1}), twosep) == R_NO_GENERATE
     # {1, 3} is a barrier with odd parts {2} and {0, 4, 5}
     assert witness_failure(c6, c, c, frozenset({1, 3})) == R_NO_GENERATE
     # (1, 4) generates the cuts at {2, 3, 4} and {1, 2, 3}
@@ -168,10 +177,9 @@ def test_witness_failure_accepts_produced_witnesses(name):
 
 
 @pytest.mark.parametrize("name", [f[0] for f in fixture_instances()])
-def test_verify_tests_each_cut_for_tightness_once(name, monkeypatch):
-    """One tightness test for the input cut and two per step, the step's
-    cut and the reference after the contraction. The final claims only
-    have to generate the final cut, which the replay has proved tight."""
+def test_verify_runs_no_tightness_test(name, monkeypatch):
+    """The witnesses prove every cut of the chain tight, so the replay
+    asks is_tight nothing, under any name the package binds it to."""
     _, g, shore = next(f for f in fixture_instances() if f[0] == name)
     c = g.boundary(shore)
     cert = decompose_tight_cut(g, c)
@@ -181,9 +189,64 @@ def test_verify_tests_each_cut_for_tightness_once(name, monkeypatch):
         calls.append(d)
         return is_tight(h, d)
 
-    monkeypatch.setattr(tightcut.verify, "is_tight", counted)
+    aliases = [module for key, module in sys.modules.items()
+               if key.partition(".")[0] == "tightcut"
+               and getattr(module, "is_tight", None) is is_tight]
+    assert tightcut.cuts in aliases
+    for module in aliases:
+        monkeypatch.setattr(module, "is_tight", counted)
     assert verify_certificate(g, c, cert).ok
-    assert len(calls) == 2 * cert.r - 1
+    assert calls == []
+
+
+def _odd_shores(g):
+    """Every odd shore holding the smallest vertex, one per cut."""
+    anchor, rest = g.vertices[0], g.vertices[1:]
+    for size in range(0, g.n - 1, 2):
+        for combo in combinations(rest, size):
+            yield frozenset((anchor,) + combo)
+
+
+def test_nontight_inputs_are_rejected():
+    """With no tightness test of its own, the replay still refuses a
+    genuine certificate of a tight cut handed in for a non-tight one:
+    its witnesses prove only tight cuts tight."""
+    cases = [("c6", cycle(6), frozenset({0, 1, 2})), *fixture_instances()]
+    rejected = 0
+    for name, g, shore in cases:
+        cert = decompose_tight_cut(g, g.boundary(shore)).to_json_dict()
+        tight = {d.shore for d in enumerate_tight_cuts(g)}
+        for x in _odd_shores(g):
+            if x in tight:
+                continue
+            forged = dict(cert, input=dict(cert["input"], cut_shore=sorted(x)))
+            result = verify_certificate(g, g.boundary(x), forged)
+            assert not result.ok, (name, sorted(x))
+            rejected += 1
+    assert rejected == 5001
+
+
+def test_witness_rule_accepts_only_tight_cuts(exhaustive_corpus):
+    """Fact 1 against the perfect-matching oracle: every barrier and
+    two-separation cut the witness rule accepts is tight."""
+    graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
+    graphs += [g for _, g, _ in fixture_instances()]
+    accepted = 0
+    for g in graphs:
+        edges = [g.edge_ends(eid) for eid in g.edge_ids]
+        pairs = [(part, b.members) for b in enumerate_barriers(g)
+                 for part in b.odd_parts]
+        pairs += [(d.shore, (s.pair, s.side1, s.side2))
+                  for s in find_2separations(g)
+                  for d in two_separation_cuts(g, s)]
+        for shore, raw in pairs:
+            d = g.boundary(shore)
+            reason = witness_failure(g, d, d, raw)
+            assert reason in (None, R_TRIVIAL), (sorted(shore), reason)
+            if reason is None:
+                assert brute_is_tight(g.vertices, edges, shore), sorted(shore)
+                accepted += 1
+    assert accepted > 0
 
 
 def test_final_claims_replay_past_the_barrier_search(tmp_path, capsys):
