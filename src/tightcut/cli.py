@@ -39,7 +39,7 @@ from .matching import (
 )
 from .structure import Barrier
 from .sweep import run_sweep
-from .verify import verify_certificate
+from .verify import R_INPUT, verify_certificate
 
 
 def _read_graph(path: str) -> Graph:
@@ -171,8 +171,13 @@ def cmd_verify(args) -> int:
     cert = json.loads(text)
     try:
         graph_obj = cert["input"]["graph"]
-        g = Graph(range(graph_obj["n"]),
-                  [tuple(pair) for pair in graph_obj["edges"]])
+        order = range(graph_obj["n"])
+        # a certificate graph has no isolated vertex, so at most two
+        # vertices per edge: reject a larger order before building it
+        if order.stop > 2 * len(graph_obj["edges"]):
+            print(f"certificate rejected: {R_INPUT} at $")
+            return 1
+        g = Graph(order, [tuple(pair) for pair in graph_obj["edges"]])
         c = g.boundary(frozenset(cert["input"]["cut_shore"]))
     except (KeyError, TypeError, IndexError, ValueError, GraphError):
         print("certificate rejected: schema violation at $.input")

@@ -17,6 +17,31 @@ certificate records every step for independent replay.
 Most intermediate claims here are theorems, not expectations; when one
 fails the code raises InternalInvariantError rather than improvising,
 because a violation means the implementation, not the input, is wrong.
+
+Tightness and matching coverage are tested once, on the caller's input,
+by each public entry point. Every graph and cut the reduction builds
+from there is valid by the facts below, which continue the numbering
+of verify.py (Fact 1: witnessed cuts are tight; Fact 2: tightness pulls
+back through a contraction). Every step cut passes witness_failure, so
+it is tight by Fact 1. Below, g is matching covered, C is a tight cut
+of g with shore X, and h = g/(X -> x) contracts X to one vertex x.
+Fact 3: h is matching covered. A perfect matching M of g meets C in
+one edge, so M less its edges inside X is a perfect matching of h that
+keeps every edge of M outside X. Each edge of h is an edge of g not
+inside X, and lies in some M; h is connected because g is.
+Fact 4: a tight cut D of g with X inside one of its shores stays tight
+in h; this is the converse of Fact 2. A perfect matching M' of h has
+one edge e at x, an edge of C; e lies in a perfect matching N of g
+(g is matching covered), and N meets C only in e, so M' plus N's edges
+inside X is a perfect matching of g. It meets D in the edges M' does,
+since no edge inside X is in D, so M' meets D once.
+Fact 5: in the block split of find_noncrossing_witness, the cut around
+f2 = X - f1 is tight, where v is an attached cut vertex of g[X] and f1
+an even component of g[X] - v. The shores of a tight cut are odd, so
+|f2| = |X| - |f1| is odd too, and a perfect matching M meets the cut
+around f2 an odd number of times. Its edges there run from f2 across
+C, where M has at most one, or from v into f1, where M has at most one
+too; so M meets the cut once.
 """
 
 from __future__ import annotations
@@ -170,8 +195,12 @@ def witness_from_edge(g: Graph, c: Cut, eid: int, tally: BranchTally | None = No
     edge with at least two distinct cross neighbors.
     """
     _require_decomposable(g, c)
-    if tally is None:
-        tally = BranchTally()
+    tally = BranchTally() if tally is None else tally
+    return _witness_from_edge(g, c, eid, tally, prefer_pivot)
+
+
+def _witness_from_edge(g: Graph, c: Cut, eid: int, tally: BranchTally,
+                       prefer_pivot: int | None = None) -> WitnessFinding:
     if eid not in c.edge_ids:
         raise GraphError(f"edge {eid} is not in the cut")
     a, b = g.edge_ends(eid)
@@ -279,8 +308,12 @@ def find_noncrossing_witness(g: Graph, c: Cut,
     two-separation of g at the split vertex.
     """
     _require_decomposable(g, c)
-    if tally is None:
-        tally = BranchTally()
+    tally = BranchTally() if tally is None else tally
+    return _find_noncrossing_witness(g, c, tally)
+
+
+def _find_noncrossing_witness(g: Graph, c: Cut,
+                              tally: BranchTally) -> WitnessFinding:
     xu, xv = c.shore, c.other_shore
     near = g.induced(xu)
     far = g.induced(xv)
@@ -294,7 +327,7 @@ def find_noncrossing_witness(g: Graph, c: Cut,
         u, v = (a, b) if a in xu else (b, a)
         if u not in near_cuts and v not in far_cuts:
             tally.hit(BRANCH_GOOD_EDGE)
-            return witness_from_edge(g, c, eid, tally)
+            return _witness_from_edge(g, c, eid, tally)
 
     tally.hit(BRANCH_BLOCK_SPLIT)
     attached = {w for e in c.edge_ids for w in g.edge_ends(e) if w in xu}
@@ -319,14 +352,10 @@ def find_noncrossing_witness(g: Graph, c: Cut,
         if len(comp) % 2:
             raise InternalInvariantError(
                 "odd piece beside an attached cut vertex")
-    f2 = xu - f1
-    if not is_tight(g, g.boundary(f2)):
-        raise InternalInvariantError("block split boundary is not tight")
-
+    # the boundary of f2 = xu - f1 is tight (Fact 5), so shrunk is matching
+    # covered (Fact 3) and c2 is tight in it (Fact 4)
     s_label = g.fresh_vertex()
-    shrunk = g.contract(f2, s_label)
-    if not is_matching_covered(shrunk):
-        raise InternalInvariantError("block split contraction is not matching covered")
+    shrunk = g.contract(xu - f1, s_label)
     try:
         c2 = shrunk.cut_from_edge_ids(c.edge_ids)
     except GraphError as exc:
@@ -344,7 +373,7 @@ def find_noncrossing_witness(g: Graph, c: Cut,
     w = min(candidates)
     e2 = min(shrunk.edges_between(s_label, w))
     try:
-        sub = witness_from_edge(shrunk, c2, e2, tally, prefer_pivot=s_label)
+        sub = _witness_from_edge(shrunk, c2, e2, tally, s_label)
     except GraphError as exc:
         raise InternalInvariantError(
             f"block split instance rejected a theorem-backed edge: {exc}") from exc
@@ -374,7 +403,12 @@ def find_noncrossing_witness(g: Graph, c: Cut,
 
 def _contract_step(g: Graph, c: Cut, tracked, step_cut: Cut, witness,
                    steps: list) -> tuple[Graph, Cut, list]:
-    """Record one step, contract, and re-establish every invariant."""
+    """Record one step, contract, and re-establish the tracked shores.
+
+    step_cut passed witness_failure, so it is tight (Fact 1 in verify.py);
+    the contraction is matching covered (Fact 3) and keeps the
+    reference cut tight (Fact 4).
+    """
     matches = [
         (zs, side) for zs in step_cut.shores() for side in tracked if zs < side]
     if len(matches) != 1:
@@ -384,15 +418,12 @@ def _contract_step(g: Graph, c: Cut, tracked, step_cut: Cut, witness,
     label = g.fresh_vertex()
     steps.append(Step(g, step_cut, witness, contracted, label))
     new_g = g.contract(contracted, label)
-    if not is_matching_covered(new_g):
-        raise InternalInvariantError("contraction is not matching covered")
     try:
         new_c = new_g.cut_from_edge_ids(c.edge_ids)
     except GraphError as exc:
         raise InternalInvariantError(f"reference cut corrupted: {exc}") from exc
-    if new_c.is_trivial or not is_tight(new_g, new_c):
-        raise InternalInvariantError(
-            "reference cut lost tightness or became trivial")
+    if new_c.is_trivial:
+        raise InternalInvariantError("reference cut became trivial")
     new_tracked = [
         (t - contracted) | {label} if t & contracted else t for t in tracked]
     if set(new_tracked) != set(new_c.shores()):
@@ -450,8 +481,7 @@ def decompose_tight_cut(g: Graph, c: Cut,
     step lengthens chains and can turn the reference into a barrier cut.
     """
     _require_decomposable(g, c)
-    if tally is None:
-        tally = BranchTally()
+    tally = BranchTally() if tally is None else tally
     base = classify_cut(g, c)
     if base.witnessed:
         tally.hit(BRANCH_ALREADY_WITNESSED)
@@ -473,7 +503,7 @@ def decompose_tight_cut(g: Graph, c: Cut,
             final = CutClassification(cur_c, True, False, (), tuple(twoseps))
             return DecompositionCertificate(g, c, tuple(steps), cur_g, final)
         else:
-            finding = find_noncrossing_witness(cur_g, cur_c, tally)
+            finding = _find_noncrossing_witness(cur_g, cur_c, tally)
             if not isinstance(finding.witness, TwoSeparation):
                 raise InternalInvariantError(
                     "witness search returned a barrier despite clean shores")

@@ -105,10 +105,6 @@ class CorpusSpec:
     names: tuple[str, ...] = ()
 
 
-def _keep(g: Graph) -> bool:
-    return g.is_connected() and is_matching_covered(g)
-
-
 def _exhaustive(spec: CorpusSpec):
     if not 1 <= spec.n <= EXHAUSTIVE_MAX_N:
         raise GraphError(
@@ -119,7 +115,7 @@ def _exhaustive(spec: CorpusSpec):
     for bits in range(1, 1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
         g = Graph(range(spec.n), edges)
-        if _keep(g):
+        if is_matching_covered(g):
             yield g
 
 
@@ -144,7 +140,7 @@ def _random(spec: CorpusSpec):
         p = min(0.95, density / (spec.n - 1))
         edges = [pair for pair in pairs if rng.random() < p]
         g = Graph(range(spec.n), edges)
-        if _keep(g):
+        if is_matching_covered(g):
             produced += 1
             yield g
 
@@ -158,7 +154,7 @@ def enumerate_corpus(spec: CorpusSpec):
     elif spec.mode == "named":
         for name in spec.names:
             g = canonical(name)
-            if _keep(g):
+            if is_matching_covered(g):
                 yield g
     else:
         raise GraphError(f"unknown corpus mode: {spec.mode!r}")

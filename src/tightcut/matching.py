@@ -232,14 +232,6 @@ def _dependence_row(g: Graph, x: int) -> frozenset[int]:
     return got
 
 
-def _nu_cache(g: Graph) -> dict:
-    got = g._cache.get("nu_by_removed")
-    if got is None:
-        got = {}
-        g._cache["nu_by_removed"] = got
-    return got
-
-
 def _validate_removed(g: Graph, removed: frozenset) -> None:
     bad = removed - g.vertex_set
     if bad:
@@ -263,7 +255,7 @@ def matching_number(g: Graph, removed=frozenset()) -> int:
         if v in rows and u not in rows:
             u, v = v, u
         return g.n // 2 - (1 if v in _dependence_row(g, u) else 2)
-    cache = _nu_cache(g)
+    cache = g._cache.setdefault("nu_by_removed", {})
     got = cache.get(removed)
     if got is None:
         mates = (_blossom_mates(g, removed) if removed

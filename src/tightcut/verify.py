@@ -27,7 +27,8 @@ the one from u into A with 2.
 Fact 2: if C does not cross a tight cut D and h collapses a D-shore
 inside a shore of C, then C tight in h makes C tight in g: M less its
 edges inside that shore is a perfect matching of h meeting C in the
-same edges. The converse, for matching covered g, goes unused.
+same edges. The converse holds for matching covered g, and the
+producer relies on it (Fact 4 in decompose.py).
 The replay checks that each witness generates its cut and each
 contracted shore lies inside a reference shore; by Fact 1, then Fact 2
 once per step back from the last graph, the input cut is tight.

@@ -172,6 +172,22 @@ def test_verify_bad_files(tmp_path, capsys):
     assert "schema violation at $.input" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n", [10**9, 10**30])
+def test_verify_rejects_a_huge_declared_order(c6_file, tmp_path, capsys, n):
+    """A certificate graph has no isolated vertex, so an order above
+    twice the edge count is rejected before any graph is built."""
+    cert_path = str(tmp_path / "cert.json")
+    main(["decompose", c6_file, "--cut", "0,1,2", "--json", cert_path])
+    capsys.readouterr()
+    payload = json.loads(open(cert_path).read())
+    payload["input"]["graph"]["n"] = n
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(payload))
+    assert main(["verify", str(huge)]) == 1
+    assert capsys.readouterr().out == \
+        "certificate rejected: input mismatch at $\n"
+
+
 def test_verify_stdin(c6_file, tmp_path, monkeypatch, capsys):
     cert_path = str(tmp_path / "cert.json")
     main(["decompose", c6_file, "--cut", "0,1,2", "--json", cert_path])

@@ -26,14 +26,24 @@ from tightcut.decompose import (
 )
 from tightcut.graph import Graph, GraphError
 from tightcut.instances import fixture_instances
-from tightcut.matching import ENUMERATION_LIMIT
+from tightcut.matching import ENUMERATION_LIMIT, is_matching_covered
 from tightcut.structure import Barrier, TwoSeparation, enumerate_barriers
 from tightcut.verify import verify_certificate
 
-from conftest import glued, inflated, theta
+from conftest import (
+    brute_is_matching_covered,
+    brute_is_tight,
+    cycle,
+    glued,
+    inflated,
+    theta,
+)
 
 
 FIXTURES = {name: (g, shore) for name, g, shore in fixture_instances()}
+# every nontrivial tight cut of every fixture: 72, 15 of them with r >= 2
+FIXTURE_CUTS = [(name, g, c) for name, (g, _) in sorted(FIXTURES.items())
+                for c in enumerate_tight_cuts(g, nontrivial_only=True)]
 
 
 def fixture_cut(name):
@@ -149,11 +159,33 @@ def test_decompose_already_witnessed(c6):
     assert verify_certificate(c6, c, cert).ok
 
 
-def test_decompose_validates(c6):
-    with pytest.raises(GraphError):
-        decompose_tight_cut(c6, c6.boundary({0}))
-    with pytest.raises(GraphError):
-        decompose_tight_cut(c6, c6.boundary({0, 2, 4}))
+# the public entry points and how each is called on a graph and a cut
+ENTRY_POINTS = {
+    "decompose_tight_cut": decompose_tight_cut,
+    "find_noncrossing_witness": find_noncrossing_witness,
+    "witness_from_edge": lambda g, c: witness_from_edge(
+        g, c, min(c.edge_ids)),
+}
+
+
+BAD_INPUTS = {
+    # the chord 0-2 of C6 leaves vertex 1 no partner
+    "not matching covered": (
+        Graph(range(6), [(i, (i + 1) % 6) for i in range(6)] + [(0, 2)]),
+        {0, 1, 2}),
+    "not tight": (cycle(6), {0, 2, 4}),
+    "trivial": (cycle(6), {0}),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_INPUTS))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_validate(entry, bad):
+    """The entry checks are the only tightness and matching coverage
+    tests of the reduction, so each public entry point must run them."""
+    g, shore = BAD_INPUTS[bad]
+    with pytest.raises(GraphError, match=bad):
+        ENTRY_POINTS[entry](g, g.boundary(shore))
 
 
 EXPECTED = {
@@ -249,6 +281,73 @@ def test_decompose_classifies_once(name, monkeypatch):
     g, c = fixture_cut(name)
     cert = decompose_tight_cut(g, c)
     assert len(calls) == 1
+
+
+def test_fixture_cuts():
+    assert len(FIXTURE_CUTS) == 72
+    assert sum(1 for _, g, c in FIXTURE_CUTS
+               if not classify_cut(g, c).witnessed) == 15
+
+
+@pytest.mark.parametrize("entry", ["decompose_tight_cut",
+                                   "find_noncrossing_witness"])
+def test_entry_points_test_their_input_once(entry, monkeypatch):
+    """Tightness and matching coverage are tested on the caller's input
+    and nowhere else: every later graph and cut is valid by Facts 3-5 of
+    the decompose module."""
+    calls = Counter()
+
+    def counted(name, check):
+        def run(*args):
+            calls[name] += 1
+            return check(*args)
+        return run
+
+    monkeypatch.setattr(tightcut.decompose, "is_tight",
+                        counted("is_tight", is_tight))
+    monkeypatch.setattr(tightcut.decompose, "is_matching_covered",
+                        counted("is_matching_covered", is_matching_covered))
+    for _, g, c in FIXTURE_CUTS:
+        calls.clear()
+        getattr(tightcut.decompose, entry)(g, c)
+        assert calls == {"is_tight": 1, "is_matching_covered": 1}
+
+
+@pytest.mark.parametrize("entry, contracting", [
+    # round steps, barrier and two-separation
+    ("decompose_tight_cut",
+     {"blocked_pair", "blocked_triangle", "bridged_triangle"}),
+    # block splits
+    ("find_noncrossing_witness", {"double_bowtie", "shielded_bowtie"}),
+])
+def test_contractions_keep_what_the_reduction_assumes(entry, contracting,
+                                                      monkeypatch):
+    """The guards Facts 3-5 replace, by brute force: every contraction
+    the reduction makes collapses a shore of a tight cut, leaves a
+    matching covered graph, and keeps the reference cut tight."""
+    made = []
+    contract = Graph.contract
+
+    def recorded(host, shore, label):
+        got = contract(host, shore, label)
+        made.append((host, shore, got))
+        return got
+
+    monkeypatch.setattr(Graph, "contract", recorded)
+    seen = set()
+    for name, g, c in FIXTURE_CUTS:
+        made.clear()
+        getattr(tightcut.decompose, entry)(g, c)
+        if made:
+            seen.add(name)
+        for host, shore, got in made:
+            host_edges = [host.edge_ends(e) for e in sorted(host.edge_ids)]
+            got_edges = [got.edge_ends(e) for e in sorted(got.edge_ids)]
+            image = got.cut_from_edge_ids(c.edge_ids)
+            assert brute_is_tight(host.vertices, host_edges, shore)
+            assert brute_is_matching_covered(got.vertices, got_edges)
+            assert brute_is_tight(got.vertices, got_edges, image.shore)
+    assert seen == contracting
 
 
 def test_decompose_inflated_fixture_cuts():

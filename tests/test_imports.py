@@ -2,8 +2,10 @@
 in src/ but matching.py touches the exhaustive test oracles, only
 structure.py, sweep.py and the package's __init__.py name the
 two-separation listing, verify.py names no search routine of the
-producer and no tightness test, and src/ has no assert statement: python -O strips them, so
-invariant guards raise InternalInvariantError instead.
+producer and no tightness test, decompose.py tests tightness and
+matching coverage only in its entry check, and src/ has no assert
+statement: python -O strips them, so invariant guards raise
+InternalInvariantError instead.
 
 Standard library only, so the check runs where no linter is installed.
 An imported name counts as used when it appears as a bare name anywhere
@@ -30,6 +32,9 @@ LISTING_MODULES = {"structure.py", "sweep.py", "__init__.py"}
 SEARCHES = {"classify_cut", "twoseps_generating", "enumerate_barriers",
             "find_2separations", "find_noncrossing_witness",
             "decompose_tight_cut", "is_tight"}
+# the producer tests its caller's input once; the graphs and cuts it
+# builds are valid by the facts in its docstring
+ENTRY_TESTS = {"is_tight", "is_matching_covered"}
 
 
 def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -113,6 +118,18 @@ def test_two_separation_listing_stays_off_the_certify_path(path):
 def test_verifier_runs_no_search():
     path = ROOT / "src" / "tightcut" / "verify.py"
     assert oracle_references(ast.parse(path.read_text()), SEARCHES) == []
+
+
+def test_decompose_tests_only_its_input():
+    path = ROOT / "src" / "tightcut" / "decompose.py"
+    tree = ast.parse(path.read_text())
+    [entry] = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name == "_require_decomposable"]
+    rest = ast.Module([node for node in tree.body if node is not entry
+                       and not isinstance(node, ast.ImportFrom)], [])
+    assert oracle_references(rest, ENTRY_TESTS) == []
+    assert {name for _, name in oracle_references(entry, ENTRY_TESTS)} == \
+        ENTRY_TESTS
 
 
 def assert_lines(tree: ast.Module) -> list[int]:

@@ -62,7 +62,7 @@ def test_fixture_sweep_harvests_unwitnessed_cuts():
 
 def test_unfiltered_corpus_surfaces_violations(monkeypatch):
     # let every connected graph through, matching covered or not
-    monkeypatch.setattr(tightcut.instances, "_keep",
+    monkeypatch.setattr(tightcut.instances, "is_matching_covered",
                         lambda g: g.is_connected())
     report = run_sweep([CorpusSpec("exhaustive", n=4)],
                        include_fixtures=False)
@@ -78,8 +78,8 @@ def test_unfiltered_corpus_surfaces_violations(monkeypatch):
 def test_named_sweep_takes_the_corpus_path(monkeypatch):
     """A named spec yields the same graphs through run_sweep as through
     enumerate_corpus, so the corpus filter applies to both."""
-    keep = tightcut.instances._keep
-    monkeypatch.setattr(tightcut.instances, "_keep",
+    keep = tightcut.instances.is_matching_covered
+    monkeypatch.setattr(tightcut.instances, "is_matching_covered",
                         lambda g: keep(g) and g.n != 4)  # refuse K4
     spec = CorpusSpec("named", names=("K4", "PETERSEN"))
     report = run_sweep([spec], include_fixtures=False)
