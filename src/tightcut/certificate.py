@@ -3,8 +3,10 @@
 A certificate replays a chain of contractions: each step records the
 graph it acted on, the witnessed cut it used, the structural witness
 (barrier or two-separation), the contracted shore, and the fresh
-vertex label. Graphs embed as {"n": ..., "edges": [[u, v], ...]} with
-real vertex labels in the edge list; edge ids are not serialized, so
+vertex label. The final block records the last graph and every
+witness of the cut's image in it, barriers first, in the same witness
+form. Graphs embed as {"n": ..., "edges": [[u, v], ...]} with real
+vertex labels in the edge list; edge ids are not serialized, so
 verification compares shapes, not ids.
 """
 
@@ -35,26 +37,6 @@ def witness_to_json(witness) -> dict:
             "side2": sorted(witness.side2),
         }
     raise TypeError(f"not a certificate witness: {witness!r}")
-
-
-def classification_to_json(cls: CutClassification) -> dict:
-    return {
-        "tight": cls.tight,
-        "trivial": cls.trivial,
-        "witnessed": cls.witnessed,
-        "barriers": [
-            {"members": sorted(b.members), "shore_index": i}
-            for b, i in cls.barrier_witnesses
-        ],
-        "two_separations": [
-            {
-                "pair": list(s.pair),
-                "side1": sorted(s.side1),
-                "side2": sorted(s.side2),
-            }
-            for s in cls.twosep_witnesses
-        ],
-    }
 
 
 @dataclass(frozen=True)
@@ -97,6 +79,7 @@ class DecompositionCertificate:
         return len(self.steps) + 1
 
     def to_json_dict(self) -> dict:
+        final = self.final_classification
         return {
             "input": {
                 "graph": graph_to_json(self.input_graph),
@@ -105,8 +88,9 @@ class DecompositionCertificate:
             "steps": [step.to_json_dict() for step in self.steps],
             "final": {
                 "graph": graph_to_json(self.final_graph),
-                "classification": classification_to_json(
-                    self.final_classification),
+                "witnesses": [
+                    witness_to_json(b) for b, _ in final.barrier_witnesses
+                ] + [witness_to_json(s) for s in final.twosep_witnesses],
             },
             "r": self.r,
         }

@@ -92,15 +92,19 @@ def cmd_check(args) -> int:
     if not is_matchable(g):
         print("tight: undefined (graph has no perfect matching)")
         return 0
-    print(f"tight: {_yesno(is_tight(g, c))}")
+    tight = is_tight(g, c)
+    print(f"tight: {_yesno(tight)}")
     if not mc:
+        return 0
+    if not tight:
+        # only tight cuts have witnesses (Fact 1 in verify.py)
+        print("witnessed: no")
         return 0
     cls = classify_cut(g, c)
     print(f"witnessed: {_yesno(cls.witnessed)}")
-    for barrier, shore_index in cls.barrier_witnesses:
-        holder = c.shores()[shore_index]
+    for barrier, i in cls.barrier_witnesses:
         print(f"  barrier witness {_set_text(barrier.members)}, "
-              f"odd component shore {_set_text(holder)}")
+              f"odd component shore {_set_text(c.shores()[i])}")
     for ts in cls.twosep_witnesses:
         print(f"  two-separation witness on pair {_set_text(ts.pair)}")
     return 0

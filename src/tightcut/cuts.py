@@ -4,9 +4,10 @@ A cut is tight when every perfect matching uses exactly one of its
 edges. The interesting tight cuts are the witnessed ones: those whose
 shore is an odd component of some barrier complement (a barrier cut),
 or which arise from a two-separation. classify_cut collects all such
-witnesses; its barrier search is exponential only in the size of one
-canonical part, and its two-separation witnesses come from one cut
-edge (twoseps_generating).
+witnesses of a cut its caller already knows to be tight; it tests no
+tightness itself. Its barrier search is exponential only in the size
+of one canonical part, and its two-separation witnesses come from one
+cut edge (twoseps_generating).
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def enumerate_tight_cuts(g: Graph, nontrivial_only=False) -> list[Cut]:
 
 @dataclass(frozen=True)
 class CutClassification:
-    """Everything classify_cut learned about one cut.
+    """Every witness classify_cut found for one cut.
 
     barrier_witnesses pairs each barrier with the index (into
     cut.shores()) of the shore that appears among the odd components
@@ -91,19 +92,21 @@ class CutClassification:
     """
 
     cut: Cut
-    tight: bool
-    trivial: bool
     barrier_witnesses: tuple[tuple[Barrier, int], ...]
     twosep_witnesses: tuple[TwoSeparation, ...]
 
     @property
     def witnessed(self) -> bool:
-        return self.tight and bool(
-            self.barrier_witnesses or self.twosep_witnesses)
+        return bool(self.barrier_witnesses or self.twosep_witnesses)
 
 
 def classify_cut(g: Graph, c: Cut) -> CutClassification:
-    """Tightness plus every barrier and two-separation witness.
+    """Every barrier and two-separation witness of the tight cut c.
+
+    The caller establishes that c is tight; this tests no tightness. A
+    cut that barriers or two-separations generate is tight (Fact 1 in
+    verify.py), so a cut that is not gets empty lists, but its barrier
+    search may first exceed the enumeration guard.
 
     A tight shore is odd, so a barrier B inside the opposite shore
     witnesses it exactly when the shore is one of the odd components of
@@ -121,10 +124,6 @@ def classify_cut(g: Graph, c: Cut) -> CutClassification:
         raise GraphError("cut belongs to a different graph")
     if not is_matching_covered(g):
         raise GraphError("classification needs a matching covered graph")
-    tight = is_tight(g, c)
-    if not tight:
-        return CutClassification(c, False, c.is_trivial, (), ())
-
     shores = c.shores()
     found: list[tuple[Barrier, int]] = []
     for i, keep in enumerate(shores):
@@ -134,10 +133,6 @@ def classify_cut(g: Graph, c: Cut) -> CutClassification:
                                     containing=attachments):
             if keep in b.odd_parts:
                 found.append((b, i))
-    barrier_witnesses = tuple(
-        sorted(found, key=lambda t: (sorted(t[0].members), t[1])))
-
-    twosep_witnesses = tuple(twoseps_generating(g, c))
-
     return CutClassification(
-        c, True, c.is_trivial, barrier_witnesses, twosep_witnesses)
+        c, tuple(sorted(found, key=lambda t: (sorted(t[0].members), t[1]))),
+        tuple(twoseps_generating(g, c)))

@@ -500,7 +500,7 @@ def decompose_tight_cut(g: Graph, c: Cut,
         elif twoseps := twoseps_generating(cur_g, cur_c):
             # a barrier witness would be nontrivial (g is 2-connected) and lie
             # in a shore, not all of it, so _min_holder_barrier had raised
-            final = CutClassification(cur_c, True, False, (), tuple(twoseps))
+            final = CutClassification(cur_c, (), tuple(twoseps))
             return DecompositionCertificate(g, c, tuple(steps), cur_g, final)
         else:
             finding = _find_noncrossing_witness(cur_g, cur_c, tally)

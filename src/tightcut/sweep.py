@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .certificate import graph_to_json
 from .cuts import classify_cut, enumerate_tight_cuts, is_tight
 from .decompose import BranchTally, decompose_tight_cut, find_noncrossing_witness
 from .graph import Cut, Graph
@@ -194,8 +195,7 @@ def _check_cut(label: str, g: Graph, c: Cut, all_cuts, report: SweepReport,
         if not cls.witnessed:
             report.harvested.append({
                 "label": cut_label,
-                "n": g.n,
-                "edges": [list(g.edge_ends(eid)) for eid in g.edge_ids],
+                **graph_to_json(g),
                 "shore": sorted(c.shore),
                 "r": cert.r,
             })

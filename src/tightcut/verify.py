@@ -5,14 +5,16 @@ the JSON schema first, then recomputes the whole contraction chain from
 the host graph, checking each declared graph against the recomputed one
 by shape (vertex labels and edge multiset; edge ids are not serialized),
 re-validating each witness from first principles, and replaying the
-final claims. Failures carry a reason code and the JSON path of the
+final witnesses. Failures carry a reason code and the JSON path of the
 offending field.
 
 witness_failure states, once, the rule every contraction step and, with
-the final cut as its own reference, every final claim obeys: the cut is
-nontrivial, does not cross the reference, and a valid barrier or
+the final cut as its own reference, every final witness obeys: the cut
+is nontrivial, does not cross the reference, and a valid barrier or
 two-separation generates it. The producer and the sweep call it too.
-That the final lists hold every witness of the cut stays unchecked.
+The final block lists witnesses in a step's witness form; at least one
+is required, and a two-separation among them after a reduction. That
+the list holds every witness of the cut stays unchecked.
 
 No cut is tested for tightness: the witnesses prove it. Each graph of
 the chain has a perfect matching M (the host is matching covered, and M
@@ -137,21 +139,6 @@ def _check_witness_obj(obj, path, failures) -> bool:
     return False
 
 
-def _check_claim(obj, kind, path, failures) -> bool:
-    """A final claim is a step witness less its kind; a barrier claim adds
-    the index of the shore it leaves as an odd part."""
-    if not isinstance(obj, dict) or "kind" in obj:
-        failures.append((R_SCHEMA, path))
-        return False
-    witness = dict(obj, kind=kind)
-    if kind == "barrier":
-        index = witness.pop("shore_index", None)
-        if not _is_int(index) or index not in (0, 1):
-            failures.append((R_SCHEMA, path + ".shore_index"))
-            return False
-    return _check_witness_obj(witness, path, failures)
-
-
 def _check_schema(cert, failures) -> bool:
     if not isinstance(cert, dict) or set(cert) != {
             "input", "steps", "final", "r"}:
@@ -191,33 +178,18 @@ def _check_schema(cert, failures) -> bool:
                 failures.append((R_SCHEMA, path + ".new_vertex"))
                 ok = False
     final = cert["final"]
-    if not isinstance(final, dict) or set(final) != {"graph", "classification"}:
+    if not isinstance(final, dict) or set(final) != {"graph", "witnesses"}:
         failures.append((R_SCHEMA, "$.final"))
         ok = False
     else:
         ok = _check_graph_obj(final["graph"], "$.final.graph", failures) and ok
-        cls = final["classification"]
-        if not isinstance(cls, dict) or not {
-                "tight", "trivial", "witnessed", "barriers",
-                "two_separations"} <= set(cls):
-            failures.append((R_SCHEMA, "$.final.classification"))
+        if not isinstance(final["witnesses"], list):
+            failures.append((R_SCHEMA, "$.final.witnesses"))
             ok = False
         else:
-            for name in ("tight", "trivial", "witnessed"):
-                if not isinstance(cls[name], bool):
-                    failures.append(
-                        (R_SCHEMA, f"$.final.classification.{name}"))
-                    ok = False
-            for name, kind in (("barriers", "barrier"),
-                               ("two_separations", "twosep")):
-                path = f"$.final.classification.{name}"
-                if not isinstance(cls[name], list):
-                    failures.append((R_SCHEMA, path))
-                    ok = False
-                    continue
-                for i, obj in enumerate(cls[name]):
-                    ok = _check_claim(
-                        obj, kind, f"{path}[{i}]", failures) and ok
+            for i, obj in enumerate(final["witnesses"]):
+                ok = _check_witness_obj(
+                    obj, f"$.final.witnesses[{i}]", failures) and ok
     if not _is_int(cert["r"]) or cert["r"] < 1:
         failures.append((R_SCHEMA, "$.r"))
         ok = False
@@ -330,27 +302,14 @@ def verify_certificate(g: Graph, c: Cut, cert) -> VerificationResult:
 
     if not _same_shape(cur_g, cert["final"]["graph"]):
         return fail(R_CONTRACTION, "$.final.graph")
-    claims = cert["final"]["classification"]
-    path = "$.final.classification"
-    if not claims["witnessed"]:
-        # honest certs always end witnessed; a false flag is tampering
-        return fail(R_FINAL_WITNESSED, path)
-    if cert["r"] > 1 and not claims["two_separations"]:
+    witnesses = cert["final"]["witnesses"]
+    path = "$.final.witnesses"
+    if cert["r"] > 1 and all(w["kind"] != "twosep" for w in witnesses):
         return fail(R_FINAL_2SEP, path)
-    if not claims["tight"]:
-        return fail(R_FINAL_WITNESSED, path + ".tight")
-    if claims["trivial"]:
-        return fail(R_FINAL_WITNESSED, path + ".trivial")
-    if not claims["barriers"] and not claims["two_separations"]:
+    if not witnesses:
         return fail(R_FINAL_WITNESSED, path)
-    for name, code in (("barriers", R_FINAL_WITNESSED),
-                       ("two_separations", R_FINAL_2SEP)):
-        for i, claim in enumerate(claims[name]):
-            raw = _raw(claim)
-            # the shore among the odd parts avoids the barrier, which meets
-            # the other shore, so shore_index names the one it avoids
-            if witness_failure(cur_g, cur_c, cur_c, raw) is not None or (
-                    name == "barriers"
-                    and raw & cur_c.shores()[claim["shore_index"]]):
-                return fail(code, f"{path}.{name}[{i}]")
+    for i, w in enumerate(witnesses):
+        if witness_failure(cur_g, cur_c, cur_c, _raw(w)) is not None:
+            code = R_FINAL_WITNESSED if w["kind"] == "barrier" else R_FINAL_2SEP
+            return fail(code, f"{path}[{i}]")
     return VerificationResult(True, ())

@@ -7,9 +7,10 @@ DecompositionCertificate and returns (label, mutated_json,
 expected_reason) triples. Schema mutants are generated mechanically,
 one per structural position; semantic mutants are built against the
 real replay chain so the expected reason code is known, not guessed.
-The final classification's claims are mutated like everything else:
-schema mutants reach the entries of its barriers and two_separations
-lists, and semantic mutants falsify each claim in turn.
+The final witnesses are mutated like everything else: schema mutants
+reach each entry of the list, and semantic mutants add an invalid or
+non-generating barrier or two-separation, or drop the ones the
+verifier requires.
 """
 
 import copy
@@ -118,6 +119,11 @@ def _hand_schema_mutants(base):
     yield "extra:$", with_extra(()), R_SCHEMA
     yield "extra:input", with_extra(("input",)), R_SCHEMA
     yield "extra:final", with_extra(("final",)), R_SCHEMA
+    # the final block's earlier form has no reader
+    yield ("classification:final", _replaced(base, ("final",), {
+        "graph": base["final"]["graph"], "classification": {
+            "tight": True, "trivial": False, "witnessed": True,
+            "barriers": [], "two_separations": []}}), R_SCHEMA)
     yield "neg-n", _replaced(base, ("input", "graph", "n"), -1), R_SCHEMA
     yield "zero-r", _replaced(base, ("r",), 0), R_SCHEMA
     yield ("loop-edge", _replaced(base, ("input", "graph", "edges", 0),
@@ -136,6 +142,11 @@ def _hand_schema_mutants(base):
             yield ("empty-members",
                    _replaced(base, ("steps", 0, "witness", "members"), []),
                    R_SCHEMA)
+    yield ("extra:final-witness",
+           with_extra(("final", "witnesses", 0)), R_SCHEMA)
+    yield ("bad-kind:final",
+           _replaced(base, ("final", "witnesses", 0, "kind"), "magic"),
+           R_SCHEMA)
     for i, step in enumerate(base["steps"]):
         if step["witness"]["kind"] == "twosep":
             pair = step["witness"]["pair"]
@@ -293,8 +304,9 @@ def _semantic_mutants(cert):
                _replaced(base, ("final", "graph", "edges"), extra),
                R_CONTRACTION)
         yield ("no-twoseps:final",
-               _replaced(base, ("final", "classification", "two_separations"),
-                         []), R_FINAL_2SEP)
+               _replaced(base, ("final", "witnesses"),
+                         [w for w in base["final"]["witnesses"]
+                          if w["kind"] != "twosep"]), R_FINAL_2SEP)
         if len(cert.steps) >= 2:
             out = copy.deepcopy(base)
             out["steps"] = [out["steps"][1], out["steps"][0]] \
@@ -305,33 +317,33 @@ def _semantic_mutants(cert):
         out["r"] -= 1
         yield "truncated-steps", out, R_CONTRACTION
 
-    claims = ("final", "classification")
-    yield ("unwitnessed:final",
-           _replaced(base, claims + ("witnessed",), False), R_FINAL_WITNESSED)
-    yield ("untight:final",
-           _replaced(base, claims + ("tight",), False), R_FINAL_WITNESSED)
-    yield ("trivial:final",
-           _replaced(base, claims + ("trivial",), True), R_FINAL_WITNESSED)
-    barriers = base["final"]["classification"]["barriers"]
+    witnesses = base["final"]["witnesses"]
+    ghost = {"kind": "barrier", "members": [999]}
     yield ("ghost-barrier:final",
-           _replaced(base, claims + ("barriers",),
-                     barriers + [{"members": [999], "shore_index": 0}]),
+           _replaced(base, ("final", "witnesses"), witnesses + [ghost]),
            R_FINAL_WITNESSED)
-    if barriers:
-        flipped = copy.deepcopy(barriers)
-        flipped[0]["shore_index"] ^= 1
-        yield ("flipped-shore:final",
-               _replaced(base, claims + ("barriers",), flipped),
-               R_FINAL_WITNESSED)
-    twoseps = base["final"]["classification"]["two_separations"]
-    bogus = {"pair": [0, 1], "side1": [0, 1], "side2": [0, 1]}
+    bogus = {"kind": "twosep", "pair": [0, 1], "side1": [0, 1],
+             "side2": [0, 1]}
     yield ("bogus-twosep:final",
-           _replaced(base, claims + ("two_separations",), twoseps + [bogus]),
+           _replaced(base, ("final", "witnesses"), witnesses + [bogus]),
            R_FINAL_2SEP)
+    final_g, final_c = cert.final_graph, cert.final_classification.cut
+    lazy = _probe_nongenerating_barrier(final_g, final_c)
+    if lazy is not None:
+        yield ("lazy-barrier:final",
+               _replaced(base, ("final", "witnesses"),
+                         witnesses + [{"kind": "barrier", "members": lazy}]),
+               R_FINAL_WITNESSED)
+    alt = _probe_other_twosep(final_g, final_c)
+    if alt is not None:
+        alien = {"kind": "twosep", "pair": list(alt.pair),
+                 "side1": sorted(alt.side1), "side2": sorted(alt.side2)}
+        yield ("alien-twosep:final",
+               _replaced(base, ("final", "witnesses"), witnesses + [alien]),
+               R_FINAL_2SEP)
     if not cert.steps:
-        out = copy.deepcopy(base)
-        out["final"]["classification"].update(barriers=[], two_separations=[])
-        yield "no-witnesses:final", out, R_FINAL_WITNESSED
+        yield ("no-witnesses:final",
+               _replaced(base, ("final", "witnesses"), []), R_FINAL_WITNESSED)
 
 
 def mutation_corpus(name, cert):

@@ -147,10 +147,10 @@ def test_criterion_7_brick_sanity():
     if enumerate_tight_cuts(canonical("PETERSEN"), nontrivial_only=True):
         problems.append("Petersen reports a nontrivial tight cut")
     c6 = cycle(6)
-    cls = classify_cut(c6, c6.boundary({0, 1, 2}))
-    if not cls.tight:
+    cut = c6.boundary({0, 1, 2})
+    if not is_tight(c6, cut):
         problems.append("C6 cut is not tight")
-    if not cls.witnessed:
+    if not classify_cut(c6, cut).witnessed:
         problems.append("C6 cut is not witnessed")
     conclude(7, problems, "K4/Petersen clean, C6 cut tight and witnessed")
 

@@ -69,6 +69,17 @@ def test_check_cut_not_matching_covered(tmp_path, capsys):
     assert "witnessed" not in out
 
 
+def test_check_classifies_only_tight_cuts(tmp_path, capsys):
+    """The even shore {1, 3} of the 40-cycle is not tight, so check
+    classifies nothing: its barrier search would exceed the guard."""
+    c40 = str(tmp_path / "c40.el")
+    assert main(["generate", "C2K(20)", "--out", c40]) == 0
+    assert main(["check", c40, "--cut", "1,3"]) == 0
+    out = capsys.readouterr().out
+    assert "tight: no" in out
+    assert "witnessed: no" in out
+
+
 def test_check_bad_inputs(c6_file, tmp_path, capsys):
     assert main(["check", str(tmp_path / "missing.el")]) == 2
     assert main(["check", c6_file, "--cut", "zero,one"]) == 2
@@ -153,7 +164,7 @@ def test_verify_rejects_tampered(c6_file, tmp_path, capsys):
                  "--json", cert_path]) == 0
     capsys.readouterr()
     payload = json.loads(open(cert_path).read())
-    payload["final"]["classification"]["witnessed"] = False
+    payload["final"]["witnesses"] = []
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(payload))
     assert main(["verify", str(tampered)]) == 1

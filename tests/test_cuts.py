@@ -16,7 +16,13 @@ from tightcut.cuts import (
 from tightcut.instances import canonical, fixture_instances
 from tightcut.matching import is_matching_covered, perfect_matching_masks
 
-from conftest import brute_components, brute_is_barrier, brute_is_tight, cycle
+from conftest import (
+    brute_components,
+    brute_is_barrier,
+    brute_is_tight,
+    brute_perfect_matchings,
+    cycle,
+)
 
 
 # is_tight ---------------------------------------------------------------------
@@ -141,7 +147,7 @@ def test_enumerate_tight_cuts_is_complete(half, data):
 def test_classify_nontrivial_c6(c6):
     c = c6.boundary({0, 1, 2})
     cls = classify_cut(c6, c)
-    assert cls.tight and not cls.trivial and cls.witnessed
+    assert cls.witnessed
     witnesses = [(frozenset(b.members), i) for b, i in cls.barrier_witnesses]
     assert witnesses == [(frozenset({0, 2}), 1), (frozenset({3, 5}), 0)]
     assert [s.pair for s in cls.twosep_witnesses] == [(0, 3), (2, 5)]
@@ -149,14 +155,14 @@ def test_classify_nontrivial_c6(c6):
 
 def test_classify_trivial_c6(c6):
     cls = classify_cut(c6, c6.boundary({5}))
-    assert cls.tight and cls.trivial and cls.witnessed
+    assert cls.witnessed
     assert any(frozenset(b.members) == frozenset({5})
                for b, _ in cls.barrier_witnesses)
 
 
 def test_classify_non_tight_cut(c6):
+    # outside classify_cut's precondition, yet nothing witnesses the cut
     cls = classify_cut(c6, c6.boundary({0, 2, 4}))
-    assert not cls.tight
     assert not cls.witnessed
     assert cls.barrier_witnesses == () and cls.twosep_witnesses == ()
 
@@ -175,32 +181,57 @@ def test_every_nontrivial_tight_cut_of_c6_is_witnessed(c6):
         assert classify_cut(c6, c).witnessed
 
 
-def _oracle_barrier_witnesses(g, c):
-    """(members, shore index) for every subset of the opposite shore
-    that is a barrier with the shore among its odd components."""
+def _oracle_barriers(g):
+    """(members, components of g - members) for every vertex set the
+    brute-force oracle calls a barrier."""
     edges = [ends for _, ends in g.edge_items()]
+    return [(frozenset(combo), brute_components(g.vertices, edges, combo))
+            for size in range(1, g.n + 1)
+            for combo in combinations(g.vertices, size)
+            if brute_is_barrier(g.vertices, edges, combo)]
+
+
+def _oracle_barrier_witnesses(c, barriers):
+    """(members, shore index) for every barrier inside the opposite
+    shore that has the shore among its odd components."""
     shores = c.shores()
-    out = []
-    for i, keep in enumerate(shores):
-        far = sorted(shores[1 - i])
-        for size in range(1, len(far) + 1):
-            for combo in combinations(far, size):
-                if (brute_is_barrier(g.vertices, edges, combo)
-                        and keep in brute_components(g.vertices, edges, combo)):
-                    out.append((frozenset(combo), i))
+    out = [(b, i) for i, keep in enumerate(shores) for b, parts in barriers
+           if b <= shores[1 - i] and keep in parts]
     return sorted(out, key=lambda t: (sorted(t[0]), t[1]))
 
 
+def _anchored_shores(g):
+    """Every proper shore holding the smallest vertex, one per cut."""
+    anchor, rest = g.vertices[0], g.vertices[1:]
+    for size in range(len(rest)):
+        for combo in combinations(rest, size):
+            yield frozenset((anchor,) + combo)
+
+
 def test_classify_barrier_witnesses_match_oracle(exhaustive_corpus):
-    graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
-    graphs += [g for _, g, _ in fixture_instances()]
-    checked = witnessed = 0
-    for g in graphs:
-        for c in enumerate_tight_cuts(g, nontrivial_only=True):
-            got = [(b.members, i)
-                   for b, i in classify_cut(g, c).barrier_witnesses]
-            want = _oracle_barrier_witnesses(g, c)
+    """Every cut of the exhaustive corpus, tight or not, and every
+    nontrivial tight cut of the fixtures. classify_cut tests no
+    tightness, and a cut that is not tight has no witness of either
+    kind (Fact 1 in verify.py)."""
+    cases = [(g, [g.boundary(shore) for shore in _anchored_shores(g)])
+             for corpus in exhaustive_corpus.values() for g in corpus]
+    cases += [(g, enumerate_tight_cuts(g, nontrivial_only=True))
+              for _, g, _ in fixture_instances()]
+    checked = witnessed = untight = 0
+    for g, cuts in cases:
+        edges = [ends for _, ends in g.edge_items()]
+        pms = brute_perfect_matchings(g.vertices, edges)
+        barriers = _oracle_barriers(g)
+        for c in cuts:
+            cls = classify_cut(g, c)
+            got = [(b.members, i) for b, i in cls.barrier_witnesses]
+            want = _oracle_barrier_witnesses(c, barriers)
             assert got == want, (g, sorted(c.shore))
+            crossing = {i for i, (u, v) in enumerate(edges)
+                        if (u in c.shore) != (v in c.shore)}
+            if any(len(pm & crossing) != 1 for pm in pms):
+                assert not cls.witnessed, (g, sorted(c.shore))
+                untight += 1
             checked += 1
             witnessed += bool(want)
-    assert checked > 100 and 0 < witnessed < checked
+    assert untight > 100 and 0 < witnessed < checked - untight

@@ -1,10 +1,12 @@
 """Witness search and the tight-cut decomposition chain."""
 
 import json
+import sys
 from collections import Counter
 
 import pytest
 
+import tightcut.cuts
 import tightcut.decompose
 from tightcut.certificate import DecompositionCertificate
 from tightcut.cuts import classify_cut, enumerate_tight_cuts, is_tight
@@ -311,6 +313,27 @@ def test_entry_points_test_their_input_once(entry, monkeypatch):
         calls.clear()
         getattr(tightcut.decompose, entry)(g, c)
         assert calls == {"is_tight": 1, "is_matching_covered": 1}
+
+
+def test_decompose_tests_tightness_once(monkeypatch):
+    """classify_cut relies on its caller for tightness: on the 72
+    fixture cuts decompose_tight_cut asks is_tight 72 times, under
+    every name the package binds it to, all in its entry check."""
+    calls = []
+
+    def counted(h, d):
+        calls.append(d)
+        return is_tight(h, d)
+
+    aliases = [module for key, module in sys.modules.items()
+               if key.partition(".")[0] == "tightcut"
+               and getattr(module, "is_tight", None) is is_tight]
+    assert tightcut.cuts in aliases
+    for module in aliases:
+        monkeypatch.setattr(module, "is_tight", counted)
+    for _, g, c in FIXTURE_CUTS:
+        decompose_tight_cut(g, c)
+    assert len(calls) == len(FIXTURE_CUTS) == 72
 
 
 @pytest.mark.parametrize("entry, contracting", [

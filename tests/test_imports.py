@@ -3,7 +3,8 @@ in src/ but matching.py touches the exhaustive test oracles, only
 structure.py, sweep.py and the package's __init__.py name the
 two-separation listing, verify.py names no search routine of the
 producer and no tightness test, decompose.py tests tightness and
-matching coverage only in its entry check, and src/ has no assert
+matching coverage only in its entry check, classify_cut tests no
+tightness, and src/ has no assert
 statement: python -O strips them, so invariant guards raise
 InternalInvariantError instead.
 
@@ -130,6 +131,16 @@ def test_decompose_tests_only_its_input():
     assert oracle_references(rest, ENTRY_TESTS) == []
     assert {name for _, name in oracle_references(entry, ENTRY_TESTS)} == \
         ENTRY_TESTS
+
+
+def test_classify_cut_tests_no_tightness():
+    """Its callers know the cut is tight, so on the certify path only
+    decompose.py's entry check tests tightness."""
+    path = ROOT / "src" / "tightcut" / "cuts.py"
+    [classify] = [node for node in ast.parse(path.read_text()).body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "classify_cut"]
+    assert oracle_references(classify, {"is_tight"}) == []
 
 
 def assert_lines(tree: ast.Module) -> list[int]:

@@ -86,6 +86,20 @@ def test_matching_covered_matches_oracle(data):
     assert is_matching_covered(g) == brute_is_matching_covered(range(n), edges)
 
 
+def test_matching_covered_matches_oracle_on_every_small_graph():
+    """Every graph on the labels range(n), n in {2, 4, 6}, with at least
+    one edge: 32,831 edge sets, 3,193 of them matching covered."""
+    covered = 0
+    for n in (2, 4, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1, 1 << len(pairs)):
+            edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            got = is_matching_covered(Graph(range(n), edges))
+            assert got == brute_is_matching_covered(range(n), edges), edges
+            covered += got
+    assert covered == 3193
+
+
 @given(small_graphs())
 @settings(max_examples=60, deadline=None)
 def test_critical_matches_oracle(data):

@@ -115,16 +115,17 @@ def test_tolerated_variations(c6):
     other = cert.to_json_dict()
     other["input"]["cut_shore"] = sorted(c.other_shore)
     assert verify_certificate(g, c, other).ok
-    # classification may carry extra advisory keys
-    extra = cert.to_json_dict()
-    extra["final"]["classification"]["note"] = "anything"
-    assert verify_certificate(g, c, extra).ok
-    # but every entry of its witness lists is checked
+    # the final witnesses may come in any order
+    shuffled = cert.to_json_dict()
+    shuffled["final"]["witnesses"].reverse()
+    assert verify_certificate(g, c, shuffled).ok
+    # but every entry is checked
     noisy = cert.to_json_dict()
-    noisy["final"]["classification"]["barriers"] = [{"bogus": True}]
+    noisy["final"]["witnesses"].append({"bogus": True})
     (failure,) = verify_certificate(g, c, noisy).failures
     assert failure[0] == R_SCHEMA
-    assert failure[1].startswith("$.final.classification.barriers[0]")
+    assert failure[1].startswith("$.final.witnesses[")
+
 
 
 # the shared witness rule --------------------------------------------------------
@@ -264,11 +265,8 @@ def test_final_claims_replay_past_the_barrier_search(tmp_path, capsys):
     cert = {
         "input": {"graph": graph, "cut_shore": sorted(shore)},
         "steps": [],
-        "final": {"graph": graph, "classification": {
-            "tight": True, "trivial": False, "witnessed": True,
-            "barriers": [{"members": [0, 1],
-                          "shore_index": c.shores().index(shore)}],
-            "two_separations": []}},
+        "final": {"graph": graph,
+                  "witnesses": [{"kind": "barrier", "members": [0, 1]}]},
         "r": 1,
     }
     assert verify_certificate(g, c, cert).ok
