@@ -8,9 +8,9 @@ expected_reason) triples. Schema mutants are generated mechanically,
 one per structural position; semantic mutants are built against the
 real replay chain so the expected reason code is known, not guessed.
 The final witnesses are mutated like everything else: schema mutants
-reach each entry of the list, and semantic mutants add an invalid or
-non-generating barrier or two-separation, or drop the ones the
-verifier requires.
+reach each entry of the list, and semantic mutants add an invalid,
+non-generating or stale barrier or two-separation, spoil each entry in
+place, or drop the ones the verifier requires.
 """
 
 import copy
@@ -18,6 +18,7 @@ from itertools import combinations
 
 from tightcut.cuts import enumerate_tight_cuts
 from tightcut.decompose import decompose_tight_cut
+from tightcut.graph import GraphError
 from tightcut.instances import fixture_instances
 from tightcut.structure import enumerate_barriers, find_2separations, \
     is_barrier, two_separation_cuts
@@ -142,11 +143,14 @@ def _hand_schema_mutants(base):
             yield ("empty-members",
                    _replaced(base, ("steps", 0, "witness", "members"), []),
                    R_SCHEMA)
-    yield ("extra:final-witness",
-           with_extra(("final", "witnesses", 0)), R_SCHEMA)
-    yield ("bad-kind:final",
-           _replaced(base, ("final", "witnesses", 0, "kind"), "magic"),
-           R_SCHEMA)
+    # every final entry is schema-checked, and its kind must match its fields
+    for i, w in enumerate(base["final"]["witnesses"]):
+        kind = ("final", "witnesses", i, "kind")
+        yield (f"extra:final-witness[{i}]",
+               with_extra(("final", "witnesses", i)), R_SCHEMA)
+        yield f"bad-kind:final[{i}]", _replaced(base, kind, "magic"), R_SCHEMA
+        other = "twosep" if w["kind"] == "barrier" else "barrier"
+        yield f"retyped:final[{i}]", _replaced(base, kind, other), R_SCHEMA
     for i, step in enumerate(base["steps"]):
         if step["witness"]["kind"] == "twosep":
             pair = step["witness"]["pair"]
@@ -180,6 +184,32 @@ def _probe_nongenerating_barrier(g, step_cut):
     for b in enumerate_barriers(g, nontrivial_only=True):
         if not shores & set(g.components_without(b.members)):
             return sorted(b.members)
+    return None
+
+
+def _generates(g, cut, members):
+    try:
+        b = is_barrier(g, set(members))
+    except GraphError:
+        return False
+    return b is not None and bool(set(cut.shores()) & set(b.odd_parts))
+
+
+def _probe_grown_barrier(g, cut, members):
+    # members plus one vertex that no longer make a barrier generating cut
+    for v in g.vertices:
+        if v not in members and not _generates(g, cut, set(members) | {v}):
+            return sorted(set(members) | {v})
+    return None
+
+
+def _probe_stale_barrier(cert):
+    # a step's barrier, replayed against the final cut it did not generate
+    for step in cert.steps:
+        members = step.to_json_dict()["witness"].get("members")
+        if members and not _generates(cert.final_graph,
+                                      cert.final_classification.cut, members):
+            return members
     return None
 
 
@@ -341,6 +371,33 @@ def _semantic_mutants(cert):
         yield ("alien-twosep:final",
                _replaced(base, ("final", "witnesses"), witnesses + [alien]),
                R_FINAL_2SEP)
+    stale = _probe_stale_barrier(cert)
+    if stale is not None:
+        yield ("stale-barrier:final",
+               _replaced(base, ("final", "witnesses"),
+                         [{"kind": "barrier", "members": stale}] + witnesses),
+               R_FINAL_WITNESSED)
+    # one bad entry among good ones is found wherever it stands
+    for i, w in enumerate(witnesses):
+        at = ("final", "witnesses", i)
+        if w["kind"] == "barrier":
+            yield (f"ghost-barrier:final[{i}]", _replaced(base, at, ghost),
+                   R_FINAL_WITNESSED)
+            grown = _probe_grown_barrier(final_g, final_c, w["members"])
+            if grown is not None:
+                yield (f"grown-barrier:final[{i}]",
+                       _replaced(base, at + ("members",), grown),
+                       R_FINAL_WITNESSED)
+            continue
+        yield (f"bogus-twosep:final[{i}]", _replaced(base, at, bogus),
+               R_FINAL_2SEP)
+        pair = set(w["pair"])
+        trimmed = [v for v in w["side1"] if v not in pair]
+        if trimmed:
+            yield (f"broken-sides:final[{i}]",
+                   _replaced(base, at + ("side1",),
+                             [v for v in w["side1"] if v != trimmed[0]]),
+                   R_FINAL_2SEP)
     if not cert.steps:
         yield ("no-witnesses:final",
                _replaced(base, ("final", "witnesses"), []), R_FINAL_WITNESSED)

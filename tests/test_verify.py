@@ -1,6 +1,7 @@
 """Certificate verification: honest replays pass, every mutant fails."""
 
 import json
+import re
 import sys
 from itertools import combinations
 
@@ -73,6 +74,19 @@ def test_mutant_is_rejected(case):
     assert not result.ok, label
     assert expected in {code for code, _ in result.failures}, (
         label, result.failures)
+
+
+def test_final_entry_mutants_fail_at_their_entry():
+    # the replay reaches every final entry, not only the first or the last
+    cases = [(g, c, label, mutated) for g, c, label, mutated, _ in CORPUS
+             if re.search(r":final\[\d+\]$", label)]
+    assert len(cases) >= 20
+    for g, c, label, mutated in cases:
+        i = re.search(r"\[(\d+)\]$", label).group(1)
+        paths = [path for _, path in verify_certificate(g, c, mutated).failures]
+        assert paths and all(
+            p.startswith(f"$.final.witnesses[{i}]") for p in paths), (
+            label, paths)
 
 
 def test_failures_carry_paths():
