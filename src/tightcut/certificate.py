@@ -3,11 +3,12 @@
 A certificate replays a chain of contractions: each step records the
 graph it acted on, the witnessed cut it used, the structural witness
 (barrier or two-separation), the contracted shore, and the fresh
-vertex label. The final block records the last graph and every
-witness of the cut's image in it, barriers first, in the same witness
-form. Graphs embed as {"n": ..., "edges": [[u, v], ...]} with real
-vertex labels in the edge list; edge ids are not serialized, so
-verification compares shapes, not ids.
+vertex label. The final block records the last graph and, for the
+cut's image in it, the largest barrier witness per shore, then every
+two-separation witness, in the same witness form. Graphs embed as
+{"n": ..., "edges": [[u, v], ...]} with real vertex labels in the edge
+list; edge ids are not serialized, so verification compares shapes,
+not ids.
 """
 
 from __future__ import annotations

@@ -3,11 +3,12 @@
 A cut is tight when every perfect matching uses exactly one of its
 edges. The interesting tight cuts are the witnessed ones: those whose
 shore is an odd component of some barrier complement (a barrier cut),
-or which arise from a two-separation. classify_cut collects all such
-witnesses of a cut its caller already knows to be tight; it tests no
-tightness itself. Its barrier search is exponential only in the size
-of one canonical part, and its two-separation witnesses come from one
-cut edge (twoseps_generating).
+or which arise from a two-separation. classify_cut lists, for a cut its
+caller already knows to be tight, the largest barrier witness per
+shore, and every two-separation; it tests no tightness itself. Each
+barrier witness is one dependence class read from the graph's cached
+dependence rows, with no subset search, and the two-separation
+witnesses come from one cut edge (twoseps_generating).
 """
 
 from __future__ import annotations
@@ -17,12 +18,7 @@ from itertools import combinations
 
 from .graph import Cut, EnumerationLimitError, Graph, GraphError
 from .matching import find_perfect_matching, is_matchable, is_matching_covered
-from .structure import (
-    Barrier,
-    TwoSeparation,
-    enumerate_barriers,
-    twoseps_generating,
-)
+from .structure import Barrier, TwoSeparation, is_barrier, twoseps_generating
 
 # vertices enumerate_tight_cuts takes, at most: it tries 2^(n-2) shores
 TIGHT_CUT_LIMIT = 16
@@ -83,12 +79,14 @@ def enumerate_tight_cuts(g: Graph, nontrivial_only=False) -> list[Cut]:
 
 @dataclass(frozen=True)
 class CutClassification:
-    """Every witness classify_cut found for one cut.
+    """The largest barrier witness per shore, and every two-separation,
+    that classify_cut found for one cut.
 
     barrier_witnesses pairs each barrier with the index (into
     cut.shores()) of the shore that appears among the odd components
-    of g minus the barrier. twosep_witnesses lists the two-separations
-    generating the cut.
+    of g minus the barrier; at most one barrier per shore. Every other
+    barrier witness of that shore lies inside the listed one.
+    twosep_witnesses lists the two-separations generating the cut.
     """
 
     cut: Cut
@@ -101,24 +99,59 @@ class CutClassification:
 
 
 def classify_cut(g: Graph, c: Cut) -> CutClassification:
-    """Every barrier and two-separation witness of the tight cut c.
+    """The largest barrier witness per shore, and every two-separation
+    witness, of the tight cut c.
 
     The caller establishes that c is tight; this tests no tightness. A
     cut that barriers or two-separations generate is tight (Fact 1 in
-    verify.py), so a cut that is not gets empty lists, but its barrier
-    search may first exceed the enumeration guard.
+    verify.py), so a cut that is not gets empty lists. The
+    two-separation witnesses are the O(n) candidates twoseps_generating
+    derives from one cut edge.
 
-    A tight shore is odd, so a barrier B inside the opposite shore
-    witnesses it exactly when the shore is one of the odd components of
-    g - B. Then every neighbour of the shore outside it lies in B, so
-    the search runs only over barriers of the opposite shore containing
-    these attachments: candidates beyond them must be dependent with
-    each of them (see enumerate_barriers), and if the attachments are
-    not pairwise dependent the shore has no barrier witness. The
-    enumeration guard applies to the free candidates: it counts the
-    largest set of them around one vertex, as in enumerate_barriers.
-    The two-separation witnesses are the O(n) candidates
-    twoseps_generating derives from one cut edge.
+    Barrier witnesses of a shore X, with opposite shore O: the barriers
+    B of g that have X among the odd components of g - B; such a B
+    avoids X, so B lies in O. Call u and v dependent in a graph when
+    deleting both leaves it without a perfect matching. Let A be the
+    neighbours of X outside it (nonempty: g is connected), fix a in A,
+    and let F be a together with every v in O dependent with a in g.
+    Rule: X has a barrier witness iff A lies in F, and then F is one
+    that contains every other. So each shore costs |O| pair queries,
+    read from the dependence rows is_matching_covered has cached on g,
+    and F is checked by is_barrier with X among its odd parts.
+
+    Proof. Any two members u, v of a barrier B are dependent, in every
+    graph: deleting the rest of B from g - u - v leaves |B| odd
+    components against |B| - 2 deleted vertices (Tutte). Barriers of a
+    matching covered graph leave only odd components (the lemma
+    test_matching_covered_barriers_leave_only_odd_components checks),
+    and are independent: a perfect matching uses one edge from each
+    member into its own odd component, so an edge inside the barrier is
+    in none.
+    (a) Let B be a witness. X is a component of g - B, so every
+    neighbour of X outside it lies in B: A lies in B. Every member of B
+    is then dependent with a, and B lies in O, so B lies in F.
+    (b) Let h = g/(X -> x), matching covered by Fact 3 of decompose.py.
+    If h - u - v has a perfect matching M' for u, v in O, its edge e at
+    x is an edge of c; e lies in a perfect matching N of g, which meets
+    c only in e, so M' plus N's edges inside X is a perfect matching of
+    g - u - v. Hence v dependent with a in g is dependent with a in h,
+    and F lies in P, the dependence class of a in h. P is a barrier of
+    h, a part of its Kotzig-Lovasz canonical partition (Lovasz-Plummer,
+    Matching Theory, 1986, ch. 5;
+    test_dependence_is_the_canonical_partition checks it), so P is
+    independent, and x, adjacent to a, is not in P: P lies in O. X is
+    connected: a perfect matching of g meets c once, so it matches every
+    even component of g[X] inside itself, and the edges from such a
+    component into O, which exist as g is connected, would be in none;
+    so g[X] is one odd component. Hence the components of g - P are
+    those of h - P with x expanded to X, and every one stays odd: P is
+    a barrier of g, its members are pairwise dependent, and P lies in
+    F. So F = P.
+    If A lies in F, then every neighbour of x in h is in P, so {x} is a
+    component of h - P and X one of g - F, odd: F is a witness, and it
+    contains every witness by (a). If A does not lie in F, no witness
+    exists by (a). The is_barrier check can fail only off the
+    precondition, on a cut that is not tight.
     """
     if c.graph is not g:
         raise GraphError("cut belongs to a different graph")
@@ -129,9 +162,12 @@ def classify_cut(g: Graph, c: Cut) -> CutClassification:
     for i, keep in enumerate(shores):
         attachments = frozenset(
             w for v in keep for w in g.neighbors(v)) - keep
-        for b in enumerate_barriers(g, within=shores[1 - i],
-                                    containing=attachments):
-            if keep in b.odd_parts:
+        a = min(attachments)
+        members = frozenset(v for v in shores[1 - i] if v == a
+                            or not is_matchable(g, frozenset((a, v))))
+        if attachments <= members:
+            b = is_barrier(g, members)
+            if b is not None and keep in b.odd_parts:
                 found.append((b, i))
     return CutClassification(
         c, tuple(sorted(found, key=lambda t: (sorted(t[0].members), t[1]))),

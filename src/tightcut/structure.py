@@ -80,7 +80,7 @@ def is_barrier(g: Graph, members) -> Barrier | None:
 BARRIER_LIMIT = 16
 
 
-def enumerate_barriers(g: Graph, *, within=None, containing=(),
+def enumerate_barriers(g: Graph, *, within=None,
                        nontrivial_only=False) -> list[Barrier]:
     """All barriers drawn from a candidate pool, by size then lex order.
 
@@ -94,20 +94,15 @@ def enumerate_barriers(g: Graph, *, within=None, containing=(),
     candidates are the subsets of one part, and a brick has no
     candidate beyond single vertices. In a graph with no perfect
     matching every pair may be dependent, and the search is the full
-    subset scan.
+    subset scan. classify_cut needs no search: the largest barrier
+    witness of a shore is one dependence class (see its docstring).
 
-    containing: vertices of the pool every returned barrier includes.
-    Only pool vertices dependent with all of them are free candidates,
-    and if they are not pairwise dependent themselves there is no
-    barrier to return.
-
-    Guard: the search is exponential only in the largest set of free
+    Guard: the search is exponential only in the largest set of
     candidates around one vertex, that vertex plus its dependent
-    partners among them; in a matching covered graph, the largest
+    partners in the pool; in a matching covered graph, the largest
     canonical part inside the pool, however large the pool is. When that
     exceeds BARRIER_LIMIT, EnumerationLimitError is raised before any
-    subset is tried. Results are cached per pool and containing set on
-    the graph.
+    subset is tried. Results are cached per pool on the graph.
     """
     if within is None:
         pool_set = g.vertex_set
@@ -116,33 +111,22 @@ def enumerate_barriers(g: Graph, *, within=None, containing=(),
         if not pool_set <= g.vertex_set:
             raise GraphError(
                 f"not vertices of the graph: {sorted(pool_set - g.vertex_set)}")
-    seed = frozenset(containing)
-    if not seed <= pool_set:
-        raise GraphError(
-            f"required members outside the pool: {sorted(seed - pool_set)}")
     cache = g._cache.setdefault("barriers_by_pool", {})
-    got = cache.get((pool_set, seed))
+    got = cache.get(pool_set)
     if got is None:
-        got = tuple(_search_barriers(g, pool_set, seed))
-        cache[(pool_set, seed)] = got
+        got = cache[pool_set] = tuple(_search_barriers(g, pool_set))
     if nontrivial_only:
         return [b for b in got if b.is_nontrivial]
     return list(got)
 
 
-def _search_barriers(g: Graph, pool_set: frozenset[int],
-                     seed: frozenset[int]) -> list[Barrier]:
-    """enumerate_barriers' search: pairwise dependent supersets of seed
-    inside the pool, tested by is_barrier in size then lex order."""
-    def dependent(u: int, v: int) -> bool:
-        return not is_matchable(g, frozenset((u, v)))
-
-    if not all(dependent(u, v) for u, v in combinations(sorted(seed), 2)):
-        return []
-    free = [v for v in sorted(pool_set - seed)
-            if all(dependent(v, a) for a in seed)]
-    partners = {v: frozenset(w for w in free if w != v and dependent(v, w))
-                for v in free}
+def _search_barriers(g: Graph, pool_set: frozenset[int]) -> list[Barrier]:
+    """enumerate_barriers' search: pairwise dependent subsets of the
+    pool, tested by is_barrier in size then lex order."""
+    pool = sorted(pool_set)
+    partners = {v: frozenset(w for w in pool if w != v
+                             and not is_matchable(g, frozenset((v, w))))
+                for v in pool}
     widest = max((1 + len(p) for p in partners.values()), default=0)
     if widest > BARRIER_LIMIT:
         raise EnumerationLimitError(
@@ -150,22 +134,19 @@ def _search_barriers(g: Graph, pool_set: frozenset[int],
             f"exceeds the guard of {BARRIER_LIMIT}")
 
     # a barrier and its odd components are disjoint, so |B| <= n/2
-    room = g.n // 2 - len(seed)
-    if room < 0:
-        return []
-    extensions: list[tuple[int, ...]] = [()] if seed else []
+    room = g.n // 2
+    candidates: list[tuple[int, ...]] = []
 
     def grow(chosen: tuple[int, ...], options: list[int]) -> None:
         if len(chosen) == room:
             return
         for i, v in enumerate(options):
             extended = chosen + (v,)
-            extensions.append(extended)
+            candidates.append(extended)
             grow(extended, [w for w in options[i + 1:] if w in partners[v]])
 
-    grow((), free)
-    candidates = sorted(tuple(sorted(seed.union(ext))) for ext in extensions)
-    candidates.sort(key=len)
+    grow((), pool)
+    candidates.sort(key=lambda members: (len(members), members))
     found = []
     for members in candidates:
         b = is_barrier(g, members)

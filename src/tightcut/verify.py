@@ -13,8 +13,9 @@ the final cut as its own reference, every final witness obeys: the cut
 is nontrivial, does not cross the reference, and a valid barrier or
 two-separation generates it. The producer and the sweep call it too.
 The final block lists witnesses in a step's witness form; at least one
-is required, and a two-separation among them after a reduction. That
-the list holds every witness of the cut stays unchecked.
+is required, and a two-separation among them after a reduction. The
+producer lists the largest barrier witness per shore and every
+two-separation; that the list is complete stays unchecked.
 
 No cut is tested for tightness: the witnesses prove it. Each graph of
 the chain has a perfect matching M (the host is matching covered, and M

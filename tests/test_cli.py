@@ -12,7 +12,7 @@ from tightcut.graph import Graph
 from tightcut.instances import fixture_instances
 from tightcut.matching import is_matching_covered
 
-from conftest import cycle
+from conftest import cycle, inflated
 
 
 @pytest.fixture
@@ -142,18 +142,45 @@ def test_decompose_rejects_unusable_cuts(c6_file, capsys):
 
 
 def test_size_guard_exits_2(tmp_path, capsys):
+    """blocked_triangle with K_{15,15} spliced into its far shore
+    (n = 38): the cut is unwitnessed, and the reduction's barrier step
+    faces a canonical part of 17 candidates, more than its fixed guard
+    of 16. check reads one dependence class per shore and runs no
+    barrier search, so no guard stops it."""
+    g = next(g for name, g, _ in fixture_instances()
+             if name == "blocked_triangle")
+    h, shore = inflated(g, {0, 1, 2}, 15)
+    assert h.n == 38
+    path = str(tmp_path / "inflated.el")
+    write_edge_list(h, path)
+    cut = ",".join(map(str, sorted(shore)))
+    assert main(["decompose", path, "--cut", cut]) == 2
+    err = capsys.readouterr().err
+    assert "17 candidates exceeds the guard of 16" in err
+    assert "Traceback" not in err
+
+
+def test_split_complete_bipartite_past_the_barrier_guard(tmp_path, capsys):
     """K_{20,20} with right vertex 39 split into the path 39-40-41 from 0
-    to 1. The barrier search around the cut at the path faces 18
-    candidates, more than its fixed guard of 16."""
+    to 1 (n = 42). Each shore of the cut at the path has one largest
+    barrier witness, a dependence class: the left side {0..19} for the
+    path, {39, 41} for the rest. A search over barriers around the cut
+    would face 18 candidates, more than the guard of 16."""
     edges = [(x, y) for x in range(20) for y in range(20, 39)]
     edges += [(0, 39), (39, 40), (40, 41), (41, 1)]
     path = str(tmp_path / "split.el")
     write_edge_list(Graph(range(42), edges), path)
-    for command in ("decompose", "check"):
-        assert main([command, path, "--cut", "39,40,41"]) == 2
-        err = capsys.readouterr().err
-        assert "exceeds the guard of 16" in err
-        assert "Traceback" not in err
+    assert main(["check", path, "--cut", "39,40,41"]) == 0
+    out = capsys.readouterr().out
+    assert "witnessed: yes" in out
+    left = "{" + ", ".join(map(str, range(20))) + "}"
+    assert f"barrier witness {left}, odd component shore {{39, 40, 41}}" \
+        in out
+    assert "barrier witness {39, 41}, odd component shore {0," in out
+    assert out.count("barrier witness") == 2
+    assert main(["decompose", path, "--cut", "39,40,41"]) == 0
+    out = capsys.readouterr().out
+    assert "r = 1" in out and "certificate verified" in out
 
 
 # verify --------------------------------------------------------------------------

@@ -15,13 +15,16 @@ from tightcut.cuts import (
 )
 from tightcut.instances import canonical, fixture_instances
 from tightcut.matching import is_matching_covered, perfect_matching_masks
+from tightcut.structure import enumerate_barriers
 
 from conftest import (
     brute_components,
     brute_is_barrier,
     brute_is_tight,
+    brute_matching_numbers,
     brute_perfect_matchings,
     cycle,
+    inflated,
 )
 
 
@@ -195,8 +198,20 @@ def _oracle_barrier_witnesses(c, barriers):
     """(members, shore index) for every barrier inside the opposite
     shore that has the shore among its odd components."""
     shores = c.shores()
-    out = [(b, i) for i, keep in enumerate(shores) for b, parts in barriers
-           if b <= shores[1 - i] and keep in parts]
+    return [(b, i) for i, keep in enumerate(shores) for b, parts in barriers
+            if b <= shores[1 - i] and keep in parts]
+
+
+def _largest_per_shore(witnesses):
+    """The largest witness of each shore, sorted like classify_cut's
+    list, after checking that it contains every witness of its shore."""
+    out = []
+    for i in (0, 1):
+        mine = [b for b, j in witnesses if j == i]
+        if mine:
+            top = max(mine, key=len)
+            assert all(b <= top for b in mine), (sorted(top), i)
+            out.append((top, i))
     return sorted(out, key=lambda t: (sorted(t[0]), t[1]))
 
 
@@ -210,14 +225,16 @@ def _anchored_shores(g):
 
 def test_classify_barrier_witnesses_match_oracle(exhaustive_corpus):
     """Every cut of the exhaustive corpus, tight or not, and every
-    nontrivial tight cut of the fixtures. classify_cut tests no
+    nontrivial tight cut of the fixtures: a shore gets a barrier exactly
+    when the oracle finds a witness for it, and the listed one is the
+    oracle's largest, which contains every other. classify_cut tests no
     tightness, and a cut that is not tight has no witness of either
     kind (Fact 1 in verify.py)."""
     cases = [(g, [g.boundary(shore) for shore in _anchored_shores(g)])
              for corpus in exhaustive_corpus.values() for g in corpus]
     cases += [(g, enumerate_tight_cuts(g, nontrivial_only=True))
               for _, g, _ in fixture_instances()]
-    checked = witnessed = untight = 0
+    checked = witnessed = untight = several = 0
     for g, cuts in cases:
         edges = [ends for _, ends in g.edge_items()]
         pms = brute_perfect_matchings(g.vertices, edges)
@@ -226,7 +243,7 @@ def test_classify_barrier_witnesses_match_oracle(exhaustive_corpus):
             cls = classify_cut(g, c)
             got = [(b.members, i) for b, i in cls.barrier_witnesses]
             want = _oracle_barrier_witnesses(c, barriers)
-            assert got == want, (g, sorted(c.shore))
+            assert got == _largest_per_shore(want), (g, sorted(c.shore))
             crossing = {i for i, (u, v) in enumerate(edges)
                         if (u in c.shore) != (v in c.shore)}
             if any(len(pm & crossing) != 1 for pm in pms):
@@ -234,4 +251,72 @@ def test_classify_barrier_witnesses_match_oracle(exhaustive_corpus):
                 untight += 1
             checked += 1
             witnessed += bool(want)
+            several += len(want) > len(got)
     assert untight > 100 and 0 < witnessed < checked - untight
+    assert several > 0
+
+
+def _dependent_pairs(g, pool):
+    """Pairs u < v of pool with g - u - v not matchable, by brute force."""
+    nu = brute_matching_numbers(g.vertices,
+                                [ends for _, ends in g.edge_items()])
+    return {(u, v) for u, v in combinations(sorted(pool), 2)
+            if 2 * nu(g.vertex_set - {u, v}) < g.n - 2}
+
+
+def test_contraction_keeps_dependence_in_the_far_shore(exhaustive_corpus):
+    """The lemma classify_cut's proof rests on, by brute force on both
+    shores X of every nontrivial tight cut of the exhaustive corpus and
+    the fixtures. With O the opposite shore and h = g/(X -> x), every
+    pair of O dependent in g is dependent in h, and a neighbour a of X
+    has the same dependent partners in O in g and in h. The converse of
+    the first part fails: in h, x can cover only one of its
+    neighbours."""
+    graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
+    graphs += [g for _, g, _ in fixture_instances()]
+    checked = strict = 0
+    for g in graphs:
+        for c in enumerate_tight_cuts(g, nontrivial_only=True):
+            for shore in c.shores():
+                far = g.vertex_set - shore
+                in_g = _dependent_pairs(g, far)
+                in_h = _dependent_pairs(g.contract(shore), far)
+                assert in_g <= in_h, (g, sorted(shore))
+                for a in {w for v in shore for w in g.neighbors(v)} - shore:
+                    assert {p for p in in_g if a in p} == \
+                        {p for p in in_h if a in p}, (g, sorted(shore), a)
+                checked += 1
+                strict += in_g != in_h
+    assert checked > 100 and strict > 0
+    # blocked_triangle, shore {0, 1, 2}: 3 and 4 reach the shore only
+    # through x once 7 and 9 are gone, but g - 7 - 9 is matchable
+    g = next(g for name, g, _ in fixture_instances()
+             if name == "blocked_triangle")
+    far = g.vertex_set - {0, 1, 2}
+    assert _dependent_pairs(g.contract({0, 1, 2}), far) - \
+        _dependent_pairs(g, far) == {(7, 9)}
+
+
+def test_classify_inflated_fixture_cuts_match_barrier_search():
+    """Both shores of every nontrivial tight cut of every fixture, with
+    K_{k,k} spliced into the far shore for k = 2..7: on each shore the
+    listed barrier is the largest that enumerate_barriers finds inside
+    the opposite shore with the shore among its odd parts, and contains
+    every other."""
+    checked = several = 0
+    for _, g, _ in fixture_instances():
+        for cut in enumerate_tight_cuts(g, nontrivial_only=True):
+            for shore in cut.shores():
+                for k in range(2, 8):
+                    h, s = inflated(g, shore, k)
+                    c = h.boundary(s)
+                    shores = c.shores()
+                    want = [(b.members, i) for i, keep in enumerate(shores)
+                            for b in enumerate_barriers(h, within=shores[1 - i])
+                            if keep in b.odd_parts]
+                    got = [(b.members, i)
+                           for b, i in classify_cut(h, c).barrier_witnesses]
+                    assert got == _largest_per_shore(want), (h, sorted(s))
+                    checked += 1
+                    several += len(want) > len(got)
+    assert checked == 864 and several > 0

@@ -4,7 +4,7 @@ structure.py, sweep.py and the package's __init__.py name the
 two-separation listing, verify.py names no search routine of the
 producer and no tightness test, decompose.py tests tightness and
 matching coverage only in its entry check, classify_cut tests no
-tightness, and src/ has no assert
+tightness, cuts.py runs no barrier search, and src/ has no assert
 statement: python -O strips them, so invariant guards raise
 InternalInvariantError instead.
 
@@ -141,6 +141,13 @@ def test_classify_cut_tests_no_tightness():
                   if isinstance(node, ast.FunctionDef)
                   and node.name == "classify_cut"]
     assert oracle_references(classify, {"is_tight"}) == []
+
+
+def test_cuts_runs_no_barrier_search():
+    """classify_cut reads one dependence class per shore instead."""
+    path = ROOT / "src" / "tightcut" / "cuts.py"
+    assert oracle_references(ast.parse(path.read_text()),
+                             {"enumerate_barriers"}) == []
 
 
 def assert_lines(tree: ast.Module) -> list[int]:

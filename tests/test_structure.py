@@ -130,16 +130,12 @@ def _oracle_barriers(g):
             if brute_is_barrier(g.vertices, edges, combo)]
 
 
-def _check_barrier_search(g, pools, seeds=()):
-    """enumerate_barriers against the oracle on each pool, and on the
-    whole vertex set with each seed required."""
+def _check_barrier_search(g, pools):
+    """enumerate_barriers against the oracle on each pool."""
     every = _oracle_barriers(g)
     for pool in pools:
         got = [b.members for b in enumerate_barriers(g, within=pool)]
         assert got == [b for b in every if b <= pool], (g, sorted(pool))
-    for seed in map(frozenset, seeds):
-        got = [b.members for b in enumerate_barriers(g, containing=seed)]
-        assert got == [b for b in every if seed <= b], (g, sorted(seed))
     return len(every)
 
 
@@ -166,7 +162,7 @@ def test_barrier_search_matches_oracle_off_matching_covered():
         g = Graph(range(8), edges)
         if not is_matching_covered(g):
             pools = {g.vertex_set, frozenset(range(4)), frozenset({0, 3, 5, 6})}
-            _check_barrier_search(g, pools, [{0}, {1, 6}, {2, 4, 7}])
+            _check_barrier_search(g, pools)
             checked += 1
 
 
@@ -180,16 +176,8 @@ def test_barrier_search_matches_oracle_off_matching_covered():
 def test_barrier_search_matches_oracle_without_perfect_matching(edges):
     g = Graph.from_edges(edges)
     assert g.n % 2 == 0 and not is_matchable(g)
-    _check_barrier_search(g, {g.vertex_set}, [{v} for v in g.vertices])
-
-
-def test_enumerate_barriers_containing(c6):
-    got = enumerate_barriers(c6, within={0, 1, 2, 3, 4}, containing={0, 2})
-    assert [sorted(b.members) for b in got] == [[0, 2], [0, 2, 4]]
-    # 0 and 1 are adjacent in a matching covered graph: never together
-    assert enumerate_barriers(c6, containing={0, 1}) == []
-    with pytest.raises(GraphError):
-        enumerate_barriers(c6, within={0, 1}, containing={2})
+    _check_barrier_search(
+        g, {g.vertex_set} | {g.vertex_set - {v} for v in g.vertices})
 
 
 def _dependence_classes(g):

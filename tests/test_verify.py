@@ -266,10 +266,11 @@ def test_witness_rule_accepts_only_tight_cuts(exhaustive_corpus):
 
 def test_final_claims_replay_past_the_barrier_search(tmp_path, capsys):
     """K_{20,20} with right vertex 39 split into the path 39-40-41 from 0
-    to 1. The cut around the path has the barrier witness {0, 1}, but
-    barrier search around it would face 18 candidates, more than its
-    guard of 16, and so would classify_cut and decompose. The verifier
-    replays the listed witness instead of searching."""
+    to 1. The cut around the path has the barrier witness {0, 1}, which
+    no producer lists (classify_cut lists the largest, the left side
+    {0..19}), and a search over barriers around it would face 18
+    candidates, more than the guard of 16. The verifier replays the
+    listed witness instead of searching."""
     edges = [(x, y) for x in range(20) for y in range(20, 39)]
     edges += [(0, 39), (39, 40), (40, 41), (41, 1)]
     g = Graph(range(42), edges)
