@@ -9,10 +9,11 @@ canonical shore splits at a block boundary into a strictly smaller
 instance whose answer pulls back.
 
 decompose_tight_cut drives this to completion in one loop. Each round
-contracts a confined nontrivial barrier's cut when a shore holds one,
-stops when the reference cut is a two-separation cut, and otherwise
-contracts the two-separation cut the witness search finds. The
-certificate records every step for independent replay.
+contracts a barrier cut when a shore holds a candidate, a dependence
+class of the graph with the other shore contracted; it stops when the
+reference cut is a two-separation cut, and otherwise contracts the
+two-separation cut the witness search finds. No round searches subsets.
+The certificate records every step for independent replay.
 
 Most intermediate claims here are theorems, not expectations; when one
 fails the code raises InternalInvariantError rather than improvising,
@@ -51,11 +52,10 @@ from dataclasses import dataclass
 from .certificate import DecompositionCertificate, Step
 from .cuts import CutClassification, classify_cut, is_tight
 from .graph import Cut, Graph, GraphError, InternalInvariantError
-from .matching import is_matching_covered
+from .matching import is_matchable, is_matching_covered
 from .structure import (
     Barrier,
     TwoSeparation,
-    enumerate_barriers,
     find_strict_barrier,
     is_barrier,
     make_two_separation,
@@ -434,33 +434,77 @@ def _contract_step(g: Graph, c: Cut, tracked, step_cut: Cut, witness,
 def _min_holder_barrier(g: Graph, tracked) -> tuple[Barrier, Cut] | None:
     """The barrier step's choice, as (barrier, cut of its holder) or None.
 
-    In the first shore S of tracked that holds a nontrivial barrier B,
-    take the B whose holder (the odd component of g - B holding the
-    opposite shore O) is smallest, ties broken by the sorted holder,
-    then the sorted members. A holder exists: O is connected (tight cut
-    shores are) and avoids B, and every component of g - B is odd
+    For a shore S of tracked with opposite shore O, let h = g/(O -> o),
+    matching covered by Fact 3. Call v and w dependent in h when
+    h - v - w is not matchable; the class of v is v and every vertex
+    dependent with it, one row search per class. The candidates of S
+    are the classes P of h with o not in P and |P| >= 2. In the first
+    shore of tracked that has one, take the P whose holder (the odd
+    component of g - P holding O) is smallest, ties broken by the sorted
+    holder, then the sorted members. The step contracts V - H to one
+    vertex y for the holder H of P.
+
+    (a) A candidate P is a barrier of g inside S, and has a holder. The
+    classes of h are its Kotzig-Lovasz canonical partition into maximal
+    barriers (Lovasz-Plummer, Matching Theory, 1986, ch. 5;
+    test_dependence_is_the_canonical_partition checks it), so P is a
+    barrier of h, and it avoids o, so it lies in S. As in part (b) of
+    classify_cut's proof, O is connected, so the components of g - P are
+    those of h - P with o expanded to O, and as |O| is odd each keeps
+    its parity: P is a barrier of g. Every component of h - P is odd
     (test_matching_covered_barriers_leave_only_odd_components checks the
-    lemma). A holder equal to O, which B = S would force, means B
-    witnesses the reference cut. The initial classification excludes
-    that, and a barrier step keeps it excluded. The step contracts V - H
-    to h for the holder H of B. Were a shore X an odd component of the
-    result minus a barrier B', then lift_barrier_over_odd_component
-    makes B', or B + (B' - h) when h is in B', a barrier one graph
-    earlier, with X (h expanded to the connected V - H) as an odd
-    component: if h is in B', X lies in H, whose edges leaving H end in
-    B. After a two-separation step no proof is known; that the guard
-    never fires there is observed only.
+    lemma), so o's expands to the holder.
+    (b) A barrier B of g inside P has a holder at least as large as P's.
+    B lies in S and O is connected, so B's holder is o's component of
+    h - B with o expanded, and h - P lies inside h - B: P's holder lies
+    in B's. So the minimum over every barrier inside a candidate is
+    reached at a candidate.
+    (c) A barrier witness B of the reference cut inside S (O an odd
+    component of g - B) lies in a candidate. By classify_cut's proof,
+    with X = O, the largest such witness F is the class of an
+    attachment of O in h; it avoids o, and |F| >= 2 since F = {a} would
+    leave g - a with the single component O, so S = {a}, a trivial cut.
+    So F is a candidate, with holder O. The guard below, on a holder
+    equal to O, thus fires whenever the reference cut has a barrier
+    witness, and a round that gets None knows it has none: the final
+    block's comment in decompose_tight_cut rests on this. The guard
+    never fires: the initial classification lists no barrier witness,
+    and a barrier step keeps it so. Were a shore X an odd component of
+    the contraction minus a barrier B', then
+    lift_barrier_over_odd_component makes B', or P + (B' - y) when y is
+    in B', a barrier one graph earlier, with X (y expanded to the
+    connected V - H) as an odd component: if y is in B', X lies in H,
+    whose edges leaving H end in P. After a two-separation step no
+    proof is known; that the guard never fires there is observed only,
+    on the 26 rounds that follow one in the 72 fixture and 864 inflated
+    decompositions.
+    (d) Barriers inside o's class, less o, are not candidates, and no
+    proof says that the witness search, run after a round that got
+    None, returns none of them: the loop's "witness search returned a
+    barrier" guard is observed only. It held on all 26 rounds that
+    reached it in the same decompositions.
     """
     for side in tracked:
         opposite = g.vertex_set - side
+        o = g.fresh_vertex()
+        h = g.contract(opposite, o)
+        left = set(h.vertices)
         found = []
-        for b in enumerate_barriers(g, within=side, nontrivial_only=True):
-            holder = next((p for p in b.odd_parts if opposite <= p), None)
+        while left:
+            v = min(left)
+            part = frozenset(w for w in left if w == v
+                             or not is_matchable(h, frozenset((v, w))))
+            left -= part
+            if o in part or len(part) < 2:
+                continue
+            b = is_barrier(g, part)
+            holder = None if b is None else next(
+                (p for p in b.odd_parts if opposite <= p), None)
             if holder is None or holder == opposite:
                 raise InternalInvariantError(
-                    f"confined barrier {sorted(b.members)} leaves the "
-                    f"opposite shore as a component or in no odd one")
-            key = (len(holder), sorted(holder), sorted(b.members))
+                    f"class {sorted(part)} is no barrier, or has no holder "
+                    "but the opposite shore")
+            key = (len(holder), sorted(holder), sorted(part))
             found.append((key, b, holder))
         if found:
             _, b, holder = min(found, key=lambda t: t[0])
@@ -474,9 +518,10 @@ def decompose_tight_cut(g: Graph, c: Cut,
 
     Already-witnessed cuts return a one-graph certificate. Otherwise
     each round of one loop takes the first step that applies: contract
-    the barrier cut _min_holder_barrier picks (its docstring proves the
-    guards there); stop once the reference cut is a two-separation cut;
-    or contract the two-separation cut find_noncrossing_witness finds.
+    the barrier cut of the dependence class _min_holder_barrier picks
+    (its docstring proves the guards there, and says which are
+    observed); stop once the reference cut is a two-separation cut; or
+    contract the two-separation cut find_noncrossing_witness finds.
     Barrier steps come first: letting the witness search choose every
     step lengthens chains and can turn the reference into a barrier cut.
     """
@@ -498,8 +543,8 @@ def decompose_tight_cut(g: Graph, c: Cut,
                              BRANCH_BARRIER_PHASE)
             tally.hit(BRANCH_BARRIER_PHASE)
         elif twoseps := twoseps_generating(cur_g, cur_c):
-            # a barrier witness would be nontrivial (g is 2-connected) and lie
-            # in a shore, not all of it, so _min_holder_barrier had raised
+            # a barrier witness would lie in a candidate class, on which
+            # _min_holder_barrier had raised (part (c) of its docstring)
             final = CutClassification(cur_c, (), tuple(twoseps))
             return DecompositionCertificate(g, c, tuple(steps), cur_g, final)
         else:

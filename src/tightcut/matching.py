@@ -13,7 +13,7 @@ two ways:
   every pair query at x, so n searches answer all O(n^2) of them;
   is_matchable and matching_number use the rows for every pair
   {u, v}, cached per graph, and is_matching_covered reads them
-  directly, one row per vertex.
+  directly, at most one row per vertex.
 - Warm-started search. Every other removed set, and every query on a
   graph without a perfect matching, runs _blossom_mates: it starts
   from g's cached maximum matching less the edges at removed vertices
@@ -356,17 +356,19 @@ def is_matching_covered(g: Graph) -> bool:
     """Connected, at least one edge, and every edge in some perfect matching.
 
     An edge uv lies in a perfect matching iff g - u - v is matchable,
-    iff v is in the dependence row of u, so each vertex with a
-    neighbour of higher label reads its row once, against those
-    neighbours.
+    iff v is in the dependence row of u. An edge joining u to its mate
+    in the cached perfect matching needs no row. Each vertex with
+    another neighbour of higher label reads its row once, against
+    those neighbours.
     """
     got = g._cache.get("matching_covered")
     if got is None:
         got = (g.n >= 2 and g.m >= 1 and g.is_connected()
                and is_matchable(g)
                and all(_dependence_row(g, u).issuperset(higher)
-                       for u in g.vertices
-                       if (higher := [w for w in g.neighbors(u) if w > u])))
+                       for u, mate in _maximum_matching(g).items()
+                       if (higher := [w for w in g.neighbors(u)
+                                      if w > u and w != mate])))
         g._cache["matching_covered"] = got
     return got
 

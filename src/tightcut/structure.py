@@ -80,9 +80,12 @@ def is_barrier(g: Graph, members) -> Barrier | None:
 BARRIER_LIMIT = 16
 
 
-def enumerate_barriers(g: Graph, *, within=None,
-                       nontrivial_only=False) -> list[Barrier]:
-    """All barriers drawn from a candidate pool, by size then lex order.
+def enumerate_barriers(g: Graph) -> list[Barrier]:
+    """All barriers of g, by size then lex order.
+
+    Only the sweep's structure checks use this listing; the certify
+    path reads dependence classes instead (classify_cut, and the
+    reduction's barrier step in decompose.py), with no subset search.
 
     Call u and v dependent when g - u - v is not matchable. Any two
     members u, v of a barrier B are dependent, in every graph: deleting
@@ -94,36 +97,25 @@ def enumerate_barriers(g: Graph, *, within=None,
     candidates are the subsets of one part, and a brick has no
     candidate beyond single vertices. In a graph with no perfect
     matching every pair may be dependent, and the search is the full
-    subset scan. classify_cut needs no search: the largest barrier
-    witness of a shore is one dependence class (see its docstring).
+    subset scan.
 
     Guard: the search is exponential only in the largest set of
     candidates around one vertex, that vertex plus its dependent
-    partners in the pool; in a matching covered graph, the largest
-    canonical part inside the pool, however large the pool is. When that
-    exceeds BARRIER_LIMIT, EnumerationLimitError is raised before any
-    subset is tried. Results are cached per pool on the graph.
+    partners; in a matching covered graph, the largest canonical part,
+    however large the graph is. When that exceeds BARRIER_LIMIT,
+    EnumerationLimitError is raised before any subset is tried. The
+    result is cached on the graph.
     """
-    if within is None:
-        pool_set = g.vertex_set
-    else:
-        pool_set = frozenset(within)
-        if not pool_set <= g.vertex_set:
-            raise GraphError(
-                f"not vertices of the graph: {sorted(pool_set - g.vertex_set)}")
-    cache = g._cache.setdefault("barriers_by_pool", {})
-    got = cache.get(pool_set)
+    got = g._cache.get("barriers")
     if got is None:
-        got = cache[pool_set] = tuple(_search_barriers(g, pool_set))
-    if nontrivial_only:
-        return [b for b in got if b.is_nontrivial]
+        got = g._cache["barriers"] = tuple(_search_barriers(g))
     return list(got)
 
 
-def _search_barriers(g: Graph, pool_set: frozenset[int]) -> list[Barrier]:
-    """enumerate_barriers' search: pairwise dependent subsets of the
-    pool, tested by is_barrier in size then lex order."""
-    pool = sorted(pool_set)
+def _search_barriers(g: Graph) -> list[Barrier]:
+    """enumerate_barriers' search: pairwise dependent vertex sets,
+    tested by is_barrier in size then lex order."""
+    pool = list(g.vertices)
     partners = {v: frozenset(w for w in pool if w != v
                              and not is_matchable(g, frozenset((v, w))))
                 for v in pool}
@@ -215,8 +207,8 @@ def find_2separations(g: Graph) -> list[TwoSeparation]:
     side one so each unordered split appears once. k components give
     2^(k-1) groupings, so the listing is exponential: when some pair
     has more than GROUPING_LIMIT, EnumerationLimitError is raised
-    before any grouping is built. The witnesses of one cut come from
-    twoseps_generating instead.
+    before any grouping is built. Only the sweep's structure checks use
+    this listing; the witnesses of one cut come from twoseps_generating.
     """
     splits = []
     for u, v in combinations(g.vertices, 2):

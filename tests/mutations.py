@@ -181,8 +181,9 @@ def _probe_nongenerating_barrier(g, step_cut):
             continue
         if not shores & set(g.components_without(frozenset({v}))):
             return [v]
-    for b in enumerate_barriers(g, nontrivial_only=True):
-        if not shores & set(g.components_without(b.members)):
+    for b in enumerate_barriers(g):
+        if b.is_nontrivial and not shores & set(
+                g.components_without(b.members)):
             return sorted(b.members)
     return None
 

@@ -141,12 +141,12 @@ def test_decompose_rejects_unusable_cuts(c6_file, capsys):
     assert "trivial" in capsys.readouterr().err
 
 
-def test_size_guard_exits_2(tmp_path, capsys):
+def test_decompose_past_the_barrier_guard(tmp_path, capsys):
     """blocked_triangle with K_{15,15} spliced into its far shore
     (n = 38): the cut is unwitnessed, and the reduction's barrier step
-    faces a canonical part of 17 candidates, more than its fixed guard
-    of 16. check reads one dependence class per shore and runs no
-    barrier search, so no guard stops it."""
+    takes a dependence class of 17 vertices, more than the barrier
+    listing's guard of 16 allows a subset search. Neither decompose nor
+    verify runs a guarded search."""
     g = next(g for name, g, _ in fixture_instances()
              if name == "blocked_triangle")
     h, shore = inflated(g, {0, 1, 2}, 15)
@@ -154,10 +154,9 @@ def test_size_guard_exits_2(tmp_path, capsys):
     path = str(tmp_path / "inflated.el")
     write_edge_list(h, path)
     cut = ",".join(map(str, sorted(shore)))
-    assert main(["decompose", path, "--cut", cut]) == 2
-    err = capsys.readouterr().err
-    assert "17 candidates exceeds the guard of 16" in err
-    assert "Traceback" not in err
+    assert main(["decompose", path, "--cut", cut]) == 0
+    out = capsys.readouterr().out
+    assert "r = 2" in out and "certificate verified" in out
 
 
 def test_split_complete_bipartite_past_the_barrier_guard(tmp_path, capsys):

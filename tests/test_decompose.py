@@ -26,10 +26,12 @@ from tightcut.decompose import (
     find_noncrossing_witness,
     witness_from_edge,
 )
-from tightcut.graph import Graph, GraphError
+from tightcut.graph import EnumerationLimitError, Graph, GraphError
 from tightcut.instances import fixture_instances
-from tightcut.matching import ENUMERATION_LIMIT, is_matching_covered
-from tightcut.structure import Barrier, TwoSeparation, enumerate_barriers
+from tightcut.matching import (
+    ENUMERATION_LIMIT, is_matchable, is_matching_covered)
+from tightcut.structure import (
+    Barrier, TwoSeparation, enumerate_barriers, is_barrier)
 from tightcut.verify import verify_certificate
 
 from conftest import (
@@ -227,23 +229,25 @@ def test_decompose_fixture_chain(name):
 
 
 def test_decompose_fixpoint_regression():
-    """Three confined far-side barriers tie on holder size; one barrier
-    step per side is not enough, and the loop must keep taking barrier
-    steps until no shore holds a confined barrier."""
+    """Three far-shore barriers tie on holder size. {1, 13} lies in the
+    dependence class of the contracted near shore, so the candidates are
+    the classes {6, 8} and {7, 12}. One barrier step per side is not
+    enough: the loop must keep taking barrier steps until no shore has a
+    candidate class."""
     g, _ = FIXTURES["blocked_pair"]
     shore = frozenset({0, 2, 3, 4, 5})
     c = g.boundary(shore)
     far = g.vertex_set - shore
-    confined = {
-        frozenset(b.members)
-        for b in enumerate_barriers(g, within=far, nontrivial_only=True)
-        if b.members < far}
+    confined = {frozenset(b.members) for b in enumerate_barriers(g)
+                if b.is_nontrivial and b.members < far}
     assert {frozenset({1, 13}), frozenset({6, 8}),
             frozenset({7, 12})} <= confined
     tally = BranchTally()
     cert = decompose_tight_cut(g, c, tally)
     assert cert.r == 4
     assert tally.counts == {BRANCH_BARRIER_PHASE: 3}
+    assert [sorted(s.witness.members) for s in cert.steps] == [
+        [7, 12], [6, 8], [0, 5]]
     assert verify_certificate(g, c, cert).ok
 
 
@@ -373,22 +377,107 @@ def test_contractions_keep_what_the_reduction_assumes(entry, contracting,
     assert seen == contracting
 
 
-def test_decompose_inflated_fixture_cuts():
+def inflated_fixture_cuts():
     """Both shores of every nontrivial tight cut of every fixture, with
-    K_{k,k} spliced into the far shore for k = 2..7: 864 cuts, 240 of
-    them needing reduction rounds."""
-    rs = Counter()
+    K_{k,k} spliced into the far shore for k = 2..7: 864 cuts."""
     for _, g, _ in fixture_instances():
         for cut in enumerate_tight_cuts(g, nontrivial_only=True):
             for shore in cut.shores():
                 for k in range(2, 8):
                     h, s = inflated(g, shore, k)
-                    c = h.boundary(s)
-                    cert = decompose_tight_cut(h, c)
-                    rs[cert.r] += 1
-                    assert (cert.r == 1) == classify_cut(h, c).witnessed
-                    assert verifies_on_rebuilt_graph(cert)
-    assert rs == {1: 624, 2: 54, 3: 138, 4: 48}
+                    yield h, h.boundary(s)
+
+
+def test_decompose_inflated_fixture_cuts():
+    """The 864 inflated fixture cuts, 240 of them needing reduction
+    rounds."""
+    rs = Counter()
+    for h, c in inflated_fixture_cuts():
+        cert = decompose_tight_cut(h, c)
+        rs[cert.r] += 1
+        assert (cert.r == 1) == classify_cut(h, c).witnessed
+        assert verifies_on_rebuilt_graph(cert)
+    assert rs == {1: 624, 2: 59, 3: 142, 4: 38, 5: 1}
+
+
+@pytest.mark.parametrize("k", [16, 20])
+@pytest.mark.parametrize("name, r", [
+    ("blocked_triangle", 2), ("bridged_triangle", 3), ("blocked_pair", 3)])
+def test_decompose_inflated_fixture_past_the_barrier_guard(name, r, k):
+    """The pinned cut of each r >= 2 fixture with K_{k,k} spliced into
+    its far shore (n = 40 to 52). Each graph has a canonical part of
+    more than 16 vertices, which the barrier listing's guard refuses;
+    the barrier step reads dependence classes and needs no guard."""
+    g, shore = FIXTURES[name]
+    h, s = inflated(g, shore, k)
+    with pytest.raises(EnumerationLimitError, match="exceeds the guard"):
+        enumerate_barriers(h)
+    cert = decompose_tight_cut(h, h.boundary(s))
+    assert cert.r == r
+    assert verifies_on_rebuilt_graph(cert)
+
+
+def _dependence_classes(h):
+    """The classes of a matching covered h, in order of least member:
+    v with every w such that h - v - w is not matchable."""
+    left, out = set(h.vertices), []
+    for v in h.vertices:
+        if v in left:
+            part = frozenset(w for w in left
+                             if w == v or not is_matchable(h, {v, w}))
+            left -= part
+            out.append(part)
+    return out
+
+
+def test_barrier_step_against_the_barrier_listing(monkeypatch):
+    """Every (graph, tracked shores) the barrier step sees in the 72
+    fixture and 864 inflated decompositions. For a shore S with
+    opposite shore O and h = g/(O -> o), each candidate class of h (o
+    not in it, two members or more) is a barrier enumerate_barriers
+    lists inside S, maximal by inclusion among those; every nontrivial
+    barrier it lists inside S lies in a candidate or in o's class; and
+    the step picks the candidate of the first shore that has one with
+    the smallest (holder size, holder, members)."""
+    seen = []
+    step = tightcut.decompose._min_holder_barrier
+
+    def recorded(g, tracked):
+        got = step(g, tracked)
+        seen.append((g, list(tracked), got))
+        return got
+
+    monkeypatch.setattr(tightcut.decompose, "_min_holder_barrier", recorded)
+    for _, g, c in FIXTURE_CUTS:
+        decompose_tight_cut(g, c)
+    for h, c in inflated_fixture_cuts():
+        decompose_tight_cut(h, c)
+    in_own_class = 0
+    for g, tracked, got in seen:
+        listed = [b.members for b in enumerate_barriers(g) if b.is_nontrivial]
+        want = None
+        for side in tracked:
+            opposite = g.vertex_set - side
+            o = g.fresh_vertex()
+            classes = _dependence_classes(g.contract(opposite, o))
+            [own] = [p - {o} for p in classes if o in p]
+            candidates = [p for p in classes if o not in p and len(p) >= 2]
+            inside = [m for m in listed if m <= side]
+            for p in candidates:
+                assert p in inside and not any(p < m for m in inside)
+            for m in inside:
+                assert m <= own or any(m <= p for p in candidates)
+                in_own_class += m <= own
+            if candidates and want is None:
+                want = min(candidates,
+                           key=lambda p: _holder_key(g, p, opposite))
+        assert (None if got is None else got[0].members) == want
+    assert len(seen) == 742 and in_own_class > 0
+
+
+def _holder_key(g, members, opposite):
+    [holder] = [p for p in is_barrier(g, members).odd_parts if opposite <= p]
+    return len(holder), sorted(holder), sorted(members)
 
 
 @pytest.mark.parametrize("k", [7, 9])

@@ -1,12 +1,11 @@
 """No module in src/ or tests/ imports a name it never uses, no module
 in src/ but matching.py touches the exhaustive test oracles, only
 structure.py, sweep.py and the package's __init__.py name the
-two-separation listing, verify.py names no search routine of the
-producer and no tightness test, decompose.py tests tightness and
-matching coverage only in its entry check, classify_cut tests no
-tightness, cuts.py runs no barrier search, and src/ has no assert
-statement: python -O strips them, so invariant guards raise
-InternalInvariantError instead.
+two-separation and barrier listings, verify.py names no search routine
+of the producer and no tightness test, decompose.py tests tightness
+and matching coverage only in its entry check, classify_cut tests no
+tightness, and src/ has no assert statement: python -O strips them, so
+invariant guards raise InternalInvariantError instead.
 
 Standard library only, so the check runs where no linter is installed.
 An imported name counts as used when it appears as a bare name anywhere
@@ -23,9 +22,9 @@ PACKAGE = sorted(ROOT.glob("src/**/*.py"))
 SOURCES = sorted([*PACKAGE, *ROOT.glob("tests/**/*.py")])
 # perfect-matching enumeration survives only as an oracle for tests
 ORACLES = {"perfect_matching_masks", "all_perfect_matchings"}
-# the exponential two-separation listing stays off the certify path: only
-# the sweep's all-separations checks use it
-LISTING = {"find_2separations"}
+# the exponential two-separation and barrier listings stay off the certify
+# path: only the sweep's structure checks use them
+LISTING = {"find_2separations", "enumerate_barriers"}
 LISTING_MODULES = {"structure.py", "sweep.py", "__init__.py"}
 # the verifier replays witnesses through primitives it shares with the
 # producer, and runs none of the producer's searches, nor a tightness
@@ -141,13 +140,6 @@ def test_classify_cut_tests_no_tightness():
                   if isinstance(node, ast.FunctionDef)
                   and node.name == "classify_cut"]
     assert oracle_references(classify, {"is_tight"}) == []
-
-
-def test_cuts_runs_no_barrier_search():
-    """classify_cut reads one dependence class per shore instead."""
-    path = ROOT / "src" / "tightcut" / "cuts.py"
-    assert oracle_references(ast.parse(path.read_text()),
-                             {"enumerate_barriers"}) == []
 
 
 def assert_lines(tree: ast.Module) -> list[int]:

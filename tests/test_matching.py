@@ -220,6 +220,14 @@ def test_is_matching_covered_runs_rows_not_one_blossom_per_edge(monkeypatch):
     assert 0 < len(row_searches) <= g.n
 
 
+def test_is_matching_covered_reads_no_row_for_a_mate():
+    # C6's cached perfect matching is 01, 23, 45, and an edge to a mate
+    # needs no row: only 0 (for 05), 1 (for 12) and 3 (for 34) read one
+    g = cycle(6)
+    assert is_matching_covered(g)
+    assert sorted(g._cache["dependence_rows"]) == [0, 1, 3]
+
+
 def _pair_query_graphs(exhaustive_corpus):
     """The exhaustive corpus and the fixtures; 200 matchable n = 8 graphs
     that are not matching covered; even graphs with no perfect matching;
