@@ -55,23 +55,32 @@ def enumerate_tight_cuts(g: Graph, nontrivial_only=False) -> list[Cut]:
     """Every tight cut once, by shore size then lex order.
 
     Only shores containing the smallest vertex are generated, which is
-    exactly the canonical form, so no deduplication is needed. Graphs
-    on more than TIGHT_CUT_LIMIT vertices raise EnumerationLimitError.
+    exactly the canonical form, so no deduplication is needed. A shore
+    the cached perfect matching leaves more than once is skipped before
+    its cut is built. Graphs on more than TIGHT_CUT_LIMIT vertices raise
+    EnumerationLimitError.
     """
     if g.n > TIGHT_CUT_LIMIT:
         raise EnumerationLimitError(
             f"tight-cut enumeration on {g.n} vertices exceeds the guard "
             f"of {TIGHT_CUT_LIMIT}")
-    if not is_matchable(g):
+    pm = find_perfect_matching(g)
+    if pm is None:
         raise GraphError("tight cuts are about perfect matchings; none exist")
     if g.n < 2:
         return []
+    mate = {}
+    for u, v in map(g.edge_ends, pm.edges):
+        mate[u], mate[v] = v, u
     anchor, rest = g.vertices[0], g.vertices[1:]
     out = []
     low = 3 if nontrivial_only else 1
     for size in range(low, g.n - low + 1, 2):
         for combo in combinations(rest, size - 1):
-            cut = g.boundary(frozenset((anchor,) + combo))
+            shore = frozenset((anchor,) + combo)
+            if sum(mate[v] not in shore for v in shore) > 1:
+                continue
+            cut = g.boundary(shore)
             if is_tight(g, cut):
                 out.append(cut)
     return out

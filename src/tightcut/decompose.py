@@ -161,8 +161,8 @@ def _finish_twosep(g: Graph, c: Cut, pair, side1, side2, cut_shore,
     return WitnessFinding(derived, make_two_separation(g, pair, side1, side2))
 
 
-def witness_from_edge(g: Graph, c: Cut, eid: int, tally: BranchTally | None = None,
-                      *, prefer_pivot: int | None = None) -> WitnessFinding:
+def witness_from_edge(g: Graph, c: Cut, eid: int,
+                      tally: BranchTally | None = None) -> WitnessFinding:
     """Explain the reference cut starting from one good cut edge.
 
     The edge must be good: removing its endpoint from either shore
@@ -190,17 +190,17 @@ def witness_from_edge(g: Graph, c: Cut, eid: int, tally: BranchTally | None = No
     ch. 5): every perfect matching joins each member of B to a distinct
     odd component, and since g is connected some edge joins B to the
     even component, an edge in no perfect matching.
-
-    prefer_pivot forces the pivot choice; it must be an endpoint of the
-    edge with at least two distinct cross neighbors.
     """
     _require_decomposable(g, c)
     tally = BranchTally() if tally is None else tally
-    return _witness_from_edge(g, c, eid, tally, prefer_pivot)
+    return _witness_from_edge(g, c, eid, tally)
 
 
 def _witness_from_edge(g: Graph, c: Cut, eid: int, tally: BranchTally,
                        prefer_pivot: int | None = None) -> WitnessFinding:
+    """witness_from_edge without its entry check. prefer_pivot, which
+    the block split passes, forces the pivot choice; it must be an
+    endpoint of the edge with at least two distinct cross neighbors."""
     if eid not in c.edge_ids:
         raise GraphError(f"edge {eid} is not in the cut")
     a, b = g.edge_ends(eid)
@@ -353,16 +353,12 @@ def _find_noncrossing_witness(g: Graph, c: Cut,
             raise InternalInvariantError(
                 "odd piece beside an attached cut vertex")
     # the boundary of f2 = xu - f1 is tight (Fact 5), so shrunk is matching
-    # covered (Fact 3) and c2 is tight in it (Fact 4)
+    # covered (Fact 3) and c2 is tight in it (Fact 4). f2 lies strictly
+    # inside xu, so no edge of c lies inside it: c2 keeps every edge id,
+    # with shores f1 + s_label and xv
     s_label = g.fresh_vertex()
     shrunk = g.contract(xu - f1, s_label)
-    try:
-        c2 = shrunk.cut_from_edge_ids(c.edge_ids)
-    except GraphError as exc:
-        raise InternalInvariantError(
-            f"reference cut lost in the block split: {exc}") from exc
-    if set(c2.shores()) != {f1 | {s_label}, xv}:
-        raise InternalInvariantError("block split moved the reference shores")
+    c2 = shrunk.boundary(f1 | {s_label})
     if not shrunk.induced(xv | {s_label}).is_2connected():
         raise InternalInvariantError("far side of the block split is not 2-connected")
     candidates = [
@@ -401,34 +397,29 @@ def _find_noncrossing_witness(g: Graph, c: Cut,
                           f1 | {v}, BRANCH_PULLBACK_TWOSEP)
 
 
-def _contract_step(g: Graph, c: Cut, tracked, step_cut: Cut, witness,
+def _contract_step(g: Graph, tracked, step_cut: Cut, witness,
                    steps: list) -> tuple[Graph, Cut, list]:
-    """Record one step, contract, and re-establish the tracked shores.
+    """Record one step, contract, and map the tracked shores.
 
     step_cut passed witness_failure, so it is tight (Fact 1 in verify.py);
     the contraction is matching covered (Fact 3) and keeps the
-    reference cut tight (Fact 4).
+    reference cut tight (Fact 4). The contracted shore lies strictly
+    inside a tracked shore, so no cut edge lies inside it: the image of
+    the reference cut keeps every edge id, and both its shores keep two
+    or more vertices.
     """
     matches = [
         (zs, side) for zs in step_cut.shores() for side in tracked if zs < side]
     if len(matches) != 1:
         raise InternalInvariantError(
             f"expected exactly one contractible shore, found {len(matches)}")
-    contracted, _ = matches[0]
+    contracted, side = matches[0]
     label = g.fresh_vertex()
     steps.append(Step(g, step_cut, witness, contracted, label))
     new_g = g.contract(contracted, label)
-    try:
-        new_c = new_g.cut_from_edge_ids(c.edge_ids)
-    except GraphError as exc:
-        raise InternalInvariantError(f"reference cut corrupted: {exc}") from exc
-    if new_c.is_trivial:
-        raise InternalInvariantError("reference cut became trivial")
-    new_tracked = [
-        (t - contracted) | {label} if t & contracted else t for t in tracked]
-    if set(new_tracked) != set(new_c.shores()):
-        raise InternalInvariantError("tracked shores diverged from the reference")
-    return new_g, new_c, new_tracked
+    new_tracked = [(t - contracted) | {label} if t == side else t
+                   for t in tracked]
+    return new_g, new_g.boundary(new_tracked[0]), new_tracked
 
 
 def _min_holder_barrier(g: Graph, tracked) -> tuple[Barrier, Cut] | None:
@@ -558,5 +549,5 @@ def decompose_tight_cut(g: Graph, c: Cut,
             tally.hit(BRANCH_TWOSEP_STEP)
             step_cut, witness = finding.cut, finding.witness
         cur_g, cur_c, tracked = _contract_step(
-            cur_g, cur_c, tracked, step_cut, witness, steps)
+            cur_g, tracked, step_cut, witness, steps)
     raise InternalInvariantError("reduction did not terminate")

@@ -1,12 +1,12 @@
 """Independent replay of decomposition certificates.
 
 verify_certificate trusts nothing from the certificate body: it walks
-the JSON schema first, then recomputes the whole contraction chain from
-the host graph, checking each declared graph against the recomputed one
-by shape (vertex labels and edge multiset; edge ids are not serialized),
-re-validating each witness from first principles, and replaying the
-final witnesses. Failures carry a reason code and the JSON path of the
-offending field.
+the JSON schema once, recording each declared graph's shape (vertex
+count and sorted edge pairs; edge ids are not serialized), then
+recomputes the whole contraction chain from the host graph, checking
+each recomputed graph against its declared shape, re-validating each
+witness from first principles, and replaying the final witnesses.
+Failures carry a reason code and the JSON path of the offending field.
 
 witness_failure states, once, the rule every contraction step and, with
 the final cut as its own reference, every final witness obeys: the cut
@@ -33,14 +33,18 @@ edges inside that shore is a perfect matching of h meeting C in the
 same edges. The converse holds for matching covered g, and the
 producer relies on it (Fact 4 in decompose.py).
 The replay checks that each witness generates its cut and each
-contracted shore lies inside a reference shore; by Fact 1, then Fact 2
-once per step back from the last graph, the input cut is tight.
+contracted shore lies strictly inside a reference shore; by Fact 1, then
+Fact 2 once per step back from the last graph, the input cut is tight.
+The image of the reference cut is its old shore with the contracted
+part replaced by the new vertex: no cut edge lies inside that part, so
+every one keeps its id, and both image shores keep two or more vertices.
 
 The verifier is independent of the producer's search, not of its
 primitives. Both sides rely on is_matching_covered, is_barrier,
-make_two_separation, two_separation_cuts, Cut.crosses and the Graph
-methods boundary, contract and cut_from_edge_ids. A Graph handed in by
-the caller also keeps whatever the producer memoized on it, matchings
+make_two_separation and two_separation_cuts; on Graph, its methods
+boundary and contract, and GraphError; on Cut and its crosses; and on
+DecompositionCertificate for the JSON form. A Graph handed in by the
+caller also keeps whatever the producer memoized on it, matchings
 included.
 """
 
@@ -61,7 +65,6 @@ R_NOT_TWOSEP = "witness not a two-separation"
 R_NO_GENERATE = "witness does not generate cut"
 R_TRIVIAL = "cut trivial"
 R_CROSSES = "cut crosses reference"
-R_REF = "reference cut corrupted"
 R_SHORE = "contracted shore not a cut shore"
 R_REMOVES = "contraction removes reference shore"
 R_FINAL_2SEP = "final not a two-separation cut"
@@ -92,73 +95,66 @@ def _is_vertex_list(x) -> bool:
     return isinstance(x, list) and all(_is_int(v) for v in x)
 
 
-def _check_graph_obj(obj, path, failures) -> bool:
+def _check_graph_obj(obj, path, failures, shapes) -> None:
+    """Check a serialized graph and record its shape, (n, sorted edge
+    pairs), under its path."""
     if not isinstance(obj, dict) or set(obj) != {"n", "edges"}:
         failures.append((R_SCHEMA, path))
-        return False
-    ok = True
+        return
     if not _is_int(obj["n"]) or obj["n"] < 0:
         failures.append((R_SCHEMA, path + ".n"))
-        ok = False
     if not isinstance(obj["edges"], list):
         failures.append((R_SCHEMA, path + ".edges"))
-        return False
+        return
+    pairs = []
     for i, e in enumerate(obj["edges"]):
         if (not isinstance(e, list) or len(e) != 2
                 or not all(_is_int(v) for v in e) or e[0] == e[1]):
             failures.append((R_SCHEMA, f"{path}.edges[{i}]"))
-            ok = False
-    return ok
+        else:
+            pairs.append((min(e), max(e)))
+    shapes[path] = (obj["n"], sorted(pairs))
 
 
-def _check_witness_obj(obj, path, failures) -> bool:
+def _check_witness_obj(obj, path, failures) -> None:
     if not isinstance(obj, dict) or "kind" not in obj:
         failures.append((R_SCHEMA, path))
-        return False
-    kind = obj["kind"]
-    if kind == "barrier":
+    elif obj["kind"] == "barrier":
         if set(obj) != {"kind", "members"} or not _is_vertex_list(
                 obj.get("members")) or not obj["members"]:
             failures.append((R_SCHEMA, path))
-            return False
-        return True
-    if kind == "twosep":
+    elif obj["kind"] == "twosep":
         if set(obj) != {"kind", "pair", "side1", "side2"}:
             failures.append((R_SCHEMA, path))
-            return False
-        ok = True
+            return
         pair = obj["pair"]
         if not _is_vertex_list(pair) or len(pair) != 2 or pair[0] == pair[1]:
             failures.append((R_SCHEMA, path + ".pair"))
-            ok = False
         for name in ("side1", "side2"):
             if not _is_vertex_list(obj[name]) or not obj[name]:
                 failures.append((R_SCHEMA, f"{path}.{name}"))
-                ok = False
-        return ok
-    failures.append((R_SCHEMA, path + ".kind"))
-    return False
+    else:
+        failures.append((R_SCHEMA, path + ".kind"))
 
 
-def _check_schema(cert, failures) -> bool:
+def _check_schema(cert, failures) -> dict:
+    """Check cert, appending to failures; the schema holds iff none is
+    appended. Returns the shape of each serialized graph by its path."""
+    shapes: dict = {}
     if not isinstance(cert, dict) or set(cert) != {
             "input", "steps", "final", "r"}:
         failures.append((R_SCHEMA, "$"))
-        return False
-    ok = True
+        return shapes
     inp = cert["input"]
     if not isinstance(inp, dict) or set(inp) != {"graph", "cut_shore"}:
         failures.append((R_SCHEMA, "$.input"))
-        ok = False
     else:
-        ok = _check_graph_obj(inp["graph"], "$.input.graph", failures) and ok
+        _check_graph_obj(inp["graph"], "$.input.graph", failures, shapes)
         if not _is_vertex_list(inp["cut_shore"]) or not inp["cut_shore"]:
             failures.append((R_SCHEMA, "$.input.cut_shore"))
-            ok = False
     steps = cert["steps"]
     if not isinstance(steps, list):
         failures.append((R_SCHEMA, "$.steps"))
-        ok = False
     else:
         required = {"graph", "cut_shore", "witness", "contracted_shore",
                     "new_vertex"}
@@ -166,46 +162,35 @@ def _check_schema(cert, failures) -> bool:
             path = f"$.steps[{i}]"
             if not isinstance(step, dict) or set(step) != required:
                 failures.append((R_SCHEMA, path))
-                ok = False
                 continue
-            ok = _check_graph_obj(step["graph"], path + ".graph", failures) and ok
+            _check_graph_obj(step["graph"], path + ".graph", failures, shapes)
             for name in ("cut_shore", "contracted_shore"):
                 if not _is_vertex_list(step[name]) or not step[name]:
                     failures.append((R_SCHEMA, f"{path}.{name}"))
-                    ok = False
-            ok = _check_witness_obj(
-                step["witness"], path + ".witness", failures) and ok
+            _check_witness_obj(step["witness"], path + ".witness", failures)
             if not _is_int(step["new_vertex"]):
                 failures.append((R_SCHEMA, path + ".new_vertex"))
-                ok = False
     final = cert["final"]
     if not isinstance(final, dict) or set(final) != {"graph", "witnesses"}:
         failures.append((R_SCHEMA, "$.final"))
-        ok = False
     else:
-        ok = _check_graph_obj(final["graph"], "$.final.graph", failures) and ok
+        _check_graph_obj(final["graph"], "$.final.graph", failures, shapes)
         if not isinstance(final["witnesses"], list):
             failures.append((R_SCHEMA, "$.final.witnesses"))
-            ok = False
         else:
             for i, obj in enumerate(final["witnesses"]):
-                ok = _check_witness_obj(
-                    obj, f"$.final.witnesses[{i}]", failures) and ok
+                _check_witness_obj(obj, f"$.final.witnesses[{i}]", failures)
     if not _is_int(cert["r"]) or cert["r"] < 1:
         failures.append((R_SCHEMA, "$.r"))
-        ok = False
-    return ok
+    return shapes
 
 
-def _same_shape(g: Graph, obj: dict) -> bool:
-    if obj["n"] != g.n:
-        return False
-    mine = sorted(tuple(sorted(g.edge_ends(eid))) for eid in g.edge_ids)
-    theirs = sorted((min(e), max(e)) for e in obj["edges"])
-    if mine != theirs:
-        return False
+def _same_shape(g: Graph, shape) -> bool:
+    n, pairs = shape
+    mine = sorted(map(g.edge_ends, g.edge_ids))
     # isolated vertices have no serialized identity, so require none
-    return g.vertex_set == {v for pair in mine for v in pair}
+    return (n == g.n and mine == pairs
+            and g.vertex_set == {v for pair in mine for v in pair})
 
 
 def _raw(obj):
@@ -252,7 +237,8 @@ def verify_certificate(g: Graph, c: Cut, cert) -> VerificationResult:
     if isinstance(cert, DecompositionCertificate):
         cert = cert.to_json_dict()
     failures: list[tuple[str, str]] = []
-    if not _check_schema(cert, failures):
+    shapes = _check_schema(cert, failures)
+    if failures:
         return VerificationResult(False, tuple(failures))
 
     def fail(code: str, path: str) -> VerificationResult:
@@ -260,7 +246,7 @@ def verify_certificate(g: Graph, c: Cut, cert) -> VerificationResult:
 
     if c.graph is not g or not is_matching_covered(g) or c.is_trivial:
         return fail(R_INPUT, "$")
-    if not _same_shape(g, cert["input"]["graph"]):
+    if not _same_shape(g, shapes["$.input.graph"]):
         return fail(R_INPUT, "$.input.graph")
     declared = frozenset(cert["input"]["cut_shore"])
     if declared not in c.shores():
@@ -271,7 +257,7 @@ def verify_certificate(g: Graph, c: Cut, cert) -> VerificationResult:
     cur_g, cur_c = g, c
     for i, step in enumerate(cert["steps"]):
         path = f"$.steps[{i}]"
-        if not _same_shape(cur_g, step["graph"]):
+        if not _same_shape(cur_g, shapes[path + ".graph"]):
             return fail(R_CONTRACTION, path + ".graph")
         shore = frozenset(step["cut_shore"])
         try:
@@ -287,21 +273,17 @@ def verify_certificate(g: Graph, c: Cut, cert) -> VerificationResult:
         contracted = frozenset(step["contracted_shore"])
         if contracted not in step_cut.shores():
             return fail(R_SHORE, path + ".contracted_shore")
-        if not (contracted < cur_c.shore or contracted < cur_c.other_shore):
+        kept = next((s for s in cur_c.shores() if contracted < s), None)
+        if kept is None:
             return fail(R_REMOVES, path + ".contracted_shore")
         label = step["new_vertex"]
         try:
             cur_g = cur_g.contract(contracted, label)
         except GraphError:
             return fail(R_CONTRACTION, path + ".new_vertex")
-        try:
-            cur_c = cur_g.cut_from_edge_ids(cur_c.edge_ids)
-        except GraphError:
-            return fail(R_REF, path)
-        if cur_c.is_trivial:
-            return fail(R_REF, path)
+        cur_c = cur_g.boundary((kept - contracted) | {label})
 
-    if not _same_shape(cur_g, cert["final"]["graph"]):
+    if not _same_shape(cur_g, shapes["$.final.graph"]):
         return fail(R_CONTRACTION, "$.final.graph")
     witnesses = cert["final"]["witnesses"]
     path = "$.final.witnesses"

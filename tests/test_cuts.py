@@ -14,7 +14,8 @@ from tightcut.cuts import (
     is_tight,
 )
 from tightcut.instances import canonical, fixture_instances
-from tightcut.matching import is_matching_covered, perfect_matching_masks
+from tightcut.matching import (
+    find_perfect_matching, is_matching_covered, perfect_matching_masks)
 from tightcut.structure import enumerate_barriers
 
 from conftest import (
@@ -112,6 +113,29 @@ def test_bricks_have_no_nontrivial_tight_cuts(k4):
     petersen = canonical("petersen")
     assert enumerate_tight_cuts(petersen, nontrivial_only=True) == []
     assert len(enumerate_tight_cuts(petersen)) == 10  # the trivial ones
+
+
+def test_enumerate_tight_cuts_builds_only_cuts_the_matching_meets_once(
+        monkeypatch):
+    """A shore the cached perfect matching leaves more than once is not
+    tight, and gets no Cut. On C12 the matching has six edges, and a
+    shore through vertex 0 that it leaves once splits one of them (6 x 2
+    ways) and takes any of the other five whole: 192 of the 1,024 odd
+    shores through vertex 0 are built."""
+    g = cycle(12)
+    pm = find_perfect_matching(g)
+    built = []
+    boundary = Graph.boundary
+
+    def counted(host, shore):
+        cut = boundary(host, shore)
+        built.append(cut)
+        return cut
+
+    monkeypatch.setattr(Graph, "boundary", counted)
+    assert len(enumerate_tight_cuts(g)) == 36
+    assert all(len(pm.edges & cut.edge_ids) == 1 for cut in built)
+    assert len(built) == 192
 
 
 def test_enumerate_tight_cuts_guard_and_inputs():

@@ -88,10 +88,6 @@ def test_witness_from_edge_validates(c6):
     with pytest.raises(GraphError):
         witness_from_edge(c6, c, 0)  # edge 0-1 is inside the shore
     with pytest.raises(GraphError):
-        witness_from_edge(c6, c, 2, prefer_pivot=5)
-    with pytest.raises(GraphError):  # endpoint 2 has a single cross neighbor
-        witness_from_edge(c6, c, 2, prefer_pivot=2)
-    with pytest.raises(GraphError):
         witness_from_edge(c6, c6.boundary({0}), 5)  # trivial reference
 
 
@@ -375,6 +371,49 @@ def test_contractions_keep_what_the_reduction_assumes(entry, contracting,
             assert brute_is_matching_covered(got.vertices, got_edges)
             assert brute_is_tight(got.vertices, got_edges, image.shore)
     assert seen == contracting
+
+
+def test_contractions_map_the_reference_cut_by_its_shore(monkeypatch):
+    """Every contraction that the reduction, the witness search and the
+    replay make on the 72 fixture and 864 inflated cuts. One collapsing
+    a part strictly inside a shore X of the reference cut maps it to the
+    cut with shore (X - part) + label, the cut its edge ids give; the
+    barrier step's probe collapses a whole shore instead."""
+    made = []
+    contract = Graph.contract
+
+    def recorded(host, part, label):
+        got = contract(host, part, label)
+        made.append((host, frozenset(part), label, got))
+        return got
+
+    monkeypatch.setattr(Graph, "contract", recorded)
+
+    def mapped_by_shore(c):
+        """Check and clear made; count its parts inside a shore."""
+        count = 0
+        for host, part, label, got in made:
+            ref = host.cut_from_edge_ids(c.edge_ids)
+            if part not in ref.shores():
+                [shore] = [x for x in ref.shores() if part < x]
+                image = got.boundary((shore - part) | {label})
+                assert image == got.cut_from_edge_ids(c.edge_ids)
+                count += 1
+        made.clear()
+        return count
+
+    mapped = Counter()
+    for g, c in [(g, c) for _, g, c in FIXTURE_CUTS] + list(
+            inflated_fixture_cuts()):
+        cert = decompose_tight_cut(g, c)
+        mapped["decompose"] += mapped_by_shore(c)
+        assert cert.final_classification.cut == \
+            cert.final_graph.cut_from_edge_ids(c.edge_ids)
+        find_noncrossing_witness(g, c)
+        mapped["witness search"] += mapped_by_shore(c)
+        assert verify_certificate(g, c, cert).ok
+        mapped["replay"] += mapped_by_shore(c)
+    assert mapped == {"decompose": 487, "witness search": 144, "replay": 487}
 
 
 def inflated_fixture_cuts():

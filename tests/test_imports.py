@@ -2,10 +2,12 @@
 in src/ but matching.py touches the exhaustive test oracles, only
 structure.py, sweep.py and the package's __init__.py name the
 two-separation and barrier listings, verify.py names no search routine
-of the producer and no tightness test, decompose.py tests tightness
-and matching coverage only in its entry check, classify_cut tests no
-tightness, and src/ has no assert statement: python -O strips them, so
-invariant guards raise InternalInvariantError instead.
+of the producer and no tightness test, imports from the package only
+the primitives its docstring lists and never names cut_from_edge_ids,
+decompose.py tests tightness and matching coverage only in its entry
+check, classify_cut tests no tightness, and src/ has no assert
+statement: python -O strips them, so invariant guards raise
+InternalInvariantError instead.
 
 Standard library only, so the check runs where no linter is installed.
 An imported name counts as used when it appears as a bare name anywhere
@@ -13,6 +15,7 @@ in the module, or when the module's __all__ re-exports it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -35,6 +38,11 @@ SEARCHES = {"classify_cut", "twoseps_generating", "enumerate_barriers",
 # the producer tests its caller's input once; the graphs and cuts it
 # builds are valid by the facts in its docstring
 ENTRY_TESTS = {"is_tight", "is_matching_covered"}
+# everything the verifier imports from the package, which its docstring
+# lists after "Both sides rely on"
+SHARED = {"is_matching_covered", "is_barrier", "make_two_separation",
+          "two_separation_cuts", "Graph", "GraphError", "Cut",
+          "DecompositionCertificate"}
 
 
 def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -118,6 +126,36 @@ def test_two_separation_listing_stays_off_the_certify_path(path):
 def test_verifier_runs_no_search():
     path = ROOT / "src" / "tightcut" / "verify.py"
     assert oracle_references(ast.parse(path.read_text()), SEARCHES) == []
+
+
+def top_level_names(tree: ast.Module) -> set[str]:
+    """Names a module defines or assigns at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets
+                         if isinstance(t, ast.Name))
+    return names
+
+
+def test_verifier_shares_the_listed_primitives():
+    """The package names verify.py imports are SHARED, its docstring
+    names exactly those, and it never names cut_from_edge_ids: the
+    replay maps the reference cut by its shore."""
+    path = ROOT / "src" / "tightcut" / "verify.py"
+    tree = ast.parse(path.read_text())
+    imported = {alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names}
+    assert imported == SHARED
+    package = set().union(*(top_level_names(ast.parse(p.read_text()))
+                            for p in PACKAGE))
+    sentence = re.search(r"Both sides rely on (.*?)\.\s",
+                         ast.get_docstring(tree), re.S).group(1)
+    assert set(re.findall(r"\w+", sentence)) & package == SHARED
+    assert "cut_from_edge_ids" not in path.read_text()
 
 
 def test_decompose_tests_only_its_input():
