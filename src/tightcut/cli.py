@@ -18,7 +18,7 @@ import re
 import sys
 
 from .certificate import DecompositionCertificate
-from .cuts import classify_cut, is_tight
+from .cuts import classify_cut, is_tight, meets_once
 from .decompose import decompose_tight_cut
 from .dot import graph_to_dot
 from .edgelist import format_edge_list, parse_edge_list, write_edge_list
@@ -92,21 +92,20 @@ def cmd_check(args) -> int:
     if not is_matchable(g):
         print("tight: undefined (graph has no perfect matching)")
         return 0
-    tight = is_tight(g, c)
-    print(f"tight: {_yesno(tight)}")
+    # only tight cuts have witnesses, and a listed one proves the cut
+    # tight (Fact 1 in verify.py): the pair test runs only without one
+    cls = classify_cut(g, c) if mc and meets_once(g, c) else None
+    witnessed = cls is not None and cls.witnessed
+    print(f"tight: {_yesno(witnessed or is_tight(g, c))}")
     if not mc:
         return 0
-    if not tight:
-        # only tight cuts have witnesses (Fact 1 in verify.py)
-        print("witnessed: no")
-        return 0
-    cls = classify_cut(g, c)
-    print(f"witnessed: {_yesno(cls.witnessed)}")
-    for barrier, i in cls.barrier_witnesses:
-        print(f"  barrier witness {_set_text(barrier.members)}, "
-              f"odd component shore {_set_text(c.shores()[i])}")
-    for ts in cls.twosep_witnesses:
-        print(f"  two-separation witness on pair {_set_text(ts.pair)}")
+    print(f"witnessed: {_yesno(witnessed)}")
+    if witnessed:
+        for barrier, i in cls.barrier_witnesses:
+            print(f"  barrier witness {_set_text(barrier.members)}, "
+                  f"odd component shore {_set_text(c.shores()[i])}")
+        for ts in cls.twosep_witnesses:
+            print(f"  two-separation witness on pair {_set_text(ts.pair)}")
     return 0
 
 

@@ -3,12 +3,12 @@
 A cut is tight when every perfect matching uses exactly one of its
 edges. The interesting tight cuts are the witnessed ones: those whose
 shore is an odd component of some barrier complement (a barrier cut),
-or which arise from a two-separation. classify_cut lists, for a cut its
-caller already knows to be tight, the largest barrier witness per
-shore, and every two-separation; it tests no tightness itself. Each
-barrier witness is one dependence class read from the graph's cached
-dependence rows, with no subset search, and the two-separation
-witnesses come from one cut edge (twoseps_generating).
+or which arise from a two-separation. classify_cut lists, for a tight
+cut, the largest barrier witness per shore, and every two-separation;
+it tests no tightness itself, and lists nothing for a cut that is not
+tight. Each barrier witness is one dependence class read from the
+graph's cached dependence rows, with no subset search, and the
+two-separation witnesses come from one cut edge (twoseps_generating).
 """
 
 from __future__ import annotations
@@ -24,6 +24,20 @@ from .structure import Barrier, TwoSeparation, is_barrier, twoseps_generating
 TIGHT_CUT_LIMIT = 16
 
 
+def meets_once(g: Graph, c: Cut) -> bool:
+    """The cheap necessary conditions of tightness: the shore is odd,
+    and the graph's cached perfect matching meets the cut exactly once.
+
+    False proves c not tight; True proves nothing more.
+    """
+    if c.graph is not g:
+        raise GraphError("cut belongs to a different graph")
+    pm = find_perfect_matching(g)
+    if pm is None:
+        raise GraphError("tightness is about perfect matchings; none exist")
+    return len(c.shore) % 2 == 1 and len(pm.edges & c.edge_ids) == 1
+
+
 def is_tight(g: Graph, c: Cut) -> bool:
     """True iff every perfect matching meets the cut exactly once.
 
@@ -35,14 +49,10 @@ def is_tight(g: Graph, c: Cut) -> bool:
     edge; conversely, a perfect matching meeting the cut three or more
     times contains such a pair. That is O(|C|^2) memoized matchability
     queries, one per pair of distinct endpoint pairs, after the graph's
-    cached perfect matching has rejected any cut it meets more than once.
+    cached perfect matching has rejected any cut it meets more than once
+    (meets_once).
     """
-    if c.graph is not g:
-        raise GraphError("cut belongs to a different graph")
-    pm = find_perfect_matching(g)
-    if pm is None:
-        raise GraphError("tightness is about perfect matchings; none exist")
-    if len(c.shore) % 2 == 0 or len(pm.edges & c.edge_ids) > 1:
+    if not meets_once(g, c):
         return False
     ends = sorted({(u, v) if u in c.shore else (v, u)
                    for u, v in map(g.edge_ends, c.edge_ids)})
@@ -111,11 +121,14 @@ def classify_cut(g: Graph, c: Cut) -> CutClassification:
     """The largest barrier witness per shore, and every two-separation
     witness, of the tight cut c.
 
-    The caller establishes that c is tight; this tests no tightness. A
-    cut that barriers or two-separations generate is tight (Fact 1 in
-    verify.py), so a cut that is not gets empty lists. The
-    two-separation witnesses are the O(n) candidates twoseps_generating
-    derives from one cut edge.
+    This tests no tightness, and needs none to be sound: every listed
+    witness is checked to generate c, and a cut that barriers or
+    two-separations generate is tight (Fact 1 in verify.py), so a cut
+    that is not gets empty lists. decompose_tight_cut and tightcut check
+    rely on this; they classify before anything has proved c tight.
+    That the lists are complete needs c tight. The two-separation
+    witnesses are the O(n) candidates twoseps_generating derives from
+    one cut edge.
 
     Barrier witnesses of a shore X, with opposite shore O: the barriers
     B of g that have X among the odd components of g - B; such a B

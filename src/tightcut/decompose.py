@@ -19,13 +19,30 @@ Most intermediate claims here are theorems, not expectations; when one
 fails the code raises InternalInvariantError rather than improvising,
 because a violation means the implementation, not the input, is wrong.
 
-Tightness and matching coverage are tested once, on the caller's input,
-by each public entry point. Every graph and cut the reduction builds
-from there is valid by the facts below, which continue the numbering
-of verify.py (Fact 1: witnessed cuts are tight; Fact 2: tightness pulls
-back through a contraction). Every step cut passes witness_failure, so
-it is tight by Fact 1. Below, g is matching covered, C is a tight cut
-of g with shore X, and h = g/(X -> x) contracts X to one vertex x.
+Matching coverage is tested once, on the caller's input, by each
+public entry point. find_noncrossing_witness and witness_from_edge test
+tightness there too, with is_tight: a witness that does not cross c
+proves nothing about c. decompose_tight_cut tests only the cheap
+necessary conditions (meets_once: an odd shore, met once by the cached
+perfect matching), and its certificate proves the rest. A returned
+certificate implies a tight cut. Every step passed _require_witness,
+and every final barrier passed is_barrier with the shore among its odd
+parts (classify_cut), or every final two-separation passed
+two_separation_cuts (twoseps_generating). So the final cut is tight in
+the last graph by Fact 1 of verify.py (witnessed cuts are tight), and
+tight in g by its Fact 2 (tightness pulls back through a contraction),
+once per step back: each contracted shore lies strictly inside a shore
+of the reference cut. On a cut that is not tight the loop still ends
+within g.n rounds, since each step contracts a shore of two or more
+vertices. It cannot return, so a guard raises InternalInvariantError,
+and only then does decompose_tight_cut run is_tight, with its O(|C|^2)
+pair test, to tell bad input from a bug.
+
+Every graph and cut the reduction builds from a tight cut is valid by
+the facts below, which continue the numbering of verify.py. Every step
+cut passes witness_failure, so it is tight by Fact 1. Below, g is
+matching covered, C is a tight cut of g with shore X, and
+h = g/(X -> x) contracts X to one vertex x.
 Fact 3: h is matching covered. A perfect matching M of g meets C in
 one edge, so M less its edges inside X is a perfect matching of h that
 keeps every edge of M outside X. Each edge of h is an edge of g not
@@ -50,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certificate import DecompositionCertificate, Step
-from .cuts import CutClassification, classify_cut, is_tight
+from .cuts import CutClassification, classify_cut, is_tight, meets_once
 from .graph import Cut, Graph, GraphError, InternalInvariantError
 from .matching import is_matchable, is_matching_covered
 from .structure import (
@@ -121,7 +138,7 @@ def _require_decomposable(g: Graph, c: Cut) -> None:
         raise GraphError("cut belongs to a different graph")
     if not is_matching_covered(g):
         raise GraphError("graph is not matching covered")
-    if not is_tight(g, c):
+    if not meets_once(g, c):
         raise GraphError("cut is not tight")
     if c.is_trivial:
         raise GraphError("cut is trivial")
@@ -192,6 +209,8 @@ def witness_from_edge(g: Graph, c: Cut, eid: int,
     even component, an edge in no perfect matching.
     """
     _require_decomposable(g, c)
+    if not is_tight(g, c):
+        raise GraphError("cut is not tight")
     tally = BranchTally() if tally is None else tally
     return _witness_from_edge(g, c, eid, tally)
 
@@ -308,6 +327,8 @@ def find_noncrossing_witness(g: Graph, c: Cut,
     two-separation of g at the split vertex.
     """
     _require_decomposable(g, c)
+    if not is_tight(g, c):
+        raise GraphError("cut is not tight")
     tally = BranchTally() if tally is None else tally
     return _find_noncrossing_witness(g, c, tally)
 
@@ -422,8 +443,10 @@ def _contract_step(g: Graph, tracked, step_cut: Cut, witness,
     return new_g, new_g.boundary(new_tracked[0]), new_tracked
 
 
-def _min_holder_barrier(g: Graph, tracked) -> tuple[Barrier, Cut] | None:
-    """The barrier step's choice, as (barrier, cut of its holder) or None.
+def _min_holder_barrier(g: Graph, tracked,
+                        start: int) -> tuple[Barrier, Cut, int] | None:
+    """The barrier step's choice, as (barrier, cut of its holder, index
+    into tracked of its shore), or None.
 
     For a shore S of tracked with opposite shore O, let h = g/(O -> o),
     matching covered by Fact 3. Call v and w dependent in h when
@@ -434,6 +457,14 @@ def _min_holder_barrier(g: Graph, tracked) -> tuple[Barrier, Cut] | None:
     component of g - P holding O) is smallest, ties broken by the sorted
     holder, then the sorted members. The step contracts V - H to one
     vertex y for the holder H of P.
+
+    The search starts at tracked[start]: the loop passes the shore index
+    of the previous round's barrier step, and 0 after a two-separation
+    step. A barrier step on the second shore contracts a part Z of it
+    and leaves the first shore as it was. The first shore's h contracts
+    the second shore, and contracting Z and then the rest of that shore
+    contracts the whole of it, so h is the same graph as one round
+    earlier, up to the label of o: it again has no candidate.
 
     (a) A candidate P is a barrier of g inside S, and has a holder. The
     classes of h are its Kotzig-Lovasz canonical partition into maximal
@@ -475,7 +506,8 @@ def _min_holder_barrier(g: Graph, tracked) -> tuple[Barrier, Cut] | None:
     barrier" guard is observed only. It held on all 26 rounds that
     reached it in the same decompositions.
     """
-    for side in tracked:
+    for i in range(start, len(tracked)):
+        side = tracked[i]
         opposite = g.vertex_set - side
         o = g.fresh_vertex()
         h = g.contract(opposite, o)
@@ -499,7 +531,7 @@ def _min_holder_barrier(g: Graph, tracked) -> tuple[Barrier, Cut] | None:
             found.append((key, b, holder))
         if found:
             _, b, holder = min(found, key=lambda t: t[0])
-            return b, g.boundary(holder)
+            return b, g.boundary(holder), i
     return None
 
 
@@ -515,9 +547,23 @@ def decompose_tight_cut(g: Graph, c: Cut,
     contract the two-separation cut find_noncrossing_witness finds.
     Barrier steps come first: letting the witness search choose every
     step lengthens chains and can turn the reference into a barrier cut.
+
+    The certificate proves c tight (the module docstring), so is_tight
+    runs only when the reduction fails: a cut it rejects raises
+    GraphError, and on a tight cut the internal error stands.
     """
     _require_decomposable(g, c)
     tally = BranchTally() if tally is None else tally
+    try:
+        return _reduce(g, c, tally)
+    except InternalInvariantError:
+        if not is_tight(g, c):
+            raise GraphError("cut is not tight") from None
+        raise
+
+
+def _reduce(g: Graph, c: Cut, tally: BranchTally) -> DecompositionCertificate:
+    """decompose_tight_cut without its entry check and failure test."""
     base = classify_cut(g, c)
     if base.witnessed:
         tally.hit(BRANCH_ALREADY_WITNESSED)
@@ -526,10 +572,11 @@ def decompose_tight_cut(g: Graph, c: Cut,
     steps: list[Step] = []
     cur_g, cur_c = g, c
     tracked = [c.other_shore, c.shore]
+    start = 0
     for _ in range(g.n):
-        picked = _min_holder_barrier(cur_g, tracked)
+        picked = _min_holder_barrier(cur_g, tracked, start)
         if picked is not None:
-            witness, step_cut = picked
+            witness, step_cut, start = picked
             _require_witness(cur_g, cur_c, step_cut, witness.members,
                              BRANCH_BARRIER_PHASE)
             tally.hit(BRANCH_BARRIER_PHASE)
@@ -548,6 +595,7 @@ def decompose_tight_cut(g: Graph, c: Cut,
                     "reference reproduced without a classification witness")
             tally.hit(BRANCH_TWOSEP_STEP)
             step_cut, witness = finding.cut, finding.witness
+            start = 0
         cur_g, cur_c, tracked = _contract_step(
             cur_g, tracked, step_cut, witness, steps)
     raise InternalInvariantError("reduction did not terminate")

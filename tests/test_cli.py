@@ -3,10 +3,15 @@
 import io
 import json
 import os
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
-from tightcut.cli import main
+import tightcut.cli
+from tightcut.cli import _set_text, main
+from tightcut.cuts import (
+    classify_cut, enumerate_tight_cuts, is_tight, meets_once)
 from tightcut.edgelist import parse_edge_list, write_edge_list
 from tightcut.graph import Graph
 from tightcut.instances import fixture_instances
@@ -69,15 +74,64 @@ def test_check_cut_not_matching_covered(tmp_path, capsys):
     assert "witnessed" not in out
 
 
-def test_check_classifies_only_tight_cuts(tmp_path, capsys):
-    """The even shore {1, 3} of the 40-cycle is not tight, so check
-    classifies nothing: its barrier search would exceed the guard."""
+def test_check_classifies_only_tight_cuts(tmp_path, capsys, monkeypatch):
+    """The even shore {1, 3} of the 40-cycle fails the cheap filter of
+    tightness (meets_once), so check classifies nothing."""
     c40 = str(tmp_path / "c40.el")
     assert main(["generate", "C2K(20)", "--out", c40]) == 0
+    monkeypatch.setattr(tightcut.cli, "classify_cut", None)
     assert main(["check", c40, "--cut", "1,3"]) == 0
     out = capsys.readouterr().out
     assert "tight: no" in out
     assert "witnessed: no" in out
+
+
+def test_check_proves_a_witnessed_cut_tight_without_is_tight(
+        c6_file, capsys, monkeypatch):
+    """A listed witness proves the cut tight (Fact 1 in verify.py)."""
+    monkeypatch.setattr(tightcut.cli, "is_tight", None)
+    assert main(["check", c6_file, "--cut", "0,1,2"]) == 0
+    out = capsys.readouterr().out
+    assert "tight: yes" in out and "witnessed: yes" in out
+
+
+def _check_tail(g, c):
+    """check's lines from "tight:" on, as is_tight, then classify_cut
+    on a tight cut, state them."""
+    tight = is_tight(g, c)
+    lines = [f"tight: {'yes' if tight else 'no'}"]
+    cls = classify_cut(g, c) if tight else None
+    lines.append(f"witnessed: {'yes' if cls and cls.witnessed else 'no'}")
+    if cls:
+        lines += [f"  barrier witness {_set_text(b.members)}, "
+                  f"odd component shore {_set_text(c.shores()[i])}"
+                  for b, i in cls.barrier_witnesses]
+        lines += [f"  two-separation witness on pair {_set_text(ts.pair)}"
+                  for ts in cls.twosep_witnesses]
+    return "\n".join(lines) + "\n"
+
+
+def test_check_reports_what_is_tight_and_classify_cut_say(tmp_path, capsys):
+    """On every nontrivial tight cut of every fixture, and on the first
+    40 odd shores of each that pass the cheap filter (meets_once) but
+    are not tight, check prints what is_tight and classify_cut say."""
+    checked = Counter()
+    for name, g, _ in fixture_instances():
+        path = tmp_path / f"{name}.el"
+        write_edge_list(g, path)
+        tight = enumerate_tight_cuts(g, nontrivial_only=True)
+        rest = g.vertices[1:]
+        loose = [c for size in range(2, g.n - 2, 2)
+                 for combo in combinations(rest, size)
+                 if meets_once(g, c := g.boundary({g.vertices[0], *combo}))
+                 and not is_tight(g, c)][:40]
+        for c in tight + loose:
+            assert main(["check", str(path), "--cut",
+                         ",".join(map(str, sorted(c.shore)))]) == 0
+            out = capsys.readouterr().out
+            assert out[out.index("tight: "):] == _check_tail(g, c)
+            checked[c in tight] += 1
+    assert checked == {True: 72, False: 40 * 5}
 
 
 def test_check_bad_inputs(c6_file, tmp_path, capsys):

@@ -3,13 +3,15 @@
 import json
 import sys
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 import tightcut.cuts
 import tightcut.decompose
 from tightcut.certificate import DecompositionCertificate
-from tightcut.cuts import classify_cut, enumerate_tight_cuts, is_tight
+from tightcut.cuts import (
+    classify_cut, enumerate_tight_cuts, is_tight, meets_once)
 from tightcut.decompose import (
     BRANCH_ALREADY_WITNESSED,
     BRANCH_BARRIER_PHASE,
@@ -27,7 +29,7 @@ from tightcut.decompose import (
     witness_from_edge,
 )
 from tightcut.graph import EnumerationLimitError, Graph, GraphError
-from tightcut.instances import fixture_instances
+from tightcut.instances import CorpusSpec, enumerate_corpus, fixture_instances
 from tightcut.matching import (
     ENUMERATION_LIMIT, is_matchable, is_matching_covered)
 from tightcut.structure import (
@@ -37,6 +39,7 @@ from tightcut.verify import verify_certificate
 from conftest import (
     brute_is_matching_covered,
     brute_is_tight,
+    brute_perfect_matchings,
     cycle,
     glued,
     inflated,
@@ -168,24 +171,82 @@ ENTRY_POINTS = {
 }
 
 
+# name: (graph, shore, error message)
 BAD_INPUTS = {
     # the chord 0-2 of C6 leaves vertex 1 no partner
     "not matching covered": (
         Graph(range(6), [(i, (i + 1) % 6) for i in range(6)] + [(0, 2)]),
-        {0, 1, 2}),
-    "not tight": (cycle(6), {0, 2, 4}),
-    "trivial": (cycle(6), {0}),
+        {0, 1, 2}, "not matching covered"),
+    "not tight": (cycle(6), {0, 2, 4}, "not tight"),
+    # the first shore of the exhaustive n = 6 corpus that the cached
+    # perfect matching meets once but that is not tight: a C6 again
+    "not tight, met once": (
+        Graph(range(6), [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)]),
+        {0, 1, 4}, "not tight"),
+    "trivial": (cycle(6), {0}, "trivial"),
 }
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_INPUTS))
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_entry_points_validate(entry, bad):
-    """The entry checks are the only tightness and matching coverage
-    tests of the reduction, so each public entry point must run them."""
-    g, shore = BAD_INPUTS[bad]
-    with pytest.raises(GraphError, match=bad):
+    """The entry checks are the only matching coverage tests of the
+    reduction, so each public entry point must run them, and each must
+    reject a cut that is not tight."""
+    g, shore, message = BAD_INPUTS[bad]
+    with pytest.raises(GraphError, match=message):
         ENTRY_POINTS[entry](g, g.boundary(shore))
+
+
+def test_decompose_rejects_exactly_the_cuts_that_are_not_tight(
+        exhaustive_corpus):
+    """Every odd nontrivial shore of the exhaustive corpus and of 60
+    random n = 10 graphs: decompose_tight_cut returns a certificate the
+    verifier accepts iff every perfect matching meets the cut once
+    (brute_is_tight's rule, on the perfect matchings listed once per
+    graph), and otherwise raises GraphError("cut is not tight"). The
+    cuts that are not tight but pass meets_once take the failure path:
+    a failed reduction, then is_tight."""
+    graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
+    graphs += enumerate_corpus(CorpusSpec("random", n=10, samples=60, seed=5))
+    outcomes = Counter()
+    for g in graphs:
+        pms = brute_perfect_matchings(
+            g.vertices, [g.edge_ends(e) for e in g.edge_ids])
+        anchor, rest = g.vertices[0], g.vertices[1:]
+        for size in range(2, g.n - 2, 2):
+            for combo in combinations(rest, size):
+                c = g.boundary({anchor, *combo})
+                tight = all(len(pm & c.edge_ids) == 1 for pm in pms)
+                try:
+                    cert = decompose_tight_cut(g, c)
+                except GraphError as exc:
+                    assert not tight and str(exc) == "cut is not tight", c
+                else:
+                    assert tight and verify_certificate(g, c, cert).ok, c
+                outcomes[tight, meets_once(g, c)] += 1
+    assert outcomes == {(True, True): 2335, (False, True): 20993,
+                        (False, False): 23312}
+
+
+def test_decompose_rejects_past_the_matching_filter(monkeypatch):
+    """A cut the cached perfect matching meets once passes the entry
+    check; the reduction then fails, and one is_tight call tells bad
+    input from a bug."""
+    g, shore, _ = BAD_INPUTS["not tight, met once"]
+    c = g.boundary(shore)
+    assert meets_once(g, c) and not brute_is_tight(
+        g.vertices, [g.edge_ends(e) for e in g.edge_ids], shore)
+    calls = []
+
+    def counted(h, d):
+        calls.append(d)
+        return is_tight(h, d)
+
+    monkeypatch.setattr(tightcut.decompose, "is_tight", counted)
+    with pytest.raises(GraphError, match="cut is not tight"):
+        decompose_tight_cut(g, c)
+    assert calls == [c]
 
 
 EXPECTED = {
@@ -294,10 +355,14 @@ def test_fixture_cuts():
 @pytest.mark.parametrize("entry", ["decompose_tight_cut",
                                    "find_noncrossing_witness"])
 def test_entry_points_test_their_input_once(entry, monkeypatch):
-    """Tightness and matching coverage are tested on the caller's input
-    and nowhere else: every later graph and cut is valid by Facts 3-5 of
-    the decompose module."""
+    """Matching coverage is tested on the caller's input and nowhere
+    else: every later graph and cut is valid by Facts 3-5 of the
+    decompose module. The witness search tests tightness there too; the
+    decomposition's certificate proves it, so on a tight cut it runs no
+    is_tight at all."""
     calls = Counter()
+    want = Counter(is_tight=1 if entry == "find_noncrossing_witness" else 0,
+                   is_matching_covered=1)
 
     def counted(name, check):
         def run(*args):
@@ -312,13 +377,13 @@ def test_entry_points_test_their_input_once(entry, monkeypatch):
     for _, g, c in FIXTURE_CUTS:
         calls.clear()
         getattr(tightcut.decompose, entry)(g, c)
-        assert calls == {"is_tight": 1, "is_matching_covered": 1}
+        assert calls == want
 
 
-def test_decompose_tests_tightness_once(monkeypatch):
-    """classify_cut relies on its caller for tightness: on the 72
-    fixture cuts decompose_tight_cut asks is_tight 72 times, under
-    every name the package binds it to, all in its entry check."""
+def test_decompose_tests_no_tightness(monkeypatch):
+    """On the 72 fixture cuts decompose_tight_cut asks is_tight nothing,
+    under every name the package binds it to: classify_cut relies on
+    its caller for tightness, and the certificate proves it."""
     calls = []
 
     def counted(h, d):
@@ -333,7 +398,7 @@ def test_decompose_tests_tightness_once(monkeypatch):
         monkeypatch.setattr(module, "is_tight", counted)
     for _, g, c in FIXTURE_CUTS:
         decompose_tight_cut(g, c)
-    assert len(calls) == len(FIXTURE_CUTS) == 72
+    assert len(FIXTURE_CUTS) == 72 and calls == []
 
 
 @pytest.mark.parametrize("entry, contracting", [
@@ -477,13 +542,14 @@ def test_barrier_step_against_the_barrier_listing(monkeypatch):
     lists inside S, maximal by inclusion among those; every nontrivial
     barrier it lists inside S lies in a candidate or in o's class; and
     the step picks the candidate of the first shore that has one with
-    the smallest (holder size, holder, members)."""
+    the smallest (holder size, holder, members). The shores the step
+    skips, those before its start index, have no candidate."""
     seen = []
     step = tightcut.decompose._min_holder_barrier
 
-    def recorded(g, tracked):
-        got = step(g, tracked)
-        seen.append((g, list(tracked), got))
+    def recorded(g, tracked, start):
+        got = step(g, tracked, start)
+        seen.append((g, list(tracked), start, got))
         return got
 
     monkeypatch.setattr(tightcut.decompose, "_min_holder_barrier", recorded)
@@ -492,15 +558,16 @@ def test_barrier_step_against_the_barrier_listing(monkeypatch):
     for h, c in inflated_fixture_cuts():
         decompose_tight_cut(h, c)
     in_own_class = 0
-    for g, tracked, got in seen:
+    for g, tracked, start, got in seen:
         listed = [b.members for b in enumerate_barriers(g) if b.is_nontrivial]
         want = None
-        for side in tracked:
+        for i, side in enumerate(tracked):
             opposite = g.vertex_set - side
             o = g.fresh_vertex()
             classes = _dependence_classes(g.contract(opposite, o))
             [own] = [p - {o} for p in classes if o in p]
             candidates = [p for p in classes if o not in p and len(p) >= 2]
+            assert i >= start or not candidates
             inside = [m for m in listed if m <= side]
             for p in candidates:
                 assert p in inside and not any(p < m for m in inside)
@@ -510,8 +577,13 @@ def test_barrier_step_against_the_barrier_listing(monkeypatch):
             if candidates and want is None:
                 want = min(candidates,
                            key=lambda p: _holder_key(g, p, opposite))
-        assert (None if got is None else got[0].members) == want
+                want_index = i
+        if got is not None:
+            assert (got[0].members, got[2]) == (want, want_index)
+        else:
+            assert want is None
     assert len(seen) == 742 and in_own_class > 0
+    assert sum(start > 0 for _, _, start, _ in seen) == 216
 
 
 def _holder_key(g, members, opposite):

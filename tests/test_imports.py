@@ -4,8 +4,9 @@ structure.py, sweep.py and the package's __init__.py name the
 two-separation and barrier listings, verify.py names no search routine
 of the producer and no tightness test, imports from the package only
 the primitives its docstring lists and never names cut_from_edge_ids,
-decompose.py tests tightness and matching coverage only in its entry
-check, classify_cut tests no tightness, and src/ has no assert
+decompose.py tests matching coverage only in its entry check and runs
+is_tight only on entry to the witness search and when a decomposition
+fails, classify_cut tests no tightness, and src/ has no assert
 statement: python -O strips them, so invariant guards raise
 InternalInvariantError instead.
 
@@ -37,7 +38,10 @@ SEARCHES = {"classify_cut", "twoseps_generating", "enumerate_barriers",
             "decompose_tight_cut", "is_tight"}
 # the producer tests its caller's input once; the graphs and cuts it
 # builds are valid by the facts in its docstring
-ENTRY_TESTS = {"is_tight", "is_matching_covered"}
+ENTRY_TESTS = {"is_matching_covered", "meets_once"}
+# the public entry points whose witness does not prove the cut tight,
+# so they run the full tightness test on entry
+TIGHT_ON_ENTRY = {"find_noncrossing_witness", "witness_from_edge"}
 # everything the verifier imports from the package, which its docstring
 # lists after "Both sides rely on"
 SHARED = {"is_matching_covered", "is_barrier", "make_two_separation",
@@ -170,9 +174,39 @@ def test_decompose_tests_only_its_input():
         ENTRY_TESTS
 
 
+def test_decompose_runs_is_tight_only_to_reject():
+    """decompose_tight_cut names is_tight only inside its handler of
+    InternalInvariantError: its certificate proves the cut tight, and
+    the pair test only tells bad input from a bug. The other functions
+    that name it are the witness entry points, in the statement after
+    their entry check."""
+    path = ROOT / "src" / "tightcut" / "decompose.py"
+    body = [node for node in ast.parse(path.read_text()).body
+            if not isinstance(node, ast.ImportFrom)]
+    naming = {getattr(node, "name", None) for node in body
+              if oracle_references(node, {"is_tight"})}
+    assert naming == TIGHT_ON_ENTRY | {"decompose_tight_cut"}
+    functions = {node.name: node for node in body
+                 if isinstance(node, ast.FunctionDef)}
+    decompose = functions["decompose_tight_cut"]
+    handled = [ref for node in ast.walk(decompose)
+               if isinstance(node, ast.ExceptHandler)
+               and isinstance(node.type, ast.Name)
+               and node.type.id == "InternalInvariantError"
+               for ref in oracle_references(ast.Module(node.body, []),
+                                            {"is_tight"})]
+    assert handled == oracle_references(decompose, {"is_tight"}) != []
+    for name in TIGHT_ON_ENTRY:
+        body = functions[name].body
+        [at] = [i for i, stmt in enumerate(body)
+                if oracle_references(ast.Module([stmt], []), {"is_tight"})]
+        assert "_require_decomposable" in ast.unparse(body[at - 1])
+
+
 def test_classify_cut_tests_no_tightness():
-    """Its callers know the cut is tight, so on the certify path only
-    decompose.py's entry check tests tightness."""
+    """It lists only witnesses it has checked, and a witnessed cut is
+    tight (Fact 1 in verify.py), so it needs no tightness test: on a
+    tight cut the certify path runs none."""
     path = ROOT / "src" / "tightcut" / "cuts.py"
     [classify] = [node for node in ast.parse(path.read_text()).body
                   if isinstance(node, ast.FunctionDef)
