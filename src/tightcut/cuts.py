@@ -9,6 +9,19 @@ it tests no tightness itself, and lists nothing for a cut that is not
 tight. Each barrier witness is one dependence class read from the
 graph's cached dependence rows, with no subset search, and the
 two-separation witnesses come from one cut edge (twoseps_generating).
+
+Tightness rests on one lemma: the cut of an odd shore is tight iff no
+two of its edges lie together in some perfect matching. Every perfect
+matching meets the cut an odd number of times, so it meets it more than
+once iff it holds two cut edges. is_tight checks one cut with the
+lemma, by O(|C|^2) matchability queries on g less the ends of two cut
+edges. enumerate_tight_cuts checks every shore against a per-graph
+table of co-matchable edges instead (matching._comatchable_masks, at
+most m * n Edmonds searches), so a shore costs a few bit operations.
+is_tight keeps the pair scan because it serves single cuts, where the
+table would cost more than the scan: tightcut check, the witness
+searches' entry test and decompose_tight_cut's failure path, on graphs
+up to hundreds of vertices.
 """
 
 from __future__ import annotations
@@ -17,7 +30,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graph import Cut, EnumerationLimitError, Graph, GraphError
-from .matching import find_perfect_matching, is_matchable, is_matching_covered
+from .matching import (
+    _comatchable_masks,
+    find_perfect_matching,
+    is_matchable,
+    is_matching_covered,
+)
 from .structure import Barrier, TwoSeparation, is_barrier, twoseps_generating
 
 # vertices enumerate_tight_cuts takes, at most: it tries 2^(n-2) shores
@@ -65,10 +83,14 @@ def enumerate_tight_cuts(g: Graph, nontrivial_only=False) -> list[Cut]:
     """Every tight cut once, by shore size then lex order.
 
     Only shores containing the smallest vertex are generated, which is
-    exactly the canonical form, so no deduplication is needed. A shore
-    the cached perfect matching leaves more than once is skipped before
-    its cut is built. Graphs on more than TIGHT_CUT_LIMIT vertices raise
-    EnumerationLimitError.
+    exactly the canonical form, so no deduplication is needed. Each
+    vertex has an incidence bitmask over edge ids, and a shore's cut is
+    the XOR of its vertices' masks. A shore is kept when the cached
+    perfect matching meets its cut once and no edge of the cut has a
+    co-matchable partner in it (the lemma in the module docstring), and
+    only kept shores get a Cut. The table of co-matchable edges costs at
+    most m * n Edmonds searches, once per graph. Graphs on more than
+    TIGHT_CUT_LIMIT vertices raise EnumerationLimitError.
     """
     if g.n > TIGHT_CUT_LIMIT:
         raise EnumerationLimitError(
@@ -79,20 +101,31 @@ def enumerate_tight_cuts(g: Graph, nontrivial_only=False) -> list[Cut]:
         raise GraphError("tight cuts are about perfect matchings; none exist")
     if g.n < 2:
         return []
-    mate = {}
-    for u, v in map(g.edge_ends, pm.edges):
-        mate[u], mate[v] = v, u
+    partners = {1 << eid: mask
+                for eid, mask in _comatchable_masks(g).items()}
+    incidence = dict.fromkeys(g.vertices, 0)
+    for eid, (u, v) in g.edge_items():
+        incidence[u] ^= 1 << eid
+        incidence[v] ^= 1 << eid
+    pm_mask = sum(1 << eid for eid in pm.edges)
     anchor, rest = g.vertices[0], g.vertices[1:]
     out = []
     low = 3 if nontrivial_only else 1
     for size in range(low, g.n - low + 1, 2):
         for combo in combinations(rest, size - 1):
-            shore = frozenset((anchor,) + combo)
-            if sum(mate[v] not in shore for v in shore) > 1:
+            cut = incidence[anchor]
+            for v in combo:
+                cut ^= incidence[v]
+            if (cut & pm_mask).bit_count() != 1:
                 continue
-            cut = g.boundary(shore)
-            if is_tight(g, cut):
-                out.append(cut)
+            left = cut
+            while left:
+                edge = left & -left
+                if partners[edge] & cut:
+                    break
+                left ^= edge
+            else:
+                out.append(g.boundary((anchor,) + combo))
     return out
 
 

@@ -262,14 +262,24 @@ class Graph:
             raise GraphError("a cut has at least one edge")
         if not self.is_connected():
             raise GraphError("cut recovery needs a connected graph")
-        rest = self.without_edges(ids)
+        # label the components of the graph minus the edges: a neighbour
+        # stays reachable while some parallel edge to it survives
         comp_of: dict[int, int] = {}
-        comps = rest.components()
-        for i, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = i
+        count = 0
+        for root in self._vlist:
+            if root in comp_of:
+                continue
+            comp_of[root] = count
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                for w, parallel in self._adj[v].items():
+                    if w not in comp_of and not ids.issuperset(parallel):
+                        comp_of[w] = count
+                        stack.append(w)
+            count += 1
         # 2-color the components along the removed edges
-        links: dict[int, set[int]] = {i: set() for i in range(len(comps))}
+        links: dict[int, set[int]] = {i: set() for i in range(count)}
         for eid in ids:
             u, v = self._edges[eid]
             cu, cv = comp_of[u], comp_of[v]

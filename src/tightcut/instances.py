@@ -112,7 +112,15 @@ def _exhaustive(spec: CorpusSpec):
     if spec.n % 2:  # no perfect matching; n = 7 would walk 2^21 subsets
         return
     pairs = list(combinations(range(spec.n), 2))
+    # a matching covered graph has no isolated vertex, and on 4 or more
+    # vertices it is 2-connected, so every vertex has 2 neighbours: edge
+    # sets that miss this are skipped before a Graph is built
+    least = 2 if spec.n >= 4 else 1
+    incident = [sum(1 << i for i, pair in enumerate(pairs) if v in pair)
+                for v in range(spec.n)]
     for bits in range(1, 1 << len(pairs)):
+        if any((bits & mask).bit_count() < least for mask in incident):
+            continue
         edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
         g = Graph(range(spec.n), edges)
         if is_matching_covered(g):

@@ -20,6 +20,11 @@ two ways:
   and searches only from the vertices that leaves exposed. Results are
   memoized per graph, keyed by the removed set.
 
+The co-matchable edge table (_comatchable_masks), which tight-cut
+enumeration reads, is built from the same searches: per edge uv, one
+search for a perfect matching of g - u - v, then dependence rows of
+g - u - v from it.
+
 Exhaustive perfect-matching enumeration is kept only as the test
 oracle for the polynomial routines; nothing in the package calls it. It
 refuses graphs above ENUMERATION_LIMIT vertices instead of silently
@@ -230,6 +235,74 @@ def _dependence_row(g: Graph, x: int) -> frozenset[int]:
                 f"search from the mate of {x} augmented in g - {x}, "
                 "which has odd order")
         got = rows[x] = frozenset(v for v, o in zip(verts, outer) if o)
+    return got
+
+
+def _comatchable_masks(g: Graph) -> dict[int, int]:
+    """Each edge id of g mapped to the bitmask of the edge ids that lie
+    with it in some perfect matching, for g with a perfect matching M.
+
+    Co-matchability depends only on the end pairs, so parallel edges
+    share one row, and it is symmetric: a pair uv takes its partners wz
+    with w > min(u, v) from its own searches and the rest from earlier
+    pairs. For uv, a perfect matching N of g - u - v is M - uv when uv
+    is in M; otherwise M less its edges at u and v leaves only the mates
+    u' and v' exposed, so one search from u' in g - u - v augments iff
+    uv is admissible, and an inadmissible pair has no partner. Then for
+    each w with a higher neighbour, one search from the N-mate of w in
+    g - u - v - w gives every z with g - u - v - w - z matchable as an
+    outer vertex, as in _dependence_row. That is at most m * n searches,
+    cached per graph.
+    """
+    got = g._cache.get("comatchable")
+    if got is not None:
+        return got
+    verts, index, adj = _search_index(g)
+    n = len(verts)
+    mates = _maximum_matching(g)
+    if len(mates) != n:
+        raise GraphError("co-matchable edges need a perfect matching")
+    start = [index[mates[v]] for v in verts]
+    # (i, j) with i < j -> bitmask of the edges joining them
+    bits: dict[tuple[int, int], int] = {}
+    for eid, (u, v) in g.edge_items():
+        key = (index[u], index[v])
+        bits[key] = bits.get(key, 0) | 1 << eid
+    partners = dict.fromkeys(bits, 0)
+    above = [[z for z in adj[w] if z > w] for w in range(n)]
+    for i, j in sorted(bits):
+        match = start[:]
+        dead = [False] * n
+        dead[i] = dead[j] = True
+        if match[i] == j:
+            match[i] = match[j] = -1
+        else:
+            a, b = match[i], match[j]
+            match[i] = match[j] = match[a] = match[b] = -1
+            if _alternating_search(adj, match, dead, a) is not None:
+                continue  # g - u - v has no perfect matching
+        for w in range(i + 1, n):
+            if dead[w]:
+                continue
+            higher = [z for z in above[w] if not dead[z]]
+            if not higher:
+                continue
+            row = match[:]
+            mate = row[w]
+            row[w] = row[mate] = -1
+            dead[w] = True
+            outer = _alternating_search(adj, row, dead, mate)
+            dead[w] = False
+            if outer is None:
+                raise InternalInvariantError(
+                    f"search from the mate of {verts[w]} augmented in a "
+                    "graph of odd order")
+            for z in higher:
+                if outer[z]:
+                    partners[i, j] |= bits[w, z]
+                    partners[w, z] |= bits[i, j]
+    got = g._cache["comatchable"] = {
+        eid: partners[index[u], index[v]] for eid, (u, v) in g.edge_items()}
     return got
 
 

@@ -10,6 +10,12 @@ and on dead-cut setups the strict-barrier search returns a strict
 barrier confined to a shore. Anything that fails lands in the report's
 violations list instead of raising, so one bad graph cannot hide the
 rest.
+
+Every tightness question is answered from the enumerations: a cut is
+tight iff its edge-id set is that of a cut enumerate_tight_cuts listed,
+for the host graph (once per graph) or for a contraction (once per
+contraction). Edge ids survive contraction, so the same set names the
+cut on both sides. The sweep runs no per-cut tightness test.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .certificate import graph_to_json
-from .cuts import classify_cut, enumerate_tight_cuts, is_tight
+from .cuts import classify_cut, enumerate_tight_cuts
 from .decompose import BranchTally, decompose_tight_cut, find_noncrossing_witness
 from .graph import Cut, Graph
 from .instances import CorpusSpec, enumerate_corpus, fixture_instances
@@ -99,7 +105,7 @@ def _flag(report: SweepReport, kind: str, label: str, detail: str) -> None:
     report.violations.append((kind, label, detail))
 
 
-def _check_contractions(label: str, g: Graph, c: Cut, all_cuts,
+def _check_contractions(label: str, g: Graph, c: Cut, all_cuts, tight_ids,
                         report: SweepReport) -> None:
     g_shore, g_other = g.cut_contractions(c)
     for gi, kept in ((g_shore, c.shore), (g_other, c.other_shore)):
@@ -107,17 +113,17 @@ def _check_contractions(label: str, g: Graph, c: Cut, all_cuts,
             _flag(report, "contraction", label,
                   f"contraction onto {sorted(kept)} is not matching covered")
             continue
-        image = gi.cut_from_edge_ids(c.edge_ids)
-        if not is_tight(gi, image):
+        gi_cuts = enumerate_tight_cuts(gi)
+        gi_ids = {di.edge_ids for di in gi_cuts}
+        if c.edge_ids not in gi_ids:
             _flag(report, "contraction", label,
                   f"cut image in the contraction onto {sorted(kept)} "
                   "is not tight")
         report.contraction_checks += 1
         # upward transfer: every tight cut of the contraction lifts,
         # by edge ids, to a tight cut of the host
-        for di in enumerate_tight_cuts(gi):
-            lifted = g.cut_from_edge_ids(di.edge_ids)
-            if not is_tight(g, lifted):
+        for di in gi_cuts:
+            if di.edge_ids not in tight_ids:
                 _flag(report, "transfer", label,
                       f"tight cut {sorted(di.shore)} of the contraction "
                       "lifts to a non-tight cut")
@@ -126,7 +132,7 @@ def _check_contractions(label: str, g: Graph, c: Cut, all_cuts,
         # kept shore stay tight in the contraction
         for d in all_cuts:
             if d.shore <= kept or d.other_shore <= kept:
-                if not is_tight(gi, gi.cut_from_edge_ids(d.edge_ids)):
+                if d.edge_ids not in gi_ids:
                     _flag(report, "transfer", label,
                           f"tight cut {sorted(d.shore)} of the host "
                           "maps to a non-tight cut")
@@ -168,11 +174,11 @@ def _verify_finding(label: str, g: Graph, c: Cut, finding,
         report.witnesses_verified += 1
 
 
-def _check_cut(label: str, g: Graph, c: Cut, all_cuts, report: SweepReport,
-               tally: BranchTally) -> None:
+def _check_cut(label: str, g: Graph, c: Cut, all_cuts, tight_ids,
+               report: SweepReport, tally: BranchTally) -> None:
     cut_label = f"{label}:shore{sorted(c.shore)}"
     try:
-        _check_contractions(cut_label, g, c, all_cuts, report)
+        _check_contractions(cut_label, g, c, all_cuts, tight_ids, report)
     except Exception as exc:
         _flag(report, "contraction", cut_label, repr(exc))
     try:
@@ -203,7 +209,8 @@ def _check_cut(label: str, g: Graph, c: Cut, all_cuts, report: SweepReport,
         _flag(report, "certificate", cut_label, repr(exc))
 
 
-def _check_barriers(label: str, g: Graph, report: SweepReport) -> None:
+def _check_barriers(label: str, g: Graph, tight_ids, report: SweepReport
+                    ) -> None:
     for b in enumerate_barriers(g):
         if g.induced(b.members).m:
             _flag(report, "barrier", label,
@@ -213,20 +220,20 @@ def _check_barriers(label: str, g: Graph, report: SweepReport) -> None:
             _flag(report, "barrier", label,
                   f"barrier {sorted(b.members)} leaves an even component")
         for part in b.odd_parts:
-            d = g.boundary(part)
-            if not is_tight(g, d):
+            if g.boundary(part).edge_ids not in tight_ids:
                 _flag(report, "barrier", label,
                       f"barrier cut at {sorted(part)} is not tight")
         report.barrier_structure_checks += 1
 
 
-def _check_twoseps(label: str, g: Graph, report: SweepReport) -> None:
+def _check_twoseps(label: str, g: Graph, tight_ids, report: SweepReport
+                   ) -> None:
     for s in find_2separations(g):
         for d in two_separation_cuts(g, s):
             if d.is_trivial:
                 _flag(report, "twosep", label,
                       f"two-separation {s.pair} generates a trivial cut")
-            if not is_tight(g, d):
+            if d.edge_ids not in tight_ids:
                 _flag(report, "twosep", label,
                       f"two-separation {s.pair} generates a non-tight cut")
             report.twosep_cut_checks += 1
@@ -307,6 +314,7 @@ def _check_graph(label: str, g: Graph, report: SweepReport,
               "matching covered graph on 4+ vertices must be 2-connected")
         return
     all_cuts = enumerate_tight_cuts(g)
+    tight_ids = {c.edge_ids for c in all_cuts}
     report.tight_cuts_checked += len(all_cuts)
     nontrivial = [c for c in all_cuts if not c.is_trivial]
     if nontrivial:
@@ -319,13 +327,13 @@ def _check_graph(label: str, g: Graph, report: SweepReport,
                   f"pinned shore {sorted(required_shore)} is not a "
                   "nontrivial tight cut")
     for c in nontrivial:
-        _check_cut(label, g, c, all_cuts, report, tally)
+        _check_cut(label, g, c, all_cuts, tight_ids, report, tally)
     try:
-        _check_barriers(label, g, report)
+        _check_barriers(label, g, tight_ids, report)
     except Exception as exc:
         _flag(report, "barrier", label, repr(exc))
     try:
-        _check_twoseps(label, g, report)
+        _check_twoseps(label, g, tight_ids, report)
     except Exception as exc:
         _flag(report, "twosep", label, repr(exc))
     try:

@@ -13,9 +13,10 @@ from tightcut.cuts import (
     enumerate_tight_cuts,
     is_tight,
 )
-from tightcut.instances import canonical, fixture_instances
+from tightcut.instances import (
+    CorpusSpec, canonical, enumerate_corpus, fixture_instances)
 from tightcut.matching import (
-    find_perfect_matching, is_matching_covered, perfect_matching_masks)
+    _comatchable_masks, is_matching_covered, perfect_matching_masks)
 from tightcut.structure import enumerate_barriers
 
 from conftest import (
@@ -84,17 +85,23 @@ def test_is_tight_agrees_with_enumeration(exhaustive_corpus):
     assert sum(_check_every_shore(g) for g in graphs) > 10_000
 
 
-def test_is_tight_agrees_with_enumeration_off_matching_covered():
+def _off_matching_covered(count=200):
+    """Seeded graphs on 8 vertices with a perfect matching that are not
+    matching covered; the random extra edges may repeat as parallels."""
     rng = Random(5)
     pairs = list(combinations(range(8), 2))
-    checked = 0
-    while checked < 200:
+    while count:
         edges = [(0, 1), (2, 3), (4, 5), (6, 7)]
         edges += [rng.choice(pairs) for _ in range(rng.randint(1, 12))]
         g = Graph(range(8), edges)
         if not is_matching_covered(g):
-            _check_every_shore(g)
-            checked += 1
+            yield g
+            count -= 1
+
+
+def test_is_tight_agrees_with_enumeration_off_matching_covered():
+    for g in _off_matching_covered():
+        _check_every_shore(g)
 
 
 # enumerate_tight_cuts ----------------------------------------------------------
@@ -115,15 +122,13 @@ def test_bricks_have_no_nontrivial_tight_cuts(k4):
     assert len(enumerate_tight_cuts(petersen)) == 10  # the trivial ones
 
 
-def test_enumerate_tight_cuts_builds_only_cuts_the_matching_meets_once(
-        monkeypatch):
-    """A shore the cached perfect matching leaves more than once is not
-    tight, and gets no Cut. On C12 the matching has six edges, and a
-    shore through vertex 0 that it leaves once splits one of them (6 x 2
-    ways) and takes any of the other five whole: 192 of the 1,024 odd
-    shores through vertex 0 are built."""
+def test_enumerate_tight_cuts_builds_cuts_only_for_tight_shores(monkeypatch):
+    """Shores are tested as edge bitmasks, and only a tight one gets a
+    Cut. On C12, 192 of the 1,024 odd shores through vertex 0 are left
+    once by the cached perfect matching (one of its six edges split, 6 x
+    2 ways, and any of the other five taken whole), and only the 36
+    tight ones are built."""
     g = cycle(12)
-    pm = find_perfect_matching(g)
     built = []
     boundary = Graph.boundary
 
@@ -134,8 +139,9 @@ def test_enumerate_tight_cuts_builds_only_cuts_the_matching_meets_once(
 
     monkeypatch.setattr(Graph, "boundary", counted)
     assert len(enumerate_tight_cuts(g)) == 36
-    assert all(len(pm.edges & cut.edge_ids) == 1 for cut in built)
-    assert len(built) == 192
+    monkeypatch.setattr(Graph, "boundary", boundary)
+    assert len(built) == 36
+    assert all(is_tight(g, cut) for cut in built)
 
 
 def test_enumerate_tight_cuts_guard_and_inputs():
@@ -167,6 +173,92 @@ def test_enumerate_tight_cuts_is_complete(half, data):
             if brute_is_tight(range(n), edges, shore):
                 want.add(shore)
     assert got == want
+
+
+def _fixture_contractions():
+    """Both contractions of every nontrivial tight cut of the fixtures:
+    their edge ids are sparse, and some are parallel."""
+    return [gi for _, g, _ in fixture_instances()
+            for c in enumerate_tight_cuts(g, nontrivial_only=True)
+            for gi in g.cut_contractions(c)]
+
+
+def _random_graphs(orders, samples):
+    return [g for n in orders
+            for g in enumerate_corpus(CorpusSpec("random", n=n,
+                                                 samples=samples, seed=101))]
+
+
+def _check_comatchable(g):
+    """The co-matchable table of g against the brute-force matching
+    numbers on every pair of edges: two edges lie in a common perfect
+    matching iff they are disjoint and g less their four ends is
+    matchable. Returns the number of disjoint pairs checked."""
+    table = _comatchable_masks(g)
+    items = g.edge_items()
+    assert sorted(table) == [eid for eid, _ in items]
+    nu = brute_matching_numbers(g.vertices, [ends for _, ends in items])
+    checked = 0
+    for e, (u, v) in items:
+        for f, (w, z) in items:
+            disjoint = not {u, v} & {w, z}
+            want = disjoint and 2 * nu(g.vertex_set - {u, v, w, z}) == g.n - 4
+            assert bool(table[e] >> f & 1) == want, (g, e, f)
+            checked += disjoint
+    return checked
+
+
+def test_comatchable_table_matches_oracle_exhaustive(exhaustive_corpus):
+    graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
+    assert sum(_check_comatchable(g) for g in graphs) > 100_000
+
+
+def test_comatchable_table_matches_oracle_off_matching_covered():
+    """Inadmissible edges have no partner, and parallel edges share a
+    row."""
+    graphs = list(_off_matching_covered())
+    assert sum(_check_comatchable(g) for g in graphs) > 10_000
+    assert any(len(g.edges_between(u, v)) > 1
+               for g in graphs for _, (u, v) in g.edge_items())
+
+
+def test_comatchable_table_matches_oracle_random_n12():
+    assert sum(_check_comatchable(g)
+               for g in _random_graphs((12,), 20)) > 10_000
+
+
+def test_comatchable_table_matches_oracle_on_contractions():
+    graphs = _fixture_contractions()
+    assert sum(_check_comatchable(g) for g in graphs) > 5_000
+    assert any(max(g.edge_ids) >= g.m for g in graphs)
+    assert any(len(g.edges_between(u, v)) > 1
+               for g in graphs for _, (u, v) in g.edge_items())
+
+
+def _tight_by_pair_test(g, nontrivial_only=False):
+    """Every odd shore through the smallest vertex, by size then lex
+    order, kept when is_tight's pair scan says its cut is tight."""
+    anchor, rest = g.vertices[0], g.vertices[1:]
+    low = 3 if nontrivial_only else 1
+    cuts = [g.boundary((anchor,) + combo)
+            for size in range(low, g.n - low + 1, 2)
+            for combo in combinations(rest, size - 1)]
+    return [c for c in cuts if is_tight(g, c)]
+
+
+@pytest.mark.parametrize("nontrivial_only", [False, True])
+def test_enumerate_tight_cuts_matches_pair_test(nontrivial_only):
+    """The same cuts in the same order as is_tight over every odd shore,
+    on random graphs of orders 8 to 12 and on the fixture contractions."""
+    graphs = _random_graphs((8, 10, 12), 12) + _fixture_contractions()
+    nontrivial = 0
+    for g in graphs:
+        got = enumerate_tight_cuts(g, nontrivial_only)
+        want = _tight_by_pair_test(g, nontrivial_only)
+        assert [(c.shore, c.edge_ids) for c in got] == \
+            [(c.shore, c.edge_ids) for c in want], g
+        nontrivial += sum(not c.is_trivial for c in got)
+    assert nontrivial > 50
 
 
 # classify_cut ------------------------------------------------------------------

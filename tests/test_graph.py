@@ -1,5 +1,7 @@
 """Graph and Cut fundamentals, traced by hand on small graphs."""
 
+from itertools import combinations
+
 import pytest
 
 from tightcut.graph import Graph, GraphError
@@ -183,6 +185,19 @@ def test_cut_from_edge_ids_roundtrip(c6):
         c6.cut_from_edge_ids({0})  # single cycle edge is no cut
     with pytest.raises(GraphError):
         c6.cut_from_edge_ids({0, 99})
+
+
+def test_cut_from_edge_ids_with_parallel_edges():
+    """A neighbour stays on the same side while one of its parallel
+    edges is left, and every shore round-trips through its edge ids."""
+    g = Graph(range(4), [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (1, 3)])
+    with pytest.raises(GraphError):
+        g.cut_from_edge_ids({0, 2, 5})  # edge 1 still joins 0 and 1
+    assert g.cut_from_edge_ids({0, 1, 4}).shore == frozenset({0})
+    for size in (1, 2, 3):
+        for shore in combinations(range(4), size):
+            c = g.boundary(shore)
+            assert g.cut_from_edge_ids(c.edge_ids) == c
 
 
 def test_crossing_quadrants(c6):

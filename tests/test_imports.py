@@ -6,7 +6,8 @@ of the producer and no tightness test, imports from the package only
 the primitives its docstring lists and never names cut_from_edge_ids,
 decompose.py tests matching coverage only in its entry check and runs
 is_tight only on entry to the witness search and when a decomposition
-fails, classify_cut tests no tightness, and src/ has no assert
+fails, classify_cut tests no tightness, sweep.py names neither is_tight
+nor cut_from_edge_ids, and src/ has no assert
 statement: python -O strips them, so invariant guards raise
 InternalInvariantError instead.
 
@@ -201,6 +202,16 @@ def test_decompose_runs_is_tight_only_to_reject():
         [at] = [i for i, stmt in enumerate(body)
                 if oracle_references(ast.Module([stmt], []), {"is_tight"})]
         assert "_require_decomposable" in ast.unparse(body[at - 1])
+
+
+def test_sweep_reads_tightness_from_enumerations():
+    """The sweep answers every tightness question by looking an edge-id
+    set up among the tight cuts enumerate_tight_cuts listed, for the
+    host or for a contraction: it runs no pair scan and recovers no cut
+    from edge ids."""
+    path = ROOT / "src" / "tightcut" / "sweep.py"
+    assert oracle_references(ast.parse(path.read_text()),
+                             {"is_tight", "cut_from_edge_ids"}) == []
 
 
 def test_classify_cut_tests_no_tightness():

@@ -75,6 +75,24 @@ def test_unfiltered_corpus_surfaces_violations(monkeypatch):
     json.dumps(js)
 
 
+def test_sweep_flags_cuts_missing_from_the_enumerations(monkeypatch):
+    """The sweep reads tightness as membership in the enumerations. With
+    the trivial cuts withheld from them, C6 gets its cut images in both
+    contractions of each nontrivial cut, their downward transfers and
+    its barrier cuts at single vertices flagged."""
+    listed = tightcut.sweep.enumerate_tight_cuts
+    monkeypatch.setattr(tightcut.sweep, "enumerate_tight_cuts",
+                        lambda g: [c for c in listed(g) if not c.is_trivial])
+    report = run_sweep([CorpusSpec("named", names=("C2K(3)",))],
+                       include_fixtures=False)
+    kinds = [kind for kind, _, _ in report.violations]
+    assert kinds.count("contraction") == kinds.count("transfer") == 6
+    assert kinds.count("barrier") > 0
+    assert set(kinds) == {"contraction", "transfer", "barrier"}
+    assert all(detail.endswith(("is not tight", "non-tight cut"))
+               for _, _, detail in report.violations)
+
+
 def test_named_sweep_takes_the_corpus_path(monkeypatch):
     """A named spec yields the same graphs through run_sweep as through
     enumerate_corpus, so the corpus filter applies to both."""
