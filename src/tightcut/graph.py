@@ -6,7 +6,12 @@ edge of a derived graph is identifiable with the edge of the parent
 graph it came from. That identity is what lets a cut keep its meaning
 while the graph around it is contracted step by step.
 
-All graph values are immutable; derived graphs are new objects.
+All graph values are immutable. A graph memoizes what it derives in
+its own cache: ``induced`` and ``contract`` return the same object for
+the same arguments, with whatever that object has cached in turn. No
+cache holds a reference back to its graph, so a graph and everything
+derived from it is freed by reference counting alone, without waiting
+for the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ class Graph:
     themselves.
     """
 
-    __slots__ = ("_vset", "_vlist", "_edges", "_adj", "provenance", "_cache")
+    __slots__ = ("_vset", "_vlist", "_edges", "_adj", "provenance", "_cache",
+                 "__weakref__")
 
     def __init__(self, vertices: Iterable[int], edges=(), *,
                  provenance: Mapping[int, frozenset] | None = None):
@@ -180,12 +186,32 @@ class Graph:
         key = ("induced", s)
         got = self._cache.get(key)
         if got is None:
-            emap = {eid: uv for eid, uv in self._edges.items()
-                    if uv[0] in s and uv[1] in s}
-            prov = {v: p for v, p in self.provenance.items() if v in s}
-            got = Graph(s, emap, provenance=prov)
-            self._cache[key] = got
+            got = self._cache[key] = self._restricted(s)
         return got
+
+    def _restricted(self, s: frozenset) -> "Graph":
+        """The subgraph induced on s, a subset of the vertices, filtered
+        from this graph's own fields.
+
+        Every field of a Graph is kept in sorted order, and filtering
+        keeps that order, so the result equals Graph(s, edges,
+        provenance=...) field for field, key order included. The checks
+        __init__ runs (int vertices, no loops, edge ends inside the
+        vertex set) hold for any subgraph of a valid graph, so they and
+        the re-sort are skipped.
+        """
+        child = Graph.__new__(Graph)
+        child._vset = s
+        child._vlist = tuple(v for v in self._vlist if v in s)
+        child._edges = {eid: uv for eid, uv in self._edges.items()
+                        if uv[0] in s and uv[1] in s}
+        adj = self._adj
+        child._adj = {v: {w: ids for w, ids in adj[v].items() if w in s}
+                      for v in child._vlist}
+        child.provenance = {v: p for v, p in self.provenance.items()
+                            if v in s}
+        child._cache = {}
+        return child
 
     def without_vertices(self, drop) -> "Graph":
         return self.induced(self._vset - frozenset(drop))
@@ -216,6 +242,10 @@ class Graph:
         if new_vertex in rest:
             raise GraphError(
                 f"contraction label {new_vertex} clashes with a surviving vertex")
+        key = ("contract", s, new_vertex)
+        got = self._cache.get(key)
+        if got is not None:
+            return got
         emap: dict[int, tuple[int, int]] = {}
         for eid, (u, v) in self._edges.items():
             iu = u in s
@@ -233,7 +263,9 @@ class Graph:
         for w in sorted(s):
             merged |= self.provenance_of(w)
         prov[new_vertex] = merged
-        return Graph(rest | {new_vertex}, emap, provenance=prov)
+        got = self._cache[key] = Graph(rest | {new_vertex}, emap,
+                                       provenance=prov)
+        return got
 
     # cuts ---------------------------------------------------------------
 

@@ -358,18 +358,20 @@ def is_matchable(g: Graph, removed=frozenset()) -> bool:
 def find_perfect_matching(g: Graph) -> Matching | None:
     """A perfect matching, or None, computed once per graph.
 
-    Parallel mates use the least edge id.
+    Parallel mates use the least edge id. The cache keeps the edge ids
+    only, and the Matching is built on return, so the cache holds no
+    reference back to g.
     """
     if "perfect_matching" not in g._cache:
         found = None
         if g.n % 2 == 0:
             mates = _maximum_matching(g)
             if len(mates) == g.n:
-                found = Matching(frozenset(
-                    min(g.edges_between(u, v))
-                    for u, v in mates.items() if u < v), g)
+                found = frozenset(min(g.edges_between(u, v))
+                                  for u, v in mates.items() if u < v)
         g._cache["perfect_matching"] = found
-    return g._cache["perfect_matching"]
+    found = g._cache["perfect_matching"]
+    return None if found is None else Matching(found, g)
 
 
 def perfect_matching_masks(g: Graph) -> tuple[int, ...]:

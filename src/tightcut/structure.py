@@ -30,6 +30,8 @@ from .graph import (
     odd_even_split,
 )
 from .matching import (
+    _dependence_row,
+    _maximum_matching,
     is_admissible,
     is_critical,
     is_matchable,
@@ -92,33 +94,50 @@ def enumerate_barriers(g: Graph) -> list[Barrier]:
     the rest of B from g - u - v leaves |B| odd components against
     |B| - 2 deleted vertices, so Tutte's condition fails. Candidates
     therefore grow only as pairwise dependent sets, and is_barrier
-    decides each one. In a matching covered graph dependence is the
-    Kotzig-Lovasz canonical partition into maximal barriers, so the
-    candidates are the subsets of one part, and a brick has no
-    candidate beyond single vertices. In a graph with no perfect
-    matching every pair may be dependent, and the search is the full
-    subset scan.
+    decides each one; when g has a perfect matching, the partners of v
+    are read off its dependence row. In a matching covered graph
+    dependence is the Kotzig-Lovasz canonical partition into maximal
+    barriers, so the candidates are the subsets of one part, and a
+    brick has no candidate beyond single vertices. In a graph with no
+    perfect matching every pair may be dependent, and the search is the
+    full subset scan.
 
     Guard: the search is exponential only in the largest set of
     candidates around one vertex, that vertex plus its dependent
     partners; in a matching covered graph, the largest canonical part,
     however large the graph is. When that exceeds BARRIER_LIMIT,
     EnumerationLimitError is raised before any subset is tried. The
-    result is cached on the graph.
+    result is cached on the graph as plain (members, odd parts) pairs,
+    and the Barriers are built on return, so the cache holds no
+    reference back to g.
     """
     got = g._cache.get("barriers")
     if got is None:
-        got = g._cache["barriers"] = tuple(_search_barriers(g))
-    return list(got)
+        got = g._cache["barriers"] = tuple(
+            (b.members, b.odd_parts) for b in _search_barriers(g))
+    return [Barrier(members, parts, g) for members, parts in got]
+
+
+def _dependent_partners(g: Graph) -> dict[int, frozenset[int]]:
+    """Each vertex v mapped to the w != v with g - v - w not matchable.
+
+    With a perfect matching these are everything but v and its
+    dependence row, one Edmonds search per vertex; otherwise each pair
+    is a matchability query.
+    """
+    pool = g.vertices
+    if len(_maximum_matching(g)) == g.n:
+        return {v: g.vertex_set - _dependence_row(g, v) - {v} for v in pool}
+    return {v: frozenset(w for w in pool if w != v
+                         and not is_matchable(g, frozenset((v, w))))
+            for v in pool}
 
 
 def _search_barriers(g: Graph) -> list[Barrier]:
     """enumerate_barriers' search: pairwise dependent vertex sets,
     tested by is_barrier in size then lex order."""
     pool = list(g.vertices)
-    partners = {v: frozenset(w for w in pool if w != v
-                             and not is_matchable(g, frozenset((v, w))))
-                for v in pool}
+    partners = _dependent_partners(g)
     widest = max((1 + len(p) for p in partners.values()), default=0)
     if widest > BARRIER_LIMIT:
         raise EnumerationLimitError(
@@ -209,7 +228,21 @@ def find_2separations(g: Graph) -> list[TwoSeparation]:
     has more than GROUPING_LIMIT, EnumerationLimitError is raised
     before any grouping is built. Only the sweep's structure checks use
     this listing; the witnesses of one cut come from twoseps_generating.
+    The result is cached on the graph as plain (pair, side1, side2)
+    triples, and the TwoSeparations are built on return, so the cache
+    holds no reference back to g.
     """
+    got = g._cache.get("twoseps")
+    if got is None:
+        got = g._cache["twoseps"] = tuple(
+            (s.pair, s.side1, s.side2) for s in _search_2separations(g))
+    return [TwoSeparation(pair, side1, side2, g)
+            for pair, side1, side2 in got]
+
+
+def _search_2separations(g: Graph) -> list[TwoSeparation]:
+    """find_2separations' listing: every even grouping of the
+    components of g - {u, v}, for each vertex pair, validated."""
     splits = []
     for u, v in combinations(g.vertices, 2):
         parts = g.components_without(frozenset((u, v)))

@@ -15,7 +15,10 @@ Every tightness question is answered from the enumerations: a cut is
 tight iff its edge-id set is that of a cut enumerate_tight_cuts listed,
 for the host graph (once per graph) or for a contraction (once per
 contraction). Edge ids survive contraction, so the same set names the
-cut on both sides. The sweep runs no per-cut tightness test.
+cut on both sides. The sweep runs no per-cut tightness test, and its
+witness search skips the is_tight entry test of
+find_noncrossing_witness: every cut it asks about was just listed as
+tight.
 """
 
 from __future__ import annotations
@@ -26,7 +29,12 @@ from typing import Sequence
 
 from .certificate import graph_to_json
 from .cuts import classify_cut, enumerate_tight_cuts
-from .decompose import BranchTally, decompose_tight_cut, find_noncrossing_witness
+from .decompose import (
+    BranchTally,
+    _find_noncrossing_witness,
+    _require_decomposable,
+    decompose_tight_cut,
+)
 from .graph import Cut, Graph
 from .instances import CorpusSpec, enumerate_corpus, fixture_instances
 from .matching import is_matching_covered
@@ -182,7 +190,8 @@ def _check_cut(label: str, g: Graph, c: Cut, all_cuts, tight_ids,
     except Exception as exc:
         _flag(report, "contraction", cut_label, repr(exc))
     try:
-        finding = find_noncrossing_witness(g, c, tally)
+        _require_decomposable(g, c)
+        finding = _find_noncrossing_witness(g, c, tally)
         _verify_finding(cut_label, g, c, finding, report)
     except Exception as exc:
         _flag(report, "witness", cut_label, repr(exc))

@@ -1,10 +1,16 @@
-"""Graph and Cut fundamentals, traced by hand on small graphs."""
+"""Graph and Cut fundamentals, traced by hand on small graphs, and the
+derived-graph fast paths against the validating constructor."""
 
+import gc
+import weakref
 from itertools import combinations
+from random import Random
 
 import pytest
 
 from tightcut.graph import Graph, GraphError
+from tightcut.matching import find_perfect_matching
+from tightcut.structure import enumerate_barriers, find_2separations
 
 from conftest import cycle
 
@@ -122,6 +128,92 @@ def test_contract_rejects_bad_input(c6):
         c6.contract(set(range(6)))
     with pytest.raises(GraphError):
         c6.contract({0, 1}, 4)  # label collides with survivor
+
+
+# derived-graph fast paths ----------------------------------------------------
+
+def fields(g: Graph):
+    """Every field of g in its stored order, dict key order included."""
+    return (g._vset, g._vlist, list(g._edges.items()),
+            [(v, list(row.items())) for v, row in g._adj.items()],
+            list(g.provenance.items()))
+
+
+def random_multigraphs(count: int, seed: int):
+    """Seeded graphs on sparse vertex labels with parallel edges, and a
+    contraction of each, so some carry provenance."""
+    rng = Random(seed)
+    for _ in range(count):
+        verts = rng.sample(range(30), rng.randint(2, 9))
+        pairs = list(combinations(verts, 2))
+        edges = [rng.choice(pairs) for _ in range(rng.randint(0, 16))]
+        rng.shuffle(verts)
+        g = Graph(verts, [(v, u) if rng.random() < 0.5 else (u, v)
+                          for u, v in edges])
+        yield g
+        if g.n >= 3:
+            yield g.contract(rng.sample(g.vertices, rng.randint(2, g.n - 1)))
+
+
+def test_induced_matches_the_validating_constructor():
+    rng = Random(11)
+    with_provenance = with_parallels = 0
+    for g in random_multigraphs(150, seed=7):
+        for _ in range(4):
+            keep = frozenset(rng.sample(g.vertices, rng.randint(0, g.n)))
+            emap = {eid: uv for eid, uv in g.edge_items()
+                    if uv[0] in keep and uv[1] in keep}
+            prov = {v: p for v, p in g.provenance.items() if v in keep}
+            old = Graph(keep, emap, provenance=prov)
+            assert fields(g.induced(keep)) == fields(old)
+            assert fields(g.without_vertices(g.vertex_set - keep)) == \
+                fields(old)
+            with_provenance += bool(prov)
+            with_parallels += any(len(ids) > 1 for row in old._adj.values()
+                                  for ids in row.values())
+    assert with_provenance and with_parallels
+
+
+def test_induced_is_memoized_and_validated(c6):
+    assert c6.induced([2, 1, 0]) is c6.induced({0, 1, 2})
+    assert c6.without_vertices({3, 4, 5}) is c6.induced({0, 1, 2})
+    with pytest.raises(GraphError):
+        c6.induced({0, 7})
+
+
+def test_contract_is_memoized_per_part_and_label():
+    rng = Random(3)
+    for g in random_multigraphs(60, seed=5):
+        if g.n < 3:
+            continue
+        part = rng.sample(g.vertices, rng.randint(1, g.n - 1))
+        h = g.contract(part)
+        assert g.contract(frozenset(reversed(part)), g.fresh_vertex()) is h
+        fresh = Graph(g.vertices, dict(g.edge_items()),
+                      provenance=g.provenance)
+        assert fields(h) == fields(fresh.contract(part))
+        other = g.contract(part, g.fresh_vertex() + 1)
+        assert other is not h
+        assert other.vertex_set != h.vertex_set
+
+
+def test_graph_caches_hold_no_reference_to_their_graph():
+    """Everything a graph caches, derived graphs included, is freed with
+    the graph by reference counting alone."""
+    gc.disable()
+    try:
+        g = cycle(6)
+        assert find_perfect_matching(g) is not None
+        assert enumerate_barriers(g)
+        assert find_2separations(g)
+        assert g.contract({3, 4, 5}).n == 4
+        assert g.induced({0, 1, 2}).m == 2
+        assert {"perfect_matching", "barriers", "twoseps"} <= set(g._cache)
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # blocks and 2-connectivity ---------------------------------------------------

@@ -7,7 +7,7 @@ the primitives its docstring lists and never names cut_from_edge_ids,
 decompose.py tests matching coverage only in its entry check and runs
 is_tight only on entry to the witness search and when a decomposition
 fails, classify_cut tests no tightness, sweep.py names neither is_tight
-nor cut_from_edge_ids, and src/ has no assert
+nor cut_from_edge_ids and a sweep runs no is_tight, and src/ has no assert
 statement: python -O strips them, so invariant guards raise
 InternalInvariantError instead.
 
@@ -18,9 +18,15 @@ in the module, or when the module's __all__ re-exports it.
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
+
+import tightcut.cuts
+from tightcut.decompose import find_noncrossing_witness
+from tightcut.instances import CorpusSpec, canonical
+from tightcut.sweep import run_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/**/*.py"))
@@ -204,14 +210,37 @@ def test_decompose_runs_is_tight_only_to_reject():
         assert "_require_decomposable" in ast.unparse(body[at - 1])
 
 
-def test_sweep_reads_tightness_from_enumerations():
+def test_sweep_reads_tightness_from_enumerations(monkeypatch):
     """The sweep answers every tightness question by looking an edge-id
     set up among the tight cuts enumerate_tight_cuts listed, for the
     host or for a contraction: it runs no pair scan and recovers no cut
-    from edge ids."""
+    from edge ids. Nor does anything it calls: its witness search skips
+    the public entry's tightness test, and a whole sweep, certificates
+    and their replay included, makes no is_tight call."""
     path = ROOT / "src" / "tightcut" / "sweep.py"
     assert oracle_references(ast.parse(path.read_text()),
                              {"is_tight", "cut_from_edge_ids"}) == []
+    original = tightcut.cuts.is_tight
+    calls = []
+
+    def counted(g, c):
+        calls.append(c)
+        return original(g, c)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tightcut" and \
+                getattr(module, "is_tight", None) is original:
+            monkeypatch.setattr(module, "is_tight", counted)
+    report = run_sweep([CorpusSpec("named", names=("C2K(4)", "DOUBLE_K4")),
+                        CorpusSpec("random", n=8, samples=6, seed=3)],
+                       include_fixtures=False)
+    assert report.ok
+    assert report.witnesses_verified == report.nontrivial_tight_cuts > 3
+    assert calls == []
+    # the count is live: the public entry still tests tightness
+    g = canonical("C2K(3)")
+    find_noncrossing_witness(g, g.boundary({0, 1, 2}))
+    assert len(calls) == 1
 
 
 def test_classify_cut_tests_no_tightness():

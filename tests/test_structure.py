@@ -19,6 +19,7 @@ from tightcut.matching import is_admissible, is_matchable, is_matching_covered
 from tightcut.structure import (
     BARRIER_LIMIT,
     GROUPING_LIMIT,
+    _dependent_partners,
     barrier_core,
     barrier_cuts,
     enumerate_barriers,
@@ -38,6 +39,7 @@ from conftest import (
     brute_components,
     brute_confined_strict_barrier,
     brute_is_barrier,
+    brute_matching_numbers,
     cycle,
     gate_specs,
     theta,
@@ -187,6 +189,48 @@ def test_dependence_is_the_canonical_partition(exhaustive_corpus):
         g = canonical(name)
         assert all(len(part) == 1
                    for part in _dependence_classes(g).values())
+
+
+def _check_partners(g):
+    """_dependent_partners against the pairwise matchability queries and
+    the brute-force matching number of every g - v - w."""
+    nu = brute_matching_numbers(g.vertices, [ends for _, ends in g.edge_items()])
+    brute = {v: frozenset(w for w in g.vertices if w != v
+                          and 2 * nu(g.vertex_set - {v, w}) < g.n - 2)
+             for v in g.vertices}
+    pairwise = {v: part - {v} for v, part in _dependence_classes(g).items()}
+    assert _dependent_partners(Graph(g.vertices, dict(g.edge_items()))) == \
+        pairwise == brute, g
+
+
+def test_dependent_partners_from_rows_match_pairwise_queries(
+        exhaustive_corpus):
+    graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
+    rng = Random(6)
+    pairs = list(combinations(range(8), 2))
+    off_covered = 0
+    while off_covered < 200:
+        edges = [(0, 1), (2, 3), (4, 5), (6, 7)]
+        edges += [rng.choice(pairs) for _ in range(rng.randint(1, 12))]
+        g = Graph(range(8), edges)
+        if not is_matching_covered(g):
+            graphs.append(g)
+            off_covered += 1
+    for g in graphs:
+        assert is_matchable(g)
+        _check_partners(g)
+
+
+def test_dependent_partners_without_perfect_matching():
+    rng = Random(8)
+    checked = 0
+    while checked < 100:
+        n = rng.randint(3, 8)
+        pairs = list(combinations(range(n), 2))
+        g = Graph(range(n), rng.sample(pairs, rng.randint(1, len(pairs))))
+        if not is_matchable(g):
+            _check_partners(g)
+            checked += 1
 
 
 def test_barrier_guard_counts_one_canonical_part():

@@ -8,7 +8,7 @@ import pytest
 import tightcut.instances
 import tightcut.sweep
 from tightcut.cuts import enumerate_tight_cuts
-from tightcut.decompose import find_noncrossing_witness
+from tightcut.decompose import _find_noncrossing_witness
 from tightcut.instances import CorpusSpec, enumerate_corpus
 from tightcut.structure import Barrier
 from tightcut.sweep import run_sweep
@@ -139,10 +139,10 @@ def _no_witness(finding, ref):
      (_no_witness, "unknown witness None")],
     ids=["not_a_barrier", "crossing_cut", "no_witness"])
 def test_sweep_rejects_tampered_witness(monkeypatch, tamper, reason):
-    def tampered(g, c, tally=None):
-        return tamper(find_noncrossing_witness(g, c, tally), c)
+    def tampered(g, c, tally):
+        return tamper(_find_noncrossing_witness(g, c, tally), c)
 
-    monkeypatch.setattr(tightcut.sweep, "find_noncrossing_witness", tampered)
+    monkeypatch.setattr(tightcut.sweep, "_find_noncrossing_witness", tampered)
     report = run_sweep([CorpusSpec("named", names=("C2K(3)",))],
                        include_fixtures=False)
     assert report.witnesses_verified == 0
