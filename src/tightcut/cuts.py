@@ -32,6 +32,7 @@ from itertools import combinations
 from .graph import Cut, EnumerationLimitError, Graph, GraphError
 from .matching import (
     _comatchable_masks,
+    _dependence_row,
     find_perfect_matching,
     is_matchable,
     is_matching_covered,
@@ -170,9 +171,10 @@ def classify_cut(g: Graph, c: Cut) -> CutClassification:
     neighbours of X outside it (nonempty: g is connected), fix a in A,
     and let F be a together with every v in O dependent with a in g.
     Rule: X has a barrier witness iff A lies in F, and then F is one
-    that contains every other. So each shore costs |O| pair queries,
-    read from the dependence rows is_matching_covered has cached on g,
-    and F is checked by is_barrier with X among its odd parts.
+    that contains every other. g has a perfect matching, so F is O less
+    the dependence row of a (the row omits a itself): one row per
+    shore, often already cached on g by is_matching_covered, and F is
+    checked by is_barrier with X among its odd parts.
 
     Proof. Any two members u, v of a barrier B are dependent, in every
     graph: deleting the rest of B from g - u - v leaves |B| odd
@@ -218,8 +220,7 @@ def classify_cut(g: Graph, c: Cut) -> CutClassification:
         attachments = frozenset(
             w for v in keep for w in g.neighbors(v)) - keep
         a = min(attachments)
-        members = frozenset(v for v in shores[1 - i] if v == a
-                            or not is_matchable(g, frozenset((a, v))))
+        members = shores[1 - i] - _dependence_row(g, a)
         if attachments <= members:
             b = is_barrier(g, members)
             if b is not None and keep in b.odd_parts:

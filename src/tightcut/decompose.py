@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from .certificate import DecompositionCertificate, Step
 from .cuts import CutClassification, classify_cut, is_tight, meets_once
 from .graph import Cut, Graph, GraphError, InternalInvariantError
-from .matching import is_matchable, is_matching_covered
+from .matching import _dependence_row, is_matching_covered
 from .structure import (
     Barrier,
     TwoSeparation,
@@ -451,7 +451,8 @@ def _min_holder_barrier(g: Graph, tracked,
     For a shore S of tracked with opposite shore O, let h = g/(O -> o),
     matching covered by Fact 3. Call v and w dependent in h when
     h - v - w is not matchable; the class of v is v and every vertex
-    dependent with it, one row search per class. The candidates of S
+    dependent with it, the vertices outside v's dependence row, one row
+    search per class. The candidates of S
     are the classes P of h with o not in P and |P| >= 2. In the first
     shore of tracked that has one, take the P whose holder (the odd
     component of g - P holding O) is smallest, ties broken by the sorted
@@ -515,8 +516,7 @@ def _min_holder_barrier(g: Graph, tracked,
         found = []
         while left:
             v = min(left)
-            part = frozenset(w for w in left if w == v
-                             or not is_matchable(h, frozenset((v, w))))
+            part = left - _dependence_row(h, v)
             left -= part
             if o in part or len(part) < 2:
                 continue

@@ -3,38 +3,38 @@
 The polynomial-time core is one Edmonds alternating search
 (_alternating_search) over a vertex index and sorted adjacency built
 once per graph. Everything else (admissibility, matching covered,
-critical, bicritical, the exposed/attachment split) reduces to
-matchability queries on vertex-deleted subgraphs, answered in one of
-two ways:
+critical, bicritical) reduces to matchability queries on
+vertex-deleted subgraphs, answered in one of two ways:
 
 - Dependence rows. When g has a perfect matching M, row(x) is the set
   of v with g - x - v matchable: the outer vertices of one search from
-  the mate x' of x in g - x, started from M - xx'. One search answers
-  every pair query at x, so n searches answer all O(n^2) of them;
-  is_matchable and matching_number use the rows for every pair
-  {u, v}, cached per graph, and is_matching_covered reads them
-  directly, at most one row per vertex.
-- Warm-started search. Every other removed set, and every query on a
-  graph without a perfect matching, runs _blossom_mates: it starts
-  from g's cached maximum matching less the edges at removed vertices
-  and searches only from the vertices that leaves exposed. Results are
-  memoized per graph, keyed by the removed set.
+  the mate x' of x in g - x, started from M - xx' (_row_search). One
+  search answers every pair query at x, so n searches answer all
+  O(n^2) of them. Every question about a pair on a graph with a perfect
+  matching reads the rows, cached per graph: is_admissible,
+  is_matching_covered and is_bicritical here, and the dependence
+  classes of cuts.py, structure.py and decompose.py.
+- Warm-started search. matching_number and is_matchable answer every
+  removed set with _blossom_mates: it starts from g's cached maximum
+  matching less the edges at removed vertices and searches only from
+  the vertices that leaves exposed. Results are memoized per graph,
+  keyed by the removed set.
 
 The co-matchable edge table (_comatchable_masks), which tight-cut
 enumeration reads, is built from the same searches: per edge uv, one
-search for a perfect matching of g - u - v, then dependence rows of
+search for a perfect matching of g - u - v, then _row_search in
 g - u - v from it.
 
 Exhaustive perfect-matching enumeration is kept only as the test
-oracle for the polynomial routines; nothing in the package calls it. It
-refuses graphs above ENUMERATION_LIMIT vertices instead of silently
-truncating, and the limit has no override.
+oracle for the polynomial routines; nothing in the package calls it,
+and it calls nothing of the rest of this module. It refuses graphs
+above ENUMERATION_LIMIT vertices instead of silently truncating, and
+the limit has no override.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .graph import (
     EnumerationLimitError,
@@ -210,30 +210,39 @@ def _maximum_matching(g: Graph) -> dict[int, int]:
     return got
 
 
-def _dependence_row(g: Graph, x: int) -> frozenset[int]:
-    """Every v with g - x - v matchable, for g with a perfect matching M.
+def _row_search(adj: list[list[int]], match: list[int], dead: list[bool],
+                x: int) -> list[bool]:
+    """Outer flags of one search from the mate of x with x deleted, where
+    match is a perfect matching of the live vertices.
 
-    M less the edge xx' is a maximum matching of g - x that misses only
-    x', so v qualifies iff some matching of that size misses v, iff v is
-    outer in one search from x' in g - x. That search cannot augment,
-    since g - x has odd order. Rows are cached per graph.
+    match less the edge at x is a maximum matching of the live graph
+    less x that misses only the mate, so v is outer iff deleting v too
+    leaves a perfect matching. The search cannot augment, since that
+    graph has odd order. match is consumed; dead is restored.
+    """
+    mate = match[x]
+    match[x] = match[mate] = -1
+    dead[x] = True
+    outer = _alternating_search(adj, match, dead, mate)
+    dead[x] = False
+    if outer is None:
+        raise InternalInvariantError(
+            "search from a mate augmented in a graph of odd order")
+    return outer
+
+
+def _dependence_row(g: Graph, x: int) -> frozenset[int]:
+    """Every v with g - x - v matchable, for g with a perfect matching:
+    the outer vertices of _row_search from x's mate in g's cached
+    perfect matching. Rows are cached per graph.
     """
     rows = g._cache.setdefault("dependence_rows", {})
     got = rows.get(x)
     if got is None:
         verts, index, adj = _search_index(g)
         mates = _maximum_matching(g)
-        match = [index[mates[v]] for v in verts]
-        i = index[x]
-        j = match[i]
-        match[i] = match[j] = -1
-        dead = [False] * len(verts)
-        dead[i] = True
-        outer = _alternating_search(adj, match, dead, j)
-        if outer is None:
-            raise InternalInvariantError(
-                f"search from the mate of {x} augmented in g - {x}, "
-                "which has odd order")
+        outer = _row_search(adj, [index[mates[v]] for v in verts],
+                            [False] * len(verts), index[x])
         got = rows[x] = frozenset(v for v, o in zip(verts, outer) if o)
     return got
 
@@ -251,7 +260,7 @@ def _comatchable_masks(g: Graph) -> dict[int, int]:
     uv is admissible, and an inadmissible pair has no partner. Then for
     each w with a higher neighbour, one search from the N-mate of w in
     g - u - v - w gives every z with g - u - v - w - z matchable as an
-    outer vertex, as in _dependence_row. That is at most m * n searches,
+    outer vertex (_row_search). That is at most m * n searches,
     cached per graph.
     """
     got = g._cache.get("comatchable")
@@ -287,16 +296,7 @@ def _comatchable_masks(g: Graph) -> dict[int, int]:
             higher = [z for z in above[w] if not dead[z]]
             if not higher:
                 continue
-            row = match[:]
-            mate = row[w]
-            row[w] = row[mate] = -1
-            dead[w] = True
-            outer = _alternating_search(adj, row, dead, mate)
-            dead[w] = False
-            if outer is None:
-                raise InternalInvariantError(
-                    f"search from the mate of {verts[w]} augmented in a "
-                    "graph of odd order")
+            outer = _row_search(adj, match[:], dead, w)
             for z in higher:
                 if outer[z]:
                     partners[i, j] |= bits[w, z]
@@ -313,22 +313,11 @@ def _validate_removed(g: Graph, removed: frozenset) -> None:
 
 
 def matching_number(g: Graph, removed=frozenset()) -> int:
-    """Size of a maximum matching of g - removed.
-
-    When g has a perfect matching and removed is a pair {u, v}, the
-    answer is n/2 - 1 if v is in the dependence row of u and n/2 - 2
-    otherwise (deleting two vertices costs a perfect matching at most
-    two edges); a row already computed for either end is used. Every
-    other query runs _blossom_mates once and is memoized.
+    """Size of a maximum matching of g - removed: one _blossom_mates
+    run, memoized per graph and removed set.
     """
     removed = frozenset(removed)
     _validate_removed(g, removed)
-    if len(removed) == 2 and len(_maximum_matching(g)) == g.n:
-        rows = g._cache.get("dependence_rows", {})
-        u, v = sorted(removed)
-        if v in rows and u not in rows:
-            u, v = v, u
-        return g.n // 2 - (1 if v in _dependence_row(g, u) else 2)
     cache = g._cache.setdefault("nu_by_removed", {})
     got = cache.get(removed)
     if got is None:
@@ -378,9 +367,11 @@ def perfect_matching_masks(g: Graph) -> tuple[int, ...]:
     """All perfect matchings as edge-id bitmasks, sorted ascending.
 
     Parallel edges give distinct matchings. Backtracking always extends
-    from the smallest uncovered vertex and prunes any branch whose
-    remainder is not matchable, so the work stays proportional to the
-    number of matchings found.
+    from the smallest uncovered vertex and abandons a branch once some
+    uncovered vertex has no uncovered neighbour. That test is local, so
+    a branch can still die deep down without a matching, and the work
+    can exceed the number of matchings exponentially; the routine uses
+    nothing else of this module, so it can check the rest.
     """
     got = g._cache.get("pm_masks")
     if got is not None:
@@ -390,14 +381,13 @@ def perfect_matching_masks(g: Graph) -> tuple[int, ...]:
             f"refusing to enumerate perfect matchings on {g.n} vertices "
             f"(limit {ENUMERATION_LIMIT})")
     masks: list[int] = []
-    vset = g.vertex_set
     if g.n % 2 == 0:
 
         def extend(remaining: frozenset, acc: int) -> None:
             if not remaining:
                 masks.append(acc)
                 return
-            if not is_matchable(g, vset - remaining):
+            if any(remaining.isdisjoint(g.neighbors(u)) for u in remaining):
                 return
             v = min(remaining)
             for w in g.neighbors(v):
@@ -407,7 +397,7 @@ def perfect_matching_masks(g: Graph) -> tuple[int, ...]:
                 for eid in g.edges_between(v, w):
                     extend(rest, acc | (1 << eid))
 
-        extend(vset, 0)
+        extend(g.vertex_set, 0)
     result = tuple(sorted(masks))
     g._cache["pm_masks"] = result
     return result
@@ -422,9 +412,10 @@ def all_perfect_matchings(g: Graph) -> list[Matching]:
 
 
 def is_admissible(g: Graph, eid: int) -> bool:
-    """True iff some perfect matching of g contains the edge."""
+    """True iff some perfect matching of g contains the edge uv: g has
+    a perfect matching and v is in the dependence row of u."""
     u, v = g.edge_ends(eid)
-    return is_matchable(g, frozenset((u, v)))
+    return len(_maximum_matching(g)) == g.n and v in _dependence_row(g, u)
 
 
 def is_matching_covered(g: Graph) -> bool:
@@ -460,40 +451,16 @@ def is_critical(g: Graph) -> bool:
 
 
 def is_bicritical(g: Graph) -> bool:
-    """g - u - v matchable for every vertex pair; K2 qualifies."""
+    """g - u - v matchable for every vertex pair; K2 qualifies.
+
+    Two vertices qualify with or without an edge: deleting both leaves
+    the empty graph. On four or more, a bicritical graph has a perfect
+    matching: u has a neighbour w, or deleting two other vertices would
+    leave u isolated, and a perfect matching of g - u - w plus uw is
+    one of g. Then the pair condition says every dependence row is
+    V - u.
+    """
     if g.n < 2 or g.n % 2:
         return False
-    return all(
-        is_matchable(g, frozenset(pair)) for pair in combinations(g.vertices, 2))
-
-
-@dataclass(frozen=True)
-class MatchingStructure:
-    """How maximum matchings of g - removed sit on the vertices.
-
-    exposed: vertices avoidable by some maximum matching (deleting one
-    keeps the matching number); attachments: their neighbors outside
-    the exposed set; rest: everything else; deficiency: number of
-    vertices missed by every maximum matching.
-    """
-
-    exposed: frozenset[int]
-    attachments: frozenset[int]
-    rest: frozenset[int]
-    deficiency: int
-
-
-def matching_structure(g: Graph, removed=frozenset()) -> MatchingStructure:
-    removed = frozenset(removed)
-    _validate_removed(g, removed)
-    nu = matching_number(g, removed)
-    live = [v for v in g.vertices if v not in removed]
-    exposed = {
-        v for v in live if matching_number(g, removed | {v}) == nu}
-    attachments = {
-        w
-        for v in exposed for w in g.neighbors(v)
-        if w not in removed and w not in exposed}
-    rest = frozenset(live) - exposed - attachments
-    return MatchingStructure(
-        frozenset(exposed), frozenset(attachments), rest, len(live) - 2 * nu)
+    return g.n == 2 or (len(_maximum_matching(g)) == g.n and all(
+        len(_dependence_row(g, u)) == g.n - 1 for u in g.vertices))

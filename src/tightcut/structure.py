@@ -11,8 +11,10 @@ cut none of whose edges lies in any perfect matching. find_strict_barrier
 locates one with a single construction: for a vertex a of a shore S,
 the set {a} + A(g[S] - a), a plus the Gallai-Edmonds attachment set of
 the shore subgraph without a, verified as a confined strict barrier
-and tagged with S. Its docstring proves that every such barrier is
-the candidate of each of its members, so the construction misses none.
+and tagged with S. g[S] has a perfect matching, so that set is read
+off the dependence row of a in g[S], one Edmonds search. Its docstring
+proves that every such barrier is the candidate of each of its
+members, so the construction misses none.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .matching import (
     is_critical,
     is_matchable,
     is_matching_covered,
-    matching_structure,
 )
 
 
@@ -404,6 +405,14 @@ def find_strict_barrier(g: Graph, x) -> ShoreBarrier:
     the rest, each in vertex order) the candidate {a} + A(h - a) is
     verified by _confined; the first hit is returned.
 
+    The candidate costs one row search. h has a perfect matching: g has
+    one, no cut edge lies in any, so every perfect matching of g lies
+    inside the shores. So h - a has matching number |S|/2 - 1, and the
+    Gallai-Edmonds set D(h - a), the vertices some maximum matching of
+    h - a misses, is the set of t with h - a - t matchable: the
+    dependence row R of a in h. Its attachments are A(h - a) =
+    N_h(R) - R - a, and the candidate is (N_h(R) + a) - R.
+
     A confined strict barrier exists; that is the structure theory
     behind the tight cut lemma (Lovasz-Plummer, Matching Theory, 1986,
     ch. 3 and 5), not re-proved here. It needs the connected shores: the
@@ -415,8 +424,7 @@ def find_strict_barrier(g: Graph, x) -> ShoreBarrier:
     every perfect matching M of g avoids it and is perfect on h. M
     matches B onto its odd parts K_1..K_k, one edge each, so M is
     perfect on every other component of h - B, and those are even. Fix
-    a in B and recall that D(h - a) is the set of t with h - a - t
-    matchable.
+    a in B; D(h - a) = R is the set of t with h - a - t matchable.
     - t in K_i: the core is bipartite and matching covered, so every
       nonempty proper set of members has more neighbouring parts than
       members, and deleting a and K_i from it leaves a perfect matching
@@ -457,8 +465,9 @@ def find_strict_barrier(g: Graph, x) -> ShoreBarrier:
         h = g.induced(shore)
         attach = _attachments(g, shore)
         for a in attach + sorted(shore.difference(attach)):
-            members = matching_structure(h, frozenset((a,))).attachments | {a}
-            hit = _confined(g, members, shore)
+            row = _dependence_row(h, a)
+            reach = {w for v in row for w in h.neighbors(v)}
+            hit = _confined(g, (reach | {a}) - row, shore)
             if hit is not None:
                 return ShoreBarrier(hit, shore)
     raise InternalInvariantError(

@@ -144,6 +144,15 @@ def test_check_bad_inputs(c6_file, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_check_edgeless_pair_is_bicritical(monkeypatch, capsys):
+    # deleting both vertices leaves the empty graph, which is matchable
+    monkeypatch.setattr("sys.stdin", io.StringIO("p 2 0\n"))
+    assert main(["check", "-"]) == 0
+    out = capsys.readouterr().out
+    assert "matchable: no" in out
+    assert "bicritical: yes" in out
+
+
 def test_check_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("p 2 1\ne 0 1\n"))
     assert main(["check", "-"]) == 0

@@ -4,9 +4,10 @@ structure.py, sweep.py and the package's __init__.py name the
 two-separation and barrier listings, verify.py names no search routine
 of the producer and no tightness test, imports from the package only
 the primitives its docstring lists and never names cut_from_edge_ids,
-decompose.py tests matching coverage only in its entry check and runs
+decompose.py tests matching coverage only in its entry check, runs
 is_tight only on entry to the witness search and when a decomposition
-fails, classify_cut tests no tightness, sweep.py names neither is_tight
+fails, and names no is_matchable, no module in src/ defines
+matching_structure or MatchingStructure, classify_cut tests no tightness, sweep.py names neither is_tight
 nor cut_from_edge_ids and a sweep runs no is_tight, and src/ has no assert
 statement: python -O strips them, so invariant guards raise
 InternalInvariantError instead.
@@ -241,6 +242,23 @@ def test_sweep_reads_tightness_from_enumerations(monkeypatch):
     g = canonical("C2K(3)")
     find_noncrossing_witness(g, g.boundary({0, 1, 2}))
     assert len(calls) == 1
+
+
+def test_decompose_reads_dependence_rows():
+    """The reduction's barrier step reads each dependence class off one
+    row of the contraction, so decompose.py asks no pair query."""
+    path = ROOT / "src" / "tightcut" / "decompose.py"
+    assert oracle_references(ast.parse(path.read_text()),
+                             {"is_matchable"}) == []
+
+
+@pytest.mark.parametrize(
+    "path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_pairwise_matching_structure(path):
+    """Every dependence question reads the rows: no module defines a
+    separate exposed/attachment split."""
+    assert top_level_names(ast.parse(path.read_text())) & {
+        "matching_structure", "MatchingStructure"} == set()
 
 
 def test_classify_cut_tests_no_tightness():

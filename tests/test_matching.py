@@ -12,6 +12,7 @@ from tightcut.graph import EnumerationLimitError, Graph
 from tightcut.instances import canonical, fixture_instances
 from tightcut.matching import (
     ENUMERATION_LIMIT,
+    _dependence_row,
     all_perfect_matchings,
     find_perfect_matching,
     is_admissible,
@@ -20,7 +21,6 @@ from tightcut.matching import (
     is_matchable,
     is_matching_covered,
     matching_number,
-    matching_structure,
     perfect_matching_masks,
 )
 
@@ -71,9 +71,8 @@ def test_perfect_matching_enumeration_matches_oracle(data):
 def test_admissibility_matches_oracle(data):
     n, edges = data
     g = Graph(range(n), edges)
-    if not is_matchable(g):
-        return
     pms = brute_perfect_matchings(range(n), edges)
+    assert is_matchable(g) == bool(pms)
     for eid in g.edge_ids:
         assert is_admissible(g, eid) == any(eid in pm for pm in pms)
 
@@ -86,18 +85,31 @@ def test_matching_covered_matches_oracle(data):
     assert is_matching_covered(g) == brute_is_matching_covered(range(n), edges)
 
 
+def brute_is_bicritical(g, nu):
+    return g.n >= 2 and all(2 * nu(g.vertex_set - {u, v}) == g.n - 2
+                            for u, v in combinations(g.vertices, 2))
+
+
 def test_matching_covered_matches_oracle_on_every_small_graph():
-    """Every graph on the labels range(n), n in {2, 4, 6}, with at least
-    one edge: 32,831 edge sets, 3,193 of them matching covered."""
-    covered = 0
-    for n in (2, 4, 6):
+    """Every graph on the labels range(n), n <= 6, edgeless ones
+    included: 33,868 edge sets, 3,193 of them matching covered and
+    1,711 bicritical. Two vertices are bicritical with or without their
+    edge: deleting both leaves the empty graph."""
+    covered = bicritical = 0
+    for n in range(7):
         pairs = list(combinations(range(n), 2))
-        for mask in range(1, 1 << len(pairs)):
+        for mask in range(1 << len(pairs)):
             edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
-            got = is_matching_covered(Graph(range(n), edges))
+            g = Graph(range(n), edges)
+            got = is_matching_covered(g)
             assert got == brute_is_matching_covered(range(n), edges), edges
             covered += got
-    assert covered == 3193
+            got = is_bicritical(g)
+            assert got == brute_is_bicritical(
+                g, brute_matching_numbers(range(n), edges)), edges
+            bicritical += got
+    assert is_bicritical(Graph(range(2)))
+    assert (covered, bicritical) == (3193, 1711)
 
 
 @given(small_graphs())
@@ -141,31 +153,6 @@ def test_path_not_matching_covered():
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
     assert is_matchable(g)
     assert not is_matching_covered(g)  # middle edge in no matching
-
-
-def test_matching_structure_on_star():
-    g = Graph(range(4), [(0, 1), (0, 2), (0, 3)])
-    ms = matching_structure(g)
-    assert ms.deficiency == 2
-    assert ms.exposed == frozenset({1, 2, 3})
-    assert ms.attachments == frozenset({0})
-    assert ms.rest == frozenset()
-
-
-def test_matching_structure_perfect_graph(c6):
-    ms = matching_structure(c6)
-    assert ms.deficiency == 0
-    assert ms.exposed == frozenset()
-    assert ms.rest == frozenset(range(6))
-
-
-def test_matching_structure_with_removed(c6):
-    ms = matching_structure(c6, removed={0})
-    assert ms.deficiency == 1
-    # odd path 1-2-3-4-5: every vertex of odd index in the path matters;
-    # the avoidable ones are the odd-position endpoints 1, 3, 5
-    assert ms.exposed == frozenset({1, 3, 5})
-    assert ms.attachments == frozenset({2, 4})
 
 
 def test_enumeration_guard_is_fixed():
@@ -261,22 +248,20 @@ def _pair_query_graphs(exhaustive_corpus):
 
 
 def test_pair_queries_match_the_oracle(exhaustive_corpus):
-    """Dependence rows and the warm-started search against memoized
-    exhaustive recursion, on every removed set of size 0 to 4, and
-    matching_structure(g, {a}) for every vertex a."""
+    """The warm-started search against memoized exhaustive recursion on
+    every removed set of size 0 to 4; on graphs with a perfect matching,
+    every dependence row against the vertices some maximum matching of
+    g - a misses, and is_bicritical everywhere."""
     for g in _pair_query_graphs(exhaustive_corpus):
         edges = dict(g.edge_items())
         nu = brute_matching_numbers(g.vertices, edges.values())
-        h = Graph(g.vertices, edges)  # fresh caches for matching_structure
-        for a in h.vertices:
-            live = h.vertex_set - {a}
-            exposed = {v for v in live if nu(live - {v}) == nu(live)}
-            attachments = {w for v in exposed for w in h.neighbors(v)
-                           if w != a and w not in exposed}
-            ms = matching_structure(h, {a})
-            assert ms.exposed == exposed, (h, a)
-            assert ms.attachments == attachments, (h, a)
-            assert ms.deficiency == len(live) - 2 * nu(live), (h, a)
+        h = Graph(g.vertices, edges)  # fresh caches for the rows
+        if 2 * nu(h.vertex_set) == h.n:
+            for a in h.vertices:
+                live = h.vertex_set - {a}
+                exposed = {v for v in live if nu(live - {v}) == nu(live)}
+                assert _dependence_row(h, a) == exposed, (h, a)
+        assert is_bicritical(h) == brute_is_bicritical(h, nu), h
         for k in range(min(4, g.n) + 1):
             for removed in combinations(g.vertices, k):
                 live = g.vertex_set.difference(removed)
