@@ -1,11 +1,18 @@
 """Canonical graphs, generated corpora, and pinned fixtures.
 
 Exhaustive mode walks every labeled simple graph on n vertices (desk
-scale, n <= 7) and keeps the connected matching covered ones. Random
-mode uses rejection sampling over a cycling density schedule; the
-distribution is deliberately NOT uniform over matching covered graphs,
-it just spreads densities enough to vary the structure. Same spec, same
-graphs, always.
+scale, n <= 7) and keeps the connected matching covered ones. It runs
+no matching search: a graph is matching covered when it is connected
+and every edge lies in a perfect matching (Lovasz-Plummer, Matching
+Theory, 1986, ch. 5), so an edge set on n vertices qualifies exactly
+when it is connected and equals the union of the perfect matchings of
+K_n it contains. The walk keeps the edge bitmasks that pass this union
+rule and builds a Graph only for those; the sweep re-checks every graph
+with is_matching_covered, so that check stays a differential test of
+the production algorithm. Random mode uses rejection sampling over a
+cycling density schedule; the distribution is deliberately NOT uniform
+over matching covered graphs, it just spreads densities enough to vary
+the structure. Same spec, same graphs, always.
 """
 
 from __future__ import annotations
@@ -105,6 +112,46 @@ class CorpusSpec:
     names: tuple[str, ...] = ()
 
 
+def _complete_matchings(n: int) -> list[int]:
+    """The perfect matchings of K_n as bitmasks over the pairs of
+    range(n) in combinations order: (n - 1)!! of them, none at odd n."""
+    index = {pair: i for i, pair in enumerate(combinations(range(n), 2))}
+    out = []
+
+    def extend(free: tuple[int, ...], mask: int) -> None:
+        if not free:
+            out.append(mask)
+            return
+        u = free[0]
+        for j in range(1, len(free)):
+            extend(free[1:j] + free[j + 1:], mask | 1 << index[u, free[j]])
+
+    extend(tuple(range(n)), 0)
+    return out
+
+
+def _is_matching_union(bits: int, matchings: list[int]) -> bool:
+    """True iff bits is the union of the matchings it contains."""
+    cover = 0
+    for pm in matchings:
+        if bits & pm == pm:
+            cover |= pm
+    return cover == bits
+
+
+def _connects(n: int, edges) -> bool:
+    """True iff the edges join all of range(n) into one component."""
+    reach = 1
+    while True:
+        grown = reach
+        for u, v in edges:
+            if reach >> u & 1 or reach >> v & 1:
+                grown |= 1 << u | 1 << v
+        if grown == reach:
+            return reach == (1 << n) - 1
+        reach = grown
+
+
 def _exhaustive(spec: CorpusSpec):
     if not 1 <= spec.n <= EXHAUSTIVE_MAX_N:
         raise GraphError(
@@ -112,19 +159,13 @@ def _exhaustive(spec: CorpusSpec):
     if spec.n % 2:  # no perfect matching; n = 7 would walk 2^21 subsets
         return
     pairs = list(combinations(range(spec.n), 2))
-    # a matching covered graph has no isolated vertex, and on 4 or more
-    # vertices it is 2-connected, so every vertex has 2 neighbours: edge
-    # sets that miss this are skipped before a Graph is built
-    least = 2 if spec.n >= 4 else 1
-    incident = [sum(1 << i for i, pair in enumerate(pairs) if v in pair)
-                for v in range(spec.n)]
+    matchings = _complete_matchings(spec.n)
     for bits in range(1, 1 << len(pairs)):
-        if any((bits & mask).bit_count() < least for mask in incident):
+        if not _is_matching_union(bits, matchings):
             continue
         edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-        g = Graph(range(spec.n), edges)
-        if is_matching_covered(g):
-            yield g
+        if _connects(spec.n, edges):
+            yield Graph(range(spec.n), edges)
 
 
 def _random(spec: CorpusSpec):
@@ -147,6 +188,15 @@ def _random(spec: CorpusSpec):
         attempts += 1
         p = min(0.95, density / (spec.n - 1))
         edges = [pair for pair in pairs if rng.random() < p]
+        # a matching covered graph on 4 or more vertices is 2-connected,
+        # so a draw leaving a vertex with one neighbour or none is dropped
+        # before a Graph is built
+        degree = [0] * spec.n
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        if min(degree) < 2:
+            continue
         g = Graph(range(spec.n), edges)
         if is_matching_covered(g):
             produced += 1

@@ -64,6 +64,11 @@ def is_barrier(g: Graph, members) -> Barrier | None:
     Purely a component count; matchability of g is not required. The
     empty set and the full vertex set are rejected as malformed rather
     than returning None.
+
+    Positive answers are memoized on g as plain data, members mapped to
+    odd parts, so the memo holds no reference back to g and grows with
+    the barriers found, not with the candidates tried; a negative answer
+    is recomputed on every call.
     """
     members = frozenset(members)
     if not members:
@@ -73,9 +78,15 @@ def is_barrier(g: Graph, members) -> Barrier | None:
             f"not vertices of the graph: {sorted(members - g.vertex_set)}")
     if members == g.vertex_set:
         raise GraphError("barrier candidate is the whole vertex set")
-    odd, _ = odd_even_split(g.components_without(members))
-    if len(odd) != len(members):
-        return None
+    found = g._cache.get("barrier_parts")
+    if found is None:
+        found = g._cache["barrier_parts"] = {}
+    odd = found.get(members)
+    if odd is None:
+        odd, _ = odd_even_split(g.components_without(members))
+        if len(odd) != len(members):
+            return None
+        found[members] = odd
     return Barrier(members, odd, g)
 
 
@@ -365,13 +376,23 @@ def barrier_core(g: Graph, b: Barrier) -> Graph:
 
 def is_strict_barrier(g: Graph, b: Barrier) -> bool:
     """True iff every odd component of g - B is a single vertex or
-    critical, and the barrier core is matching covered."""
+    critical, and the barrier core is matching covered.
+
+    The answer is memoized on g, keyed by (members, odd parts).
+    """
     if b.graph is not g:
         raise GraphError("barrier belongs to a different graph")
-    if any(len(part) > 1 and not is_critical(g.induced(part))
-           for part in b.odd_parts):
-        return False
-    return is_matching_covered(barrier_core(g, b))
+    strict = g._cache.get("strict_barriers")
+    if strict is None:
+        strict = g._cache["strict_barriers"] = {}
+    key = (b.members, b.odd_parts)
+    got = strict.get(key)
+    if got is None:
+        got = strict[key] = (
+            all(len(part) == 1 or is_critical(g.induced(part))
+                for part in b.odd_parts)
+            and is_matching_covered(barrier_core(g, b)))
+    return got
 
 
 class ShoreBarrier(NamedTuple):

@@ -221,7 +221,7 @@ def _check_cut(label: str, g: Graph, c: Cut, all_cuts, tight_ids,
 def _check_barriers(label: str, g: Graph, tight_ids, report: SweepReport
                     ) -> None:
     for b in enumerate_barriers(g):
-        if g.induced(b.members).m:
+        if any(w in b.members for v in b.members for w in g.neighbors(v)):
             _flag(report, "barrier", label,
                   f"barrier {sorted(b.members)} is not independent")
         parts = g.components_without(b.members)

@@ -44,9 +44,10 @@ primitives. Both sides rely on is_matching_covered, is_barrier,
 make_two_separation and two_separation_cuts; on Graph, its methods
 boundary and contract, and GraphError; on Cut and its crosses; and on
 DecompositionCertificate for the JSON form. A Graph handed in by the
-caller also keeps whatever the producer memoized on it, matchings
-included, and so do its memoized contractions: a replayed contraction
-the producer also built is the producer's object, with its caches.
+caller also keeps whatever the producer memoized on it, matchings,
+barrier answers and strictness answers included, and so do its
+memoized contractions: a replayed contraction the producer also built
+is the producer's object, with its caches.
 """
 
 from __future__ import annotations

@@ -11,6 +11,9 @@ invariant guard, not a required branch, and the proof that no input
 reaches it is in that function's docstring in src/tightcut/decompose.py.
 """
 
+import hashlib
+import json
+
 import pytest
 
 import conftest
@@ -24,6 +27,12 @@ from conftest import GATE_SAMPLES_PER_ORDER, cycle, gate_specs
 from mutations import mutation_targets, target_mutants
 
 TIME_BUDGET_SECONDS = 600.0
+
+# sha256 of the gate report's JSON without "elapsed", keys sorted: a
+# change meant to alter no output leaves it as it is, and a change to it
+# is a change of the specification
+GATE_REPORT_SHA256 = (
+    "d237ffb6fd7b2b5bc6d2785e9948e5db966d86b7d13d708cb524293667708314")
 
 
 def conclude(n, problems, detail=""):
@@ -138,6 +147,13 @@ def test_criterion_6_strict_barrier_setups(report):
     conclude(6, problems,
              f"{report.strict_barrier_instances} dead-cut setups, each a "
              "confined strict barrier")
+
+
+def test_gate_report_is_pinned(report):
+    summary = report.to_json_dict()
+    del summary["elapsed"]
+    text = json.dumps(summary, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GATE_REPORT_SHA256
 
 
 def test_criterion_7_brick_sanity():

@@ -10,7 +10,12 @@ import pytest
 
 from tightcut.graph import Graph, GraphError
 from tightcut.matching import find_perfect_matching
-from tightcut.structure import enumerate_barriers, find_2separations
+from tightcut.structure import (
+    enumerate_barriers,
+    find_2separations,
+    is_barrier,
+    is_strict_barrier,
+)
 
 from conftest import cycle
 
@@ -205,10 +210,12 @@ def test_graph_caches_hold_no_reference_to_their_graph():
         g = cycle(6)
         assert find_perfect_matching(g) is not None
         assert enumerate_barriers(g)
+        assert is_strict_barrier(g, is_barrier(g, {0, 2, 4}))
         assert find_2separations(g)
         assert g.contract({3, 4, 5}).n == 4
         assert g.induced({0, 1, 2}).m == 2
-        assert {"perfect_matching", "barriers", "twoseps"} <= set(g._cache)
+        assert {"perfect_matching", "barriers", "twoseps", "barrier_parts",
+                "strict_barriers"} <= set(g._cache)
         ref = weakref.ref(g)
         del g
         assert ref() is None

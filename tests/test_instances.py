@@ -1,12 +1,14 @@
 """Canonical graphs, corpus generation, and the pinned fixtures."""
 
 from itertools import combinations
+from random import Random
 
 import pytest
 
 from tightcut.cuts import is_tight
-from tightcut.graph import GraphError
+from tightcut.graph import Graph, GraphError
 from tightcut.instances import (
+    _DENSITY_SCHEDULE,
     EXHAUSTIVE_MAX_N,
     RANDOM_MAX_N,
     CorpusSpec,
@@ -67,17 +69,21 @@ def test_canonical_shapes():
 
 # exhaustive mode ----------------------------------------------------------------
 
-def test_exhaustive_matches_oracle_n4():
-    got = list(enumerate_corpus(CorpusSpec("exhaustive", n=4)))
-    pairs = list(combinations(range(4), 2))
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_exhaustive_matches_oracle(n):
+    got = list(enumerate_corpus(CorpusSpec("exhaustive", n=n)))
+    pairs = list(combinations(range(n), 2))
     want = []
     for bits in range(1, 1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-        if len(brute_components(range(4), edges)) == 1 \
-                and brute_is_matching_covered(range(4), edges):
+        if len(brute_components(range(n), edges)) == 1 \
+                and brute_is_matching_covered(range(n), edges):
             want.append(sorted(edges))
     assert [sorted(tuple(sorted(g.edge_ends(e))) for e in g.edge_ids)
             for g in got] == want
+    # the generator decides no matching question on the graphs it
+    # yields, so the sweep's is_matching_covered check is a real one
+    assert not any("matching_covered" in g._cache for g in got)
 
 
 def test_exhaustive_odd_n_is_empty():
@@ -113,6 +119,32 @@ def test_random_seed_changes_output():
     b = edge_lists(enumerate_corpus(CorpusSpec("random", n=8, samples=5,
                                                seed=1)))
     assert a != b
+
+
+def _unfiltered_random(spec):
+    """Random mode without the skip of draws that leave a vertex of
+    degree below 2: every draw is built and tested."""
+    rng = Random(spec.seed * 1_000_003 + spec.n)
+    pairs = list(combinations(range(spec.n), 2))
+    attempts = 0
+    out = []
+    while len(out) < spec.samples:
+        density = _DENSITY_SCHEDULE[attempts % len(_DENSITY_SCHEDULE)]
+        attempts += 1
+        p = min(0.95, density / (spec.n - 1))
+        edges = [pair for pair in pairs if rng.random() < p]
+        g = Graph(range(spec.n), edges)
+        if is_matching_covered(g):
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("n", [8, 10, 12, 14])
+def test_random_degree_skip_keeps_the_corpus(n):
+    for seed in range(6):
+        spec = CorpusSpec("random", n=n, samples=4, seed=seed)
+        assert edge_lists(enumerate_corpus(spec)) \
+            == edge_lists(_unfiltered_random(spec)), seed
 
 
 def test_random_products_pass_filters():

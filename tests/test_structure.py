@@ -60,6 +60,7 @@ def test_is_barrier_hand_cases(c6):
 
 
 def test_is_barrier_rejects_malformed(c6):
+    assert enumerate_barriers(c6)  # a warm memo changes no validation
     with pytest.raises(GraphError):
         is_barrier(c6, set())
     with pytest.raises(GraphError):
@@ -350,6 +351,48 @@ def test_strictness_hand_cases(c6):
     assert core.n == 6
     assert core.m == 6
     assert is_matching_covered(core)
+
+
+def _pairwise_dependent_sets(g):
+    """Every nonempty vertex set whose members are pairwise dependent:
+    the candidates enumerate_barriers tries, by size then lex order."""
+    partners = _dependent_partners(g)
+    out = []
+
+    def grow(chosen, options):
+        for i, v in enumerate(options):
+            out.append(chosen + (v,))
+            grow(chosen + (v,), [w for w in options[i + 1:]
+                                 if w in partners[v]])
+
+    grow((), list(g.vertices))
+    return [frozenset(c) for c in out if len(c) < g.n]
+
+
+def test_memoized_barrier_answers_match_a_fresh_graph(exhaustive_corpus):
+    """is_barrier and is_strict_barrier answer on a graph whose memos
+    are warm as on a freshly built copy, and the is_barrier memo holds
+    exactly the barriers: no negative answer is stored."""
+    graphs = [g for n in (2, 4, 6) for g in exhaustive_corpus[n]]
+    graphs += [g for _, g, _ in fixture_instances()]
+    strict_checked = 0
+    for g in graphs:
+        fresh = Graph(g.vertices, dict(g.edge_items()))
+        listed = {b.members for b in enumerate_barriers(g)}
+        for members in _pairwise_dependent_sets(g):
+            want = is_barrier(fresh, members)
+            for _ in range(2):
+                got = is_barrier(g, members)
+                assert (got is None) == (want is None), (g, members)
+            if want is None:
+                continue
+            assert got.odd_parts == want.odd_parts, (g, members)
+            want_strict = is_strict_barrier(fresh, want)
+            for _ in range(2):
+                assert is_strict_barrier(g, got) == want_strict, (g, members)
+            strict_checked += 1
+        assert set(g._cache["barrier_parts"]) == listed, g
+    assert strict_checked > len(graphs)
 
 
 def test_barrier_core_shape(c6):

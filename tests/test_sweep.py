@@ -61,9 +61,9 @@ def test_fixture_sweep_harvests_unwitnessed_cuts():
 
 
 def test_unfiltered_corpus_surfaces_violations(monkeypatch):
-    # let every connected graph through, matching covered or not
-    monkeypatch.setattr(tightcut.instances, "is_matching_covered",
-                        lambda g: g.is_connected())
+    # let every connected edge set through, matching covered or not
+    monkeypatch.setattr(tightcut.instances, "_is_matching_union",
+                        lambda bits, matchings: True)
     report = run_sweep([CorpusSpec("exhaustive", n=4)],
                        include_fixtures=False)
     assert not report.ok
