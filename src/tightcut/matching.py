@@ -1,19 +1,25 @@
 """Perfect matchings and the predicates built on them.
 
 The polynomial-time core is one Edmonds alternating search
-(_alternating_search) over a vertex index and sorted adjacency built
-once per graph. Everything else (admissibility, matching covered,
-critical, bicritical) reduces to matchability queries on
-vertex-deleted subgraphs, answered in one of two ways:
+(_alternating_search) over a vertex index, sorted adjacency and g's
+cached maximum matching over positions, all built once per graph.
+Everything else reduces to matchability queries on vertex-deleted
+subgraphs, answered in one of three ways:
 
 - Dependence rows. When g has a perfect matching M, row(x) is the set
   of v with g - x - v matchable: the outer vertices of one search from
   the mate x' of x in g - x, started from M - xx' (_row_search). One
   search answers every pair query at x, so n searches answer all
-  O(n^2) of them. Every question about a pair on a graph with a perfect
-  matching reads the rows, cached per graph: is_admissible,
-  is_matching_covered and is_bicritical here, and the dependence
-  classes of cuts.py, structure.py and decompose.py.
+  O(n^2) of them. is_admissible and is_bicritical here, and the
+  dependence classes of cuts.py, structure.py and decompose.py, read
+  the rows, cached per graph.
+- Searches with targets. A search given target positions stops as
+  soon as every target is outer; its flags are then exact on the
+  targets only, so the caller reads its targets and nothing else, and
+  such flags are never cached as a row. is_matching_covered runs one
+  per vertex against its higher non-mate neighbours, the co-matchable
+  table one per row it reads, and is_critical a single one from the
+  vertex its maximum matching misses, against every vertex.
 - Warm-started search. matching_number and is_matchable answer every
   removed set with _blossom_mates: it starts from g's cached maximum
   matching less the edges at removed vertices and searches only from
@@ -91,7 +97,8 @@ def _search_index(g: Graph) -> tuple[tuple[int, ...], dict[int, int],
 
 
 def _alternating_search(adj: list[list[int]], match: list[int],
-                        dead: list[bool], root: int) -> list[bool] | None:
+                        dead: list[bool], root: int,
+                        targets=None) -> list[bool] | None:
     """Edmonds' search from the exposed vertex root, ignoring dead
     vertices.
 
@@ -101,6 +108,14 @@ def _alternating_search(adj: list[list[int]], match: list[int],
     returned: v is outer iff an even alternating path leads from root
     to v, iff swapping along it gives a matching of the same size that
     misses v instead of root (Edmonds 1965).
+
+    A vertex once outer stays outer, so with a collection of target
+    positions the search returns as soon as every target is outer.
+    The flags are then exact on the targets (all outer) and may miss
+    other outer vertices; a search that runs to the end is exact
+    everywhere. Either way a caller reads its targets and nothing else.
+    A search stopped early has not looked for an augmenting path, so
+    targets are passed only when match is maximum in the live graph.
     """
     n = len(adj)
     p = [-1] * n
@@ -108,6 +123,10 @@ def _alternating_search(adj: list[list[int]], match: list[int],
     outer = [False] * n
     outer[root] = True
     queue = [root]
+    pending = set() if targets is None else set(targets)
+    pending.discard(root)
+    if targets is not None and not pending:
+        return outer
 
     def lca(a: int, b: int) -> int:
         used = [False] * n
@@ -151,6 +170,9 @@ def _alternating_search(adj: list[list[int]], match: list[int],
                         if not outer[i]:
                             outer[i] = True
                             queue.append(i)
+                            pending.discard(i)
+                if targets is not None and not pending:
+                    return outer
             elif p[to] == -1:
                 p[to] = v
                 if match[to] == -1:
@@ -164,6 +186,9 @@ def _alternating_search(adj: list[list[int]], match: list[int],
                     return None
                 outer[match[to]] = True
                 queue.append(match[to])
+                pending.discard(match[to])
+                if targets is not None and not pending:
+                    return outer
     return outer
 
 
@@ -183,9 +208,9 @@ def _blossom_mates(g: Graph, removed: frozenset) -> dict[int, int]:
         dead[index[v]] = True
     match = [-1] * n
     if removed:
-        for v, w in _maximum_matching(g).items():
-            if not (dead[index[v]] or dead[index[w]]):
-                match[index[v]] = index[w]
+        for v, w in enumerate(_search_mates(g)):
+            if w != -1 and not (dead[v] or dead[w]):
+                match[v] = w
     else:
         for v in range(n):
             if match[v] == -1:
@@ -211,19 +236,21 @@ def _maximum_matching(g: Graph) -> dict[int, int]:
 
 
 def _row_search(adj: list[list[int]], match: list[int], dead: list[bool],
-                x: int) -> list[bool]:
+                x: int, targets=None) -> list[bool]:
     """Outer flags of one search from the mate of x with x deleted, where
     match is a perfect matching of the live vertices.
 
     match less the edge at x is a maximum matching of the live graph
     less x that misses only the mate, so v is outer iff deleting v too
     leaves a perfect matching. The search cannot augment, since that
-    graph has odd order. match is consumed; dead is restored.
+    graph has odd order, so it may stop early: with targets, the flags
+    are exact on the targets only (see _alternating_search). match is
+    consumed; dead is restored.
     """
     mate = match[x]
     match[x] = match[mate] = -1
     dead[x] = True
-    outer = _alternating_search(adj, match, dead, mate)
+    outer = _alternating_search(adj, match, dead, mate, targets)
     dead[x] = False
     if outer is None:
         raise InternalInvariantError(
@@ -231,17 +258,30 @@ def _row_search(adj: list[list[int]], match: list[int], dead: list[bool],
     return outer
 
 
+def _search_mates(g: Graph) -> list[int]:
+    """g's cached maximum matching over search positions: the position
+    of each vertex's mate, or -1 if it is exposed. Built once per graph;
+    a search consumes its match, so callers copy it."""
+    got = g._cache.get("search_mates")
+    if got is None:
+        verts, index, _ = _search_index(g)
+        mates = _maximum_matching(g)
+        got = g._cache["search_mates"] = [
+            index[mates[v]] if v in mates else -1 for v in verts]
+    return got
+
+
 def _dependence_row(g: Graph, x: int) -> frozenset[int]:
     """Every v with g - x - v matchable, for g with a perfect matching:
     the outer vertices of _row_search from x's mate in g's cached
-    perfect matching. Rows are cached per graph.
+    perfect matching, run to the end. Rows are cached per graph, and
+    only complete rows are.
     """
     rows = g._cache.setdefault("dependence_rows", {})
     got = rows.get(x)
     if got is None:
         verts, index, adj = _search_index(g)
-        mates = _maximum_matching(g)
-        outer = _row_search(adj, [index[mates[v]] for v in verts],
+        outer = _row_search(adj, _search_mates(g)[:],
                             [False] * len(verts), index[x])
         got = rows[x] = frozenset(v for v, o in zip(verts, outer) if o)
     return got
@@ -260,18 +300,18 @@ def _comatchable_masks(g: Graph) -> dict[int, int]:
     uv is admissible, and an inadmissible pair has no partner. Then for
     each w with a higher neighbour, one search from the N-mate of w in
     g - u - v - w gives every z with g - u - v - w - z matchable as an
-    outer vertex (_row_search). That is at most m * n searches,
-    cached per graph.
+    outer vertex (_row_search); that search stops once w's higher live
+    neighbours, the only flags it reads, are outer. That is at most
+    m * n searches, cached per graph.
     """
     got = g._cache.get("comatchable")
     if got is not None:
         return got
     verts, index, adj = _search_index(g)
     n = len(verts)
-    mates = _maximum_matching(g)
-    if len(mates) != n:
+    start = _search_mates(g)
+    if -1 in start:
         raise GraphError("co-matchable edges need a perfect matching")
-    start = [index[mates[v]] for v in verts]
     # (i, j) with i < j -> bitmask of the edges joining them
     bits: dict[tuple[int, int], int] = {}
     for eid, (u, v) in g.edge_items():
@@ -296,7 +336,7 @@ def _comatchable_masks(g: Graph) -> dict[int, int]:
             higher = [z for z in above[w] if not dead[z]]
             if not higher:
                 continue
-            outer = _row_search(adj, match[:], dead, w)
+            outer = _row_search(adj, match[:], dead, w, higher)
             for z in higher:
                 if outer[z]:
                     partners[i, j] |= bits[w, z]
@@ -418,23 +458,36 @@ def is_admissible(g: Graph, eid: int) -> bool:
     return len(_maximum_matching(g)) == g.n and v in _dependence_row(g, u)
 
 
-def is_matching_covered(g: Graph) -> bool:
-    """Connected, at least one edge, and every edge in some perfect matching.
+def _covers_every_edge(g: Graph) -> bool:
+    """Every edge of g, which has a perfect matching, lies in one.
 
-    An edge uv lies in a perfect matching iff g - u - v is matchable,
-    iff v is in the dependence row of u. An edge joining u to its mate
-    in the cached perfect matching needs no row. Each vertex with
-    another neighbour of higher label reads its row once, against
-    those neighbours.
+    An edge uv does iff g - u - v is matchable, iff v is in the
+    dependence row of u. An edge joining u to its mate in the cached
+    perfect matching needs no row. Each vertex u with another neighbour
+    of higher label runs one _row_search, which stops once those
+    neighbours are outer; the partial flags are read and dropped, never
+    cached as a row.
     """
+    _, _, adj = _search_index(g)
+    start = _search_mates(g)
+    dead = [False] * len(adj)
+    for u, mate in enumerate(start):
+        higher = [w for w in adj[u] if w > u and w != mate]
+        if higher:
+            outer = _row_search(adj, start[:], dead, u, higher)
+            if not all(outer[w] for w in higher):
+                return False
+    return True
+
+
+def is_matching_covered(g: Graph) -> bool:
+    """Connected, at least one edge, and every edge in some perfect
+    matching: one blossom run on g, then at most one row search per
+    vertex and none for an edge to a mate (_covers_every_edge)."""
     got = g._cache.get("matching_covered")
     if got is None:
         got = (g.n >= 2 and g.m >= 1 and g.is_connected()
-               and is_matchable(g)
-               and all(_dependence_row(g, u).issuperset(higher)
-                       for u, mate in _maximum_matching(g).items()
-                       if (higher := [w for w in g.neighbors(u)
-                                      if w > u and w != mate])))
+               and is_matchable(g) and _covers_every_edge(g))
         g._cache["matching_covered"] = got
     return got
 
@@ -443,11 +496,30 @@ def is_critical(g: Graph) -> bool:
     """g - v matchable for every single vertex v.
 
     Requires at least two vertices, which forces odd order; the single
-    vertex is not critical.
+    vertex is not critical. One search decides it. g - v has even
+    order n - 1, so it is matchable iff some maximum matching of g has
+    (n - 1)/2 edges and misses v. So g is critical iff its cached
+    maximum matching M misses exactly one vertex r, and every vertex
+    is missed by some maximum matching: D(G) = V in the Gallai-Edmonds
+    decomposition. M is maximum, so the search from r cannot augment,
+    and its outer vertices are exactly D(G), the fact _row_search
+    relies on; with every vertex as a target it stops once all are
+    outer.
     """
     if g.n < 2 or g.n % 2 == 0:
         return False
-    return all(is_matchable(g, frozenset((v,))) for v in g.vertices)
+    _, _, adj = _search_index(g)
+    start = _search_mates(g)
+    if start.count(-1) != 1:
+        return False
+    n = len(adj)
+    outer = _alternating_search(adj, start[:], [False] * n,
+                                start.index(-1), range(n))
+    if outer is None:
+        raise InternalInvariantError(
+            "search from the sole exposed vertex of a maximum matching "
+            "augmented")
+    return all(outer)
 
 
 def is_bicritical(g: Graph) -> bool:

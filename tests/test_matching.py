@@ -120,6 +120,63 @@ def test_critical_matches_oracle(data):
     assert is_critical(g) == brute_is_critical(range(n), edges)
 
 
+def test_critical_matches_oracle_on_every_small_odd_graph():
+    """Every labelled graph on n in {1, 3, 5} vertices, and seeded random
+    graphs on 7 and 9, against the one-search-per-vertex oracle. The
+    oracle calls K1 critical; the package does not, by convention."""
+    critical = 0
+    for n in (1, 3, 5):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            got = is_critical(Graph(range(n), edges))
+            assert got == (n > 1 and brute_is_critical(range(n), edges)), (
+                edges)
+            critical += got
+    assert critical == 1 + 233  # the triangle, and 233 graphs on five
+    rng = Random(7)
+    for n in (7, 9):
+        pairs = list(combinations(range(n), 2))
+        for _ in range(150):
+            edges = rng.sample(pairs, rng.randint(n - 1, 3 * n))
+            got = is_critical(Graph(range(n), edges))
+            assert got == brute_is_critical(range(n), edges), edges
+
+
+def _spy_searches(monkeypatch):
+    """The removed set of every _blossom_mates run, and the root of
+    every search run outside one."""
+    blossom_sets, searches, inside = [], [], []
+    blossom, search = matching._blossom_mates, matching._alternating_search
+
+    def spy_blossom(g, removed):
+        blossom_sets.append(removed)
+        inside.append(removed)
+        try:
+            return blossom(g, removed)
+        finally:
+            inside.pop()
+
+    def spy_search(adj, match, dead, root, targets=None):
+        if not inside:
+            searches.append(root)
+        return search(adj, match, dead, root, targets)
+
+    monkeypatch.setattr(matching, "_blossom_mates", spy_blossom)
+    monkeypatch.setattr(matching, "_alternating_search", spy_search)
+    return blossom_sets, searches
+
+
+def test_is_critical_runs_one_search(monkeypatch):
+    # one blossom run on g, then a single search from the vertex its
+    # maximum matching misses, in place of one blossom run per vertex
+    blossom_sets, searches = _spy_searches(monkeypatch)
+    g = cycle(9)
+    assert is_critical(g)
+    assert blossom_sets == [frozenset()]
+    assert len(searches) == 1
+
+
 def test_matching_number_with_parallel_edges():
     g = Graph(range(2), [(0, 1), (0, 1)])
     assert matching_number(g) == 1
@@ -182,24 +239,7 @@ def test_one_blossom_run_on_the_graph_itself(monkeypatch):
 def test_is_matching_covered_runs_rows_not_one_blossom_per_edge(monkeypatch):
     # one blossom run on g, then at most one row search per vertex, in
     # place of one blossom run per edge (66 here)
-    blossom_sets, row_searches, inside = [], [], []
-    blossom, search = matching._blossom_mates, matching._alternating_search
-
-    def spy_blossom(g, removed):
-        blossom_sets.append(removed)
-        inside.append(removed)
-        try:
-            return blossom(g, removed)
-        finally:
-            inside.pop()
-
-    def spy_search(adj, match, dead, root):
-        if not inside:
-            row_searches.append(root)
-        return search(adj, match, dead, root)
-
-    monkeypatch.setattr(matching, "_blossom_mates", spy_blossom)
-    monkeypatch.setattr(matching, "_alternating_search", spy_search)
+    blossom_sets, row_searches = _spy_searches(monkeypatch)
     g = glued(6)
     assert g.n == 22 and g.m == 66
     assert is_matching_covered(g)
@@ -207,12 +247,22 @@ def test_is_matching_covered_runs_rows_not_one_blossom_per_edge(monkeypatch):
     assert 0 < len(row_searches) <= g.n
 
 
-def test_is_matching_covered_reads_no_row_for_a_mate():
+def test_is_matching_covered_reads_no_row_for_a_mate(monkeypatch):
     # C6's cached perfect matching is 01, 23, 45, and an edge to a mate
-    # needs no row: only 0 (for 05), 1 (for 12) and 3 (for 34) read one
+    # needs no search: only 0 (for 05), 1 (for 12) and 3 (for 34) run
+    # one, and the partial flags it stops with are never cached as rows
+    starts = []
+    search = matching._row_search
+
+    def spy(adj, match, dead, x, targets=None):
+        starts.append(x)
+        return search(adj, match, dead, x, targets)
+
+    monkeypatch.setattr(matching, "_row_search", spy)
     g = cycle(6)
     assert is_matching_covered(g)
-    assert sorted(g._cache["dependence_rows"]) == [0, 1, 3]
+    assert starts == [0, 1, 3]
+    assert not g._cache.get("dependence_rows")
 
 
 def _pair_query_graphs(exhaustive_corpus):
@@ -269,3 +319,41 @@ def test_pair_queries_match_the_oracle(exhaustive_corpus):
                 assert is_matchable(g, removed) == (2 * want == len(live)), (
                     g, removed)
                 assert matching_number(g, removed) == want, (g, removed)
+
+
+def test_row_search_with_targets_agrees_with_the_full_row(exhaustive_corpus):
+    """A search stopped once its targets are outer reads the same on
+    them as the full dependence row, for every x and a seeded sample of
+    target sets."""
+    rng = Random(5)
+    for g in _pair_query_graphs(exhaustive_corpus):
+        h = Graph(g.vertices, dict(g.edge_items()))
+        if not is_matchable(h):
+            continue
+        verts, index, adj = matching._search_index(h)
+        for x in h.vertices:
+            row = _dependence_row(h, x)
+            live = [v for v in verts if v != x]
+            samples = [live, [rng.choice(live)]]
+            samples += [rng.sample(live, rng.randint(1, len(live)))
+                        for _ in range(3)]
+            for targets in samples:
+                outer = matching._row_search(
+                    adj, matching._search_mates(h)[:], [False] * h.n,
+                    index[x], [index[v] for v in targets])
+                assert all(outer[index[v]] == (v in row)
+                           for v in targets), (h, x, targets)
+
+
+def test_early_stops_cache_no_partial_row(exhaustive_corpus):
+    """After is_matching_covered and the co-matchable table, every
+    cached dependence row equals a row computed on a fresh copy."""
+    graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
+    graphs += [g for _, g, _ in fixture_instances()]
+    for g in graphs:
+        h = Graph(g.vertices, dict(g.edge_items()))
+        assert is_matching_covered(h)
+        matching._comatchable_masks(h)
+        for x, row in h._cache.get("dependence_rows", {}).items():
+            fresh = Graph(g.vertices, dict(g.edge_items()))
+            assert row == _dependence_row(fresh, x), (h, x)
