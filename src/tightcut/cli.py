@@ -93,7 +93,7 @@ def cmd_check(args) -> int:
         print("tight: undefined (graph has no perfect matching)")
         return 0
     # only tight cuts have witnesses, and a listed one proves the cut
-    # tight (Fact 1 in verify.py): the pair test runs only without one
+    # tight (Fact 1 in verify.py): is_tight runs only without one
     cls = classify_cut(g, c) if mc and meets_once(g, c) else None
     witnessed = cls is not None and cls.witnessed
     print(f"tight: {_yesno(witnessed or is_tight(g, c))}")

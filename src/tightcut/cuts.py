@@ -13,15 +13,17 @@ two-separation witnesses come from one cut edge (twoseps_generating).
 Tightness rests on one lemma: the cut of an odd shore is tight iff no
 two of its edges lie together in some perfect matching. Every perfect
 matching meets the cut an odd number of times, so it meets it more than
-once iff it holds two cut edges. is_tight checks one cut with the
-lemma, by O(|C|^2) matchability queries on g less the ends of two cut
-edges. enumerate_tight_cuts checks every shore against a per-graph
-table of co-matchable edges instead (matching._comatchable_masks, at
-most m * n Edmonds searches), so a shore costs a few bit operations.
-is_tight keeps the pair scan because it serves single cuts, where the
-table would cost more than the scan: tightcut check, the witness
-searches' entry test and decompose_tight_cut's failure path, on graphs
-up to hundreds of vertices.
+once iff it holds two cut edges. Both tightness tests decide that with
+the same Edmonds searches, read through Gallai-Edmonds (matching.py):
+per cut edge uv, a perfect matching of g - u - v, then row searches in
+g - u - v. enumerate_tight_cuts checks every shore against a per-graph
+table of co-matchable edges (matching._comatchable_masks, at most
+m * n searches), so a shore costs a few bit operations. is_tight runs
+the searches for one cut's edges only (matching._comatchable_among, at
+most |C|^2 / 2 searches), which costs less than the table for a single
+cut: tightcut check, the witness searches' entry test and
+decompose_tight_cut's failure path, on graphs up to hundreds of
+vertices.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from itertools import combinations
 
 from .graph import Cut, EnumerationLimitError, Graph, GraphError
 from .matching import (
+    _comatchable_among,
     _comatchable_masks,
     _dependence_row,
     find_perfect_matching,
-    is_matchable,
     is_matching_covered,
 )
 from .structure import Barrier, TwoSeparation, is_barrier, twoseps_generating
@@ -66,18 +68,16 @@ def is_tight(g: Graph, c: Cut) -> bool:
     g - V(e1) - V(e2) matchable: the shore minus the two ends inside it
     is odd, so a perfect matching of the rest uses at least one more cut
     edge; conversely, a perfect matching meeting the cut three or more
-    times contains such a pair. That is O(|C|^2) memoized matchability
-    queries, one per pair of distinct endpoint pairs, after the graph's
-    cached perfect matching has rejected any cut it meets more than once
-    (meets_once).
+    times contains such a pair. After the graph's cached perfect
+    matching has rejected any cut it meets more than once (meets_once),
+    _comatchable_among asks that of the cut's distinct (shore end, far
+    end) pairs: at most |C|^2 / 2 Edmonds searches, and no blossom run.
     """
     if not meets_once(g, c):
         return False
-    ends = sorted({(u, v) if u in c.shore else (v, u)
-                   for u, v in map(g.edge_ends, c.edge_ids)})
-    return not any(
-        x1 != x2 and y1 != y2 and is_matchable(g, frozenset((x1, y1, x2, y2)))
-        for (x1, y1), (x2, y2) in combinations(ends, 2))
+    return not _comatchable_among(g, {
+        (u, v) if u in c.shore else (v, u)
+        for u, v in map(g.edge_ends, c.edge_ids)})
 
 
 def enumerate_tight_cuts(g: Graph, nontrivial_only=False) -> list[Cut]:

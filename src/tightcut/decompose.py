@@ -35,8 +35,8 @@ once per step back: each contracted shore lies strictly inside a shore
 of the reference cut. On a cut that is not tight the loop still ends
 within g.n rounds, since each step contracts a shore of two or more
 vertices. It cannot return, so a guard raises InternalInvariantError,
-and only then does decompose_tight_cut run is_tight, with its O(|C|^2)
-pair test, to tell bad input from a bug.
+and only then does decompose_tight_cut run is_tight, with its at most
+|C|^2 / 2 co-matchable row searches, to tell bad input from a bug.
 
 Every graph and cut the reduction builds from a tight cut is valid by
 the facts below, which continue the numbering of verify.py. Every step

@@ -4,7 +4,7 @@ The polynomial-time core is one Edmonds alternating search
 (_alternating_search) over a vertex index, sorted adjacency and g's
 cached maximum matching over positions, all built once per graph.
 Everything else reduces to matchability queries on vertex-deleted
-subgraphs, answered in one of three ways:
+subgraphs, answered in one of two ways:
 
 - Dependence rows. When g has a perfect matching M, row(x) is the set
   of v with g - x - v matchable: the outer vertices of one search from
@@ -18,18 +18,21 @@ subgraphs, answered in one of three ways:
   targets only, so the caller reads its targets and nothing else, and
   such flags are never cached as a row. is_matching_covered runs one
   per vertex against its higher non-mate neighbours, the co-matchable
-  table one per row it reads, and is_critical a single one from the
-  vertex its maximum matching misses, against every vertex.
-- Warm-started search. matching_number and is_matchable answer every
-  removed set with _blossom_mates: it starts from g's cached maximum
-  matching less the edges at removed vertices and searches only from
-  the vertices that leaves exposed. Results are memoized per graph,
-  keyed by the removed set.
+  searches one per row they read, and is_critical a single one from
+  the vertex its maximum matching misses, against every vertex.
 
-The co-matchable edge table (_comatchable_masks), which tight-cut
-enumeration reads, is built from the same searches: per edge uv, one
-search for a perfect matching of g - u - v, then _row_search in
-g - u - v from it.
+Co-matchability, whether two disjoint edges lie together in some
+perfect matching, is decided by those searches alone: per edge uv, one
+search for a perfect matching of g - u - v (_without_pair), then
+_row_search in g - u - v from it. The co-matchable edge table
+(_comatchable_masks), which tight-cut enumeration reads, runs them for
+every edge; _comatchable_among, which is_tight calls, for the edges of
+one cut.
+
+matching_number and is_matchable answer a nonempty removed set on the
+induced subgraph g - removed, memoized on g, with that subgraph's own
+cached maximum matching; only tests and structure's barrier search on
+graphs without a perfect matching ask with one.
 
 Exhaustive perfect-matching enumeration is kept only as the test
 oracle for the polynomial routines; nothing in the package calls it,
@@ -192,46 +195,37 @@ def _alternating_search(adj: list[list[int]], match: list[int],
     return outer
 
 
-def _blossom_mates(g: Graph, removed: frozenset) -> dict[int, int]:
-    """Maximum matching of g - removed as a symmetric mate map.
+def _blossom_mates(g: Graph) -> dict[int, int]:
+    """Maximum matching of g as a symmetric mate map.
 
-    Runs _alternating_search from every exposed vertex once, O(V^3).
-    With vertices removed the start is g's cached maximum matching less
-    the edges at removed vertices, so at most |removed| more vertices
-    are exposed; on g itself it is a greedy matching in sorted order.
+    Starts from a greedy matching in sorted order, then runs
+    _alternating_search from every exposed vertex once, O(V^3).
     Everything is sorted, so the result is deterministic.
     """
-    verts, index, adj = _search_index(g)
+    verts, _, adj = _search_index(g)
     n = len(verts)
-    dead = [False] * n
-    for v in removed:
-        dead[index[v]] = True
     match = [-1] * n
-    if removed:
-        for v, w in enumerate(_search_mates(g)):
-            if w != -1 and not (dead[v] or dead[w]):
-                match[v] = w
-    else:
-        for v in range(n):
-            if match[v] == -1:
-                for w in adj[v]:
-                    if match[w] == -1:
-                        match[v] = w
-                        match[w] = v
-                        break
     for v in range(n):
-        if match[v] == -1 and not dead[v]:
+        if match[v] == -1:
+            for w in adj[v]:
+                if match[w] == -1:
+                    match[v] = w
+                    match[w] = v
+                    break
+    dead = [False] * n
+    for v in range(n):
+        if match[v] == -1:
             _alternating_search(adj, match, dead, v)
     return {verts[i]: verts[match[i]] for i in range(n) if match[i] != -1}
 
 
 def _maximum_matching(g: Graph) -> dict[int, int]:
     """One maximum matching of g itself as a mate map, computed once per
-    graph: matching_number, find_perfect_matching, the warm start of
-    _blossom_mates and the dependence rows share it."""
+    graph: matching_number, find_perfect_matching and every search
+    share it."""
     got = g._cache.get("mates")
     if got is None:
-        got = g._cache["mates"] = _blossom_mates(g, frozenset())
+        got = g._cache["mates"] = _blossom_mates(g)
     return got
 
 
@@ -261,7 +255,8 @@ def _row_search(adj: list[list[int]], match: list[int], dead: list[bool],
 def _search_mates(g: Graph) -> list[int]:
     """g's cached maximum matching over search positions: the position
     of each vertex's mate, or -1 if it is exposed. Built once per graph;
-    a search consumes its match, so callers copy it."""
+    every row search and co-matchable search starts from it, and a
+    search consumes its match, so callers copy it."""
     got = g._cache.get("search_mates")
     if got is None:
         verts, index, _ = _search_index(g)
@@ -287,22 +282,42 @@ def _dependence_row(g: Graph, x: int) -> frozenset[int]:
     return got
 
 
+def _without_pair(adj: list[list[int]], start: list[int], i: int,
+                  j: int) -> tuple[list[int], list[bool]] | None:
+    """A perfect matching of g - i - j over positions, with its dead
+    flags, from g's perfect matching start; None when there is none.
+
+    It is start less ij when ij is in start; otherwise start less its
+    edges at i and j leaves only the mates i' and j' exposed, so one
+    search from i' in g - i - j augments iff g - i - j is matchable.
+    """
+    match = start[:]
+    dead = [False] * len(adj)
+    dead[i] = dead[j] = True
+    if match[i] == j:
+        match[i] = match[j] = -1
+    else:
+        a, b = match[i], match[j]
+        match[i] = match[j] = match[a] = match[b] = -1
+        if _alternating_search(adj, match, dead, a) is not None:
+            return None
+    return match, dead
+
+
 def _comatchable_masks(g: Graph) -> dict[int, int]:
     """Each edge id of g mapped to the bitmask of the edge ids that lie
-    with it in some perfect matching, for g with a perfect matching M.
+    with it in some perfect matching, for g with a perfect matching.
 
     Co-matchability depends only on the end pairs, so parallel edges
     share one row, and it is symmetric: a pair uv takes its partners wz
     with w > min(u, v) from its own searches and the rest from earlier
-    pairs. For uv, a perfect matching N of g - u - v is M - uv when uv
-    is in M; otherwise M less its edges at u and v leaves only the mates
-    u' and v' exposed, so one search from u' in g - u - v augments iff
-    uv is admissible, and an inadmissible pair has no partner. Then for
-    each w with a higher neighbour, one search from the N-mate of w in
-    g - u - v - w gives every z with g - u - v - w - z matchable as an
-    outer vertex (_row_search); that search stops once w's higher live
-    neighbours, the only flags it reads, are outer. That is at most
-    m * n searches, cached per graph.
+    pairs. For uv, _without_pair gives a perfect matching N of
+    g - u - v, or shows that uv is inadmissible and has no partner.
+    Then for each w with a higher neighbour, one search from the N-mate
+    of w in g - u - v - w gives every z with g - u - v - w - z
+    matchable as an outer vertex (_row_search); that search stops once
+    w's higher live neighbours, the only flags it reads, are outer.
+    That is at most m * n searches, cached per graph.
     """
     got = g._cache.get("comatchable")
     if got is not None:
@@ -320,16 +335,10 @@ def _comatchable_masks(g: Graph) -> dict[int, int]:
     partners = dict.fromkeys(bits, 0)
     above = [[z for z in adj[w] if z > w] for w in range(n)]
     for i, j in sorted(bits):
-        match = start[:]
-        dead = [False] * n
-        dead[i] = dead[j] = True
-        if match[i] == j:
-            match[i] = match[j] = -1
-        else:
-            a, b = match[i], match[j]
-            match[i] = match[j] = match[a] = match[b] = -1
-            if _alternating_search(adj, match, dead, a) is not None:
-                continue  # g - u - v has no perfect matching
+        got = _without_pair(adj, start, i, j)
+        if got is None:
+            continue
+        match, dead = got
         for w in range(i + 1, n):
             if dead[w]:
                 continue
@@ -346,42 +355,58 @@ def _comatchable_masks(g: Graph) -> dict[int, int]:
     return got
 
 
-def _validate_removed(g: Graph, removed: frozenset) -> None:
-    bad = removed - g.vertex_set
-    if bad:
-        raise GraphError(f"not vertices of the graph: {sorted(bad)}")
+def _comatchable_among(g: Graph, pairs) -> bool:
+    """True iff two disjoint pairs among pairs, each the two ends of an
+    edge of g, lie together in some perfect matching of g, which must
+    have one.
+
+    The pairs go in sorted position order. For each ij, _without_pair
+    gives a perfect matching of g - i - j, or shows that ij is in no
+    perfect matching; then for each later pair xy disjoint from ij, one
+    _row_search from x with target y says whether g - i - j - x - y is
+    matchable, and the first such y answers True. That is at most
+    |pairs|^2 / 2 searches, and no blossom run.
+    """
+    _, index, adj = _search_index(g)
+    start = _search_mates(g)
+    pos = sorted((index[u], index[v]) for u, v in pairs)
+    for k, (i, j) in enumerate(pos):
+        got = _without_pair(adj, start, i, j)
+        if got is None:
+            continue
+        match, dead = got
+        for x, y in pos[k + 1:]:
+            if not (dead[x] or dead[y]) and _row_search(
+                    adj, match[:], dead, x, (y,))[y]:
+                return True
+    return False
 
 
 def matching_number(g: Graph, removed=frozenset()) -> int:
-    """Size of a maximum matching of g - removed: one _blossom_mates
-    run, memoized per graph and removed set.
+    """Size of a maximum matching of g - removed.
+
+    g's own maximum matching is cached. A nonempty removed set is
+    answered on g.without_vertices(removed), which checks the removed
+    vertices belong to g and is memoized on g, as is its own maximum
+    matching.
     """
     removed = frozenset(removed)
-    _validate_removed(g, removed)
-    cache = g._cache.setdefault("nu_by_removed", {})
-    got = cache.get(removed)
-    if got is None:
-        mates = (_blossom_mates(g, removed) if removed
-                 else _maximum_matching(g))
-        got = len(mates) // 2
-        cache[removed] = got
-    return got
+    if removed:
+        g = g.without_vertices(removed)
+    return len(_maximum_matching(g)) // 2
 
 
 def is_matchable(g: Graph, removed=frozenset()) -> bool:
-    """True iff g - removed has a perfect matching.
+    """True iff g - removed has a perfect matching, answered like
+    matching_number.
 
     The graph on zero vertices counts as matchable (its empty matching
     is perfect); the single vertex does not.
     """
     removed = frozenset(removed)
-    _validate_removed(g, removed)
-    k = g.n - len(removed)
-    if k % 2:
-        return False
-    if k == 0:
-        return True
-    return 2 * matching_number(g, removed) == k
+    if removed:
+        g = g.without_vertices(removed)
+    return g.n % 2 == 0 and 2 * matching_number(g) == g.n
 
 
 def find_perfect_matching(g: Graph) -> Matching | None:

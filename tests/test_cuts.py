@@ -12,11 +12,16 @@ from tightcut.cuts import (
     classify_cut,
     enumerate_tight_cuts,
     is_tight,
+    meets_once,
 )
 from tightcut.instances import (
     CorpusSpec, canonical, enumerate_corpus, fixture_instances)
 from tightcut.matching import (
-    _comatchable_masks, is_matching_covered, perfect_matching_masks)
+    _comatchable_masks,
+    is_matchable,
+    is_matching_covered,
+    perfect_matching_masks,
+)
 from tightcut.structure import enumerate_barriers
 
 from conftest import (
@@ -26,6 +31,7 @@ from conftest import (
     brute_matching_numbers,
     brute_perfect_matchings,
     cycle,
+    glued,
     inflated,
 )
 
@@ -235,21 +241,34 @@ def test_comatchable_table_matches_oracle_on_contractions():
                for g in graphs for _, (u, v) in g.edge_items())
 
 
+def _pair_scan_tight(g, c):
+    """The lemma's pair test with no row search: the cut of an odd
+    shore, in a graph with a perfect matching, is tight iff no two
+    disjoint cut edges leave g less their four ends matchable, each
+    asked by a blossom run on that induced subgraph."""
+    ends = [g.edge_ends(eid) for eid in c.edge_ids]
+    return len(c.shore) % 2 == 1 and not any(
+        not {u, v} & {w, z}
+        and is_matchable(g.without_vertices({u, v, w, z}))
+        for (u, v), (w, z) in combinations(ends, 2))
+
+
 def _tight_by_pair_test(g, nontrivial_only=False):
     """Every odd shore through the smallest vertex, by size then lex
-    order, kept when is_tight's pair scan says its cut is tight."""
+    order, kept when the pair scan says its cut is tight."""
     anchor, rest = g.vertices[0], g.vertices[1:]
     low = 3 if nontrivial_only else 1
     cuts = [g.boundary((anchor,) + combo)
             for size in range(low, g.n - low + 1, 2)
             for combo in combinations(rest, size - 1)]
-    return [c for c in cuts if is_tight(g, c)]
+    return [c for c in cuts if _pair_scan_tight(g, c)]
 
 
 @pytest.mark.parametrize("nontrivial_only", [False, True])
 def test_enumerate_tight_cuts_matches_pair_test(nontrivial_only):
-    """The same cuts in the same order as is_tight over every odd shore,
-    on random graphs of orders 8 to 12 and on the fixture contractions."""
+    """The same cuts in the same order as the pair scan over every odd
+    shore, on random graphs of orders 8 to 12 and on the fixture
+    contractions."""
     graphs = _random_graphs((8, 10, 12), 12) + _fixture_contractions()
     nontrivial = 0
     for g in graphs:
@@ -259,6 +278,32 @@ def test_enumerate_tight_cuts_matches_pair_test(nontrivial_only):
             [(c.shore, c.edge_ids) for c in want], g
         nontrivial += sum(not c.is_trivial for c in got)
     assert nontrivial > 50
+
+
+def test_is_tight_matches_pair_scan_on_larger_cuts():
+    """is_tight against the pair scan on the reference cut of glued
+    K_{k,k} pairs for k = 3..6 and of every fixture inflated at k = 3
+    and 4, and on a seeded sample of odd shores of those graphs that
+    the cached perfect matching meets once."""
+    cases = [(glued(k), range(2 * k - 1)) for k in range(3, 7)]
+    cases += [inflated(g, shore, k) for _, g, shore in fixture_instances()
+              for k in (3, 4)]
+    rng = Random(23)
+    tight = untight = 0
+    for g, shore in cases:
+        cuts = [g.boundary(shore)]
+        while len(cuts) < 21:
+            size = rng.randrange(3, g.n - 2, 2)
+            c = g.boundary(rng.sample(g.vertices, size))
+            if meets_once(g, c):
+                cuts.append(c)
+        for c in cuts:
+            got = is_tight(g, c)
+            assert got == _pair_scan_tight(g, c), (g, sorted(c.shore))
+            tight += got
+            untight += not got
+        assert is_tight(g, cuts[0]), g
+    assert tight > len(cases) and untight > 200
 
 
 # classify_cut ------------------------------------------------------------------

@@ -6,8 +6,10 @@ of the producer and no tightness test, imports from the package only
 the primitives its docstring lists and never names cut_from_edge_ids,
 decompose.py tests matching coverage only in its entry check, runs
 is_tight only on entry to the witness search and when a decomposition
-fails, and names no is_matchable, no module in src/ defines
-matching_structure or MatchingStructure, classify_cut tests no tightness, sweep.py names neither is_tight
+fails, and names no is_matchable, cuts.py names neither is_matchable
+nor matching_number, only _maximum_matching runs _blossom_mates, no
+module in src/ defines matching_structure or MatchingStructure,
+classify_cut tests no tightness, sweep.py names neither is_tight
 nor cut_from_edge_ids and a sweep runs no is_tight, and src/ has no assert
 statement: python -O strips them, so invariant guards raise
 InternalInvariantError instead.
@@ -185,7 +187,7 @@ def test_decompose_tests_only_its_input():
 def test_decompose_runs_is_tight_only_to_reject():
     """decompose_tight_cut names is_tight only inside its handler of
     InternalInvariantError: its certificate proves the cut tight, and
-    the pair test only tells bad input from a bug. The other functions
+    is_tight only tells bad input from a bug. The other functions
     that name it are the witness entry points, in the statement after
     their entry check."""
     path = ROOT / "src" / "tightcut" / "decompose.py"
@@ -259,6 +261,19 @@ def test_no_pairwise_matching_structure(path):
     separate exposed/attachment split."""
     assert top_level_names(ast.parse(path.read_text())) & {
         "matching_structure", "MatchingStructure"} == set()
+
+
+def test_one_co_matchability_algorithm():
+    """cuts.py decides tightness with the co-matchable row searches and
+    asks no removed-set query, and nothing in src/ but _maximum_matching,
+    which caches g's own maximum matching, runs a blossom."""
+    path = ROOT / "src" / "tightcut" / "cuts.py"
+    assert oracle_references(ast.parse(path.read_text()),
+                             {"is_matchable", "matching_number"}) == []
+    callers = {(p.name, getattr(node, "name", None))
+               for p in PACKAGE for node in ast.parse(p.read_text()).body
+               if oracle_references(node, {"_blossom_mates"})}
+    assert callers == {("matching.py", "_maximum_matching")}
 
 
 def test_classify_cut_tests_no_tightness():

@@ -144,16 +144,16 @@ def test_critical_matches_oracle_on_every_small_odd_graph():
 
 
 def _spy_searches(monkeypatch):
-    """The removed set of every _blossom_mates run, and the root of
-    every search run outside one."""
-    blossom_sets, searches, inside = [], [], []
+    """The graph of every _blossom_mates run, and the root of every
+    search run outside one."""
+    blossoms, searches, inside = [], [], []
     blossom, search = matching._blossom_mates, matching._alternating_search
 
-    def spy_blossom(g, removed):
-        blossom_sets.append(removed)
-        inside.append(removed)
+    def spy_blossom(g):
+        blossoms.append(g)
+        inside.append(g)
         try:
-            return blossom(g, removed)
+            return blossom(g)
         finally:
             inside.pop()
 
@@ -164,16 +164,16 @@ def _spy_searches(monkeypatch):
 
     monkeypatch.setattr(matching, "_blossom_mates", spy_blossom)
     monkeypatch.setattr(matching, "_alternating_search", spy_search)
-    return blossom_sets, searches
+    return blossoms, searches
 
 
 def test_is_critical_runs_one_search(monkeypatch):
     # one blossom run on g, then a single search from the vertex its
     # maximum matching misses, in place of one blossom run per vertex
-    blossom_sets, searches = _spy_searches(monkeypatch)
+    blossoms, searches = _spy_searches(monkeypatch)
     g = cycle(9)
     assert is_critical(g)
-    assert blossom_sets == [frozenset()]
+    assert blossoms == [g]
     assert len(searches) == 1
 
 
@@ -221,29 +221,24 @@ def test_enumeration_guard_is_fixed():
 
 def test_one_blossom_run_on_the_graph_itself(monkeypatch):
     # matching_number(g) and find_perfect_matching share one maximum
-    # matching of g, so g itself goes through blossom once
-    removed_sets = []
-    blossom = matching._blossom_mates
-
-    def spy(g, removed):
-        removed_sets.append(removed)
-        return blossom(g, removed)
-
-    monkeypatch.setattr(matching, "_blossom_mates", spy)
-    g = cycle(6)
-    assert is_matching_covered(g)
-    assert is_tight(g, g.boundary({0, 1, 2}))
-    assert removed_sets.count(frozenset()) == 1
+    # matching of g, so g itself goes through blossom once, and is_tight
+    # reads row searches from it with no blossom run of its own
+    blossoms, _ = _spy_searches(monkeypatch)
+    for g, shore in ((cycle(6), range(3)), (glued(6), range(11))):
+        blossoms.clear()
+        assert is_matching_covered(g)
+        assert is_tight(g, g.boundary(shore))
+        assert blossoms == [g]
 
 
 def test_is_matching_covered_runs_rows_not_one_blossom_per_edge(monkeypatch):
     # one blossom run on g, then at most one row search per vertex, in
     # place of one blossom run per edge (66 here)
-    blossom_sets, row_searches = _spy_searches(monkeypatch)
+    blossoms, row_searches = _spy_searches(monkeypatch)
     g = glued(6)
     assert g.n == 22 and g.m == 66
     assert is_matching_covered(g)
-    assert blossom_sets == [frozenset()]
+    assert blossoms == [g]
     assert 0 < len(row_searches) <= g.n
 
 
@@ -298,7 +293,8 @@ def _pair_query_graphs(exhaustive_corpus):
 
 
 def test_pair_queries_match_the_oracle(exhaustive_corpus):
-    """The warm-started search against memoized exhaustive recursion on
+    """matching_number and is_matchable, which answer a removed set on
+    the induced subgraph, against memoized exhaustive recursion on
     every removed set of size 0 to 4; on graphs with a perfect matching,
     every dependence row against the vertices some maximum matching of
     g - a misses, and is_bicritical everywhere."""
