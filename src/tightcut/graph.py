@@ -385,80 +385,56 @@ class Graph:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
-    def blocks(self) -> tuple[frozenset[int], ...]:
-        """Biconnected components as vertex sets.
+    def cut_vertices(self) -> frozenset[int]:
+        """The vertices whose deletion leaves more components: one
+        iterative low-point search per component (Hopcroft and Tarjan
+        1973).
 
-        Bridges are 2-vertex blocks; an isolated vertex is its own block.
+        disc[v] is v's discovery time in the depth-first search, and
+        low[v] the least discovery time that one edge reaches from v's
+        subtree. A non-root v is a cut vertex iff some child w has
+        low[w] >= disc[v], so nothing below w reaches above v; a root
+        is one iff it has two or more children. The search walks
+        distinct neighbours and lets the edge back to the parent count
+        in low: that edge, or a parallel copy of it, lowers low[w] to
+        disc[v] at most, which the test allows, so parallel edges change
+        nothing.
         """
-        got = self._cache.get("blocks")
+        got = self._cache.get("cut_vertices")
         if got is not None:
             return got
         disc: dict[int, int] = {}
         low: dict[int, int] = {}
-        out: list[frozenset[int]] = []
-        estack: list[int] = []
+        out = set()
         for root in self._vlist:
             if root in disc:
                 continue
-            if self.degree(root) == 0:
-                out.append(frozenset((root,)))
-                continue
             disc[root] = low[root] = len(disc)
-            stack = [(root, -1, iter(self.incident(root)))]
+            children = 0
+            stack = [(root, iter(self._adj[root]))]
             while stack:
-                v, in_eid, it = stack[-1]
-                advanced = False
-                for eid in it:
-                    if eid == in_eid:
-                        continue
-                    a, b = self._edges[eid]
-                    w = b if a == v else a
+                v, it = stack[-1]
+                for w in it:
                     if w not in disc:
-                        estack.append(eid)
                         disc[w] = low[w] = len(disc)
-                        stack.append((w, eid, iter(self.incident(w))))
-                        advanced = True
+                        stack.append((w, iter(self._adj[w])))
                         break
-                    if disc[w] < disc[v]:
-                        estack.append(eid)
-                        if disc[w] < low[v]:
-                            low[v] = disc[w]
-                if advanced:
-                    continue
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    if low[v] < low[pv]:
-                        low[pv] = low[v]
-                    if low[v] >= disc[pv]:
-                        grp = []
-                        while True:
-                            top = estack.pop()
-                            grp.append(top)
-                            if top == in_eid:
-                                break
-                        verts = set()
-                        for geid in grp:
-                            a, b = self._edges[geid]
-                            verts.add(a)
-                            verts.add(b)
-                        out.append(frozenset(verts))
-            if estack:
-                raise InternalInvariantError(
-                    "edges left on the stack after a DFS tree closed")
-        got = tuple(sorted(out, key=lambda s: (min(s), len(s), sorted(s))))
-        self._cache["blocks"] = got
-        return got
-
-    def cut_vertices(self) -> frozenset[int]:
-        got = self._cache.get("cut_vertices")
-        if got is None:
-            counts: dict[int, int] = {}
-            for blk in self.blocks():
-                for v in blk:
-                    counts[v] = counts.get(v, 0) + 1
-            got = frozenset(v for v, k in counts.items() if k > 1)
-            self._cache["cut_vertices"] = got
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    stack.pop()
+                    if not stack:
+                        continue
+                    u = stack[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if u == root:
+                        children += 1
+                    elif low[v] >= disc[u]:
+                        out.add(u)
+            if children >= 2:
+                out.add(root)
+        got = self._cache["cut_vertices"] = frozenset(out)
         return got
 
     def is_2connected(self) -> bool:

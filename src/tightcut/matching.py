@@ -29,10 +29,13 @@ _row_search in g - u - v from it. The co-matchable edge table
 every edge; _comatchable_among, which is_tight calls, for the edges of
 one cut.
 
-matching_number and is_matchable answer a nonempty removed set on the
-induced subgraph g - removed, memoized on g, with that subgraph's own
-cached maximum matching; only tests and structure's barrier search on
-graphs without a perfect matching ask with one.
+g's maximum matching is computed once per graph (_blossom_mates) and
+cached as a position list (_search_mates), the form every search starts
+from. matching_number, is_matchable and find_perfect_matching read it,
+and every test for a perfect matching is is_matchable. They take g
+alone: a question about g less a vertex set is asked on
+g.without_vertices(...), which is memoized on g with its own cached
+matching.
 
 Exhaustive perfect-matching enumeration is kept only as the test
 oracle for the polynomial routines; nothing in the package calls it,
@@ -195,15 +198,16 @@ def _alternating_search(adj: list[list[int]], match: list[int],
     return outer
 
 
-def _blossom_mates(g: Graph) -> dict[int, int]:
-    """Maximum matching of g as a symmetric mate map.
+def _blossom_mates(g: Graph) -> list[int]:
+    """Maximum matching of g over search positions: the position of
+    each vertex's mate, or -1 if it is exposed.
 
     Starts from a greedy matching in sorted order, then runs
     _alternating_search from every exposed vertex once, O(V^3).
     Everything is sorted, so the result is deterministic.
     """
-    verts, _, adj = _search_index(g)
-    n = len(verts)
+    _, _, adj = _search_index(g)
+    n = len(adj)
     match = [-1] * n
     for v in range(n):
         if match[v] == -1:
@@ -216,17 +220,7 @@ def _blossom_mates(g: Graph) -> dict[int, int]:
     for v in range(n):
         if match[v] == -1:
             _alternating_search(adj, match, dead, v)
-    return {verts[i]: verts[match[i]] for i in range(n) if match[i] != -1}
-
-
-def _maximum_matching(g: Graph) -> dict[int, int]:
-    """One maximum matching of g itself as a mate map, computed once per
-    graph: matching_number, find_perfect_matching and every search
-    share it."""
-    got = g._cache.get("mates")
-    if got is None:
-        got = g._cache["mates"] = _blossom_mates(g)
-    return got
+    return match
 
 
 def _row_search(adj: list[list[int]], match: list[int], dead: list[bool],
@@ -253,16 +247,13 @@ def _row_search(adj: list[list[int]], match: list[int], dead: list[bool],
 
 
 def _search_mates(g: Graph) -> list[int]:
-    """g's cached maximum matching over search positions: the position
-    of each vertex's mate, or -1 if it is exposed. Built once per graph;
-    every row search and co-matchable search starts from it, and a
-    search consumes its match, so callers copy it."""
-    got = g._cache.get("search_mates")
+    """g's one cached maximum matching, as _blossom_mates' position
+    list, built once per graph. Every existence test, row search and
+    co-matchable search reads it; a search consumes its match, so
+    callers copy it."""
+    got = g._cache.get("mates")
     if got is None:
-        verts, index, _ = _search_index(g)
-        mates = _maximum_matching(g)
-        got = g._cache["search_mates"] = [
-            index[mates[v]] if v in mates else -1 for v in verts]
+        got = g._cache["mates"] = _blossom_mates(g)
     return got
 
 
@@ -324,9 +315,9 @@ def _comatchable_masks(g: Graph) -> dict[int, int]:
         return got
     verts, index, adj = _search_index(g)
     n = len(verts)
-    start = _search_mates(g)
-    if -1 in start:
+    if not is_matchable(g):
         raise GraphError("co-matchable edges need a perfect matching")
+    start = _search_mates(g)
     # (i, j) with i < j -> bitmask of the edges joining them
     bits: dict[tuple[int, int], int] = {}
     for eid, (u, v) in g.edge_items():
@@ -382,35 +373,26 @@ def _comatchable_among(g: Graph, pairs) -> bool:
     return False
 
 
-def matching_number(g: Graph, removed=frozenset()) -> int:
-    """Size of a maximum matching of g - removed.
-
-    g's own maximum matching is cached. A nonempty removed set is
-    answered on g.without_vertices(removed), which checks the removed
-    vertices belong to g and is memoized on g, as is its own maximum
-    matching.
-    """
-    removed = frozenset(removed)
-    if removed:
-        g = g.without_vertices(removed)
-    return len(_maximum_matching(g)) // 2
+def matching_number(g: Graph) -> int:
+    """Size of a maximum matching of g, read off its cached one. For
+    g less a vertex set, ask on g.without_vertices(...)."""
+    return (g.n - _search_mates(g).count(-1)) // 2
 
 
-def is_matchable(g: Graph, removed=frozenset()) -> bool:
-    """True iff g - removed has a perfect matching, answered like
-    matching_number.
+def is_matchable(g: Graph) -> bool:
+    """True iff g has a perfect matching: even order, and the cached
+    maximum matching exposes no vertex. Odd order is answered before
+    any search runs.
 
     The graph on zero vertices counts as matchable (its empty matching
     is perfect); the single vertex does not.
     """
-    removed = frozenset(removed)
-    if removed:
-        g = g.without_vertices(removed)
-    return g.n % 2 == 0 and 2 * matching_number(g) == g.n
+    return g.n % 2 == 0 and -1 not in _search_mates(g)
 
 
 def find_perfect_matching(g: Graph) -> Matching | None:
-    """A perfect matching, or None, computed once per graph.
+    """g's cached maximum matching as a Matching when is_matchable(g),
+    else None, computed once per graph.
 
     Parallel mates use the least edge id. The cache keeps the edge ids
     only, and the Matching is built on return, so the cache holds no
@@ -418,11 +400,11 @@ def find_perfect_matching(g: Graph) -> Matching | None:
     """
     if "perfect_matching" not in g._cache:
         found = None
-        if g.n % 2 == 0:
-            mates = _maximum_matching(g)
-            if len(mates) == g.n:
-                found = frozenset(min(g.edges_between(u, v))
-                                  for u, v in mates.items() if u < v)
+        if is_matchable(g):
+            verts = g.vertices
+            found = frozenset(
+                min(g.edges_between(verts[i], verts[j]))
+                for i, j in enumerate(_search_mates(g)) if i < j)
         g._cache["perfect_matching"] = found
     found = g._cache["perfect_matching"]
     return None if found is None else Matching(found, g)
@@ -480,7 +462,7 @@ def is_admissible(g: Graph, eid: int) -> bool:
     """True iff some perfect matching of g contains the edge uv: g has
     a perfect matching and v is in the dependence row of u."""
     u, v = g.edge_ends(eid)
-    return len(_maximum_matching(g)) == g.n and v in _dependence_row(g, u)
+    return is_matchable(g) and v in _dependence_row(g, u)
 
 
 def _covers_every_edge(g: Graph) -> bool:
@@ -559,5 +541,5 @@ def is_bicritical(g: Graph) -> bool:
     """
     if g.n < 2 or g.n % 2:
         return False
-    return g.n == 2 or (len(_maximum_matching(g)) == g.n and all(
+    return g.n == 2 or (is_matchable(g) and all(
         len(_dependence_row(g, u)) == g.n - 1 for u in g.vertices))

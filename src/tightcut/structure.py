@@ -33,7 +33,6 @@ from .graph import (
 )
 from .matching import (
     _dependence_row,
-    _maximum_matching,
     is_admissible,
     is_critical,
     is_matchable,
@@ -138,10 +137,10 @@ def _dependent_partners(g: Graph) -> dict[int, frozenset[int]]:
     is a matchability query.
     """
     pool = g.vertices
-    if len(_maximum_matching(g)) == g.n:
+    if is_matchable(g):
         return {v: g.vertex_set - _dependence_row(g, v) - {v} for v in pool}
     return {v: frozenset(w for w in pool if w != v
-                         and not is_matchable(g, frozenset((v, w))))
+                         and not is_matchable(g.without_vertices((v, w))))
             for v in pool}
 
 

@@ -528,7 +528,7 @@ def _dependence_classes(h):
     for v in h.vertices:
         if v in left:
             part = frozenset(w for w in left
-                             if w == v or not is_matchable(h, {v, w}))
+                             if w == v or not is_matchable(h.without_vertices({v, w})))
             left -= part
             out.append(part)
     return out

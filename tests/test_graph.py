@@ -8,6 +8,7 @@ from random import Random
 
 import pytest
 
+from tightcut.cuts import enumerate_tight_cuts
 from tightcut.graph import Graph, GraphError
 from tightcut.matching import find_perfect_matching
 from tightcut.structure import (
@@ -223,27 +224,64 @@ def test_graph_caches_hold_no_reference_to_their_graph():
         gc.enable()
 
 
-# blocks and 2-connectivity ---------------------------------------------------
+# cut vertices and 2-connectivity ---------------------------------------------
 
-def test_blocks_of_two_triangles_sharing_a_vertex():
+def test_two_triangles_sharing_a_vertex_are_cut_there():
     g = Graph(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-    assert set(g.blocks()) == {
-        frozenset({0, 1, 2}), frozenset({2, 3, 4})}
     assert g.cut_vertices() == frozenset({2})
     assert not g.is_2connected()
 
 
 def test_cycle_is_2connected(c6):
-    assert c6.blocks() == (frozenset(range(6)),)
     assert c6.cut_vertices() == frozenset()
     assert c6.is_2connected()
 
 
-def test_bridge_is_its_own_block():
+def test_path_is_cut_at_its_inner_vertices():
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
-    assert set(g.blocks()) == {
-        frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})}
     assert g.cut_vertices() == frozenset({1, 2})
+
+
+def _cut_vertices_by_definition(g):
+    """v is a cut vertex iff g - v has more components than g."""
+    k = len(g.components())
+    return frozenset(v for v in g.vertices
+                     if len(g.without_vertices({v}).components()) > k)
+
+
+def _cut_vertex_graphs(exhaustive_corpus):
+    """Fresh copies of every exhaustive-corpus graph and of both shore
+    subgraphs of each of its nontrivial tight cuts, then seeded random
+    multigraphs with parallel edges, isolated vertices and several
+    components."""
+    for corpus in exhaustive_corpus.values():
+        for g in corpus:
+            yield Graph(g.vertices, dict(g.edge_items()))
+            for c in enumerate_tight_cuts(g, nontrivial_only=True):
+                for shore in c.shores():
+                    h = g.induced(shore)
+                    yield Graph(h.vertices, dict(h.edge_items()))
+    rng = Random(11)
+    for _ in range(600):
+        n = rng.randint(1, 11)
+        pairs = list(combinations(range(n), 2))
+        edges = rng.choices(pairs, k=rng.randint(0, 2 * n)) if pairs else []
+        edges += rng.sample(edges, len(edges) // 4)
+        yield Graph(range(n), edges)
+
+
+def test_cut_vertices_match_the_definition(exhaustive_corpus):
+    seen = {"parallel": 0, "isolated": 0, "split": 0, "cut": 0}
+    for g in _cut_vertex_graphs(exhaustive_corpus):
+        got = g.cut_vertices()
+        assert got == _cut_vertices_by_definition(g), g
+        seen["parallel"] += len(set(map(g.edge_ends, g.edge_ids))) < g.m
+        seen["isolated"] += any(g.degree(v) == 0 for v in g.vertices) \
+            and g.n > 1
+        seen["split"] += len(g.components()) > 1
+        seen["cut"] += bool(got)
+    # the sample reaches every case the search has to get right
+    assert min(seen.values()) > 20, seen
 
 
 def test_two_vertices_with_parallel_pair_2connected():

@@ -7,12 +7,14 @@ the primitives its docstring lists and never names cut_from_edge_ids,
 decompose.py tests matching coverage only in its entry check, runs
 is_tight only on entry to the witness search and when a decomposition
 fails, and names no is_matchable, cuts.py names neither is_matchable
-nor matching_number, only _maximum_matching runs _blossom_mates, no
-module in src/ defines matching_structure or MatchingStructure,
-classify_cut tests no tightness, sweep.py names neither is_tight
-nor cut_from_edge_ids and a sweep runs no is_tight, and src/ has no assert
-statement: python -O strips them, so invariant guards raise
-InternalInvariantError instead.
+nor matching_number, only _search_mates runs _blossom_mates,
+matching.py keeps no second maximum matching, matching_number and
+is_matchable take g alone, Graph has no block decomposition, every name
+bench/tracer.py traces is defined, no module in src/ defines
+matching_structure or MatchingStructure, classify_cut tests no
+tightness, sweep.py names neither is_tight nor cut_from_edge_ids and a
+sweep runs no is_tight, and src/ has no assert statement: python -O
+strips them, so invariant guards raise InternalInvariantError instead.
 
 Standard library only, so the check runs where no linter is installed.
 An imported name counts as used when it appears as a bare name anywhere
@@ -20,15 +22,20 @@ in the module, or when the module's __all__ re-exports it.
 """
 
 import ast
+import importlib
+import inspect
 import re
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import tightcut.cuts
 from tightcut.decompose import find_noncrossing_witness
+from tightcut.graph import Graph
 from tightcut.instances import CorpusSpec, canonical
+from tightcut.matching import is_matchable, matching_number
 from tightcut.sweep import run_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -265,7 +272,7 @@ def test_no_pairwise_matching_structure(path):
 
 def test_one_co_matchability_algorithm():
     """cuts.py decides tightness with the co-matchable row searches and
-    asks no removed-set query, and nothing in src/ but _maximum_matching,
+    asks no removed-set query, and nothing in src/ but _search_mates,
     which caches g's own maximum matching, runs a blossom."""
     path = ROOT / "src" / "tightcut" / "cuts.py"
     assert oracle_references(ast.parse(path.read_text()),
@@ -273,7 +280,49 @@ def test_one_co_matchability_algorithm():
     callers = {(p.name, getattr(node, "name", None))
                for p in PACKAGE for node in ast.parse(p.read_text()).body
                if oracle_references(node, {"_blossom_mates"})}
-    assert callers == {("matching.py", "_maximum_matching")}
+    assert callers == {("matching.py", "_search_mates")}
+
+
+def test_matching_keeps_one_maximum_matching():
+    """The position list _search_mates caches is g's only maximum
+    matching: no mate dict is kept beside it."""
+    path = ROOT / "src" / "tightcut" / "matching.py"
+    assert "_maximum_matching" not in top_level_names(
+        ast.parse(path.read_text()))
+
+
+@pytest.mark.parametrize("query", [matching_number, is_matchable],
+                         ids=lambda f: f.__name__)
+def test_matching_queries_take_the_graph_alone(query):
+    """A question about g less a vertex set is asked on
+    g.without_vertices(...), not through a removed option."""
+    assert list(inspect.signature(query).parameters) == ["g"]
+
+
+def test_graph_has_no_block_decomposition():
+    """cut_vertices is one low-point search; nothing reads blocks."""
+    assert not hasattr(Graph, "blocks")
+
+
+def test_every_traced_name_resolves():
+    """bench/tracer.py wraps every name in its TRACED table, and a
+    traced run fails when one is missing, so each must stay defined:
+    functions on their module, methods on their class. The tracer
+    imports only the standard library; its source is executed here
+    without writing bytecode next to it."""
+    path = ROOT / "bench" / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    exec(compile(path.read_text(), str(path), "exec"), tracer.__dict__)
+    missing = []
+    for mod, attrs in tracer.TRACED.items():
+        module = importlib.import_module(f"tightcut.{mod}")
+        for attr in attrs:
+            owner = module
+            for part in attr.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                missing.append(f"{mod}.{attr}")
+    assert missing == []
 
 
 def test_classify_cut_tests_no_tightness():

@@ -220,7 +220,7 @@ def test_enumeration_guard_is_fixed():
 
 
 def test_one_blossom_run_on_the_graph_itself(monkeypatch):
-    # matching_number(g) and find_perfect_matching share one maximum
+    # is_matchable(g) and find_perfect_matching share one cached maximum
     # matching of g, so g itself goes through blossom once, and is_tight
     # reads row searches from it with no blossom run of its own
     blossoms, _ = _spy_searches(monkeypatch)
@@ -293,11 +293,11 @@ def _pair_query_graphs(exhaustive_corpus):
 
 
 def test_pair_queries_match_the_oracle(exhaustive_corpus):
-    """matching_number and is_matchable, which answer a removed set on
-    the induced subgraph, against memoized exhaustive recursion on
-    every removed set of size 0 to 4; on graphs with a perfect matching,
-    every dependence row against the vertices some maximum matching of
-    g - a misses, and is_bicritical everywhere."""
+    """Matchability and matching number of every induced subgraph
+    g - S with |S| <= 4 against memoized exhaustive recursion; on
+    graphs with a perfect matching, every dependence row against the
+    vertices some maximum matching of g - a misses, and is_bicritical
+    everywhere."""
     for g in _pair_query_graphs(exhaustive_corpus):
         edges = dict(g.edge_items())
         nu = brute_matching_numbers(g.vertices, edges.values())
@@ -312,9 +312,10 @@ def test_pair_queries_match_the_oracle(exhaustive_corpus):
             for removed in combinations(g.vertices, k):
                 live = g.vertex_set.difference(removed)
                 want = nu(live)
-                assert is_matchable(g, removed) == (2 * want == len(live)), (
+                sub = g.without_vertices(removed)
+                assert is_matchable(sub) == (2 * want == len(live)), (
                     g, removed)
-                assert matching_number(g, removed) == want, (g, removed)
+                assert matching_number(sub) == want, (g, removed)
 
 
 def test_row_search_with_targets_agrees_with_the_full_row(exhaustive_corpus):

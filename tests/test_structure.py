@@ -169,7 +169,7 @@ def test_barrier_search_matches_oracle_without_perfect_matching(edges):
 def _dependence_classes(g):
     """Map each vertex u to u and every v with g - u - v not matchable."""
     return {u: frozenset({u} | {v for v in g.vertices if v != u
-                               and not is_matchable(g, {u, v})})
+                               and not is_matchable(g.without_vertices({u, v}))})
             for u in g.vertices}
 
 
