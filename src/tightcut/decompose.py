@@ -20,23 +20,24 @@ fails the code raises InternalInvariantError rather than improvising,
 because a violation means the implementation, not the input, is wrong.
 
 Matching coverage is tested once, on the caller's input, by each
-public entry point. find_noncrossing_witness and witness_from_edge test
-tightness there too, with is_tight: a witness that does not cross c
-proves nothing about c. decompose_tight_cut tests only the cheap
+public entry point. find_noncrossing_witness and witness_from_edge
+test tightness there too, with is_tight: a witness that does not cross
+c proves nothing about c. decompose_tight_cut tests only the cheap
 necessary conditions (meets_once: an odd shore, met once by the cached
 perfect matching), and its certificate proves the rest. A returned
-certificate implies a tight cut. Every step passed _require_witness,
-and every final barrier passed is_barrier with the shore among its odd
-parts (classify_cut), or every final two-separation passed
-two_separation_cuts (twoseps_generating). So the final cut is tight in
-the last graph by Fact 1 of verify.py (witnessed cuts are tight), and
-tight in g by its Fact 2 (tightness pulls back through a contraction),
-once per step back: each contracted shore lies strictly inside a shore
-of the reference cut. On a cut that is not tight the loop still ends
-within g.n rounds, since each step contracts a shore of two or more
-vertices. It cannot return, so a guard raises InternalInvariantError,
-and only then does decompose_tight_cut run is_tight, with its at most
-|C|^2 / 2 co-matchable row searches, to tell bad input from a bug.
+certificate implies a tight cut. Every step passed _finding_failure,
+the WitnessFinding contract, and every final barrier passed is_barrier
+with the shore among its odd parts (classify_cut), or every final
+two-separation passed two_separation_cuts (twoseps_generating). So the
+final cut is tight in the last graph by Fact 1 of verify.py (witnessed
+cuts are tight), and tight in g by its Fact 2 (tightness pulls back
+through a contraction), once per step back: each contracted shore lies
+strictly inside a shore of the reference cut. On a cut that is not
+tight the loop still ends within g.n rounds, since each step contracts
+a shore of two or more vertices. It cannot return, so a guard raises
+InternalInvariantError, and only then does decompose_tight_cut run
+is_tight, with its at most |C|^2 / 2 co-matchable row searches, to
+tell bad input from a bug.
 
 Every graph and cut the reduction builds from a tight cut is valid by
 the facts below, which continue the numbering of verify.py. Every step
@@ -126,11 +127,37 @@ class WitnessFinding:
     of the reference cut; cut is the boundary of the odd component of
     g - barrier that holds the entire opposite shore. A TwoSeparation
     witness generates cut, whose off-reference shore lies inside one
-    reference shore.
+    reference shore. _finding_failure states this contract; the
+    producer and the sweep both check it there.
     """
 
     cut: Cut
     witness: Barrier | TwoSeparation
+
+
+def _finding_failure(g: Graph, c: Cut, finding: WitnessFinding) -> str | None:
+    """Why finding breaks the WitnessFinding contract for the reference
+    cut c, or None. A two-separation is held to the verifier's witness
+    rule, witness_failure. A barrier must be nontrivial and lie properly
+    inside a shore of c, then pass witness_failure, and then the shore
+    of its cut that misses it must hold the opposite shore of c."""
+    cut, witness = finding.cut, finding.witness
+    if isinstance(witness, TwoSeparation):
+        return witness_failure(
+            g, c, cut, (witness.pair, witness.side1, witness.side2))
+    if not isinstance(witness, Barrier):
+        return f"unknown witness {witness!r}"
+    members = witness.members
+    shore = next((side for side in c.shores() if members < side), None)
+    if shore is None or not witness.is_nontrivial:
+        return "barrier is trivial or not properly inside a reference shore"
+    reason = witness_failure(g, c, cut, members)
+    if reason is not None:
+        return reason
+    holder = next(side for side in cut.shores() if not side & members)
+    if not g.vertex_set - shore <= holder:
+        return "barrier cut shore does not hold the opposite shore"
+    return None
 
 
 def _require_decomposable(g: Graph, c: Cut) -> None:
@@ -144,38 +171,37 @@ def _require_decomposable(g: Graph, c: Cut) -> None:
         raise GraphError("cut is trivial")
 
 
-def _require_witness(g: Graph, c: Cut, cut: Cut, witness, branch: str) -> None:
-    """Hold a produced step to the verifier's witness rule."""
-    reason = witness_failure(g, c, cut, witness)
-    if reason is not None:
-        raise InternalInvariantError(f"{branch}: {reason}")
-
-
 def _finish_barrier(g: Graph, c: Cut, members, shore: frozenset[int],
                     branch: str) -> WitnessFinding:
-    """Derive the cut of a barrier landed inside one shore and check it."""
-    members = frozenset(members)
-    if len(members) < 2 or not members < shore:
-        raise InternalInvariantError(
-            f"{branch}: barrier {sorted(members)} is trivial or not properly "
-            f"inside shore {sorted(shore)}")
+    """The finding of a barrier landed inside shore: its cut is the
+    boundary of the odd part that holds the opposite shore, and the
+    whole finding passes _finding_failure."""
+    b = is_barrier(g, members)
     opposite = g.vertex_set - shore
-    holder = next(
-        (p for p in g.components_without(members) if opposite <= p), None)
+    holder = None if b is None else next(
+        (p for p in b.odd_parts if opposite <= p), None)
     if holder is None:
         raise InternalInvariantError(
-            f"{branch}: no component holds the opposite shore")
-    derived = g.boundary(holder)
-    _require_witness(g, c, derived, members, branch)
-    return WitnessFinding(derived, is_barrier(g, members))
+            f"{branch}: {sorted(members)} is no barrier with an odd part "
+            "holding the opposite shore")
+    finding = WitnessFinding(g.boundary(holder), b)
+    if (reason := _finding_failure(g, c, finding)) is not None:
+        raise InternalInvariantError(f"{branch}: {reason}")
+    return finding
 
 
 def _finish_twosep(g: Graph, c: Cut, pair, side1, side2, cut_shore,
                    branch: str) -> WitnessFinding:
-    """Check a two-separation generates the cut with cut_shore."""
-    derived = g.boundary(cut_shore)
-    _require_witness(g, c, derived, (pair, side1, side2), branch)
-    return WitnessFinding(derived, make_two_separation(g, pair, side1, side2))
+    """The finding of a two-separation that generates the cut with
+    cut_shore, checked by _finding_failure."""
+    try:
+        ts = make_two_separation(g, pair, side1, side2)
+    except GraphError as exc:
+        raise InternalInvariantError(f"{branch}: {exc}") from exc
+    finding = WitnessFinding(g.boundary(cut_shore), ts)
+    if (reason := _finding_failure(g, c, finding)) is not None:
+        raise InternalInvariantError(f"{branch}: {reason}")
+    return finding
 
 
 def witness_from_edge(g: Graph, c: Cut, eid: int,
@@ -215,11 +241,23 @@ def witness_from_edge(g: Graph, c: Cut, eid: int,
     return _witness_from_edge(g, c, eid, tally)
 
 
-def _witness_from_edge(g: Graph, c: Cut, eid: int, tally: BranchTally,
-                       prefer_pivot: int | None = None) -> WitnessFinding:
-    """witness_from_edge without its entry check. prefer_pivot, which
-    the block split passes, forces the pivot choice; it must be an
-    endpoint of the edge with at least two distinct cross neighbors."""
+def _witness_from_edge(g: Graph, c: Cut, eid: int,
+                       tally: BranchTally) -> WitnessFinding:
+    """witness_from_edge without its entry check.
+
+    In the block split of find_noncrossing_witness the ordinary pivot
+    rule picks the contraction vertex s. Proof, with w the far endpoint
+    of the edge and f1 the block component s sits beside: w has no
+    neighbour in f1. An edge xw with x in f1 is a cut edge of the
+    original graph and not good, so x is an attached near cut vertex,
+    which f1 avoids by construction, or w is a far cut vertex, which the
+    split's candidates exclude. And s has two or more distinct far
+    neighbours, since the far side plus s is 2-connected on at least 3
+    vertices. So the rule takes u = s when s is on the canonical shore;
+    otherwise u = w, whose one cross neighbour is s, and it takes v = s.
+    With the pivot s, a barrier found here contains s (the far-shore
+    branch) or lies in the far shore (the odd-side branch).
+    """
     if eid not in c.edge_ids:
         raise GraphError(f"edge {eid} is not in the cut")
     a, b = g.edge_ends(eid)
@@ -232,14 +270,7 @@ def _witness_from_edge(g: Graph, c: Cut, eid: int, tally: BranchTally,
 
     u_cross = {w for w in g.neighbors(u) if w in xv}
     v_cross = {w for w in g.neighbors(v) if w in xu}
-    if prefer_pivot is not None:
-        if prefer_pivot not in (u, v):
-            raise GraphError("pivot must be an endpoint of the edge")
-        cross = u_cross if prefer_pivot == u else v_cross
-        if len(cross) < 2:
-            raise GraphError("pivot needs two distinct cross neighbors")
-        pivot = prefer_pivot
-    elif len(u_cross) >= 2:
+    if len(u_cross) >= 2:
         pivot = u
     elif len(v_cross) >= 2:
         pivot = v
@@ -322,9 +353,9 @@ def find_noncrossing_witness(g: Graph, c: Cut,
     vertices; the canonical shore then splits at an attached cut vertex
     into an even block component and the rest, the rest contracts to a
     single vertex, and the strictly smaller instance answers through
-    one forced good edge. Its answer pulls back: barriers map through
-    the contraction label, and a reproduced cut becomes a
-    two-separation of g at the split vertex.
+    one good edge at that vertex, which becomes the pivot. Its answer
+    pulls back: barriers map through the contraction label, and a
+    reproduced cut becomes a two-separation of g at the split vertex.
     """
     _require_decomposable(g, c)
     if not is_tight(g, c):
@@ -390,12 +421,14 @@ def _find_noncrossing_witness(g: Graph, c: Cut,
     w = min(candidates)
     e2 = min(shrunk.edges_between(s_label, w))
     try:
-        sub = _witness_from_edge(shrunk, c2, e2, tally, s_label)
+        sub = _witness_from_edge(shrunk, c2, e2, tally)
     except GraphError as exc:
         raise InternalInvariantError(
             f"block split instance rejected a theorem-backed edge: {exc}") from exc
 
     if isinstance(sub.witness, Barrier):
+        # the pivot was s_label (_witness_from_edge's docstring), so the
+        # barrier holds s_label or lies in the far shore
         tally.hit(BRANCH_PULLBACK_BARRIER)
         members = sub.witness.members
         if s_label in members:
@@ -403,8 +436,6 @@ def _find_noncrossing_witness(g: Graph, c: Cut,
             return _finish_barrier(g, c, lifted, xu, BRANCH_PULLBACK_BARRIER)
         if members <= xv:
             return _finish_barrier(g, c, members, xv, BRANCH_PULLBACK_BARRIER)
-        if members <= f1:
-            return _finish_barrier(g, c, members, xu, BRANCH_PULLBACK_BARRIER)
         raise InternalInvariantError("inner barrier escapes both shores")
 
     tally.hit(BRANCH_PULLBACK_TWOSEP)
@@ -577,8 +608,10 @@ def _reduce(g: Graph, c: Cut, tally: BranchTally) -> DecompositionCertificate:
         picked = _min_holder_barrier(cur_g, tracked, start)
         if picked is not None:
             witness, step_cut, start = picked
-            _require_witness(cur_g, cur_c, step_cut, witness.members,
-                             BRANCH_BARRIER_PHASE)
+            finding = WitnessFinding(step_cut, witness)
+            if (reason := _finding_failure(cur_g, cur_c, finding)) is not None:
+                raise InternalInvariantError(
+                    f"{BRANCH_BARRIER_PHASE}: {reason}")
             tally.hit(BRANCH_BARRIER_PHASE)
         elif twoseps := twoseps_generating(cur_g, cur_c):
             # a barrier witness would lie in a candidate class, on which

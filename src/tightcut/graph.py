@@ -488,10 +488,3 @@ class Cut:
 
     def __repr__(self) -> str:
         return f"Cut(shore={sorted(self.shore)}, edges={sorted(self.edge_ids)})"
-
-
-def odd_even_split(parts) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
-    """Split vertex sets by parity of their size: (odd, even)."""
-    odd = tuple(p for p in parts if len(p) % 2 == 1)
-    even = tuple(p for p in parts if len(p) % 2 == 0)
-    return odd, even

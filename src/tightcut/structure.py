@@ -29,7 +29,6 @@ from .graph import (
     Graph,
     GraphError,
     InternalInvariantError,
-    odd_even_split,
 )
 from .matching import (
     _dependence_row,
@@ -82,7 +81,7 @@ def is_barrier(g: Graph, members) -> Barrier | None:
         found = g._cache["barrier_parts"] = {}
     odd = found.get(members)
     if odd is None:
-        odd, _ = odd_even_split(g.components_without(members))
+        odd = tuple(p for p in g.components_without(members) if len(p) % 2)
         if len(odd) != len(members):
             return None
         found[members] = odd

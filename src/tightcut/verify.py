@@ -11,7 +11,8 @@ Failures carry a reason code and the JSON path of the offending field.
 witness_failure states, once, the rule every contraction step and, with
 the final cut as its own reference, every final witness obeys: the cut
 is nontrivial, does not cross the reference, and a valid barrier or
-two-separation generates it. The producer and the sweep call it too.
+two-separation generates it. The producer calls it too, inside the
+WitnessFinding check that the sweep re-runs.
 The final block lists witnesses in a step's witness form; at least one
 is required, and a two-separation among them after a reduction. The
 producer lists the largest barrier witness per shore and every

@@ -9,6 +9,7 @@ import pytest
 
 import tightcut.cuts
 import tightcut.decompose
+import tightcut.sweep
 from tightcut.certificate import DecompositionCertificate
 from tightcut.cuts import (
     classify_cut, enumerate_tight_cuts, is_tight, meets_once)
@@ -24,6 +25,8 @@ from tightcut.decompose import (
     BRANCH_SOLE_CROSS_NEIGHBORS,
     BRANCH_TWOSEP_STEP,
     BranchTally,
+    WitnessFinding,
+    _finding_failure,
     decompose_tight_cut,
     find_noncrossing_witness,
     witness_from_edge,
@@ -34,6 +37,7 @@ from tightcut.matching import (
     ENUMERATION_LIMIT, is_matchable, is_matching_covered)
 from tightcut.structure import (
     Barrier, TwoSeparation, enumerate_barriers, is_barrier)
+from tightcut.sweep import run_sweep
 from tightcut.verify import verify_certificate
 
 from conftest import (
@@ -146,6 +150,67 @@ def test_find_witness_postconditions(name):
     c = g.boundary(shore)
     finding = find_noncrossing_witness(g, c)
     check_finding(g, c, finding)
+
+
+def test_block_split_pivot_is_the_contraction_vertex(monkeypatch):
+    """The lemma in _witness_from_edge's docstring, on every block split
+    of a fixture sweep: the contraction vertex s has two or more
+    distinct neighbours across the inner cut, the far endpoint has only
+    s, and a barrier found contains s or lies in the far shore. A call
+    is a block split when its graph is not the one the enclosing search
+    was given; s is the one vertex the contraction added."""
+    search = tightcut.decompose._find_noncrossing_witness
+    from_edge = tightcut.decompose._witness_from_edge
+    outer, splits = [], []
+
+    def searched(g, c, tally):
+        outer.append(g)
+        try:
+            return search(g, c, tally)
+        finally:
+            outer.pop()
+
+    def spied(g, c, eid, tally):
+        finding = from_edge(g, c, eid, tally)
+        if g is not outer[-1]:
+            [s] = g.vertex_set - outer[-1].vertex_set
+            splits.append((g, c, eid, finding, s))
+        return finding
+
+    for module in (tightcut.decompose, tightcut.sweep):
+        monkeypatch.setattr(module, "_find_noncrossing_witness", searched)
+    monkeypatch.setattr(tightcut.decompose, "_witness_from_edge", spied)
+    report = run_sweep([], include_fixtures=True)
+    assert report.ok
+    assert len(splits) == report.branch_counts[BRANCH_BLOCK_SPLIT] > 0
+    for g, c, eid, finding, s in splits:
+        near, far = ((c.shore, c.other_shore) if s in c.shore
+                     else (c.other_shore, c.shore))
+        [w] = set(g.edge_ends(eid)) - {s}
+        assert len({x for x in g.neighbors(s) if x in far}) >= 2
+        assert {x for x in g.neighbors(w) if x in near} == {s}
+        if isinstance(finding.witness, Barrier):
+            members = finding.witness.members
+            assert s in members or members <= far
+    assert {s in c.shore for _, c, _, _, s in splits} == {True, False}
+    assert any(isinstance(f.witness, Barrier) for _, _, _, f, _ in splits)
+
+
+def test_finding_contract_wants_the_opposite_shore_held():
+    """Barrier {0, 1} leaves the triangles {2, 3, 4} and {5, 6, 7}. With
+    the reference shore {0, ..., 4}, the boundary of the triangle inside
+    it passes the verifier's witness rule, but the shore it generates
+    misses the opposite shore; the other triangle's boundary holds it."""
+    g = Graph(range(8), [(2, 3), (3, 4), (2, 4), (5, 6), (6, 7), (5, 7),
+                         (0, 2), (0, 5), (1, 3), (1, 6)])
+    c = g.boundary({0, 1, 2, 3, 4})
+    b = is_barrier(g, {0, 1})
+    assert _finding_failure(g, c, WitnessFinding(g.boundary({2, 3, 4}), b)) \
+        == "barrier cut shore does not hold the opposite shore"
+    assert _finding_failure(g, c, WitnessFinding(c, b)) is None
+    single = is_barrier(g, {0})
+    assert _finding_failure(g, c, WitnessFinding(c, single)) == \
+        "barrier is trivial or not properly inside a reference shore"
 
 
 # decompose_tight_cut -----------------------------------------------------------

@@ -13,8 +13,12 @@ is_matchable take g alone, Graph has no block decomposition, every name
 bench/tracer.py traces is defined, no module in src/ defines
 matching_structure or MatchingStructure, classify_cut tests no
 tightness, sweep.py names neither is_tight nor cut_from_edge_ids and a
-sweep runs no is_tight, and src/ has no assert statement: python -O
-strips them, so invariant guards raise InternalInvariantError instead.
+sweep runs no is_tight, sweep.py names none of the checks the producer
+already wraps (witness_failure, is_barrier, is_strict_barrier,
+classify_cut, _require_decomposable), decompose.py defines no
+_require_witness, _witness_from_edge takes (g, c, eid, tally) and no
+pivot, and src/ has no assert statement: python -O strips them, so
+invariant guards raise InternalInvariantError instead.
 
 Standard library only, so the check runs where no linter is installed.
 An imported name counts as used when it appears as a bare name anywhere
@@ -32,7 +36,7 @@ from pathlib import Path
 import pytest
 
 import tightcut.cuts
-from tightcut.decompose import find_noncrossing_witness
+from tightcut.decompose import _witness_from_edge, find_noncrossing_witness
 from tightcut.graph import Graph
 from tightcut.instances import CorpusSpec, canonical
 from tightcut.matching import is_matchable, matching_number
@@ -251,6 +255,33 @@ def test_sweep_reads_tightness_from_enumerations(monkeypatch):
     g = canonical("C2K(3)")
     find_noncrossing_witness(g, g.boundary({0, 1, 2}))
     assert len(calls) == 1
+
+
+def test_sweep_rechecks_with_the_producers_checks():
+    """The sweep re-checks a WitnessFinding with decompose's
+    _finding_failure and a strict barrier with structure._confined, and
+    trusts decompose_tight_cut's own classification, so it names none
+    of the checks those wrap."""
+    path = ROOT / "src" / "tightcut" / "sweep.py"
+    assert oracle_references(ast.parse(path.read_text()), {
+        "witness_failure", "is_barrier", "is_strict_barrier",
+        "classify_cut", "_require_decomposable"}) == []
+
+
+def test_decompose_states_the_finding_contract_once():
+    """_finding_failure is the one WitnessFinding check: no second
+    wrapper of the witness rule is left beside it."""
+    path = ROOT / "src" / "tightcut" / "decompose.py"
+    names = top_level_names(ast.parse(path.read_text()))
+    assert "_finding_failure" in names
+    assert "_require_witness" not in names
+
+
+def test_block_split_forces_no_pivot():
+    """The ordinary pivot rule picks the contraction vertex, so the
+    block split passes no pivot."""
+    assert list(inspect.signature(_witness_from_edge).parameters) == [
+        "g", "c", "eid", "tally"]
 
 
 def test_decompose_reads_dependence_rows():

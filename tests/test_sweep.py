@@ -133,11 +133,20 @@ def _no_witness(finding, ref):
     return dataclasses.replace(finding, witness=None)
 
 
+def _trivial_barrier(finding, ref):
+    # a single vertex of a reference shore of C6 is a barrier, but trivial
+    g = ref.graph
+    return dataclasses.replace(
+        finding, witness=Barrier(frozenset({min(ref.shore)}), (), g))
+
+
 @pytest.mark.parametrize(
     "tamper, reason",
     [(_not_a_barrier, R_NOT_BARRIER), (_crossing_cut, R_CROSSES),
-     (_no_witness, "unknown witness None")],
-    ids=["not_a_barrier", "crossing_cut", "no_witness"])
+     (_no_witness, "unknown witness None"),
+     (_trivial_barrier,
+      "barrier is trivial or not properly inside a reference shore")],
+    ids=["not_a_barrier", "crossing_cut", "no_witness", "trivial_barrier"])
 def test_sweep_rejects_tampered_witness(monkeypatch, tamper, reason):
     def tampered(g, c, tally):
         return tamper(_find_noncrossing_witness(g, c, tally), c)
@@ -149,3 +158,22 @@ def test_sweep_rejects_tampered_witness(monkeypatch, tamper, reason):
     witness = [v for v in report.violations if v[0] == "witness"]
     assert len(witness) == report.nontrivial_tight_cuts == 3
     assert all(detail == reason for _, _, detail in witness)
+
+
+def test_sweep_rejects_a_strict_barrier_on_a_foreign_shore(monkeypatch):
+    """The strict-barrier re-check wants the result tagged with a shore
+    of the dead cut: a shore less one vertex gets each setup flagged
+    once."""
+    search = tightcut.sweep.find_strict_barrier
+
+    def foreign(g, x):
+        found = search(g, x)
+        return found._replace(shore=found.shore - {min(found.shore)})
+
+    monkeypatch.setattr(tightcut.sweep, "find_strict_barrier", foreign)
+    report = run_sweep([CorpusSpec("named", names=("C2K(3)", "DOUBLE_K4"))],
+                       include_fixtures=False)
+    flagged = [v for v in report.violations if v[0] == "strict_barrier"]
+    assert len(flagged) == len(report.violations)
+    assert len(flagged) == report.strict_barrier_instances > 0
+    assert len({detail for _, _, detail in flagged}) == 1
