@@ -16,9 +16,11 @@ matching meets the cut an odd number of times, so it meets it more than
 once iff it holds two cut edges. Both tightness tests decide that with
 the same Edmonds searches, read through Gallai-Edmonds (matching.py):
 per cut edge uv, a perfect matching of g - u - v, then row searches in
-g - u - v. enumerate_tight_cuts checks every shore against a per-graph
-table of co-matchable edges (matching._comatchable_masks, at most
-m * n searches), so a shore costs a few bit operations. is_tight runs
+g - u - v. enumerate_tight_cuts walks only the shores that the cached
+perfect matching crosses once, n * 2^(n/2 - 2) of them on n vertices,
+and checks each nontrivial one against a per-graph table of
+co-matchable edges (matching._comatchable_masks, at most m * n
+searches), so a shore costs a few bit operations. is_tight runs
 the searches for one cut's edges only (matching._comatchable_among, at
 most |C|^2 / 2 searches), which costs less than the table for a single
 cut: tightcut check, the witness searches' entry test and
@@ -29,10 +31,11 @@ vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from typing import Iterator
 
 from .graph import Cut, EnumerationLimitError, Graph, GraphError
 from .matching import (
+    Matching,
     _comatchable_among,
     _comatchable_masks,
     _dependence_row,
@@ -41,7 +44,8 @@ from .matching import (
 )
 from .structure import Barrier, TwoSeparation, is_barrier, twoseps_generating
 
-# vertices enumerate_tight_cuts takes, at most: it tries 2^(n-2) shores
+# vertices enumerate_tight_cuts takes, at most: it walks n * 2^(n/2 - 2)
+# shores, 1,024 at n = 16, after a table of at most m * n searches
 TIGHT_CUT_LIMIT = 16
 
 
@@ -80,18 +84,83 @@ def is_tight(g: Graph, c: Cut) -> bool:
         for u, v in map(g.edge_ends, c.edge_ids)})
 
 
+def _shores_crossed_once(g: Graph, pm: Matching
+                         ) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each shore through the smallest vertex that the perfect matching
+    pm crosses once, as (its vertices, unsorted; its cut as an edge-id
+    bitmask), n * 2^(n/2 - 2) of them on n vertices.
+
+    Such a shore is pm's edge e that crosses it, the end of e inside it,
+    and the set S of pm's other edges inside it, taken whole; the
+    smallest vertex lies inside, so its pm-edge is e or in S. A vertex
+    has an incidence bitmask over edge ids, and a shore's cut is the XOR
+    of its vertices' masks, so the cut of every choice of S is one XOR
+    from a list built by doubling: per pm-edge, the XOR of its two ends'
+    masks, under which the edge's own ids cancel.
+    """
+    incidence = dict.fromkeys(g.vertices, 0)
+    for eid, (u, v) in g.edge_items():
+        incidence[u] ^= 1 << eid
+        incidence[v] ^= 1 << eid
+    anchor = g.vertices[0]
+    # edge ends are sorted, so the first pm-edge is the anchor's
+    (_, mate), *others = sorted(map(g.edge_ends, pm.edges))
+    # index s chooses others[i] iff bit i of s is set
+    masks, chosen = [0], [()]
+    for u, v in others:
+        both = incidence[u] ^ incidence[v]
+        masks += [mask ^ both for mask in masks]
+        chosen += [members + (u, v) for members in chosen]
+    # (fixed vertices, their cut, the bit of the crossing edge)
+    walks = [((anchor,), incidence[anchor], 0)]
+    held = incidence[anchor] ^ incidence[mate]
+    for i, pair in enumerate(others):
+        for x in pair:
+            walks.append(((anchor, mate, x), held ^ incidence[x], 1 << i))
+    for fixed, base, crossing in walks:
+        for s, mask in enumerate(masks):
+            if not s & crossing:
+                yield fixed + chosen[s], base ^ mask
+
+
+def _has_comatchable_pair(cut: int, partners: dict[int, int]) -> bool:
+    """True iff some edge of the cut bitmask has a co-matchable partner
+    in it; partners maps each edge's bit to its co-matchable mask."""
+    left = cut
+    while left:
+        edge = left & -left
+        if partners[edge] & cut:
+            return True
+        left ^= edge
+    return False
+
+
 def enumerate_tight_cuts(g: Graph, nontrivial_only=False) -> list[Cut]:
     """Every tight cut once, by shore size then lex order.
 
-    Only shores containing the smallest vertex are generated, which is
-    exactly the canonical form, so no deduplication is needed. Each
-    vertex has an incidence bitmask over edge ids, and a shore's cut is
-    the XOR of its vertices' masks. A shore is kept when the cached
-    perfect matching meets its cut once and no edge of the cut has a
-    co-matchable partner in it (the lemma in the module docstring), and
-    only kept shores get a Cut. The table of co-matchable edges costs at
-    most m * n Edmonds searches, once per graph. Graphs on more than
-    TIGHT_CUT_LIMIT vertices raise EnumerationLimitError.
+    Every shore is generated through the smallest vertex, which is
+    exactly the canonical form, so no deduplication is needed. Only the
+    shores the cached perfect matching M crosses once are walked
+    (_shores_crossed_once): n * 2^(n/2 - 2) of them, against the
+    2^(n - 2) odd shores through the smallest vertex, 192 against 1,024
+    at n = 12. A tight cut is one of them, since M is a perfect matching.
+
+    The walk is a bijection onto those shores. Let X be a shore M
+    crosses only at e. Every other M-edge lies inside X or outside it,
+    and M covers every vertex, so X is one end of e plus the M-edges
+    inside it, and it determines e, that end and those edges. X holds
+    the smallest vertex, so that vertex is the end of e inside X, or
+    its M-edge is one of those inside. Conversely each such choice is a
+    shore M crosses only at e, odd and proper: it misses e's other end.
+
+    A trivial cut is kept without a test: every perfect matching has
+    exactly one edge at each vertex. Any other shore is kept when no
+    edge of its cut has a co-matchable partner in it (the lemma in the
+    module docstring), and only kept shores get a Cut. The table of
+    co-matchable edges costs at most m * n Edmonds searches, once per
+    graph, and is built only from n = 6, the first order with a
+    nontrivial shore. Graphs on more than TIGHT_CUT_LIMIT vertices
+    raise EnumerationLimitError.
     """
     if g.n > TIGHT_CUT_LIMIT:
         raise EnumerationLimitError(
@@ -102,32 +171,18 @@ def enumerate_tight_cuts(g: Graph, nontrivial_only=False) -> list[Cut]:
         raise GraphError("tight cuts are about perfect matchings; none exist")
     if g.n < 2:
         return []
-    partners = {1 << eid: mask
-                for eid, mask in _comatchable_masks(g).items()}
-    incidence = dict.fromkeys(g.vertices, 0)
-    for eid, (u, v) in g.edge_items():
-        incidence[u] ^= 1 << eid
-        incidence[v] ^= 1 << eid
-    pm_mask = sum(1 << eid for eid in pm.edges)
-    anchor, rest = g.vertices[0], g.vertices[1:]
-    out = []
-    low = 3 if nontrivial_only else 1
-    for size in range(low, g.n - low + 1, 2):
-        for combo in combinations(rest, size - 1):
-            cut = incidence[anchor]
-            for v in combo:
-                cut ^= incidence[v]
-            if (cut & pm_mask).bit_count() != 1:
+    partners = {} if g.n < 6 else {
+        1 << eid: mask for eid, mask in _comatchable_masks(g).items()}
+    kept = []
+    for members, cut in _shores_crossed_once(g, pm):
+        if len(members) in (1, g.n - 1):
+            if nontrivial_only:
                 continue
-            left = cut
-            while left:
-                edge = left & -left
-                if partners[edge] & cut:
-                    break
-                left ^= edge
-            else:
-                out.append(g.boundary((anchor,) + combo))
-    return out
+        elif _has_comatchable_pair(cut, partners):
+            continue
+        kept.append(sorted(members))
+    kept.sort(key=lambda shore: (len(shore), shore))
+    return [g.boundary(shore) for shore in kept]
 
 
 @dataclass(frozen=True)

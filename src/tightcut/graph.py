@@ -270,14 +270,23 @@ class Graph:
     # cuts ---------------------------------------------------------------
 
     def boundary(self, shore) -> "Cut":
-        """The cut with the given shore, stored canonically."""
+        """The cut with the given shore, stored canonically.
+
+        The canonical shore is the lexicographically smaller one as a
+        sorted list. The two shores are disjoint and cover V, so their
+        sorted lists differ first at their first elements: the shore
+        holding the smallest vertex is the smaller. The cut's edges are
+        read from the adjacency of the shore with fewer vertices.
+        """
         s = frozenset(shore)
         if not s or not s <= self._vset or s == self._vset:
             raise GraphError("a shore must be a nonempty proper subset of the vertices")
-        eids = frozenset(eid for eid, (u, v) in self._edges.items()
-                         if (u in s) != (v in s))
         comp = self._vset - s
-        canon = s if sorted(s) < sorted(comp) else comp
+        small = s if len(s) <= len(comp) else comp
+        adj = self._adj
+        eids = frozenset(eid for v in small for w, ids in adj[v].items()
+                         if w not in small for eid in ids)
+        canon = s if self._vlist[0] in s else comp
         return Cut(shore=canon, edge_ids=eids, graph=self)
 
     def cut_from_edge_ids(self, eids) -> "Cut":

@@ -18,8 +18,11 @@ subgraphs, answered in one of two ways:
   targets only, so the caller reads its targets and nothing else, and
   such flags are never cached as a row. is_matching_covered runs one
   per vertex against its higher non-mate neighbours, the co-matchable
-  searches one per row they read, and is_critical a single one from
-  the vertex its maximum matching misses, against every vertex.
+  searches one per row they read, and _missable a single one from
+  the vertex its maximum matching misses, against every vertex, which
+  is exact everywhere: it stops early only once all are outer.
+  is_critical reads it, and so does barrier search on a graph with no
+  perfect matching.
 
 Co-matchability, whether two disjoint edges lie together in some
 perfect matching, is decided by those searches alone: per edge uv, one
@@ -499,26 +502,23 @@ def is_matching_covered(g: Graph) -> bool:
     return got
 
 
-def is_critical(g: Graph) -> bool:
-    """g - v matchable for every single vertex v.
+def _missable(g: Graph) -> frozenset[int] | None:
+    """D(g), the vertices some maximum matching of g misses, when g's
+    cached maximum matching M misses exactly one vertex r; else None.
 
-    Requires at least two vertices, which forces odd order; the single
-    vertex is not critical. One search decides it. g - v has even
-    order n - 1, so it is matchable iff some maximum matching of g has
-    (n - 1)/2 edges and misses v. So g is critical iff its cached
-    maximum matching M misses exactly one vertex r, and every vertex
-    is missed by some maximum matching: D(G) = V in the Gallai-Edmonds
-    decomposition. M is maximum, so the search from r cannot augment,
-    and its outer vertices are exactly D(G), the fact _row_search
-    relies on; with every vertex as a target it stops once all are
-    outer.
+    M is maximum, so the search from r cannot augment, and its outer
+    vertices are those an even alternating path from r reaches, which
+    are exactly D(g) (_alternating_search; _row_search relies on the
+    same fact). With every vertex as a target the search stops early
+    only once all are outer, so its flags are exact either way. Every
+    maximum matching then misses one vertex, so g - v is matchable iff
+    v is in D(g): is_critical asks it of every v, and
+    structure._dependent_partners of g - v for each v.
     """
-    if g.n < 2 or g.n % 2 == 0:
-        return False
-    _, _, adj = _search_index(g)
+    verts, _, adj = _search_index(g)
     start = _search_mates(g)
     if start.count(-1) != 1:
-        return False
+        return None
     n = len(adj)
     outer = _alternating_search(adj, start[:], [False] * n,
                                 start.index(-1), range(n))
@@ -526,7 +526,24 @@ def is_critical(g: Graph) -> bool:
         raise InternalInvariantError(
             "search from the sole exposed vertex of a maximum matching "
             "augmented")
-    return all(outer)
+    return frozenset(v for v, o in zip(verts, outer) if o)
+
+
+def is_critical(g: Graph) -> bool:
+    """g - v matchable for every single vertex v.
+
+    Requires at least two vertices, which forces odd order; the single
+    vertex is not critical. One search decides it. g - v has even
+    order n - 1, so it is matchable iff some maximum matching of g has
+    (n - 1)/2 edges and misses v. So g is critical iff its cached
+    maximum matching misses exactly one vertex, and every vertex is
+    missed by some maximum matching: D(G) = V in the Gallai-Edmonds
+    decomposition, read by _missable.
+    """
+    if g.n < 2 or g.n % 2 == 0:
+        return False
+    missed = _missable(g)
+    return missed is not None and len(missed) == g.n
 
 
 def is_bicritical(g: Graph) -> bool:

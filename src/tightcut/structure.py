@@ -32,6 +32,7 @@ from .graph import (
 )
 from .matching import (
     _dependence_row,
+    _missable,
     is_admissible,
     is_critical,
     is_matchable,
@@ -132,14 +133,17 @@ def _dependent_partners(g: Graph) -> dict[int, frozenset[int]]:
     """Each vertex v mapped to the w != v with g - v - w not matchable.
 
     With a perfect matching these are everything but v and its
-    dependence row, one Edmonds search per vertex; otherwise each pair
-    is a matchability query.
+    dependence row, one Edmonds search per vertex. Otherwise g - v - w
+    is matchable iff the cached maximum matching of g - v misses one
+    vertex and w is in D(g - v), the vertices some maximum matching of
+    g - v misses (_missable): one blossom run and one search per vertex,
+    and n induced subgraphs in g's cache.
     """
     pool = g.vertices
     if is_matchable(g):
         return {v: g.vertex_set - _dependence_row(g, v) - {v} for v in pool}
-    return {v: frozenset(w for w in pool if w != v
-                         and not is_matchable(g.without_vertices((v, w))))
+    return {v: g.vertex_set - {v}
+            - (_missable(g.without_vertices((v,))) or frozenset())
             for v in pool}
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tightcut.graph import EnumerationLimitError, Graph, GraphError
 from tightcut.cuts import (
     TIGHT_CUT_LIMIT,
+    _shores_crossed_once,
     classify_cut,
     enumerate_tight_cuts,
     is_tight,
@@ -18,6 +19,7 @@ from tightcut.instances import (
     CorpusSpec, canonical, enumerate_corpus, fixture_instances)
 from tightcut.matching import (
     _comatchable_masks,
+    find_perfect_matching,
     is_matchable,
     is_matching_covered,
     perfect_matching_masks,
@@ -274,6 +276,104 @@ def test_enumerate_tight_cuts_matches_pair_test(nontrivial_only):
     for g in graphs:
         got = enumerate_tight_cuts(g, nontrivial_only)
         want = _tight_by_pair_test(g, nontrivial_only)
+        assert [(c.shore, c.edge_ids) for c in got] == \
+            [(c.shore, c.edge_ids) for c in want], g
+        nontrivial += sum(not c.is_trivial for c in got)
+    assert nontrivial > 50
+
+
+def _crossed_once_by_scan(g):
+    """Every odd shore through the smallest vertex whose cut the cached
+    perfect matching meets once, as (sorted shore, cut bitmask), by
+    size then lex order: the old shore walk's candidates."""
+    incidence = dict.fromkeys(g.vertices, 0)
+    for eid, (u, v) in g.edge_items():
+        incidence[u] ^= 1 << eid
+        incidence[v] ^= 1 << eid
+    pm_mask = sum(1 << eid for eid in find_perfect_matching(g).edges)
+    anchor, rest = g.vertices[0], g.vertices[1:]
+    out = []
+    for size in range(1, g.n, 2):
+        for combo in combinations(rest, size - 1):
+            cut = incidence[anchor]
+            for v in combo:
+                cut ^= incidence[v]
+            if (cut & pm_mask).bit_count() == 1:
+                out.append(((anchor,) + combo, cut))
+    return out
+
+
+def _tight_by_odd_shore_scan(g, nontrivial_only=False):
+    """Every odd shore through the smallest vertex, by size then lex
+    order, as edge bitmasks: kept when the cached perfect matching meets
+    its cut once and no cut edge has a co-matchable partner in it."""
+    partners = {1 << eid: mask
+                for eid, mask in _comatchable_masks(g).items()}
+    out = []
+    for shore, cut in _crossed_once_by_scan(g):
+        if nontrivial_only and len(shore) in (1, g.n - 1):
+            continue
+        left = cut
+        while left:
+            edge = left & -left
+            if partners[edge] & cut:
+                break
+            left ^= edge
+        else:
+            out.append(g.boundary(shore))
+    return out
+
+
+def _parallel_graphs(orders, samples, seed):
+    """Seeded graphs with a perfect matching on sparse, shuffled labels,
+    with random extra edges that may repeat as parallels."""
+    rng = Random(seed)
+    for n in orders:
+        for _ in range(samples):
+            labels = rng.sample(range(3 * n), n)
+            pairs = list(combinations(labels, 2))
+            edges = [tuple(labels[i:i + 2]) for i in range(0, n, 2)]
+            edges += [rng.choice(pairs) for _ in range(rng.randint(n, 3 * n))]
+            rng.shuffle(edges)
+            yield Graph(labels, edges)
+
+
+def test_shore_walk_is_a_bijection_onto_the_shores_crossed_once():
+    """The walk yields each odd shore through the smallest vertex that
+    the cached perfect matching crosses once, exactly once, with its
+    cut; n * 2^(n/2 - 2) of them."""
+    graphs = list(_parallel_graphs((2, 4, 6, 8, 10), 6, seed=29))
+    graphs += _fixture_contractions()
+    for g in graphs:
+        walked = [(tuple(sorted(members)), cut) for members, cut
+                  in _shores_crossed_once(g, find_perfect_matching(g))]
+        assert len(walked) == g.n * 2 ** (g.n // 2) // 4
+        assert sorted(walked, key=lambda t: (len(t[0]), t[0])) == \
+            _crossed_once_by_scan(g), g
+
+
+def test_shore_walk_counts_on_cycles():
+    for n, count in ((12, 192), (16, 1_024)):
+        g = cycle(n)
+        assert sum(1 for _ in _shores_crossed_once(
+            g, find_perfect_matching(g))) == count
+
+
+@pytest.mark.parametrize("nontrivial_only", [False, True])
+def test_enumerate_tight_cuts_matches_the_odd_shore_scan(nontrivial_only):
+    """The same cuts in the same order as the scan over every odd shore,
+    on random graphs of orders 14 and 16 with parallel edges and sparse
+    labels, and on the fixture contractions, whose smallest vertex is
+    not always 0."""
+    contractions = _fixture_contractions()
+    assert any(g.vertices[0] != 0 for g in contractions)
+    graphs = list(_parallel_graphs((14, 16), 5, seed=31)) + contractions
+    assert any(len(g.edges_between(u, v)) > 1
+               for g in graphs for _, (u, v) in g.edge_items())
+    nontrivial = 0
+    for g in graphs:
+        got = enumerate_tight_cuts(g, nontrivial_only)
+        want = _tight_by_odd_shore_scan(g, nontrivial_only)
         assert [(c.shore, c.edge_ids) for c in got] == \
             [(c.shore, c.edge_ids) for c in want], g
         nontrivial += sum(not c.is_trivial for c in got)

@@ -309,6 +309,33 @@ def test_boundary_rejects_improper_shores(c6):
         c6.boundary({9})
 
 
+def _boundary_by_edge_scan(g: Graph, shore):
+    """The cut of shore from a scan of every edge, canonical by
+    comparing the two shores' sorted lists."""
+    s = frozenset(shore)
+    comp = g.vertex_set - s
+    eids = frozenset(eid for eid, (u, v) in g.edge_items()
+                     if (u in s) != (v in s))
+    return (s if sorted(s) < sorted(comp) else comp), eids
+
+
+def test_boundary_matches_the_edge_scan():
+    """Random shores of multigraphs on sparse labels and of their
+    contractions, both shores of each: the same canonical shore and
+    edge ids as scanning every edge."""
+    rng = Random(13)
+    checked = contracted = 0
+    for g in random_multigraphs(200, seed=17):
+        for _ in range(6):
+            shore = rng.sample(g.vertices, rng.randint(1, g.n - 1))
+            for side in (shore, g.vertex_set - frozenset(shore)):
+                c = g.boundary(side)
+                assert (c.shore, c.edge_ids) == _boundary_by_edge_scan(g, side)
+                checked += 1
+                contracted += bool(g.provenance)
+    assert checked > 2_000 and contracted > 500
+
+
 def test_trivial_cut_flag(c6):
     assert c6.boundary({0}).is_trivial
     assert c6.boundary({1, 2, 3, 4, 5}).is_trivial

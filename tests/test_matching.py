@@ -13,6 +13,7 @@ from tightcut.instances import canonical, fixture_instances
 from tightcut.matching import (
     ENUMERATION_LIMIT,
     _dependence_row,
+    _missable,
     all_perfect_matchings,
     find_perfect_matching,
     is_admissible,
@@ -316,6 +317,32 @@ def test_pair_queries_match_the_oracle(exhaustive_corpus):
                 assert is_matchable(sub) == (2 * want == len(live)), (
                     g, removed)
                 assert matching_number(sub) == want, (g, removed)
+
+
+def test_missable_matches_the_oracle(exhaustive_corpus):
+    """_missable against memoized exhaustive recursion: defined iff a
+    maximum matching misses exactly one vertex, and then the v with
+    nu(g - v) = nu(g). The graphs are those of the pair queries, of
+    both parities, and seeded ones on 7 to 12 vertices with no perfect
+    matching."""
+    graphs = _pair_query_graphs(exhaustive_corpus)
+    rng = Random(19)
+    for n in range(7, 13):
+        pairs = list(combinations(range(n), 2))
+        for _ in range(15):
+            graphs.append(Graph(range(n), [rng.choice(pairs)
+                                           for _ in range(rng.randint(n, 2 * n))]))
+    defined = 0
+    for g in graphs:
+        nu = brute_matching_numbers(g.vertices, [e for _, e in g.edge_items()])
+        top = nu(g.vertex_set)
+        want = None
+        if g.n - 2 * top == 1:
+            want = frozenset(v for v in g.vertices
+                             if nu(g.vertex_set - {v}) == top)
+        assert _missable(Graph(g.vertices, dict(g.edge_items()))) == want, g
+        defined += want is not None
+    assert defined > 50
 
 
 def test_row_search_with_targets_agrees_with_the_full_row(exhaustive_corpus):

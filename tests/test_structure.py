@@ -234,6 +234,29 @@ def test_dependent_partners_without_perfect_matching():
             checked += 1
 
 
+def test_dependent_partners_without_perfect_matching_larger_orders():
+    """Seeded graphs on 9 to 14 vertices with no perfect matching: the
+    partners as _check_partners checks them, and barrier listing leaves
+    at most one induced subgraph per vertex in g's cache, the g - v
+    that each partner search reads."""
+    rng = Random(12)
+    checked = 0
+    while checked < 30:
+        n = rng.randint(9, 14)
+        pairs = list(combinations(range(n), 2))
+        g = Graph(range(n), [rng.choice(pairs)
+                             for _ in range(rng.randint(n, 2 * n))])
+        if is_matchable(g):
+            continue
+        _check_partners(g)
+        h = Graph(g.vertices, dict(g.edge_items()))
+        enumerate_barriers(h)
+        induced = [key for key in h._cache
+                   if isinstance(key, tuple) and key[0] == "induced"]
+        assert 0 < len(induced) <= h.n
+        checked += 1
+
+
 def test_barrier_guard_counts_one_canonical_part():
     # the guard measures the largest canonical part, not the pool: C18
     # offers 18 candidates, but its two canonical parts hold 9 each
