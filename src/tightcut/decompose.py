@@ -204,6 +204,20 @@ def _finish_twosep(g: Graph, c: Cut, pair, side1, side2, cut_shore,
     return finding
 
 
+def _shore_cut_vertices(g: Graph, c: Cut) -> frozenset[int]:
+    """The vertices that are cut vertices of their shore subgraph, read
+    from the memoized cut vertices of g[c.shore] and g[c.other_shore].
+
+    This is the one good-edge rule: a cut edge is good iff neither end
+    is among them. The shores of a tight cut of a matching covered
+    graph induce connected subgraphs (part (b) of classify_cut's
+    proof), and in a connected g[X] an end u is a cut vertex iff
+    g[X - u] is disconnected.
+    """
+    return (g.induced(c.shore).cut_vertices()
+            | g.induced(c.other_shore).cut_vertices())
+
+
 def witness_from_edge(g: Graph, c: Cut, eid: int,
                       tally: BranchTally | None = None) -> WitnessFinding:
     """Explain the reference cut starting from one good cut edge.
@@ -263,10 +277,10 @@ def _witness_from_edge(g: Graph, c: Cut, eid: int,
     a, b = g.edge_ends(eid)
     u, v = (a, b) if a in c.shore else (b, a)
     xu, xv = c.shore, c.other_shore
-    if not g.induced(xu - {u}).is_connected():
-        raise GraphError(f"removing endpoint {u} disconnects its shore")
-    if not g.induced(xv - {v}).is_connected():
-        raise GraphError(f"removing endpoint {v} disconnects its shore")
+    cut_vertices = _shore_cut_vertices(g, c)
+    for end in (u, v):
+        if end in cut_vertices:
+            raise GraphError(f"removing endpoint {end} disconnects its shore")
 
     u_cross = {w for w in g.neighbors(u) if w in xv}
     v_cross = {w for w in g.neighbors(v) if w in xu}
@@ -371,19 +385,15 @@ def _find_noncrossing_witness(g: Graph, c: Cut,
     far = g.induced(xv)
     if not near.is_connected() or not far.is_connected():
         raise InternalInvariantError("tight cut shore subgraph is disconnected")
-    near_cuts = near.cut_vertices()
-    far_cuts = far.cut_vertices()
-
+    cut_vertices = _shore_cut_vertices(g, c)
     for eid in sorted(c.edge_ids):
-        a, b = g.edge_ends(eid)
-        u, v = (a, b) if a in xu else (b, a)
-        if u not in near_cuts and v not in far_cuts:
+        if cut_vertices.isdisjoint(g.edge_ends(eid)):
             tally.hit(BRANCH_GOOD_EDGE)
             return _witness_from_edge(g, c, eid, tally)
 
     tally.hit(BRANCH_BLOCK_SPLIT)
     attached = {w for e in c.edge_ids for w in g.edge_ends(e) if w in xu}
-    bad = sorted(near_cuts & attached)
+    bad = sorted(cut_vertices & attached)
     if not bad:
         raise InternalInvariantError(
             "no good edge, yet no attached cut vertex on the canonical shore")
@@ -414,7 +424,8 @@ def _find_noncrossing_witness(g: Graph, c: Cut,
     if not shrunk.induced(xv | {s_label}).is_2connected():
         raise InternalInvariantError("far side of the block split is not 2-connected")
     candidates = [
-        w for w in shrunk.neighbors(s_label) if w in xv and w not in far_cuts]
+        w for w in shrunk.neighbors(s_label)
+        if w in xv and w not in cut_vertices]
     if not candidates:
         raise InternalInvariantError(
             "split vertex has no non-cut neighbor on the far shore")

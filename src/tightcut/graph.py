@@ -7,11 +7,13 @@ graph it came from. That identity is what lets a cut keep its meaning
 while the graph around it is contracted step by step.
 
 All graph values are immutable. A graph memoizes what it derives in
-its own cache: ``induced`` and ``contract`` return the same object for
-the same arguments, with whatever that object has cached in turn. No
-cache holds a reference back to its graph, so a graph and everything
-derived from it is freed by reference counting alone, without waiting
-for the cyclic garbage collector.
+its own cache, and Graph._memo is the only way into that cache: every
+module asks it for a per-graph value by key, and it builds the value on
+the first call only. ``induced`` and ``contract`` thus return the same
+object for the same arguments, with whatever that object has cached in
+turn. No cache holds a reference back to its graph, so a graph and
+everything derived from it is freed by reference counting alone,
+without waiting for the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -99,6 +101,23 @@ class Graph:
             verts.add(v)
         return cls(verts, edges)
 
+    def _memo(self, key, build, *args):
+        """The value cached under key, from build(*args) on a miss only.
+
+        The caching rule, for every per-graph memo of the package: a
+        value is computed once per graph and stored as plain data, never
+        as an object that refers back to the graph (a Matching, a
+        Barrier), which is built on return instead. A graph may hold its
+        derived graphs, since they refer to nothing above them. A miss
+        is a key not yet stored, so None and False are cached answers
+        too. A value that grows, such as a dict of rows, is built empty
+        here and filled by its owner.
+        """
+        cache = self._cache
+        if key not in cache:
+            cache[key] = build(*args)
+        return cache[key]
+
     # basic queries ----------------------------------------------------
 
     @property
@@ -183,11 +202,7 @@ class Graph:
         bad = s - self._vset
         if bad:
             raise GraphError(f"not vertices of the graph: {sorted(bad)}")
-        key = ("induced", s)
-        got = self._cache.get(key)
-        if got is None:
-            got = self._cache[key] = self._restricted(s)
-        return got
+        return self._memo(("induced", s), self._restricted, s)
 
     def _restricted(self, s: frozenset) -> "Graph":
         """The subgraph induced on s, a subset of the vertices, filtered
@@ -238,14 +253,14 @@ class Graph:
             raise GraphError("cannot contract the whole vertex set")
         if new_vertex is None:
             new_vertex = self.fresh_vertex()
-        rest = self._vset - s
-        if new_vertex in rest:
+        if new_vertex in self._vset - s:
             raise GraphError(
                 f"contraction label {new_vertex} clashes with a surviving vertex")
-        key = ("contract", s, new_vertex)
-        got = self._cache.get(key)
-        if got is not None:
-            return got
+        return self._memo(("contract", s, new_vertex), self._contracted, s,
+                          new_vertex)
+
+    def _contracted(self, s: frozenset, new_vertex: int) -> "Graph":
+        """contract's result, built once per (part, label)."""
         emap: dict[int, tuple[int, int]] = {}
         for eid, (u, v) in self._edges.items():
             iu = u in s
@@ -258,14 +273,13 @@ class Graph:
                 emap[eid] = (u, new_vertex)
             else:
                 emap[eid] = (u, v)
+        rest = self._vset - s
         prov = {v: p for v, p in self.provenance.items() if v in rest}
         merged: frozenset[int] = frozenset()
         for w in sorted(s):
             merged |= self.provenance_of(w)
         prov[new_vertex] = merged
-        got = self._cache[key] = Graph(rest | {new_vertex}, emap,
-                                       provenance=prov)
-        return got
+        return Graph(rest | {new_vertex}, emap, provenance=prov)
 
     # cuts ---------------------------------------------------------------
 
@@ -385,19 +399,19 @@ class Graph:
         return tuple(out)
 
     def components(self) -> tuple[frozenset[int], ...]:
-        got = self._cache.get("components")
-        if got is None:
-            got = self.components_without(frozenset())
-            self._cache["components"] = got
-        return got
+        return self._memo("components", self.components_without, ())
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
     def cut_vertices(self) -> frozenset[int]:
-        """The vertices whose deletion leaves more components: one
-        iterative low-point search per component (Hopcroft and Tarjan
-        1973).
+        """The vertices whose deletion leaves more components, found
+        once per graph (_low_points)."""
+        return self._memo("cut_vertices", self._low_points)
+
+    def _low_points(self) -> frozenset[int]:
+        """cut_vertices' search: one iterative low-point search per
+        component (Hopcroft and Tarjan 1973).
 
         disc[v] is v's discovery time in the depth-first search, and
         low[v] the least discovery time that one edge reaches from v's
@@ -409,9 +423,6 @@ class Graph:
         disc[v] at most, which the test allows, so parallel edges change
         nothing.
         """
-        got = self._cache.get("cut_vertices")
-        if got is not None:
-            return got
         disc: dict[int, int] = {}
         low: dict[int, int] = {}
         out = set()
@@ -443,8 +454,7 @@ class Graph:
                         out.add(u)
             if children >= 2:
                 out.add(root)
-        got = self._cache["cut_vertices"] = frozenset(out)
-        return got
+        return frozenset(out)
 
     def is_2connected(self) -> bool:
         """2-connectivity in the cycle sense.

@@ -96,13 +96,13 @@ def _search_index(g: Graph) -> tuple[tuple[int, ...], dict[int, int],
                                      list[list[int]]]:
     """The sorted vertices of g, their positions, and sorted adjacency
     rows over positions (parallel edges merged), built once per graph."""
-    got = g._cache.get("search_index")
-    if got is None:
-        verts = g.vertices
-        index = {v: i for i, v in enumerate(verts)}
-        adj = [[index[w] for w in g.neighbors(v)] for v in verts]
-        got = g._cache["search_index"] = (verts, index, adj)
-    return got
+    return g._memo("search_index", _index_rows, g)
+
+
+def _index_rows(g: Graph):
+    verts = g.vertices
+    index = {v: i for i, v in enumerate(verts)}
+    return verts, index, [[index[w] for w in g.neighbors(v)] for v in verts]
 
 
 def _alternating_search(adj: list[list[int]], match: list[int],
@@ -254,10 +254,7 @@ def _search_mates(g: Graph) -> list[int]:
     list, built once per graph. Every existence test, row search and
     co-matchable search reads it; a search consumes its match, so
     callers copy it."""
-    got = g._cache.get("mates")
-    if got is None:
-        got = g._cache["mates"] = _blossom_mates(g)
-    return got
+    return g._memo("mates", _blossom_mates, g)
 
 
 def _dependence_row(g: Graph, x: int) -> frozenset[int]:
@@ -266,7 +263,7 @@ def _dependence_row(g: Graph, x: int) -> frozenset[int]:
     perfect matching, run to the end. Rows are cached per graph, and
     only complete rows are.
     """
-    rows = g._cache.setdefault("dependence_rows", {})
+    rows = g._memo("dependence_rows", dict)
     got = rows.get(x)
     if got is None:
         verts, index, adj = _search_index(g)
@@ -313,9 +310,10 @@ def _comatchable_masks(g: Graph) -> dict[int, int]:
     w's higher live neighbours, the only flags it reads, are outer.
     That is at most m * n searches, cached per graph.
     """
-    got = g._cache.get("comatchable")
-    if got is not None:
-        return got
+    return g._memo("comatchable", _comatchable_table, g)
+
+
+def _comatchable_table(g: Graph) -> dict[int, int]:
     verts, index, adj = _search_index(g)
     n = len(verts)
     if not is_matchable(g):
@@ -344,9 +342,8 @@ def _comatchable_masks(g: Graph) -> dict[int, int]:
                 if outer[z]:
                     partners[i, j] |= bits[w, z]
                     partners[w, z] |= bits[i, j]
-    got = g._cache["comatchable"] = {
-        eid: partners[index[u], index[v]] for eid, (u, v) in g.edge_items()}
-    return got
+    return {eid: partners[index[u], index[v]]
+            for eid, (u, v) in g.edge_items()}
 
 
 def _comatchable_among(g: Graph, pairs) -> bool:
@@ -401,16 +398,16 @@ def find_perfect_matching(g: Graph) -> Matching | None:
     only, and the Matching is built on return, so the cache holds no
     reference back to g.
     """
-    if "perfect_matching" not in g._cache:
-        found = None
-        if is_matchable(g):
-            verts = g.vertices
-            found = frozenset(
-                min(g.edges_between(verts[i], verts[j]))
-                for i, j in enumerate(_search_mates(g)) if i < j)
-        g._cache["perfect_matching"] = found
-    found = g._cache["perfect_matching"]
+    found = g._memo("perfect_matching", _perfect_matching_ids, g)
     return None if found is None else Matching(found, g)
+
+
+def _perfect_matching_ids(g: Graph) -> frozenset[int] | None:
+    if not is_matchable(g):
+        return None
+    verts = g.vertices
+    return frozenset(min(g.edges_between(verts[i], verts[j]))
+                     for i, j in enumerate(_search_mates(g)) if i < j)
 
 
 def perfect_matching_masks(g: Graph) -> tuple[int, ...]:
@@ -423,13 +420,14 @@ def perfect_matching_masks(g: Graph) -> tuple[int, ...]:
     can exceed the number of matchings exponentially; the routine uses
     nothing else of this module, so it can check the rest.
     """
-    got = g._cache.get("pm_masks")
-    if got is not None:
-        return got
     if g.n > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
             f"refusing to enumerate perfect matchings on {g.n} vertices "
             f"(limit {ENUMERATION_LIMIT})")
+    return g._memo("pm_masks", _backtrack_masks, g)
+
+
+def _backtrack_masks(g: Graph) -> tuple[int, ...]:
     masks: list[int] = []
     if g.n % 2 == 0:
 
@@ -448,9 +446,7 @@ def perfect_matching_masks(g: Graph) -> tuple[int, ...]:
                     extend(rest, acc | (1 << eid))
 
         extend(g.vertex_set, 0)
-    result = tuple(sorted(masks))
-    g._cache["pm_masks"] = result
-    return result
+    return tuple(sorted(masks))
 
 
 def all_perfect_matchings(g: Graph) -> list[Matching]:
@@ -494,12 +490,9 @@ def is_matching_covered(g: Graph) -> bool:
     """Connected, at least one edge, and every edge in some perfect
     matching: one blossom run on g, then at most one row search per
     vertex and none for an edge to a mate (_covers_every_edge)."""
-    got = g._cache.get("matching_covered")
-    if got is None:
-        got = (g.n >= 2 and g.m >= 1 and g.is_connected()
-               and is_matchable(g) and _covers_every_edge(g))
-        g._cache["matching_covered"] = got
-    return got
+    return g._memo("matching_covered", lambda: (
+        g.n >= 2 and g.m >= 1 and g.is_connected()
+        and is_matchable(g) and _covers_every_edge(g)))
 
 
 def _missable(g: Graph) -> frozenset[int] | None:

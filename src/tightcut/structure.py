@@ -77,9 +77,7 @@ def is_barrier(g: Graph, members) -> Barrier | None:
             f"not vertices of the graph: {sorted(members - g.vertex_set)}")
     if members == g.vertex_set:
         raise GraphError("barrier candidate is the whole vertex set")
-    found = g._cache.get("barrier_parts")
-    if found is None:
-        found = g._cache["barrier_parts"] = {}
+    found = g._memo("barrier_parts", dict)
     odd = found.get(members)
     if odd is None:
         odd = tuple(p for p in g.components_without(members) if len(p) % 2)
@@ -122,10 +120,8 @@ def enumerate_barriers(g: Graph) -> list[Barrier]:
     and the Barriers are built on return, so the cache holds no
     reference back to g.
     """
-    got = g._cache.get("barriers")
-    if got is None:
-        got = g._cache["barriers"] = tuple(
-            (b.members, b.odd_parts) for b in _search_barriers(g))
+    got = g._memo("barriers", lambda: tuple(
+        (b.members, b.odd_parts) for b in _search_barriers(g)))
     return [Barrier(members, parts, g) for members, parts in got]
 
 
@@ -246,10 +242,8 @@ def find_2separations(g: Graph) -> list[TwoSeparation]:
     triples, and the TwoSeparations are built on return, so the cache
     holds no reference back to g.
     """
-    got = g._cache.get("twoseps")
-    if got is None:
-        got = g._cache["twoseps"] = tuple(
-            (s.pair, s.side1, s.side2) for s in _search_2separations(g))
+    got = g._memo("twoseps", lambda: tuple(
+        (s.pair, s.side1, s.side2) for s in _search_2separations(g)))
     return [TwoSeparation(pair, side1, side2, g)
             for pair, side1, side2 in got]
 
@@ -384,9 +378,7 @@ def is_strict_barrier(g: Graph, b: Barrier) -> bool:
     """
     if b.graph is not g:
         raise GraphError("barrier belongs to a different graph")
-    strict = g._cache.get("strict_barriers")
-    if strict is None:
-        strict = g._cache["strict_barriers"] = {}
+    strict = g._memo("strict_barriers", dict)
     key = (b.members, b.odd_parts)
     got = strict.get(key)
     if got is None:

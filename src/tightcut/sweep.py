@@ -38,6 +38,7 @@ from .decompose import (
     BranchTally,
     _find_noncrossing_witness,
     _finding_failure,
+    _shore_cut_vertices,
     decompose_tight_cut,
 )
 from .graph import Cut, Graph
@@ -228,19 +229,18 @@ def dead_cut_setups(g: Graph, cuts):
     """(inner, x) dead-cut inputs for find_strict_barrier, at most
     _STRICT_SETUP_CAP per graph.
 
-    For each cut in order and each edge uv of it in id order, with u on
-    the shore side and neither endpoint a cut vertex of its shore
-    subgraph, inner is g - u - v and x is the shore less u.
+    For each cut in order and each good edge uv of it in id order
+    (decompose._shore_cut_vertices), with u on the shore side, inner is
+    g - u - v and x is the shore less u.
     """
     budget = _STRICT_SETUP_CAP
     for c in cuts:
-        shore_cutvs = g.induced(c.shore).cut_vertices()
-        other_cutvs = g.induced(c.other_shore).cut_vertices()
+        cut_vertices = _shore_cut_vertices(g, c)
         for eid in sorted(c.edge_ids):
             u, v = g.edge_ends(eid)
             if u in c.other_shore:
                 u, v = v, u
-            if u in shore_cutvs or v in other_cutvs:
+            if u in cut_vertices or v in cut_vertices:
                 continue
             yield g.without_vertices((u, v)), c.shore - {u}
             budget -= 1

@@ -13,9 +13,11 @@ from tightcut.cli import _set_text, main
 from tightcut.cuts import (
     classify_cut, enumerate_tight_cuts, is_tight, meets_once)
 from tightcut.edgelist import parse_edge_list, write_edge_list
-from tightcut.graph import Graph
+from tightcut.graph import Graph, InternalInvariantError
 from tightcut.instances import fixture_instances
 from tightcut.matching import is_matching_covered
+from tightcut.sweep import SweepReport
+from tightcut.verify import VerificationResult
 
 from conftest import cycle, inflated
 
@@ -204,6 +206,18 @@ def test_decompose_rejects_unusable_cuts(c6_file, capsys):
     assert "trivial" in capsys.readouterr().err
 
 
+def test_decompose_exits_1_when_its_self_check_fails(
+        c6_file, capsys, monkeypatch):
+    failed = VerificationResult(False, (("final not witnessed", "$.final"),))
+    monkeypatch.setattr(tightcut.cli, "verify_certificate",
+                        lambda g, c, payload: failed)
+    assert main(["decompose", c6_file, "--cut", "0,1,2"]) == 1
+    captured = capsys.readouterr()
+    assert "self-check failed: final not witnessed at $.final" in \
+        captured.err
+    assert "certificate verified" not in captured.out
+
+
 def test_decompose_past_the_barrier_guard(tmp_path, capsys):
     """blocked_triangle with K_{15,15} spliced into its far shore
     (n = 38): the cut is unwitnessed, and the reduction's barrier step
@@ -324,6 +338,33 @@ def test_sweep_fixtures_harvest(tmp_path, capsys):
     assert is_matching_covered(g)
 
 
+def test_sweep_random_splits_samples_over_orders(tmp_path, capsys):
+    """Three samples up to n = 10 go to orders 8 and 10, two and one."""
+    report_path = str(tmp_path / "report.json")
+    assert main(["sweep", "--mode", "random", "--max-n", "10",
+                 "--samples", "3", "--no-fixtures",
+                 "--report", report_path]) == 0
+    out = capsys.readouterr().out
+    assert "instances: 3" in out
+    assert "violations: 0" in out
+    report = json.loads(open(report_path).read())
+    assert report["command"] == \
+        "sweep --mode random --max-n 10 --samples 3 --seed 0"
+
+
+def test_sweep_exits_1_and_lists_violations(capsys, monkeypatch):
+    def failing(specs, include_fixtures, command):
+        report = SweepReport(command=command)
+        report.violations.append(("twosep", "K4", "a made-up violation"))
+        return report
+
+    monkeypatch.setattr(tightcut.cli, "run_sweep", failing)
+    assert main(["sweep", "--mode", "exhaustive", "--max-n", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "violations: 1" in out
+    assert "  [twosep] K4: a made-up violation" in out
+
+
 def test_sweep_bad_bounds(capsys):
     assert main(["sweep", "--mode", "exhaustive", "--max-n", "12"]) == 2
     assert main(["sweep", "--mode", "random", "--max-n", "40"]) == 2
@@ -367,6 +408,16 @@ def test_generate_usage_errors(capsys):
 
 
 # top level -----------------------------------------------------------------------
+
+def test_internal_invariant_errors_exit_1(c6_file, capsys, monkeypatch):
+    def broken(g, c):
+        raise InternalInvariantError("a made-up bug")
+
+    monkeypatch.setattr(tightcut.cli, "decompose_tight_cut", broken)
+    assert main(["decompose", c6_file, "--cut", "0,1,2"]) == 1
+    assert "internal invariant violated: a made-up bug" in \
+        capsys.readouterr().err
+
 
 def test_usage_exit_codes(capsys):
     assert main([]) == 2

@@ -161,6 +161,8 @@ def test_enumerate_tight_cuts_guard_and_inputs():
     odd = cycle(5)
     with pytest.raises(GraphError):
         enumerate_tight_cuts(odd)
+    # the empty graph's empty matching is perfect, and it has no cut
+    assert enumerate_tight_cuts(Graph([])) == []
 
 
 @given(st.integers(min_value=1, max_value=3), st.data())

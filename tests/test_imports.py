@@ -17,8 +17,10 @@ sweep runs no is_tight, sweep.py names none of the checks the producer
 already wraps (witness_failure, is_barrier, is_strict_barrier,
 classify_cut, _require_decomposable), decompose.py defines no
 _require_witness, _witness_from_edge takes (g, c, eid, tally) and no
-pivot, and src/ has no assert statement: python -O strips them, so
-invariant guards raise InternalInvariantError instead.
+pivot, no module in src/ but graph.py names a graph's _cache (every
+per-graph memo goes through Graph._memo), and src/ has no assert
+statement: python -O strips them, so invariant guards raise
+InternalInvariantError instead.
 
 Standard library only, so the check runs where no linter is installed.
 An imported name counts as used when it appears as a bare name anywhere
@@ -365,6 +367,15 @@ def test_classify_cut_tests_no_tightness():
                   if isinstance(node, ast.FunctionDef)
                   and node.name == "classify_cut"]
     assert oracle_references(classify, {"is_tight"}) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "graph.py"],
+    ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_only_graph_names_the_cache(path):
+    """Every per-graph memo goes through Graph._memo, the one place
+    that reads and fills a graph's cache."""
+    assert oracle_references(ast.parse(path.read_text()), {"_cache"}) == []
 
 
 def assert_lines(tree: ast.Module) -> list[int]:
