@@ -9,10 +9,12 @@ canonical shore splits at a block boundary into a strictly smaller
 instance whose answer pulls back.
 
 decompose_tight_cut drives this to completion in one loop. Each round
-contracts a barrier cut when a shore holds a candidate, a dependence
-class of the graph with the other shore contracted; it stops when the
-reference cut is a two-separation cut, and otherwise contracts the
-two-separation cut the witness search finds. No round searches subsets.
+contracts a barrier cut when a shore holds a candidate, a class of
+dependent vertices inside it read off the graph's own dependence rows
+(a class of the graph with the other shore contracted, though no
+contraction is built); it stops when the reference cut is a
+two-separation cut, and otherwise contracts the two-separation cut the
+witness search finds. No round searches subsets.
 The certificate records every step for independent replay.
 
 Most intermediate claims here are theorems, not expectations; when one
@@ -70,7 +72,7 @@ from dataclasses import dataclass
 from .certificate import DecompositionCertificate, Step
 from .cuts import CutClassification, classify_cut, is_tight, meets_once
 from .graph import Cut, Graph, GraphError, InternalInvariantError
-from .matching import _dependence_row, is_matching_covered
+from .matching import _dependence_row, _missable, is_matching_covered
 from .structure import (
     Barrier,
     TwoSeparation,
@@ -218,6 +220,22 @@ def _shore_cut_vertices(g: Graph, c: Cut) -> frozenset[int]:
             | g.induced(c.other_shore).cut_vertices())
 
 
+def _dead_cut_barrier(h: Graph, x: frozenset[int]
+                      ) -> tuple[frozenset[int], bool]:
+    """The strict barrier find_strict_barrier confines to a shore of the
+    dead cut of h at x, as (its members, whether its shore is x rather
+    than V(h) - x). The witness search builds h so that the search's
+    preconditions hold, so a rejection or a third shore is a bug."""
+    try:
+        tagged = find_strict_barrier(h, x)
+    except GraphError as exc:
+        raise InternalInvariantError(
+            f"dead-cut search rejected a theorem-backed setup: {exc}") from exc
+    if tagged.shore not in (x, h.vertex_set - x):
+        raise InternalInvariantError("confined barrier tagged with a foreign shore")
+    return tagged.barrier.members, tagged.shore == x
+
+
 def witness_from_edge(g: Graph, c: Cut, eid: int,
                       tally: BranchTally | None = None) -> WitnessFinding:
     """Explain the reference cut starting from one good cut edge.
@@ -235,7 +253,7 @@ def witness_from_edge(g: Graph, c: Cut, eid: int,
     The pivot's component of stripped - confined is always odd, so the
     guard on an even one raises InternalInvariantError. Proof: let p be
     the pivot, P its shore (pshore) and O the other (oshore); S is g
-    without p's edges into P (stripped), D = P - p (dead_shore), and B
+    without p's edges into P (stripped), D = P - p, the dead shore, and B
     (confined) is the strict barrier of S tagged with O + p, with p not
     in B. D is connected (the edge is good) and avoids B, and every
     odd component of S - B lies in O + p, so the component of S - B
@@ -294,41 +312,24 @@ def _witness_from_edge(g: Graph, c: Cut, eid: int,
     if pivot is None:
         # the edge is the sole bridge between its endpoints' horizons
         tally.hit(BRANCH_SOLE_CROSS_NEIGHBORS)
-        inner = g.without_vertices((u, v))
-        try:
-            tagged = find_strict_barrier(inner, xu - {u})
-        except GraphError as exc:
-            raise InternalInvariantError(
-                f"dead-cut search rejected a theorem-backed setup: {exc}") from exc
-        if tagged.shore == xu - {u}:
-            members = tagged.barrier.members | {u}
-            return _finish_barrier(g, c, members, xu, BRANCH_SOLE_CROSS_NEIGHBORS)
-        if tagged.shore == xv - {v}:
-            members = tagged.barrier.members | {v}
-            return _finish_barrier(g, c, members, xv, BRANCH_SOLE_CROSS_NEIGHBORS)
-        raise InternalInvariantError("confined barrier tagged with a foreign shore")
+        members, on_x = _dead_cut_barrier(g.without_vertices((u, v)), xu - {u})
+        if on_x:
+            return _finish_barrier(g, c, members | {u}, xu,
+                                   BRANCH_SOLE_CROSS_NEIGHBORS)
+        return _finish_barrier(g, c, members | {v}, xv,
+                               BRANCH_SOLE_CROSS_NEIGHBORS)
 
     pshore, oshore = (xu, xv) if pivot in xu else (xv, xu)
     in_shore_edges = [
         inc for inc in g.incident(pivot)
         if (set(g.edge_ends(inc)) - {pivot}).pop() in pshore]
     stripped = g.without_edges(in_shore_edges)
-    dead_shore = pshore - {pivot}
-    try:
-        tagged = find_strict_barrier(stripped, dead_shore)
-    except GraphError as exc:
-        raise InternalInvariantError(
-            f"dead-cut search rejected a theorem-backed setup: {exc}") from exc
-
-    if tagged.shore == dead_shore:
+    confined, on_x = _dead_cut_barrier(stripped, pshore - {pivot})
+    if on_x:
         # barrier and components live away from the pivot's horizon
         tally.hit(BRANCH_FAR_SHORE_BARRIER)
-        members = tagged.barrier.members | {pivot}
-        return _finish_barrier(g, c, members, pshore, BRANCH_FAR_SHORE_BARRIER)
-    if tagged.shore != oshore | {pivot}:
-        raise InternalInvariantError("confined barrier tagged with a foreign shore")
-
-    confined = tagged.barrier.members
+        return _finish_barrier(g, c, confined | {pivot}, pshore,
+                               BRANCH_FAR_SHORE_BARRIER)
     if pivot in confined:
         raise InternalInvariantError("pivot inside the confined barrier")
     parts = stripped.components_without(confined)
@@ -490,16 +491,31 @@ def _min_holder_barrier(g: Graph, tracked,
     """The barrier step's choice, as (barrier, cut of its holder, index
     into tracked of its shore), or None.
 
-    For a shore S of tracked with opposite shore O, let h = g/(O -> o),
-    matching covered by Fact 3. Call v and w dependent in h when
-    h - v - w is not matchable; the class of v is v and every vertex
-    dependent with it, the vertices outside v's dependence row, one row
-    search per class. The candidates of S
-    are the classes P of h with o not in P and |P| >= 2. In the first
-    shore of tracked that has one, take the P whose holder (the odd
-    component of g - P holding O) is smallest, ties broken by the sorted
-    holder, then the sorted members. The step contracts V - H to one
-    vertex y for the holder H of P.
+    For a shore S of tracked with opposite shore O, call v and w
+    dependent in a graph when deleting both leaves it without a perfect
+    matching. The candidates of S (_shore_candidates) are the sets
+    P = S - row(v) with |P| >= 2, for v in D(g[S]): row(v) is v's cached
+    dependence row of g, and D(g[S]) is the set of vertices that some
+    maximum matching of g[S] misses (matching._missable), one search on
+    g[S]. In the first shore of tracked that has one, take the P whose
+    holder (the odd component of g - P holding O) is smallest, ties
+    broken by the sorted holder, then the sorted members. The step
+    contracts V - H to one vertex y for the holder H of P.
+
+    The candidates are the dependence classes P of h = g/(O -> o) with o
+    not in P and |P| >= 2; h is matching covered by Fact 3, and the
+    proof below reasons on h, which the code never builds. Lemma: g[S]
+    = h - o has odd order, and a perfect matching of h less its edge at
+    o misses one vertex of it, so every maximum matching of g[S] misses
+    exactly one vertex, and a None from _missable, which would break
+    this, raises InternalInvariantError. So h - o - v = g[S] - v is matchable
+    iff v is in D(g[S]): v is dependent with o in h iff v is not in
+    D(g[S]). Classes match: for v in D(g[S]) the class of v in h is
+    S - row(v). A w dependent with v in g is dependent with v in h, by
+    the argument of part (b) of classify_cut's proof (with X = O); and
+    the class of v in h avoids o, so it is a barrier of g by (a) below,
+    and its members are pairwise dependent in g. Hence the classes of h
+    that avoid o are exactly the sets S - row(v), for v in D(g[S]).
 
     The search starts at tracked[start]: the loop passes the shore index
     of the previous round's barrier step, and 0 after a two-separation
@@ -526,9 +542,11 @@ def _min_holder_barrier(g: Graph, tracked,
     reached at a candidate.
     (c) A barrier witness B of the reference cut inside S (O an odd
     component of g - B) lies in a candidate. By classify_cut's proof,
-    with X = O, the largest such witness F is the class of an
-    attachment of O in h; it avoids o, and |F| >= 2 since F = {a} would
-    leave g - a with the single component O, so S = {a}, a trivial cut.
+    with X = O, the largest such witness F is the set classify_cut
+    builds, S less the row of an attachment a of O, from the same
+    cached row; it is the class of a in h and avoids o, so a is in
+    D(g[S]). And |F| >= 2, since F = {a} would leave g - a with the
+    single component O, so S = {a}, a trivial cut.
     So F is a candidate, with holder O. The guard below, on a holder
     equal to O, thus fires whenever the reference cut has a barrier
     witness, and a round that gets None knows it has none: the final
@@ -550,31 +568,39 @@ def _min_holder_barrier(g: Graph, tracked,
     reached it in the same decompositions.
     """
     for i in range(start, len(tracked)):
-        side = tracked[i]
-        opposite = g.vertex_set - side
-        o = g.fresh_vertex()
-        h = g.contract(opposite, o)
-        left = set(h.vertices)
-        found = []
-        while left:
-            v = min(left)
-            part = left - _dependence_row(h, v)
-            left -= part
-            if o in part or len(part) < 2:
-                continue
-            b = is_barrier(g, part)
-            holder = None if b is None else next(
-                (p for p in b.odd_parts if opposite <= p), None)
-            if holder is None or holder == opposite:
-                raise InternalInvariantError(
-                    f"class {sorted(part)} is no barrier, or has no holder "
-                    "but the opposite shore")
-            key = (len(holder), sorted(holder), sorted(part))
-            found.append((key, b, holder))
-        if found:
-            _, b, holder = min(found, key=lambda t: t[0])
+        if found := _shore_candidates(g, tracked[i]):
+            b, holder = min(found, key=lambda t: (
+                len(t[1]), sorted(t[1]), sorted(t[0].members)))
             return b, g.boundary(holder), i
     return None
+
+
+def _shore_candidates(g: Graph, side: frozenset[int]
+                      ) -> list[tuple[Barrier, frozenset[int]]]:
+    """The candidates of the shore side, as (barrier, holder) pairs in
+    order of least member: see _min_holder_barrier's docstring."""
+    opposite = g.vertex_set - side
+    missable = _missable(g.induced(side))
+    if missable is None:
+        raise InternalInvariantError(
+            f"a maximum matching of shore {sorted(side)} does not miss "
+            "exactly one vertex")
+    left = set(missable)
+    found = []
+    while left:
+        part = side - _dependence_row(g, min(left))
+        left -= part
+        if len(part) < 2:
+            continue
+        b = is_barrier(g, part)
+        holder = None if b is None else next(
+            (p for p in b.odd_parts if opposite <= p), None)
+        if holder is None or holder == opposite:
+            raise InternalInvariantError(
+                f"class {sorted(part)} is no barrier, or has no holder "
+                "but the opposite shore")
+        found.append((b, holder))
+    return found
 
 
 def decompose_tight_cut(g: Graph, c: Cut,

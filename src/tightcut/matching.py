@@ -21,8 +21,9 @@ subgraphs, answered in one of two ways:
   searches one per row they read, and _missable a single one from
   the vertex its maximum matching misses, against every vertex, which
   is exact everywhere: it stops early only once all are outer.
-  is_critical reads it, and so does barrier search on a graph with no
-  perfect matching.
+  is_critical reads it, and so do barrier search on a graph with no
+  perfect matching and the reduction's barrier step, on each shore
+  subgraph.
 
 Co-matchability, whether two disjoint edges lie together in some
 perfect matching, is decided by those searches alone: per edge uv, one
@@ -76,13 +77,6 @@ class Matching:
                 raise GraphError(f"edges share a vertex: {sorted(self.edges)}")
             seen.add(u)
             seen.add(v)
-
-    @property
-    def covered(self) -> frozenset[int]:
-        out: set[int] = set()
-        for eid in self.edges:
-            out.update(self.graph.edge_ends(eid))
-        return frozenset(out)
 
     @property
     def is_perfect(self) -> bool:
@@ -506,7 +500,10 @@ def _missable(g: Graph) -> frozenset[int] | None:
     only once all are outer, so its flags are exact either way. Every
     maximum matching then misses one vertex, so g - v is matchable iff
     v is in D(g): is_critical asks it of every v, and
-    structure._dependent_partners of g - v for each v.
+    structure._dependent_partners of g - v for each v. The barrier step
+    of decompose.py (_shore_candidates) reads D(g[S]) of each shore S
+    of the reference cut: the v in it are the vertices of S that are
+    not dependent with the contracted other shore.
     """
     verts, _, adj = _search_index(g)
     start = _search_mates(g)

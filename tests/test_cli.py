@@ -12,12 +12,13 @@ import tightcut.cli
 from tightcut.cli import _set_text, main
 from tightcut.cuts import (
     classify_cut, enumerate_tight_cuts, is_tight, meets_once)
+from tightcut.decompose import decompose_tight_cut
 from tightcut.edgelist import parse_edge_list, write_edge_list
 from tightcut.graph import Graph, InternalInvariantError
 from tightcut.instances import fixture_instances
 from tightcut.matching import is_matching_covered
 from tightcut.sweep import SweepReport
-from tightcut.verify import VerificationResult
+from tightcut.verify import VerificationResult, verify_certificate
 
 from conftest import cycle, inflated
 
@@ -199,11 +200,23 @@ def test_decompose_chain_with_dot(blocked_file, tmp_path, capsys):
     assert main(["verify", cert_path]) == 0
 
 
+def test_decompose_prints_a_two_separation_step(tmp_path, capsys):
+    g = next(g for name, g, _ in fixture_instances()
+             if name == "bridged_triangle")
+    path = tmp_path / "bridged.el"
+    write_edge_list(g, path)
+    assert main(["decompose", str(path), "--cut", "0,1,2"]) == 0
+    assert "step 2: two-separation pair {0, 10}, contract shore " \
+        "{3, 7, 10} to vertex 11\n" in capsys.readouterr().out
+
+
 def test_decompose_rejects_unusable_cuts(c6_file, capsys):
     assert main(["decompose", c6_file, "--cut", "0,2,4"]) == 2
     assert "not tight" in capsys.readouterr().err
     assert main(["decompose", c6_file, "--cut", "0"]) == 2
     assert "trivial" in capsys.readouterr().err
+    assert main(["decompose", c6_file, "--cut", ","]) == 2
+    assert "error: cut shore is empty" in capsys.readouterr().err
 
 
 def test_decompose_exits_1_when_its_self_check_fails(
@@ -300,6 +313,19 @@ def test_verify_rejects_a_huge_declared_order(c6_file, tmp_path, capsys, n):
     assert main(["verify", str(huge)]) == 1
     assert capsys.readouterr().out == \
         "certificate rejected: input mismatch at $\n"
+
+
+def test_verify_keeps_the_certificates_vertex_labels(tmp_path, capsys):
+    """A certificate carries its host's own labels: C6 on 10..15 with
+    shore {10, 11, 12} verifies as it does through verify_certificate."""
+    g = Graph(range(10, 16), [(10 + i, 10 + (i + 1) % 6) for i in range(6)])
+    c = g.boundary({10, 11, 12})
+    cert = decompose_tight_cut(g, c)
+    assert verify_certificate(g, c, cert).ok
+    path = tmp_path / "relabelled.json"
+    path.write_text(json.dumps(cert.to_json_dict()))
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == "certificate OK (r=1)\n"
 
 
 def test_verify_stdin(c6_file, tmp_path, monkeypatch, capsys):

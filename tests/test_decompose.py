@@ -27,14 +27,16 @@ from tightcut.decompose import (
     BranchTally,
     WitnessFinding,
     _finding_failure,
+    _shore_candidates,
     decompose_tight_cut,
     find_noncrossing_witness,
     witness_from_edge,
 )
-from tightcut.graph import EnumerationLimitError, Graph, GraphError
+from tightcut.graph import (
+    EnumerationLimitError, Graph, GraphError, InternalInvariantError)
 from tightcut.instances import CorpusSpec, enumerate_corpus, fixture_instances
 from tightcut.matching import (
-    ENUMERATION_LIMIT, is_matchable, is_matching_covered)
+    ENUMERATION_LIMIT, _dependence_row, is_matchable, is_matching_covered)
 from tightcut.structure import (
     Barrier, TwoSeparation, enumerate_barriers, is_barrier)
 from tightcut.sweep import run_sweep
@@ -45,6 +47,7 @@ from conftest import (
     brute_is_tight,
     brute_perfect_matchings,
     cycle,
+    gate_specs,
     glued,
     inflated,
     theta,
@@ -314,6 +317,17 @@ def test_decompose_rejects_past_the_matching_filter(monkeypatch):
     assert calls == [c]
 
 
+def test_decompose_keeps_an_internal_error_on_a_tight_cut(c6, monkeypatch):
+    """A failed reduction of a tight cut is a bug: is_tight clears the
+    cut, and the internal error stands."""
+    def broken(g, c, tally):
+        raise InternalInvariantError("a made-up bug")
+
+    monkeypatch.setattr(tightcut.decompose, "_reduce", broken)
+    with pytest.raises(InternalInvariantError, match="a made-up bug"):
+        decompose_tight_cut(c6, c6.boundary({0, 1, 2}))
+
+
 EXPECTED = {
     # name: (r, frozen decomposition tally)
     "double_bowtie": (1, {BRANCH_ALREADY_WITNESSED: 1}),
@@ -505,10 +519,10 @@ def test_contractions_keep_what_the_reduction_assumes(entry, contracting,
 
 def test_contractions_map_the_reference_cut_by_its_shore(monkeypatch):
     """Every contraction that the reduction, the witness search and the
-    replay make on the 72 fixture and 864 inflated cuts. One collapsing
-    a part strictly inside a shore X of the reference cut maps it to the
-    cut with shore (X - part) + label, the cut its edge ids give; the
-    barrier step's probe collapses a whole shore instead."""
+    replay make on the 72 fixture and 864 inflated cuts collapses a part
+    strictly inside a shore X of the reference cut, and maps it to the
+    cut with shore (X - part) + label, the cut its edge ids give. The
+    barrier step contracts no whole shore: it reads g's own rows."""
     made = []
     contract = Graph.contract
 
@@ -520,15 +534,14 @@ def test_contractions_map_the_reference_cut_by_its_shore(monkeypatch):
     monkeypatch.setattr(Graph, "contract", recorded)
 
     def mapped_by_shore(c):
-        """Check and clear made; count its parts inside a shore."""
+        """Check, count and clear made."""
         count = 0
         for host, part, label, got in made:
             ref = host.cut_from_edge_ids(c.edge_ids)
-            if part not in ref.shores():
-                [shore] = [x for x in ref.shores() if part < x]
-                image = got.boundary((shore - part) | {label})
-                assert image == got.cut_from_edge_ids(c.edge_ids)
-                count += 1
+            [shore] = [x for x in ref.shores() if part < x]
+            image = got.boundary((shore - part) | {label})
+            assert image == got.cut_from_edge_ids(c.edge_ids)
+            count += 1
         made.clear()
         return count
 
@@ -654,6 +667,128 @@ def test_barrier_step_against_the_barrier_listing(monkeypatch):
 def _holder_key(g, members, opposite):
     [holder] = [p for p in is_barrier(g, members).odd_parts if opposite <= p]
     return len(holder), sorted(holder), sorted(members)
+
+
+def _contracted_candidates(g, side):
+    """The barrier step's candidates of shore side, split the way the
+    step once did: contract the opposite shore O to a fresh vertex o,
+    read h = g/(O -> o)'s own rows, and keep each class of two or more
+    members that avoids o, as (members, holder or None)."""
+    opposite = g.vertex_set - side
+    o = g.fresh_vertex()
+    h = g.contract(opposite, o)
+    left, found = set(h.vertices), []
+    while left:
+        part = left - _dependence_row(h, min(left))
+        left -= part
+        if o in part or len(part) < 2:
+            continue
+        b = is_barrier(g, part)
+        found.append((frozenset(part), None if b is None else next(
+            (p for p in b.odd_parts if opposite <= p), None)))
+    return found
+
+
+def _spy_on_the_barrier_step(monkeypatch):
+    """Record, for every shore each _min_holder_barrier call reads, the
+    pair (its candidates, or the InternalInvariantError it raised;
+    _contracted_candidates of that shore), and check each pick against
+    the oracle's candidates of the first shore that has one."""
+    step = tightcut.decompose._min_holder_barrier
+    reads = []
+
+    def spied(g, tracked, start):
+        want = None
+        for i, side in enumerate(tracked[start:], start):
+            oracle = _contracted_candidates(g, side)
+            try:
+                got = [(b.members, holder)
+                       for b, holder in _shore_candidates(g, side)]
+            except InternalInvariantError as exc:
+                got = exc
+            reads.append((got, oracle))
+            if oracle and want is None:
+                want = min(oracle, key=lambda t: (
+                    len(t[1]), sorted(t[1]), sorted(t[0]))), i
+            if got:
+                break
+        picked = step(g, tracked, start)
+        if picked is not None:
+            (members, holder), index = want
+            barrier, cut, i = picked
+            assert (barrier.members, i) == (members, index)
+            assert holder in cut.shores()
+        return picked
+
+    monkeypatch.setattr(tightcut.decompose, "_min_holder_barrier", spied)
+    return reads
+
+
+def test_barrier_step_reads_the_contractions_classes(
+        monkeypatch, exhaustive_corpus):
+    """The candidates read off g's own rows are those of the contraction
+    g/(O -> o), (members, holder) pairs and their order included, on
+    every shore the barrier step reads: in the decompositions of the 72
+    fixture cuts, of the 15 that need reduction rounds with K_{k,k}
+    spliced in for k = 3, 4, 5, 8 and 20, and of the acceptance gate
+    corpus's cuts with no classification witness."""
+    reads = _spy_on_the_barrier_step(monkeypatch)
+    rounds = [c for _, g, c in FIXTURE_CUTS if not classify_cut(g, c).witnessed]
+    cuts = [c for _, _, c in FIXTURE_CUTS]
+    for c in rounds:
+        for k in (3, 4, 5, 8, 20):
+            h, s = inflated(c.graph, c.shore, k)
+            cuts.append(h.boundary(s))
+    graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
+    for spec in gate_specs()[3:]:
+        graphs += enumerate_corpus(spec)
+    gate = [c for g in graphs for c in enumerate_tight_cuts(g, True)
+            if not classify_cut(g, c).witnessed]
+    assert (len(rounds), len(gate)) == (15, 6)
+    for c in cuts + gate:
+        decompose_tight_cut(c.graph, c)
+    assert all(got == oracle for got, oracle in reads)
+    assert len(reads) == 376
+
+
+def test_barrier_step_on_the_rejection_rounds(monkeypatch, exhaustive_corpus):
+    """The rounds test_decompose_rejects_exactly_the_cuts_that_are_not_tight
+    runs on the exhaustive n <= 6 corpus: every odd nontrivial shore that
+    the cached perfect matching meets once. The tight ones are all
+    witnessed, so every round is on a cut that is not tight, where the
+    proof that the candidates equal the contraction's needs tightness.
+    They still do on most shores. On the rest the contraction has no
+    candidate, while a class read off g's rows is no barrier with a
+    holder: the step raises InternalInvariantError, and the failure
+    path rejects the cut, as it did when the step built the
+    contraction. A tight cut returns a one-graph certificate and never
+    reaches the step."""
+    reads = _spy_on_the_barrier_step(monkeypatch)
+    seen = Counter()
+    for g in (g for corpus in exhaustive_corpus.values() for g in corpus):
+        anchor, rest = g.vertices[0], g.vertices[1:]
+        for size in range(2, g.n - 2, 2):
+            for combo in combinations(rest, size):
+                c = g.boundary({anchor, *combo})
+                if not meets_once(g, c):
+                    continue
+                reads.clear()
+                try:
+                    cert = decompose_tight_cut(g, c)
+                except GraphError:
+                    tight = False
+                else:
+                    tight = True
+                    assert cert.r == 1 and not reads
+                for got, oracle in reads:
+                    if got == oracle:
+                        seen["same"] += 1
+                    else:
+                        assert oracle == []
+                        assert isinstance(got, InternalInvariantError)
+                        seen["raised"] += 1
+                seen[tight] += 1
+    assert seen == {True: 2310, False: 16818, "same": 28784, "raised": 2711}
 
 
 @pytest.mark.parametrize("k", [7, 9])

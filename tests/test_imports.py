@@ -17,8 +17,10 @@ sweep runs no is_tight, sweep.py names none of the checks the producer
 already wraps (witness_failure, is_barrier, is_strict_barrier,
 classify_cut, _require_decomposable), decompose.py defines no
 _require_witness, _witness_from_edge takes (g, c, eid, tally) and no
-pivot, no module in src/ but graph.py names a graph's _cache (every
-per-graph memo goes through Graph._memo), and src/ has no assert
+pivot, _min_holder_barrier and its _shore_candidates name neither
+contract nor fresh_vertex (the barrier step reads the graph's own
+dependence rows), no module in src/ but graph.py names a graph's _cache
+(every per-graph memo goes through Graph._memo), and src/ has no assert
 statement: python -O strips them, so invariant guards raise
 InternalInvariantError instead.
 
@@ -288,10 +290,23 @@ def test_block_split_forces_no_pivot():
 
 def test_decompose_reads_dependence_rows():
     """The reduction's barrier step reads each dependence class off one
-    row of the contraction, so decompose.py asks no pair query."""
+    row of the current graph, so decompose.py asks no pair query."""
     path = ROOT / "src" / "tightcut" / "decompose.py"
     assert oracle_references(ast.parse(path.read_text()),
                              {"is_matchable"}) == []
+
+
+def test_barrier_step_builds_no_contraction():
+    """The barrier step reads each candidate off the current graph's own
+    dependence rows: neither it nor its per-shore helper contracts the
+    opposite shore to a fresh vertex."""
+    path = ROOT / "src" / "tightcut" / "decompose.py"
+    steps = [node for node in ast.parse(path.read_text()).body
+             if isinstance(node, ast.FunctionDef) and node.name in {
+                 "_min_holder_barrier", "_shore_candidates"}]
+    assert len(steps) == 2
+    for node in steps:
+        assert oracle_references(node, {"contract", "fresh_vertex"}) == []
 
 
 @pytest.mark.parametrize(

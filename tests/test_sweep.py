@@ -9,10 +9,13 @@ import tightcut.instances
 import tightcut.sweep
 from tightcut.cuts import enumerate_tight_cuts
 from tightcut.decompose import _find_noncrossing_witness
+from tightcut.graph import Graph
 from tightcut.instances import CorpusSpec, enumerate_corpus
 from tightcut.structure import Barrier
 from tightcut.sweep import run_sweep
-from tightcut.verify import R_CROSSES, R_NOT_BARRIER
+from tightcut.verify import R_CROSSES, R_NOT_BARRIER, VerificationResult
+
+from conftest import cycle
 
 
 def test_named_sweep_counters():
@@ -177,3 +180,118 @@ def test_sweep_rejects_a_strict_barrier_on_a_foreign_shore(monkeypatch):
     assert len(flagged) == len(report.violations)
     assert len(flagged) == report.strict_barrier_instances > 0
     assert len({detail for _, _, detail in flagged}) == 1
+
+
+# every detector of the sweep, each fired by one planted fault ----------------
+
+def _planted(*args):
+    raise RuntimeError("planted")
+
+
+def _patch(name, replace):
+    """A plant that swaps sweep.py's name for replace(original)."""
+    def plant(monkeypatch):
+        original = getattr(tightcut.sweep, name)
+        monkeypatch.setattr(tightcut.sweep, name, replace(original))
+    return plant
+
+
+def _uncovered_contractions(monkeypatch):
+    # C6's contractions have 4 vertices, the host 6
+    covered = tightcut.sweep.is_matching_covered
+    monkeypatch.setattr(tightcut.sweep, "is_matching_covered",
+                        lambda g: g.n != 4 and covered(g))
+
+
+def _covered_path(monkeypatch):
+    path = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
+    monkeypatch.setattr(tightcut.sweep, "enumerate_corpus",
+                        lambda spec: [path])
+    monkeypatch.setattr(tightcut.sweep, "is_matching_covered",
+                        lambda g: True)
+
+
+def _pinned_odd_shore(monkeypatch):
+    monkeypatch.setattr(tightcut.sweep, "fixture_instances", lambda: (
+        ("c6", cycle(6), frozenset({0, 2, 4})),))
+
+
+def _failed_replay(g, c, cert):
+    return VerificationResult(False, (("final not witnessed", "$.final"),))
+
+
+PLANTED = "RuntimeError('planted')"
+
+# id: (plant, violation kind, a substring of its detail)
+DETECTORS = {
+    "host_not_matching_covered": (
+        _patch("is_matching_covered", lambda f: lambda g: False),
+        "matching_covered", "corpus graph is not matching covered"),
+    "connectivity": (_covered_path, "connectivity", "must be 2-connected"),
+    "fixture_pin": (_pinned_odd_shore, "fixture",
+                    "pinned shore [0, 2, 4] is not a nontrivial tight cut"),
+    "contraction_not_matching_covered": (
+        _uncovered_contractions, "contraction", "is not matching covered"),
+    "upward_transfer": (
+        _patch("enumerate_tight_cuts", lambda f: lambda g: [
+            c for c in f(g) if g.n != 6 or not c.is_trivial]),
+        "transfer", "of the contraction lifts to a non-tight cut"),
+    "contraction_raises": (
+        _patch("enumerate_tight_cuts",
+               lambda f: lambda g: _planted() if g.n == 4 else f(g)),
+        "contraction", PLANTED),
+    "witness_raises": (
+        _patch("_find_noncrossing_witness", lambda f: _planted),
+        "witness", PLANTED),
+    "certificate_rejected": (
+        _patch("verify_certificate", lambda f: _failed_replay),
+        "certificate", "final not witnessed at $.final"),
+    "certificate_raises": (
+        _patch("decompose_tight_cut", lambda f: _planted),
+        "certificate", PLANTED),
+    "barrier_not_independent": (
+        _patch("enumerate_barriers",
+               lambda f: lambda g: [Barrier(frozenset({0, 1}), (), g)]),
+        "barrier", "barrier [0, 1] is not independent"),
+    "barrier_even_component": (
+        _patch("enumerate_barriers",
+               lambda f: lambda g: [Barrier(frozenset({0, 2}), (), g)]),
+        "barrier", "barrier [0, 2] leaves an even component"),
+    "barrier_cut_not_tight": (
+        _patch("enumerate_barriers", lambda f: lambda g: [
+            Barrier(frozenset({0}), (frozenset({1, 3, 5}),), g)]),
+        "barrier", "barrier cut at [1, 3, 5] is not tight"),
+    "barrier_raises": (
+        _patch("enumerate_barriers", lambda f: _planted), "barrier", PLANTED),
+    "twosep_trivial_cut": (
+        _patch("two_separation_cuts",
+               lambda f: lambda g, s: (g.boundary({0}),)),
+        "twosep", "generates a trivial cut"),
+    "twosep_cut_not_tight": (
+        _patch("two_separation_cuts",
+               lambda f: lambda g, s: (g.boundary({0, 2, 4}),)),
+        "twosep", "generates a non-tight cut"),
+    "twosep_raises": (
+        _patch("find_2separations", lambda f: _planted), "twosep", PLANTED),
+    "lift_raises": (
+        _patch("lift_barrier_over_odd_component", lambda f: _planted),
+        "lift", PLANTED),
+    "strict_barrier_raises": (
+        _patch("find_strict_barrier", lambda f: _planted),
+        "strict_barrier", PLANTED),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DETECTORS))
+def test_every_detector_fires(monkeypatch, case):
+    """One fault planted through a name sweep.py imports fails the C6
+    sweep with the violation that fault should raise; the sweep is
+    clean without it (test_named_sweep_counters)."""
+    plant, kind, detail = DETECTORS[case]
+    monkeypatch.setattr(tightcut.sweep, "fixture_instances", lambda: ())
+    plant(monkeypatch)
+    report = run_sweep([CorpusSpec("named", names=("C2K(3)",))],
+                       include_fixtures=True)
+    assert not report.ok
+    assert any(k == kind and detail in d for k, _, d in report.violations), \
+        report.violations
