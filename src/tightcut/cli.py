@@ -39,7 +39,7 @@ from .matching import (
 )
 from .structure import Barrier
 from .sweep import run_sweep
-from .verify import R_INPUT, verify_certificate
+from .verify import verify_certificate, verify_json
 
 
 def _read_graph(path: str) -> Graph:
@@ -172,20 +172,7 @@ def cmd_verify(args) -> int:
         with open(args.certificate, encoding="utf-8") as handle:
             text = handle.read()
     cert = json.loads(text)
-    try:
-        graph_obj = cert["input"]["graph"]
-        # a certificate graph has no isolated vertex, so at most two
-        # vertices per edge: reject a larger order before building it
-        if graph_obj["n"] > 2 * len(graph_obj["edges"]):
-            print(f"certificate rejected: {R_INPUT} at $")
-            return 1
-        # the host keeps the certificate's own vertex labels
-        g = Graph.from_edges([tuple(pair) for pair in graph_obj["edges"]])
-        c = g.boundary(frozenset(cert["input"]["cut_shore"]))
-    except (KeyError, TypeError, IndexError, ValueError, GraphError):
-        print("certificate rejected: schema violation at $.input")
-        return 1
-    result = verify_certificate(g, c, cert)
+    result = verify_json(cert)
     if result.ok:
         print(f"certificate OK (r={cert['r']})")
         return 0

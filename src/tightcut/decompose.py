@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from .certificate import DecompositionCertificate, Step
 from .cuts import CutClassification, classify_cut, is_tight, meets_once
 from .graph import Cut, Graph, GraphError, InternalInvariantError
-from .matching import _dependence_row, _missable, is_matching_covered
+from .matching import _dependence_row, _shore_missable, is_matching_covered
 from .structure import (
     Barrier,
     TwoSeparation,
@@ -496,19 +496,24 @@ def _min_holder_barrier(g: Graph, tracked,
     matching. The candidates of S (_shore_candidates) are the sets
     P = S - row(v) with |P| >= 2, for v in D(g[S]): row(v) is v's cached
     dependence row of g, and D(g[S]) is the set of vertices that some
-    maximum matching of g[S] misses (matching._missable), one search on
-    g[S]. In the first shore of tracked that has one, take the P whose
-    holder (the odd component of g - P holding O) is smallest, ties
-    broken by the sorted holder, then the sorted members. The step
-    contracts V - H to one vertex y for the holder H of P.
+    maximum matching of g[S] misses (matching._shore_missable): one
+    search on g's own index with O dead, from g's cached perfect
+    matching M less its one edge in the cut, rooted at that edge's end
+    in S, and no blossom run on g[S]. In the first shore of tracked
+    that has one, take the P whose holder (the odd component of g - P
+    holding O) is smallest, ties broken by the sorted holder, then the
+    sorted members. The step contracts V - H to one vertex y for the
+    holder H of P.
 
     The candidates are the dependence classes P of h = g/(O -> o) with o
     not in P and |P| >= 2; h is matching covered by Fact 3, and the
     proof below reasons on h, which the code never builds. Lemma: g[S]
-    = h - o has odd order, and a perfect matching of h less its edge at
-    o misses one vertex of it, so every maximum matching of g[S] misses
-    exactly one vertex, and a None from _missable, which would break
-    this, raises InternalInvariantError. So h - o - v = g[S] - v is matchable
+    = h - o has odd order, and the reference cut is tight, so M meets
+    it once and M less that edge is a matching of g[S] that misses one
+    vertex only. It is maximum, so every maximum matching of g[S]
+    misses exactly one vertex. A None from _shore_missable means that M
+    meets the cut more than once, which tightness rules out; it raises
+    InternalInvariantError. So h - o - v = g[S] - v is matchable
     iff v is in D(g[S]): v is dependent with o in h iff v is not in
     D(g[S]). Classes match: for v in D(g[S]) the class of v in h is
     S - row(v). A w dependent with v in g is dependent with v in h, by
@@ -580,11 +585,11 @@ def _shore_candidates(g: Graph, side: frozenset[int]
     """The candidates of the shore side, as (barrier, holder) pairs in
     order of least member: see _min_holder_barrier's docstring."""
     opposite = g.vertex_set - side
-    missable = _missable(g.induced(side))
+    missable = _shore_missable(g, side)
     if missable is None:
         raise InternalInvariantError(
-            f"a maximum matching of shore {sorted(side)} does not miss "
-            "exactly one vertex")
+            "the cached perfect matching meets the cut of shore "
+            f"{sorted(side)} more than once")
     left = set(missable)
     found = []
     while left:

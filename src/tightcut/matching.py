@@ -16,14 +16,19 @@ subgraphs, answered in one of two ways:
 - Searches with targets. A search given target positions stops as
   soon as every target is outer; its flags are then exact on the
   targets only, so the caller reads its targets and nothing else, and
-  such flags are never cached as a row. is_matching_covered runs one
-  per vertex against its higher non-mate neighbours, the co-matchable
-  searches one per row they read, and _missable a single one from
-  the vertex its maximum matching misses, against every vertex, which
-  is exact everywhere: it stops early only once all are outer.
-  is_critical reads it, and so do barrier search on a graph with no
-  perfect matching and the reduction's barrier step, on each shore
-  subgraph.
+  such flags are never cached as a row. The co-matchable searches run
+  one per row they read. is_matching_covered runs at most one per
+  vertex, against its higher non-mate neighbours whose edge is not
+  yet covered, and keeps what each search shows besides: the parent
+  pointers lead each target back to the root, closing an alternating
+  cycle whose edges all lie in perfect matchings, so later vertices
+  have fewer targets or none (_covers_every_edge). _missable runs a
+  single one from the vertex its maximum matching misses, against
+  every vertex, which is exact everywhere: it stops early only once
+  all are outer. is_critical reads it, and so does barrier search on
+  a graph with no perfect matching. _shore_missable runs the same
+  search on g's own index with every vertex outside a shore dead, for
+  the reduction's barrier step: no blossom runs on the shore subgraph.
 
 Co-matchability, whether two disjoint edges lie together in some
 perfect matching, is decided by those searches alone: per edge uv, one
@@ -100,8 +105,8 @@ def _index_rows(g: Graph):
 
 
 def _alternating_search(adj: list[list[int]], match: list[int],
-                        dead: list[bool], root: int,
-                        targets=None) -> list[bool] | None:
+                        dead: list[bool], root: int, targets=None,
+                        parents: list[int] | None = None) -> list[bool] | None:
     """Edmonds' search from the exposed vertex root, ignoring dead
     vertices.
 
@@ -119,9 +124,14 @@ def _alternating_search(adj: list[list[int]], match: list[int],
     everywhere. Either way a caller reads its targets and nothing else.
     A search stopped early has not looked for an augmenting path, so
     targets are passed only when match is maximum in the live graph.
+
+    A caller that passes parents, a list of n entries -1, gets the
+    search's parent pointers in it. For an outer v the walk v, match[v],
+    p[match[v]], match[p[match[v]]], ... ends at root and is an even
+    alternating path from it: the walk the augmenting step applies.
     """
     n = len(adj)
-    p = [-1] * n
+    p = [-1] * n if parents is None else parents
     base = list(range(n))
     outer = [False] * n
     outer[root] = True
@@ -221,7 +231,8 @@ def _blossom_mates(g: Graph) -> list[int]:
 
 
 def _row_search(adj: list[list[int]], match: list[int], dead: list[bool],
-                x: int, targets=None) -> list[bool]:
+                x: int, targets=None,
+                parents: list[int] | None = None) -> list[bool]:
     """Outer flags of one search from the mate of x with x deleted, where
     match is a perfect matching of the live vertices.
 
@@ -229,13 +240,15 @@ def _row_search(adj: list[list[int]], match: list[int], dead: list[bool],
     less x that misses only the mate, so v is outer iff deleting v too
     leaves a perfect matching. The search cannot augment, since that
     graph has odd order, so it may stop early: with targets, the flags
-    are exact on the targets only (see _alternating_search). match is
-    consumed; dead is restored.
+    are exact on the targets only (see _alternating_search), and
+    parents, if given, receives its parent pointers. match is consumed
+    (less the edge at x, the search leaves it as it was); dead is
+    restored.
     """
     mate = match[x]
     match[x] = match[mate] = -1
     dead[x] = True
-    outer = _alternating_search(adj, match, dead, mate, targets)
+    outer = _alternating_search(adj, match, dead, mate, targets, parents)
     dead[x] = False
     if outer is None:
         raise InternalInvariantError(
@@ -459,64 +472,139 @@ def is_admissible(g: Graph, eid: int) -> bool:
 
 
 def _covers_every_edge(g: Graph) -> bool:
-    """Every edge of g, which has a perfect matching, lies in one.
+    """Every edge of g, which has a perfect matching M (the cached one),
+    lies in one.
 
     An edge uv does iff g - u - v is matchable, iff v is in the
-    dependence row of u. An edge joining u to its mate in the cached
-    perfect matching needs no row. Each vertex u with another neighbour
-    of higher label runs one _row_search, which stops once those
-    neighbours are outer; the partial flags are read and dropped, never
-    cached as a row.
+    dependence row of u; an edge of M needs no row. Each vertex u, in
+    order, runs one _row_search from its mate u' against its targets,
+    the higher neighbours w != u' whose edge uw is not yet known to be
+    covered, and the search stops once they are outer; its flags are
+    read and dropped, never cached as a row.
+
+    The search also answers edges it was not asked about. For each
+    target v, the walk v, match[v], p[match[v]], ... along its parent
+    pointers is an even alternating path from u' to v in g - u (the
+    walk _alternating_search's augmenting step applies), so with the
+    edges u'u and uv it closes an M-alternating cycle Q through u.
+    Every edge of Q lies in the perfect matching M xor Q. Its edges off
+    M and away from u, the only ones a later vertex could ask about,
+    are marked covered, and a later vertex drops marked edges from its
+    targets; one with no target left runs no search. A walk stops at a
+    vertex an earlier walk of the same search passed, since the rest
+    of its path is marked, so one search's walks take O(n) steps.
+
+    A search's targets are a subset of those of the rule that asks
+    about every higher non-mate neighbour, so none runs longer, and the
+    answer is the same: an unmarked edge is asked about, and a target
+    that is not outer is an edge in no perfect matching.
     """
     _, _, adj = _search_index(g)
     start = _search_mates(g)
-    dead = [False] * len(adj)
+    n = len(adj)
+    dead = [False] * n
+    # a * n + b and b * n + a for each edge ab on a cycle found so far
+    covered: set[int] = set()
     for u, mate in enumerate(start):
-        higher = [w for w in adj[u] if w > u and w != mate]
-        if higher:
-            outer = _row_search(adj, start[:], dead, u, higher)
-            if not all(outer[w] for w in higher):
-                return False
+        row = u * n
+        targets = [w for w in adj[u]
+                   if w > u and w != mate and row + w not in covered]
+        if not targets:
+            continue
+        match, p = start[:], [-1] * n
+        outer = _row_search(adj, match, dead, u, targets, p)
+        if not all(outer[w] for w in targets):
+            return False
+        # each walk ends at the root or where an earlier one passed
+        walked = {mate}
+        for x in targets:
+            while x not in walked:
+                walked.add(x)
+                a = match[x]
+                x = p[a]
+                covered.add(a * n + x)
+                covered.add(x * n + a)
     return True
 
 
 def is_matching_covered(g: Graph) -> bool:
     """Connected, at least one edge, and every edge in some perfect
     matching: one blossom run on g, then at most one row search per
-    vertex and none for an edge to a mate (_covers_every_edge)."""
+    vertex, none for an edge to a mate and none for a vertex whose
+    higher edges lie on alternating cycles earlier searches closed
+    (_covers_every_edge)."""
     return g._memo("matching_covered", lambda: (
         g.n >= 2 and g.m >= 1 and g.is_connected()
         and is_matchable(g) and _covers_every_edge(g)))
+
+
+def _missed_from(verts, adj: list[list[int]], match: list[int],
+                 dead: list[bool], root: int) -> frozenset[int]:
+    """D of the live graph, the vertices some maximum matching of it
+    misses, where match is a maximum matching of the live vertices that
+    misses only root.
+
+    match is maximum, so the search from root cannot augment, and its
+    outer vertices are those an even alternating path from root
+    reaches, which are exactly D (_alternating_search; _row_search
+    relies on the same fact). With every live vertex as a target the
+    search stops early only once all are outer, so its flags are exact
+    either way. match is consumed.
+    """
+    live = [i for i, d in enumerate(dead) if not d]
+    outer = _alternating_search(adj, match, dead, root, live)
+    if outer is None:
+        raise InternalInvariantError(
+            "search from the sole exposed vertex of a maximum matching "
+            "augmented")
+    return frozenset(v for v, o in zip(verts, outer) if o)
 
 
 def _missable(g: Graph) -> frozenset[int] | None:
     """D(g), the vertices some maximum matching of g misses, when g's
     cached maximum matching M misses exactly one vertex r; else None.
 
-    M is maximum, so the search from r cannot augment, and its outer
-    vertices are those an even alternating path from r reaches, which
-    are exactly D(g) (_alternating_search; _row_search relies on the
-    same fact). With every vertex as a target the search stops early
-    only once all are outer, so its flags are exact either way. Every
-    maximum matching then misses one vertex, so g - v is matchable iff
-    v is in D(g): is_critical asks it of every v, and
-    structure._dependent_partners of g - v for each v. The barrier step
-    of decompose.py (_shore_candidates) reads D(g[S]) of each shore S
-    of the reference cut: the v in it are the vertices of S that are
-    not dependent with the contracted other shore.
+    One search from r (_missed_from). Every maximum matching then
+    misses one vertex, so g - v is matchable iff v is in D(g):
+    is_critical asks it of every v, and structure._dependent_partners
+    of g - v for each v.
     """
     verts, _, adj = _search_index(g)
     start = _search_mates(g)
     if start.count(-1) != 1:
         return None
-    n = len(adj)
-    outer = _alternating_search(adj, start[:], [False] * n,
-                                start.index(-1), range(n))
-    if outer is None:
-        raise InternalInvariantError(
-            "search from the sole exposed vertex of a maximum matching "
-            "augmented")
-    return frozenset(v for v, o in zip(verts, outer) if o)
+    return _missed_from(verts, adj, start[:], [False] * len(adj),
+                        start.index(-1))
+
+
+def _shore_missable(g: Graph, side) -> frozenset[int] | None:
+    """D(g[side]), the vertices some maximum matching of the subgraph
+    induced by side misses, when exactly one vertex r of side has no
+    mate inside side in g's cached maximum matching M; else None.
+
+    M's edges inside side are then a matching of g[side] that misses
+    only r. The other vertices of side are matched in pairs, so side has
+    odd order and no matching of g[side] misses fewer: it is maximum.
+    One search from r on g's own index, with every vertex outside side
+    dead and M less its edge at r (_missed_from), gives D(g[side]), and
+    no blossom runs on the subgraph. The barrier step of decompose.py
+    (_shore_candidates) reads it for each shore S of the tight reference
+    cut, which M meets once: r is the end in S of that one cut edge.
+    """
+    verts, index, adj = _search_index(g)
+    match = _search_mates(g)[:]
+    dead = [True] * len(adj)
+    live = [index[v] for v in side]
+    for i in live:
+        dead[i] = False
+    loose = [i for i in live if match[i] == -1 or dead[match[i]]]
+    if len(loose) != 1:
+        return None
+    [r] = loose
+    if match[r] != -1:
+        match[match[r]] = -1
+        match[r] = -1
+    return _missed_from(verts, adj, match, dead, r)
 
 
 def is_critical(g: Graph) -> bool:

@@ -100,7 +100,14 @@ def _is_vertex_list(x) -> bool:
 
 def _check_graph_obj(obj, path, failures, shapes) -> None:
     """Check a serialized graph and record its shape, (n, sorted edge
-    pairs), under its path."""
+    pairs), under its path.
+
+    Edge i must be a list of two distinct ints (bools are not ints
+    here), in either order; anything else fails at path.edges[i]. Each
+    entry costs one list test, one unpacking and two int tests, the
+    exact-type test first, and the pairs are sorted in place: this walk
+    is a fixed cost of every verification.
+    """
     if not isinstance(obj, dict) or set(obj) != {"n", "edges"}:
         failures.append((R_SCHEMA, path))
         return
@@ -111,12 +118,15 @@ def _check_graph_obj(obj, path, failures, shapes) -> None:
         return
     pairs = []
     for i, e in enumerate(obj["edges"]):
-        if (not isinstance(e, list) or len(e) != 2
-                or not all(_is_int(v) for v in e) or e[0] == e[1]):
-            failures.append((R_SCHEMA, f"{path}.edges[{i}]"))
-        else:
-            pairs.append((min(e), max(e)))
-    shapes[path] = (obj["n"], sorted(pairs))
+        if isinstance(e, list) and len(e) == 2:
+            a, b = e
+            if ((type(a) is int or _is_int(a))
+                    and (type(b) is int or _is_int(b)) and a != b):
+                pairs.append((a, b) if a < b else (b, a))
+                continue
+        failures.append((R_SCHEMA, f"{path}.edges[{i}]"))
+    pairs.sort()
+    shapes[path] = (obj["n"], pairs)
 
 
 def _check_witness_obj(obj, path, failures) -> None:
@@ -243,6 +253,38 @@ def verify_certificate(g: Graph, c: Cut, cert) -> VerificationResult:
     shapes = _check_schema(cert, failures)
     if failures:
         return VerificationResult(False, tuple(failures))
+    return _replay(g, c, cert, shapes)
+
+
+def verify_json(cert) -> VerificationResult:
+    """Check a certificate's JSON form against the host graph and cut
+    its own input block declares, as `tightcut verify` does.
+
+    The schema walk runs first, so a malformed input block fails at the
+    path verify_certificate names. Only then is the host built, on the
+    certificate's own vertex labels. A certificate graph has no
+    isolated vertex, so an order above twice the edge count fails with
+    R_INPUT at $ before any graph is built, and a declared cut shore
+    that is no shore of the host fails with R_INPUT at
+    $.input.cut_shore, as it does in verify_certificate.
+    """
+    failures: list[tuple[str, str]] = []
+    shapes = _check_schema(cert, failures)
+    if failures:
+        return VerificationResult(False, tuple(failures))
+    n, pairs = shapes["$.input.graph"]
+    if n > 2 * len(pairs):
+        return VerificationResult(False, ((R_INPUT, "$"),))
+    g = Graph.from_edges([tuple(e) for e in cert["input"]["graph"]["edges"]])
+    try:
+        c = g.boundary(frozenset(cert["input"]["cut_shore"]))
+    except GraphError:
+        return VerificationResult(False, ((R_INPUT, "$.input.cut_shore"),))
+    return _replay(g, c, cert, shapes)
+
+
+def _replay(g: Graph, c: Cut, cert, shapes) -> VerificationResult:
+    """verify_certificate after its schema walk, which gave shapes."""
 
     def fail(code: str, path: str) -> VerificationResult:
         return VerificationResult(False, ((code, path),))

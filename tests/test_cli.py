@@ -296,7 +296,36 @@ def test_verify_bad_files(tmp_path, capsys):
     hollow = tmp_path / "hollow.json"
     hollow.write_text(json.dumps({"input": {"graph": {"n": 2}}}))
     assert main(["verify", str(hollow)]) == 1
-    assert "schema violation at $.input" in capsys.readouterr().out
+    assert capsys.readouterr().out == \
+        "certificate rejected: schema violation at $\n"
+
+
+@pytest.mark.parametrize("field, value, failure", [
+    ("edges", [[True, 1]], "schema violation at $.input.graph.edges[0]"),
+    ("edges", [[0]], "schema violation at $.input.graph.edges[0]"),
+    ("edges", ["01"], "schema violation at $.input.graph.edges[0]"),
+    ("n", "6", "schema violation at $.input.graph.n"),
+    ("cut_shore", "012", "schema violation at $.input.cut_shore"),
+    ("cut_shore", [0, 1, 9], "input mismatch at $.input.cut_shore"),
+])
+def test_verify_prints_the_librarys_path(c6_file, tmp_path, capsys,
+                                         field, value, failure):
+    """The schema walk runs before the host is built, so a malformed
+    input block is rejected with the reason and path verify_certificate
+    gives."""
+    cert_path = str(tmp_path / "cert.json")
+    main(["decompose", c6_file, "--cut", "0,1,2", "--json", cert_path])
+    capsys.readouterr()
+    payload = json.loads(open(cert_path).read())
+    block = payload["input"]
+    (block if field == "cut_shore" else block["graph"])[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["verify", str(bad)]) == 1
+    assert capsys.readouterr().out == f"certificate rejected: {failure}\n"
+    g = cycle(6)
+    assert [f"{code} at {path}" for code, path in verify_certificate(
+        g, g.boundary({0, 1, 2}), payload).failures] == [failure]
 
 
 @pytest.mark.parametrize("n", [10**9, 10**30])

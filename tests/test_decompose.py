@@ -9,6 +9,7 @@ import pytest
 
 import tightcut.cuts
 import tightcut.decompose
+import tightcut.matching
 import tightcut.sweep
 from tightcut.certificate import DecompositionCertificate
 from tightcut.cuts import (
@@ -789,6 +790,52 @@ def test_barrier_step_on_the_rejection_rounds(monkeypatch, exhaustive_corpus):
                         seen["raised"] += 1
                 seen[tight] += 1
     assert seen == {True: 2310, False: 16818, "same": 28784, "raised": 2711}
+
+
+def test_barrier_step_runs_no_blossom_on_a_shore(monkeypatch):
+    """Over the decompositions of the three r >= 2 fixtures inflated at
+    k = 3, 4, 5, _blossom_mates runs only on the graphs of the
+    reduction's chain and on graphs the witness search builds: the
+    barrier step reads D(g[S]) off g's own cached perfect matching, and
+    no shore subgraph g[S] goes through a blossom run."""
+    blossoms, in_search, shores = [], [], []
+    blossom = tightcut.matching._blossom_mates
+    search = tightcut.decompose._find_noncrossing_witness
+    candidates = tightcut.decompose._shore_candidates
+
+    def spy_blossom(g):
+        blossoms.append((g, bool(in_search)))
+        return blossom(g)
+
+    def spy_search(*args):
+        in_search.append(True)
+        try:
+            return search(*args)
+        finally:
+            in_search.pop()
+
+    def spy_candidates(g, side):
+        shores.append(side)
+        return candidates(g, side)
+
+    monkeypatch.setattr(tightcut.matching, "_blossom_mates", spy_blossom)
+    monkeypatch.setattr(tightcut.decompose, "_find_noncrossing_witness",
+                        spy_search)
+    monkeypatch.setattr(tightcut.decompose, "_shore_candidates",
+                        spy_candidates)
+    chains = 0
+    for name in ("blocked_triangle", "bridged_triangle", "blocked_pair"):
+        for k in (3, 4, 5):
+            h, s = inflated(*FIXTURES[name], k)
+            blossoms.clear()
+            cert = decompose_tight_cut(h, h.boundary(s))
+            chain = [h, *(step.graph for step in cert.steps),
+                     cert.final_graph]
+            chains += len(chain)
+            assert all(any(g is x for x in chain) or by_search
+                       for g, by_search in blossoms)
+            assert not any(g.vertex_set in shores for g, _ in blossoms)
+    assert chains == 33 and len(shores) > 0
 
 
 @pytest.mark.parametrize("k", [7, 9])

@@ -1,5 +1,6 @@
 """Matching kernel against the brute-force oracle."""
 
+from collections import Counter
 from itertools import combinations
 from random import Random
 
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from tightcut import matching
 from tightcut.cuts import is_tight
 from tightcut.graph import EnumerationLimitError, Graph
-from tightcut.instances import canonical, fixture_instances
+from tightcut.instances import (
+    CorpusSpec, canonical, enumerate_corpus, fixture_instances)
 from tightcut.matching import (
     ENUMERATION_LIMIT,
     _dependence_row,
@@ -24,6 +26,7 @@ from tightcut.matching import (
     matching_number,
     perfect_matching_masks,
 )
+from tightcut.structure import enumerate_barriers
 
 from conftest import (
     brute_is_critical,
@@ -33,6 +36,7 @@ from conftest import (
     brute_perfect_matchings,
     cycle,
     glued,
+    inflated,
 )
 
 
@@ -158,10 +162,10 @@ def _spy_searches(monkeypatch):
         finally:
             inside.pop()
 
-    def spy_search(adj, match, dead, root, targets=None):
+    def spy_search(adj, match, dead, root, targets=None, parents=None):
         if not inside:
             searches.append(root)
-        return search(adj, match, dead, root, targets)
+        return search(adj, match, dead, root, targets, parents)
 
     monkeypatch.setattr(matching, "_blossom_mates", spy_blossom)
     monkeypatch.setattr(matching, "_alternating_search", spy_search)
@@ -245,20 +249,99 @@ def test_is_matching_covered_runs_rows_not_one_blossom_per_edge(monkeypatch):
 
 def test_is_matching_covered_reads_no_row_for_a_mate(monkeypatch):
     # C6's cached perfect matching is 01, 23, 45, and an edge to a mate
-    # needs no search: only 0 (for 05), 1 (for 12) and 3 (for 34) run
-    # one, and the partial flags it stops with are never cached as rows
+    # needs no search. 0's search, for 05, walks 5, 4, 3, 2, 1 back to
+    # its root 1: the alternating cycle it closes holds every edge, so
+    # 1 (for 12) and 3 (for 34) run none. The partial flags it stops
+    # with are never cached as rows
     starts = []
     search = matching._row_search
 
-    def spy(adj, match, dead, x, targets=None):
+    def spy(adj, match, dead, x, targets=None, parents=None):
         starts.append(x)
-        return search(adj, match, dead, x, targets)
+        return search(adj, match, dead, x, targets, parents)
 
     monkeypatch.setattr(matching, "_row_search", spy)
     g = cycle(6)
     assert is_matching_covered(g)
-    assert starts == [0, 1, 3]
+    assert starts == [0]
     assert not g._cache.get("dependence_rows")
+
+
+@pytest.mark.parametrize("k, most", [(6, 9), (20, 37)])
+def test_is_matching_covered_search_count(monkeypatch, k, most):
+    # the cycles earlier searches close leave later vertices fewer
+    # targets: glued k = 6 and k = 20 need at most 9 and 37 searches
+    # after the blossom run, against 15 and 57 with one search per
+    # vertex that has a higher non-mate neighbour
+    blossoms, searches = _spy_searches(monkeypatch)
+    g = glued(k)
+    assert is_matching_covered(g)
+    assert blossoms == [g]
+    assert len(searches) <= most
+
+
+def _per_edge_rule(g):
+    """The per-edge rule, kept as an oracle for is_matching_covered:
+    connected, matchable, and for every edge uv, v is in u's dependence
+    row."""
+    return (g.n >= 2 and g.m >= 1 and g.is_connected() and is_matchable(g)
+            and all(v in _dependence_row(g, u)
+                    for u, v in map(g.edge_ends, g.edge_ids)))
+
+
+def _with_a_dependent_pair_joined(g):
+    """g plus an edge between 0 and the least vertex w, not 0 or a
+    neighbour of it, with g - 0 - w not matchable; None if there is no
+    such w. For matching covered g that edge lies in no perfect
+    matching, and every other edge still does."""
+    row = _dependence_row(g, 0)
+    w = min((v for v in g.vertices if v != 0 and v not in row
+             and v not in g.neighbors(0)), default=None)
+    if w is None:
+        return None
+    return Graph(g.vertices, [*map(g.edge_ends, g.edge_ids), (0, w)])
+
+
+def test_is_matching_covered_matches_the_per_edge_rule():
+    """Glued K_{k,k} pairs for k <= 20 and the pinned fixture cuts
+    inflated at k = 2..7, each also with one edge in no perfect
+    matching added."""
+    graphs = [glued(k) for k in range(2, 21)]
+    graphs += [inflated(g, shore, k)[0] for _, g, shore in fixture_instances()
+               for k in range(2, 8)]
+    graphs += [h for h in map(_with_a_dependent_pair_joined, graphs)
+               if h is not None]
+    got = Counter()
+    for g in graphs:
+        fresh = Graph(g.vertices, dict(g.edge_items()))
+        want = _per_edge_rule(fresh)
+        assert is_matching_covered(g) == want, g
+        got[want] += 1
+    assert got[True] > 0 and got[False] > 0
+
+
+def test_is_matching_covered_finds_the_one_uncovered_edge():
+    """Connected graphs of order 8 to 12 with a perfect matching and
+    exactly one edge in no perfect matching: two members of a
+    nontrivial barrier of a matching covered graph, joined. Every edge
+    of a cycle the searches close lies in a perfect matching, so the
+    joined pair is never marked covered."""
+    seen = 0
+    for n in (8, 10, 12):
+        spec = CorpusSpec("random", n=n, samples=60, seed=n)
+        for g in enumerate_corpus(spec):
+            for b in enumerate_barriers(g):
+                for u, w in combinations(sorted(b.members), 2):
+                    edges = [*map(g.edge_ends, g.edge_ids), (u, w)]
+                    h = Graph(g.vertices, edges)
+                    assert is_matchable(h) and h.is_connected()
+                    covered = set().union(*brute_perfect_matchings(
+                        h.vertices, edges))
+                    assert covered == set(range(len(edges) - 1))
+                    assert is_matching_covered(h) == brute_is_matching_covered(
+                        h.vertices, edges)
+                    seen += 1
+    assert seen == 106
 
 
 def _pair_query_graphs(exhaustive_corpus):

@@ -137,6 +137,47 @@ def test_tolerated_variations(c6):
 
 
 
+def _graph_objs(cert):
+    """Each serialized graph of a JSON certificate with its path."""
+    yield "$.input.graph", cert["input"]["graph"]
+    for i, step in enumerate(cert["steps"]):
+        yield f"$.steps[{i}].graph", step["graph"]
+    yield "$.final.graph", cert["final"]["graph"]
+
+
+class _Label(int):
+    pass
+
+
+@pytest.mark.parametrize("entry", [
+    [True, 1], [1, 2, 3], [0.0, 1], [1, 1], "01", None, {}],
+    ids=["bool", "three", "float", "loop", "string", "null", "dict"])
+@pytest.mark.parametrize("where", ["input", "step", "final"])
+def test_schema_walk_rejects_each_bad_edge_at_its_path(entry, where):
+    """A bad edge entry in the input graph, a step graph or the final
+    graph is the one failure, at its own path."""
+    _, g, c, cert = next(b for b in BASES if b[0] == "blocked_triangle")
+    bad = cert.to_json_dict()
+    assert bad["steps"]
+    path, obj = [(p, o) for p, o in _graph_objs(bad)
+                 if p.startswith("$." + where)][0]
+    obj["edges"][1] = entry
+    assert verify_certificate(g, c, bad).failures == (
+        (R_SCHEMA, f"{path}.edges[1]"),)
+
+
+def test_schema_walk_accepts_reversed_pairs_and_int_subclasses():
+    _, g, c, cert = next(b for b in BASES if b[0] == "blocked_triangle")
+    reversed_pairs = cert.to_json_dict()
+    subclassed = cert.to_json_dict()
+    for (_, a), (_, b) in zip(_graph_objs(reversed_pairs),
+                              _graph_objs(subclassed)):
+        a["edges"] = [[y, x] for x, y in a["edges"]]
+        b["edges"] = [[_Label(x), _Label(y)] for x, y in b["edges"]]
+    assert verify_certificate(g, c, reversed_pairs).ok
+    assert verify_certificate(g, c, subclassed).ok
+
+
 # the shared witness rule --------------------------------------------------------
 
 def _raw(witness):
