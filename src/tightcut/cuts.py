@@ -11,21 +11,21 @@ graph's cached dependence rows, with no subset search, and the
 two-separation witnesses come from one cut edge (twoseps_generating).
 
 Tightness rests on one lemma: the cut of an odd shore is tight iff no
-two of its edges lie together in some perfect matching. Every perfect
-matching meets the cut an odd number of times, so it meets it more than
-once iff it holds two cut edges. Both tightness tests decide that with
-the same Edmonds searches, read through Gallai-Edmonds (matching.py):
-per cut edge uv, a perfect matching of g - u - v, then row searches in
-g - u - v. enumerate_tight_cuts walks only the shores that the cached
-perfect matching crosses once, n * 2^(n/2 - 2) of them on n vertices,
-and checks each nontrivial one against a per-graph table of
-co-matchable edges (matching._comatchable_masks, at most m * n
-searches), so a shore costs a few bit operations. is_tight runs
-the searches for one cut's edges only (matching._comatchable_among, at
-most |C|^2 / 2 searches), which costs less than the table for a single
-cut: tightcut check, the witness searches' entry test and
+two of its edges lie together in some perfect matching (are
+co-matchable). Every perfect matching meets the cut an odd number of
+times, so it meets it more than once iff it holds two cut edges. Both
+tightness tests decide that with the same Edmonds searches, read
+through Gallai-Edmonds (matching._comatchable_among): per cut edge uv,
+a perfect matching of g - u - v, then row searches in g - u - v.
+is_tight runs them for one cut's edges, at most |C|^2 / 2 searches:
+tightcut check, the witness searches' entry test and
 decompose_tight_cut's failure path, on graphs up to hundreds of
-vertices.
+vertices. enumerate_tight_cuts walks only the shores that the cached
+perfect matching crosses once, n * 2^(n/2 - 2) of them on n vertices.
+A few perfect matchings, at most one search per edge class
+(matching._matching_partners), refute most of them with a few bit
+operations each; only the shores left, the tight ones among them, get
+the searches, through a memo shared by the cuts of one enumeration.
 """
 
 from __future__ import annotations
@@ -37,15 +37,15 @@ from .graph import Cut, EnumerationLimitError, Graph, GraphError
 from .matching import (
     Matching,
     _comatchable_among,
-    _comatchable_masks,
     _dependence_row,
+    _matching_partners,
     find_perfect_matching,
     is_matching_covered,
 )
 from .structure import Barrier, TwoSeparation, is_barrier, twoseps_generating
 
 # vertices enumerate_tight_cuts takes, at most: it walks n * 2^(n/2 - 2)
-# shores, 1,024 at n = 16, after a table of at most m * n searches
+# shores, 1,024 at n = 16
 TIGHT_CUT_LIMIT = 16
 
 
@@ -74,14 +74,12 @@ def is_tight(g: Graph, c: Cut) -> bool:
     edge; conversely, a perfect matching meeting the cut three or more
     times contains such a pair. After the graph's cached perfect
     matching has rejected any cut it meets more than once (meets_once),
-    _comatchable_among asks that of the cut's distinct (shore end, far
-    end) pairs: at most |C|^2 / 2 Edmonds searches, and no blossom run.
+    _comatchable_among asks that of the cut's edges: at most |C|^2 / 2
+    Edmonds searches, and no blossom run. It passes no memo, so each
+    row search stops once its one target is outer: a single cut shares
+    no rows with another.
     """
-    if not meets_once(g, c):
-        return False
-    return not _comatchable_among(g, {
-        (u, v) if u in c.shore else (v, u)
-        for u, v in map(g.edge_ends, c.edge_ids)})
+    return meets_once(g, c) and not _comatchable_among(g, c.edge_ids)
 
 
 def _shores_crossed_once(g: Graph, pm: Matching
@@ -124,8 +122,9 @@ def _shores_crossed_once(g: Graph, pm: Matching
 
 
 def _has_comatchable_pair(cut: int, partners: dict[int, int]) -> bool:
-    """True iff some edge of the cut bitmask has a co-matchable partner
-    in it; partners maps each edge's bit to its co-matchable mask."""
+    """True iff some edge of the cut bitmask has a listed partner in
+    it; partners maps each edge's bit to a mask of edges co-matchable
+    with it (_matching_partners)."""
     left = cut
     while left:
         edge = left & -left
@@ -155,30 +154,46 @@ def enumerate_tight_cuts(g: Graph, nontrivial_only=False) -> list[Cut]:
 
     A trivial cut is kept without a test: every perfect matching has
     exactly one edge at each vertex. Any other shore is kept when no
-    edge of its cut has a co-matchable partner in it (the lemma in the
-    module docstring), and only kept shores get a Cut. The table of
-    co-matchable edges costs at most m * n Edmonds searches, once per
-    graph, and is built only from n = 6, the first order with a
-    nontrivial shore. Graphs on more than TIGHT_CUT_LIMIT vertices
-    raise EnumerationLimitError.
+    two edges of its cut are co-matchable (the lemma in the module
+    docstring), which two steps decide.
+
+    The refutation filter. _matching_partners lists, per edge, the
+    edges that lie with it in one of a few perfect matchings: the
+    cached one, and one through each edge class that no earlier one
+    contains. Two edges of one perfect matching are co-matchable, so a
+    listed partner inside the cut proves the shore not tight, with a
+    few bit operations (_has_comatchable_pair). The filter is sound,
+    never refuting a tight shore, and not complete: a pair that no found
+    matching holds is not listed.
+
+    The exact test. A shore the filter leaves gets _comatchable_among
+    on its cut's edges, with a memo that lives for this call only. The
+    filter starts it with a perfect matching of g - u - v for every
+    edge class uv, a found matching less uv or its own search's, and
+    each row search of the test is kept, run to the end, so cuts that
+    share edges pay for a row once. Only kept shores get a Cut. Both
+    steps run only from n = 6, the first order with a nontrivial shore.
+    Graphs on more than TIGHT_CUT_LIMIT vertices raise
+    EnumerationLimitError.
     """
-    if g.n > TIGHT_CUT_LIMIT:
+    n = g.n
+    if n > TIGHT_CUT_LIMIT:
         raise EnumerationLimitError(
-            f"tight-cut enumeration on {g.n} vertices exceeds the guard "
+            f"tight-cut enumeration on {n} vertices exceeds the guard "
             f"of {TIGHT_CUT_LIMIT}")
     pm = find_perfect_matching(g)
     if pm is None:
         raise GraphError("tight cuts are about perfect matchings; none exist")
-    if g.n < 2:
+    if n < 2:
         return []
-    partners = {} if g.n < 6 else {
-        1 << eid: mask for eid, mask in _comatchable_masks(g).items()}
+    partners, memo = _matching_partners(g) if n >= 6 else ({}, {})
     kept = []
     for members, cut in _shores_crossed_once(g, pm):
-        if len(members) in (1, g.n - 1):
+        if len(members) in (1, n - 1):
             if nontrivial_only:
                 continue
-        elif _has_comatchable_pair(cut, partners):
+        elif _has_comatchable_pair(cut, partners) or _comatchable_among(
+                g, [e for e in g.edge_ids if cut >> e & 1], memo):
             continue
         kept.append(sorted(members))
     kept.sort(key=lambda shore: (len(shore), shore))

@@ -16,27 +16,28 @@ subgraphs, answered in one of two ways:
 - Searches with targets. A search given target positions stops as
   soon as every target is outer; its flags are then exact on the
   targets only, so the caller reads its targets and nothing else, and
-  such flags are never cached as a row. The co-matchable searches run
-  one per row they read. is_matching_covered runs at most one per
-  vertex, against its higher non-mate neighbours whose edge is not
-  yet covered, and keeps what each search shows besides: the parent
-  pointers lead each target back to the root, closing an alternating
-  cycle whose edges all lie in perfect matchings, so later vertices
-  have fewer targets or none (_covers_every_edge). _missable runs a
-  single one from the vertex its maximum matching misses, against
-  every vertex, which is exact everywhere: it stops early only once
-  all are outer. is_critical reads it, and so does barrier search on
-  a graph with no perfect matching. _shore_missable runs the same
+  such flags are never cached as a row. is_tight's co-matchable
+  searches run one per pair they ask about. is_matching_covered runs
+  at most one per vertex, against its higher non-mate neighbours whose
+  edge is not yet covered, and keeps what each search shows besides:
+  the parent pointers lead each target back to the root, closing an
+  alternating cycle whose edges all lie in perfect matchings, so later
+  vertices have fewer targets or none (_covers_every_edge). _missable
+  runs a single one from the vertex its maximum matching misses,
+  against every vertex, which is exact everywhere: it stops early only
+  once all are outer. is_critical reads it, and so does barrier search
+  on a graph with no perfect matching. _shore_missable runs the same
   search on g's own index with every vertex outside a shore dead, for
   the reduction's barrier step: no blossom runs on the shore subgraph.
 
 Co-matchability, whether two disjoint edges lie together in some
-perfect matching, is decided by those searches alone: per edge uv, one
-search for a perfect matching of g - u - v (_without_pair), then
-_row_search in g - u - v from it. The co-matchable edge table
-(_comatchable_masks), which tight-cut enumeration reads, runs them for
-every edge; _comatchable_among, which is_tight calls, for the edges of
-one cut.
+perfect matching, is decided by one routine, _comatchable_among, with
+those searches alone: per edge uv, one search for a perfect matching
+of g - u - v (_without_pair), then _row_search in g - u - v from it.
+is_tight asks it of one cut's edges. Tight-cut enumeration asks it only
+of the shores that _matching_partners' few perfect matchings, one
+search per edge class at most, leave unrefuted, through a memo of full
+rows that lives for one enumeration.
 
 g's maximum matching is computed once per graph (_blossom_mates) and
 cached as a position list (_search_mates), the form every search starts
@@ -283,11 +284,12 @@ def _dependence_row(g: Graph, x: int) -> frozenset[int]:
 def _without_pair(adj: list[list[int]], start: list[int], i: int,
                   j: int) -> tuple[list[int], list[bool]] | None:
     """A perfect matching of g - i - j over positions, with its dead
-    flags, from g's perfect matching start; None when there is none.
+    flags, from a perfect matching start of g; None when there is none.
 
-    It is start less ij when ij is in start; otherwise start less its
-    edges at i and j leaves only the mates i' and j' exposed, so one
-    search from i' in g - i - j augments iff g - i - j is matchable.
+    It is start less ij, with no search, when ij is in start;
+    otherwise start less its edges at i and j leaves only the mates i'
+    and j' exposed, so one search from i' in g - i - j augments iff
+    g - i - j is matchable.
     """
     match = start[:]
     dead = [False] * len(adj)
@@ -302,80 +304,97 @@ def _without_pair(adj: list[list[int]], start: list[int], i: int,
     return match, dead
 
 
-def _comatchable_masks(g: Graph) -> dict[int, int]:
-    """Each edge id of g mapped to the bitmask of the edge ids that lie
-    with it in some perfect matching, for g with a perfect matching.
+def _matching_partners(g: Graph) -> tuple[dict[int, int], dict]:
+    """Each edge's bit mapped to a mask of edges that lie with it in one
+    of a few perfect matchings of g, for g with one: a subset of its
+    co-matchable partners, found with at most one search per edge class.
+    It also returns the memo that _comatchable_among reads during one
+    tight-cut enumeration.
 
-    Co-matchability depends only on the end pairs, so parallel edges
-    share one row, and it is symmetric: a pair uv takes its partners wz
-    with w > min(u, v) from its own searches and the rest from earlier
-    pairs. For uv, _without_pair gives a perfect matching N of
-    g - u - v, or shows that uv is inadmissible and has no partner.
-    Then for each w with a higher neighbour, one search from the N-mate
-    of w in g - u - v - w gives every z with g - u - v - w - z
-    matchable as an outer vertex (_row_search); that search stops once
-    w's higher live neighbours, the only flags it reads, are outer.
-    That is at most m * n searches, cached per graph.
+    Parallel edges form one class, the pair ij of end positions, i < j.
+    The matchings are g's cached one, then, for each class ij in sorted
+    order that none found so far contains, _without_pair's perfect
+    matching of g - i - j plus ij; a None there shows that ij is in no
+    perfect matching, and its edges get no partner. A perfect matching
+    holds one edge of each of its classes, and any edge of a class may
+    stand in for it, so two edges of two of its classes are
+    co-matchable: an edge's mask, the edges of every found matching
+    through its class less that class, lists partners only.
+
+    The memo holds, under every class ij, _without_pair's answer for
+    it: the first found matching through ij less ij, with no search, or
+    the search's result.
     """
-    return g._memo("comatchable", _comatchable_table, g)
-
-
-def _comatchable_table(g: Graph) -> dict[int, int]:
-    verts, index, adj = _search_index(g)
-    n = len(verts)
-    if not is_matchable(g):
-        raise GraphError("co-matchable edges need a perfect matching")
+    memo: dict = {}
+    _, index, adj = _search_index(g)
     start = _search_mates(g)
-    # (i, j) with i < j -> bitmask of the edges joining them
+    keys = {1 << eid: (index[u], index[v]) for eid, (u, v) in g.edge_items()}
     bits: dict[tuple[int, int], int] = {}
-    for eid, (u, v) in g.edge_items():
-        key = (index[u], index[v])
-        bits[key] = bits.get(key, 0) | 1 << eid
-    partners = dict.fromkeys(bits, 0)
-    above = [[z for z in adj[w] if z > w] for w in range(n)]
+    for bit, key in keys.items():
+        bits[key] = bits.get(key, 0) | bit
+    # class -> the edges of every found matching through it
+    through = dict.fromkeys(bits, 0)
+
+    def take(match: list[int]) -> None:
+        classes = [(i, j) for i, j in enumerate(match) if i < j]
+        edges = sum(bits[key] for key in classes)
+        for key in classes:
+            through[key] |= edges
+            if key not in memo:
+                memo[key] = _without_pair(adj, match, *key)
+
+    take(start)
     for i, j in sorted(bits):
-        got = _without_pair(adj, start, i, j)
-        if got is None:
+        if (i, j) in memo:
             continue
-        match, dead = got
-        for w in range(i + 1, n):
-            if dead[w]:
-                continue
-            higher = [z for z in above[w] if not dead[z]]
-            if not higher:
-                continue
-            outer = _row_search(adj, match[:], dead, w, higher)
-            for z in higher:
-                if outer[z]:
-                    partners[i, j] |= bits[w, z]
-                    partners[w, z] |= bits[i, j]
-    return {eid: partners[index[u], index[v]]
-            for eid, (u, v) in g.edge_items()}
+        got = memo[i, j] = _without_pair(adj, start, i, j)
+        if got is not None:
+            match = got[0][:]
+            match[i], match[j] = j, i
+            take(match)
+    return {bit: through[key] & ~bits[key] for bit, key in keys.items()}, memo
 
 
-def _comatchable_among(g: Graph, pairs) -> bool:
-    """True iff two disjoint pairs among pairs, each the two ends of an
-    edge of g, lie together in some perfect matching of g, which must
-    have one.
+def _comatchable_among(g: Graph, eids, memo: dict | None = None) -> bool:
+    """True iff two of the edges eids lie together in some perfect
+    matching of g, which must have one.
 
-    The pairs go in sorted position order. For each ij, _without_pair
-    gives a perfect matching of g - i - j, or shows that ij is in no
-    perfect matching; then for each later pair xy disjoint from ij, one
-    _row_search from x with target y says whether g - i - j - x - y is
-    matchable, and the first such y answers True. That is at most
-    |pairs|^2 / 2 searches, and no blossom run.
+    Co-matchability depends only on the end positions, so parallel
+    edges are one class ij, with i < j, and the classes go in sorted
+    order. For each ij, _without_pair gives a perfect matching of
+    g - i - j, or shows that ij is in no perfect matching; then for each
+    later class xy disjoint from ij, one _row_search from x says whether
+    g - i - j - x - y is matchable, and the first such y answers True.
+    That is at most |eids|^2 / 2 searches, and no blossom run. Every
+    step is exact, so the answer does not depend on which perfect
+    matching of g - i - j is used.
+
+    Without memo each row search has the target y and stops once y is
+    outer, as is_tight asks. A memo is a dict that lives for one
+    graph's tight-cut enumeration, filled by _matching_partners with
+    _without_pair's answer for every class. Each row search is kept in
+    it under (i, j, x) and runs to the end, so its flags are exact at
+    every y, and a later cut with edges at ij and x reads them without
+    a search.
     """
     _, index, adj = _search_index(g)
     start = _search_mates(g)
-    pos = sorted((index[u], index[v]) for u, v in pairs)
+    pos = sorted({(index[u], index[v]) for u, v in map(g.edge_ends, eids)})
     for k, (i, j) in enumerate(pos):
-        got = _without_pair(adj, start, i, j)
+        got = _without_pair(adj, start, i, j) if memo is None else memo[i, j]
         if got is None:
             continue
         match, dead = got
         for x, y in pos[k + 1:]:
-            if not (dead[x] or dead[y]) and _row_search(
-                    adj, match[:], dead, x, (y,))[y]:
+            if dead[x] or dead[y]:
+                continue
+            if memo is None:
+                outer = _row_search(adj, match[:], dead, x, (y,))
+            elif (i, j, x) in memo:
+                outer = memo[i, j, x]
+            else:
+                outer = memo[i, j, x] = _row_search(adj, match[:], dead, x)
+            if outer[y]:
                 return True
     return False
 

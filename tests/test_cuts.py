@@ -6,6 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tightcut import matching
 from tightcut.graph import EnumerationLimitError, Graph, GraphError
 from tightcut.cuts import (
     TIGHT_CUT_LIMIT,
@@ -18,7 +19,12 @@ from tightcut.cuts import (
 from tightcut.instances import (
     CorpusSpec, canonical, enumerate_corpus, fixture_instances)
 from tightcut.matching import (
-    _comatchable_masks,
+    _comatchable_among,
+    _matching_partners,
+    _row_search,
+    _search_index,
+    _search_mates,
+    _without_pair,
     find_perfect_matching,
     is_matchable,
     is_matching_covered,
@@ -199,6 +205,52 @@ def _random_graphs(orders, samples):
                                                  samples=samples, seed=101))]
 
 
+def _comatchable_masks(g):
+    """The eager co-matchable table, kept as the oracle of the
+    enumeration's filter and exact test: each edge id of g, which has a
+    perfect matching, mapped to the bitmask of the edge ids that lie
+    with it in some perfect matching.
+
+    Parallel edges share one row, and the relation is symmetric: a pair
+    uv takes its partners wz with w > min(u, v) from its own searches
+    and the rest from earlier pairs. For uv, _without_pair gives a
+    perfect matching N of g - u - v, or shows that uv has no partner;
+    then for each w with a higher live neighbour, one search from the
+    N-mate of w in g - u - v - w marks every z with g - u - v - w - z
+    matchable (_row_search), stopped once w's higher live neighbours
+    are outer. At most m * n searches.
+    """
+    _, index, adj = _search_index(g)
+    n = g.n
+    assert is_matchable(g)
+    start = _search_mates(g)
+    # (i, j) with i < j -> bitmask of the edges joining them
+    bits = {}
+    for eid, (u, v) in g.edge_items():
+        key = (index[u], index[v])
+        bits[key] = bits.get(key, 0) | 1 << eid
+    partners = dict.fromkeys(bits, 0)
+    above = [[z for z in adj[w] if z > w] for w in range(n)]
+    for i, j in sorted(bits):
+        got = _without_pair(adj, start, i, j)
+        if got is None:
+            continue
+        match, dead = got
+        for w in range(i + 1, n):
+            if dead[w]:
+                continue
+            higher = [z for z in above[w] if not dead[z]]
+            if not higher:
+                continue
+            outer = _row_search(adj, match[:], dead, w, higher)
+            for z in higher:
+                if outer[z]:
+                    partners[i, j] |= bits[w, z]
+                    partners[w, z] |= bits[i, j]
+    return {eid: partners[index[u], index[v]]
+            for eid, (u, v) in g.edge_items()}
+
+
 def _check_comatchable(g):
     """The co-matchable table of g against the brute-force matching
     numbers on every pair of edges: two edges lie in a common perfect
@@ -243,6 +295,75 @@ def test_comatchable_table_matches_oracle_on_contractions():
     assert any(max(g.edge_ids) >= g.m for g in graphs)
     assert any(len(g.edges_between(u, v)) > 1
                for g in graphs for _, (u, v) in g.edge_items())
+
+
+def _check_filter(g):
+    """The refutation filter's partners against the brute-force matching
+    numbers: every listed pair is disjoint and lies in a common perfect
+    matching, and the lists are symmetric. Returns the number of
+    disjoint pairs checked and the number listed."""
+    partners, _ = _matching_partners(g)
+    items = g.edge_items()
+    assert sorted(partners) == [1 << eid for eid, _ in items]
+    nu = brute_matching_numbers(g.vertices, [ends for _, ends in items])
+    checked = listed = 0
+    for e, (u, v) in items:
+        for f, (w, z) in items:
+            disjoint = not {u, v} & {w, z}
+            checked += disjoint
+            if partners[1 << e] >> f & 1:
+                assert partners[1 << f] >> e & 1, (g, e, f)
+                assert disjoint, (g, e, f)
+                assert 2 * nu(g.vertex_set - {u, v, w, z}) == g.n - 4, (
+                    g, e, f)
+                listed += 1
+    return checked, listed
+
+
+def test_filter_lists_only_comatchable_pairs(exhaustive_corpus):
+    """On the table tests' corpora, with their floors on the disjoint
+    pairs checked: the exhaustive n <= 6 graphs, the graphs that are
+    not matching covered (inadmissible edges, parallels), random n = 12
+    graphs and the fixture contractions (sparse ids, parallels)."""
+    corpora = [
+        ([g for corpus in exhaustive_corpus.values() for g in corpus],
+         100_000),
+        (list(_off_matching_covered()), 10_000),
+        (_random_graphs((12,), 20), 10_000),
+        (_fixture_contractions(), 5_000),
+    ]
+    for graphs, floor in corpora:
+        checked, listed = map(sum, zip(*map(_check_filter, graphs)))
+        assert checked > floor
+        assert listed > checked // 4
+
+
+def test_memo_answers_as_fresh_searches():
+    """_comatchable_among with the memo that one enumeration keeps,
+    filled by the filter and then by every question before, answers as
+    it does with no memo, on every shore the cached perfect matching
+    crosses once and then on every two edges: the fixture
+    contractions, and seeded n = 12 and 14 graphs with parallel edges
+    and sparse labels."""
+    graphs = _fixture_contractions()
+    graphs += list(_parallel_graphs((12, 14), 5, seed=31))
+    answers, rows = set(), 0
+    for g in graphs:
+        _, memo = _matching_partners(g)
+        assert sum(len(key) == 2 for key in memo) == len(
+            set(map(g.edge_ends, g.edge_ids))), g
+        for _, cut in _shores_crossed_once(g, find_perfect_matching(g)):
+            eids = [e for e in g.edge_ids if cut >> e & 1]
+            got = _comatchable_among(g, eids, memo)
+            assert got == _comatchable_among(g, eids), g
+            answers.add(got)
+        # then every two edges, so that rows of earlier cuts are read
+        # at far ends they were not asked about
+        for pair in combinations(g.edge_ids, 2):
+            assert _comatchable_among(g, pair, memo) == \
+                _comatchable_among(g, pair), (g, pair)
+        rows += sum(len(key) == 3 for key in memo)
+    assert answers == {False, True} and rows > len(graphs)
 
 
 def _pair_scan_tight(g, c):
@@ -380,6 +501,63 @@ def test_enumerate_tight_cuts_matches_the_odd_shore_scan(nontrivial_only):
             [(c.shore, c.edge_ids) for c in want], g
         nontrivial += sum(not c.is_trivial for c in got)
     assert nontrivial > 50
+
+
+def test_enumerate_tight_cuts_matches_the_table_on_tight_rich_graphs():
+    """Both modes against the table oracle's odd-shore scan on the
+    random n = 12 and 14 graphs of the certify_mixed benchmark at seed
+    0 (80 and 40 draws at seeds 12 and 14), on C16, on glued K_{k,k}
+    pairs at k = 3 and 4, and on the fixtures inflated at k = 3 that
+    fit the guard."""
+    graphs = [g for n, samples in ((12, 80), (14, 40))
+              for g in enumerate_corpus(CorpusSpec("random", n=n,
+                                                   samples=samples, seed=n))]
+    assert len(graphs) == 120
+    graphs += [cycle(16), glued(3), glued(4)]
+    graphs += [h for _, g, shore in fixture_instances()
+               for h, _ in [inflated(g, shore, 3)] if h.n <= TIGHT_CUT_LIMIT]
+    nontrivial = 0
+    for g in graphs:
+        want = [(c.shore, c.edge_ids) for c in _tight_by_odd_shore_scan(g)]
+        got = [(c.shore, c.edge_ids) for c in enumerate_tight_cuts(g)]
+        assert got == want, g
+        got = [(c.shore, c.edge_ids)
+               for c in enumerate_tight_cuts(g, nontrivial_only=True)]
+        assert got == [(shore, ids) for shore, ids in want
+                       if 1 < len(shore) < g.n - 1], g
+        nontrivial += len(got)
+    assert nontrivial > 150
+
+
+def _enumeration_searches(graphs, monkeypatch):
+    """Edmonds searches (_alternating_search calls) of one
+    enumerate_tight_cuts on fresh copies of graphs, each with its
+    maximum matching already cached."""
+    copies = [Graph(g.vertices, dict(g.edge_items())) for g in graphs]
+    for h in copies:
+        _search_mates(h)
+    calls = []
+    search = matching._alternating_search
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "_alternating_search", counted)
+    for h in copies:
+        enumerate_tight_cuts(h)
+    return len(calls)
+
+
+def test_enumeration_search_counts(monkeypatch):
+    """The filter leaves few shores for the exact test, and the memo
+    runs each row once: at most 500 searches on 20 random n = 12
+    graphs (3,216 with the eager co-matchable table), and on the five
+    tight-rich fixtures no more than the table's 397."""
+    assert _enumeration_searches(_random_graphs((12,), 20), monkeypatch) <= 500
+    fixtures = [g for _, g, _ in fixture_instances()]
+    assert len(fixtures) == 5
+    assert _enumeration_searches(fixtures, monkeypatch) <= 397
 
 
 def test_is_tight_matches_pair_scan_on_larger_cuts():

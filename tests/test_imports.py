@@ -7,7 +7,8 @@ the primitives its docstring lists and never names cut_from_edge_ids,
 decompose.py tests matching coverage only in its entry check, runs
 is_tight only on entry to the witness search and when a decomposition
 fails, and names no is_matchable, cuts.py names neither is_matchable
-nor matching_number, only _search_mates runs _blossom_mates,
+nor matching_number, no module in src/ defines or names the eager
+co-matchable table (a test oracle), only _search_mates runs _blossom_mates,
 matching.py keeps no second maximum matching, matching_number and
 is_matchable take g alone, Graph has no block decomposition, every name
 bench/tracer.py traces is defined, no module in src/ defines
@@ -61,6 +62,8 @@ LISTING_MODULES = {"structure.py", "sweep.py", "__init__.py"}
 SEARCHES = {"classify_cut", "twoseps_generating", "enumerate_barriers",
             "find_2separations", "find_noncrossing_witness",
             "decompose_tight_cut", "is_tight"}
+# the eager co-matchable table, kept in tests/ as the enumeration's oracle
+TABLE = {"_comatchable_masks", "_comatchable_table"}
 # the producer tests its caller's input once; the graphs and cuts it
 # builds are valid by the facts in its docstring
 ENTRY_TESTS = {"is_matching_covered", "meets_once"}
@@ -329,6 +332,17 @@ def test_one_co_matchability_algorithm():
                for p in PACKAGE for node in ast.parse(p.read_text()).body
                if oracle_references(node, {"_blossom_mates"})}
     assert callers == {("matching.py", "_search_mates")}
+
+
+@pytest.mark.parametrize(
+    "path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_comatchable_table_is_a_test_oracle(path):
+    """The eager co-matchable table lives in tests/test_cuts.py only:
+    no module in src/ defines or names it, so _comatchable_among is the
+    package's one co-matchability routine."""
+    tree = ast.parse(path.read_text())
+    assert top_level_names(tree) & TABLE == set()
+    assert oracle_references(tree, TABLE) == []
 
 
 def test_matching_keeps_one_maximum_matching():

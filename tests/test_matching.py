@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tightcut import matching
-from tightcut.cuts import is_tight
+from tightcut.cuts import enumerate_tight_cuts, is_tight
 from tightcut.graph import EnumerationLimitError, Graph
 from tightcut.instances import (
     CorpusSpec, canonical, enumerate_corpus, fixture_instances)
@@ -453,14 +453,14 @@ def test_row_search_with_targets_agrees_with_the_full_row(exhaustive_corpus):
 
 
 def test_early_stops_cache_no_partial_row(exhaustive_corpus):
-    """After is_matching_covered and the co-matchable table, every
+    """After is_matching_covered and a tight-cut enumeration, every
     cached dependence row equals a row computed on a fresh copy."""
     graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
     graphs += [g for _, g, _ in fixture_instances()]
     for g in graphs:
         h = Graph(g.vertices, dict(g.edge_items()))
         assert is_matching_covered(h)
-        matching._comatchable_masks(h)
+        enumerate_tight_cuts(h)
         for x, row in h._cache.get("dependence_rows", {}).items():
             fresh = Graph(g.vertices, dict(g.edge_items()))
             assert row == _dependence_row(fresh, x), (h, x)
