@@ -21,10 +21,15 @@ from .structure import Barrier, TwoSeparation
 
 
 def graph_to_json(g: Graph) -> dict:
-    return {
-        "n": g.n,
-        "edges": [list(g.edge_ends(eid)) for eid in g.edge_ids],
-    }
+    """g's JSON form. The edge pairs, in edge id order, are read once per
+    graph, since an r = 1 certificate serializes its graph twice; every
+    call returns fresh lists, so no two blocks share one."""
+    pairs = g._memo("edge_pairs", _edge_pairs, g)
+    return {"n": g.n, "edges": [list(pair) for pair in pairs]}
+
+
+def _edge_pairs(g: Graph) -> tuple[tuple[int, int], ...]:
+    return tuple(map(g.edge_ends, g.edge_ids))
 
 
 def witness_to_json(witness) -> dict:

@@ -243,7 +243,7 @@ def classify_cut(g: Graph, c: Cut) -> CutClassification:
     Rule: X has a barrier witness iff A lies in F, and then F is one
     that contains every other. g has a perfect matching, so F is O less
     the dependence row of a (the row omits a itself): one row per
-    shore, often already cached on g by is_matching_covered, and F is
+    shore, cached on g (is_matching_covered caches none), and F is
     checked by is_barrier with X among its odd parts.
 
     Proof. Any two members u, v of a barrier B are dependent, in every

@@ -19,6 +19,7 @@ without waiting for the cyclic garbage collector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 
@@ -36,10 +37,6 @@ class InternalInvariantError(RuntimeError):
     Raised at points where the underlying theory guarantees success, so
     this is always a bug report, never a data error.
     """
-
-
-def _normalize(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u <= v else (v, u)
 
 
 class Graph:
@@ -71,19 +68,27 @@ class Graph:
             if u not in vset or v not in vset:
                 raise GraphError(
                     f"edge {eid} touches a vertex outside the graph: ({u}, {v})")
-            emap[eid] = _normalize(u, v)
+            emap[eid] = (u, v) if u < v else (v, u)
         self._vset = frozenset(vset)
         self._vlist = tuple(sorted(vset))
         self._edges = emap
-        adj: dict[int, dict[int, list[int]]] = {v: {} for v in self._vlist}
-        for eid in sorted(emap):
-            u, v = emap[eid]
-            adj[u].setdefault(v, []).append(eid)
-            adj[v].setdefault(u, []).append(eid)
-        self._adj = {
-            v: {w: tuple(ids) for w, ids in sorted(nbrs.items())}
-            for v, nbrs in adj.items()
-        }
+        # emap runs in ascending id order, so one stable sort by end pair
+        # groups parallel edges with their ids ascending. The pairs (u, x)
+        # with u < x sort before every (x, w), each run in ascending order,
+        # so x meets its lower neighbours before its higher ones and every
+        # row comes out sorted, as if each had been sorted on its own.
+        adj: dict[int, dict[int, tuple[int, ...]]] = {
+            v: {} for v in self._vlist}
+        order = sorted(emap.items(), key=itemgetter(1))
+        last = len(order) - 1
+        run: list[int] = []
+        for i, (eid, uv) in enumerate(order):
+            run.append(eid)
+            if i == last or order[i + 1][1] != uv:
+                u, v = uv
+                adj[u][v] = adj[v][u] = tuple(run)
+                run.clear()
+        self._adj = adj
         self.provenance = {
             v: frozenset(tag)
             for v, tag in (provenance or {}).items()
@@ -161,6 +166,13 @@ class Graph:
 
     def neighbors(self, v) -> tuple[int, ...]:
         return tuple(self._adj_of(v))
+
+    def neighbor_rows(self) -> Iterable[Iterable[int]]:
+        """Each vertex's neighbours in sorted order, one row per vertex in
+        the order of vertices, without building a tuple per vertex.
+        Parallel edges give one neighbour. Read-only: the rows are the
+        graph's own adjacency."""
+        return self._adj.values()
 
     def incident(self, v) -> tuple[int, ...]:
         out: list[int] = []

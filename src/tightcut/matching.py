@@ -18,17 +18,18 @@ subgraphs, answered in one of two ways:
   targets only, so the caller reads its targets and nothing else, and
   such flags are never cached as a row. is_tight's co-matchable
   searches run one per pair they ask about. is_matching_covered runs
-  at most one per vertex, against its higher non-mate neighbours whose
-  edge is not yet covered, and keeps what each search shows besides:
-  the parent pointers lead each target back to the root, closing an
-  alternating cycle whose edges all lie in perfect matchings, so later
-  vertices have fewer targets or none (_covers_every_edge). _missable
-  runs a single one from the vertex its maximum matching misses,
-  against every vertex, which is exact everywhere: it stops early only
-  once all are outer. is_critical reads it, and so does barrier search
-  on a graph with no perfect matching. _shore_missable runs the same
-  search on g's own index with every vertex outside a shore dead, for
-  the reduction's barrier step: no blossom runs on the shore subgraph.
+  at most one per vertex, busiest first: from the vertex with the most
+  non-mate edges not yet covered, against all of those neighbours, and
+  keeps what each search shows besides: the parent pointers lead each
+  target back to the root, closing an alternating cycle whose edges
+  all lie in perfect matchings, so later vertices have fewer targets
+  or none (_covers_every_edge). _missable runs a single one from the
+  vertex its maximum matching misses, against every vertex, which is
+  exact everywhere: it stops early only once all are outer.
+  is_critical reads it, and so does barrier search on a graph with no
+  perfect matching. _shore_missable runs the same search on g's own
+  index with every vertex outside a shore dead, for the reduction's
+  barrier step: no blossom runs on the shore subgraph.
 
 Co-matchability, whether two disjoint edges lie together in some
 perfect matching, is decided by one routine, _comatchable_among, with
@@ -102,7 +103,7 @@ def _search_index(g: Graph) -> tuple[tuple[int, ...], dict[int, int],
 def _index_rows(g: Graph):
     verts = g.vertices
     index = {v: i for i, v in enumerate(verts)}
-    return verts, index, [[index[w] for w in g.neighbors(v)] for v in verts]
+    return verts, index, [[index[w] for w in row] for row in g.neighbor_rows()]
 
 
 def _alternating_search(adj: list[list[int]], match: list[int],
@@ -495,11 +496,15 @@ def _covers_every_edge(g: Graph) -> bool:
     lies in one.
 
     An edge uv does iff g - u - v is matchable, iff v is in the
-    dependence row of u; an edge of M needs no row. Each vertex u, in
-    order, runs one _row_search from its mate u' against its targets,
-    the higher neighbours w != u' whose edge uw is not yet known to be
-    covered, and the search stops once they are outer; its flags are
-    read and dropped, never cached as a row.
+    dependence row of u; an edge of M needs no row. Each vertex keeps a
+    count of its non-mate edges not yet known to be covered. Each round
+    takes the vertex u with the largest count, the lowest position on
+    ties, and runs one _row_search from its mate u' against its
+    targets: every neighbour w != u', lower ones included, whose edge
+    uw is not yet covered. The search stops once they are outer; its
+    flags are read and dropped, never cached as a row. Afterwards u has
+    no uncovered edge, so u is never a root again and there are at most
+    n searches.
 
     The search also answers edges it was not asked about. For each
     target v, the walk v, match[v], p[match[v]], ... along its parent
@@ -507,33 +512,43 @@ def _covers_every_edge(g: Graph) -> bool:
     walk _alternating_search's augmenting step applies), so with the
     edges u'u and uv it closes an M-alternating cycle Q through u.
     Every edge of Q lies in the perfect matching M xor Q. Its edges off
-    M and away from u, the only ones a later vertex could ask about,
-    are marked covered, and a later vertex drops marked edges from its
-    targets; one with no target left runs no search. A walk stops at a
-    vertex an earlier walk of the same search passed, since the rest
-    of its path is marked, so one search's walks take O(n) steps.
+    M are marked covered, and both ends' counts drop; a vertex whose
+    count reaches zero runs no search. A walk stops at a vertex an
+    earlier walk of the same search passed, since the rest of its path
+    is marked, so one search's walks take O(n) steps. Taking the
+    busiest vertex first lets one search close the cycles that would
+    otherwise take several.
 
-    A search's targets are a subset of those of the rule that asks
-    about every higher non-mate neighbour, so none runs longer, and the
-    answer is the same: an unmarked edge is asked about, and a target
-    that is not outer is an edge in no perfect matching.
+    The answer does not depend on the order: an unmarked edge is asked
+    about, and a target that is not outer is an edge in no perfect
+    matching.
     """
     _, _, adj = _search_index(g)
     start = _search_mates(g)
     n = len(adj)
     dead = [False] * n
-    # a * n + b and b * n + a for each edge ab on a cycle found so far
+    # a * n + b and b * n + a for each edge ab known to be covered
     covered: set[int] = set()
-    for u, mate in enumerate(start):
+    # each vertex's non-mate neighbours whose edge is not yet covered;
+    # every row holds the vertex's mate
+    count = [len(row) - 1 for row in adj]
+    while True:
+        most = max(count)
+        if not most:
+            return True
+        u = count.index(most)
+        mate = start[u]
         row = u * n
-        targets = [w for w in adj[u]
-                   if w > u and w != mate and row + w not in covered]
-        if not targets:
-            continue
+        targets = [w for w in adj[u] if w != mate and row + w not in covered]
         match, p = start[:], [-1] * n
         outer = _row_search(adj, match, dead, u, targets, p)
         if not all(outer[w] for w in targets):
             return False
+        count[u] = 0
+        for w in targets:
+            covered.add(row + w)
+            covered.add(w * n + u)
+            count[w] -= 1
         # each walk ends at the root or where an earlier one passed
         walked = {mate}
         for x in targets:
@@ -541,16 +556,22 @@ def _covers_every_edge(g: Graph) -> bool:
                 walked.add(x)
                 a = match[x]
                 x = p[a]
-                covered.add(a * n + x)
-                covered.add(x * n + a)
-    return True
+                key = a * n + x
+                if key not in covered:
+                    covered.add(key)
+                    covered.add(x * n + a)
+                    count[a] -= 1
+                    count[x] -= 1
 
 
 def is_matching_covered(g: Graph) -> bool:
     """Connected, at least one edge, and every edge in some perfect
     matching: one blossom run on g, then at most one row search per
-    vertex, none for an edge to a mate and none for a vertex whose
-    higher edges lie on alternating cycles earlier searches closed
+    vertex, none for an edge to a mate. Each search starts at the
+    vertex with the most non-mate edges not yet covered, the lowest
+    position on ties, asks about all of them, lower neighbours
+    included, and clears that vertex; a vertex whose edges all lie on
+    alternating cycles earlier searches closed runs none
     (_covers_every_edge)."""
     return g._memo("matching_covered", lambda: (
         g.n >= 2 and g.m >= 1 and g.is_connected()

@@ -199,11 +199,18 @@ def _check_schema(cert, failures) -> dict:
 
 
 def _same_shape(g: Graph, shape) -> bool:
-    n, pairs = shape
-    mine = sorted(map(g.edge_ends, g.edge_ids))
-    # isolated vertices have no serialized identity, so require none
-    return (n == g.n and mine == pairs
-            and g.vertex_set == {v for pair in mine for v in pair})
+    return g._memo("shape", _shape, g) == shape
+
+
+def _shape(g: Graph) -> tuple[int, list[tuple[int, int]]] | None:
+    """g's shape as _check_graph_obj records it, (n, sorted edge pairs),
+    built once per graph: a replay compares a graph more than once, the
+    host twice when r = 1. None when g has an isolated vertex, which has
+    no serialized identity, so that no declared shape matches."""
+    pairs = sorted(map(g.edge_ends, g.edge_ids))
+    if g.vertex_set != {v for pair in pairs for v in pair}:
+        return None
+    return g.n, pairs
 
 
 def _raw(obj):

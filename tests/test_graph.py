@@ -3,6 +3,7 @@ derived-graph fast paths against the validating constructor."""
 
 import gc
 import weakref
+from collections.abc import Mapping
 from itertools import combinations
 from random import Random
 
@@ -159,6 +160,89 @@ def random_multigraphs(count: int, seed: int):
         yield g
         if g.n >= 3:
             yield g.contract(rng.sample(g.vertices, rng.randint(2, g.n - 1)))
+
+
+def _reference_graph(vertices, edges=(), *, provenance=None):
+    """The constructor as it was before its one-pass adjacency build,
+    kept as the oracle: the same checks, then each edge appended to
+    both ends' rows in id order, and every row re-sorted."""
+    vset = set()
+    for v in vertices:
+        if not isinstance(v, int):
+            raise GraphError(f"vertex {v!r} is not an int")
+        vset.add(v)
+    if isinstance(edges, Mapping):
+        items = sorted(edges.items())
+    else:
+        items = list(enumerate(edges))
+    emap = {}
+    for eid, (u, v) in items:
+        if u == v:
+            raise GraphError(f"loop at vertex {u} (edge {eid})")
+        if u not in vset or v not in vset:
+            raise GraphError(
+                f"edge {eid} touches a vertex outside the graph: ({u}, {v})")
+        emap[eid] = (u, v) if u <= v else (v, u)
+    g = Graph.__new__(Graph)
+    g._vset = frozenset(vset)
+    g._vlist = tuple(sorted(vset))
+    g._edges = emap
+    adj = {v: {} for v in g._vlist}
+    for eid in sorted(emap):
+        u, v = emap[eid]
+        adj[u].setdefault(v, []).append(eid)
+        adj[v].setdefault(u, []).append(eid)
+    g._adj = {v: {w: tuple(ids) for w, ids in sorted(nbrs.items())}
+              for v, nbrs in adj.items()}
+    g.provenance = {v: frozenset(tag) for v, tag in (provenance or {}).items()
+                    if v in g._vset}
+    g._cache = {}
+    return g
+
+
+def test_constructor_matches_the_reference_builder():
+    """Field by field, key order included, on seeded multigraphs and
+    their contractions (list input; edge ends in both orders), on
+    Mapping input with sparse shuffled ids, and with provenance, some
+    of it for vertices outside the graph."""
+    rng = Random(13)
+    with_parallels = 0
+    for g in random_multigraphs(150, seed=17):
+        edges = [(v, u) if rng.random() < 0.5 else (u, v)
+                 for _, (u, v) in g.edge_items()]
+        verts = list(g.vertices)
+        rng.shuffle(verts)
+        assert fields(Graph(verts, edges)) == fields(
+            _reference_graph(verts, edges))
+        ids = rng.sample(range(3 * g.m + 5), g.m)
+        emap = dict(zip(ids, edges))
+        prov = dict(g.provenance)
+        prov[max(verts) + 1] = frozenset({-1})
+        for v in rng.sample(verts, len(verts) // 2):
+            prov.setdefault(v, frozenset({v, -2}))
+        assert fields(Graph(verts, emap, provenance=prov)) == fields(
+            _reference_graph(verts, emap, provenance=prov))
+        with_parallels += len(set(edges)) < len(edges)
+    assert with_parallels > 20
+
+
+@pytest.mark.parametrize("vertices, edges", [
+    ([0, 1, 2], [(0, 1), (2, 2)]),
+    ([0, 1, 2], {7: (0, 1), 3: (1, 1)}),
+    ([0, 1], [(0, 1), (0, 2)]),
+    ([0, 1], {5: (3, 0), 2: (0, 1)}),
+    ([0, "1", 2], [(0, 2)]),
+    ([0, 1.0], [(0, 1)]),
+    ([0, 1, None], [(0, 1), (1, 1)]),
+])
+def test_constructor_rejects_as_the_reference_builder(vertices, edges):
+    """Loops, edge ends outside the graph and non-int vertices raise
+    the same GraphError, with the same text, as the reference."""
+    with pytest.raises(GraphError) as want:
+        _reference_graph(vertices, edges)
+    with pytest.raises(GraphError) as got:
+        Graph(vertices, edges)
+    assert str(got.value) == str(want.value)
 
 
 def test_induced_matches_the_validating_constructor():

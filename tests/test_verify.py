@@ -325,3 +325,22 @@ def test_final_claims_replay_past_the_barrier_search(tmp_path, capsys):
     path.write_text(json.dumps(cert))
     assert main(["verify", str(path)]) == 0
     assert "certificate OK (r=1)" in capsys.readouterr().out
+
+
+def test_serialized_blocks_share_no_list():
+    """graph_to_json reads a graph's edge pairs once per graph, but every
+    call returns lists of its own: an r = 1 certificate serializes its
+    graph twice, and the mutation corpus edits one block in place."""
+    cases = [(cycle(6), {0, 1, 2})]
+    cases += [(g, shore) for _, g, shore in fixture_instances()]
+    rounds = set()
+    for g, shore in cases:
+        cert = decompose_tight_cut(g, g.boundary(shore)).to_json_dict()
+        blocks = [cert["input"]["graph"], cert["final"]["graph"]]
+        blocks += [step["graph"] for step in cert["steps"]]
+        blocks += [graph_to_json(g), graph_to_json(g)]
+        lists = [x for b in blocks for x in (b["edges"], *b["edges"])]
+        assert len({id(x) for x in lists}) == len(lists)
+        assert blocks[-1] == blocks[-2] == cert["input"]["graph"]
+        rounds.add(cert["r"])
+    assert 1 in rounds and max(rounds) > 1
