@@ -497,7 +497,7 @@ def _min_holder_barrier(g: Graph, tracked,
     P = S - row(v) with |P| >= 2, for v in D(g[S]): row(v) is v's cached
     dependence row of g, and D(g[S]) is the set of vertices that some
     maximum matching of g[S] misses (matching._shore_missable): one
-    search on g's own index with O dead, from g's cached perfect
+    search on g's own rows with O dead, from g's cached perfect
     matching M less its one edge in the cut, rooted at that edge's end
     in S, and no blossom run on g[S]. In the first shore of tracked
     that has one, take the P whose holder (the odd component of g - P

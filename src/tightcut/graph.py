@@ -6,6 +6,11 @@ edge of a derived graph is identifiable with the edge of the parent
 graph it came from. That identity is what lets a cut keep its meaning
 while the graph around it is contracted step by step.
 
+A graph keeps one adjacency structure, position lists (see Graph): a
+vertex's position is its rank in sorted label order, so a walk over
+positions visits vertices in label order. The constructor builds the
+lists in one sorted pass, and an induced subgraph filters its parent's.
+
 All graph values are immutable. A graph memoizes what it derives in
 its own cache, and Graph._memo is the only way into that cache: every
 module asks it for a per-graph value by key, and it builds the value on
@@ -18,8 +23,9 @@ without waiting for the cyclic garbage collector.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import chain, count
 from typing import Iterable, Mapping
 
 
@@ -42,13 +48,24 @@ class InternalInvariantError(RuntimeError):
 class Graph:
     """Undirected loopless multigraph on integer vertices.
 
+    A vertex's position is its rank in sorted label order. The one
+    adjacency structure is over positions: each position has a row of
+    its neighbours' positions, ascending, parallel edges merged, and,
+    alongside, the ascending ids of the edges to each of them. The
+    label queries translate through the label -> position map; the
+    searches of matching.py read the rows themselves (positions).
+    ``_edges`` maps each edge id to its sorted ends, in ascending id
+    order in every graph, however it was built: the constructor sorts
+    Mapping input and numbers list input in order, and every derived
+    graph filters a parent's ``_edges`` in order.
+
     ``provenance`` maps a contracted vertex to the frozenset of original
     vertices it stands for; plain vertices have no entry and stand for
     themselves.
     """
 
-    __slots__ = ("_vset", "_vlist", "_edges", "_adj", "provenance", "_cache",
-                 "__weakref__")
+    __slots__ = ("_vset", "_vlist", "_pos", "_rows", "_row_ids", "_edges",
+                 "provenance", "_cache", "__weakref__")
 
     def __init__(self, vertices: Iterable[int], edges=(), *,
                  provenance: Mapping[int, frozenset] | None = None):
@@ -62,33 +79,34 @@ class Graph:
         else:
             items = list(enumerate(edges))
         emap: dict[int, tuple[int, int]] = {}
+        # each end pair's edge ids; items run in ascending id order, so
+        # each tuple is ascending too
+        parallel: dict[tuple[int, int], tuple[int, ...]] = {}
         for eid, (u, v) in items:
             if u == v:
                 raise GraphError(f"loop at vertex {u} (edge {eid})")
             if u not in vset or v not in vset:
                 raise GraphError(
                     f"edge {eid} touches a vertex outside the graph: ({u}, {v})")
-            emap[eid] = (u, v) if u < v else (v, u)
+            uv = emap[eid] = (u, v) if u < v else (v, u)
+            parallel[uv] = parallel.get(uv, ()) + (eid,)
         self._vset = frozenset(vset)
-        self._vlist = tuple(sorted(vset))
+        self._vlist = verts = tuple(sorted(vset))
         self._edges = emap
-        # emap runs in ascending id order, so one stable sort by end pair
-        # groups parallel edges with their ids ascending. The pairs (u, x)
-        # with u < x sort before every (x, w), each run in ascending order,
-        # so x meets its lower neighbours before its higher ones and every
-        # row comes out sorted, as if each had been sorted on its own.
-        adj: dict[int, dict[int, tuple[int, ...]]] = {
-            v: {} for v in self._vlist}
-        order = sorted(emap.items(), key=itemgetter(1))
-        last = len(order) - 1
-        run: list[int] = []
-        for i, (eid, uv) in enumerate(order):
-            run.append(eid)
-            if i == last or order[i + 1][1] != uv:
-                u, v = uv
-                adj[u][v] = adj[v][u] = tuple(run)
-                run.clear()
-        self._adj = adj
+        self._pos = pos = dict(zip(verts, range(len(verts))))
+        self._rows = rows = [[] for _ in verts]
+        self._row_ids = row_ids = [[] for _ in verts]
+        # the pairs (u, x) with u < x sort before every (x, w), so in
+        # sorted pair order x meets its lower neighbours before its
+        # higher ones, each in ascending order, and every row comes out
+        # sorted, as if each had been sorted on its own
+        for u, v in sorted(parallel):
+            ids = parallel[u, v]
+            i, j = pos[u], pos[v]
+            rows[i].append(j)
+            row_ids[i].append(ids)
+            rows[j].append(i)
+            row_ids[j].append(ids)
         self.provenance = {
             v: frozenset(tag)
             for v, tag in (provenance or {}).items()
@@ -143,7 +161,7 @@ class Graph:
 
     @property
     def edge_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._edges))
+        return tuple(self._edges)
 
     def edge_ends(self, eid: int) -> tuple[int, int]:
         try:
@@ -153,38 +171,39 @@ class Graph:
 
     def edge_items(self) -> list[tuple[int, tuple[int, int]]]:
         """(edge id, (u, v)) pairs in edge id order."""
-        return [(eid, self._edges[eid]) for eid in sorted(self._edges)]
+        return list(self._edges.items())
 
     def __contains__(self, v) -> bool:
         return v in self._vset
 
-    def _adj_of(self, v) -> dict[int, tuple[int, ...]]:
+    def positions(self) -> tuple[dict[int, int], list[list[int]]]:
+        """The position of each vertex, and each position's row of
+        neighbour positions, ascending, parallel edges merged. Read-only:
+        both are the graph's own adjacency."""
+        return self._pos, self._rows
+
+    def _position(self, v) -> int:
         try:
-            return self._adj[v]
+            return self._pos[v]
         except KeyError:
             raise GraphError(f"unknown vertex {v}") from None
 
     def neighbors(self, v) -> tuple[int, ...]:
-        return tuple(self._adj_of(v))
-
-    def neighbor_rows(self) -> Iterable[Iterable[int]]:
-        """Each vertex's neighbours in sorted order, one row per vertex in
-        the order of vertices, without building a tuple per vertex.
-        Parallel edges give one neighbour. Read-only: the rows are the
-        graph's own adjacency."""
-        return self._adj.values()
+        verts = self._vlist
+        return tuple([verts[j] for j in self._rows[self._position(v)]])
 
     def incident(self, v) -> tuple[int, ...]:
-        out: list[int] = []
-        for ids in self._adj_of(v).values():
-            out.extend(ids)
-        return tuple(sorted(out))
+        return tuple(sorted(chain.from_iterable(
+            self._row_ids[self._position(v)])))
 
     def degree(self, v) -> int:
-        return sum(len(ids) for ids in self._adj_of(v).values())
+        return sum(map(len, self._row_ids[self._position(v)]))
 
     def edges_between(self, u, v) -> tuple[int, ...]:
-        return self._adj_of(u).get(v, ())
+        i = self._position(u)
+        row, j = self._rows[i], self._pos.get(v, -1)
+        k = bisect_left(row, j)
+        return self._row_ids[i][k] if row[k:k + 1] == [j] else ()
 
     def has_edge(self, u, v) -> bool:
         return bool(self.edges_between(u, v))
@@ -221,20 +240,35 @@ class Graph:
         from this graph's own fields.
 
         Every field of a Graph is kept in sorted order, and filtering
-        keeps that order, so the result equals Graph(s, edges,
-        provenance=...) field for field, key order included. The checks
-        __init__ runs (int vertices, no loops, edge ends inside the
-        vertex set) hold for any subgraph of a valid graph, so they and
-        the re-sort are skipped.
+        keeps that order; the kept positions keep their relative order,
+        so renumbering them keeps every row ascending. The result equals
+        Graph(s, edges, provenance=...) field for field, key order
+        included. The checks __init__ runs (int vertices, no loops, edge
+        ends inside the vertex set) hold for any subgraph of a valid
+        graph, so they and the re-sort are skipped.
         """
         child = Graph.__new__(Graph)
         child._vset = s
-        child._vlist = tuple(v for v in self._vlist if v in s)
+        child._vlist = verts = tuple(sorted(s))
+        child._pos = dict(zip(verts, range(len(verts))))
+        keep = list(map(self._pos.__getitem__, verts))
+        # each position's position in the child, -1 when it is dropped
+        new = [-1] * len(self._vlist)
+        for k, i in enumerate(keep):
+            new[i] = k
+        child._rows = rows = []
+        child._row_ids = row_ids = []
+        for i in keep:
+            row, ids = [], []
+            for j, parallel in zip(self._rows[i], self._row_ids[i]):
+                k = new[j]
+                if k >= 0:
+                    row.append(k)
+                    ids.append(parallel)
+            rows.append(row)
+            row_ids.append(ids)
         child._edges = {eid: uv for eid, uv in self._edges.items()
                         if uv[0] in s and uv[1] in s}
-        adj = self._adj
-        child._adj = {v: {w: ids for w, ids in adj[v].items() if w in s}
-                      for v in child._vlist}
         child.provenance = {v: p for v, p in self.provenance.items()
                             if v in s}
         child._cache = {}
@@ -309,9 +343,11 @@ class Graph:
             raise GraphError("a shore must be a nonempty proper subset of the vertices")
         comp = self._vset - s
         small = s if len(s) <= len(comp) else comp
-        adj = self._adj
-        eids = frozenset(eid for v in small for w, ids in adj[v].items()
-                         if w not in small for eid in ids)
+        verts, pos, rows, row_ids = (self._vlist, self._pos, self._rows,
+                                     self._row_ids)
+        eids = frozenset(eid for i in map(pos.__getitem__, small)
+                         for j, ids in zip(rows[i], row_ids[i])
+                         if verts[j] not in small for eid in ids)
         canon = s if self._vlist[0] in s else comp
         return Cut(shore=canon, edge_ids=eids, graph=self)
 
@@ -319,7 +355,11 @@ class Graph:
         """Recover the cut whose boundary is exactly this edge set.
 
         The graph must be connected, so the shore is determined up to
-        complement; raises when the edges do not form a cut.
+        complement; raises when the edges do not form a cut. One search
+        from the first vertex gives every vertex a side: an edge of the
+        set changes sides, any other edge keeps it. The set is a cut iff
+        no edge contradicts the sides, and then it is the boundary of
+        the first vertex's side.
         """
         ids = frozenset(eids)
         bad = ids - set(self._edges)
@@ -329,47 +369,22 @@ class Graph:
             raise GraphError("a cut has at least one edge")
         if not self.is_connected():
             raise GraphError("cut recovery needs a connected graph")
-        # label the components of the graph minus the edges: a neighbour
-        # stays reachable while some parallel edge to it survives
-        comp_of: dict[int, int] = {}
-        count = 0
-        for root in self._vlist:
-            if root in comp_of:
-                continue
-            comp_of[root] = count
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                for w, parallel in self._adj[v].items():
-                    if w not in comp_of and not ids.issuperset(parallel):
-                        comp_of[w] = count
-                        stack.append(w)
-            count += 1
-        # 2-color the components along the removed edges
-        links: dict[int, set[int]] = {i: set() for i in range(count)}
-        for eid in ids:
-            u, v = self._edges[eid]
-            cu, cv = comp_of[u], comp_of[v]
-            if cu == cv:
-                raise GraphError(
-                    f"edge {eid} has both ends on one side; not a cut")
-            links[cu].add(cv)
-            links[cv].add(cu)
-        color = {0: 0}
-        queue = [0]
-        while queue:
-            i = queue.pop()
-            for j in links[i]:
-                if j not in color:
-                    color[j] = 1 - color[i]
-                    queue.append(j)
-                elif color[j] == color[i]:
-                    raise GraphError("edge set is not the boundary of a shore")
-        shore = frozenset(v for v, i in comp_of.items() if color[i] == 0)
-        cut = self.boundary(shore)
-        if cut.edge_ids != ids:
-            raise GraphError("edge set is not the boundary of a shore")
-        return cut
+        rows, row_ids = self._rows, self._row_ids
+        side = [-1] * len(rows)
+        side[0] = 0
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            for j, parallel in zip(rows[i], row_ids[i]):
+                for eid in parallel:
+                    want = side[i] ^ (eid in ids)
+                    if side[j] < 0:
+                        side[j] = want
+                        stack.append(j)
+                    elif side[j] != want:
+                        raise GraphError(
+                            "edge set is not the boundary of a shore")
+        return self.boundary(v for v, k in zip(self._vlist, side) if not k)
 
     def cut_contractions(self, cut: "Cut") -> tuple["Graph", "Graph"]:
         """Both contractions of a nontrivial cut: (keep shore, keep complement).
@@ -391,22 +406,24 @@ class Graph:
     def components_without(self, banned) -> tuple[frozenset[int], ...]:
         """Connected components after deleting ``banned``, ordered by
         smallest member."""
-        banned = frozenset(banned)
-        seen = set(banned)
+        verts, rows, pos = self._vlist, self._rows, self._pos
+        seen = [False] * len(verts)
+        for v in banned:
+            if v in pos:
+                seen[pos[v]] = True
         out = []
-        for root in self._vlist:
-            if root in seen:
+        for root in range(len(verts)):
+            if seen[root]:
                 continue
-            comp = {root}
-            seen.add(root)
+            comp = {verts[root]}
+            seen[root] = True
             stack = [root]
             while stack:
-                v = stack.pop()
-                for w in self._adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        stack.append(w)
+                for j in rows[stack.pop()]:
+                    if not seen[j]:
+                        seen[j] = True
+                        comp.add(verts[j])
+                        stack.append(j)
             out.append(frozenset(comp))
         return tuple(out)
 
@@ -435,21 +452,23 @@ class Graph:
         disc[v] at most, which the test allows, so parallel edges change
         nothing.
         """
-        disc: dict[int, int] = {}
-        low: dict[int, int] = {}
+        verts, rows = self._vlist, self._rows
+        disc = [-1] * len(rows)
+        low = disc[:]
+        clock = count()
         out = set()
-        for root in self._vlist:
-            if root in disc:
+        for root in range(len(rows)):
+            if disc[root] >= 0:
                 continue
-            disc[root] = low[root] = len(disc)
+            disc[root] = low[root] = next(clock)
             children = 0
-            stack = [(root, iter(self._adj[root]))]
+            stack = [(root, iter(rows[root]))]
             while stack:
                 v, it = stack[-1]
                 for w in it:
-                    if w not in disc:
-                        disc[w] = low[w] = len(disc)
-                        stack.append((w, iter(self._adj[w])))
+                    if disc[w] < 0:
+                        disc[w] = low[w] = next(clock)
+                        stack.append((w, iter(rows[w])))
                         break
                     if disc[w] < low[v]:
                         low[v] = disc[w]
@@ -463,9 +482,9 @@ class Graph:
                     if u == root:
                         children += 1
                     elif low[v] >= disc[u]:
-                        out.add(u)
+                        out.add(verts[u])
             if children >= 2:
-                out.add(root)
+                out.add(verts[root])
         return frozenset(out)
 
     def is_2connected(self) -> bool:

@@ -1,10 +1,11 @@
 """Perfect matchings and the predicates built on them.
 
 The polynomial-time core is one Edmonds alternating search
-(_alternating_search) over a vertex index, sorted adjacency and g's
-cached maximum matching over positions, all built once per graph.
-Everything else reduces to matchability queries on vertex-deleted
-subgraphs, answered in one of two ways:
+(_alternating_search) over g's own position rows (Graph.positions: a
+vertex's position is its rank in sorted label order) and g's maximum
+matching over positions, computed once per graph; this module builds
+no vertex index of its own. Everything else reduces to matchability
+queries on vertex-deleted subgraphs, answered in one of two ways:
 
 - Dependence rows. When g has a perfect matching M, row(x) is the set
   of v with g - x - v matchable: the outer vertices of one search from
@@ -28,7 +29,7 @@ subgraphs, answered in one of two ways:
   exact everywhere: it stops early only once all are outer.
   is_critical reads it, and so does barrier search on a graph with no
   perfect matching. _shore_missable runs the same search on g's own
-  index with every vertex outside a shore dead, for the reduction's
+  rows with every vertex outside a shore dead, for the reduction's
   barrier step: no blossom runs on the shore subgraph.
 
 Co-matchability, whether two disjoint edges lie together in some
@@ -91,19 +92,6 @@ class Matching:
 
     def __repr__(self):
         return f"Matching({sorted(self.edges)})"
-
-
-def _search_index(g: Graph) -> tuple[tuple[int, ...], dict[int, int],
-                                     list[list[int]]]:
-    """The sorted vertices of g, their positions, and sorted adjacency
-    rows over positions (parallel edges merged), built once per graph."""
-    return g._memo("search_index", _index_rows, g)
-
-
-def _index_rows(g: Graph):
-    verts = g.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    return verts, index, [[index[w] for w in row] for row in g.neighbor_rows()]
 
 
 def _alternating_search(adj: list[list[int]], match: list[int],
@@ -215,7 +203,7 @@ def _blossom_mates(g: Graph) -> list[int]:
     _alternating_search from every exposed vertex once, O(V^3).
     Everything is sorted, so the result is deterministic.
     """
-    _, _, adj = _search_index(g)
+    _, adj = g.positions()
     n = len(adj)
     match = [-1] * n
     for v in range(n):
@@ -275,10 +263,10 @@ def _dependence_row(g: Graph, x: int) -> frozenset[int]:
     rows = g._memo("dependence_rows", dict)
     got = rows.get(x)
     if got is None:
-        verts, index, adj = _search_index(g)
-        outer = _row_search(adj, _search_mates(g)[:],
-                            [False] * len(verts), index[x])
-        got = rows[x] = frozenset(v for v, o in zip(verts, outer) if o)
+        index, adj = g.positions()
+        outer = _row_search(adj, _search_mates(g)[:], [False] * len(adj),
+                            index[x])
+        got = rows[x] = frozenset(v for v, o in zip(g.vertices, outer) if o)
     return got
 
 
@@ -327,7 +315,7 @@ def _matching_partners(g: Graph) -> tuple[dict[int, int], dict]:
     the search's result.
     """
     memo: dict = {}
-    _, index, adj = _search_index(g)
+    index, adj = g.positions()
     start = _search_mates(g)
     keys = {1 << eid: (index[u], index[v]) for eid, (u, v) in g.edge_items()}
     bits: dict[tuple[int, int], int] = {}
@@ -378,7 +366,7 @@ def _comatchable_among(g: Graph, eids, memo: dict | None = None) -> bool:
     every y, and a later cut with edges at ij and x reads them without
     a search.
     """
-    _, index, adj = _search_index(g)
+    index, adj = g.positions()
     start = _search_mates(g)
     pos = sorted({(index[u], index[v]) for u, v in map(g.edge_ends, eids)})
     for k, (i, j) in enumerate(pos):
@@ -523,7 +511,7 @@ def _covers_every_edge(g: Graph) -> bool:
     about, and a target that is not outer is an edge in no perfect
     matching.
     """
-    _, _, adj = _search_index(g)
+    _, adj = g.positions()
     start = _search_mates(g)
     n = len(adj)
     dead = [False] * n
@@ -578,11 +566,11 @@ def is_matching_covered(g: Graph) -> bool:
         and is_matchable(g) and _covers_every_edge(g)))
 
 
-def _missed_from(verts, adj: list[list[int]], match: list[int],
-                 dead: list[bool], root: int) -> frozenset[int]:
+def _missed_from(g: Graph, match: list[int], dead: list[bool],
+                 root: int) -> frozenset[int]:
     """D of the live graph, the vertices some maximum matching of it
-    misses, where match is a maximum matching of the live vertices that
-    misses only root.
+    misses, where match is a maximum matching of the live vertices of g
+    that misses only root.
 
     match is maximum, so the search from root cannot augment, and its
     outer vertices are those an even alternating path from root
@@ -592,12 +580,12 @@ def _missed_from(verts, adj: list[list[int]], match: list[int],
     either way. match is consumed.
     """
     live = [i for i, d in enumerate(dead) if not d]
-    outer = _alternating_search(adj, match, dead, root, live)
+    outer = _alternating_search(g.positions()[1], match, dead, root, live)
     if outer is None:
         raise InternalInvariantError(
             "search from the sole exposed vertex of a maximum matching "
             "augmented")
-    return frozenset(v for v, o in zip(verts, outer) if o)
+    return frozenset(v for v, o in zip(g.vertices, outer) if o)
 
 
 def _missable(g: Graph) -> frozenset[int] | None:
@@ -609,12 +597,10 @@ def _missable(g: Graph) -> frozenset[int] | None:
     is_critical asks it of every v, and structure._dependent_partners
     of g - v for each v.
     """
-    verts, _, adj = _search_index(g)
     start = _search_mates(g)
     if start.count(-1) != 1:
         return None
-    return _missed_from(verts, adj, start[:], [False] * len(adj),
-                        start.index(-1))
+    return _missed_from(g, start[:], [False] * g.n, start.index(-1))
 
 
 def _shore_missable(g: Graph, side) -> frozenset[int] | None:
@@ -625,15 +611,15 @@ def _shore_missable(g: Graph, side) -> frozenset[int] | None:
     M's edges inside side are then a matching of g[side] that misses
     only r. The other vertices of side are matched in pairs, so side has
     odd order and no matching of g[side] misses fewer: it is maximum.
-    One search from r on g's own index, with every vertex outside side
+    One search from r on g's own rows, with every vertex outside side
     dead and M less its edge at r (_missed_from), gives D(g[side]), and
     no blossom runs on the subgraph. The barrier step of decompose.py
     (_shore_candidates) reads it for each shore S of the tight reference
     cut, which M meets once: r is the end in S of that one cut edge.
     """
-    verts, index, adj = _search_index(g)
+    index, _ = g.positions()
     match = _search_mates(g)[:]
-    dead = [True] * len(adj)
+    dead = [True] * g.n
     live = [index[v] for v in side]
     for i in live:
         dead[i] = False
@@ -644,7 +630,7 @@ def _shore_missable(g: Graph, side) -> frozenset[int] | None:
     if match[r] != -1:
         match[match[r]] = -1
         match[r] = -1
-    return _missed_from(verts, adj, match, dead, r)
+    return _missed_from(g, match, dead, r)
 
 
 def is_critical(g: Graph) -> bool:

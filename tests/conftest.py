@@ -1,8 +1,10 @@
 """Shared fixtures and independent brute-force oracles.
 
-The oracles work on plain (vertices, edges) data and never call into
-the package, so they can vouch for it. Edge ids are list positions,
-matching what Graph(range(n), edges) assigns.
+The brute-force oracles work on plain (vertices, edges) data and never
+call into the package, so they can vouch for it. Edge ids are list
+positions, matching what Graph(range(n), edges) assigns. The one oracle
+that does call in, dependence_classes, asks only is_matchable, one
+vertex pair at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import pytest
 
 from tightcut.graph import Graph
 from tightcut.instances import CorpusSpec, enumerate_corpus
+from tightcut.matching import is_matchable
 
 # acceptance criteria register: test_acceptance records one verdict per
 # criterion here; the summary hook prints them after the test run
@@ -208,6 +211,17 @@ def brute_confined_strict_barrier(vertices, edges, shore):
             if brute_is_matching_covered(core_vertices, core_edges):
                 return members
     return None
+
+
+def dependence_classes(g: Graph) -> dict[int, frozenset[int]]:
+    """Map each vertex u to u and every v with g - u - v not matchable,
+    from one is_matchable query per vertex pair."""
+    classes = {u: {u} for u in g.vertices}
+    for u, v in combinations(g.vertices, 2):
+        if not is_matchable(g.without_vertices({u, v})):
+            classes[u].add(v)
+            classes[v].add(u)
+    return {u: frozenset(part) for u, part in classes.items()}
 
 
 # shared graphs ------------------------------------------------------------

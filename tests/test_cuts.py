@@ -22,7 +22,6 @@ from tightcut.matching import (
     _comatchable_among,
     _matching_partners,
     _row_search,
-    _search_index,
     _search_mates,
     _without_pair,
     find_perfect_matching,
@@ -220,7 +219,7 @@ def _comatchable_masks(g):
     matchable (_row_search), stopped once w's higher live neighbours
     are outer. At most m * n searches.
     """
-    _, index, adj = _search_index(g)
+    index, adj = g.positions()
     n = g.n
     assert is_matchable(g)
     start = _search_mates(g)

@@ -37,7 +37,7 @@ from tightcut.graph import (
     EnumerationLimitError, Graph, GraphError, InternalInvariantError)
 from tightcut.instances import CorpusSpec, enumerate_corpus, fixture_instances
 from tightcut.matching import (
-    ENUMERATION_LIMIT, _dependence_row, is_matchable, is_matching_covered)
+    ENUMERATION_LIMIT, _dependence_row, is_matching_covered)
 from tightcut.structure import (
     Barrier, TwoSeparation, enumerate_barriers, is_barrier)
 from tightcut.sweep import run_sweep
@@ -48,6 +48,7 @@ from conftest import (
     brute_is_tight,
     brute_perfect_matchings,
     cycle,
+    dependence_classes,
     gate_specs,
     glued,
     inflated,
@@ -600,19 +601,6 @@ def test_decompose_inflated_fixture_past_the_barrier_guard(name, r, k):
     assert verifies_on_rebuilt_graph(cert)
 
 
-def _dependence_classes(h):
-    """The classes of a matching covered h, in order of least member:
-    v with every w such that h - v - w is not matchable."""
-    left, out = set(h.vertices), []
-    for v in h.vertices:
-        if v in left:
-            part = frozenset(w for w in left
-                             if w == v or not is_matchable(h.without_vertices({v, w})))
-            left -= part
-            out.append(part)
-    return out
-
-
 def test_barrier_step_against_the_barrier_listing(monkeypatch):
     """Every (graph, tracked shores) the barrier step sees in the 72
     fixture and 864 inflated decompositions. For a shore S with
@@ -643,7 +631,10 @@ def test_barrier_step_against_the_barrier_listing(monkeypatch):
         for i, side in enumerate(tracked):
             opposite = g.vertex_set - side
             o = g.fresh_vertex()
-            classes = _dependence_classes(g.contract(opposite, o))
+            # h = g/(O -> o) is matching covered, so its classes
+            # partition its vertices; in order of least member
+            classes = sorted(set(dependence_classes(
+                g.contract(opposite, o)).values()), key=min)
             [own] = [p - {o} for p in classes if o in p]
             candidates = [p for p in classes if o not in p and len(p) >= 2]
             assert i >= start or not candidates

@@ -1,4 +1,5 @@
-"""Graph and Cut fundamentals, traced by hand on small graphs, and the
+"""Graph and Cut fundamentals, traced by hand on small graphs, every
+public method against answers from the edge list alone, and the
 derived-graph fast paths against the validating constructor."""
 
 import gc
@@ -19,7 +20,7 @@ from tightcut.structure import (
     is_strict_barrier,
 )
 
-from conftest import cycle
+from conftest import brute_components, cycle
 
 
 def test_vertices_and_edges_sorted(c6):
@@ -137,14 +138,7 @@ def test_contract_rejects_bad_input(c6):
         c6.contract({0, 1}, 4)  # label collides with survivor
 
 
-# derived-graph fast paths ----------------------------------------------------
-
-def fields(g: Graph):
-    """Every field of g in its stored order, dict key order included."""
-    return (g._vset, g._vlist, list(g._edges.items()),
-            [(v, list(row.items())) for v, row in g._adj.items()],
-            list(g.provenance.items()))
-
+# every public method against the edge list -----------------------------------
 
 def random_multigraphs(count: int, seed: int):
     """Seeded graphs on sparse vertex labels with parallel edges, and a
@@ -162,68 +156,165 @@ def random_multigraphs(count: int, seed: int):
             yield g.contract(rng.sample(g.vertices, rng.randint(2, g.n - 1)))
 
 
-def _reference_graph(vertices, edges=(), *, provenance=None):
-    """The constructor as it was before its one-pass adjacency build,
-    kept as the oracle: the same checks, then each edge appended to
-    both ends' rows in id order, and every row re-sorted."""
+# a label no graph of random_multigraphs or its contractions uses
+ABSENT = 99
+
+
+def _check_against_the_edge_list(g: Graph, verts, emap, prov, rng):
+    """Every query of g against answers computed from its vertices, its
+    edges emap (id -> ends, in any order and orientation) and its
+    provenance prov alone: plain edge scans, brute_components, and cut
+    vertices found by deleting each vertex in turn."""
+    verts = sorted(verts)
+    ends = {eid: tuple(sorted(uv)) for eid, uv in sorted(emap.items())}
+    pairs = list(ends.values())
+    assert g.vertices == tuple(verts) and g.vertex_set == frozenset(verts)
+    assert (g.n, g.m) == (len(verts), len(ends))
+    # edges run in ascending id order, however the graph was built
+    assert g.edge_ids == tuple(ends)
+    assert g.edge_items() == list(ends.items())
+    for v in verts:
+        assert g.provenance_of(v) == prov.get(v, frozenset((v,)))
+    pos, rows = g.positions()
+    assert pos == {v: i for i, v in enumerate(verts)}
+    for v in verts:
+        incident = [eid for eid, uv in ends.items() if v in uv]
+        nbrs = sorted({w for eid in incident for w in ends[eid] if w != v})
+        assert rows[pos[v]] == [pos[w] for w in nbrs]
+        assert g.neighbors(v) == tuple(nbrs)
+        assert g.incident(v) == tuple(incident)
+        assert g.degree(v) == len(incident)
+        for w in verts + [ABSENT]:
+            between = tuple(eid for eid in incident if ends[eid] in
+                            ((v, w), (w, v)))
+            assert g.edges_between(v, w) == between
+            assert g.has_edge(v, w) == bool(between)
+    for query in (g.neighbors, g.incident, g.degree):
+        with pytest.raises(GraphError):
+            query(ABSENT)
+    with pytest.raises(GraphError):
+        g.edges_between(ABSENT, verts[0] if verts else ABSENT)
+    comps = brute_components(verts, pairs)
+    assert g.components() == tuple(comps)
+    assert g.is_connected() == (len(comps) <= 1)
+    for _ in range(3):
+        banned = rng.sample(verts, rng.randint(0, len(verts)))
+        assert g.components_without(banned) == tuple(
+            brute_components(verts, pairs, banned))
+    cuts = frozenset(v for v in verts
+                     if len(brute_components(verts, pairs, {v})) > len(comps))
+    assert g.cut_vertices() == cuts
+    assert g.is_2connected() == (len(verts) >= 2 and len(comps) == 1 and (
+        len(ends) >= 2 if len(verts) == 2 else not cuts))
+    if len(verts) < 2:
+        return
+    # every cut: its edge ids -> its shore, the one holding verts[0]
+    shores = {}
+    for k in range(1, len(verts)):
+        for rest in combinations(verts[1:], k - 1):
+            shore = frozenset((verts[0],) + rest)
+            cut = frozenset(eid for eid, (u, v) in ends.items()
+                            if (u in shore) != (v in shore))
+            c = g.boundary(g.vertex_set - shore)
+            assert (c.shore, c.edge_ids) == (shore, cut)
+            shores.setdefault(cut, shore)
+    if len(comps) != 1:
+        for cut in shores:
+            if cut:
+                with pytest.raises(GraphError):
+                    g.cut_from_edge_ids(cut)
+        return
+    for cut, shore in shores.items():
+        assert g.cut_from_edge_ids(cut).shore == shore
+    for _ in range(4):
+        some = frozenset(rng.sample(list(ends), rng.randint(1, len(ends))))
+        if some not in shores:
+            with pytest.raises(GraphError):
+                g.cut_from_edge_ids(some)
+
+
+def _derived(verts, emap, prov, rng):
+    """Random derived graphs of the graph with these fields, as (method,
+    arguments, and the result's vertices, edges and provenance by
+    definition, from the edge list alone)."""
+    keep = frozenset(rng.sample(verts, rng.randint(0, len(verts))))
+    yield ("induced", (keep,), keep,
+           {eid: uv for eid, uv in emap.items() if set(uv) <= keep},
+           {v: p for v, p in prov.items() if v in keep})
+    drop = frozenset(rng.sample(verts, rng.randint(0, len(verts))))
+    yield ("without_vertices", (drop,), frozenset(verts) - drop,
+           {eid: uv for eid, uv in emap.items() if drop.isdisjoint(uv)},
+           {v: p for v, p in prov.items() if v not in drop})
+    if len(verts) >= 2:
+        part = frozenset(rng.sample(verts, rng.randint(1, len(verts) - 1)))
+        x = max(verts) + 1
+        rest = frozenset(verts) - part
+        yield ("contract", (part, x), rest | {x},
+               {eid: tuple(x if w in part else w for w in uv)
+                for eid, uv in emap.items() if not set(uv) <= part},
+               {**{v: p for v, p in prov.items() if v in rest},
+                x: frozenset().union(*(prov.get(w, {w}) for w in part))})
+    drop = rng.sample(list(emap), rng.randint(0, len(emap)))
+    yield ("without_edges", (drop,), frozenset(verts),
+           {eid: uv for eid, uv in emap.items() if eid not in drop}, prov)
+
+
+def test_public_methods_match_the_edge_list():
+    """Each graph of random_multigraphs is rebuilt from list input (edge
+    ends in both orders) and from Mapping input on sparse shuffled ids
+    with provenance, some of it for vertices outside the graph; every
+    public method of it, of its derived graphs (induced,
+    without_vertices, contract, without_edges) and of theirs in turn is
+    checked against the edge list."""
+    rng = Random(13)
+    seen = {"parallel": 0, "provenance": 0, "split": 0, "cut": 0}
+    for g in random_multigraphs(40, seed=17):
+        edges = [(v, u) if rng.random() < 0.5 else (u, v)
+                 for _, (u, v) in g.edge_items()]
+        verts = list(g.vertices)
+        rng.shuffle(verts)
+        ids = rng.sample(range(3 * g.m + 5), g.m)
+        prov = dict(g.provenance)
+        for v in rng.sample(verts, len(verts) // 2):
+            prov.setdefault(v, frozenset({v, -2}))
+        built = [(Graph(verts, edges), dict(enumerate(edges)), {}),
+                 (Graph(verts, dict(zip(ids, edges)),
+                        provenance={**prov, ABSENT: frozenset({-1})}),
+                  dict(zip(ids, edges)), prov)]
+        level = [(h, verts, emap, p) for h, emap, p in built]
+        for depth in range(3):
+            for h, vs, emap, p in level:
+                _check_against_the_edge_list(h, vs, emap, p, rng)
+                seen["parallel"] += len(set(map(frozenset, emap.values()))) \
+                    < len(emap)
+                seen["provenance"] += any(len(t) > 1 for t in p.values())
+                seen["split"] += len(h.components()) > 1
+                seen["cut"] += bool(h.cut_vertices())
+            if depth < 2:
+                level = [(getattr(h, name)(*args), list(vs2), emap2, p2)
+                         for h, vs, emap, p in level
+                         for name, args, vs2, emap2, p2 in _derived(
+                             sorted(vs), emap, p, rng)]
+    assert min(seen.values()) > 100, seen
+
+
+def _reference_check(vertices, edges):
+    """The constructor's input checks, in its order, kept as the oracle
+    of its error text: int vertices, then, edge by edge in id order, no
+    loop and both ends in the graph."""
     vset = set()
     for v in vertices:
         if not isinstance(v, int):
             raise GraphError(f"vertex {v!r} is not an int")
         vset.add(v)
-    if isinstance(edges, Mapping):
-        items = sorted(edges.items())
-    else:
-        items = list(enumerate(edges))
-    emap = {}
+    items = sorted(edges.items()) if isinstance(edges, Mapping) \
+        else enumerate(edges)
     for eid, (u, v) in items:
         if u == v:
             raise GraphError(f"loop at vertex {u} (edge {eid})")
         if u not in vset or v not in vset:
             raise GraphError(
                 f"edge {eid} touches a vertex outside the graph: ({u}, {v})")
-        emap[eid] = (u, v) if u <= v else (v, u)
-    g = Graph.__new__(Graph)
-    g._vset = frozenset(vset)
-    g._vlist = tuple(sorted(vset))
-    g._edges = emap
-    adj = {v: {} for v in g._vlist}
-    for eid in sorted(emap):
-        u, v = emap[eid]
-        adj[u].setdefault(v, []).append(eid)
-        adj[v].setdefault(u, []).append(eid)
-    g._adj = {v: {w: tuple(ids) for w, ids in sorted(nbrs.items())}
-              for v, nbrs in adj.items()}
-    g.provenance = {v: frozenset(tag) for v, tag in (provenance or {}).items()
-                    if v in g._vset}
-    g._cache = {}
-    return g
-
-
-def test_constructor_matches_the_reference_builder():
-    """Field by field, key order included, on seeded multigraphs and
-    their contractions (list input; edge ends in both orders), on
-    Mapping input with sparse shuffled ids, and with provenance, some
-    of it for vertices outside the graph."""
-    rng = Random(13)
-    with_parallels = 0
-    for g in random_multigraphs(150, seed=17):
-        edges = [(v, u) if rng.random() < 0.5 else (u, v)
-                 for _, (u, v) in g.edge_items()]
-        verts = list(g.vertices)
-        rng.shuffle(verts)
-        assert fields(Graph(verts, edges)) == fields(
-            _reference_graph(verts, edges))
-        ids = rng.sample(range(3 * g.m + 5), g.m)
-        emap = dict(zip(ids, edges))
-        prov = dict(g.provenance)
-        prov[max(verts) + 1] = frozenset({-1})
-        for v in rng.sample(verts, len(verts) // 2):
-            prov.setdefault(v, frozenset({v, -2}))
-        assert fields(Graph(verts, emap, provenance=prov)) == fields(
-            _reference_graph(verts, emap, provenance=prov))
-        with_parallels += len(set(edges)) < len(edges)
-    assert with_parallels > 20
 
 
 @pytest.mark.parametrize("vertices, edges", [
@@ -239,10 +330,19 @@ def test_constructor_rejects_as_the_reference_builder(vertices, edges):
     """Loops, edge ends outside the graph and non-int vertices raise
     the same GraphError, with the same text, as the reference."""
     with pytest.raises(GraphError) as want:
-        _reference_graph(vertices, edges)
+        _reference_check(vertices, edges)
     with pytest.raises(GraphError) as got:
         Graph(vertices, edges)
     assert str(got.value) == str(want.value)
+
+
+def layout(g: Graph):
+    """What g stores, read through its public accessors, dict key order
+    included: vertices, edges in id order, positions and their rows,
+    provenance."""
+    pos, rows = g.positions()
+    return (g.vertices, g.edge_items(), list(pos.items()), rows,
+            list(g.provenance.items()))
 
 
 def test_induced_matches_the_validating_constructor():
@@ -255,12 +355,10 @@ def test_induced_matches_the_validating_constructor():
                     if uv[0] in keep and uv[1] in keep}
             prov = {v: p for v, p in g.provenance.items() if v in keep}
             old = Graph(keep, emap, provenance=prov)
-            assert fields(g.induced(keep)) == fields(old)
-            assert fields(g.without_vertices(g.vertex_set - keep)) == \
-                fields(old)
+            assert layout(g.induced(keep)) == layout(old)
+            assert g.without_vertices(g.vertex_set - keep) is g.induced(keep)
             with_provenance += bool(prov)
-            with_parallels += any(len(ids) > 1 for row in old._adj.values()
-                                  for ids in row.values())
+            with_parallels += len(set(emap.values())) < len(emap)
     assert with_provenance and with_parallels
 
 
@@ -281,7 +379,7 @@ def test_contract_is_memoized_per_part_and_label():
         assert g.contract(frozenset(reversed(part)), g.fresh_vertex()) is h
         fresh = Graph(g.vertices, dict(g.edge_items()),
                       provenance=g.provenance)
-        assert fields(h) == fields(fresh.contract(part))
+        assert layout(h) == layout(fresh.contract(part))
         other = g.contract(part, g.fresh_vertex() + 1)
         assert other is not h
         assert other.vertex_set != h.vertex_set

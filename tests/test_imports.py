@@ -21,9 +21,10 @@ _require_witness, _witness_from_edge takes (g, c, eid, tally) and no
 pivot, _min_holder_barrier and its _shore_candidates name neither
 contract nor fresh_vertex (the barrier step reads the graph's own
 dependence rows), no module in src/ but graph.py names a graph's _cache
-(every per-graph memo goes through Graph._memo), and src/ has no assert
-statement: python -O strips them, so invariant guards raise
-InternalInvariantError instead.
+(every per-graph memo goes through Graph._memo) or its adjacency fields,
+no module names a second vertex index beside the graph's own, and src/
+has no assert statement: python -O strips them, so invariant
+guards raise InternalInvariantError instead.
 
 Standard library only, so the check runs where no linter is installed.
 An imported name counts as used when it appears as a bare name anywhere
@@ -405,6 +406,24 @@ def test_only_graph_names_the_cache(path):
     """Every per-graph memo goes through Graph._memo, the one place
     that reads and fills a graph's cache."""
     assert oracle_references(ast.parse(path.read_text()), {"_cache"}) == []
+
+
+# Graph's adjacency fields, and the names of a second vertex index built
+# from them beside the graph's own
+ADJACENCY_FIELDS = {"_adj", "_pos", "_rows", "_row_ids"}
+SECOND_INDEX = {"_search_index", "_index_rows", "neighbor_rows",
+                "search_index"}
+
+
+@pytest.mark.parametrize(
+    "path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_one_adjacency_structure(path):
+    """Every graph walk outside graph.py reads the adjacency through
+    Graph's methods, positions() for the searches, and no module builds
+    or names a second vertex index."""
+    names = SECOND_INDEX | (ADJACENCY_FIELDS if path.name != "graph.py"
+                            else set())
+    assert oracle_references(ast.parse(path.read_text()), names) == []
 
 
 def assert_lines(tree: ast.Module) -> list[int]:

@@ -483,7 +483,8 @@ def test_row_search_with_targets_agrees_with_the_full_row(exhaustive_corpus):
         h = Graph(g.vertices, dict(g.edge_items()))
         if not is_matchable(h):
             continue
-        verts, index, adj = matching._search_index(h)
+        index, adj = h.positions()
+        verts = h.vertices
         for x in h.vertices:
             row = _dependence_row(h, x)
             live = [v for v in verts if v != x]

@@ -41,6 +41,7 @@ from conftest import (
     brute_is_barrier,
     brute_matching_numbers,
     cycle,
+    dependence_classes,
     gate_specs,
     theta,
 )
@@ -166,20 +167,13 @@ def test_barrier_search_matches_oracle_without_perfect_matching(edges):
     _check_barrier_search(g)
 
 
-def _dependence_classes(g):
-    """Map each vertex u to u and every v with g - u - v not matchable."""
-    return {u: frozenset({u} | {v for v in g.vertices if v != u
-                               and not is_matchable(g.without_vertices({u, v}))})
-            for u in g.vertices}
-
-
 def test_dependence_is_the_canonical_partition(exhaustive_corpus):
     graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
     graphs += [g for _, g, _ in fixture_instances()]
     graphs += [canonical("k4"), canonical("petersen")]
     for g in graphs:
         assert is_matching_covered(g)
-        classes = _dependence_classes(g)
+        classes = dependence_classes(g)
         edges = [ends for _, ends in g.edge_items()]
         for u, part in classes.items():
             # an equivalence relation: each member has the same class
@@ -189,7 +183,7 @@ def test_dependence_is_the_canonical_partition(exhaustive_corpus):
     for name in ("k4", "petersen"):
         g = canonical(name)
         assert all(len(part) == 1
-                   for part in _dependence_classes(g).values())
+                   for part in dependence_classes(g).values())
 
 
 def _check_partners(g):
@@ -199,7 +193,7 @@ def _check_partners(g):
     brute = {v: frozenset(w for w in g.vertices if w != v
                           and 2 * nu(g.vertex_set - {v, w}) < g.n - 2)
              for v in g.vertices}
-    pairwise = {v: part - {v} for v, part in _dependence_classes(g).items()}
+    pairwise = {v: part - {v} for v, part in dependence_classes(g).items()}
     assert _dependent_partners(Graph(g.vertices, dict(g.edge_items()))) == \
         pairwise == brute, g
 
