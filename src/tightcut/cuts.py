@@ -285,10 +285,11 @@ def classify_cut(g: Graph, c: Cut) -> CutClassification:
     if not is_matching_covered(g):
         raise GraphError("classification needs a matching covered graph")
     shores = c.shores()
+    ends = [g.edge_ends(eid) for eid in c.edge_ids]
     found: list[tuple[Barrier, int]] = []
     for i, keep in enumerate(shores):
-        attachments = frozenset(
-            w for v in keep for w in g.neighbors(v)) - keep
+        # the neighbours of keep outside it: each cut edge's far end
+        attachments = frozenset(v if u in keep else u for u, v in ends)
         a = min(attachments)
         members = shores[1 - i] - _dependence_row(g, a)
         if attachments <= members:

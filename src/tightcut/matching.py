@@ -5,7 +5,7 @@ The polynomial-time core is one Edmonds alternating search
 vertex's position is its rank in sorted label order) and g's maximum
 matching over positions, computed once per graph; this module builds
 no vertex index of its own. Everything else reduces to matchability
-queries on vertex-deleted subgraphs, answered in one of two ways:
+queries on vertex-deleted subgraphs, answered in one of three ways:
 
 - Dependence rows. When g has a perfect matching M, row(x) is the set
   of v with g - x - v matchable: the outer vertices of one search from
@@ -18,19 +18,31 @@ queries on vertex-deleted subgraphs, answered in one of two ways:
   soon as every target is outer; its flags are then exact on the
   targets only, so the caller reads its targets and nothing else, and
   such flags are never cached as a row. is_tight's co-matchable
-  searches run one per pair they ask about. is_matching_covered runs
-  at most one per vertex, busiest first: from the vertex with the most
-  non-mate edges not yet covered, against all of those neighbours, and
-  keeps what each search shows besides: the parent pointers lead each
-  target back to the root, closing an alternating cycle whose edges
-  all lie in perfect matchings, so later vertices have fewer targets
-  or none (_covers_every_edge). _missable runs a single one from the
+  searches run one per pair they ask about. On a graph with an odd
+  cycle, is_matching_covered runs at most one per vertex, busiest
+  first: from the vertex with the most non-mate edges not yet covered,
+  against all of those neighbours, and keeps what each search shows
+  besides: the parent pointers lead each target back to the root,
+  closing an alternating cycle whose edges all lie in perfect
+  matchings, so later vertices have fewer targets or none
+  (_covers_every_edge). _missable runs a single one from the
   vertex its maximum matching misses, against every vertex, which is
   exact everywhere: it stops early only once all are outer.
   is_critical reads it, and so does barrier search on a graph with no
   perfect matching. _shore_missable runs the same search on g's own
   rows with every vertex outside a shore dead, for the reduction's
   barrier step: no blossom runs on the shore subgraph.
+- The bipartite digraph. On a bipartite g, with colour classes A and B
+  and perfect matching M, let D(M) have an arc a -> a' for each edge
+  ab with b = M(a'). g - a - M(a') is matchable iff a' reaches a, so a
+  walk of D(M) from x's mate gives x's dependence row, and g is
+  matching covered iff it is connected and D(M) strongly connected,
+  which one walk from both ends of one M-edge decides (_mate_walk).
+  No Edmonds search runs for either. A 2-colouring over the position
+  rows, computed once per graph and stopped at the first odd cycle
+  (_is_bipartite), selects this route; the input alone selects it.
+  _dependence_row and is_matching_covered take it, so every reader of
+  rows or coverage does, with no change of its own.
 
 Co-matchability, whether two disjoint edges lie together in some
 perfect matching, is decided by one routine, _comatchable_among, with
@@ -254,18 +266,99 @@ def _search_mates(g: Graph) -> list[int]:
     return g._memo("mates", _blossom_mates, g)
 
 
+def _is_bipartite(g: Graph) -> bool:
+    """True iff g has no odd cycle, from one 2-colouring over its
+    position rows, computed once per graph (_two_colourable)."""
+    return g._memo("bipartite", _two_colourable, g.positions()[1])
+
+
+def _two_colourable(adj: list[list[int]]) -> bool:
+    """Colour each component from its lowest position by a depth-first
+    walk, the other colour on each neighbour; stop at the first edge
+    whose ends got one colour, which closes an odd cycle."""
+    colour = [-1] * len(adj)
+    for root in range(len(adj)):
+        if colour[root] >= 0:
+            continue
+        colour[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            other = 1 - colour[v]
+            for w in adj[v]:
+                if colour[w] < 0:
+                    colour[w] = other
+                    stack.append(w)
+                elif colour[w] != other:
+                    return False
+    return True
+
+
+def _mate_walk(adj: list[list[int]], match: list[int], starts) -> list[bool]:
+    """Flags of the positions reached from starts by steps v -> match[w],
+    for w a neighbour of v, where match is a perfect matching of a
+    bipartite graph: reachability in the digraph D(M).
+
+    Let g have colour classes A and B and perfect matching M, and let
+    D(M) have an arc a -> a' for each edge ab with b = M(a'). An edge
+    parallel to aM(a) is a loop a -> a, which no walk needs.
+
+    Lemma: for a, a' in A, g - a - M(a') is matchable iff a' reaches a
+    in D(M). A path a' = a0 -> a1 -> ... -> ak = a uses the edges
+    a_i M(a_i+1), so M(a'), a', M(a1), a1, ..., M(a), a is an
+    M-alternating path with M-edges at both ends, and M swapped along
+    it misses exactly M(a') and a (M less aM(a) when a' = a).
+    Conversely, for a perfect matching N of g - a - M(a'), M xor N
+    holds an alternating path from M(a') to a with M-edges at both
+    ends; read from M(a'), each non-M edge a_i M(a_i+1) on it is an
+    arc, so a' reaches a.
+
+    A step from a in A follows D(M)'s arcs out of a. A step from
+    b = M(a') in B goes to M(a) for each edge ab, an arc a -> a' taken
+    backwards and written as mates. So a walk from a in A flags what a
+    reaches, and a walk from M(a') flags the mates of what reaches a';
+    the two never meet, as each stays in its own class.
+    """
+    seen = [False] * len(adj)
+    for s in starts:
+        seen[s] = True
+    stack = list(starts)
+    while stack:
+        for w in adj[stack.pop()]:
+            t = match[w]
+            if not seen[t]:
+                seen[t] = True
+                stack.append(t)
+    return seen
+
+
 def _dependence_row(g: Graph, x: int) -> frozenset[int]:
-    """Every v with g - x - v matchable, for g with a perfect matching:
-    the outer vertices of _row_search from x's mate in g's cached
-    perfect matching, run to the end. Rows are cached per graph, and
-    only complete rows are.
+    """Every v with g - x - v matchable, for g with a perfect matching.
+    Rows are cached per graph, and only complete rows are.
+
+    On a bipartite g, the vertices _mate_walk reaches from x's mate in
+    g's cached perfect matching M, with no Edmonds search. Parity
+    excludes x's own colour class: M pairs the classes, so deleting
+    two vertices of one leaves them unbalanced. For x in A, v = M(a')
+    is in the row iff a' reaches x in D(M) (the lemma of _mate_walk),
+    and the walk from M(x) flags exactly those mates; for x in B,
+    a is in it iff M(x) reaches a, which the walk from M(x) flags. It
+    is _row_search's search with no blossom to shrink, as a blossom
+    needs an odd cycle.
+
+    Otherwise the outer vertices of _row_search from x's mate, run to
+    the end.
     """
     rows = g._memo("dependence_rows", dict)
     got = rows.get(x)
     if got is None:
         index, adj = g.positions()
-        outer = _row_search(adj, _search_mates(g)[:], [False] * len(adj),
-                            index[x])
+        mates = _search_mates(g)
+        if _is_bipartite(g):
+            outer = _mate_walk(adj, mates, (mates[index[x]],))
+        else:
+            outer = _row_search(adj, mates[:], [False] * len(adj),
+                                index[x])
         got = rows[x] = frozenset(v for v, o in zip(g.vertices, outer) if o)
     return got
 
@@ -554,16 +647,37 @@ def _covers_every_edge(g: Graph) -> bool:
 
 def is_matching_covered(g: Graph) -> bool:
     """Connected, at least one edge, and every edge in some perfect
-    matching: one blossom run on g, then at most one row search per
-    vertex, none for an edge to a mate. Each search starts at the
-    vertex with the most non-mate edges not yet covered, the lowest
-    position on ties, asks about all of them, lower neighbours
-    included, and clears that vertex; a vertex whose edges all lie on
-    alternating cycles earlier searches closed runs none
-    (_covers_every_edge)."""
-    return g._memo("matching_covered", lambda: (
-        g.n >= 2 and g.m >= 1 and g.is_connected()
-        and is_matchable(g) and _covers_every_edge(g)))
+    matching, after one blossom run on g.
+
+    A bipartite g, with cached perfect matching M and colour classes
+    A, holding the vertex s at position 0, and B, is matching covered
+    iff D(M) is strongly connected (Lovasz-Plummer, Matching Theory,
+    1986, ch. 4), which one walk decides with no Edmonds search. An
+    edge ab off M, with b = M(a'), lies in a perfect matching iff
+    g - a - b is matchable, iff a' reaches a (_mate_walk's lemma): iff
+    its arc a -> a' lies on a cycle. g is connected, so D(M), g with
+    each M-edge contracted, is connected too, and every arc lies on a
+    cycle iff D(M) is strongly connected: iff s reaches every A-vertex
+    and every A-vertex reaches s. _mate_walk from s and M(s) flags both
+    sets, the first as A-vertices and the second as their mates, so the
+    answer is whether it flags every vertex.
+
+    Otherwise at most one row search per vertex, none for an edge to a
+    mate. Each search starts at the vertex with the most non-mate edges
+    not yet covered, the lowest position on ties, asks about all of
+    them, lower neighbours included, and clears that vertex; a vertex
+    whose edges all lie on alternating cycles earlier searches closed
+    runs none (_covers_every_edge)."""
+    def build() -> bool:
+        if not (g.n >= 2 and g.m >= 1 and g.is_connected()
+                and is_matchable(g)):
+            return False
+        if not _is_bipartite(g):
+            return _covers_every_edge(g)
+        mates = _search_mates(g)
+        return all(_mate_walk(g.positions()[1], mates, (0, mates[0])))
+
+    return g._memo("matching_covered", build)
 
 
 def _missed_from(g: Graph, match: list[int], dead: list[bool],

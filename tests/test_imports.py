@@ -9,8 +9,11 @@ is_tight only on entry to the witness search and when a decomposition
 fails, and names no is_matchable, cuts.py names neither is_matchable
 nor matching_number, no module in src/ defines or names the eager
 co-matchable table (a test oracle), only _search_mates runs _blossom_mates,
-matching.py keeps no second maximum matching, matching_number and
-is_matchable take g alone, Graph has no block decomposition, every name
+matching.py keeps no second maximum matching, matching_number,
+is_matchable and is_matching_covered take g alone and _dependence_row
+(g, x), no module in src/ but matching.py names the 2-colouring that
+selects the bipartite route or its memo key, Graph has no block
+decomposition, every name
 bench/tracer.py traces is defined, no module in src/ defines
 matching_structure or MatchingStructure, classify_cut tests no
 tightness, sweep.py names neither is_tight nor cut_from_edge_ids and a
@@ -45,7 +48,8 @@ import tightcut.cuts
 from tightcut.decompose import _witness_from_edge, find_noncrossing_witness
 from tightcut.graph import Graph
 from tightcut.instances import CorpusSpec, canonical
-from tightcut.matching import is_matchable, matching_number
+from tightcut.matching import (
+    _dependence_row, is_matchable, is_matching_covered, matching_number)
 from tightcut.sweep import run_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -424,6 +428,28 @@ def test_one_adjacency_structure(path):
     names = SECOND_INDEX | (ADJACENCY_FIELDS if path.name != "graph.py"
                             else set())
     assert oracle_references(ast.parse(path.read_text()), names) == []
+
+
+# the 2-colouring that sends a bipartite graph's coverage test and
+# dependence rows to D(M)'s walks, and its memo key
+COLOURING = {"_is_bipartite", "_two_colourable", "bipartite"}
+
+
+def test_bipartite_route_takes_no_option():
+    """The input alone selects D(M)'s walks: the coverage test takes g
+    alone and a dependence row (g, x), as on every other graph."""
+    assert list(inspect.signature(is_matching_covered).parameters) == ["g"]
+    assert list(inspect.signature(_dependence_row).parameters) == ["g", "x"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "matching.py"],
+    ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_only_matching_names_the_colouring(path):
+    """Every reader of coverage or rows gets the bipartite route through
+    is_matching_covered and _dependence_row: no other module names the
+    colouring or its memo key."""
+    assert oracle_references(ast.parse(path.read_text()), COLOURING) == []
 
 
 def assert_lines(tree: ast.Module) -> list[int]:

@@ -26,7 +26,7 @@ from tightcut.matching import (
     matching_number,
     perfect_matching_masks,
 )
-from tightcut.structure import enumerate_barriers
+from tightcut.structure import barrier_core, enumerate_barriers
 
 from conftest import (
     brute_is_critical,
@@ -237,22 +237,25 @@ def test_one_blossom_run_on_the_graph_itself(monkeypatch):
 
 
 def test_is_matching_covered_runs_rows_not_one_blossom_per_edge(monkeypatch):
-    # one blossom run on g, then at most one row search per vertex, in
-    # place of one blossom run per edge (66 here)
+    # the route for graphs with an odd cycle, asked of a bipartite one,
+    # where is_matching_covered walks D(M) instead: one blossom run on
+    # g, then at most one row search per vertex, in place of one
+    # blossom run per edge (66 here)
     blossoms, row_searches = _spy_searches(monkeypatch)
     g = glued(6)
     assert g.n == 22 and g.m == 66
-    assert is_matching_covered(g)
+    assert matching._covers_every_edge(g)
     assert blossoms == [g]
     assert 0 < len(row_searches) <= g.n
 
 
 def test_is_matching_covered_reads_no_row_for_a_mate(monkeypatch):
-    # C6's cached perfect matching is 01, 23, 45, and an edge to a mate
-    # needs no search. 0's search, for 05, walks 5, 4, 3, 2, 1 back to
-    # its root 1: the alternating cycle it closes holds every edge, so
-    # 1 (for 12) and 3 (for 34) run none. The partial flags it stops
-    # with are never cached as rows
+    # _covers_every_edge, the route for graphs with an odd cycle, on
+    # C6: its cached perfect matching is 01, 23, 45, and an edge to a
+    # mate needs no search. 0's search, for 05, walks 5, 4, 3, 2, 1
+    # back to its root 1: the alternating cycle it closes holds every
+    # edge, so 1 (for 12) and 3 (for 34) run none. The partial flags it
+    # stops with are never cached as rows
     starts = []
     search = matching._row_search
 
@@ -262,7 +265,7 @@ def test_is_matching_covered_reads_no_row_for_a_mate(monkeypatch):
 
     monkeypatch.setattr(matching, "_row_search", spy)
     g = cycle(6)
-    assert is_matching_covered(g)
+    assert matching._covers_every_edge(g)
     assert starts == [0]
     assert not g._cache.get("dependence_rows")
 
@@ -270,14 +273,29 @@ def test_is_matching_covered_reads_no_row_for_a_mate(monkeypatch):
 @pytest.mark.parametrize("k, most", [(6, 9), (20, 37)])
 def test_is_matching_covered_search_count(monkeypatch, k, most):
     # the cycles earlier searches close leave later vertices fewer
-    # targets: glued k = 6 and k = 20 need at most 9 and 37 searches
-    # after the blossom run, against 15 and 57 with one search per
-    # vertex that has a higher non-mate neighbour
+    # targets: _covers_every_edge on glued k = 6 and k = 20 needs at
+    # most 9 and 37 searches after the blossom run, against 15 and 57
+    # with one search per vertex that has a higher non-mate neighbour
     blossoms, searches = _spy_searches(monkeypatch)
     g = glued(k)
-    assert is_matching_covered(g)
+    assert matching._covers_every_edge(g)
     assert blossoms == [g]
-    assert len(searches) <= most
+    assert 0 < len(searches) <= most
+
+
+def test_bipartite_graphs_run_no_search(monkeypatch):
+    """On bipartite graphs is_matching_covered and the dependence rows
+    of both classify_cut shores walk D(M): after the blossom run on g,
+    no Edmonds search runs at all."""
+    blossoms, searches = _spy_searches(monkeypatch)
+    for g, shore in ((cycle(6), range(3)), (glued(6), range(11)),
+                     (glued(20), range(39))):
+        blossoms.clear()
+        assert is_matching_covered(g)
+        assert classify_cut(g, g.boundary(shore)).witnessed
+        assert len(g._cache["dependence_rows"]) == 2
+        assert blossoms == [g]
+    assert searches == []
 
 
 def _coverage_searches(graphs, monkeypatch):
@@ -308,13 +326,25 @@ def test_busiest_vertex_first_search_counts(monkeypatch):
     assert _coverage_searches(grown, monkeypatch) <= 47
 
 
+def _edmonds_row(g, x):
+    """x's dependence row from _row_search run to the end on g's cached
+    perfect matching, whether or not g is bipartite: the Edmonds route,
+    kept as an oracle for the walk _dependence_row takes on bipartite
+    graphs."""
+    index, adj = g.positions()
+    outer = matching._row_search(adj, matching._search_mates(g)[:],
+                                 [False] * g.n, index[x])
+    return frozenset(v for v, o in zip(g.vertices, outer) if o)
+
+
 def _per_edge_rule(g):
     """The per-edge rule, kept as an oracle for is_matching_covered:
     connected, matchable, and for every edge uv, v is in u's dependence
-    row."""
-    return (g.n >= 2 and g.m >= 1 and g.is_connected() and is_matchable(g)
-            and all(v in _dependence_row(g, u)
-                    for u, v in map(g.edge_ends, g.edge_ids)))
+    row, read by _edmonds_row."""
+    if not (g.n >= 2 and g.m >= 1 and g.is_connected() and is_matchable(g)):
+        return False
+    rows = {u: _edmonds_row(g, u) for u in g.vertices}
+    return all(v in rows[u] for u, v in map(g.edge_ends, g.edge_ids))
 
 
 def _with_a_dependent_pair_joined(g):
@@ -364,6 +394,64 @@ def test_is_matching_covered_matches_the_per_edge_rule():
             Graph(h.vertices, dict(h.edge_items()))), h
         got[want] += 1
     assert got[True] > 0 and got[False] > 0
+
+
+def _planted_bipartite(rng, half):
+    """A bipartite graph on range(2 * half), classes range(half) and the
+    rest, with a perfect matching planted under a seeded number of
+    random edges across, parallel ones included."""
+    perm = rng.sample(range(half, 2 * half), half)
+    edges = list(enumerate(perm))
+    edges += [(rng.randrange(half), rng.randrange(half, 2 * half))
+              for _ in range(rng.randint(0, 3 * half))]
+    return Graph(range(2 * half), edges)
+
+
+def _bipartite_graphs(exhaustive_corpus):
+    """The bipartite members of the exhaustive corpus; 120 seeded planted
+    ones on 4 to 14 vertices, connected and not, each also on shuffled
+    sparse labels with a third of its edges doubled; glued K_{k,k}
+    pairs for k <= 20; and the cores of every barrier of the
+    fixtures."""
+    graphs = [g for corpus in exhaustive_corpus.values() for g in corpus
+              if matching._is_bipartite(g)]
+    rng = Random(34)
+    for half in range(2, 8):
+        for _ in range(20):
+            g = _planted_bipartite(rng, half)
+            graphs += [g, _relabelled_with_parallels(g, rng)]
+    graphs += [glued(k) for k in range(2, 21)]
+    graphs += [barrier_core(g, b) for _, g, _ in fixture_instances()
+               for b in enumerate_barriers(g)]
+    return graphs
+
+
+def test_bipartite_walks_match_edmonds_rows_and_the_oracles(
+        exhaustive_corpus):
+    """On bipartite graphs with a perfect matching, is_matching_covered
+    and every dependence row, which walk D(M), against the Edmonds
+    route (_per_edge_rule, _edmonds_row) on fresh copies, and on up to
+    12 vertices against exhaustive recursion too: brute coverage, and
+    the v with nu(g - x - v) = n/2 - 1."""
+    seen = Counter()
+    for g in _bipartite_graphs(exhaustive_corpus):
+        edges = [e for _, e in g.edge_items()]
+        h = Graph(g.vertices, dict(g.edge_items()))
+        assert matching._is_bipartite(h) and is_matchable(h), h
+        want = _per_edge_rule(Graph(g.vertices, dict(g.edge_items())))
+        assert is_matching_covered(h) == want, h
+        rows = {x: _dependence_row(h, x) for x in h.vertices}
+        fresh = Graph(g.vertices, dict(g.edge_items()))
+        assert rows == {x: _edmonds_row(fresh, x) for x in h.vertices}, h
+        if h.n <= 12:
+            assert want == brute_is_matching_covered(h.vertices, edges), h
+            nu = brute_matching_numbers(h.vertices, edges)
+            for x, row in rows.items():
+                assert row == {v for v in h.vertices if v != x and 2 * nu(
+                    h.vertex_set - {x, v}) == h.n - 2}, (h, x)
+        seen[h.is_connected(), want] += 1
+    assert seen[True, True] > 100 and seen[True, False] > 20
+    assert seen[False, False] > 20
 
 
 def test_is_matching_covered_finds_the_one_uncovered_edge():
