@@ -8,8 +8,10 @@ while the graph around it is contracted step by step.
 
 A graph keeps one adjacency structure, position lists (see Graph): a
 vertex's position is its rank in sorted label order, so a walk over
-positions visits vertices in label order. The constructor builds the
-lists in one sorted pass, and an induced subgraph filters its parent's.
+positions visits vertices in label order. One routine lays every graph
+out, in one sorted pass: the constructor's, after it checks its input,
+and every derived graph's (induced, contract, without_edges), from its
+parent's fields filtered, which are valid already and not checked again.
 
 All graph values are immutable. A graph memoizes what it derives in
 its own cache, and Graph._memo is the only way into that cache: every
@@ -57,7 +59,9 @@ class Graph:
     ``_edges`` maps each edge id to its sorted ends, in ascending id
     order in every graph, however it was built: the constructor sorts
     Mapping input and numbers list input in order, and every derived
-    graph filters a parent's ``_edges`` in order.
+    graph filters a parent's ``_edges`` in order. _lay_out alone writes
+    these fields, for the constructor once its checks pass and for
+    every derived graph straight from the filtered fields.
 
     ``provenance`` maps a contracted vertex to the frozenset of original
     vertices it stands for; plain vertices have no entry and stand for
@@ -77,22 +81,39 @@ class Graph:
         if isinstance(edges, Mapping):
             items = sorted(edges.items())
         else:
-            items = list(enumerate(edges))
+            items = enumerate(edges)
         emap: dict[int, tuple[int, int]] = {}
-        # each end pair's edge ids; items run in ascending id order, so
-        # each tuple is ascending too
-        parallel: dict[tuple[int, int], tuple[int, ...]] = {}
         for eid, (u, v) in items:
             if u == v:
                 raise GraphError(f"loop at vertex {u} (edge {eid})")
             if u not in vset or v not in vset:
                 raise GraphError(
                     f"edge {eid} touches a vertex outside the graph: ({u}, {v})")
-            uv = emap[eid] = (u, v) if u < v else (v, u)
+            emap[eid] = (u, v) if u < v else (v, u)
+        self._lay_out(frozenset(vset), emap, {
+            v: frozenset(tag)
+            for v, tag in (provenance or {}).items()
+            if v in vset
+        })
+
+    def _lay_out(self, vset: frozenset, edges: dict, provenance: dict
+                 ) -> "Graph":
+        """Fill every field of this graph from valid parts, and return it.
+
+        The one writer of the layout, for the constructor and every
+        derived graph alike. It checks nothing: edges maps ascending ids
+        to sorted ends inside vset, with no loop, and provenance holds
+        frozensets for vertices of vset only. A derived graph filters
+        its parent's fields, which keeps them valid and in order.
+        """
+        # each end pair's edge ids; edges run in ascending id order, so
+        # each tuple is ascending too
+        parallel: dict[tuple[int, int], tuple[int, ...]] = {}
+        for eid, uv in edges.items():
             parallel[uv] = parallel.get(uv, ()) + (eid,)
-        self._vset = frozenset(vset)
+        self._vset = vset
         self._vlist = verts = tuple(sorted(vset))
-        self._edges = emap
+        self._edges = edges
         self._pos = pos = dict(zip(verts, range(len(verts))))
         self._rows = rows = [[] for _ in verts]
         self._row_ids = row_ids = [[] for _ in verts]
@@ -100,19 +121,15 @@ class Graph:
         # sorted pair order x meets its lower neighbours before its
         # higher ones, each in ascending order, and every row comes out
         # sorted, as if each had been sorted on its own
-        for u, v in sorted(parallel):
-            ids = parallel[u, v]
+        for (u, v), ids in sorted(parallel.items()):
             i, j = pos[u], pos[v]
             rows[i].append(j)
             row_ids[i].append(ids)
             rows[j].append(i)
             row_ids[j].append(ids)
-        self.provenance = {
-            v: frozenset(tag)
-            for v, tag in (provenance or {}).items()
-            if v in self._vset
-        }
+        self.provenance = provenance
         self._cache: dict = {}
+        return self
 
     @classmethod
     def from_edges(cls, edges, extra_vertices: Iterable[int] = ()) -> "Graph":
@@ -236,43 +253,12 @@ class Graph:
         return self._memo(("induced", s), self._restricted, s)
 
     def _restricted(self, s: frozenset) -> "Graph":
-        """The subgraph induced on s, a subset of the vertices, filtered
-        from this graph's own fields.
-
-        Every field of a Graph is kept in sorted order, and filtering
-        keeps that order; the kept positions keep their relative order,
-        so renumbering them keeps every row ascending. The result equals
-        Graph(s, edges, provenance=...) field for field, key order
-        included. The checks __init__ runs (int vertices, no loops, edge
-        ends inside the vertex set) hold for any subgraph of a valid
-        graph, so they and the re-sort are skipped.
-        """
-        child = Graph.__new__(Graph)
-        child._vset = s
-        child._vlist = verts = tuple(sorted(s))
-        child._pos = dict(zip(verts, range(len(verts))))
-        keep = list(map(self._pos.__getitem__, verts))
-        # each position's position in the child, -1 when it is dropped
-        new = [-1] * len(self._vlist)
-        for k, i in enumerate(keep):
-            new[i] = k
-        child._rows = rows = []
-        child._row_ids = row_ids = []
-        for i in keep:
-            row, ids = [], []
-            for j, parallel in zip(self._rows[i], self._row_ids[i]):
-                k = new[j]
-                if k >= 0:
-                    row.append(k)
-                    ids.append(parallel)
-            rows.append(row)
-            row_ids.append(ids)
-        child._edges = {eid: uv for eid, uv in self._edges.items()
-                        if uv[0] in s and uv[1] in s}
-        child.provenance = {v: p for v, p in self.provenance.items()
-                            if v in s}
-        child._cache = {}
-        return child
+        """induced's result, filtered from this graph's fields."""
+        return Graph.__new__(Graph)._lay_out(
+            s,
+            {eid: uv for eid, uv in self._edges.items()
+             if uv[0] in s and uv[1] in s},
+            {v: p for v, p in self.provenance.items() if v in s})
 
     def without_vertices(self, drop) -> "Graph":
         return self.induced(self._vset - frozenset(drop))
@@ -282,8 +268,10 @@ class Graph:
         bad = drop - set(self._edges)
         if bad:
             raise GraphError(f"unknown edge ids: {sorted(bad)}")
-        emap = {eid: uv for eid, uv in self._edges.items() if eid not in drop}
-        return Graph(self._vset, emap, provenance=self.provenance)
+        return Graph.__new__(Graph)._lay_out(
+            self._vset,
+            {eid: uv for eid, uv in self._edges.items() if eid not in drop},
+            dict(self.provenance))
 
     def contract(self, part, new_vertex: int | None = None) -> "Graph":
         """Shrink ``part`` to a single vertex.
@@ -299,24 +287,26 @@ class Graph:
             raise GraphError("cannot contract the whole vertex set")
         if new_vertex is None:
             new_vertex = self.fresh_vertex()
+        if not isinstance(new_vertex, int):
+            raise GraphError(f"vertex {new_vertex!r} is not an int")
         if new_vertex in self._vset - s:
             raise GraphError(
                 f"contraction label {new_vertex} clashes with a surviving vertex")
         return self._memo(("contract", s, new_vertex), self._contracted, s,
                           new_vertex)
 
-    def _contracted(self, s: frozenset, new_vertex: int) -> "Graph":
-        """contract's result, built once per (part, label)."""
+    def _contracted(self, s: frozenset, x: int) -> "Graph":
+        """contract's result, built once per (part, label) from this
+        graph's fields; x may sort anywhere among the survivors."""
         emap: dict[int, tuple[int, int]] = {}
         for eid, (u, v) in self._edges.items():
             iu = u in s
             iv = v in s
             if iu and iv:
                 continue
-            if iu:
-                emap[eid] = (new_vertex, v)
-            elif iv:
-                emap[eid] = (u, new_vertex)
+            if iu or iv:
+                w = u if iv else v
+                emap[eid] = (x, w) if x < w else (w, x)
             else:
                 emap[eid] = (u, v)
         rest = self._vset - s
@@ -324,8 +314,8 @@ class Graph:
         merged: frozenset[int] = frozenset()
         for w in sorted(s):
             merged |= self.provenance_of(w)
-        prov[new_vertex] = merged
-        return Graph(rest | {new_vertex}, emap, provenance=prov)
+        prov[x] = merged
+        return Graph.__new__(Graph)._lay_out(rest | {x}, emap, prov)
 
     # cuts ---------------------------------------------------------------
 

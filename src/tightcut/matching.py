@@ -25,13 +25,13 @@ queries on vertex-deleted subgraphs, answered in one of three ways:
   besides: the parent pointers lead each target back to the root,
   closing an alternating cycle whose edges all lie in perfect
   matchings, so later vertices have fewer targets or none
-  (_covers_every_edge). _missable runs a single one from the
-  vertex its maximum matching misses, against every vertex, which is
-  exact everywhere: it stops early only once all are outer.
-  is_critical reads it, and so does barrier search on a graph with no
-  perfect matching. _shore_missable runs the same search on g's own
-  rows with every vertex outside a shore dead, for the reduction's
-  barrier step: no blossom runs on the shore subgraph.
+  (_covers_every_edge). _shore_missable runs a single one, on g's
+  own rows with every vertex outside a shore dead, from the one shore
+  vertex with no mate inside it, against every shore vertex, which is
+  exact everywhere: it stops early only once all are outer. On the
+  whole vertex set it is is_critical's test and barrier search's on a
+  graph with no perfect matching; on a shore it is the reduction's
+  barrier step, and no blossom runs on the shore subgraph.
 - The bipartite digraph. On a bipartite g, with colour classes A and B
   and perfect matching M, let D(M) have an arc a -> a' for each edge
   ab with b = M(a'). g - a - M(a') is matchable iff a' reaches a, so a
@@ -680,43 +680,6 @@ def is_matching_covered(g: Graph) -> bool:
     return g._memo("matching_covered", build)
 
 
-def _missed_from(g: Graph, match: list[int], dead: list[bool],
-                 root: int) -> frozenset[int]:
-    """D of the live graph, the vertices some maximum matching of it
-    misses, where match is a maximum matching of the live vertices of g
-    that misses only root.
-
-    match is maximum, so the search from root cannot augment, and its
-    outer vertices are those an even alternating path from root
-    reaches, which are exactly D (_alternating_search; _row_search
-    relies on the same fact). With every live vertex as a target the
-    search stops early only once all are outer, so its flags are exact
-    either way. match is consumed.
-    """
-    live = [i for i, d in enumerate(dead) if not d]
-    outer = _alternating_search(g.positions()[1], match, dead, root, live)
-    if outer is None:
-        raise InternalInvariantError(
-            "search from the sole exposed vertex of a maximum matching "
-            "augmented")
-    return frozenset(v for v, o in zip(g.vertices, outer) if o)
-
-
-def _missable(g: Graph) -> frozenset[int] | None:
-    """D(g), the vertices some maximum matching of g misses, when g's
-    cached maximum matching M misses exactly one vertex r; else None.
-
-    One search from r (_missed_from). Every maximum matching then
-    misses one vertex, so g - v is matchable iff v is in D(g):
-    is_critical asks it of every v, and structure._dependent_partners
-    of g - v for each v.
-    """
-    start = _search_mates(g)
-    if start.count(-1) != 1:
-        return None
-    return _missed_from(g, start[:], [False] * g.n, start.index(-1))
-
-
 def _shore_missable(g: Graph, side) -> frozenset[int] | None:
     """D(g[side]), the vertices some maximum matching of the subgraph
     induced by side misses, when exactly one vertex r of side has no
@@ -725,13 +688,23 @@ def _shore_missable(g: Graph, side) -> frozenset[int] | None:
     M's edges inside side are then a matching of g[side] that misses
     only r. The other vertices of side are matched in pairs, so side has
     odd order and no matching of g[side] misses fewer: it is maximum.
-    One search from r on g's own rows, with every vertex outside side
-    dead and M less its edge at r (_missed_from), gives D(g[side]), and
-    no blossom runs on the subgraph. The barrier step of decompose.py
-    (_shore_candidates) reads it for each shore S of the tight reference
-    cut, which M meets once: r is the end in S of that one cut edge.
+    So the search from r, on g's own rows with every vertex outside
+    side dead and M less its edge at r, cannot augment, and its outer
+    vertices are those an even alternating path from r reaches, which
+    are exactly D(g[side]) (_alternating_search; _row_search relies on
+    the same fact). With every vertex of side as a target the search
+    stops early only once all are outer, so its flags are exact either
+    way, and no blossom runs on the subgraph.
+
+    With side = V(g) no vertex is dead and r is the one vertex M
+    misses: every maximum matching of g then misses one vertex, so
+    g - v is matchable iff v is in D(g). is_critical asks it of every
+    v, and structure._dependent_partners of g - v for each v. The
+    barrier step of decompose.py (_shore_candidates) reads it for each
+    shore S of the tight reference cut, which M meets once: r is the
+    end in S of that one cut edge.
     """
-    index, _ = g.positions()
+    index, adj = g.positions()
     match = _search_mates(g)[:]
     dead = [True] * g.n
     live = [index[v] for v in side]
@@ -744,7 +717,12 @@ def _shore_missable(g: Graph, side) -> frozenset[int] | None:
     if match[r] != -1:
         match[match[r]] = -1
         match[r] = -1
-    return _missed_from(g, match, dead, r)
+    outer = _alternating_search(adj, match, dead, r, live)
+    if outer is None:
+        raise InternalInvariantError(
+            "search from the sole exposed vertex of a maximum matching "
+            "augmented")
+    return frozenset(v for v, o in zip(g.vertices, outer) if o)
 
 
 def is_critical(g: Graph) -> bool:
@@ -756,11 +734,11 @@ def is_critical(g: Graph) -> bool:
     (n - 1)/2 edges and misses v. So g is critical iff its cached
     maximum matching misses exactly one vertex, and every vertex is
     missed by some maximum matching: D(G) = V in the Gallai-Edmonds
-    decomposition, read by _missable.
+    decomposition, read by _shore_missable on all of g.
     """
     if g.n < 2 or g.n % 2 == 0:
         return False
-    missed = _missable(g)
+    missed = _shore_missable(g, g.vertex_set)
     return missed is not None and len(missed) == g.n
 
 

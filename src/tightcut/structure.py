@@ -32,7 +32,7 @@ from .graph import (
 )
 from .matching import (
     _dependence_row,
-    _missable,
+    _shore_missable,
     is_admissible,
     is_critical,
     is_matchable,
@@ -132,15 +132,15 @@ def _dependent_partners(g: Graph) -> dict[int, frozenset[int]]:
     dependence row, one Edmonds search per vertex. Otherwise g - v - w
     is matchable iff the cached maximum matching of g - v misses one
     vertex and w is in D(g - v), the vertices some maximum matching of
-    g - v misses (_missable): one blossom run and one search per vertex,
-    and n induced subgraphs in g's cache.
+    g - v misses (_shore_missable on all of g - v): one blossom run and
+    one search per vertex, and n induced subgraphs in g's cache.
     """
     pool = g.vertices
     if is_matchable(g):
         return {v: g.vertex_set - _dependence_row(g, v) - {v} for v in pool}
-    return {v: g.vertex_set - {v}
-            - (_missable(g.without_vertices((v,))) or frozenset())
-            for v in pool}
+    rests = [g.without_vertices((v,)) for v in pool]
+    return {v: h.vertex_set - (_shore_missable(h, h.vertex_set) or frozenset())
+            for v, h in zip(pool, rests)}
 
 
 def _search_barriers(g: Graph) -> list[Barrier]:

@@ -136,6 +136,9 @@ def test_contract_rejects_bad_input(c6):
         c6.contract(set(range(6)))
     with pytest.raises(GraphError):
         c6.contract({0, 1}, 4)  # label collides with survivor
+    for label in (2.5, "x"):
+        with pytest.raises(GraphError, match="is not an int"):
+            c6.contract({3, 4, 5}, label)
 
 
 # every public method against the edge list -----------------------------------
@@ -247,7 +250,9 @@ def _derived(verts, emap, prov, rng):
            {v: p for v, p in prov.items() if v not in drop})
     if len(verts) >= 2:
         part = frozenset(rng.sample(verts, rng.randint(1, len(verts) - 1)))
-        x = max(verts) + 1
+        # the label may sort after, before or among the survivors
+        x = rng.choice([max(verts) + 1, min(verts) - 1,
+                        rng.choice(sorted(part))])
         rest = frozenset(verts) - part
         yield ("contract", (part, x), rest | {x},
                {eid: tuple(x if w in part else w for w in uv)
@@ -370,6 +375,9 @@ def test_induced_is_memoized_and_validated(c6):
 
 
 def test_contract_is_memoized_per_part_and_label():
+    """A contraction equals the validating constructor's graph on its
+    vertices, edges and provenance, key order included, whether its
+    label sorts after, before or among the survivors."""
     rng = Random(3)
     for g in random_multigraphs(60, seed=5):
         if g.n < 3:
@@ -377,12 +385,28 @@ def test_contract_is_memoized_per_part_and_label():
         part = rng.sample(g.vertices, rng.randint(1, g.n - 1))
         h = g.contract(part)
         assert g.contract(frozenset(reversed(part)), g.fresh_vertex()) is h
-        fresh = Graph(g.vertices, dict(g.edge_items()),
-                      provenance=g.provenance)
-        assert layout(h) == layout(fresh.contract(part))
         other = g.contract(part, g.fresh_vertex() + 1)
         assert other is not h
         assert other.vertex_set != h.vertex_set
+        rest = g.vertex_set - set(part)
+        for x in (g.fresh_vertex(), g.vertices[0] - 1, rng.choice(part)):
+            emap = {eid: tuple(x if w in part else w for w in uv)
+                    for eid, uv in g.edge_items() if not set(uv) <= set(part)}
+            prov = {v: p for v, p in g.provenance.items() if v in rest}
+            prov[x] = frozenset().union(*map(g.provenance_of, part))
+            old = Graph(rest | {x}, emap, provenance=prov)
+            assert layout(g.contract(part, x)) == layout(old)
+
+
+def test_without_edges_matches_the_validating_constructor():
+    rng = Random(23)
+    for g in random_multigraphs(60, seed=29):
+        drop = rng.sample(g.edge_ids, rng.randint(0, g.m))
+        emap = {eid: uv for eid, uv in g.edge_items() if eid not in drop}
+        old = Graph(g.vertex_set, emap, provenance=g.provenance)
+        assert layout(g.without_edges(drop)) == layout(old)
+    with pytest.raises(GraphError):
+        g.without_edges([ABSENT])
 
 
 def test_graph_caches_hold_no_reference_to_their_graph():

@@ -417,17 +417,55 @@ def test_only_graph_names_the_cache(path):
 ADJACENCY_FIELDS = {"_adj", "_pos", "_rows", "_row_ids"}
 SECOND_INDEX = {"_search_index", "_index_rows", "neighbor_rows",
                 "search_index"}
+# the fields of a graph's layout, and the private routine that writes
+# them on a graph made without __init__
+LAYOUT_FIELDS = {"_vlist", "_pos", "_rows", "_row_ids", "_edges"}
+BUILDER = {"_lay_out", "__new__"}
 
 
 @pytest.mark.parametrize(
     "path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_one_adjacency_structure(path):
     """Every graph walk outside graph.py reads the adjacency through
-    Graph's methods, positions() for the searches, and no module builds
-    or names a second vertex index."""
-    names = SECOND_INDEX | (ADJACENCY_FIELDS if path.name != "graph.py"
-                            else set())
-    assert oracle_references(ast.parse(path.read_text()), names) == []
+    Graph's methods, positions() for the searches, no module builds or
+    names a second vertex index. No module but graph.py names the layout
+    routine or makes a graph without the checking constructor, and in
+    graph.py that routine alone assigns the layout fields: the
+    constructor and every derived graph are laid out by it."""
+    tree = ast.parse(path.read_text())
+    if path.name == "graph.py":
+        assert layout_writers(tree) == {"_lay_out"}
+        names = SECOND_INDEX
+    else:
+        names = SECOND_INDEX | ADJACENCY_FIELDS | BUILDER
+    assert oracle_references(tree, names) == []
+
+
+def layout_writers(tree: ast.Module) -> set[str]:
+    """The functions that assign one of LAYOUT_FIELDS as an attribute,
+    with "" for an assignment outside every function."""
+    inside = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                inside.setdefault(node, fn.name)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                and node.attr in LAYOUT_FIELDS:
+            found.add(inside.get(node, ""))
+    return found
+
+
+def test_detector_flags_layout_writers():
+    tree = ast.parse("class G:\n"
+                     "    def a(self):\n"
+                     "        self._rows = rows = []\n"
+                     "    def b(self, other):\n"
+                     "        other._edges, x = {}, 1\n"
+                     "        return self._pos\n"
+                     "G()._vlist = ()\n")
+    assert layout_writers(tree) == {"a", "b", ""}
 
 
 # the 2-colouring that sends a bipartite graph's coverage test and

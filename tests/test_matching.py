@@ -15,7 +15,7 @@ from tightcut.instances import (
 from tightcut.matching import (
     ENUMERATION_LIMIT,
     _dependence_row,
-    _missable,
+    _shore_missable,
     all_perfect_matchings,
     find_perfect_matching,
     is_admissible,
@@ -537,8 +537,9 @@ def test_pair_queries_match_the_oracle(exhaustive_corpus):
 
 
 def test_missable_matches_the_oracle(exhaustive_corpus):
-    """_missable against memoized exhaustive recursion: defined iff a
-    maximum matching misses exactly one vertex, and then the v with
+    """_shore_missable on the whole vertex set against memoized
+    exhaustive recursion: defined iff a maximum matching misses
+    exactly one vertex, and then the v with
     nu(g - v) = nu(g). The graphs are those of the pair queries, of
     both parities, and seeded ones on 7 to 12 vertices with no perfect
     matching."""
@@ -557,7 +558,8 @@ def test_missable_matches_the_oracle(exhaustive_corpus):
         if g.n - 2 * top == 1:
             want = frozenset(v for v in g.vertices
                              if nu(g.vertex_set - {v}) == top)
-        assert _missable(Graph(g.vertices, dict(g.edge_items()))) == want, g
+        fresh = Graph(g.vertices, dict(g.edge_items()))
+        assert _shore_missable(fresh, fresh.vertex_set) == want, g
         defined += want is not None
     assert defined > 50
 
