@@ -192,6 +192,8 @@ def _sweep_specs(args) -> list[CorpusSpec]:
     max_n = args.max_n if args.max_n is not None else 12
     if not 4 <= max_n <= RANDOM_MAX_N:
         raise GraphError(f"random sweeps handle 4 <= max-n <= {RANDOM_MAX_N}")
+    if args.samples < 0:
+        raise GraphError("random sweeps need samples >= 0")
     low = 8 if max_n >= 8 else 4
     ns = list(range(low, max_n + 1, 2))
     share = args.samples // len(ns)

@@ -63,6 +63,22 @@ an even component of g[X] - v. The shores of a tight cut are odd, so
 around f2 an odd number of times. Its edges there run from f2 across
 C, where M has at most one, or from v into f1, where M has at most one
 too; so M meets the cut once.
+Fact 6: the two graphs _witness_from_edge hands to the dead-cut search
+(structure._strict_barrier_in) are matchable, have two connected
+shores, and their cut is dead, so the search's entry checks
+(find_strict_barrier) would pass. Let uv be a good edge of C, u in X,
+v in Y. Sole-cross setup, g - u - v at X - u: uv lies in a perfect
+matching of g, which less uv is one of g - u - v; X - u and Y - v are
+connected because the edge is good; and a perfect matching N of
+g - u - v that used an edge between X - u and Y - v would make N + uv
+meet C twice. Pivot setup, the pivot p with shore P and other shore O,
+and g without p's edges into P, at P - p: a cut edge at p lies in a
+perfect matching of g, which uses none of p's edges into P; P - p is
+connected because the edge is good, and O + p is connected because O
+is a shore of a tight cut (part (b) of classify_cut's proof) and p has
+neighbours across C; and a perfect matching of the stripped graph
+matches p across C, so it is one of g that meets C there, and nowhere
+between P - p and O.
 """
 
 from __future__ import annotations
@@ -76,7 +92,7 @@ from .matching import _dependence_row, _shore_missable, is_matching_covered
 from .structure import (
     Barrier,
     TwoSeparation,
-    find_strict_barrier,
+    _strict_barrier_in,
     is_barrier,
     make_two_separation,
     twoseps_generating,
@@ -220,35 +236,19 @@ def _shore_cut_vertices(g: Graph, c: Cut) -> frozenset[int]:
             | g.induced(c.other_shore).cut_vertices())
 
 
-def _dead_cut_barrier(h: Graph, x: frozenset[int]
-                      ) -> tuple[frozenset[int], bool]:
-    """The strict barrier find_strict_barrier confines to a shore of the
-    dead cut of h at x, as (its members, whether its shore is x rather
-    than V(h) - x). The witness search builds h so that the search's
-    preconditions hold, so a rejection or a third shore is a bug."""
-    try:
-        tagged = find_strict_barrier(h, x)
-    except GraphError as exc:
-        raise InternalInvariantError(
-            f"dead-cut search rejected a theorem-backed setup: {exc}") from exc
-    if tagged.shore not in (x, h.vertex_set - x):
-        raise InternalInvariantError("confined barrier tagged with a foreign shore")
-    return tagged.barrier.members, tagged.shore == x
-
-
 def witness_from_edge(g: Graph, c: Cut, eid: int,
                       tally: BranchTally | None = None) -> WitnessFinding:
     """Explain the reference cut starting from one good cut edge.
 
     The edge must be good: removing its endpoint from either shore
     leaves that shore subgraph connected. If each endpoint sees only
-    the other across the cut, deleting both leaves a dead cut and the
-    confined barrier extends by the endpoint on its side. Otherwise a
-    pivot endpoint with two distinct cross neighbors sheds its in-shore
-    edges, the residual dead cut yields a confined barrier, and the
-    component structure around the pivot decides between three
-    outcomes: a barrier on the pivot side, a barrier on the far side,
-    or a two-separation.
+    the other across the cut, deleting both leaves a dead cut (Fact 6)
+    and the confined barrier extends by the endpoint on its side.
+    Otherwise a pivot endpoint with two distinct cross neighbors sheds
+    its in-shore edges, the residual dead cut (Fact 6) yields a confined
+    barrier, and the component structure around the pivot decides
+    between three outcomes: a barrier on the pivot side, a barrier on
+    the far side, or a two-separation.
 
     The pivot's component of stripped - confined is always odd, so the
     guard on an even one raises InternalInvariantError. Proof: let p be
@@ -312,8 +312,10 @@ def _witness_from_edge(g: Graph, c: Cut, eid: int,
     if pivot is None:
         # the edge is the sole bridge between its endpoints' horizons
         tally.hit(BRANCH_SOLE_CROSS_NEIGHBORS)
-        members, on_x = _dead_cut_barrier(g.without_vertices((u, v)), xu - {u})
-        if on_x:
+        dead = xu - {u}
+        found = _strict_barrier_in(g.without_vertices((u, v)), dead)
+        members = found.barrier.members
+        if found.shore == dead:
             return _finish_barrier(g, c, members | {u}, xu,
                                    BRANCH_SOLE_CROSS_NEIGHBORS)
         return _finish_barrier(g, c, members | {v}, xv,
@@ -324,8 +326,10 @@ def _witness_from_edge(g: Graph, c: Cut, eid: int,
         inc for inc in g.incident(pivot)
         if (set(g.edge_ends(inc)) - {pivot}).pop() in pshore]
     stripped = g.without_edges(in_shore_edges)
-    confined, on_x = _dead_cut_barrier(stripped, pshore - {pivot})
-    if on_x:
+    dead = pshore - {pivot}
+    found = _strict_barrier_in(stripped, dead)
+    confined = found.barrier.members
+    if found.shore == dead:
         # barrier and components live away from the pivot's horizon
         tally.hit(BRANCH_FAR_SHORE_BARRIER)
         return _finish_barrier(g, c, confined | {pivot}, pshore,
@@ -398,23 +402,17 @@ def _find_noncrossing_witness(g: Graph, c: Cut,
     if not bad:
         raise InternalInvariantError(
             "no good edge, yet no attached cut vertex on the canonical shore")
-    split = None
     for v in bad:
-        for comp in near.components_without(frozenset((v,))):
-            if not comp & set(bad):
-                split = (v, comp)
-                break
-        if split:
+        pieces = near.components_without(frozenset((v,)))
+        f1 = next((comp for comp in pieces if comp.isdisjoint(bad)), None)
+        if f1 is not None:
             break
-    if split is None:
+    else:
         raise InternalInvariantError(
             "every split component touches an attached cut vertex")
-    v, f1 = split
     # v is attached across the cut, so every piece it cuts off is even
-    for comp in near.components_without(frozenset((v,))):
-        if len(comp) % 2:
-            raise InternalInvariantError(
-                "odd piece beside an attached cut vertex")
+    if any(len(comp) % 2 for comp in pieces):
+        raise InternalInvariantError("odd piece beside an attached cut vertex")
     # the boundary of f2 = xu - f1 is tight (Fact 5), so shrunk is matching
     # covered (Fact 3) and c2 is tight in it (Fact 4). f2 lies strictly
     # inside xu, so no edge of c lies inside it: c2 keeps every edge id,

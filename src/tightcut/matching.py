@@ -31,7 +31,9 @@ queries on vertex-deleted subgraphs, answered in one of three ways:
   exact everywhere: it stops early only once all are outer. On the
   whole vertex set it is is_critical's test and barrier search's on a
   graph with no perfect matching; on a shore it is the reduction's
-  barrier step, and no blossom runs on the shore subgraph.
+  barrier step, and on a shore less one vertex the dead-cut loop's
+  candidate (structure._strict_barrier_in); no blossom runs on the
+  shore subgraph.
 - The bipartite digraph. On a bipartite g, with colour classes A and B
   and perfect matching M, let D(M) have an arc a -> a' for each edge
   ab with b = M(a'). g - a - M(a') is matchable iff a' reaches a, so a
@@ -702,7 +704,9 @@ def _shore_missable(g: Graph, side) -> frozenset[int] | None:
     v, and structure._dependent_partners of g - v for each v. The
     barrier step of decompose.py (_shore_candidates) reads it for each
     shore S of the tight reference cut, which M meets once: r is the
-    end in S of that one cut edge.
+    end in S of that one cut edge. The dead-cut loop of structure.py
+    (_strict_barrier_in) reads it for S - a, for each vertex a of a
+    shore S of a dead cut, which M avoids: r is a's mate.
     """
     index, adj = g.positions()
     match = _search_mates(g)[:]

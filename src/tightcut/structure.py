@@ -11,10 +11,12 @@ cut none of whose edges lies in any perfect matching. find_strict_barrier
 locates one with a single construction: for a vertex a of a shore S,
 the set {a} + A(g[S] - a), a plus the Gallai-Edmonds attachment set of
 the shore subgraph without a, verified as a confined strict barrier
-and tagged with S. g[S] has a perfect matching, so that set is read
-off the dependence row of a in g[S], one Edmonds search. Its docstring
-proves that every such barrier is the candidate of each of its
-members, so the construction misses none.
+and tagged with S. g's cached perfect matching avoids the dead cut, so
+D(g[S] - a) is read by one Edmonds search on g's own rows
+(matching._shore_missable), and no shore subgraph is built. The
+docstring of _strict_barrier_in, its loop, proves that every such
+barrier is the candidate of each of its members, so the construction
+misses none.
 """
 
 from __future__ import annotations
@@ -396,11 +398,6 @@ class ShoreBarrier(NamedTuple):
     shore: frozenset[int]
 
 
-def _attachments(g: Graph, shore: frozenset[int]) -> list[int]:
-    return sorted(
-        v for v in shore if any(w not in shore for w in g.neighbors(v)))
-
-
 def _confined(g: Graph, members, shore: frozenset[int]) -> Barrier | None:
     """Verify a candidate: barrier of g, parts inside shore, strict."""
     b = is_barrier(g, members)
@@ -414,19 +411,49 @@ def _confined(g: Graph, members, shore: frozenset[int]) -> Barrier | None:
 def find_strict_barrier(g: Graph, x) -> ShoreBarrier:
     """A strict barrier confined to one shore of the dead cut at x.
 
-    Preconditions: g matchable, both shore subgraphs connected, and no
-    boundary edge of x admissible. For each shore S in the order
-    (x, V - x), with h = g[S], and each a in S (attachments first, then
-    the rest, each in vertex order) the candidate {a} + A(h - a) is
+    Preconditions, each checked here: g matchable, both shore subgraphs
+    connected, and no boundary edge of x admissible. _strict_barrier_in
+    then searches; the witness search of decompose.py calls it directly,
+    on setups that meet these by construction (Fact 6 there).
+    """
+    x = frozenset(x)
+    if not x <= g.vertex_set:
+        raise GraphError(f"not vertices of the graph: {sorted(x - g.vertex_set)}")
+    if not x or x == g.vertex_set:
+        raise GraphError("shore must be a nonempty proper subset")
+    xbar = g.vertex_set - x
+    if not is_matchable(g):
+        raise GraphError("graph is not matchable")
+    if not g.induced(x).is_connected() or not g.induced(xbar).is_connected():
+        raise GraphError("both shore subgraphs must be connected")
+    for eid in sorted(g.boundary(x).edge_ids):
+        if is_admissible(g, eid):
+            raise GraphError(f"cut edge {eid} is admissible; the cut is not dead")
+    if len(x) % 2:
+        raise InternalInvariantError(
+            "odd shore of a matchable graph without admissible cut edges")
+    return _strict_barrier_in(g, x)
+
+
+def _strict_barrier_in(g: Graph, x: frozenset[int]) -> ShoreBarrier:
+    """find_strict_barrier's search, without its entry checks.
+
+    For each shore S in the order (x, V - x), and each a in S
+    (attachments first, the ends in S of the cut's edges, then the
+    rest, each in vertex order) the candidate {a} + A(g[S] - a) is
     verified by _confined; the first hit is returned.
 
-    The candidate costs one row search. h has a perfect matching: g has
-    one, no cut edge lies in any, so every perfect matching of g lies
-    inside the shores. So h - a has matching number |S|/2 - 1, and the
-    Gallai-Edmonds set D(h - a), the vertices some maximum matching of
-    h - a misses, is the set of t with h - a - t matchable: the
-    dependence row R of a in h. Its attachments are A(h - a) =
-    N_h(R) - R - a, and the candidate is (N_h(R) + a) - R.
+    The candidate costs one search, on g's own rows. The cut is dead,
+    so g's cached perfect matching M lies inside the shores, and M less
+    its edge at a leaves only a's mate unmatched in S - a. So
+    R = _shore_missable(g, S - a) is D(g[S] - a), the vertices some
+    maximum matching of g[S] - a misses: g[S] - a has odd order, so R is
+    the set of t with g[S] - a - t matchable. Its attachments are
+    A(g[S] - a) = N(R) - R - a, with N(R) the vertices of S adjacent to
+    R, and the candidate is (N(R) + a) - R. No shore subgraph is built.
+    A None from _shore_missable means that M is not perfect or meets
+    the cut, which a matchable g with a dead cut rules out: it raises
+    InternalInvariantError, and so does a search that finds no hit.
 
     A confined strict barrier exists; that is the structure theory
     behind the tight cut lemma (Lovasz-Plummer, Matching Theory, 1986,
@@ -435,11 +462,12 @@ def find_strict_barrier(g: Graph, x) -> ShoreBarrier:
     15 and 35, make a dead cut with no barrier confined to either shore.
 
     The loop misses none: every strict barrier B confined to a shore S
-    is the candidate of each of its members. Proof: the cut is dead, so
-    every perfect matching M of g avoids it and is perfect on h. M
-    matches B onto its odd parts K_1..K_k, one edge each, so M is
-    perfect on every other component of h - B, and those are even. Fix
-    a in B; D(h - a) = R is the set of t with h - a - t matchable.
+    is the candidate of each of its members. Proof: write h = g[S]. The
+    cut is dead, so every perfect matching M of g avoids it and is
+    perfect on h. M matches B onto its odd parts K_1..K_k, one edge
+    each, so M is perfect on every other component of h - B, and those
+    are even. Fix a in B; D(h - a) = R is the set of t with h - a - t
+    matchable.
     - t in K_i: the core is bipartite and matching covered, so every
       nonempty proper set of members has more neighbouring parts than
       members, and deleting a and K_i from it leaves a perfect matching
@@ -459,29 +487,15 @@ def find_strict_barrier(g: Graph, x) -> ShoreBarrier:
     barrier, and finding none means the implementation is wrong: the
     internal error at the bottom.
     """
-    x = frozenset(x)
-    if not x <= g.vertex_set:
-        raise GraphError(f"not vertices of the graph: {sorted(x - g.vertex_set)}")
-    if not x or x == g.vertex_set:
-        raise GraphError("shore must be a nonempty proper subset")
-    xbar = g.vertex_set - x
-    if not is_matchable(g):
-        raise GraphError("graph is not matchable")
-    if not g.induced(x).is_connected() or not g.induced(xbar).is_connected():
-        raise GraphError("both shore subgraphs must be connected")
-    for eid in sorted(g.boundary(x).edge_ids):
-        if is_admissible(g, eid):
-            raise GraphError(f"cut edge {eid} is admissible; the cut is not dead")
-    if len(x) % 2:
-        raise InternalInvariantError(
-            "odd shore of a matchable graph without admissible cut edges")
-
-    for shore in (x, xbar):
-        h = g.induced(shore)
-        attach = _attachments(g, shore)
+    ends = {w for eid in g.boundary(x).edge_ids for w in g.edge_ends(eid)}
+    for shore in (x, g.vertex_set - x):
+        attach = sorted(ends & shore)
         for a in attach + sorted(shore.difference(attach)):
-            row = _dependence_row(h, a)
-            reach = {w for v in row for w in h.neighbors(v)}
+            row = _shore_missable(g, shore - {a})
+            if row is None:
+                raise InternalInvariantError(
+                    "a perfect matching meets the dead cut")
+            reach = {w for v in row for w in g.neighbors(v) if w in shore}
             hit = _confined(g, (reach | {a}) - row, shore)
             if hit is not None:
                 return ShoreBarrier(hit, shore)

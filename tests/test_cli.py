@@ -426,6 +426,19 @@ def test_sweep_bad_bounds(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_sweep_rejects_negative_samples(capsys, monkeypatch):
+    """A negative sample count is an error before any sweep runs, not a
+    fixtures-only run that reports no violations."""
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(tightcut.cli, "run_sweep", never)
+    assert main(["sweep", "--mode", "random", "--samples", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert "error: random sweeps need samples >= 0" in captured.err
+    assert "violations" not in captured.out
+
+
 # generate ------------------------------------------------------------------------
 
 def test_generate_canonical(tmp_path, capsys):

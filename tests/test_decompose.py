@@ -37,9 +37,10 @@ from tightcut.graph import (
     EnumerationLimitError, Graph, GraphError, InternalInvariantError)
 from tightcut.instances import CorpusSpec, enumerate_corpus, fixture_instances
 from tightcut.matching import (
-    ENUMERATION_LIMIT, _dependence_row, is_matching_covered)
+    ENUMERATION_LIMIT, _dependence_row, _shore_missable, is_matching_covered)
 from tightcut.structure import (
-    Barrier, TwoSeparation, enumerate_barriers, is_barrier)
+    Barrier, TwoSeparation, enumerate_barriers, find_strict_barrier,
+    is_barrier)
 from tightcut.sweep import run_sweep
 from tightcut.verify import verify_certificate
 
@@ -561,13 +562,14 @@ def test_contractions_map_the_reference_cut_by_its_shore(monkeypatch):
     assert mapped == {"decompose": 487, "witness search": 144, "replay": 487}
 
 
-def inflated_fixture_cuts():
+def inflated_fixture_cuts(ks=range(2, 8)):
     """Both shores of every nontrivial tight cut of every fixture, with
-    K_{k,k} spliced into the far shore for k = 2..7: 864 cuts."""
+    K_{k,k} spliced into the far shore for each k in ks; for the default
+    k = 2..7, 864 cuts."""
     for _, g, _ in fixture_instances():
         for cut in enumerate_tight_cuts(g, nontrivial_only=True):
             for shore in cut.shores():
-                for k in range(2, 8):
+                for k in ks:
                     h, s = inflated(g, shore, k)
                     yield h, h.boundary(s)
 
@@ -827,6 +829,50 @@ def test_barrier_step_runs_no_blossom_on_a_shore(monkeypatch):
                        for g, by_search in blossoms)
             assert not any(g.vertex_set in shores for g, _ in blossoms)
     assert chains == 33 and len(shores) > 0
+
+
+def _shore_row(h, shore, a):
+    """The oracle of the dead-cut loop's read of D(h[shore] - a): a's
+    dependence row in the shore subgraph, after a blossom run on it."""
+    return _dependence_row(h.induced(shore), a)
+
+
+def test_dead_cut_setups_pass_the_entry_checks(monkeypatch, exhaustive_corpus):
+    """Every (h, x) the witness search hands to _strict_barrier_in while
+    decompose_tight_cut and find_noncrossing_witness run on every
+    nontrivial tight cut of the fixtures, of the exhaustive n <= 6
+    corpus, of 40 random n = 10 graphs and of the fixtures inflated at
+    k = 3..5. Each passes find_strict_barrier's entry checks (Fact 6 of
+    decompose.py), which then returns the same ShoreBarrier. And for
+    each a of each shore S, the loop's read of D(h[S] - a),
+    _shore_missable(h, S - a) on h's own rows, is a's dependence row in
+    the shore subgraph h[S]."""
+    loop = tightcut.decompose._strict_barrier_in
+    setups = {}
+
+    def spied(h, x):
+        found = loop(h, x)
+        setups.setdefault((id(h), x), (h, x, found))
+        return found
+
+    monkeypatch.setattr(tightcut.decompose, "_strict_barrier_in", spied)
+    graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
+    graphs += enumerate_corpus(CorpusSpec("random", n=10, samples=40, seed=5))
+    cuts = [c for _, _, c in FIXTURE_CUTS]
+    cuts += [c for g in graphs for c in enumerate_tight_cuts(g, True)]
+    cuts += [c for _, c in inflated_fixture_cuts(range(3, 6))]
+    for c in cuts:
+        decompose_tight_cut(c.graph, c)
+        find_noncrossing_witness(c.graph, c)
+    reads = 0
+    for h, x, found in setups.values():
+        assert find_strict_barrier(h, x) == found, (h, x)
+        for shore in (x, h.vertex_set - x):
+            for a in shore:
+                assert _shore_missable(h, shore - {a}) == \
+                    _shore_row(h, shore, a), (h, shore, a)
+                reads += 1
+    assert (len(cuts), len(setups), reads) == (2834, 2848, 21148)
 
 
 @pytest.mark.parametrize("k", [7, 9])

@@ -23,7 +23,11 @@ classify_cut, _require_decomposable), decompose.py defines no
 _require_witness, _witness_from_edge takes (g, c, eid, tally) and no
 pivot, _min_holder_barrier and its _shore_candidates name neither
 contract nor fresh_vertex (the barrier step reads the graph's own
-dependence rows), no module in src/ but graph.py names a graph's _cache
+dependence rows), decompose.py names no find_strict_barrier and defines
+no _dead_cut_barrier, _strict_barrier_in names neither induced nor
+_dependence_row and structure.py defines no _attachments (the dead-cut
+search is called without entry checks and builds no shore subgraph),
+no module in src/ but graph.py names a graph's _cache
 (every per-graph memo goes through Graph._memo) or its adjacency fields,
 no module names a second vertex index beside the graph's own, and src/
 has no assert statement: python -O strips them, so invariant
@@ -315,6 +319,23 @@ def test_barrier_step_builds_no_contraction():
     assert len(steps) == 2
     for node in steps:
         assert oracle_references(node, {"contract", "fresh_vertex"}) == []
+
+
+def test_dead_cut_search_reads_its_own_graph():
+    """The witness search hands its dead cuts, valid by Fact 6 of
+    decompose.py, straight to the structure loop, with no entry check;
+    the loop reads each candidate off its graph's own rows, building no
+    shore subgraph, and finds attachments from the cut's edge ends."""
+    src = ROOT / "src" / "tightcut"
+    decompose = ast.parse((src / "decompose.py").read_text())
+    assert oracle_references(decompose, {"find_strict_barrier"}) == []
+    assert "_dead_cut_barrier" not in top_level_names(decompose)
+    structure = ast.parse((src / "structure.py").read_text())
+    [loop] = [node for node in structure.body
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "_strict_barrier_in"]
+    assert oracle_references(loop, {"induced", "_dependence_row"}) == []
+    assert "_attachments" not in top_level_names(structure)
 
 
 @pytest.mark.parametrize(

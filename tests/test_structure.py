@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tightcut.cuts import enumerate_tight_cuts
-from tightcut.graph import EnumerationLimitError, Graph, GraphError
+from tightcut.graph import (
+    EnumerationLimitError, Graph, GraphError, InternalInvariantError)
 from tightcut.instances import (
     CorpusSpec,
     canonical,
@@ -20,6 +21,7 @@ from tightcut.structure import (
     BARRIER_LIMIT,
     GROUPING_LIMIT,
     _dependent_partners,
+    _strict_barrier_in,
     barrier_core,
     barrier_cuts,
     enumerate_barriers,
@@ -526,6 +528,17 @@ def test_find_strict_barrier_validates(c6):
         assert brute_confined_strict_barrier(range(6), edges, shore) is None
     with pytest.raises(GraphError, match="connected"):
         find_strict_barrier(g, x)
+
+
+def test_strict_barrier_loop_raises_on_a_live_cut(c6):
+    """The loop runs no entry check. On a cut that C6's cached perfect
+    matching 01, 23, 45 meets, no candidate of the shore {1, 2} is a
+    confined strict barrier, and the read of D(g[S] - a) at a = 4 of
+    S = {0, 3, 4, 5} finds 0, 3 and 5 unmatched and returns None. The
+    loop raises the internal error that decompose_tight_cut's failure
+    path turns into "cut is not tight"."""
+    with pytest.raises(InternalInvariantError, match="meets the dead cut"):
+        _strict_barrier_in(c6, frozenset({1, 2}))
 
 
 @pytest.fixture(scope="module")
