@@ -171,8 +171,14 @@ def enumerate_tight_cuts(g: Graph, nontrivial_only=False) -> list[Cut]:
     filter starts it with a perfect matching of g - u - v for every
     edge class uv, a found matching less uv or its own search's, and
     each row search of the test is kept, run to the end, so cuts that
-    share edges pay for a row once. Only kept shores get a Cut. Both
-    steps run only from n = 6, the first order with a nontrivial shore.
+    share edges pay for a row once. Both steps run only from n = 6, the
+    first order with a nontrivial shore.
+
+    Only kept shores get a Cut, built from the shore's own bitmask: an
+    XOR of incidence masks holds exactly the edges with one end in the
+    shore, so its set bits are the boundary, and the shore holds the
+    smallest vertex, so it is the canonical one. No boundary is read
+    again from the graph.
     Graphs on more than TIGHT_CUT_LIMIT vertices raise
     EnumerationLimitError.
     """
@@ -195,9 +201,10 @@ def enumerate_tight_cuts(g: Graph, nontrivial_only=False) -> list[Cut]:
         elif _has_comatchable_pair(cut, partners) or _comatchable_among(
                 g, [e for e in g.edge_ids if cut >> e & 1], memo):
             continue
-        kept.append(sorted(members))
-    kept.sort(key=lambda shore: (len(shore), shore))
-    return [g.boundary(shore) for shore in kept]
+        kept.append((len(members), sorted(members), cut))
+    kept.sort()  # shores differ, so no two cut masks are compared
+    return [Cut(frozenset(members), frozenset(
+        e for e in g.edge_ids if cut >> e & 1), g) for _, members, cut in kept]
 
 
 @dataclass(frozen=True)

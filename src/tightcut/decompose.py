@@ -88,7 +88,12 @@ from dataclasses import dataclass
 from .certificate import DecompositionCertificate, Step
 from .cuts import CutClassification, classify_cut, is_tight, meets_once
 from .graph import Cut, Graph, GraphError, InternalInvariantError
-from .matching import _dependence_row, _shore_missable, is_matching_covered
+from .matching import (
+    _carry_rows,
+    _dependence_row,
+    _shore_missable,
+    is_matching_covered,
+)
 from .structure import (
     Barrier,
     TwoSeparation,
@@ -468,7 +473,8 @@ def _contract_step(g: Graph, tracked, step_cut: Cut, witness,
     reference cut tight (Fact 4). The contracted shore lies strictly
     inside a tracked shore, so no cut edge lies inside it: the image of
     the reference cut keeps every edge id, and both its shores keep two
-    or more vertices.
+    or more vertices. The contraction takes over the dependence rows g
+    has cached outside the contracted shore (matching._carry_rows).
     """
     matches = [
         (zs, side) for zs in step_cut.shores() for side in tracked if zs < side]
@@ -479,6 +485,7 @@ def _contract_step(g: Graph, tracked, step_cut: Cut, witness,
     label = g.fresh_vertex()
     steps.append(Step(g, step_cut, witness, contracted, label))
     new_g = g.contract(contracted, label)
+    _carry_rows(g, new_g, contracted, label)
     new_tracked = [(t - contracted) | {label} if t == side else t
                    for t in tracked]
     return new_g, new_g.boundary(new_tracked[0]), new_tracked

@@ -13,7 +13,8 @@ queries on vertex-deleted subgraphs, answered in one of three ways:
   search answers every pair query at x, so n searches answer all
   O(n^2) of them. is_admissible and is_bicritical here, and the
   dependence classes of cuts.py, structure.py and decompose.py, read
-  the rows, cached per graph.
+  the rows, cached per graph. Each reduction step hands its
+  contraction the rows it has cached, for one search (_carry_rows).
 - Searches with targets. A search given target positions stops as
   soon as every target is outer; its flags are then exact on the
   targets only, so the caller reads its targets and nothing else, and
@@ -363,6 +364,50 @@ def _dependence_row(g: Graph, x: int) -> frozenset[int]:
                                 index[x])
         got = rows[x] = frozenset(v for v, o in zip(g.vertices, outer) if o)
     return got
+
+
+def _carry_rows(g: Graph, h: Graph, z: frozenset[int], y: int) -> None:
+    """Give h = g/(Z -> y), one reduction step's contraction, the rows g
+    has cached at vertices outside Z = z, instead of new searches.
+
+    With K = V(g) - Z kept, row_h(v) = (row_g(v) & K) + ({y} if v is in
+    row_h(y)) for each v in K whose row g has cached; row_h(y) is one
+    search on h, run only when some row is carried. The v in K are
+    dependent with y in h iff y is with v, so the formula holds once,
+    for v, w in K, h - v - w is matchable iff g - v - w is.
+
+    Proof. g is matching covered (Fact 3 of decompose.py), and the step
+    cut, the boundary of Z, is witnessed, hence tight (Fact 1 of
+    verify.py), so Z is odd.
+    (<=) Part (b) of cuts.classify_cut's proof, with X = Z: a perfect
+    matching of h - v - w has one edge at y, a cut edge, which lies in a
+    perfect matching N of g that meets the cut only there, and N's edges
+    inside Z complete it to one of g - v - w.
+    (=>) A perfect matching N of g - v - w covers Z, which is odd, so it
+    meets the cut an odd number of times. It meets it at most twice, as
+    follows, so exactly once, and its edges outside Z, with the cut
+    edge's end in Z renamed y, are a perfect matching of h - v - w.
+    - Barrier step: K is the holder H of the barrier P inside Z. Every
+      cut edge joins H to P, and the |P| - 1 other odd components of
+      g - P lie in Z; each is odd and misses v and w, so N matches it
+      to its own member of P, and at most one member is left for H:
+      N meets the cut at most once.
+    - Two-separation step: Z is a side of the separation less one
+      vertex of the pair. No edge joins the two sides off the pair, so
+      every cut edge ends in the pair, and N has at most one edge at
+      each of its two vertices.
+    The argument needs K to be such a holder or side, which every step
+    of the reduction contracts around; it is not a rule for contraction
+    in general.
+    """
+    carried = {v: row for v, row in g._memo("dependence_rows", dict).items()
+               if v not in z}
+    if not carried:
+        return
+    with_y = _dependence_row(h, y)
+    rows = h._memo("dependence_rows", dict)
+    for v, row in carried.items():
+        rows.setdefault(v, (row - z) | ({y} if v in with_y else set()))
 
 
 def _without_pair(adj: list[list[int]], start: list[int], i: int,

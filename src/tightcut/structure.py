@@ -13,10 +13,13 @@ the set {a} + A(g[S] - a), a plus the Gallai-Edmonds attachment set of
 the shore subgraph without a, verified as a confined strict barrier
 and tagged with S. g's cached perfect matching avoids the dead cut, so
 D(g[S] - a) is read by one Edmonds search on g's own rows
-(matching._shore_missable), and no shore subgraph is built. The
-docstring of _strict_barrier_in, its loop, proves that every such
-barrier is the candidate of each of its members, so the construction
-misses none.
+(matching._shore_missable), and no shore subgraph is built. Each
+candidate's core is read off the same matching, which pairs each member
+with its own odd part, so no core graph is built either
+(is_strict_barrier); barrier_core builds one only for a graph with no
+perfect matching, and for the tests. The docstring of
+_strict_barrier_in, its loop, proves that every such barrier is the
+candidate of each of its members, so the construction misses none.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from .graph import (
 )
 from .matching import (
     _dependence_row,
+    _mate_walk,
+    _search_mates,
     _shore_missable,
     is_admissible,
     is_critical,
@@ -376,7 +381,11 @@ def is_strict_barrier(g: Graph, b: Barrier) -> bool:
     """True iff every odd component of g - B is a single vertex or
     critical, and the barrier core is matching covered.
 
-    The answer is memoized on g, keyed by (members, odd parts).
+    The core is read off g's cached maximum matching, with no core graph
+    built (_core_covered), whenever that matching pairs each member of B
+    with a vertex of its own odd part, as it does when g is matchable.
+    Otherwise barrier_core builds the core for is_matching_covered. The
+    answer is memoized on g, keyed by (members, odd parts).
     """
     if b.graph is not g:
         raise GraphError("barrier belongs to a different graph")
@@ -387,8 +396,47 @@ def is_strict_barrier(g: Graph, b: Barrier) -> bool:
         got = strict[key] = (
             all(len(part) == 1 or is_critical(g.induced(part))
                 for part in b.odd_parts)
-            and is_matching_covered(barrier_core(g, b)))
+            and _core_covered(g, b))
     return got
+
+
+def _core_covered(g: Graph, b: Barrier) -> bool:
+    """Whether the barrier core of b is matching covered, read on g.
+
+    Let M be g's cached maximum matching, and K_1..K_k the odd parts,
+    k = |B|. When g is matchable, each K_j sends an M-edge to B: K_j has
+    odd order, and its neighbours outside it lie in B. So the k members
+    are matched into the k parts, one to each. Whenever M does that, the
+    pairs (member, part of its mate) are a perfect matching of the core,
+    which is bipartite, members against parts. The core is then matching
+    covered iff D(M), over those pairs, is strongly connected, which
+    makes it connected too (is_matching_covered's docstring): iff
+    _mate_walk from the least member and its mate flags every position.
+    Positions 0..k-1 are the members in order and k..2k-1 the parts,
+    each row read from g's own rows, parallel edges merged. No core
+    graph is built and no blossom runs. Otherwise, on some g with no
+    perfect matching, barrier_core builds the core for
+    is_matching_covered.
+    """
+    index, rows = g.positions()
+    mates = _search_mates(g)
+    k = len(b.odd_parts)
+    part_of = [-1] * g.n
+    for j, part in enumerate(b.odd_parts, k):
+        for v in part:
+            part_of[index[v]] = j
+    match = [-1] * (2 * k)
+    adj: list[list[int]] = [[] for _ in range(2 * k)]
+    for i, v in enumerate(sorted(b.members)):
+        p = index[v]
+        j = part_of[mates[p]] if mates[p] >= 0 else -1
+        if j < 0 or match[j] >= 0:
+            return is_matching_covered(barrier_core(g, b))
+        match[i], match[j] = j, i
+        adj[i] = sorted({part_of[w] for w in rows[p] if part_of[w] >= 0})
+        for t in adj[i]:
+            adj[t].append(i)
+    return all(_mate_walk(adj, match, (0, match[0])))
 
 
 class ShoreBarrier(NamedTuple):
@@ -412,9 +460,11 @@ def find_strict_barrier(g: Graph, x) -> ShoreBarrier:
     """A strict barrier confined to one shore of the dead cut at x.
 
     Preconditions, each checked here: g matchable, both shore subgraphs
-    connected, and no boundary edge of x admissible. _strict_barrier_in
-    then searches; the witness search of decompose.py calls it directly,
-    on setups that meet these by construction (Fact 6 there).
+    connected (g less either shore has one component, counted on g's
+    rows with no subgraph built), and no boundary edge of x admissible.
+    _strict_barrier_in then searches; the witness search of decompose.py
+    calls it directly, on setups that meet these by construction (Fact 6
+    there).
     """
     x = frozenset(x)
     if not x <= g.vertex_set:
@@ -424,7 +474,8 @@ def find_strict_barrier(g: Graph, x) -> ShoreBarrier:
     xbar = g.vertex_set - x
     if not is_matchable(g):
         raise GraphError("graph is not matchable")
-    if not g.induced(x).is_connected() or not g.induced(xbar).is_connected():
+    if len(g.components_without(xbar)) != 1 or \
+            len(g.components_without(x)) != 1:
         raise GraphError("both shore subgraphs must be connected")
     for eid in sorted(g.boundary(x).edge_ids):
         if is_admissible(g, eid):

@@ -184,8 +184,8 @@ def _check_barriers(label: str, g: Graph, tight_ids, report: SweepReport
         if any(w in b.members for v in b.members for w in g.neighbors(v)):
             _flag(report, "barrier", label,
                   f"barrier {sorted(b.members)} is not independent")
-        parts = g.components_without(b.members)
-        if len(parts) != len(b.odd_parts):
+        # the odd parts fill V - B iff g - B has no even component
+        if len(b.members) + sum(map(len, b.odd_parts)) != g.n:
             _flag(report, "barrier", label,
                   f"barrier {sorted(b.members)} leaves an even component")
         for part in b.odd_parts:

@@ -6,8 +6,9 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tightcut.cuts
 from tightcut import matching
-from tightcut.graph import EnumerationLimitError, Graph, GraphError
+from tightcut.graph import Cut, EnumerationLimitError, Graph, GraphError
 from tightcut.cuts import (
     TIGHT_CUT_LIMIT,
     _shores_crossed_once,
@@ -143,18 +144,42 @@ def test_enumerate_tight_cuts_builds_cuts_only_for_tight_shores(monkeypatch):
     tight ones are built."""
     g = cycle(12)
     built = []
-    boundary = Graph.boundary
 
-    def counted(host, shore):
-        cut = boundary(host, shore)
+    def counted(*args):
+        cut = Cut(*args)
         built.append(cut)
         return cut
 
-    monkeypatch.setattr(Graph, "boundary", counted)
+    monkeypatch.setattr(tightcut.cuts, "Cut", counted)
     assert len(enumerate_tight_cuts(g)) == 36
-    monkeypatch.setattr(Graph, "boundary", boundary)
+    monkeypatch.setattr(tightcut.cuts, "Cut", Cut)
     assert len(built) == 36
     assert all(is_tight(g, cut) for cut in built)
+
+
+def test_enumerated_cuts_are_the_boundaries_of_their_shores(
+        exhaustive_corpus):
+    """enumerate_tight_cuts builds each Cut from its shore's bitmask, not
+    from Graph.boundary. On every graph of the exhaustive n <= 6 corpus,
+    the fixtures, 30 random graphs on 8 to 12 vertices and both
+    contractions of every nontrivial tight cut of the fixtures, whose
+    parallel edges keep their own ids, each listed cut is its shore's
+    boundary in shore and edge ids."""
+    graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
+    graphs += [g for _, g, _ in fixture_instances()]
+    graphs += [g for n in (8, 10, 12) for g in enumerate_corpus(
+        CorpusSpec("random", n=n, samples=10, seed=n))]
+    graphs += [h for _, g, _ in fixture_instances()
+               for c in enumerate_tight_cuts(g, nontrivial_only=True)
+               for h in g.cut_contractions(c)]
+    compared = 0
+    for g in graphs:
+        for c in enumerate_tight_cuts(g):
+            want = g.boundary(c.shore)
+            assert c.graph is g
+            assert (c.shore, c.edge_ids) == (want.shore, want.edge_ids), c
+            compared += 1
+    assert compared > 6 * len(graphs)
 
 
 def test_enumerate_tight_cuts_guard_and_inputs():

@@ -7,6 +7,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tightcut.structure
+
 from tightcut.cuts import enumerate_tight_cuts
 from tightcut.graph import (
     EnumerationLimitError, Graph, GraphError, InternalInvariantError)
@@ -20,6 +22,7 @@ from tightcut.matching import is_admissible, is_matchable, is_matching_covered
 from tightcut.structure import (
     BARRIER_LIMIT,
     GROUPING_LIMIT,
+    _core_covered,
     _dependent_partners,
     _strict_barrier_in,
     barrier_core,
@@ -435,6 +438,42 @@ def test_barrier_core_drops_internal_and_even_edges():
     core = barrier_core(g, b)
     assert core.vertices == (0, 7)
     assert set(core.edge_ids) == {2}  # only the bridge 0-4 survives
+
+
+def test_core_read_off_the_matching_matches_the_built_core(
+        monkeypatch, exhaustive_corpus):
+    """is_strict_barrier reads the core off g's cached maximum matching
+    (_core_covered) when it pairs each member with its own odd part, and
+    builds barrier_core otherwise. Over every barrier of the exhaustive
+    n <= 6 corpus, the fixtures and 300 random graphs on 6 to 10
+    vertices, with and without a perfect matching, the answer is
+    is_matching_covered of the built core; the built route runs only on
+    graphs with no perfect matching, and both routes run."""
+    built = []
+    core = tightcut.structure.barrier_core
+
+    def spied(g, b):
+        built.append(g)
+        return core(g, b)
+
+    monkeypatch.setattr(tightcut.structure, "barrier_core", spied)
+    graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
+    graphs += [g for _, g, _ in fixture_instances()]
+    rng = Random(37)
+    for _ in range(300):
+        n = rng.randrange(6, 11)
+        pairs = list(combinations(range(n), 2))
+        graphs.append(Graph(range(n), rng.sample(pairs, rng.randint(n, 2 * n))))
+    assert {is_matchable(g) for g in graphs[-300:]} == {False, True}
+    read = checked = 0
+    for g in graphs:
+        for b in enumerate_barriers(g):
+            before = len(built)
+            assert _core_covered(g, b) == is_matching_covered(core(g, b)), b
+            read += len(built) == before
+            checked += 1
+    assert 0 < read < checked
+    assert not any(is_matchable(g) for g in built)
 
 
 # find_strict_barrier ---------------------------------------------------------

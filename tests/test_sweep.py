@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
@@ -106,6 +107,25 @@ def test_named_sweep_takes_the_corpus_path(monkeypatch):
     report = run_sweep([spec], include_fixtures=False)
     assert report.instances == len(list(enumerate_corpus(spec))) == 1
     assert report.ok
+
+
+def test_sweep_answers_on_the_host_graph(monkeypatch):
+    """The structure checks ask their questions of the graph they hold.
+    A sweep of 40 random n = 10 graphs (seed 5) and the fixtures builds
+    at most 76 graphs through Graph() and lays out at most 751, against
+    267 and 1,118 when each strict barrier's core was built as a graph
+    and each dead-cut shore's subgraph was built to test connectivity."""
+    made = Counter()
+    for name in ("__init__", "_lay_out"):
+
+        def counted(*args, _real=getattr(Graph, name), _name=name, **kwargs):
+            made[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(Graph, name, counted)
+    report = run_sweep([CorpusSpec("random", n=10, samples=40, seed=5)])
+    assert report.ok and report.instances == 45
+    assert made["__init__"] <= 76 and made["_lay_out"] <= 751
 
 
 def test_report_json_roundtrip():
