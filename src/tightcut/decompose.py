@@ -97,6 +97,7 @@ from .matching import (
 from .structure import (
     Barrier,
     TwoSeparation,
+    _lift,
     _strict_barrier_in,
     is_barrier,
     make_two_separation,
@@ -443,15 +444,16 @@ def _find_noncrossing_witness(g: Graph, c: Cut,
 
     if isinstance(sub.witness, Barrier):
         # the pivot was s_label (_witness_from_edge's docstring), so the
-        # barrier holds s_label or lies in the far shore
+        # barrier holds s_label, and lifts with v in its place into xu, or
+        # lies in the far shore xv and lifts unchanged; one that escapes
+        # both fails _finish_barrier with xv as its shore
         tally.hit(BRANCH_PULLBACK_BARRIER)
-        members = sub.witness.members
-        if s_label in members:
-            lifted = (members - {s_label}) | {v}
-            return _finish_barrier(g, c, lifted, xu, BRANCH_PULLBACK_BARRIER)
-        if members <= xv:
-            return _finish_barrier(g, c, members, xv, BRANCH_PULLBACK_BARRIER)
-        raise InternalInvariantError("inner barrier escapes both shores")
+        lifted = _lift(g, shrunk, s_label, sub.witness.members, {v})
+        if lifted is None:
+            raise InternalInvariantError("inner witness is not a barrier")
+        members = lifted.members
+        return _finish_barrier(g, c, members, xu if v in members else xv,
+                               BRANCH_PULLBACK_BARRIER)
 
     tally.hit(BRANCH_PULLBACK_TWOSEP)
     if sub.cut != c2:

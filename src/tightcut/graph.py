@@ -132,10 +132,10 @@ class Graph:
         return self
 
     @classmethod
-    def from_edges(cls, edges, extra_vertices: Iterable[int] = ()) -> "Graph":
+    def from_edges(cls, edges) -> "Graph":
         """Build a graph whose vertex set is inferred from the edge ends."""
         pairs = edges.values() if isinstance(edges, Mapping) else edges
-        verts = set(extra_vertices)
+        verts = set()
         for u, v in pairs:
             verts.add(u)
             verts.add(v)

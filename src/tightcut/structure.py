@@ -302,7 +302,12 @@ def twoseps_generating(g: Graph, c: Cut) -> list[TwoSeparation]:
     the cut edges not at x0, or p = y0, with q the common near end of
     the cut edges not at y0; when no cut edge is left, any vertex of
     the other side qualifies. That is O(n) candidate pairs, and each is
-    checked by make_two_separation and two_separation_cuts.
+    checked by make_two_separation alone. A candidate it accepts
+    generates c by construction: S and V - S partition V, with q in S
+    and p not, so the sides S + p and (V - S) + q meet exactly in
+    {p, q}. Whichever of them becomes side1, removing its own pair
+    member gives S or V - S, and two_separation_cuts lists the boundary
+    of that set, which is c.
     """
     if c.graph is not g:
         raise GraphError("cut belongs to a different graph")
@@ -323,11 +328,9 @@ def twoseps_generating(g: Graph, c: Cut) -> list[TwoSeparation]:
     out = []
     for p, q in candidates:
         try:
-            s = make_two_separation(g, (p, q), shore | {p}, far | {q})
+            out.append(make_two_separation(g, (p, q), shore | {p}, far | {q}))
         except GraphError:
             continue
-        if c in two_separation_cuts(g, s):
-            out.append(s)
     out.sort(key=lambda s: (s.pair, sorted(s.side1)))
     return out
 
@@ -555,14 +558,40 @@ def _strict_barrier_in(g: Graph, x: frozenset[int]) -> ShoreBarrier:
         "this contradicts the structure theory")
 
 
+def _lift(g: Graph, inner: Graph, label: int, members: frozenset[int],
+          replacement: set[int] | frozenset[int]) -> Barrier | None:
+    """The barrier members of inner read back in g, or None when members
+    is no barrier of inner.
+
+    inner is a contraction of g whose new vertex is label, as each graph
+    of the decomposition chain is of the one before it. A barrier that
+    holds label lifts with the vertex set replacement in its place, and
+    one that does not lifts unchanged.
+    The result is checked with is_barrier on g, and a lift that is no
+    barrier there raises InternalInvariantError. Both public lifts and
+    the block-split pullback of decompose.find_noncrossing_witness pass
+    the contraction they already hold.
+    """
+    if is_barrier(inner, members) is None:
+        return None
+    lifted = (members - {label}) | replacement if label in members else members
+    result = is_barrier(g, lifted)
+    if result is None:
+        raise InternalInvariantError(
+            f"lift of {sorted(members)} over contraction vertex {label} "
+            "is not a barrier of the host")
+    return result
+
+
 def lift_barrier_over_odd_component(g: Graph, b: Barrier, y, b_prime) -> Barrier:
     """Transport a barrier of g/(complement of y) back to g.
 
     y must be an odd component of g - B for a nontrivial barrier B of
     the matching covered graph g. The contraction collapses everything
-    outside y onto the fresh vertex label. If the inner barrier uses
-    that label, the label is replaced by all of B; otherwise the inner
-    barrier is already a barrier of g.
+    outside y onto the fresh vertex label, and _lift reads b_prime back
+    with all of B in the label's place. When b_prime uses the label,
+    the components of the contraction less b_prime must be components
+    of g less the lift, verbatim.
     """
     if b.graph is not g:
         raise GraphError("barrier belongs to a different graph")
@@ -578,21 +607,12 @@ def lift_barrier_over_odd_component(g: Graph, b: Barrier, y, b_prime) -> Barrier
     b_prime = frozenset(b_prime)
     if not b_prime <= inner.vertex_set:
         raise GraphError("inner barrier has vertices outside the contraction")
-    checked = is_barrier(inner, b_prime)
-    if checked is None:
+    result = _lift(g, inner, ybar_label, b_prime, b.members)
+    if result is None:
         raise GraphError("not a barrier of the contraction")
     if ybar_label in b_prime:
-        lifted = b.members | (b_prime - {ybar_label})
-    else:
-        lifted = b_prime
-    result = is_barrier(g, lifted)
-    if result is None:
-        raise InternalInvariantError(
-            f"lift of {sorted(b_prime)} over component {sorted(y)} "
-            f"is not a barrier of the host")
-    if ybar_label in b_prime:
         # inner components survive the lift verbatim
-        host_parts = set(g.components_without(lifted))
+        host_parts = set(g.components_without(result.members))
         for part in inner.components_without(b_prime):
             if part not in host_parts:
                 raise InternalInvariantError(
@@ -604,10 +624,10 @@ def lift_barrier_over_2sep(g: Graph, s: TwoSeparation, d: Cut, b) -> Barrier:
     """Transport a barrier over the contraction of a two-separation cut.
 
     d must be one of the cuts the two-separation generates. Each shore
-    of d gives one contraction of g; the first contraction (d.shore
-    first) in which b is a barrier fixes the direction. If b uses the
-    fresh label, the label is replaced by the pair member on the
-    contracted side; otherwise b lifts unchanged.
+    of d gives one contraction of g, and each shore holds one member of
+    the pair; the first contraction (d.shore first) in which b is a
+    barrier fixes the direction, and _lift reads b back with the pair
+    member on the contracted side in the label's place.
     """
     if s.graph is not g:
         raise GraphError("two-separation belongs to a different graph")
@@ -619,16 +639,8 @@ def lift_barrier_over_2sep(g: Graph, s: TwoSeparation, d: Cut, b) -> Barrier:
     ybar_label = g.fresh_vertex()
     for kept in (d.shore, d.other_shore):
         inner = g.contract(g.vertex_set - kept, ybar_label)
-        if not b <= inner.vertex_set:
-            continue
-        if is_barrier(inner, b) is None:
-            continue
-        replacement = next(p for p in s.pair if p not in kept)
-        lifted = (b - {ybar_label}) | {replacement} if ybar_label in b else b
-        result = is_barrier(g, lifted)
-        if result is None:
-            raise InternalInvariantError(
-                f"lift of {sorted(b)} across the two-separation "
-                f"{s.pair} is not a barrier of the host")
-        return result
+        if b <= inner.vertex_set:
+            result = _lift(g, inner, ybar_label, b, frozenset(s.pair) - kept)
+            if result is not None:
+                return result
     raise GraphError("not a barrier of either contraction of the cut")

@@ -202,15 +202,15 @@ def _same_shape(g: Graph, shape) -> bool:
     return g._memo("shape", _shape, g) == shape
 
 
-def _shape(g: Graph) -> tuple[int, list[tuple[int, int]]] | None:
+def _shape(g: Graph) -> tuple[int, list[tuple[int, int]]]:
     """g's shape as _check_graph_obj records it, (n, sorted edge pairs),
     built once per graph: a replay compares a graph more than once, the
-    host twice when r = 1. None when g has an isolated vertex, which has
-    no serialized identity, so that no declared shape matches."""
-    pairs = sorted(map(g.edge_ends, g.edge_ids))
-    if g.vertex_set != {v for pair in pairs for v in pair}:
-        return None
-    return g.n, pairs
+    host twice when r = 1. No replayed graph has an isolated vertex,
+    whose label the pairs would not record: _replay fails any host that
+    is not matching covered, so connected, before it compares a shape,
+    and a contraction of a connected graph that keeps two or more
+    vertices is connected."""
+    return g.n, sorted(map(g.edge_ends, g.edge_ids))
 
 
 def _raw(obj):

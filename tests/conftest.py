@@ -9,6 +9,7 @@ vertex pair at a time.
 
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -280,6 +281,15 @@ def inflated(g: Graph, shore, k: int) -> tuple[Graph, frozenset[int]]:
     label = {x: i for i, x in enumerate(order)}
     return (Graph(range(len(order)), [(label[a], label[b]) for a, b in edges]),
             frozenset(label[x] for x in shore))
+
+def sha256_of_lines(texts) -> str:
+    """sha256 of the texts, each ended by a newline: the form of the
+    output pins the tests compare."""
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(text.encode() + b"\n")
+    return digest.hexdigest()
+
 
 # the acceptance gate's corpus specs: exhaustive over n in {2, 4, 6} and
 # this many seeded random graphs for each n in {8, 10, 12}, with seed n;

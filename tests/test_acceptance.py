@@ -23,7 +23,8 @@ from tightcut.instances import canonical, fixture_instances
 from tightcut.sweep import run_sweep
 from tightcut.verify import verify_certificate
 
-from conftest import GATE_SAMPLES_PER_ORDER, cycle, gate_specs
+from conftest import (
+    GATE_SAMPLES_PER_ORDER, cycle, gate_specs, sha256_of_lines)
 from mutations import mutation_targets, target_mutants
 
 TIME_BUDGET_SECONDS = 600.0
@@ -33,6 +34,10 @@ TIME_BUDGET_SECONDS = 600.0
 # is a change of the specification
 GATE_REPORT_SHA256 = (
     "d237ffb6fd7b2b5bc6d2785e9948e5db966d86b7d13d708cb524293667708314")
+# sha256 (conftest.sha256_of_lines) of each mutant's json.dumps([label,
+# failures]), in corpus order, pinned in the same sense
+MUTANT_FAILURES_SHA256 = (
+    "5f2b9a7abf674a7172afd6153db8d54e0a97e93c8baee2d7e60777b979bb5a03")
 
 
 def conclude(n, problems, detail=""):
@@ -185,13 +190,17 @@ def test_criterion_9_certificate_mutations():
     if len(cases) < 100:
         problems.append(f"only {len(cases)} mutants")
     accepted = rewarded = 0
+    verdicts = []
     for g, c, label, mutated, expected in cases:
         result = verify_certificate(g, c, mutated)
+        verdicts.append(json.dumps([label, result.failures]))
         if result.ok:
             accepted += 1
             problems.append(f"mutant accepted: {label}")
         elif expected not in {code for code, _ in result.failures}:
             rewarded += 1
             problems.append(f"wrong reason for {label}")
+    if sha256_of_lines(verdicts) != MUTANT_FAILURES_SHA256:
+        problems.append("mutant failures differ from their pin")
     conclude(9, problems[:6],
              f"{len(cases)} mutants, all rejected with expected reasons")

@@ -53,6 +53,7 @@ from conftest import (
     gate_specs,
     glued,
     inflated,
+    sha256_of_lines,
     theta,
 )
 
@@ -520,12 +521,38 @@ def test_contractions_keep_what_the_reduction_assumes(entry, contracting,
     assert seen == contracting
 
 
+# sha256 (sha256_of_lines) of the certificates, json.dumps(cert.to_json_dict(),
+# sort_keys=True), of the 72 fixture cuts and the 864 inflated ones, and of
+# find_noncrossing_witness's findings on the 72 fixture cuts (finding_text):
+# a change meant to alter no output leaves them as they are, and a change to
+# one is a change of the specification
+FIXTURE_CERTIFICATES_SHA256 = (
+    "eff2875d0e61c352fb87a0f9b9c3946dce0083b39ed992e9af56100411c39e52")
+INFLATED_CERTIFICATES_SHA256 = (
+    "e1be94f84e7fe61abdda1385aa406ec53c59de602c98382882c168b7a2722c00")
+FIXTURE_FINDINGS_SHA256 = (
+    "6c5de6f5c62ca6475deffed7dd7a653a460e2f7f9b8d383f409618f1848daac6")
+
+
+def finding_text(finding):
+    """A finding as JSON: its cut's shore, and the barrier's members or
+    the two-separation's pair and sides."""
+    w = finding.witness
+    if isinstance(w, Barrier):
+        witness = {"members": sorted(w.members)}
+    else:
+        witness = {"pair": list(w.pair), "side1": sorted(w.side1),
+                   "side2": sorted(w.side2)}
+    return json.dumps([sorted(finding.cut.shore), witness], sort_keys=True)
+
+
 def test_contractions_map_the_reference_cut_by_its_shore(monkeypatch):
     """Every contraction that the reduction, the witness search and the
     replay make on the 72 fixture and 864 inflated cuts collapses a part
     strictly inside a shore X of the reference cut, and maps it to the
     cut with shore (X - part) + label, the cut its edge ids give. The
-    barrier step contracts no whole shore: it reads g's own rows."""
+    barrier step contracts no whole shore: it reads g's own rows. The
+    certificates and the fixture cuts' findings match their pins."""
     made = []
     contract = Graph.contract
 
@@ -549,17 +576,25 @@ def test_contractions_map_the_reference_cut_by_its_shore(monkeypatch):
         return count
 
     mapped = Counter()
+    certificates, findings = [], []
     for g, c in [(g, c) for _, g, c in FIXTURE_CUTS] + list(
             inflated_fixture_cuts()):
         cert = decompose_tight_cut(g, c)
         mapped["decompose"] += mapped_by_shore(c)
         assert cert.final_classification.cut == \
             cert.final_graph.cut_from_edge_ids(c.edge_ids)
-        find_noncrossing_witness(g, c)
+        certificates.append(json.dumps(cert.to_json_dict(), sort_keys=True))
+        findings.append(finding_text(find_noncrossing_witness(g, c)))
         mapped["witness search"] += mapped_by_shore(c)
         assert verify_certificate(g, c, cert).ok
         mapped["replay"] += mapped_by_shore(c)
     assert mapped == {"decompose": 487, "witness search": 144, "replay": 487}
+    fixtures = len(FIXTURE_CUTS)
+    assert sha256_of_lines(certificates[:fixtures]) == \
+        FIXTURE_CERTIFICATES_SHA256
+    assert sha256_of_lines(certificates[fixtures:]) == \
+        INFLATED_CERTIFICATES_SHA256
+    assert sha256_of_lines(findings[:fixtures]) == FIXTURE_FINDINGS_SHA256
 
 
 def inflated_fixture_cuts(ks=range(2, 8)):

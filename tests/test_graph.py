@@ -65,8 +65,8 @@ def test_edge_outside_vertex_set_rejected():
 
 
 def test_from_edges_infers_vertices():
-    g = Graph.from_edges([(2, 5), (5, 9)], extra_vertices=[1])
-    assert g.vertices == (1, 2, 5, 9)
+    g = Graph.from_edges([(2, 5), (5, 9)])
+    assert g.vertices == (2, 5, 9)
 
 
 def test_induced_keeps_edge_ids(c6):

@@ -1,6 +1,7 @@
 """Barriers, two-separations, strict barriers, and the lifting maps."""
 
 import time
+from collections import Counter
 from itertools import combinations
 from random import Random
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tightcut.structure
+import tightcut.sweep
 
 from tightcut.cuts import enumerate_tight_cuts
 from tightcut.graph import (
@@ -38,7 +40,7 @@ from tightcut.structure import (
     two_separation_cuts,
     twoseps_generating,
 )
-from tightcut.sweep import dead_cut_setups
+from tightcut.sweep import SweepReport, dead_cut_setups
 
 from conftest import (
     brute_components,
@@ -353,6 +355,34 @@ def test_twoseps_generating_matches_the_listing_on_any_cut():
                 s for s in listing if c in two_separation_cuts(g, s)], (g, c)
 
 
+def test_twoseps_generating_returns_only_generating_separations(
+        exhaustive_corpus):
+    """The construction proof in twoseps_generating's docstring: every
+    separation it returns generates the cut, on every cut through the
+    smallest vertex of the exhaustive corpus and of 400 random graphs on
+    4 to 8 vertices, some with no perfect matching, some disconnected."""
+    graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
+    rng = Random(11)
+    for _ in range(400):
+        n = rng.randint(4, 8)
+        pairs = list(combinations(range(n), 2))
+        graphs.append(
+            Graph(range(n), rng.sample(pairs, rng.randint(0, len(pairs)))))
+    assert any(not is_matchable(g) for g in graphs)
+    assert any(not g.is_connected() for g in graphs)
+    cuts = returned = 0
+    for g in graphs:
+        first, rest = g.vertices[0], g.vertices[1:]
+        for k in range(len(rest)):
+            for others in combinations(rest, k):
+                c = g.boundary((first, *others))
+                for s in twoseps_generating(g, c):
+                    assert c in two_separation_cuts(g, s), (g, c, s)
+                    returned += 1
+                cuts += 1
+    assert cuts > 100_000 and returned > 10_000
+
+
 def test_find_2separations_guard_fails_fast():
     assert GROUPING_LIMIT == 1 << 16
     start = time.perf_counter()
@@ -665,3 +695,62 @@ def test_lift_over_2sep_validates(c6):
     d = c6.boundary({0, 1, 2})
     with pytest.raises(GraphError):
         lift_barrier_over_2sep(c6, s, d, {1, 2})  # barrier of neither side
+
+
+def test_lifts_match_the_substitution_formula(monkeypatch, exhaustive_corpus):
+    """On the sweep's lift scenarios of the exhaustive corpus and the
+    fixtures, both public lifts return the substitution formula's
+    members: the inner barrier with the contraction vertex replaced by
+    all of B (odd component), or by the pair member on the contracted
+    side of the first contraction, d.shore first, that has the barrier
+    (two-separation); an inner barrier without that vertex unchanged.
+    The sweep lifts only the first inner barriers, single vertices
+    below the contraction vertex on a two-separation, so every inner
+    barrier that holds that vertex is lifted over each two-separation
+    too."""
+    def substituted(members, label, replacement):
+        members = frozenset(members)
+        if label in members:
+            return (members - {label}) | replacement
+        return members
+
+    seen = Counter()
+
+    def over_odd_component(g, b, y, b_prime):
+        got = lift_barrier_over_odd_component(g, b, y, b_prime)
+        label = g.fresh_vertex()
+        assert got.members == substituted(b_prime, label, b.members)
+        seen["odd component", label in b_prime] += 1
+        return got
+
+    def over_2sep(g, s, d, b):
+        got = lift_barrier_over_2sep(g, s, d, b)
+        label = g.fresh_vertex()
+        kept = next(
+            k for k in (d.shore, d.other_shore)
+            if set(b) <= k | {label} and is_barrier(
+                g.contract(g.vertex_set - k, label), b) is not None)
+        member = next(p for p in s.pair if p not in kept)
+        assert got.members == substituted(b, label, {member})
+        seen["two-separation", label in b] += 1
+        return got
+
+    monkeypatch.setattr(tightcut.sweep, "lift_barrier_over_odd_component",
+                        over_odd_component)
+    monkeypatch.setattr(tightcut.sweep, "lift_barrier_over_2sep", over_2sep)
+    graphs = [g for corpus in exhaustive_corpus.values() for g in corpus]
+    graphs += [g for _, g, _ in fixture_instances()]
+    report = SweepReport("lifts")
+    for g in graphs:
+        tightcut.sweep._lift_scenarios("", g, report)
+    assert report.lift_scenarios == sum(seen.values())
+    for g in graphs:
+        label = g.fresh_vertex()
+        for s in find_2separations(g):
+            for d in two_separation_cuts(g, s):
+                for kept in d.shores():
+                    inner = g.contract(g.vertex_set - kept, label)
+                    for bp in enumerate_barriers(inner):
+                        if label in bp.members:
+                            over_2sep(g, s, d, bp.members)
+    assert min(seen.values()) > 100 and len(seen) == 4, seen
