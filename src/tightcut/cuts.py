@@ -168,17 +168,19 @@ def enumerate_tight_cuts(g: Graph, nontrivial_only=False) -> list[Cut]:
 
     The exact test. A shore the filter leaves gets _comatchable_among
     on its cut's edges, with a memo that lives for this call only. The
-    filter starts it with a perfect matching of g - u - v for every
-    edge class uv, a found matching less uv or its own search's, and
-    each row search of the test is kept, run to the end, so cuts that
-    share edges pay for a row once. Both steps run only from n = 6, the
+    filter starts it with, for every edge class uv, a found perfect
+    matching through uv, cut down to one of g - u - v when first read,
+    or its own search's matching of g - u - v. Each row search of the
+    test is kept, run to the end, so cuts that share edges pay for a
+    row once. Both steps run only from n = 6, the
     first order with a nontrivial shore.
 
     Only kept shores get a Cut, built from the shore's own bitmask: an
     XOR of incidence masks holds exactly the edges with one end in the
     shore, so its set bits are the boundary, and the shore holds the
-    smallest vertex, so it is the canonical one. No boundary is read
-    again from the graph.
+    smallest vertex, so it is the canonical one. The set bits are
+    decoded straight from the mask (_edge_ids), with no scan of the
+    graph's edge ids, and no boundary is read again from the graph.
     Graphs on more than TIGHT_CUT_LIMIT vertices raise
     EnumerationLimitError.
     """
@@ -199,12 +201,22 @@ def enumerate_tight_cuts(g: Graph, nontrivial_only=False) -> list[Cut]:
             if nontrivial_only:
                 continue
         elif _has_comatchable_pair(cut, partners) or _comatchable_among(
-                g, [e for e in g.edge_ids if cut >> e & 1], memo):
+                g, _edge_ids(cut), memo):
             continue
         kept.append((len(members), sorted(members), cut))
     kept.sort()  # shores differ, so no two cut masks are compared
-    return [Cut(frozenset(members), frozenset(
-        e for e in g.edge_ids if cut >> e & 1), g) for _, members, cut in kept]
+    return [Cut(frozenset(members), frozenset(_edge_ids(cut)), g)
+            for _, members, cut in kept]
+
+
+def _edge_ids(mask: int) -> list[int]:
+    """The edge ids whose bits are set in mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,11 @@ its own cache, and Graph._memo is the only way into that cache: every
 module asks it for a per-graph value by key, and it builds the value on
 the first call only. ``induced`` and ``contract`` thus return the same
 object for the same arguments, with whatever that object has cached in
-turn. No cache holds a reference back to its graph, so a graph and
-everything derived from it is freed by reference counting alone,
-without waiting for the cyclic garbage collector.
+turn, and ``boundary`` reads each canonical shore's edge ids once. No
+cache holds a reference back to its graph, so a graph and everything
+derived from it is freed by reference counting alone, without waiting
+for the cyclic garbage collector
+(tests/test_sweep.py::test_sweep_leaves_no_cyclic_garbage).
 """
 
 from __future__ import annotations
@@ -325,21 +327,27 @@ class Graph:
         The canonical shore is the lexicographically smaller one as a
         sorted list. The two shores are disjoint and cover V, so their
         sorted lists differ first at their first elements: the shore
-        holding the smallest vertex is the smaller. The cut's edges are
-        read from the adjacency of the shore with fewer vertices.
+        holding the smallest vertex is the smaller. Each canonical
+        shore's edge ids are read once per graph (_boundary_ids) and
+        memoized as a frozenset.
         """
         s = frozenset(shore)
         if not s or not s <= self._vset or s == self._vset:
             raise GraphError("a shore must be a nonempty proper subset of the vertices")
-        comp = self._vset - s
-        small = s if len(s) <= len(comp) else comp
+        canon = s if self._vlist[0] in s else self._vset - s
+        return Cut(canon, self._memo(("boundary", canon), self._boundary_ids,
+                                     canon), self)
+
+    def _boundary_ids(self, shore: frozenset) -> frozenset[int]:
+        """The ids of the edges leaving shore, read from the adjacency of
+        whichever of it and its complement has fewer vertices."""
+        comp = self._vset - shore
+        small = shore if len(shore) <= len(comp) else comp
         verts, pos, rows, row_ids = (self._vlist, self._pos, self._rows,
                                      self._row_ids)
-        eids = frozenset(eid for i in map(pos.__getitem__, small)
+        return frozenset(eid for i in map(pos.__getitem__, small)
                          for j, ids in zip(rows[i], row_ids[i])
                          if verts[j] not in small for eid in ids)
-        canon = s if self._vlist[0] in s else comp
-        return Cut(shore=canon, edge_ids=eids, graph=self)
 
     def cut_from_edge_ids(self, eids) -> "Cut":
         """Recover the cut whose boundary is exactly this edge set.

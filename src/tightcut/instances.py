@@ -117,16 +117,18 @@ def _complete_matchings(n: int) -> list[int]:
     range(n) in combinations order: (n - 1)!! of them, none at odd n."""
     index = {pair: i for i, pair in enumerate(combinations(range(n), 2))}
     out = []
-
-    def extend(free: tuple[int, ...], mask: int) -> None:
+    # (vertices left to match, the mask so far), the first pair tried last
+    # in, so matchings come out in the order of a depth-first recursion
+    stack = [(tuple(range(n)), 0)]
+    while stack:
+        free, mask = stack.pop()
         if not free:
             out.append(mask)
-            return
+            continue
         u = free[0]
-        for j in range(1, len(free)):
-            extend(free[1:j] + free[j + 1:], mask | 1 << index[u, free[j]])
-
-    extend(tuple(range(n)), 0)
+        for j in range(len(free) - 1, 0, -1):
+            stack.append((free[1:j] + free[j + 1:],
+                          mask | 1 << index[u, free[j]]))
     return out
 
 

@@ -450,9 +450,10 @@ def _matching_partners(g: Graph) -> tuple[dict[int, int], dict]:
     co-matchable: an edge's mask, the edges of every found matching
     through its class less that class, lists partners only.
 
-    The memo holds, under every class ij, _without_pair's answer for
-    it: the first found matching through ij less ij, with no search, or
-    the search's result.
+    The memo holds, under every class ij, the first found matching
+    through ij, from which _comatchable_among derives _without_pair's
+    answer with no search on its first read, or the answer itself when
+    a search was run for ij.
     """
     memo: dict = {}
     index, adj = g.positions()
@@ -469,8 +470,7 @@ def _matching_partners(g: Graph) -> tuple[dict[int, int], dict]:
         edges = sum(bits[key] for key in classes)
         for key in classes:
             through[key] |= edges
-            if key not in memo:
-                memo[key] = _without_pair(adj, match, *key)
+            memo.setdefault(key, match)
 
     take(start)
     for i, j in sorted(bits):
@@ -500,17 +500,23 @@ def _comatchable_among(g: Graph, eids, memo: dict | None = None) -> bool:
 
     Without memo each row search has the target y and stops once y is
     outer, as is_tight asks. A memo is a dict that lives for one
-    graph's tight-cut enumeration, filled by _matching_partners with
-    _without_pair's answer for every class. Each row search is kept in
-    it under (i, j, x) and runs to the end, so its flags are exact at
-    every y, and a later cut with edges at ij and x reads them without
-    a search.
+    graph's tight-cut enumeration, filled by _matching_partners with a
+    perfect matching through every class, or _without_pair's answer for
+    it: a matching (a list) becomes the answer, with no search, on its
+    first read here. Each row search is kept in it under (i, j, x) and
+    runs to the end, so its flags are exact at every y, and a later cut
+    with edges at ij and x reads them without a search.
     """
     index, adj = g.positions()
     start = _search_mates(g)
     pos = sorted({(index[u], index[v]) for u, v in map(g.edge_ends, eids)})
     for k, (i, j) in enumerate(pos):
-        got = _without_pair(adj, start, i, j) if memo is None else memo[i, j]
+        if memo is None:
+            got = _without_pair(adj, start, i, j)
+        else:
+            got = memo[i, j]
+            if type(got) is list:
+                got = memo[i, j] = _without_pair(adj, got, i, j)
         if got is None:
             continue
         match, dead = got

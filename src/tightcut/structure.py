@@ -74,7 +74,9 @@ def is_barrier(g: Graph, members) -> Barrier | None:
     Positive answers are memoized on g as plain data, members mapped to
     odd parts, so the memo holds no reference back to g and grows with
     the barriers found, not with the candidates tried; a negative answer
-    is recomputed on every call.
+    is recomputed on every call. A single vertex v of a connected g that
+    is not one of g's memoized cut vertices leaves the one part V - v,
+    odd iff n is even, which is answered with no component walk.
     """
     members = frozenset(members)
     if not members:
@@ -87,7 +89,12 @@ def is_barrier(g: Graph, members) -> Barrier | None:
     found = g._memo("barrier_parts", dict)
     odd = found.get(members)
     if odd is None:
-        odd = tuple(p for p in g.components_without(members) if len(p) % 2)
+        if len(members) == 1 and g.is_connected() and \
+                not members & g.cut_vertices():
+            odd = (g.vertex_set - members,) if g.n % 2 == 0 else ()
+        else:
+            odd = tuple(p for p in g.components_without(members)
+                        if len(p) % 2)
         if len(odd) != len(members):
             return None
         found[members] = odd
@@ -104,6 +111,8 @@ def enumerate_barriers(g: Graph) -> list[Barrier]:
     Only the sweep's structure checks use this listing; the certify
     path reads dependence classes instead (classify_cut, and the
     reduction's barrier step in decompose.py), with no subset search.
+    The listing opens with the single-vertex barriers, in vertex order,
+    so a caller that wants only its first few asks _leading_barriers.
 
     Call u and v dependent when g - u - v is not matchable. Any two
     members u, v of a barrier B are dependent, in every graph: deleting
@@ -116,7 +125,8 @@ def enumerate_barriers(g: Graph) -> list[Barrier]:
     barriers, so the candidates are the subsets of one part, and a
     brick has no candidate beyond single vertices. In a graph with no
     perfect matching every pair may be dependent, and the search is the
-    full subset scan.
+    full subset scan. On three vertices or fewer a barrier has one
+    member, so no row is read.
 
     Guard: the search is exponential only in the largest set of
     candidates around one vertex, that vertex plus its dependent
@@ -150,30 +160,45 @@ def _dependent_partners(g: Graph) -> dict[int, frozenset[int]]:
             for v, h in zip(pool, rests)}
 
 
+def _leading_barriers(g: Graph, k: int) -> list[Barrier]:
+    """enumerate_barriers(g)[:k], listed only when fewer than k single
+    vertices are barriers: the listing opens with those, in vertex
+    order. Up to BARRIER_LIMIT vertices its guard cannot fire, as no
+    vertex has more candidates around it than g has vertices."""
+    if 1 < g.n <= BARRIER_LIMIT:
+        found = []
+        for v in g.vertices:
+            b = is_barrier(g, (v,))
+            if b is not None:
+                found.append(b)
+                if len(found) == k:
+                    return found
+    return enumerate_barriers(g)[:k]
+
+
 def _search_barriers(g: Graph) -> list[Barrier]:
     """enumerate_barriers' search: pairwise dependent vertex sets,
     tested by is_barrier in size then lex order."""
-    pool = list(g.vertices)
-    partners = _dependent_partners(g)
+    # a barrier and its odd components are disjoint, so |B| <= n/2
+    room = g.n // 2
+    partners = _dependent_partners(g) if room >= 2 else {}
     widest = max((1 + len(p) for p in partners.values()), default=0)
     if widest > BARRIER_LIMIT:
         raise EnumerationLimitError(
             f"barrier enumeration over {widest} candidates "
             f"exceeds the guard of {BARRIER_LIMIT}")
 
-    # a barrier and its odd components are disjoint, so |B| <= n/2
-    room = g.n // 2
     candidates: list[tuple[int, ...]] = []
-
-    def grow(chosen: tuple[int, ...], options: list[int]) -> None:
-        if len(chosen) == room:
-            return
+    # (chosen, the vertices that may extend it)
+    stack = [((), list(g.vertices))] if room else []
+    while stack:
+        chosen, options = stack.pop()
         for i, v in enumerate(options):
             extended = chosen + (v,)
             candidates.append(extended)
-            grow(extended, [w for w in options[i + 1:] if w in partners[v]])
-
-    grow((), pool)
+            if len(extended) < room:
+                stack.append((extended, [w for w in options[i + 1:]
+                                         if w in partners[v]]))
     candidates.sort(key=lambda members: (len(members), members))
     found = []
     for members in candidates:
@@ -542,6 +567,8 @@ def _strict_barrier_in(g: Graph, x: frozenset[int]) -> ShoreBarrier:
     internal error at the bottom.
     """
     ends = {w for eid in g.boundary(x).edge_ids for w in g.edge_ends(eid)}
+    verts = g.vertices
+    index, rows = g.positions()
     for shore in (x, g.vertex_set - x):
         attach = sorted(ends & shore)
         for a in attach + sorted(shore.difference(attach)):
@@ -549,7 +576,8 @@ def _strict_barrier_in(g: Graph, x: frozenset[int]) -> ShoreBarrier:
             if row is None:
                 raise InternalInvariantError(
                     "a perfect matching meets the dead cut")
-            reach = {w for v in row for w in g.neighbors(v) if w in shore}
+            reach = shore.intersection(
+                verts[j] for v in row for j in rows[index[v]])
             hit = _confined(g, (reach | {a}) - row, shore)
             if hit is not None:
                 return ShoreBarrier(hit, shore)
@@ -591,7 +619,9 @@ def lift_barrier_over_odd_component(g: Graph, b: Barrier, y, b_prime) -> Barrier
     outside y onto the fresh vertex label, and _lift reads b_prime back
     with all of B in the label's place. When b_prime uses the label,
     the components of the contraction less b_prime must be components
-    of g less the lift, verbatim.
+    of g less the lift, verbatim. Each side's components are its
+    barrier's memoized odd parts when members and odd parts fill its
+    vertex set (_parts), and are walked only otherwise.
     """
     if b.graph is not g:
         raise GraphError("barrier belongs to a different graph")
@@ -612,12 +642,20 @@ def lift_barrier_over_odd_component(g: Graph, b: Barrier, y, b_prime) -> Barrier
         raise GraphError("not a barrier of the contraction")
     if ybar_label in b_prime:
         # inner components survive the lift verbatim
-        host_parts = set(g.components_without(result.members))
-        for part in inner.components_without(b_prime):
+        host_parts = set(_parts(g, result))
+        for part in _parts(inner, is_barrier(inner, b_prime)):
             if part not in host_parts:
                 raise InternalInvariantError(
                     f"component {sorted(part)} not preserved by the lift")
     return result
+
+
+def _parts(g: Graph, b: Barrier) -> tuple[frozenset[int], ...]:
+    """The components of g - B, ordered by smallest member: B's odd
+    parts when no vertex is left over for an even one."""
+    if len(b.members) + sum(map(len, b.odd_parts)) == g.n:
+        return b.odd_parts
+    return g.components_without(b.members)
 
 
 def lift_barrier_over_2sep(g: Graph, s: TwoSeparation, d: Cut, b) -> Barrier:

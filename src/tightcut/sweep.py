@@ -16,11 +16,13 @@ exactly when classify_cut lists no witness. Anything that fails lands
 in the report's violations list instead of raising, so one bad graph
 cannot hide the rest.
 
-Every tightness question is answered from the enumerations: a cut is
-tight iff its edge-id set is that of a cut enumerate_tight_cuts listed,
-for the host graph (once per graph) or for a contraction (once per
-contraction). Edge ids survive contraction, so the same set names the
-cut on both sides. The sweep runs no per-cut tightness test, and its
+Every tightness question is answered from the enumerations, listed
+once per graph. A host cut is tight iff its canonical shore is that of
+a cut enumerate_tight_cuts listed for the host: in one connected graph
+a shore fixes its cut. A cut of a contraction, or a contraction's cut
+read in the host, is tight iff its edge-id set is that of a listed cut:
+edge ids survive contraction, so the same set names the cut on both
+sides. The sweep runs no per-cut tightness test, and its
 witness search skips the is_tight entry test of
 find_noncrossing_witness: every cut it asks about was just listed as
 tight.
@@ -46,6 +48,7 @@ from .instances import CorpusSpec, enumerate_corpus, fixture_instances
 from .matching import is_matching_covered
 from .structure import (
     _confined,
+    _leading_barriers,
     enumerate_barriers,
     find_2separations,
     find_strict_barrier,
@@ -178,10 +181,12 @@ def _check_cut(label: str, g: Graph, c: Cut, all_cuts, tight_ids,
         _flag(report, "certificate", cut_label, repr(exc))
 
 
-def _check_barriers(label: str, g: Graph, tight_ids, report: SweepReport
+def _check_barriers(label: str, g: Graph, tight_shores, report: SweepReport
                     ) -> None:
+    index, rows = g.positions()
     for b in enumerate_barriers(g):
-        if any(w in b.members for v in b.members for w in g.neighbors(v)):
+        at = {index[v] for v in b.members}
+        if any(j in at for i in at for j in rows[i]):
             _flag(report, "barrier", label,
                   f"barrier {sorted(b.members)} is not independent")
         # the odd parts fill V - B iff g - B has no even component
@@ -189,20 +194,21 @@ def _check_barriers(label: str, g: Graph, tight_ids, report: SweepReport
             _flag(report, "barrier", label,
                   f"barrier {sorted(b.members)} leaves an even component")
         for part in b.odd_parts:
-            if g.boundary(part).edge_ids not in tight_ids:
+            if (part if g.vertices[0] in part else g.vertex_set - part
+                    ) not in tight_shores:
                 _flag(report, "barrier", label,
                       f"barrier cut at {sorted(part)} is not tight")
         report.barrier_structure_checks += 1
 
 
-def _check_twoseps(label: str, g: Graph, tight_ids, report: SweepReport
+def _check_twoseps(label: str, g: Graph, tight_shores, report: SweepReport
                    ) -> None:
     for s in find_2separations(g):
         for d in two_separation_cuts(g, s):
             if d.is_trivial:
                 _flag(report, "twosep", label,
                       f"two-separation {s.pair} generates a trivial cut")
-            if d.edge_ids not in tight_ids:
+            if d.shore not in tight_shores:
                 _flag(report, "twosep", label,
                       f"two-separation {s.pair} generates a non-tight cut")
             report.twosep_cut_checks += 1
@@ -213,14 +219,14 @@ def _lift_scenarios(label: str, g: Graph, report: SweepReport) -> None:
     for b in nontrivial[:_LIFT_BARRIER_CAP]:
         for y in b.odd_parts:
             inner = g.contract(g.vertex_set - y, g.fresh_vertex())
-            for bp in enumerate_barriers(inner)[:_LIFT_INNER_CAP]:
+            for bp in _leading_barriers(inner, _LIFT_INNER_CAP):
                 lift_barrier_over_odd_component(g, b, y, bp.members)
                 report.lift_scenarios += 1
     for s in find_2separations(g)[:_LIFT_2SEP_CAP]:
         for d in two_separation_cuts(g, s):
             for kept in d.shores():
                 inner = g.contract(g.vertex_set - kept, g.fresh_vertex())
-                for bp in enumerate_barriers(inner)[:_LIFT_2SEP_INNER_CAP]:
+                for bp in _leading_barriers(inner, _LIFT_2SEP_INNER_CAP):
                     lift_barrier_over_2sep(g, s, d, bp.members)
                     report.lift_scenarios += 1
 
@@ -273,6 +279,7 @@ def _check_graph(label: str, g: Graph, report: SweepReport,
         return
     all_cuts = enumerate_tight_cuts(g)
     tight_ids = {c.edge_ids for c in all_cuts}
+    tight_shores = {c.shore for c in all_cuts}
     report.tight_cuts_checked += len(all_cuts)
     nontrivial = [c for c in all_cuts if not c.is_trivial]
     if nontrivial:
@@ -287,11 +294,11 @@ def _check_graph(label: str, g: Graph, report: SweepReport,
     for c in nontrivial:
         _check_cut(label, g, c, all_cuts, tight_ids, report, tally)
     try:
-        _check_barriers(label, g, tight_ids, report)
+        _check_barriers(label, g, tight_shores, report)
     except Exception as exc:
         _flag(report, "barrier", label, repr(exc))
     try:
-        _check_twoseps(label, g, tight_ids, report)
+        _check_twoseps(label, g, tight_shores, report)
     except Exception as exc:
         _flag(report, "twosep", label, repr(exc))
     try:

@@ -10,12 +10,13 @@ vertex pair at a time.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from tightcut.graph import Graph
-from tightcut.instances import CorpusSpec, enumerate_corpus
+from tightcut.instances import CorpusSpec, enumerate_corpus, fixture_instances
 from tightcut.matching import is_matchable
 
 # acceptance criteria register: test_acceptance records one verdict per
@@ -282,6 +283,21 @@ def inflated(g: Graph, shore, k: int) -> tuple[Graph, frozenset[int]]:
     return (Graph(range(len(order)), [(label[a], label[b]) for a, b in edges]),
             frozenset(label[x] for x in shore))
 
+def count_calls(monkeypatch, owner, *names) -> Counter:
+    """Wrap each named function of owner, a class or a module, so that
+    every call through owner counts under its name in the Counter
+    returned; monkeypatch undoes the wrapping."""
+    counts: Counter = Counter()
+    for name in names:
+
+        def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
 def sha256_of_lines(texts) -> str:
     """sha256 of the texts, each ended by a newline: the form of the
     output pins the tests compare."""
@@ -310,6 +326,16 @@ def exhaustive_corpus() -> dict[int, tuple[Graph, ...]]:
     per session: n = 6 alone walks 2^15 edge subsets."""
     return {n: tuple(enumerate_corpus(CorpusSpec("exhaustive", n=n)))
             for n in (2, 4, 6)}
+
+
+@pytest.fixture(scope="session")
+def differential_corpus(exhaustive_corpus) -> tuple[Graph, ...]:
+    """The fast paths' differential corpus: the exhaustive n <= 6
+    graphs, the pinned fixtures and 40 random n = 10 graphs (seed 5)."""
+    graphs = [g for n in (2, 4, 6) for g in exhaustive_corpus[n]]
+    graphs += [g for _, g, _ in fixture_instances()]
+    graphs += enumerate_corpus(CorpusSpec("random", n=10, samples=40, seed=5))
+    return tuple(graphs)
 
 
 @pytest.fixture

@@ -507,12 +507,16 @@ def test_boundary_canonicalizes_shore(c6):
 
 
 def test_boundary_rejects_improper_shores(c6):
-    with pytest.raises(GraphError):
-        c6.boundary(set())
-    with pytest.raises(GraphError):
-        c6.boundary(set(range(6)))
-    with pytest.raises(GraphError):
-        c6.boundary({9})
+    """An empty, foreign or whole-vertex-set shore raises, before and
+    after every proper shore's cut is memoized."""
+    for _ in range(2):
+        for bad in (set(), {9}, {0, 9}, set(range(6))):
+            with pytest.raises(GraphError, match="^a shore must be a "
+                               "nonempty proper subset of the vertices$"):
+                c6.boundary(bad)
+        for size in range(1, 6):
+            for shore in combinations(range(6), size):
+                c6.boundary(shore)
 
 
 def _boundary_by_edge_scan(g: Graph, shore):
@@ -540,6 +544,28 @@ def test_boundary_matches_the_edge_scan():
                 checked += 1
                 contracted += bool(g.provenance)
     assert checked > 2_000 and contracted > 500
+
+
+def test_memoized_boundary_matches_a_fresh_read(differential_corpus):
+    """Every shore of the differential corpus through its smallest
+    vertex, and that shore's complement: the boundary read twice, the
+    second time from the memo, equals the read on a freshly built copy
+    of the graph, and the edge scan."""
+    checked = 0
+    for g in differential_corpus:
+        fresh = Graph(g.vertices, dict(g.edge_items()),
+                      provenance=g.provenance)
+        first, rest = g.vertices[0], g.vertices[1:]
+        for size in range(len(rest)):
+            for combo in combinations(rest, size):
+                shore = frozenset((first,) + combo)
+                c = g.boundary(shore)
+                assert g.boundary(g.vertex_set - shore) == c == \
+                    fresh.boundary(g.vertex_set - shore), (g, shore)
+                assert (c.shore, c.edge_ids) == _boundary_by_edge_scan(
+                    g, shore), (g, shore)
+                checked += 1
+    assert checked > 100_000
 
 
 def test_trivial_cut_flag(c6):

@@ -26,6 +26,7 @@ from tightcut.structure import (
     GROUPING_LIMIT,
     _core_covered,
     _dependent_partners,
+    _leading_barriers,
     _strict_barrier_in,
     barrier_core,
     barrier_cuts,
@@ -44,6 +45,7 @@ from tightcut.sweep import SweepReport, dead_cut_setups
 
 from conftest import (
     brute_components,
+    count_calls,
     brute_confined_strict_barrier,
     brute_is_barrier,
     brute_matching_numbers,
@@ -172,6 +174,72 @@ def test_barrier_search_matches_oracle_without_perfect_matching(edges):
     g = Graph.from_edges(edges)
     assert g.n % 2 == 0 and not is_matchable(g)
     _check_barrier_search(g)
+
+
+def _lift_contractions(g):
+    """Every contraction that sweep._lift_scenarios builds for g."""
+    x = g.fresh_vertex()
+    nontrivial = [b for b in enumerate_barriers(g) if b.is_nontrivial]
+    out = [g.contract(g.vertex_set - y, x)
+           for b in nontrivial[:tightcut.sweep._LIFT_BARRIER_CAP]
+           for y in b.odd_parts]
+    out += [g.contract(g.vertex_set - kept, x)
+            for s in find_2separations(g)[:tightcut.sweep._LIFT_2SEP_CAP]
+            for d in two_separation_cuts(g, s) for kept in d.shores()]
+    return out
+
+
+def test_leading_barriers_open_the_listing(differential_corpus):
+    """_leading_barriers(h, k) is enumerate_barriers(h)[:k] for the
+    sweep's caps k = 3 and 5 on every contraction _lift_scenarios
+    builds, whether k single vertices are barriers or the helper lists
+    them all."""
+    listed = Counter()
+    for g in differential_corpus:
+        for h in _lift_contractions(g):
+            for k in (3, 5):
+                got = _leading_barriers(h, k)
+                assert got == enumerate_barriers(h)[:k], (h, k)
+                listed[sum(not b.is_nontrivial for b in got) < k] += 1
+    assert listed[True] > 1_000 and listed[False] > 1_000
+
+
+def test_single_vertex_barriers_match_a_component_walk(
+        differential_corpus, monkeypatch):
+    """is_barrier on every single vertex of the differential corpus, of
+    the contractions _lift_scenarios builds from it, and of graphs with
+    cut vertices, several components or odd order, each a fresh copy:
+    the odd parts of a component walk, and None where that walk finds
+    other than one. A 2-connected copy answers all its vertices after
+    one walk, the memoized components()."""
+    graphs = list(differential_corpus)
+    graphs += [h for g in differential_corpus for h in _lift_contractions(g)]
+    graphs += [Graph.from_edges(edges) for edges in (
+        [(0, 1), (1, 2), (2, 3)],                          # path
+        [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)],  # bowtie
+        [(0, 1), (0, 2), (0, 3)],                          # star
+        [(0, 1), (2, 3)],                                  # two edges
+        [(0, 1), (1, 2), (0, 2), (3, 4)],                  # triangle, edge
+        [(i, (i + 1) % 5) for i in range(5)],              # C5
+    )]
+    walks = count_calls(monkeypatch, Graph, "components_without")
+    answers = Counter()
+    for g in graphs:
+        g = Graph(g.vertices, dict(g.edge_items()))
+        edges = [ends for _, ends in g.edge_items()]
+        walks.clear()
+        for v in g.vertices if g.n > 1 else ():
+            odd = [part for part in brute_components(g.vertices, edges, {v})
+                   if len(part) % 2]
+            b = is_barrier(g, {v})
+            if len(odd) == 1:
+                assert b is not None and list(b.odd_parts) == odd, (g, v)
+            else:
+                assert b is None, (g, v)
+            answers[b is not None, v in g.cut_vertices()] += 1
+        if g.n >= 3 and g.is_2connected():
+            assert walks["components_without"] == 1, g
+    assert min(answers.values()) > 0 and len(answers) == 4
 
 
 def test_dependence_is_the_canonical_partition(exhaustive_corpus):

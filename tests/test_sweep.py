@@ -1,22 +1,31 @@
 """The sweep harness: counters, violations, harvest, and JSON report."""
 
 import dataclasses
+import gc
 import json
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 import tightcut.instances
+import tightcut.matching
+import tightcut.structure
 import tightcut.sweep
 from tightcut.cuts import enumerate_tight_cuts
 from tightcut.decompose import _find_noncrossing_witness
 from tightcut.graph import Graph
 from tightcut.instances import CorpusSpec, enumerate_corpus
-from tightcut.structure import Barrier
+from tightcut.structure import (
+    Barrier,
+    enumerate_barriers,
+    find_2separations,
+    two_separation_cuts,
+)
 from tightcut.sweep import run_sweep
 from tightcut.verify import R_CROSSES, R_NOT_BARRIER, VerificationResult
 
-from conftest import cycle
+from conftest import count_calls, cycle
 
 
 def test_named_sweep_counters():
@@ -115,17 +124,74 @@ def test_sweep_answers_on_the_host_graph(monkeypatch):
     at most 76 graphs through Graph() and lays out at most 751, against
     267 and 1,118 when each strict barrier's core was built as a graph
     and each dead-cut shore's subgraph was built to test connectivity."""
-    made = Counter()
-    for name in ("__init__", "_lay_out"):
-
-        def counted(*args, _real=getattr(Graph, name), _name=name, **kwargs):
-            made[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(Graph, name, counted)
+    made = count_calls(monkeypatch, Graph, "__init__", "_lay_out")
     report = run_sweep([CorpusSpec("random", n=10, samples=40, seed=5)])
     assert report.ok and report.instances == 45
     assert made["__init__"] <= 76 and made["_lay_out"] <= 751
+
+
+def test_sweep_answers_each_question_once(monkeypatch):
+    """On the same sweep the battery repeats no work it already holds:
+    at most 71 barrier searches, 1,750 perfect matchings of g - u - v
+    and 331 boundary edge-id reads, against 139, 2,617 and 1,730 when
+    every lift contraction listed its barriers, every filter matching
+    was cut down for every class it holds, and every boundary was read
+    afresh."""
+    searched = count_calls(monkeypatch, tightcut.structure,
+                           "_search_barriers")
+    paired = count_calls(monkeypatch, tightcut.matching, "_without_pair")
+    read = count_calls(monkeypatch, Graph, "_boundary_ids")
+    report = run_sweep([CorpusSpec("random", n=10, samples=40, seed=5)])
+    assert report.ok and report.instances == 45
+    assert searched["_search_barriers"] <= 71
+    assert paired["_without_pair"] <= 1_750
+    assert read["_boundary_ids"] <= 331
+
+
+def test_sweep_leaves_no_cyclic_garbage():
+    """A sweep leaves nothing that only the cyclic garbage collector
+    frees (graph.py's module docstring): with DEBUG_SAVEALL, every
+    unreachable object a collection finds stays in gc.garbage, and a
+    sweep of the exhaustive n = 4 corpus, 40 random n = 10 graphs and
+    the fixtures adds none there."""
+    gc.collect()
+    flags, before = gc.get_debug(), len(gc.garbage)
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        report = run_sweep([CorpusSpec("exhaustive", n=4),
+                            CorpusSpec("random", n=10, samples=40, seed=5)])
+        gc.collect()
+        left = Counter(type(x).__name__ for x in gc.garbage[before:])
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[before:]
+    assert report.ok and report.instances == 49
+    assert not left, left
+
+
+def test_host_tightness_by_shore_agrees_with_edge_ids(differential_corpus):
+    """The sweep reads a host cut's tightness by its canonical shore:
+    in a connected graph a shore fixes its cut, so that agrees with the
+    edge-id test on every barrier cut and two-separation cut, and on
+    every odd shore through the smallest vertex."""
+    agreed = Counter()
+    for g in differential_corpus:
+        cuts = enumerate_tight_cuts(g)
+        shores = {c.shore for c in cuts}
+        ids = {c.edge_ids for c in cuts}
+        first, rest = g.vertices[0], g.vertices[1:]
+        parts = [part for b in enumerate_barriers(g) for part in b.odd_parts]
+        parts += [d.other_shore for s in find_2separations(g)
+                  for d in two_separation_cuts(g, s)]
+        parts += [frozenset((first,) + combo)
+                  for size in range(0, g.n - 1, 2)
+                  for combo in combinations(rest, size)]
+        for part in parts:
+            shore = part if first in part else g.vertex_set - part
+            tight = shore in shores
+            assert tight == (g.boundary(part).edge_ids in ids), (g, part)
+            agreed[tight] += 1
+    assert agreed[True] > 40_000 and agreed[False] > 40_000
 
 
 def test_report_json_roundtrip():
