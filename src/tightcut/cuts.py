@@ -22,10 +22,12 @@ tightcut check, the witness searches' entry test and
 decompose_tight_cut's failure path, on graphs up to hundreds of
 vertices. enumerate_tight_cuts walks only the shores that the cached
 perfect matching crosses once, n * 2^(n/2 - 2) of them on n vertices.
-A few perfect matchings, at most one search per edge class
-(matching._matching_partners), refute most of them with a few bit
-operations each; only the shores left, the tight ones among them, get
-the searches, through a memo shared by the cuts of one enumeration.
+A few perfect matchings (matching._matching_partners), on a matching
+covered graph with an odd cycle those of the alternating cycles its
+coverage test closed, with no search of their own, refute most of them
+with a few bit operations each; only the shores left, the tight ones
+among them, get the searches, through a memo shared by the cuts of one
+enumeration.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from typing import Iterator
 
 from .graph import Cut, EnumerationLimitError, Graph, GraphError
 from .matching import (
+    TIGHT_CUT_LIMIT,
     Matching,
     _comatchable_among,
     _dependence_row,
@@ -43,10 +46,6 @@ from .matching import (
     is_matching_covered,
 )
 from .structure import Barrier, TwoSeparation, is_barrier, twoseps_generating
-
-# vertices enumerate_tight_cuts takes, at most: it walks n * 2^(n/2 - 2)
-# shores, 1,024 at n = 16
-TIGHT_CUT_LIMIT = 16
 
 
 def meets_once(g: Graph, c: Cut) -> bool:
@@ -159,12 +158,17 @@ def enumerate_tight_cuts(g: Graph, nontrivial_only=False) -> list[Cut]:
 
     The refutation filter. _matching_partners lists, per edge, the
     edges that lie with it in one of a few perfect matchings: the
-    cached one, and one through each edge class that no earlier one
-    contains. Two edges of one perfect matching are co-matchable, so a
-    listed partner inside the cut proves the shore not tight, with a
-    few bit operations (_has_comatchable_pair). The filter is sound,
-    never refuting a tight shore, and not complete: a pair that no found
-    matching holds is not listed.
+    cached one, those of the alternating cycles that g's coverage test
+    closed, which the filter asks for first and rebuilds with no
+    search, and, one search each, one through each edge class that none
+    of these contains. On a matching covered g with an odd cycle the
+    cycles hold every class, so the filter runs no search; on a
+    bipartite g, or one that is not matching covered, the classes they
+    miss get theirs. Two edges of one perfect matching are
+    co-matchable, so a listed partner inside the cut proves the shore
+    not tight, with a few bit operations (_has_comatchable_pair). The
+    filter is sound, never refuting a tight shore, and not complete: a
+    pair that no found matching holds is not listed.
 
     The exact test. A shore the filter leaves gets _comatchable_among
     on its cut's edges, with a memo that lives for this call only. The

@@ -26,10 +26,13 @@ queries on vertex-deleted subgraphs, answered in one of three ways:
   besides: the parent pointers lead each target back to the root,
   closing an alternating cycle whose edges all lie in perfect
   matchings, so later vertices have fewer targets or none
-  (_covers_every_edge). _shore_missable runs a single one, on g's
-  own rows with every vertex outside a shore dead, from the one shore
-  vertex with no mate inside it, against every shore vertex, which is
-  exact everywhere: it stops early only once all are outer. On the
+  (_covers_every_edge). On a graph small enough for tight-cut
+  enumeration it files those searches, from which the perfect matching
+  of each cycle is rebuilt with no search (_closed_cycles).
+  _shore_missable runs a single one, on g's own rows with every vertex
+  outside a shore dead, from the one shore vertex with no mate inside
+  it, against every shore vertex, which is exact everywhere: it stops
+  early only once all are outer. On the
   whole vertex set it is is_critical's test and barrier search's on a
   graph with no perfect matching; on a shore it is the reduction's
   barrier step, and on a shore less one vertex the dead-cut loop's
@@ -52,9 +55,11 @@ perfect matching, is decided by one routine, _comatchable_among, with
 those searches alone: per edge uv, one search for a perfect matching
 of g - u - v (_without_pair), then _row_search in g - u - v from it.
 is_tight asks it of one cut's edges. Tight-cut enumeration asks it only
-of the shores that _matching_partners' few perfect matchings, one
-search per edge class at most, leave unrefuted, through a memo of full
-rows that lives for one enumeration.
+of the shores that _matching_partners' perfect matchings leave
+unrefuted, through a memo of full rows that lives for one enumeration.
+Those matchings are g's cached one and those of the cycles the coverage
+test closed, with no search, then one search for each edge class none
+of them holds: on a matching covered graph with an odd cycle, none.
 
 g's maximum matching is computed once per graph (_blossom_mates) and
 cached as a position list (_search_mates), the form every search starts
@@ -83,6 +88,10 @@ from .graph import (
 )
 
 ENUMERATION_LIMIT = 24
+# vertices cuts.enumerate_tight_cuts takes, at most: it walks
+# n * 2^(n/2 - 2) shores, 1,024 at n = 16; _covers_every_edge files its
+# closed cycles for it on graphs this small only
+TIGHT_CUT_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -133,7 +142,8 @@ def _alternating_search(adj: list[list[int]], match: list[int],
     A caller that passes parents, a list of n entries -1, gets the
     search's parent pointers in it. For an outer v the walk v, match[v],
     p[match[v]], match[p[match[v]]], ... ends at root and is an even
-    alternating path from it: the walk the augmenting step applies.
+    alternating path from it: the walk the augmenting step applies
+    (_augment).
     """
     n = len(adj)
     p = [-1] * n if parents is None else parents
@@ -194,13 +204,7 @@ def _alternating_search(adj: list[list[int]], match: list[int],
             elif p[to] == -1:
                 p[to] = v
                 if match[to] == -1:
-                    cur = to
-                    while cur != -1:
-                        prev = p[cur]
-                        nxt = match[prev]
-                        match[cur] = prev
-                        match[prev] = cur
-                        cur = nxt
+                    _augment(match, p, to, v)
                     return None
                 outer[match[to]] = True
                 queue.append(match[to])
@@ -208,6 +212,22 @@ def _alternating_search(adj: list[list[int]], match: list[int],
                 if targets is not None and not pending:
                     return outer
     return outer
+
+
+def _augment(match: list[int], p: list[int], to: int, v: int) -> None:
+    """Match the vertex to with the outer vertex v, in place, and flip
+    the walk v, match[v], p[match[v]], match[p[match[v]]], ... back to
+    the search's root, the one vertex on it that match leaves exposed:
+    the even alternating path of _alternating_search's parent pointers.
+    Every vertex of the walk, and to, ends up matched."""
+    while True:
+        nxt = match[v]
+        match[to] = v
+        match[v] = to
+        if nxt == -1:
+            return
+        to = nxt
+        v = p[to]
 
 
 def _blossom_mates(g: Graph) -> list[int]:
@@ -433,18 +453,44 @@ def _without_pair(adj: list[list[int]], start: list[int], i: int,
     return match, dead
 
 
+def _closed_cycles(g: Graph):
+    """(u, x, N) for each alternating cycle Q that _covers_every_edge
+    closed on g, with N = M xor Q as a position list: the perfect
+    matching through ux that the cycle shows, for M g's cached one.
+
+    A filed search ran from u's mate u' in g - u, on M less uu'; each
+    of its targets x is outer and adjacent to u. N is that matching
+    with u matched to x and the walk x, match[x], p[match[x]], ... back
+    to u' flipped (_augment): Q is the walk with the edges ux and uu'.
+    It runs g's coverage test first, which files the searches once per
+    graph on a graph of at most TIGHT_CUT_LIMIT vertices with an odd
+    cycle found matching covered; on any other graph it yields nothing.
+    """
+    if not is_matching_covered(g):
+        return
+    for u, match, p, targets in g._memo("closed_cycles", tuple):
+        for x in targets:
+            cycle = match[:]
+            _augment(cycle, p, u, x)
+            yield u, x, cycle
+
+
 def _matching_partners(g: Graph) -> tuple[dict[int, int], dict]:
     """Each edge's bit mapped to a mask of edges that lie with it in one
     of a few perfect matchings of g, for g with one: a subset of its
-    co-matchable partners, found with at most one search per edge class.
-    It also returns the memo that _comatchable_among reads during one
-    tight-cut enumeration.
+    co-matchable partners. It also returns the memo that
+    _comatchable_among reads during one tight-cut enumeration.
 
     Parallel edges form one class, the pair ij of end positions, i < j.
-    The matchings are g's cached one, then, for each class ij in sorted
-    order that none found so far contains, _without_pair's perfect
-    matching of g - i - j plus ij; a None there shows that ij is in no
-    perfect matching, and its edges get no partner. A perfect matching
+    The matchings are g's cached one, then those of the alternating
+    cycles g's coverage test closed (_closed_cycles, which runs the test
+    first), with no search: on a matching covered g with an odd cycle
+    they hold every class. Then, for each class ij in sorted order that
+    none found so far contains, _without_pair's perfect matching of
+    g - i - j plus ij, one search each: on a bipartite g, whose D(M)
+    walk closes no explicit cycle, on a g that is not matching covered,
+    and for an inadmissible class, where a None shows that ij is in no
+    perfect matching and its edges get no partner. A perfect matching
     holds one edge of each of its classes, and any edge of a class may
     stand in for it, so two edges of two of its classes are
     co-matchable: an edge's mask, the edges of every found matching
@@ -473,6 +519,8 @@ def _matching_partners(g: Graph) -> tuple[dict[int, int], dict]:
             memo.setdefault(key, match)
 
     take(start)
+    for _, _, cycle in _closed_cycles(g):
+        take(cycle)
     for i, j in sorted(bits):
         if (i, j) in memo:
             continue
@@ -589,24 +637,25 @@ def perfect_matching_masks(g: Graph) -> tuple[int, ...]:
 
 
 def _backtrack_masks(g: Graph) -> tuple[int, ...]:
+    """perfect_matching_masks' backtracking over an explicit stack of
+    (uncovered vertices, edges chosen) branches, so a call leaves no
+    reference cycle behind; the masks are sorted on return, so the
+    order branches are taken in does not show."""
     masks: list[int] = []
-    if g.n % 2 == 0:
-
-        def extend(remaining: frozenset, acc: int) -> None:
-            if not remaining:
-                masks.append(acc)
-                return
-            if any(remaining.isdisjoint(g.neighbors(u)) for u in remaining):
-                return
-            v = min(remaining)
-            for w in g.neighbors(v):
-                if w not in remaining:
-                    continue
+    stack = [(g.vertex_set, 0)] if g.n % 2 == 0 else []
+    while stack:
+        remaining, acc = stack.pop()
+        if not remaining:
+            masks.append(acc)
+            continue
+        if any(remaining.isdisjoint(g.neighbors(u)) for u in remaining):
+            continue
+        v = min(remaining)
+        for w in g.neighbors(v):
+            if w in remaining:
                 rest = remaining - {v, w}
-                for eid in g.edges_between(v, w):
-                    extend(rest, acc | (1 << eid))
-
-        extend(g.vertex_set, 0)
+                stack.extend((rest, acc | 1 << eid)
+                             for eid in g.edges_between(v, w))
     return tuple(sorted(masks))
 
 
@@ -656,11 +705,20 @@ def _covers_every_edge(g: Graph) -> bool:
     The answer does not depend on the order: an unmarked edge is asked
     about, and a target that is not outer is an edge in no perfect
     matching.
+
+    On g of at most TIGHT_CUT_LIMIT vertices, an answer True files, once
+    per graph, each search's root u, its match and parent lists and its
+    targets: what rebuilds the perfect matching M xor Q of each cycle it
+    closed (_closed_cycles), for tight-cut enumeration's refutation
+    filter. The lists are the ones the search ran on, so filing copies
+    nothing; larger graphs, never enumerated, keep no record.
     """
     _, adj = g.positions()
     start = _search_mates(g)
     n = len(adj)
     dead = [False] * n
+    # (u, match, parents, targets) per search, on graphs enumeration takes
+    closed = [] if n <= TIGHT_CUT_LIMIT else None
     # a * n + b and b * n + a for each edge ab known to be covered
     covered: set[int] = set()
     # each vertex's non-mate neighbours whose edge is not yet covered;
@@ -669,6 +727,8 @@ def _covers_every_edge(g: Graph) -> bool:
     while True:
         most = max(count)
         if not most:
+            if closed is not None:
+                g._memo("closed_cycles", tuple, closed)
             return True
         u = count.index(most)
         mate = start[u]
@@ -678,6 +738,8 @@ def _covers_every_edge(g: Graph) -> bool:
         outer = _row_search(adj, match, dead, u, targets, p)
         if not all(outer[w] for w in targets):
             return False
+        if closed is not None:
+            closed.append((u, match, p, targets))
         count[u] = 0
         for w in targets:
             covered.add(row + w)
@@ -720,7 +782,10 @@ def is_matching_covered(g: Graph) -> bool:
     not yet covered, the lowest position on ties, asks about all of
     them, lower neighbours included, and clears that vertex; a vertex
     whose edges all lie on alternating cycles earlier searches closed
-    runs none (_covers_every_edge)."""
+    runs none (_covers_every_edge). On g of at most TIGHT_CUT_LIMIT
+    vertices found matching covered, those searches stay filed on g:
+    tight-cut enumeration reads a perfect matching through every edge
+    off them instead of searching for one (_matching_partners)."""
     def build() -> bool:
         if not (g.n >= 2 and g.m >= 1 and g.is_connected()
                 and is_matchable(g)):

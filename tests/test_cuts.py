@@ -38,6 +38,7 @@ from conftest import (
     brute_is_tight,
     brute_matching_numbers,
     brute_perfect_matchings,
+    count_calls,
     cycle,
     glued,
     inflated,
@@ -540,16 +541,23 @@ def test_enumerate_tight_cuts_matches_the_odd_shore_scan(nontrivial_only):
     assert nontrivial > 50
 
 
-def test_enumerate_tight_cuts_matches_the_table_on_tight_rich_graphs():
-    """Both modes against the table oracle's odd-shore scan on the
-    random n = 12 and 14 graphs of the certify_mixed benchmark at seed
-    0 (80 and 40 draws at seeds 12 and 14), on C16, on glued K_{k,k}
-    pairs at k = 3 and 4, and on the fixtures inflated at k = 3 that
-    fit the guard."""
+def _benchmark_graphs():
+    """The random n = 12 and 14 graphs of the certify_mixed benchmark at
+    seed 0: 80 and 40 draws at seeds 12 and 14, each with its coverage
+    test run, as enumerate_corpus leaves it."""
     graphs = [g for n, samples in ((12, 80), (14, 40))
               for g in enumerate_corpus(CorpusSpec("random", n=n,
                                                    samples=samples, seed=n))]
     assert len(graphs) == 120
+    return graphs
+
+
+def test_enumerate_tight_cuts_matches_the_table_on_tight_rich_graphs():
+    """Both modes against the table oracle's odd-shore scan on the
+    random graphs of the certify_mixed benchmark at seed 0, on C16, on
+    glued K_{k,k} pairs at k = 3 and 4, and on the fixtures inflated at
+    k = 3 that fit the guard."""
+    graphs = _benchmark_graphs()
     graphs += [cycle(16), glued(3), glued(4)]
     graphs += [h for _, g, shore in fixture_instances()
                for h, _ in [inflated(g, shore, 3)] if h.n <= TIGHT_CUT_LIMIT]
@@ -573,28 +581,96 @@ def _enumeration_searches(graphs, monkeypatch):
     copies = [Graph(g.vertices, dict(g.edge_items())) for g in graphs]
     for h in copies:
         _search_mates(h)
-    calls = []
-    search = matching._alternating_search
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(matching, "_alternating_search", counted)
+    counts = count_calls(monkeypatch, matching, "_alternating_search")
     for h in copies:
         enumerate_tight_cuts(h)
-    return len(calls)
+    return counts["_alternating_search"]
 
 
 def test_enumeration_search_counts(monkeypatch):
     """The filter leaves few shores for the exact test, and the memo
-    runs each row once: at most 500 searches on 20 random n = 12
-    graphs (3,216 with the eager co-matchable table), and on the five
-    tight-rich fixtures no more than the table's 397."""
-    assert _enumeration_searches(_random_graphs((12,), 20), monkeypatch) <= 500
+    runs each row once. The copies' coverage test, which the filter
+    asks for first, counts too: at most 218 searches on 20 random
+    n = 12 graphs (3,216 with the eager co-matchable table), and at
+    most 167 on the five tight-rich fixtures (the table's 397)."""
+    assert _enumeration_searches(_random_graphs((12,), 20), monkeypatch) <= 218
     fixtures = [g for _, g, _ in fixture_instances()]
     assert len(fixtures) == 5
-    assert _enumeration_searches(fixtures, monkeypatch) <= 397
+    assert _enumeration_searches(fixtures, monkeypatch) <= 167
+
+
+def test_enumeration_after_the_coverage_test_search_counts(monkeypatch):
+    """On the certify_mixed benchmark's graphs at seed 0, whose coverage
+    test has run, the filter's matchings come from its closed cycles:
+    at most 850 searches for the 120 enumerations (2,491 when the
+    filter searched for a matching through each class)."""
+    graphs = _benchmark_graphs()
+    counts = count_calls(monkeypatch, matching, "_alternating_search")
+    for g in graphs:
+        enumerate_tight_cuts(g)
+    assert counts["_alternating_search"] <= 850
+
+
+def test_filter_runs_no_search_after_the_coverage_test(
+        monkeypatch, exhaustive_corpus):
+    """On a matching covered graph with an odd cycle, within the
+    enumeration guard, the alternating cycles the coverage test closed
+    hold every edge class, so _matching_partners runs no Edmonds search:
+    the exhaustive n = 6 graphs with an odd cycle, 20 random n = 12
+    graphs and the five fixtures."""
+    graphs = [g for g in exhaustive_corpus[6]
+              if not matching._is_bipartite(g)]
+    graphs += _random_graphs((12,), 20)
+    graphs += [g for _, g, _ in fixture_instances()]
+    assert len(graphs) > 100
+    for g in graphs:
+        assert is_matching_covered(g) and not matching._is_bipartite(g)
+        assert g.n <= TIGHT_CUT_LIMIT
+    counts = count_calls(monkeypatch, matching, "_alternating_search")
+    for g in graphs:
+        _matching_partners(g)
+    assert counts["_alternating_search"] == 0
+
+
+def test_closed_cycles_are_perfect_matchings_through_their_edge(
+        differential_corpus):
+    """Each matching _closed_cycles rebuilds from a filed search is a
+    perfect matching of g that holds the edge from the search's root to
+    its target: on the differential corpus, on graphs with parallel
+    edges and sparse labels at n = 12 and 14, and on the fixture
+    contractions, with floors on the matchings checked."""
+    corpora = [(differential_corpus, 11_000),
+               (list(_parallel_graphs((12, 14), 10, seed=31)), 150),
+               (_fixture_contractions(), 350)]
+    for graphs, floor in corpora:
+        checked = 0
+        for g in graphs:
+            verts = g.vertices
+            for u, x, cycle_mates in matching._closed_cycles(g):
+                assert cycle_mates[u] == x, g
+                assert len(cycle_mates) == g.n, g
+                for i, j in enumerate(cycle_mates):
+                    assert cycle_mates[j] == i, g
+                    assert g.has_edge(verts[i], verts[j]), g
+                checked += 1
+        assert checked > floor
+
+
+def test_enumeration_does_not_depend_on_an_earlier_coverage_test():
+    """The same cuts on a fresh graph, whose enumeration runs its
+    coverage test itself, as on a copy whose coverage test ran first:
+    random n = 12 graphs, graphs with parallel edges and sparse labels,
+    some not matching covered, and the fixture contractions."""
+    graphs = _random_graphs((12,), 20)
+    graphs += list(_parallel_graphs((12, 14), 5, seed=31))
+    graphs += _fixture_contractions()
+    assert not all(map(is_matching_covered, graphs))
+    for g in graphs:
+        fresh, tested = (Graph(g.vertices, dict(g.edge_items()))
+                         for _ in range(2))
+        is_matching_covered(tested)
+        assert [(c.shore, c.edge_ids) for c in enumerate_tight_cuts(fresh)] \
+            == [(c.shore, c.edge_ids) for c in enumerate_tight_cuts(tested)]
 
 
 def test_is_tight_matches_pair_scan_on_larger_cuts():

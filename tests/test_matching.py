@@ -283,6 +283,23 @@ def test_is_matching_covered_search_count(monkeypatch, k, most):
     assert 0 < len(searches) <= most
 
 
+def test_coverage_files_its_searches_only_within_the_enumeration_guard():
+    """_covers_every_edge files its searches for tight-cut enumeration
+    on graphs that enumeration takes only: blocked_pair (n = 14) keeps
+    a record after is_matching_covered, and blocked_pair inflated at
+    k = 3 (n = 18), matching covered with an odd cycle too, keeps
+    none."""
+    [(g, shore)] = [(g, shore) for name, g, shore in fixture_instances()
+                    if name == "blocked_pair"]
+    h, _ = inflated(g, shore, 3)
+    assert g.n <= matching.TIGHT_CUT_LIMIT < h.n == 18
+    for graph in (g, h):
+        assert is_matching_covered(graph)
+        assert not matching._is_bipartite(graph)
+    assert g._cache["closed_cycles"]
+    assert "closed_cycles" not in h._cache
+
+
 def test_bipartite_graphs_run_no_search(monkeypatch):
     """On bipartite graphs is_matching_covered and the dependence rows
     of both classify_cut shores walk D(M): after the blossom run on g,

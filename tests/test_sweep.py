@@ -148,24 +148,45 @@ def test_sweep_answers_each_question_once(monkeypatch):
     assert read["_boundary_ids"] <= 331
 
 
-def test_sweep_leaves_no_cyclic_garbage():
-    """A sweep leaves nothing that only the cyclic garbage collector
-    frees (graph.py's module docstring): with DEBUG_SAVEALL, every
-    unreachable object a collection finds stays in gc.garbage, and a
-    sweep of the exhaustive n = 4 corpus, 40 random n = 10 graphs and
-    the fixtures adds none there."""
+def _cyclic_garbage(run):
+    """run()'s result, and a count by type of what it left that only the
+    cyclic garbage collector frees: with DEBUG_SAVEALL, every
+    unreachable object a collection finds stays in gc.garbage."""
     gc.collect()
     flags, before = gc.get_debug(), len(gc.garbage)
     gc.set_debug(flags | gc.DEBUG_SAVEALL)
     try:
-        report = run_sweep([CorpusSpec("exhaustive", n=4),
-                            CorpusSpec("random", n=10, samples=40, seed=5)])
+        result = run()
         gc.collect()
         left = Counter(type(x).__name__ for x in gc.garbage[before:])
     finally:
         gc.set_debug(flags)
         del gc.garbage[before:]
+    return result, left
+
+
+def test_sweep_leaves_no_cyclic_garbage():
+    """A sweep leaves nothing that only the cyclic garbage collector
+    frees (graph.py's module docstring): a sweep of the exhaustive
+    n = 4 corpus, 40 random n = 10 graphs and the fixtures adds nothing
+    to gc.garbage."""
+    report, left = _cyclic_garbage(lambda: run_sweep(
+        [CorpusSpec("exhaustive", n=4),
+         CorpusSpec("random", n=10, samples=40, seed=5)]))
     assert report.ok and report.instances == 49
+    assert not left, left
+
+
+def test_matching_oracle_leaves_no_cyclic_garbage():
+    """Nor does the exhaustive perfect-matching oracle, which the sweep
+    never calls: ten calls on fresh C6 graphs, and one on a graph with
+    parallel edges, add nothing to gc.garbage."""
+    graphs = [cycle(6) for _ in range(10)]
+    graphs.append(Graph(range(4), [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)]))
+    masks, left = _cyclic_garbage(
+        lambda: [tightcut.matching.perfect_matching_masks(g) for g in graphs])
+    assert masks[0] == masks[9] and len(masks[0]) == 2
+    assert len(masks[10]) == 3
     assert not left, left
 
 
