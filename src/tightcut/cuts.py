@@ -20,14 +20,14 @@ a perfect matching of g - u - v, then row searches in g - u - v.
 is_tight runs them for one cut's edges, at most |C|^2 / 2 searches:
 tightcut check, the witness searches' entry test and
 decompose_tight_cut's failure path, on graphs up to hundreds of
-vertices. enumerate_tight_cuts walks only the shores that the cached
-perfect matching crosses once, n * 2^(n/2 - 2) of them on n vertices.
-A few perfect matchings (matching._matching_partners), on a matching
-covered graph with an odd cycle those of the alternating cycles its
-coverage test closed, with no search of their own, refute most of them
-with a few bit operations each; only the shores left, the tight ones
-among them, get the searches, through a memo shared by the cuts of one
-enumeration.
+vertices. enumerate_tight_cuts walks only the shores that each of a
+few perfect matchings crosses once (_shores_crossed_once): the cached
+one, and on a matching covered graph with an odd cycle those of the
+alternating cycles its coverage test closed, found with no search
+(matching._matching_partners). On 120 random graphs of 12 and 14
+vertices it walks 1,642 shores, where the cached one alone crosses
+33,280 once. Only the nontrivial ones get the searches, through a memo
+shared by the cuts of one enumeration.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ from typing import Iterator
 from .graph import Cut, EnumerationLimitError, Graph, GraphError
 from .matching import (
     TIGHT_CUT_LIMIT,
-    Matching,
     _comatchable_among,
     _dependence_row,
     _matching_partners,
+    _search_mates,
     find_perfect_matching,
     is_matching_covered,
 )
@@ -81,56 +81,113 @@ def is_tight(g: Graph, c: Cut) -> bool:
     return meets_once(g, c) and not _comatchable_among(g, c.edge_ids)
 
 
-def _shores_crossed_once(g: Graph, pm: Matching
+def _shores_crossed_once(g: Graph, matchings: list[list[int]]
                          ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Each shore through the smallest vertex that the perfect matching
-    pm crosses once, as (its vertices, unsorted; its cut as an edge-id
-    bitmask), n * 2^(n/2 - 2) of them on n vertices.
+    """Each shore through the smallest vertex that every perfect
+    matching in matchings crosses once, once, as (its vertices,
+    unsorted; its cut as an edge-id bitmask). The matchings are
+    position lists, as _search_mates gives them, the first g's cached
+    one, M; with M alone, n * 2^(n/2 - 2) shores.
 
-    Such a shore is pm's edge e that crosses it, the end of e inside it,
-    and the set S of pm's other edges inside it, taken whole; the
-    smallest vertex lies inside, so its pm-edge is e or in S. A vertex
-    has an incidence bitmask over edge ids, and a shore's cut is the XOR
-    of its vertices' masks, so the cut of every choice of S is one XOR
-    from a list built by doubling: per pm-edge, the XOR of its two ends'
-    masks, under which the edge's own ids cancel.
+    A shore is M's edge e that crosses it, the end of e inside it, and
+    a union of blocks of M's other edges, the anchor's block among them
+    unless e is the anchor's edge; each cycle through e is checked by
+    one bit count (the bijection and the block rule of
+    enumerate_tight_cuts). Per e, the blocks start as single M-edges,
+    and each cycle of _alternating_cycles that avoids e joins those it
+    meets. A shore's cut, the XOR of its vertices' incidence masks, is
+    one lookup in a list built by doubling over M's edges, by the union
+    of its blocks.
     """
-    incidence = dict.fromkeys(g.vertices, 0)
+    index, _ = g.positions()
+    verts = g.vertices
+    incidence = [0] * g.n
     for eid, (u, v) in g.edge_items():
-        incidence[u] ^= 1 << eid
-        incidence[v] ^= 1 << eid
-    anchor = g.vertices[0]
-    # edge ends are sorted, so the first pm-edge is the anchor's
-    (_, mate), *others = sorted(map(g.edge_ends, pm.edges))
-    # index s chooses others[i] iff bit i of s is set
+        incidence[index[u]] ^= 1 << eid
+        incidence[index[v]] ^= 1 << eid
+    # M's edges by lower end, so the first is the anchor's, at position 0
+    edges = [(i, j) for i, j in enumerate(matchings[0]) if i < j]
+    cycles = _alternating_cycles(g, matchings, edges)
+    # index s takes edges[k] iff bit k of s is set: their ends, and the
+    # XOR of those ends' incidence masks
     masks, chosen = [0], [()]
-    for u, v in others:
-        both = incidence[u] ^ incidence[v]
+    for i, j in edges:
+        both = incidence[i] ^ incidence[j]
         masks += [mask ^ both for mask in masks]
-        chosen += [members + (u, v) for members in chosen]
-    # (fixed vertices, their cut, the bit of the crossing edge)
-    walks = [((anchor,), incidence[anchor], 0)]
-    held = incidence[anchor] ^ incidence[mate]
-    for i, pair in enumerate(others):
-        for x in pair:
-            walks.append(((anchor, mate, x), held ^ incidence[x], 1 << i))
-    for fixed, base, crossing in walks:
-        for s, mask in enumerate(masks):
-            if not s & crossing:
-                yield fixed + chosen[s], base ^ mask
+        chosen += [members + (verts[i], verts[j]) for members in chosen]
+    for e in range(len(edges)):
+        blocks = [1 << k for k in range(len(edges)) if k != e]
+        checks = [crossing for held, crossing in cycles if held >> e & 1]
+        for held, _ in cycles:
+            if len(blocks) == 1:
+                break
+            if held >> e & 1:
+                continue
+            joined, apart = held, []
+            for block in blocks:
+                if block & held:
+                    joined |= block
+                else:
+                    apart.append(block)
+            blocks = apart + [joined]
+        if e:
+            anchored = next(block for block in blocks if block & 1)
+            blocks.remove(anchored)
+            ends = edges[e]
+        else:
+            anchored, ends = 0, (0,)
+        unions = [anchored]
+        for block in blocks:
+            unions += [s | block for s in unions]
+        for x in ends:
+            base, fixed = incidence[x], (verts[x],)
+            for s in unions:
+                cut = base ^ masks[s]
+                for crossing in checks:
+                    once = cut & crossing
+                    if once & (once - 1):
+                        break
+                else:
+                    yield fixed + chosen[s], cut
 
 
-def _has_comatchable_pair(cut: int, partners: dict[int, int]) -> bool:
-    """True iff some edge of the cut bitmask has a listed partner in
-    it; partners maps each edge's bit to a mask of edges co-matchable
-    with it (_matching_partners)."""
-    left = cut
-    while left:
-        edge = left & -left
-        if partners[edge] & cut:
-            return True
-        left ^= edge
-    return False
+def _alternating_cycles(g: Graph, matchings: list[list[int]],
+                        edges: list[tuple[int, int]]
+                        ) -> set[tuple[int, int]]:
+    """Every cycle of M xor N, for M the first of matchings and N each
+    later one, once: (its M-edges as a bitmask, bit k for edges[k], the
+    M-edges by lower end; its N-edges as an edge-id bitmask of the
+    lowest id of each class). Empty, at no cost, for M alone."""
+    mates, *others = matchings
+    if not others:
+        return set()
+    index, _ = g.positions()
+    n = g.n
+    # the bit of the lowest edge id joining positions i and j, at i * n + j
+    lowest = [0] * (n * n)
+    for eid, (u, v) in g.edge_items():
+        i, j = index[u], index[v]
+        if not lowest[i * n + j]:
+            lowest[i * n + j] = lowest[j * n + i] = 1 << eid
+    at = [0] * n
+    for k, (i, j) in enumerate(edges):
+        at[i] = at[j] = 1 << k
+    cycles = set()
+    for other in others:
+        done = [False] * n
+        for start, mate in enumerate(mates):
+            if done[start] or other[start] == mate:
+                continue
+            held = crossing = 0
+            v = start
+            while not done[v]:
+                w = mates[v]
+                done[v] = done[w] = True
+                held |= at[v]
+                v = other[w]
+                crossing |= lowest[w * n + v]
+            cycles.add((held, crossing))
+    return cycles
 
 
 def enumerate_tight_cuts(g: Graph, nontrivial_only=False) -> list[Cut]:
@@ -138,10 +195,11 @@ def enumerate_tight_cuts(g: Graph, nontrivial_only=False) -> list[Cut]:
 
     Every shore is generated through the smallest vertex, which is
     exactly the canonical form, so no deduplication is needed. Only the
-    shores the cached perfect matching M crosses once are walked
-    (_shores_crossed_once): n * 2^(n/2 - 2) of them, against the
-    2^(n - 2) odd shores through the smallest vertex, 192 against 1,024
-    at n = 12. A tight cut is one of them, since M is a perfect matching.
+    shores that every perfect matching _matching_partners finds crosses
+    once are walked (_shores_crossed_once), as a tight cut is one of
+    them. The first is g's cached perfect matching M, which alone
+    crosses n * 2^(n/2 - 2) shores once, against the 2^(n - 2) odd
+    shores through the smallest vertex, 192 against 1,024 at n = 12.
 
     The walk is a bijection onto those shores. Let X be a shore M
     crosses only at e. Every other M-edge lies inside X or outside it,
@@ -151,33 +209,36 @@ def enumerate_tight_cuts(g: Graph, nontrivial_only=False) -> list[Cut]:
     its M-edge is one of those inside. Conversely each such choice is a
     shore M crosses only at e, odd and proper: it misses e's other end.
 
+    The block rule. Let another found matching N cross X once too.
+    M xor N is a set of disjoint alternating cycles. Walking round one,
+    Q, only e and Q's N-edges can switch sides, an even number of times
+    in all, so Q's N-edges cross X an odd number of times if Q runs
+    through e and an even number if not. An edge N shares with M
+    crosses only if it is e. N crosses X once, so each cycle that
+    avoids e has no crossing edge and lies on one side of X. Per e,
+    the M-edges of every such cycle, of every found N, are joined into
+    one block; and N crosses X once iff the N-edges of its cycle
+    through e, if it has one, cross once: one bit count of the cut.
+    Lying on one side is an equivalence, so the shores every found
+    matching crosses once are exactly the choices of blocks, with the
+    anchor's inside, that pass every check.
+
+    Parallel edges. N's edges are classes of parallel edges, and a cut
+    holds every edge of a class or none. A cycle's check mask holds the
+    lowest edge id of each of its N-edges' classes, so the bit count
+    counts classes.
+
     A trivial cut is kept without a test: every perfect matching has
     exactly one edge at each vertex. Any other shore is kept when no
     two edges of its cut are co-matchable (the lemma in the module
-    docstring), which two steps decide.
-
-    The refutation filter. _matching_partners lists, per edge, the
-    edges that lie with it in one of a few perfect matchings: the
-    cached one, those of the alternating cycles that g's coverage test
-    closed, which the filter asks for first and rebuilds with no
-    search, and, one search each, one through each edge class that none
-    of these contains. On a matching covered g with an odd cycle the
-    cycles hold every class, so the filter runs no search; on a
-    bipartite g, or one that is not matching covered, the classes they
-    miss get theirs. Two edges of one perfect matching are
-    co-matchable, so a listed partner inside the cut proves the shore
-    not tight, with a few bit operations (_has_comatchable_pair). The
-    filter is sound, never refuting a tight shore, and not complete: a
-    pair that no found matching holds is not listed.
-
-    The exact test. A shore the filter leaves gets _comatchable_among
-    on its cut's edges, with a memo that lives for this call only. The
-    filter starts it with, for every edge class uv, a found perfect
-    matching through uv, cut down to one of g - u - v when first read,
-    or its own search's matching of g - u - v. Each row search of the
-    test is kept, run to the end, so cuts that share edges pay for a
-    row once. Both steps run only from n = 6, the
-    first order with a nontrivial shore.
+    docstring): _comatchable_among on its cut's edges, with a memo that
+    lives for this call only. _matching_partners starts it with, for
+    every edge class uv, a found perfect matching through uv, cut down
+    to one of g - u - v when first read, or its own search's matching
+    of g - u - v. Each row search of the test is kept, run to the end,
+    so cuts that share edges pay for a row once. From n = 6, the first
+    order with a nontrivial shore, the walk takes every found matching;
+    below it, M alone.
 
     Only kept shores get a Cut, built from the shore's own bitmask: an
     XOR of incidence masks holds exactly the edges with one end in the
@@ -193,19 +254,18 @@ def enumerate_tight_cuts(g: Graph, nontrivial_only=False) -> list[Cut]:
         raise EnumerationLimitError(
             f"tight-cut enumeration on {n} vertices exceeds the guard "
             f"of {TIGHT_CUT_LIMIT}")
-    pm = find_perfect_matching(g)
-    if pm is None:
+    if find_perfect_matching(g) is None:
         raise GraphError("tight cuts are about perfect matchings; none exist")
     if n < 2:
         return []
-    partners, memo = _matching_partners(g) if n >= 6 else ({}, {})
+    matchings, memo = (_matching_partners(g) if n >= 6
+                       else ([_search_mates(g)], {}))
     kept = []
-    for members, cut in _shores_crossed_once(g, pm):
+    for members, cut in _shores_crossed_once(g, matchings):
         if len(members) in (1, n - 1):
             if nontrivial_only:
                 continue
-        elif _has_comatchable_pair(cut, partners) or _comatchable_among(
-                g, _edge_ids(cut), memo):
+        elif _comatchable_among(g, _edge_ids(cut), memo):
             continue
         kept.append((len(members), sorted(members), cut))
     kept.sort()  # shores differ, so no two cut masks are compared

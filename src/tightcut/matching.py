@@ -54,12 +54,13 @@ Co-matchability, whether two disjoint edges lie together in some
 perfect matching, is decided by one routine, _comatchable_among, with
 those searches alone: per edge uv, one search for a perfect matching
 of g - u - v (_without_pair), then _row_search in g - u - v from it.
-is_tight asks it of one cut's edges. Tight-cut enumeration asks it only
-of the shores that _matching_partners' perfect matchings leave
-unrefuted, through a memo of full rows that lives for one enumeration.
-Those matchings are g's cached one and those of the cycles the coverage
-test closed, with no search, then one search for each edge class none
-of them holds: on a matching covered graph with an odd cycle, none.
+is_tight asks it of one cut's edges. Tight-cut enumeration walks only
+the shores that every perfect matching _matching_partners finds
+crosses once, and asks it of those, through a memo of full rows that
+lives for one enumeration. Those matchings are g's cached one and
+those of the cycles the coverage test closed, with no search, then one
+search for each edge class none of them holds: on a matching covered
+graph with an odd cycle, none.
 
 g's maximum matching is computed once per graph (_blossom_mates) and
 cached as a position list (_search_mates), the form every search starts
@@ -88,7 +89,7 @@ from .graph import (
 )
 
 ENUMERATION_LIMIT = 24
-# vertices cuts.enumerate_tight_cuts takes, at most: it walks
+# vertices cuts.enumerate_tight_cuts takes, at most: it walks at most
 # n * 2^(n/2 - 2) shores, 1,024 at n = 16; _covers_every_edge files its
 # closed cycles for it on graphs this small only
 TIGHT_CUT_LIMIT = 16
@@ -475,26 +476,21 @@ def _closed_cycles(g: Graph):
             yield u, x, cycle
 
 
-def _matching_partners(g: Graph) -> tuple[dict[int, int], dict]:
-    """Each edge's bit mapped to a mask of edges that lie with it in one
-    of a few perfect matchings of g, for g with one: a subset of its
-    co-matchable partners. It also returns the memo that
-    _comatchable_among reads during one tight-cut enumeration.
+def _matching_partners(g: Graph) -> tuple[list[list[int]], dict]:
+    """A few perfect matchings of g, for g with one, as position lists,
+    and the memo that _comatchable_among reads during one tight-cut
+    enumeration.
 
     Parallel edges form one class, the pair ij of end positions, i < j.
-    The matchings are g's cached one, then those of the alternating
-    cycles g's coverage test closed (_closed_cycles, which runs the test
-    first), with no search: on a matching covered g with an odd cycle
-    they hold every class. Then, for each class ij in sorted order that
-    none found so far contains, _without_pair's perfect matching of
-    g - i - j plus ij, one search each: on a bipartite g, whose D(M)
-    walk closes no explicit cycle, on a g that is not matching covered,
-    and for an inadmissible class, where a None shows that ij is in no
-    perfect matching and its edges get no partner. A perfect matching
-    holds one edge of each of its classes, and any edge of a class may
-    stand in for it, so two edges of two of its classes are
-    co-matchable: an edge's mask, the edges of every found matching
-    through its class less that class, lists partners only.
+    The matchings are g's cached one, first, then those of the
+    alternating cycles g's coverage test closed (_closed_cycles, which
+    runs the test first), with no search: on a matching covered g with
+    an odd cycle they hold every class. Then, for each class ij in
+    sorted order that none found so far holds, _without_pair's perfect
+    matching of g - i - j plus ij, one search each: on a bipartite g,
+    whose D(M) walk closes no explicit cycle, on a g that is not
+    matching covered, and for an inadmissible class, where a None shows
+    that ij is in no perfect matching.
 
     The memo holds, under every class ij, the first found matching
     through ij, from which _comatchable_among derives _without_pair's
@@ -504,24 +500,18 @@ def _matching_partners(g: Graph) -> tuple[dict[int, int], dict]:
     memo: dict = {}
     index, adj = g.positions()
     start = _search_mates(g)
-    keys = {1 << eid: (index[u], index[v]) for eid, (u, v) in g.edge_items()}
-    bits: dict[tuple[int, int], int] = {}
-    for bit, key in keys.items():
-        bits[key] = bits.get(key, 0) | bit
-    # class -> the edges of every found matching through it
-    through = dict.fromkeys(bits, 0)
+    matchings: list[list[int]] = []
 
     def take(match: list[int]) -> None:
-        classes = [(i, j) for i, j in enumerate(match) if i < j]
-        edges = sum(bits[key] for key in classes)
-        for key in classes:
-            through[key] |= edges
-            memo.setdefault(key, match)
+        matchings.append(match)
+        for i, j in enumerate(match):
+            if i < j:
+                memo.setdefault((i, j), match)
 
     take(start)
     for _, _, cycle in _closed_cycles(g):
         take(cycle)
-    for i, j in sorted(bits):
+    for i, j in sorted({(index[u], index[v]) for _, (u, v) in g.edge_items()}):
         if (i, j) in memo:
             continue
         got = memo[i, j] = _without_pair(adj, start, i, j)
@@ -529,7 +519,7 @@ def _matching_partners(g: Graph) -> tuple[dict[int, int], dict]:
             match = got[0][:]
             match[i], match[j] = j, i
             take(match)
-    return {bit: through[key] & ~bits[key] for bit, key in keys.items()}, memo
+    return matchings, memo
 
 
 def _comatchable_among(g: Graph, eids, memo: dict | None = None) -> bool:
@@ -709,8 +699,8 @@ def _covers_every_edge(g: Graph) -> bool:
     On g of at most TIGHT_CUT_LIMIT vertices, an answer True files, once
     per graph, each search's root u, its match and parent lists and its
     targets: what rebuilds the perfect matching M xor Q of each cycle it
-    closed (_closed_cycles), for tight-cut enumeration's refutation
-    filter. The lists are the ones the search ran on, so filing copies
+    closed (_closed_cycles), for tight-cut enumeration's shore walk.
+    The lists are the ones the search ran on, so filing copies
     nothing; larger graphs, never enumerated, keep no record.
     """
     _, adj = g.positions()

@@ -121,6 +121,35 @@ def brute_is_tight(vertices, edges, shore) -> bool:
     return all(len(pm & cut) == 1 for pm in pms)
 
 
+def crossed_once_by_scan(g, matchings):
+    """Every odd shore through the smallest vertex of g that each of
+    matchings crosses once, as (sorted shore, cut as an edge-id
+    bitmask), by size then lex order. A matching is a position list,
+    the mate's position at each vertex's position in sorted label
+    order, and crosses a shore once when exactly one of its vertex
+    pairs has one end inside; g is read for its vertices and edges
+    only."""
+    verts = g.vertices
+    incidence = dict.fromkeys(verts, 0)
+    for eid, (u, v) in g.edge_items():
+        incidence[u] ^= 1 << eid
+        incidence[v] ^= 1 << eid
+    pairs = [[(verts[i], verts[j]) for i, j in enumerate(match) if i < j]
+             for match in matchings]
+    anchor, rest = verts[0], verts[1:]
+    out = []
+    for size in range(1, g.n, 2):
+        for combo in combinations(rest, size - 1):
+            shore = {anchor, *combo}
+            if all(sum((u in shore) != (v in shore) for u, v in edges) == 1
+                   for edges in pairs):
+                cut = 0
+                for v in shore:
+                    cut ^= incidence[v]
+                out.append(((anchor,) + combo, cut))
+    return out
+
+
 def brute_components(vertices, edges, removed=frozenset()):
     removed = frozenset(removed)
     live = set(vertices) - removed

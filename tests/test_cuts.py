@@ -1,5 +1,6 @@
 """Tightness, tight-cut enumeration, and cut classification."""
 
+from collections import Counter
 from itertools import combinations
 from random import Random
 
@@ -25,7 +26,6 @@ from tightcut.matching import (
     _row_search,
     _search_mates,
     _without_pair,
-    find_perfect_matching,
     is_matchable,
     is_matching_covered,
     perfect_matching_masks,
@@ -39,6 +39,7 @@ from conftest import (
     brute_matching_numbers,
     brute_perfect_matchings,
     count_calls,
+    crossed_once_by_scan,
     cycle,
     glued,
     inflated,
@@ -232,7 +233,7 @@ def _random_graphs(orders, samples):
 
 def _comatchable_masks(g):
     """The eager co-matchable table, kept as the oracle of the
-    enumeration's filter and exact test: each edge id of g, which has a
+    enumeration's shore walk and exact test: each edge id of g, which has a
     perfect matching, mapped to the bitmask of the edge ids that lie
     with it in some perfect matching.
 
@@ -322,34 +323,58 @@ def test_comatchable_table_matches_oracle_on_contractions():
                for g in graphs for _, (u, v) in g.edge_items())
 
 
-def _check_filter(g):
-    """The refutation filter's partners against the brute-force matching
-    numbers: every listed pair is disjoint and lies in a common perfect
-    matching, and the lists are symmetric. Returns the number of
-    disjoint pairs checked and the number listed."""
-    partners, _ = _matching_partners(g)
-    items = g.edge_items()
-    assert sorted(partners) == [1 << eid for eid, _ in items]
-    nu = brute_matching_numbers(g.vertices, [ends for _, ends in items])
+def _check_matchings(g):
+    """_matching_partners' matchings and memo against brute force: each
+    matching is a perfect matching of g, one of brute_perfect_matchings
+    read as vertex pairs, and the memo holds, under every edge class
+    ij, a matching through ij, or _without_pair's perfect matching of
+    g - i - j, when brute_matching_numbers finds ij admissible, and None
+    when not. Returns the number of disjoint ordered edge pairs and the
+    number that lie together in one of the matchings."""
+    matchings, memo = _matching_partners(g)
+    verts, items = g.vertices, g.edge_items()
+    ends = [uv for _, uv in items]
+    perfect = {frozenset(ends[k] for k in pm)
+               for pm in brute_perfect_matchings(verts, ends)}
+
+    def pairs(match):
+        return frozenset((verts[i], verts[j])
+                         for i, j in enumerate(match) if i < j)
+
+    found = set(map(pairs, matchings))
+    assert found <= perfect, g
+    index, _ = g.positions()
+    nu = brute_matching_numbers(verts, ends)
+    for u, v in set(ends):
+        i, j = index[u], index[v]
+        got = memo[i, j]
+        if 2 * nu(g.vertex_set - {u, v}) != g.n - 2:
+            assert got is None, (g, u, v)
+            continue
+        if type(got) is tuple:
+            match, dead = got
+            assert dead[i] and dead[j] and match[i] == match[j] == -1
+            match = match[:]
+            match[i], match[j] = j, i
+        else:
+            match = got
+        assert match[i] == j and pairs(match) in found, (g, u, v)
     checked = listed = 0
-    for e, (u, v) in items:
-        for f, (w, z) in items:
-            disjoint = not {u, v} & {w, z}
-            checked += disjoint
-            if partners[1 << e] >> f & 1:
-                assert partners[1 << f] >> e & 1, (g, e, f)
-                assert disjoint, (g, e, f)
-                assert 2 * nu(g.vertex_set - {u, v, w, z}) == g.n - 4, (
-                    g, e, f)
-                listed += 1
+    for u, v in ends:
+        for w, z in ends:
+            if not {u, v} & {w, z}:
+                checked += 1
+                listed += any({(u, v), (w, z)} <= held for held in found)
     return checked, listed
 
 
-def test_filter_lists_only_comatchable_pairs(exhaustive_corpus):
-    """On the table tests' corpora, with their floors on the disjoint
-    pairs checked: the exhaustive n <= 6 graphs, the graphs that are
-    not matching covered (inadmissible edges, parallels), random n = 12
-    graphs and the fixture contractions (sparse ids, parallels)."""
+def test_partner_matchings_are_perfect_matchings(exhaustive_corpus):
+    """On the co-matchable table tests' corpora, with their floors on
+    the disjoint edge pairs: the exhaustive n <= 6 graphs, the graphs
+    that are not matching covered (inadmissible edges, parallels),
+    random n = 12 graphs and the fixture contractions (sparse ids,
+    parallels). The matchings hold together at least a quarter of the
+    disjoint pairs."""
     corpora = [
         ([g for corpus in exhaustive_corpus.values() for g in corpus],
          100_000),
@@ -358,14 +383,14 @@ def test_filter_lists_only_comatchable_pairs(exhaustive_corpus):
         (_fixture_contractions(), 5_000),
     ]
     for graphs, floor in corpora:
-        checked, listed = map(sum, zip(*map(_check_filter, graphs)))
+        checked, listed = map(sum, zip(*map(_check_matchings, graphs)))
         assert checked > floor
         assert listed > checked // 4
 
 
 def test_memo_answers_as_fresh_searches():
     """_comatchable_among with the memo that one enumeration keeps,
-    filled by the filter and then by every question before, answers as
+    filled by _matching_partners and then by every question before, answers as
     it does with no memo, on every shore the cached perfect matching
     crosses once and then on every two edges: the fixture
     contractions, and seeded n = 12 and 14 graphs with parallel edges
@@ -377,7 +402,7 @@ def test_memo_answers_as_fresh_searches():
         _, memo = _matching_partners(g)
         assert sum(len(key) == 2 for key in memo) == len(
             set(map(g.edge_ends, g.edge_ids))), g
-        for _, cut in _shores_crossed_once(g, find_perfect_matching(g)):
+        for _, cut in _shores_crossed_once(g, [_search_mates(g)]):
             eids = [e for e in g.edge_ids if cut >> e & 1]
             got = _comatchable_among(g, eids, memo)
             assert got == _comatchable_among(g, eids), g
@@ -430,27 +455,6 @@ def test_enumerate_tight_cuts_matches_pair_test(nontrivial_only):
     assert nontrivial > 50
 
 
-def _crossed_once_by_scan(g):
-    """Every odd shore through the smallest vertex whose cut the cached
-    perfect matching meets once, as (sorted shore, cut bitmask), by
-    size then lex order: the old shore walk's candidates."""
-    incidence = dict.fromkeys(g.vertices, 0)
-    for eid, (u, v) in g.edge_items():
-        incidence[u] ^= 1 << eid
-        incidence[v] ^= 1 << eid
-    pm_mask = sum(1 << eid for eid in find_perfect_matching(g).edges)
-    anchor, rest = g.vertices[0], g.vertices[1:]
-    out = []
-    for size in range(1, g.n, 2):
-        for combo in combinations(rest, size - 1):
-            cut = incidence[anchor]
-            for v in combo:
-                cut ^= incidence[v]
-            if (cut & pm_mask).bit_count() == 1:
-                out.append(((anchor,) + combo, cut))
-    return out
-
-
 def _tight_by_odd_shore_scan(g, nontrivial_only=False):
     """Every odd shore through the smallest vertex, by size then lex
     order, as edge bitmasks: kept when the cached perfect matching meets
@@ -458,7 +462,7 @@ def _tight_by_odd_shore_scan(g, nontrivial_only=False):
     partners = {1 << eid: mask
                 for eid, mask in _comatchable_masks(g).items()}
     out = []
-    for shore, cut in _crossed_once_by_scan(g):
+    for shore, cut in crossed_once_by_scan(g, [_search_mates(g)]):
         if nontrivial_only and len(shore) in (1, g.n - 1):
             continue
         left = cut
@@ -473,7 +477,7 @@ def _tight_by_odd_shore_scan(g, nontrivial_only=False):
 
 
 def test_enumerate_tight_cuts_matches_the_eager_table(differential_corpus):
-    """With the filter's matchings cut down only when first read, the
+    """With the walk's matchings cut down only when first read, the
     same cuts in the same order as the eager co-matchable table's
     odd-shore scan, on the differential corpus."""
     nontrivial = 0
@@ -500,24 +504,68 @@ def _parallel_graphs(orders, samples, seed):
 
 
 def test_shore_walk_is_a_bijection_onto_the_shores_crossed_once():
-    """The walk yields each odd shore through the smallest vertex that
-    the cached perfect matching crosses once, exactly once, with its
-    cut; n * 2^(n/2 - 2) of them."""
+    """With the cached perfect matching M alone, the walk yields each
+    odd shore through the smallest vertex that M crosses once, exactly
+    once, with its cut; n * 2^(n/2 - 2) of them."""
     graphs = list(_parallel_graphs((2, 4, 6, 8, 10), 6, seed=29))
     graphs += _fixture_contractions()
     for g in graphs:
         walked = [(tuple(sorted(members)), cut) for members, cut
-                  in _shores_crossed_once(g, find_perfect_matching(g))]
+                  in _shores_crossed_once(g, [_search_mates(g)])]
         assert len(walked) == g.n * 2 ** (g.n // 2) // 4
         assert sorted(walked, key=lambda t: (len(t[0]), t[0])) == \
-            _crossed_once_by_scan(g), g
+            crossed_once_by_scan(g, [_search_mates(g)]), g
 
 
 def test_shore_walk_counts_on_cycles():
     for n, count in ((12, 192), (16, 1_024)):
         g = cycle(n)
         assert sum(1 for _ in _shores_crossed_once(
-            g, find_perfect_matching(g))) == count
+            g, [_search_mates(g)])) == count
+
+
+def test_shore_walk_yields_the_shores_every_matching_crosses_once(
+        exhaustive_corpus):
+    """With the matchings _matching_partners finds, the walk yields
+    exactly the odd shores through the smallest vertex that every one
+    of them crosses once, each once and with its cut: graphs with
+    parallel edges and sparse labels, the fixture contractions, the
+    exhaustive n <= 6 corpus and random n = 12 graphs. Somewhere a
+    cycle's block is joined and somewhere a cycle through the crossing
+    edge is checked, so the walk leaves out shores that M alone
+    crosses once."""
+    graphs = list(_parallel_graphs((2, 4, 6, 8, 10), 6, seed=29))
+    graphs += _fixture_contractions()
+    graphs += [g for corpus in exhaustive_corpus.values() for g in corpus]
+    graphs += _random_graphs((12,), 20)
+    left_out = 0
+    for g in graphs:
+        matchings, _ = _matching_partners(g)
+        walked = [(tuple(sorted(members)), cut) for members, cut
+                  in _shores_crossed_once(g, matchings)]
+        assert len(set(walked)) == len(walked), g
+        assert sorted(walked, key=lambda t: (len(t[0]), t[0])) == \
+            crossed_once_by_scan(g, matchings), g
+        left_out += g.n * 2 ** (g.n // 2) // 4 - len(walked)
+    assert left_out > 10_000
+
+
+def test_shore_walk_yields_few_shores_on_the_benchmark_graphs(monkeypatch):
+    """On the certify_mixed benchmark's 120 graphs at seed 0 the walk
+    yields at most 2,400 shores, 1,520 of them trivial; walking every
+    shore the cached perfect matching crosses once yields 33,280."""
+    walked = Counter()
+    walk = tightcut.cuts._shores_crossed_once
+
+    def counted(*args):
+        for shore in walk(*args):
+            walked["shores"] += 1
+            yield shore
+
+    monkeypatch.setattr(tightcut.cuts, "_shores_crossed_once", counted)
+    for g in _benchmark_graphs():
+        enumerate_tight_cuts(g)
+    assert walked["shores"] <= 2_400
 
 
 @pytest.mark.parametrize("nontrivial_only", [False, True])
@@ -588,8 +636,8 @@ def _enumeration_searches(graphs, monkeypatch):
 
 
 def test_enumeration_search_counts(monkeypatch):
-    """The filter leaves few shores for the exact test, and the memo
-    runs each row once. The copies' coverage test, which the filter
+    """The walk leaves few shores for the exact test, and the memo
+    runs each row once. The copies' coverage test, which the walk
     asks for first, counts too: at most 218 searches on 20 random
     n = 12 graphs (3,216 with the eager co-matchable table), and at
     most 167 on the five tight-rich fixtures (the table's 397)."""
@@ -601,9 +649,9 @@ def test_enumeration_search_counts(monkeypatch):
 
 def test_enumeration_after_the_coverage_test_search_counts(monkeypatch):
     """On the certify_mixed benchmark's graphs at seed 0, whose coverage
-    test has run, the filter's matchings come from its closed cycles:
+    test has run, the walk's matchings come from its closed cycles:
     at most 850 searches for the 120 enumerations (2,491 when the
-    filter searched for a matching through each class)."""
+    walk's matchings were searched for one per class)."""
     graphs = _benchmark_graphs()
     counts = count_calls(monkeypatch, matching, "_alternating_search")
     for g in graphs:
