@@ -32,10 +32,9 @@ shared by the cuts of one enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import Cut, EnumerationLimitError, Graph, GraphError
+from .graph import Cut, EnumerationLimitError, Graph, GraphError, _Value
 from .matching import (
     TIGHT_CUT_LIMIT,
     _comatchable_among,
@@ -283,8 +282,7 @@ def _edge_ids(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class CutClassification:
+class CutClassification(_Value):
     """The largest barrier witness per shore, and every two-separation,
     that classify_cut found for one cut.
 
@@ -295,9 +293,25 @@ class CutClassification:
     twosep_witnesses lists the two-separations generating the cut.
     """
 
-    cut: Cut
-    barrier_witnesses: tuple[tuple[Barrier, int], ...]
-    twosep_witnesses: tuple[TwoSeparation, ...]
+    __slots__ = ("cut", "barrier_witnesses", "twosep_witnesses")
+
+    def __init__(self, cut: Cut,
+                 barrier_witnesses: tuple[tuple[Barrier, int], ...],
+                 twosep_witnesses: tuple[TwoSeparation, ...]):
+        set_cut, set_barriers, set_twoseps = self._setters
+        set_cut(self, cut)
+        set_barriers(self, barrier_witnesses)
+        set_twoseps(self, twosep_witnesses)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cut == other.cut
+                and self.barrier_witnesses == other.barrier_witnesses
+                and self.twosep_witnesses == other.twosep_witnesses)
+
+    def __hash__(self):
+        return hash((self.cut, self.barrier_witnesses, self.twosep_witnesses))
 
     @property
     def witnessed(self) -> bool:

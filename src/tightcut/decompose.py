@@ -83,11 +83,9 @@ between P - p and O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .certificate import DecompositionCertificate, Step
 from .cuts import CutClassification, classify_cut, is_tight, meets_once
-from .graph import Cut, Graph, GraphError, InternalInvariantError
+from .graph import Cut, Graph, GraphError, InternalInvariantError, _Value
 from .matching import (
     _carry_rows,
     _dependence_row,
@@ -143,8 +141,7 @@ class BranchTally:
         return f"BranchTally({inner})"
 
 
-@dataclass(frozen=True)
-class WitnessFinding:
+class WitnessFinding(_Value):
     """A witnessed tight cut that does not cross the reference cut.
 
     A Barrier witness is nontrivial and lies properly inside one shore
@@ -155,8 +152,20 @@ class WitnessFinding:
     producer and the sweep both check it there.
     """
 
-    cut: Cut
-    witness: Barrier | TwoSeparation
+    __slots__ = ("cut", "witness")
+
+    def __init__(self, cut: Cut, witness: Barrier | TwoSeparation):
+        set_cut, set_witness = self._setters
+        set_cut(self, cut)
+        set_witness(self, witness)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.cut == other.cut and self.witness == other.witness
+
+    def __hash__(self):
+        return hash((self.cut, self.witness))
 
 
 def _finding_failure(g: Graph, c: Cut, finding: WitnessFinding) -> str | None:

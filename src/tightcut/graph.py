@@ -13,22 +13,32 @@ out, in one sorted pass: the constructor's, after it checks its input,
 and every derived graph's (induced, contract, without_edges), from its
 parent's fields filtered, which are valid already and not checked again.
 
-All graph values are immutable. A graph memoizes what it derives in
-its own cache, and Graph._memo is the only way into that cache: every
-module asks it for a per-graph value by key, and it builds the value on
-the first call only. ``induced`` and ``contract`` thus return the same
-object for the same arguments, with whatever that object has cached in
-turn, and ``boundary`` reads each canonical shore's edge ids once. No
-cache holds a reference back to its graph, so a graph and everything
-derived from it is freed by reference counting alone, without waiting
-for the cyclic garbage collector
+All graph values are immutable. Cut here, and the value types of the
+other modules (Matching, Barrier, TwoSeparation, CutClassification,
+WitnessFinding, Step, DecompositionCertificate, VerificationResult and
+CorpusSpec), derive from one private base, _Value. Each lists its fields
+in __slots__, in constructor order, writes them in its own __init__
+through the slot descriptors, and compares and hashes its own fields,
+leaving a graph back-reference out. The base refuses every later
+assignment or deletion, rebuilds copies and pickles through the
+constructor and gives the field-list repr, so importing the package
+generates no code.
+
+A graph memoizes what it derives in its own cache, and Graph._memo is
+the only way into that cache: every module asks it for a per-graph
+value by key, and it builds the value on the first call only.
+``induced`` and ``contract`` thus return the same object for the same
+arguments, with whatever that object has cached in turn, and
+``boundary`` reads each canonical shore's edge ids once. No cache holds
+a reference back to its graph, so a graph and everything derived from
+it is freed by reference counting alone, without waiting for the cyclic
+garbage collector
 (tests/test_sweep.py::test_sweep_leaves_no_cyclic_garbage).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import chain, count
 from typing import Iterable, Mapping
 
@@ -47,6 +57,33 @@ class InternalInvariantError(RuntimeError):
     Raised at points where the underlying theory guarantees success, so
     this is always a bug report, never a data error.
     """
+
+
+class _Value:
+    """Base of the immutable value types: fields in __slots__, in
+    constructor order, set by each subclass's __init__ alone."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the __set__ of each slot descriptor, in slot order: the one way
+        # an __init__ writes its fields past __setattr__'s refusal
+        cls._setters = tuple(getattr(cls, name).__set__
+                             for name in cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.__slots__)
+        return f"{type(self).__name__}({inner})"
 
 
 class Graph:
@@ -498,13 +535,25 @@ class Graph:
         return not self.cut_vertices()
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(_Value):
     """An edge cut, stored by its lexicographically smaller shore."""
 
-    shore: frozenset[int]
-    edge_ids: frozenset[int]
-    graph: Graph = field(compare=False, repr=False)
+    __slots__ = ("shore", "edge_ids", "graph")
+
+    def __init__(self, shore: frozenset[int], edge_ids: frozenset[int],
+                 graph: Graph):
+        set_shore, set_edge_ids, set_graph = self._setters
+        set_shore(self, shore)
+        set_edge_ids(self, edge_ids)
+        set_graph(self, graph)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.shore == other.shore and self.edge_ids == other.edge_ids
+
+    def __hash__(self):
+        return hash((self.shore, self.edge_ids))
 
     @property
     def other_shore(self) -> frozenset[int]:

@@ -18,11 +18,10 @@ the structure. Same spec, same graphs, always.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import combinations
 from random import Random
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, _Value
 from .matching import is_matching_covered
 
 EXHAUSTIVE_MAX_N = 7
@@ -101,15 +100,29 @@ def canonical(name: str) -> Graph:
     return builder()
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(_Value):
     """What to generate: mode is "exhaustive", "random", or "named"."""
 
-    mode: str
-    n: int = 0
-    samples: int = 0
-    seed: int = 0
-    names: tuple[str, ...] = ()
+    __slots__ = ("mode", "n", "samples", "seed", "names")
+
+    def __init__(self, mode: str, n: int = 0, samples: int = 0,
+                 seed: int = 0, names: tuple[str, ...] = ()):
+        set_mode, set_n, set_samples, set_seed, set_names = self._setters
+        set_mode(self, mode)
+        set_n(self, n)
+        set_samples(self, samples)
+        set_seed(self, seed)
+        set_names(self, names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.mode, self.n, self.samples, self.seed, self.names)
+                == (other.mode, other.n, other.samples, other.seed,
+                    other.names))
+
+    def __hash__(self):
+        return hash((self.mode, self.n, self.samples, self.seed, self.names))
 
 
 def _complete_matchings(n: int) -> list[int]:

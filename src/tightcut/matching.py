@@ -79,13 +79,12 @@ the limit has no override.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .graph import (
     EnumerationLimitError,
     Graph,
     GraphError,
     InternalInvariantError,
+    _Value,
 )
 
 ENUMERATION_LIMIT = 24
@@ -95,21 +94,30 @@ ENUMERATION_LIMIT = 24
 TIGHT_CUT_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(_Value):
     """A set of pairwise disjoint edges of a host graph."""
 
-    edges: frozenset[int]
-    graph: Graph = field(compare=False, repr=False)
+    __slots__ = ("edges", "graph")
 
-    def __post_init__(self):
+    def __init__(self, edges: frozenset[int], graph: Graph):
         seen: set[int] = set()
-        for eid in self.edges:
-            u, v = self.graph.edge_ends(eid)
+        for eid in edges:
+            u, v = graph.edge_ends(eid)
             if u in seen or v in seen:
-                raise GraphError(f"edges share a vertex: {sorted(self.edges)}")
+                raise GraphError(f"edges share a vertex: {sorted(edges)}")
             seen.add(u)
             seen.add(v)
+        set_edges, set_graph = self._setters
+        set_edges(self, edges)
+        set_graph(self, graph)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.edges,))
 
     @property
     def is_perfect(self) -> bool:

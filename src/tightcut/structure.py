@@ -24,7 +24,6 @@ candidate of each of its members, so the construction misses none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
 
@@ -34,6 +33,7 @@ from .graph import (
     Graph,
     GraphError,
     InternalInvariantError,
+    _Value,
 )
 from .matching import (
     _dependence_row,
@@ -47,13 +47,26 @@ from .matching import (
 )
 
 
-@dataclass(frozen=True)
-class Barrier:
+class Barrier(_Value):
     """A vertex set with one odd component outside it per member."""
 
-    members: frozenset[int]
-    odd_parts: tuple[frozenset[int], ...]
-    graph: Graph = field(compare=False, repr=False)
+    __slots__ = ("members", "odd_parts", "graph")
+
+    def __init__(self, members: frozenset[int],
+                 odd_parts: tuple[frozenset[int], ...], graph: Graph):
+        set_members, set_odd_parts, set_graph = self._setters
+        set_members(self, members)
+        set_odd_parts(self, odd_parts)
+        set_graph(self, graph)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.members == other.members
+                and self.odd_parts == other.odd_parts)
+
+    def __hash__(self):
+        return hash((self.members, self.odd_parts))
 
     @property
     def is_nontrivial(self) -> bool:
@@ -215,14 +228,27 @@ def barrier_cuts(g: Graph, b: Barrier) -> tuple[Cut, ...]:
     return tuple(g.boundary(part) for part in b.odd_parts)
 
 
-@dataclass(frozen=True)
-class TwoSeparation:
+class TwoSeparation(_Value):
     """Two even-order sides meeting exactly in a separating vertex pair."""
 
-    pair: tuple[int, int]
-    side1: frozenset[int]
-    side2: frozenset[int]
-    graph: Graph = field(compare=False, repr=False)
+    __slots__ = ("pair", "side1", "side2", "graph")
+
+    def __init__(self, pair: tuple[int, int], side1: frozenset[int],
+                 side2: frozenset[int], graph: Graph):
+        set_pair, set_side1, set_side2, set_graph = self._setters
+        set_pair(self, pair)
+        set_side1(self, side1)
+        set_side2(self, side2)
+        set_graph(self, graph)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pair == other.pair and self.side1 == other.side1
+                and self.side2 == other.side2)
+
+    def __hash__(self):
+        return hash((self.pair, self.side1, self.side2))
 
     def __repr__(self):
         return (f"TwoSeparation(pair={self.pair}, "

@@ -31,7 +31,6 @@ tight.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 from .certificate import graph_to_json
@@ -43,7 +42,7 @@ from .decompose import (
     _shore_cut_vertices,
     decompose_tight_cut,
 )
-from .graph import Cut, Graph
+from .graph import Cut, Graph, _Value
 from .instances import CorpusSpec, enumerate_corpus, fixture_instances
 from .matching import is_matching_covered
 from .structure import (
@@ -65,25 +64,57 @@ _LIFT_2SEP_INNER_CAP = 3
 _STRICT_SETUP_CAP = 4
 
 
-@dataclass
 class SweepReport:
-    command: str
-    instances: int = 0
-    graphs_with_nontrivial_tight_cut: int = 0
-    tight_cuts_checked: int = 0
-    nontrivial_tight_cuts: int = 0
-    witnesses_verified: int = 0
-    contraction_checks: int = 0
-    transfer_checks: int = 0
-    barrier_structure_checks: int = 0
-    twosep_cut_checks: int = 0
-    lift_scenarios: int = 0
-    strict_barrier_instances: int = 0
-    decompositions: int = 0
-    violations: list = field(default_factory=list)
-    branch_counts: dict = field(default_factory=dict)
-    harvested: list = field(default_factory=list)
-    elapsed: float = 0.0
+    """The sweep's counters, violations and harvest; mutable, unlike the
+    value types, so unhashable. Each of violations, branch_counts and
+    harvested defaults to a fresh container."""
+
+    __slots__ = (
+        "command", "instances", "graphs_with_nontrivial_tight_cut",
+        "tight_cuts_checked", "nontrivial_tight_cuts", "witnesses_verified",
+        "contraction_checks", "transfer_checks", "barrier_structure_checks",
+        "twosep_cut_checks", "lift_scenarios", "strict_barrier_instances",
+        "decompositions", "violations", "branch_counts", "harvested",
+        "elapsed")
+
+    def __init__(self, command: str, instances: int = 0,
+                 graphs_with_nontrivial_tight_cut: int = 0,
+                 tight_cuts_checked: int = 0, nontrivial_tight_cuts: int = 0,
+                 witnesses_verified: int = 0, contraction_checks: int = 0,
+                 transfer_checks: int = 0, barrier_structure_checks: int = 0,
+                 twosep_cut_checks: int = 0, lift_scenarios: int = 0,
+                 strict_barrier_instances: int = 0, decompositions: int = 0,
+                 violations: list | None = None,
+                 branch_counts: dict | None = None,
+                 harvested: list | None = None, elapsed: float = 0.0):
+        self.command = command
+        self.instances = instances
+        self.graphs_with_nontrivial_tight_cut = graphs_with_nontrivial_tight_cut
+        self.tight_cuts_checked = tight_cuts_checked
+        self.nontrivial_tight_cuts = nontrivial_tight_cuts
+        self.witnesses_verified = witnesses_verified
+        self.contraction_checks = contraction_checks
+        self.transfer_checks = transfer_checks
+        self.barrier_structure_checks = barrier_structure_checks
+        self.twosep_cut_checks = twosep_cut_checks
+        self.lift_scenarios = lift_scenarios
+        self.strict_barrier_instances = strict_barrier_instances
+        self.decompositions = decompositions
+        self.violations = [] if violations is None else violations
+        self.branch_counts = {} if branch_counts is None else branch_counts
+        self.harvested = [] if harvested is None else harvested
+        self.elapsed = elapsed
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+    __repr__ = _Value.__repr__
 
     @property
     def ok(self) -> bool:
@@ -92,7 +123,7 @@ class SweepReport:
     def to_json_dict(self) -> dict:
         """Every field in declaration order, with "ok" after "command"."""
         js = {"command": self.command, "ok": self.ok}
-        js.update((f.name, getattr(self, f.name)) for f in fields(self))
+        js.update(zip(self.__slots__, self._fields()))
         js["violations"] = [
             {"kind": kind, "label": label, "detail": detail}
             for kind, label, detail in self.violations]

@@ -43,20 +43,19 @@ every one keeps its id, and both image shores keep two or more vertices.
 The verifier is independent of the producer's search, not of its
 primitives. Both sides rely on is_matching_covered, is_barrier,
 make_two_separation and two_separation_cuts; on Graph, its methods
-boundary and contract, and GraphError; on Cut and its crosses; and on
-DecompositionCertificate for the JSON form. A Graph handed in by the
-caller also keeps whatever the producer memoized on it, matchings,
-barrier answers and strictness answers included, and so do its
-memoized contractions: a replayed contraction the producer also built
-is the producer's object, with its caches.
+boundary and contract, and GraphError; on Cut and its crosses; on
+DecompositionCertificate for the JSON form; and on _Value, the base of
+every value type. A Graph handed in by the caller also keeps whatever
+the producer memoized on it, matchings, barrier answers and strictness
+answers included, and so do its memoized contractions: a replayed
+contraction the producer also built is the producer's object, with its
+caches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .certificate import DecompositionCertificate
-from .graph import Cut, Graph, GraphError
+from .graph import Cut, Graph, GraphError, _Value
 from .matching import is_matching_covered
 from .structure import is_barrier, make_two_separation, two_separation_cuts
 
@@ -75,10 +74,21 @@ R_FINAL_WITNESSED = "final not witnessed"
 R_STEPS = "step count mismatch"
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    ok: bool
-    failures: tuple[tuple[str, str], ...]
+class VerificationResult(_Value):
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: tuple[tuple[str, str], ...]):
+        set_ok, set_failures = self._setters
+        set_ok(self, ok)
+        set_failures(self, failures)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ok == other.ok and self.failures == other.failures
+
+    def __hash__(self):
+        return hash((self.ok, self.failures))
 
     def __bool__(self) -> bool:
         return self.ok

@@ -83,7 +83,7 @@ TIGHT_ON_ENTRY = {"find_noncrossing_witness", "witness_from_edge"}
 # lists after "Both sides rely on"
 SHARED = {"is_matching_covered", "is_barrier", "make_two_separation",
           "two_separation_cuts", "Graph", "GraphError", "Cut",
-          "DecompositionCertificate"}
+          "DecompositionCertificate", "_Value"}
 
 
 def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:

@@ -1,6 +1,5 @@
 """The sweep harness: counters, violations, harvest, and JSON report."""
 
-import dataclasses
 import gc
 import json
 from collections import Counter
@@ -13,7 +12,7 @@ import tightcut.matching
 import tightcut.structure
 import tightcut.sweep
 from tightcut.cuts import enumerate_tight_cuts
-from tightcut.decompose import _find_noncrossing_witness
+from tightcut.decompose import WitnessFinding, _find_noncrossing_witness
 from tightcut.graph import Graph
 from tightcut.instances import CorpusSpec, enumerate_corpus
 from tightcut.structure import (
@@ -230,24 +229,24 @@ def _not_a_barrier(finding, ref):
     g, shore = ref.graph, ref.shore
     members = next(frozenset((u, v)) for u in sorted(shore)
                    for v in g.neighbors(u) if v in shore)
-    return dataclasses.replace(finding, witness=Barrier(members, (), g))
+    return WitnessFinding(finding.cut, Barrier(members, (), g))
 
 
 def _crossing_cut(finding, ref):
     crossing = next(d for d in enumerate_tight_cuts(ref.graph, True)
                     if d.crosses(ref))
-    return dataclasses.replace(finding, cut=crossing)
+    return WitnessFinding(crossing, finding.witness)
 
 
 def _no_witness(finding, ref):
-    return dataclasses.replace(finding, witness=None)
+    return WitnessFinding(finding.cut, None)
 
 
 def _trivial_barrier(finding, ref):
     # a single vertex of a reference shore of C6 is a barrier, but trivial
     g = ref.graph
-    return dataclasses.replace(
-        finding, witness=Barrier(frozenset({min(ref.shore)}), (), g))
+    return WitnessFinding(
+        finding.cut, Barrier(frozenset({min(ref.shore)}), (), g))
 
 
 @pytest.mark.parametrize(
