@@ -110,18 +110,26 @@ def cmd_check(args) -> int:
 
 
 def _write_dot_files(cert: DecompositionCertificate, directory: str) -> None:
+    """One dot file per step and one for the final graph. A contraction
+    vertex is boxed with the input vertices it stands for, read off the
+    certificate's steps: the union of what each vertex of its contracted
+    shore stands for, an input vertex standing for itself."""
     os.makedirs(directory, exist_ok=True)
+    origins: dict[int, frozenset[int]] = {}
     for index, step in enumerate(cert.steps, 1):
         contracted = step.graph.boundary(step.contracted_shore)
         text = graph_to_dot(
             step.graph, highlight=step.cut.edge_ids,
-            secondary=contracted.edge_ids, name=f"step{index}")
+            secondary=contracted.edge_ids, origins=origins,
+            name=f"step{index}")
         with open(os.path.join(directory, f"step_{index:02d}.dot"),
                   "w", encoding="utf-8") as handle:
             handle.write(text)
+        origins[step.new_vertex] = frozenset().union(*(
+            origins.pop(v, {v}) for v in step.contracted_shore))
     text = graph_to_dot(cert.final_graph,
                         highlight=cert.final_classification.cut.edge_ids,
-                        name="final")
+                        origins=origins, name="final")
     with open(os.path.join(directory, "final.dot"),
               "w", encoding="utf-8") as handle:
         handle.write(text)

@@ -11,7 +11,10 @@ vertex's position is its rank in sorted label order, so a walk over
 positions visits vertices in label order. One routine lays every graph
 out, in one sorted pass: the constructor's, after it checks its input,
 and every derived graph's (induced, contract, without_edges), from its
-parent's fields filtered, which are valid already and not checked again.
+parent's edges filtered, which are valid already and not checked again.
+A graph records nothing of where its vertices came from: what a
+contraction vertex stands for is read off the certificate's steps
+(cli._write_dot_files).
 
 All graph values are immutable. Cut here, and the value types of the
 other modules (Matching, Barrier, TwoSeparation, CutClassification,
@@ -100,24 +103,26 @@ class Graph:
     Mapping input and numbers list input in order, and every derived
     graph filters a parent's ``_edges`` in order. _lay_out alone writes
     these fields, for the constructor once its checks pass and for
-    every derived graph straight from the filtered fields.
+    every derived graph straight from the filtered edges.
 
-    ``provenance`` maps a contracted vertex to the frozenset of original
-    vertices it stands for; plain vertices have no entry and stand for
-    themselves.
+    Edge ids are non-negative ints, bools excluded: the searches of
+    matching.py and cuts.py use them as bit positions.
     """
 
     __slots__ = ("_vset", "_vlist", "_pos", "_rows", "_row_ids", "_edges",
-                 "provenance", "_cache", "__weakref__")
+                 "_cache", "__weakref__")
 
-    def __init__(self, vertices: Iterable[int], edges=(), *,
-                 provenance: Mapping[int, frozenset] | None = None):
+    def __init__(self, vertices: Iterable[int], edges=()):
         vset = set()
         for v in vertices:
             if not isinstance(v, int):
                 raise GraphError(f"vertex {v!r} is not an int")
             vset.add(v)
         if isinstance(edges, Mapping):
+            for eid in edges:
+                if isinstance(eid, bool) or not isinstance(eid, int) or eid < 0:
+                    raise GraphError(
+                        f"edge id {eid!r} is not a non-negative int")
             items = sorted(edges.items())
         else:
             items = enumerate(edges)
@@ -129,21 +134,15 @@ class Graph:
                 raise GraphError(
                     f"edge {eid} touches a vertex outside the graph: ({u}, {v})")
             emap[eid] = (u, v) if u < v else (v, u)
-        self._lay_out(frozenset(vset), emap, {
-            v: frozenset(tag)
-            for v, tag in (provenance or {}).items()
-            if v in vset
-        })
+        self._lay_out(frozenset(vset), emap)
 
-    def _lay_out(self, vset: frozenset, edges: dict, provenance: dict
-                 ) -> "Graph":
+    def _lay_out(self, vset: frozenset, edges: dict) -> "Graph":
         """Fill every field of this graph from valid parts, and return it.
 
         The one writer of the layout, for the constructor and every
         derived graph alike. It checks nothing: edges maps ascending ids
-        to sorted ends inside vset, with no loop, and provenance holds
-        frozensets for vertices of vset only. A derived graph filters
-        its parent's fields, which keeps them valid and in order.
+        to sorted ends inside vset, with no loop. A derived graph
+        filters its parent's edges, which keeps them valid and in order.
         """
         # each end pair's edge ids; edges run in ascending id order, so
         # each tuple is ascending too
@@ -166,7 +165,6 @@ class Graph:
             row_ids[i].append(ids)
             rows[j].append(i)
             row_ids[j].append(ids)
-        self.provenance = provenance
         self._cache: dict = {}
         return self
 
@@ -264,11 +262,6 @@ class Graph:
     def has_edge(self, u, v) -> bool:
         return bool(self.edges_between(u, v))
 
-    def provenance_of(self, v) -> frozenset[int]:
-        if v not in self._vset:
-            raise GraphError(f"unknown vertex {v}")
-        return self.provenance.get(v, frozenset((v,)))
-
     def fresh_vertex(self) -> int:
         return self._vlist[-1] + 1 if self._vlist else 0
 
@@ -296,8 +289,7 @@ class Graph:
         return Graph.__new__(Graph)._lay_out(
             s,
             {eid: uv for eid, uv in self._edges.items()
-             if uv[0] in s and uv[1] in s},
-            {v: p for v, p in self.provenance.items() if v in s})
+             if uv[0] in s and uv[1] in s})
 
     def without_vertices(self, drop) -> "Graph":
         return self.induced(self._vset - frozenset(drop))
@@ -309,15 +301,14 @@ class Graph:
             raise GraphError(f"unknown edge ids: {sorted(bad)}")
         return Graph.__new__(Graph)._lay_out(
             self._vset,
-            {eid: uv for eid, uv in self._edges.items() if eid not in drop},
-            dict(self.provenance))
+            {eid: uv for eid, uv in self._edges.items() if eid not in drop})
 
     def contract(self, part, new_vertex: int | None = None) -> "Graph":
         """Shrink ``part`` to a single vertex.
 
         Edges inside the part disappear; every other edge keeps its id,
         with endpoints inside the part replaced by ``new_vertex``. The
-        new vertex's provenance is the union of the part's provenance.
+        result does not record the part: a certificate's steps do.
         """
         s = frozenset(part)
         if not s or not s <= self._vset:
@@ -348,13 +339,7 @@ class Graph:
                 emap[eid] = (x, w) if x < w else (w, x)
             else:
                 emap[eid] = (u, v)
-        rest = self._vset - s
-        prov = {v: p for v, p in self.provenance.items() if v in rest}
-        merged: frozenset[int] = frozenset()
-        for w in sorted(s):
-            merged |= self.provenance_of(w)
-        prov[x] = merged
-        return Graph.__new__(Graph)._lay_out(rest | {x}, emap, prov)
+        return Graph.__new__(Graph)._lay_out((self._vset - s) | {x}, emap)
 
     # cuts ---------------------------------------------------------------
 

@@ -405,22 +405,13 @@ def barrier_core(g: Graph, b: Barrier) -> Graph:
     preserved, parallels retained; edges inside B, inside components,
     and everything touching even components disappear. Fresh vertices
     are numbered consecutively from g.fresh_vertex() in component
-    order and carry the merged provenance of their component.
+    order.
     """
     if b.graph is not g:
         raise GraphError("barrier belongs to a different graph")
     start = g.fresh_vertex()
-    label: dict[int, int] = {}
-    provenance: dict[int, frozenset[int]] = {}
-    for i, part in enumerate(b.odd_parts):
-        fresh = start + i
-        merged: set[int] = set()
-        for x in sorted(part):
-            merged.update(g.provenance_of(x))
-            label[x] = fresh
-        provenance[fresh] = frozenset(merged)
-    for v in b.members:
-        provenance[v] = g.provenance_of(v)
+    label = {x: fresh for fresh, part in enumerate(b.odd_parts, start)
+             for x in part}
     vertices = sorted(b.members) + [start + i for i in range(len(b.odd_parts))]
     edges: dict[int, tuple[int, int]] = {}
     for eid, (x, y) in g.edge_items():
@@ -428,7 +419,7 @@ def barrier_core(g: Graph, b: Barrier) -> Graph:
             edges[eid] = (x, label[y])
         elif y in b.members and x in label:
             edges[eid] = (label[x], y)
-    return Graph(vertices, edges, provenance=provenance)
+    return Graph(vertices, edges)
 
 
 def is_strict_barrier(g: Graph, b: Barrier) -> bool:

@@ -43,18 +43,16 @@ every one keeps its id, and both image shores keep two or more vertices.
 The verifier is independent of the producer's search, not of its
 primitives. Both sides rely on is_matching_covered, is_barrier,
 make_two_separation and two_separation_cuts; on Graph, its methods
-boundary and contract, and GraphError; on Cut and its crosses; on
-DecompositionCertificate for the JSON form; and on _Value, the base of
-every value type. A Graph handed in by the caller also keeps whatever
-the producer memoized on it, matchings, barrier answers and strictness
-answers included, and so do its memoized contractions: a replayed
-contraction the producer also built is the producer's object, with its
-caches.
+boundary and contract, and GraphError; on Cut and its crosses; and on
+_Value, the base of every value type. A Graph handed in by the caller
+also keeps whatever the producer memoized on it, matchings, barrier
+answers and strictness answers included, and so do its memoized
+contractions: a replayed contraction the producer also built is the
+producer's object, with its caches.
 """
 
 from __future__ import annotations
 
-from .certificate import DecompositionCertificate
 from .graph import Cut, Graph, GraphError, _Value
 from .matching import is_matching_covered
 from .structure import is_barrier, make_two_separation, two_separation_cuts
@@ -263,8 +261,12 @@ def witness_failure(g: Graph, reference: Cut, cut: Cut, witness) -> str | None:
 
 
 def verify_certificate(g: Graph, c: Cut, cert) -> VerificationResult:
-    """Replay the chain from (g, c) and check the certificate against it."""
-    if isinstance(cert, DecompositionCertificate):
+    """Replay the chain from (g, c) and check the certificate against it.
+
+    cert is the JSON form, or an object whose to_json_dict gives it, as
+    a DecompositionCertificate's does.
+    """
+    if hasattr(cert, "to_json_dict"):
         cert = cert.to_json_dict()
     failures: list[tuple[str, str]] = []
     shapes = _check_schema(cert, failures)

@@ -11,7 +11,9 @@ from random import Random
 import pytest
 
 from tightcut.cuts import enumerate_tight_cuts
+from tightcut.decompose import decompose_tight_cut
 from tightcut.graph import Graph, GraphError
+from tightcut.instances import fixture_instances
 from tightcut.matching import find_perfect_matching
 from tightcut.structure import (
     enumerate_barriers,
@@ -121,12 +123,18 @@ def test_contract_parallel_edges_from_cut():
     assert h.edges_between(0, 4) == (0, 3)
 
 
-def test_contract_provenance_accumulates(c6):
-    h = c6.contract({3, 4, 5}, 9)
-    assert h.provenance_of(9) == frozenset({3, 4, 5})
-    assert h.provenance_of(0) == frozenset({0})
-    h2 = h.contract({2, 9}, 10)
-    assert h2.provenance_of(10) == frozenset({2, 3, 4, 5})
+def test_contract_provenance_accumulates():
+    """The bridged_triangle chain of cut {0, 1, 2}: its second step
+    contracts the first step's label, and its two contractions give the
+    graph that one contraction of all the input vertices the last label
+    stands for gives."""
+    [g] = [g for name, g, _ in fixture_instances()
+           if name == "bridged_triangle"]
+    cert = decompose_tight_cut(g, g.boundary({0, 1, 2}))
+    assert [(step.contracted_shore, step.new_vertex)
+            for step in cert.steps] == [({4, 8, 9}, 10), ({3, 7, 10}, 11)]
+    assert g.contract({4, 8, 9}, 10).contract({3, 7, 10}, 11) \
+        == cert.final_graph == g.contract({3, 4, 7, 8, 9}, 11)
 
 
 def test_contract_rejects_bad_input(c6):
@@ -144,8 +152,8 @@ def test_contract_rejects_bad_input(c6):
 # every public method against the edge list -----------------------------------
 
 def random_multigraphs(count: int, seed: int):
-    """Seeded graphs on sparse vertex labels with parallel edges, and a
-    contraction of each, so some carry provenance."""
+    """Seeded graphs on sparse vertex labels with parallel edges, each
+    followed by a contraction of it."""
     rng = Random(seed)
     for _ in range(count):
         verts = rng.sample(range(30), rng.randint(2, 9))
@@ -163,11 +171,11 @@ def random_multigraphs(count: int, seed: int):
 ABSENT = 99
 
 
-def _check_against_the_edge_list(g: Graph, verts, emap, prov, rng):
-    """Every query of g against answers computed from its vertices, its
-    edges emap (id -> ends, in any order and orientation) and its
-    provenance prov alone: plain edge scans, brute_components, and cut
-    vertices found by deleting each vertex in turn."""
+def _check_against_the_edge_list(g: Graph, verts, emap, rng):
+    """Every query of g against answers computed from its vertices and
+    its edges emap (id -> ends, in any order and orientation) alone:
+    plain edge scans, brute_components, and cut vertices found by
+    deleting each vertex in turn."""
     verts = sorted(verts)
     ends = {eid: tuple(sorted(uv)) for eid, uv in sorted(emap.items())}
     pairs = list(ends.values())
@@ -176,8 +184,6 @@ def _check_against_the_edge_list(g: Graph, verts, emap, prov, rng):
     # edges run in ascending id order, however the graph was built
     assert g.edge_ids == tuple(ends)
     assert g.edge_items() == list(ends.items())
-    for v in verts:
-        assert g.provenance_of(v) == prov.get(v, frozenset((v,)))
     pos, rows = g.positions()
     assert pos == {v: i for i, v in enumerate(verts)}
     for v in verts:
@@ -236,82 +242,74 @@ def _check_against_the_edge_list(g: Graph, verts, emap, prov, rng):
                 g.cut_from_edge_ids(some)
 
 
-def _derived(verts, emap, prov, rng):
+def _derived(verts, emap, rng):
     """Random derived graphs of the graph with these fields, as (method,
-    arguments, and the result's vertices, edges and provenance by
-    definition, from the edge list alone)."""
+    arguments, and the result's vertices and edges by definition, from
+    the edge list alone)."""
     keep = frozenset(rng.sample(verts, rng.randint(0, len(verts))))
     yield ("induced", (keep,), keep,
-           {eid: uv for eid, uv in emap.items() if set(uv) <= keep},
-           {v: p for v, p in prov.items() if v in keep})
+           {eid: uv for eid, uv in emap.items() if set(uv) <= keep})
     drop = frozenset(rng.sample(verts, rng.randint(0, len(verts))))
     yield ("without_vertices", (drop,), frozenset(verts) - drop,
-           {eid: uv for eid, uv in emap.items() if drop.isdisjoint(uv)},
-           {v: p for v, p in prov.items() if v not in drop})
+           {eid: uv for eid, uv in emap.items() if drop.isdisjoint(uv)})
     if len(verts) >= 2:
         part = frozenset(rng.sample(verts, rng.randint(1, len(verts) - 1)))
         # the label may sort after, before or among the survivors
         x = rng.choice([max(verts) + 1, min(verts) - 1,
                         rng.choice(sorted(part))])
-        rest = frozenset(verts) - part
-        yield ("contract", (part, x), rest | {x},
+        yield ("contract", (part, x), (frozenset(verts) - part) | {x},
                {eid: tuple(x if w in part else w for w in uv)
-                for eid, uv in emap.items() if not set(uv) <= part},
-               {**{v: p for v, p in prov.items() if v in rest},
-                x: frozenset().union(*(prov.get(w, {w}) for w in part))})
+                for eid, uv in emap.items() if not set(uv) <= part})
     drop = rng.sample(list(emap), rng.randint(0, len(emap)))
     yield ("without_edges", (drop,), frozenset(verts),
-           {eid: uv for eid, uv in emap.items() if eid not in drop}, prov)
+           {eid: uv for eid, uv in emap.items() if eid not in drop})
 
 
 def test_public_methods_match_the_edge_list():
     """Each graph of random_multigraphs is rebuilt from list input (edge
-    ends in both orders) and from Mapping input on sparse shuffled ids
-    with provenance, some of it for vertices outside the graph; every
-    public method of it, of its derived graphs (induced,
+    ends in both orders) and from Mapping input on sparse shuffled ids;
+    every public method of it, of its derived graphs (induced,
     without_vertices, contract, without_edges) and of theirs in turn is
     checked against the edge list."""
     rng = Random(13)
-    seen = {"parallel": 0, "provenance": 0, "split": 0, "cut": 0}
+    seen = {"parallel": 0, "split": 0, "cut": 0}
     for g in random_multigraphs(40, seed=17):
         edges = [(v, u) if rng.random() < 0.5 else (u, v)
                  for _, (u, v) in g.edge_items()]
         verts = list(g.vertices)
         rng.shuffle(verts)
         ids = rng.sample(range(3 * g.m + 5), g.m)
-        prov = dict(g.provenance)
-        for v in rng.sample(verts, len(verts) // 2):
-            prov.setdefault(v, frozenset({v, -2}))
-        built = [(Graph(verts, edges), dict(enumerate(edges)), {}),
-                 (Graph(verts, dict(zip(ids, edges)),
-                        provenance={**prov, ABSENT: frozenset({-1})}),
-                  dict(zip(ids, edges)), prov)]
-        level = [(h, verts, emap, p) for h, emap, p in built]
+        built = [(Graph(verts, edges), dict(enumerate(edges))),
+                 (Graph(verts, dict(zip(ids, edges))), dict(zip(ids, edges)))]
+        level = [(h, verts, emap) for h, emap in built]
         for depth in range(3):
-            for h, vs, emap, p in level:
-                _check_against_the_edge_list(h, vs, emap, p, rng)
+            for h, vs, emap in level:
+                _check_against_the_edge_list(h, vs, emap, rng)
                 seen["parallel"] += len(set(map(frozenset, emap.values()))) \
                     < len(emap)
-                seen["provenance"] += any(len(t) > 1 for t in p.values())
                 seen["split"] += len(h.components()) > 1
                 seen["cut"] += bool(h.cut_vertices())
             if depth < 2:
-                level = [(getattr(h, name)(*args), list(vs2), emap2, p2)
-                         for h, vs, emap, p in level
-                         for name, args, vs2, emap2, p2 in _derived(
-                             sorted(vs), emap, p, rng)]
+                level = [(getattr(h, name)(*args), list(vs2), emap2)
+                         for h, vs, emap in level
+                         for name, args, vs2, emap2 in _derived(
+                             sorted(vs), emap, rng)]
     assert min(seen.values()) > 100, seen
 
 
 def _reference_check(vertices, edges):
     """The constructor's input checks, in its order, kept as the oracle
-    of its error text: int vertices, then, edge by edge in id order, no
-    loop and both ends in the graph."""
+    of its error text: int vertices, non-negative int edge ids, then,
+    edge by edge in id order, no loop and both ends in the graph."""
     vset = set()
     for v in vertices:
         if not isinstance(v, int):
             raise GraphError(f"vertex {v!r} is not an int")
         vset.add(v)
+    if isinstance(edges, Mapping):
+        for eid in edges:
+            if isinstance(eid, bool) or not isinstance(eid, int) or eid < 0:
+                raise GraphError(f"edge id {eid!r} is not a non-negative int")
     items = sorted(edges.items()) if isinstance(edges, Mapping) \
         else enumerate(edges)
     for eid, (u, v) in items:
@@ -330,10 +328,19 @@ def _reference_check(vertices, edges):
     ([0, "1", 2], [(0, 2)]),
     ([0, 1.0], [(0, 1)]),
     ([0, 1, None], [(0, 1), (1, 1)]),
+    # edge ids are bit positions in the searches: no negative, non-int
+    # or bool id, checked before sorting, which mixed types would fail
+    ([0, 1, 2, 3], {-1: (0, 1), 0: (1, 2), 1: (2, 3), 2: (3, 0)}),
+    ([0, 1, 2], {0: (0, 1), -1: (1, 1)}),
+    ([0, 1, 2], {0: (0, 1), "1": (1, 2)}),
+    ([0, 1], {True: (0, 1)}),
+    ([0, 1], {1.0: (0, 1)}),
+    ([0, 1], {None: (0, 1)}),
 ])
 def test_constructor_rejects_as_the_reference_builder(vertices, edges):
-    """Loops, edge ends outside the graph and non-int vertices raise
-    the same GraphError, with the same text, as the reference."""
+    """Loops, edge ends outside the graph, non-int vertices and edge ids
+    that are not non-negative ints raise the same GraphError, with the
+    same text, as the reference."""
     with pytest.raises(GraphError) as want:
         _reference_check(vertices, edges)
     with pytest.raises(GraphError) as got:
@@ -341,30 +348,26 @@ def test_constructor_rejects_as_the_reference_builder(vertices, edges):
     assert str(got.value) == str(want.value)
 
 
+
 def layout(g: Graph):
     """What g stores, read through its public accessors, dict key order
-    included: vertices, edges in id order, positions and their rows,
-    provenance."""
+    included: vertices, edges in id order, positions and their rows."""
     pos, rows = g.positions()
-    return (g.vertices, g.edge_items(), list(pos.items()), rows,
-            list(g.provenance.items()))
+    return (g.vertices, g.edge_items(), list(pos.items()), rows)
 
 
 def test_induced_matches_the_validating_constructor():
     rng = Random(11)
-    with_provenance = with_parallels = 0
+    with_parallels = 0
     for g in random_multigraphs(150, seed=7):
         for _ in range(4):
             keep = frozenset(rng.sample(g.vertices, rng.randint(0, g.n)))
             emap = {eid: uv for eid, uv in g.edge_items()
                     if uv[0] in keep and uv[1] in keep}
-            prov = {v: p for v, p in g.provenance.items() if v in keep}
-            old = Graph(keep, emap, provenance=prov)
-            assert layout(g.induced(keep)) == layout(old)
+            assert layout(g.induced(keep)) == layout(Graph(keep, emap))
             assert g.without_vertices(g.vertex_set - keep) is g.induced(keep)
-            with_provenance += bool(prov)
             with_parallels += len(set(emap.values())) < len(emap)
-    assert with_provenance and with_parallels
+    assert with_parallels
 
 
 def test_induced_is_memoized_and_validated(c6):
@@ -376,8 +379,8 @@ def test_induced_is_memoized_and_validated(c6):
 
 def test_contract_is_memoized_per_part_and_label():
     """A contraction equals the validating constructor's graph on its
-    vertices, edges and provenance, key order included, whether its
-    label sorts after, before or among the survivors."""
+    vertices and edges, key order included, whether its label sorts
+    after, before or among the survivors."""
     rng = Random(3)
     for g in random_multigraphs(60, seed=5):
         if g.n < 3:
@@ -392,10 +395,8 @@ def test_contract_is_memoized_per_part_and_label():
         for x in (g.fresh_vertex(), g.vertices[0] - 1, rng.choice(part)):
             emap = {eid: tuple(x if w in part else w for w in uv)
                     for eid, uv in g.edge_items() if not set(uv) <= set(part)}
-            prov = {v: p for v, p in g.provenance.items() if v in rest}
-            prov[x] = frozenset().union(*map(g.provenance_of, part))
-            old = Graph(rest | {x}, emap, provenance=prov)
-            assert layout(g.contract(part, x)) == layout(old)
+            assert layout(g.contract(part, x)) == layout(
+                Graph(rest | {x}, emap))
 
 
 def test_without_edges_matches_the_validating_constructor():
@@ -403,8 +404,8 @@ def test_without_edges_matches_the_validating_constructor():
     for g in random_multigraphs(60, seed=29):
         drop = rng.sample(g.edge_ids, rng.randint(0, g.m))
         emap = {eid: uv for eid, uv in g.edge_items() if eid not in drop}
-        old = Graph(g.vertex_set, emap, provenance=g.provenance)
-        assert layout(g.without_edges(drop)) == layout(old)
+        assert layout(g.without_edges(drop)) == layout(
+            Graph(g.vertex_set, emap))
     with pytest.raises(GraphError):
         g.without_edges([ABSENT])
 
@@ -535,14 +536,19 @@ def test_boundary_matches_the_edge_scan():
     edge ids as scanning every edge."""
     rng = Random(13)
     checked = contracted = 0
+    parent = None
     for g in random_multigraphs(200, seed=17):
+        # a contraction comes right after its parent, which memoized it
+        contraction = parent is not None and any(
+            h is g for h in parent._cache.values())
+        parent = g
         for _ in range(6):
             shore = rng.sample(g.vertices, rng.randint(1, g.n - 1))
             for side in (shore, g.vertex_set - frozenset(shore)):
                 c = g.boundary(side)
                 assert (c.shore, c.edge_ids) == _boundary_by_edge_scan(g, side)
                 checked += 1
-                contracted += bool(g.provenance)
+                contracted += contraction
     assert checked > 2_000 and contracted > 500
 
 
@@ -553,8 +559,7 @@ def test_memoized_boundary_matches_a_fresh_read(differential_corpus):
     of the graph, and the edge scan."""
     checked = 0
     for g in differential_corpus:
-        fresh = Graph(g.vertices, dict(g.edge_items()),
-                      provenance=g.provenance)
+        fresh = Graph(g.vertices, dict(g.edge_items()))
         first, rest = g.vertices[0], g.vertices[1:]
         for size in range(len(rest)):
             for combo in combinations(rest, size):

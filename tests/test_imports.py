@@ -82,8 +82,7 @@ TIGHT_ON_ENTRY = {"find_noncrossing_witness", "witness_from_edge"}
 # everything the verifier imports from the package, which its docstring
 # lists after "Both sides rely on"
 SHARED = {"is_matching_covered", "is_barrier", "make_two_separation",
-          "two_separation_cuts", "Graph", "GraphError", "Cut",
-          "DecompositionCertificate", "_Value"}
+          "two_separation_cuts", "Graph", "GraphError", "Cut", "_Value"}
 
 
 def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
