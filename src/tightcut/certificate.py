@@ -13,8 +13,7 @@ not ids.
 
 from __future__ import annotations
 
-from .cuts import CutClassification
-from .graph import Cut, Graph, _Value
+from .graph import Graph, _Value
 from .structure import Barrier, TwoSeparation
 
 
@@ -51,26 +50,6 @@ class Step(_Value):
 
     __slots__ = ("graph", "cut", "witness", "contracted_shore", "new_vertex")
 
-    def __init__(self, graph: Graph, cut: Cut,
-                 witness: Barrier | TwoSeparation,
-                 contracted_shore: frozenset[int], new_vertex: int):
-        set_graph, set_cut, set_witness, set_shore, set_new = self._setters
-        set_graph(self, graph)
-        set_cut(self, cut)
-        set_witness(self, witness)
-        set_shore(self, contracted_shore)
-        set_new(self, new_vertex)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.graph, self.cut, self.witness, self.contracted_shore,
-                 self.new_vertex)
-                == (other.graph, other.cut, other.witness,
-                    other.contracted_shore, other.new_vertex))
-
-    __hash__ = None
-
     def to_json_dict(self) -> dict:
         return {
             "graph": graph_to_json(self.graph),
@@ -92,27 +71,6 @@ class DecompositionCertificate(_Value):
 
     __slots__ = ("input_graph", "input_cut", "steps", "final_graph",
                  "final_classification")
-
-    def __init__(self, input_graph: Graph, input_cut: Cut,
-                 steps: tuple[Step, ...], final_graph: Graph,
-                 final_classification: CutClassification):
-        set_input, set_cut, set_steps, set_final, set_classification = (
-            self._setters)
-        set_input(self, input_graph)
-        set_cut(self, input_cut)
-        set_steps(self, steps)
-        set_final(self, final_graph)
-        set_classification(self, final_classification)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.input_graph, self.input_cut, self.steps,
-                 self.final_graph, self.final_classification)
-                == (other.input_graph, other.input_cut, other.steps,
-                    other.final_graph, other.final_classification))
-
-    __hash__ = None
 
     @property
     def r(self) -> int:

@@ -44,7 +44,7 @@ from .matching import (
     find_perfect_matching,
     is_matching_covered,
 )
-from .structure import Barrier, TwoSeparation, is_barrier, twoseps_generating
+from .structure import Barrier, is_barrier, twoseps_generating
 
 
 def meets_once(g: Graph, c: Cut) -> bool:
@@ -294,24 +294,6 @@ class CutClassification(_Value):
     """
 
     __slots__ = ("cut", "barrier_witnesses", "twosep_witnesses")
-
-    def __init__(self, cut: Cut,
-                 barrier_witnesses: tuple[tuple[Barrier, int], ...],
-                 twosep_witnesses: tuple[TwoSeparation, ...]):
-        set_cut, set_barriers, set_twoseps = self._setters
-        set_cut(self, cut)
-        set_barriers(self, barrier_witnesses)
-        set_twoseps(self, twosep_witnesses)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.cut == other.cut
-                and self.barrier_witnesses == other.barrier_witnesses
-                and self.twosep_witnesses == other.twosep_witnesses)
-
-    def __hash__(self):
-        return hash((self.cut, self.barrier_witnesses, self.twosep_witnesses))
 
     @property
     def witnessed(self) -> bool:

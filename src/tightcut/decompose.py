@@ -154,19 +154,6 @@ class WitnessFinding(_Value):
 
     __slots__ = ("cut", "witness")
 
-    def __init__(self, cut: Cut, witness: Barrier | TwoSeparation):
-        set_cut, set_witness = self._setters
-        set_cut(self, cut)
-        set_witness(self, witness)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.cut == other.cut and self.witness == other.witness
-
-    def __hash__(self):
-        return hash((self.cut, self.witness))
-
 
 def _finding_failure(g: Graph, c: Cut, finding: WitnessFinding) -> str | None:
     """Why finding breaks the WitnessFinding contract for the reference

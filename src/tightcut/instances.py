@@ -104,25 +104,7 @@ class CorpusSpec(_Value):
     """What to generate: mode is "exhaustive", "random", or "named"."""
 
     __slots__ = ("mode", "n", "samples", "seed", "names")
-
-    def __init__(self, mode: str, n: int = 0, samples: int = 0,
-                 seed: int = 0, names: tuple[str, ...] = ()):
-        set_mode, set_n, set_samples, set_seed, set_names = self._setters
-        set_mode(self, mode)
-        set_n(self, n)
-        set_samples(self, samples)
-        set_seed(self, seed)
-        set_names(self, names)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.mode, self.n, self.samples, self.seed, self.names)
-                == (other.mode, other.n, other.samples, other.seed,
-                    other.names))
-
-    def __hash__(self):
-        return hash((self.mode, self.n, self.samples, self.seed, self.names))
+    _defaults = {"n": int, "samples": int, "seed": int, "names": tuple}
 
 
 def _complete_matchings(n: int) -> list[int]:

@@ -87,9 +87,7 @@ def is_barrier(g: Graph, members) -> Barrier | None:
     Positive answers are memoized on g as plain data, members mapped to
     odd parts, so the memo holds no reference back to g and grows with
     the barriers found, not with the candidates tried; a negative answer
-    is recomputed on every call. A single vertex v of a connected g that
-    is not one of g's memoized cut vertices leaves the one part V - v,
-    odd iff n is even, which is answered with no component walk.
+    is recomputed on every call.
     """
     members = frozenset(members)
     if not members:
@@ -102,12 +100,7 @@ def is_barrier(g: Graph, members) -> Barrier | None:
     found = g._memo("barrier_parts", dict)
     odd = found.get(members)
     if odd is None:
-        if len(members) == 1 and g.is_connected() and \
-                not members & g.cut_vertices():
-            odd = (g.vertex_set - members,) if g.n % 2 == 0 else ()
-        else:
-            odd = tuple(p for p in g.components_without(members)
-                        if len(p) % 2)
+        odd = tuple(p for p in g.components_without(members) if len(p) % 2)
         if len(odd) != len(members):
             return None
         found[members] = odd

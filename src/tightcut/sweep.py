@@ -64,10 +64,10 @@ _LIFT_2SEP_INNER_CAP = 3
 _STRICT_SETUP_CAP = 4
 
 
-class SweepReport:
+class SweepReport(_Value):
     """The sweep's counters, violations and harvest; mutable, unlike the
-    value types, so unhashable. Each of violations, branch_counts and
-    harvested defaults to a fresh container."""
+    other value types, so unhashable. Each of violations, branch_counts
+    and harvested defaults to a fresh container."""
 
     __slots__ = (
         "command", "instances", "graphs_with_nontrivial_tight_cut",
@@ -76,45 +76,12 @@ class SweepReport:
         "twosep_cut_checks", "lift_scenarios", "strict_barrier_instances",
         "decompositions", "violations", "branch_counts", "harvested",
         "elapsed")
-
-    def __init__(self, command: str, instances: int = 0,
-                 graphs_with_nontrivial_tight_cut: int = 0,
-                 tight_cuts_checked: int = 0, nontrivial_tight_cuts: int = 0,
-                 witnesses_verified: int = 0, contraction_checks: int = 0,
-                 transfer_checks: int = 0, barrier_structure_checks: int = 0,
-                 twosep_cut_checks: int = 0, lift_scenarios: int = 0,
-                 strict_barrier_instances: int = 0, decompositions: int = 0,
-                 violations: list | None = None,
-                 branch_counts: dict | None = None,
-                 harvested: list | None = None, elapsed: float = 0.0):
-        self.command = command
-        self.instances = instances
-        self.graphs_with_nontrivial_tight_cut = graphs_with_nontrivial_tight_cut
-        self.tight_cuts_checked = tight_cuts_checked
-        self.nontrivial_tight_cuts = nontrivial_tight_cuts
-        self.witnesses_verified = witnesses_verified
-        self.contraction_checks = contraction_checks
-        self.transfer_checks = transfer_checks
-        self.barrier_structure_checks = barrier_structure_checks
-        self.twosep_cut_checks = twosep_cut_checks
-        self.lift_scenarios = lift_scenarios
-        self.strict_barrier_instances = strict_barrier_instances
-        self.decompositions = decompositions
-        self.violations = [] if violations is None else violations
-        self.branch_counts = {} if branch_counts is None else branch_counts
-        self.harvested = [] if harvested is None else harvested
-        self.elapsed = elapsed
-
-    def _fields(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__slots__))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
+    # every field after command: a counter at 0, unless named here
+    _defaults = {**dict.fromkeys(__slots__[1:], int), "violations": list,
+                 "branch_counts": dict, "harvested": list, "elapsed": float}
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
     __hash__ = None
-    __repr__ = _Value.__repr__
 
     @property
     def ok(self) -> bool:

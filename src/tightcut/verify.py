@@ -75,19 +75,6 @@ R_STEPS = "step count mismatch"
 class VerificationResult(_Value):
     __slots__ = ("ok", "failures")
 
-    def __init__(self, ok: bool, failures: tuple[tuple[str, str], ...]):
-        set_ok, set_failures = self._setters
-        set_ok(self, ok)
-        set_failures(self, failures)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.ok == other.ok and self.failures == other.failures
-
-    def __hash__(self):
-        return hash((self.ok, self.failures))
-
     def __bool__(self) -> bool:
         return self.ok
 

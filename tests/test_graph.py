@@ -13,7 +13,7 @@ import pytest
 from tightcut.cuts import enumerate_tight_cuts
 from tightcut.decompose import decompose_tight_cut
 from tightcut.graph import Graph, GraphError
-from tightcut.instances import fixture_instances
+from tightcut.instances import CorpusSpec, fixture_instances
 from tightcut.matching import find_perfect_matching
 from tightcut.structure import (
     enumerate_barriers,
@@ -21,6 +21,8 @@ from tightcut.structure import (
     is_barrier,
     is_strict_barrier,
 )
+from tightcut.sweep import SweepReport
+from tightcut.verify import VerificationResult
 
 from conftest import brute_components, cycle
 
@@ -69,6 +71,36 @@ def test_edge_outside_vertex_set_rejected():
 def test_from_edges_infers_vertices():
     g = Graph.from_edges([(2, 5), (5, 9)])
     assert g.vertices == (2, 5, 9)
+
+
+def test_from_edges_reads_an_iterator_once():
+    g = Graph.from_edges((u, v) for u, v in [(0, 1), (1, 2)])
+    assert g.vertices == (0, 1, 2)
+    assert g.edge_items() == [(0, (0, 1)), (1, (1, 2))]
+
+
+def test_from_edges_keeps_mapping_ids():
+    g = Graph.from_edges({7: (3, 1), 2: (1, 4)})
+    assert g.vertices == (1, 3, 4)
+    assert g.edge_items() == [(2, (1, 4)), (7, (1, 3))]
+
+
+def test_generic_value_constructor_binds_like_a_signature():
+    """_Value's constructor, which the cold value types share, takes each
+    field once, by position or keyword, fills in the class's defaults,
+    and refuses what a written signature would refuse."""
+    assert CorpusSpec("random", 8, seed=3) == CorpusSpec("random", 8, 0, 3, ())
+    report = SweepReport(command="unit", elapsed=1.5)
+    assert (report.instances, report.violations, report.elapsed) == (
+        0, [], 1.5)
+    assert VerificationResult(failures=(), ok=True).ok
+    for args, kwargs in [((), {}), (("random", 8), {"n": 8}),
+                         (("random",), {"size": 8}),
+                         (("random", 8, 0, 0, (), 1), {})]:
+        with pytest.raises(TypeError, match="CorpusSpec"):
+            CorpusSpec(*args, **kwargs)
+    with pytest.raises(TypeError, match="missing field 'failures'"):
+        VerificationResult(True)
 
 
 def test_induced_keeps_edge_ids(c6):

@@ -35,7 +35,9 @@ guards raise InternalInvariantError instead.
 
 Standard library only, so the check runs where no linter is installed.
 An imported name counts as used when it appears as a bare name anywhere
-in the module, or when the module's __all__ re-exports it.
+in the module, or when the module's __all__ re-exports it: __all__ may
+be a literal list, or built from a top-level table of names, as the
+package's __init__.py builds it.
 """
 
 import ast
@@ -95,13 +97,25 @@ def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
-            used.update(ast.literal_eval(node.value))
+    used.update(exported(tree))
     return sorted(
         (line, name) for name, line in imported.items() if name not in used)
+
+
+def exported(tree: ast.Module) -> set[str]:
+    """The strings __all__ is built from: those in its value, and in the
+    value of each top-level name that value reads, such as the package's
+    table of module -> names."""
+    values = {t.id: node.value for node in tree.body
+              if isinstance(node, ast.Assign)
+              for t in node.targets if isinstance(t, ast.Name)}
+    if "__all__" not in values:
+        return set()
+    exprs = [values["__all__"]]
+    exprs += [values[node.id] for node in ast.walk(exprs[0])
+              if isinstance(node, ast.Name) and node.id in values]
+    return {node.value for expr in exprs for node in ast.walk(expr)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
 
 
 def test_detector_flags_unused_names():
@@ -111,6 +125,15 @@ def test_detector_flags_unused_names():
                      "__all__ = ['osp']\n"
                      "print(dumps)\n")
     assert unused_imports(tree) == [(2, "os"), (3, "parse")]
+
+
+def test_detector_reads_an_all_built_from_a_table():
+    tree = ast.parse("from json import dumps, loads\n"
+                     "from os import sep\n"
+                     "_TABLE = {'json': ('dumps',), 'os': ('sep',)}\n"
+                     "__all__ = sorted(n for ns in _TABLE.values() "
+                     "for n in ns)\n")
+    assert unused_imports(tree) == [(1, "loads")]
 
 
 @pytest.mark.parametrize(
