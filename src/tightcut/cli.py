@@ -42,11 +42,17 @@ from .sweep import run_sweep
 from .verify import verify_certificate, verify_json
 
 
-def _read_graph(path: str) -> Graph:
+def _read_text(path: str) -> str:
+    """The text of the file at path, or of stdin for -."""
     if path == "-":
-        return parse_edge_list(sys.stdin.read())
+        return sys.stdin.read()
     with open(path, encoding="utf-8") as handle:
-        return parse_edge_list(handle.read())
+        return handle.read()
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def _parse_shore(text: str) -> frozenset[int]:
@@ -74,7 +80,7 @@ def _yesno(flag: bool) -> str:
 
 
 def cmd_check(args) -> int:
-    g = _read_graph(args.graph)
+    g = parse_edge_list(_read_text(args.graph))
     print(f"graph: {g.n} vertices, {g.m} edges")
     print(f"connected: {_yesno(g.is_connected())}")
     print(f"matchable: {_yesno(is_matchable(g))}")
@@ -122,21 +128,16 @@ def _write_dot_files(cert: DecompositionCertificate, directory: str) -> None:
             step.graph, highlight=step.cut.edge_ids,
             secondary=contracted.edge_ids, origins=origins,
             name=f"step{index}")
-        with open(os.path.join(directory, f"step_{index:02d}.dot"),
-                  "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_text(os.path.join(directory, f"step_{index:02d}.dot"), text)
         origins[step.new_vertex] = frozenset().union(*(
             origins.pop(v, {v}) for v in step.contracted_shore))
-    text = graph_to_dot(cert.final_graph,
-                        highlight=cert.final_classification.cut.edge_ids,
-                        origins=origins, name="final")
-    with open(os.path.join(directory, "final.dot"),
-              "w", encoding="utf-8") as handle:
-        handle.write(text)
+    _write_text(os.path.join(directory, "final.dot"), graph_to_dot(
+        cert.final_graph, highlight=cert.final_classification.cut.edge_ids,
+        origins=origins, name="final"))
 
 
 def cmd_decompose(args) -> int:
-    g = _read_graph(args.graph)
+    g = parse_edge_list(_read_text(args.graph))
     shore = _parse_shore(args.cut)
     c = g.boundary(shore)
     cert = decompose_tight_cut(g, c)
@@ -161,8 +162,7 @@ def cmd_decompose(args) -> int:
         if args.json == "-":
             print(text)
         else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
+            _write_text(args.json, text + "\n")
     if args.dot is not None:
         _write_dot_files(cert, args.dot)
     if not result.ok:
@@ -174,12 +174,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.certificate == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.certificate, encoding="utf-8") as handle:
-            text = handle.read()
-    cert = json.loads(text)
+    cert = json.loads(_read_text(args.certificate))
     result = verify_json(cert)
     if result.ok:
         print(f"certificate OK (r={cert['r']})")
@@ -242,9 +237,8 @@ def cmd_sweep(args) -> int:
     print(f"not-witnessed instances harvested: {len(report.harvested)}")
     print(f"elapsed: {report.elapsed:.1f}s")
     if args.report is not None:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json_dict(), handle, indent=2)
-            handle.write("\n")
+        _write_text(args.report,
+                    json.dumps(report.to_json_dict(), indent=2) + "\n")
     if args.harvest is not None and report.harvested:
         os.makedirs(args.harvest, exist_ok=True)
         for entry in report.harvested:
@@ -255,10 +249,8 @@ def cmd_sweep(args) -> int:
                        f"witnessed; decomposition has r={entry['r']}")
             write_edge_list(g, os.path.join(args.harvest, name + ".el"),
                             comment=comment)
-        with open(os.path.join(args.harvest, "manifest.json"), "w",
-                  encoding="utf-8") as handle:
-            json.dump(report.harvested, handle, indent=2)
-            handle.write("\n")
+        _write_text(os.path.join(args.harvest, "manifest.json"),
+                    json.dumps(report.harvested, indent=2) + "\n")
     if not report.ok:
         print(f"violations: {len(report.violations)}")
         for kind, label, detail in report.violations[:20]:
@@ -361,10 +353,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

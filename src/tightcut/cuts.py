@@ -40,7 +40,6 @@ from .matching import (
     _comatchable_among,
     _dependence_row,
     _matching_partners,
-    _search_mates,
     find_perfect_matching,
     is_matching_covered,
 )
@@ -235,9 +234,10 @@ def enumerate_tight_cuts(g: Graph, nontrivial_only=False) -> list[Cut]:
     every edge class uv, a found perfect matching through uv, cut down
     to one of g - u - v when first read, or its own search's matching
     of g - u - v. Each row search of the test is kept, run to the end,
-    so cuts that share edges pay for a row once. From n = 6, the first
-    order with a nontrivial shore, the walk takes every found matching;
-    below it, M alone.
+    so cuts that share edges pay for a row once. The walk takes every
+    found matching at every order; below n = 6 every odd shore is
+    trivial, crossed once by every perfect matching, so it keeps what M
+    alone would.
 
     Only kept shores get a Cut, built from the shore's own bitmask: an
     XOR of incidence masks holds exactly the edges with one end in the
@@ -255,10 +255,7 @@ def enumerate_tight_cuts(g: Graph, nontrivial_only=False) -> list[Cut]:
             f"of {TIGHT_CUT_LIMIT}")
     if find_perfect_matching(g) is None:
         raise GraphError("tight cuts are about perfect matchings; none exist")
-    if n < 2:
-        return []
-    matchings, memo = (_matching_partners(g) if n >= 6
-                       else ([_search_mates(g)], {}))
+    matchings, memo = _matching_partners(g)
     kept = []
     for members, cut in _shores_crossed_once(g, matchings):
         if len(members) in (1, n - 1):

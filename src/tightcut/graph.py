@@ -23,9 +23,11 @@ CorpusSpec), derive from one private base, _Value, as does the mutable
 SweepReport. Each lists its fields in __slots__, in constructor order.
 The base writes them through the slot descriptors, compares and hashes
 them, refuses every later assignment or deletion, rebuilds copies and
-pickles through the constructor and gives the field-list repr, so
-importing the package generates no code. The four hot types (see
-_Value) keep their own constructor, comparison and hash.
+pickles through the constructor and gives the field-list repr, so no
+value type generates code. The package's one generated code is
+structure.ShoreBarrier's: it is a typing.NamedTuple, whose class
+creation evals a __new__ on import. The four hot types (see _Value)
+keep their own constructor, comparison and hash.
 
 A graph memoizes what it derives in its own cache, and Graph._memo is
 the only way into that cache: every module asks it for a per-graph
@@ -153,7 +155,7 @@ class Graph:
     def __init__(self, vertices: Iterable[int], edges=()):
         vset = set()
         for v in vertices:
-            if not isinstance(v, int):
+            if isinstance(v, bool) or not isinstance(v, int):
                 raise GraphError(f"vertex {v!r} is not an int")
             vset.add(v)
         if isinstance(edges, Mapping):
@@ -362,7 +364,7 @@ class Graph:
             raise GraphError("cannot contract the whole vertex set")
         if new_vertex is None:
             new_vertex = self.fresh_vertex()
-        if not isinstance(new_vertex, int):
+        if isinstance(new_vertex, bool) or not isinstance(new_vertex, int):
             raise GraphError(f"vertex {new_vertex!r} is not an int")
         if new_vertex in self._vset - s:
             raise GraphError(

@@ -6,13 +6,15 @@ no matching search: a graph is matching covered when it is connected
 and every edge lies in a perfect matching (Lovasz-Plummer, Matching
 Theory, 1986, ch. 5), so an edge set on n vertices qualifies exactly
 when it is connected and equals the union of the perfect matchings of
-K_n it contains. The walk keeps the edge bitmasks that pass this union
-rule and builds a Graph only for those; the sweep re-checks every graph
-with is_matching_covered, so that check stays a differential test of
-the production algorithm. Random mode uses rejection sampling over a
-cycling density schedule; the distribution is deliberately NOT uniform
-over matching covered graphs, it just spreads densities enough to vary
-the structure. Same spec, same graphs, always.
+K_n it contains. The walk builds a Graph only for the edge bitmasks
+that pass this union rule and keeps it when Graph.is_connected says so
+(the disconnected unions, 3 at n = 4 and 75 at n = 6, are built and
+dropped); the sweep re-checks every graph with is_matching_covered, so
+that check stays a differential test of the production algorithm.
+Random mode uses rejection sampling over a cycling density schedule;
+the distribution is deliberately NOT uniform over matching covered
+graphs, it just spreads densities enough to vary the structure. Same
+spec, same graphs, always.
 """
 
 from __future__ import annotations
@@ -136,19 +138,6 @@ def _is_matching_union(bits: int, matchings: list[int]) -> bool:
     return cover == bits
 
 
-def _connects(n: int, edges) -> bool:
-    """True iff the edges join all of range(n) into one component."""
-    reach = 1
-    while True:
-        grown = reach
-        for u, v in edges:
-            if reach >> u & 1 or reach >> v & 1:
-                grown |= 1 << u | 1 << v
-        if grown == reach:
-            return reach == (1 << n) - 1
-        reach = grown
-
-
 def _exhaustive(spec: CorpusSpec):
     if not 1 <= spec.n <= EXHAUSTIVE_MAX_N:
         raise GraphError(
@@ -160,9 +149,10 @@ def _exhaustive(spec: CorpusSpec):
     for bits in range(1, 1 << len(pairs)):
         if not _is_matching_union(bits, matchings):
             continue
-        edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-        if _connects(spec.n, edges):
-            yield Graph(range(spec.n), edges)
+        g = Graph(range(spec.n), [pairs[i] for i in range(len(pairs))
+                                  if bits >> i & 1])
+        if g.is_connected():
+            yield g
 
 
 def _random(spec: CorpusSpec):

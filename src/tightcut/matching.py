@@ -657,14 +657,6 @@ def _backtrack_masks(g: Graph) -> tuple[int, ...]:
     return tuple(sorted(masks))
 
 
-def all_perfect_matchings(g: Graph) -> list[Matching]:
-    out = []
-    for mask in perfect_matching_masks(g):
-        eids = frozenset(eid for eid in g.edge_ids if mask >> eid & 1)
-        out.append(Matching(eids, g))
-    return out
-
-
 def is_admissible(g: Graph, eid: int) -> bool:
     """True iff some perfect matching of g contains the edge uv: g has
     a perfect matching and v is in the dependence row of u."""

@@ -630,8 +630,12 @@ def lift_barrier_over_odd_component(g: Graph, b: Barrier, y, b_prime) -> Barrier
     with all of B in the label's place. When b_prime uses the label,
     the components of the contraction less b_prime must be components
     of g less the lift, verbatim. Each side's components are its
-    barrier's memoized odd parts when members and odd parts fill its
-    vertex set (_parts), and are walked only otherwise.
+    barrier's odd parts: g is matching covered, and so is the
+    contraction, along the barrier cut of y, which is tight (Fact 1 of
+    verify.py, Fact 3 of decompose.py). A barrier of a matching covered
+    graph leaves no even component: every perfect matching pairs its
+    members with its odd parts, so an edge from a member into an even
+    component lies in none, and the graph is connected.
     """
     if b.graph is not g:
         raise GraphError("barrier belongs to a different graph")
@@ -652,20 +656,12 @@ def lift_barrier_over_odd_component(g: Graph, b: Barrier, y, b_prime) -> Barrier
         raise GraphError("not a barrier of the contraction")
     if ybar_label in b_prime:
         # inner components survive the lift verbatim
-        host_parts = set(_parts(g, result))
-        for part in _parts(inner, is_barrier(inner, b_prime)):
+        host_parts = set(result.odd_parts)
+        for part in is_barrier(inner, b_prime).odd_parts:
             if part not in host_parts:
                 raise InternalInvariantError(
                     f"component {sorted(part)} not preserved by the lift")
     return result
-
-
-def _parts(g: Graph, b: Barrier) -> tuple[frozenset[int], ...]:
-    """The components of g - B, ordered by smallest member: B's odd
-    parts when no vertex is left over for an even one."""
-    if len(b.members) + sum(map(len, b.odd_parts)) == g.n:
-        return b.odd_parts
-    return g.components_without(b.members)
 
 
 def lift_barrier_over_2sep(g: Graph, s: TwoSeparation, d: Cut, b) -> Barrier:

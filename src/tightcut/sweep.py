@@ -137,17 +137,6 @@ def _check_contractions(label: str, g: Graph, c: Cut, all_cuts, tight_ids,
                 report.transfer_checks += 1
 
 
-def _verify_finding(label: str, g: Graph, c: Cut, finding,
-                    report: SweepReport) -> None:
-    """Re-check the finding for the reference cut c with the check the
-    producer ran, _finding_failure, and flag the reason it gives."""
-    reason = _finding_failure(g, c, finding)
-    if reason is not None:
-        _flag(report, "witness", label, reason)
-    else:
-        report.witnesses_verified += 1
-
-
 def _check_cut(label: str, g: Graph, c: Cut, all_cuts, tight_ids,
                report: SweepReport, tally: BranchTally) -> None:
     cut_label = f"{label}:shore{sorted(c.shore)}"
@@ -156,8 +145,12 @@ def _check_cut(label: str, g: Graph, c: Cut, all_cuts, tight_ids,
     except Exception as exc:
         _flag(report, "contraction", cut_label, repr(exc))
     try:
-        finding = _find_noncrossing_witness(g, c, tally)
-        _verify_finding(cut_label, g, c, finding, report)
+        # re-checked with the check the producer ran
+        reason = _finding_failure(g, c, _find_noncrossing_witness(g, c, tally))
+        if reason is not None:
+            _flag(report, "witness", cut_label, reason)
+        else:
+            report.witnesses_verified += 1
     except Exception as exc:
         _flag(report, "witness", cut_label, repr(exc))
     try:

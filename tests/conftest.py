@@ -2,9 +2,11 @@
 
 The brute-force oracles work on plain (vertices, edges) data and never
 call into the package, so they can vouch for it. Edge ids are list
-positions, matching what Graph(range(n), edges) assigns. The one oracle
-that does call in, dependence_classes, asks only is_matchable, one
-vertex pair at a time.
+positions, matching what Graph(range(n), edges) assigns. Two oracles
+call in: dependence_classes asks only is_matchable, one vertex pair at
+a time, and all_perfect_matchings reads the package's exhaustive
+enumeration, matching.perfect_matching_masks, which no production code
+calls.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import pytest
 
 from tightcut.graph import Graph
 from tightcut.instances import CorpusSpec, enumerate_corpus, fixture_instances
-from tightcut.matching import is_matchable
+from tightcut.matching import Matching, is_matchable, perfect_matching_masks
 
 # acceptance criteria register: test_acceptance records one verdict per
 # criterion here; the summary hook prints them after the test run
@@ -183,6 +185,16 @@ def brute_is_barrier(vertices, edges, members) -> bool:
     return odd == len(members)
 
 
+def brute_barriers(g: Graph) -> list[frozenset[int]]:
+    """Every barrier of g by size then lex order, by the subset oracle.
+    The whole vertex set leaves no odd component, so it is never one."""
+    edges = [ends for _, ends in g.edge_items()]
+    return [frozenset(combo)
+            for size in range(1, g.n)
+            for combo in combinations(g.vertices, size)
+            if brute_is_barrier(g.vertices, edges, combo)]
+
+
 def brute_is_matching_covered(vertices, edges) -> bool:
     verts = set(vertices)
     if len(verts) < 2 or not edges:
@@ -253,6 +265,12 @@ def dependence_classes(g: Graph) -> dict[int, frozenset[int]]:
             classes[u].add(v)
             classes[v].add(u)
     return {u: frozenset(part) for u, part in classes.items()}
+
+
+def all_perfect_matchings(g: Graph) -> list[Matching]:
+    """Every perfect matching of g, from perfect_matching_masks."""
+    return [Matching(frozenset(e for e in g.edge_ids if mask >> e & 1), g)
+            for mask in perfect_matching_masks(g)]
 
 
 # shared graphs ------------------------------------------------------------

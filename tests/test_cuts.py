@@ -33,8 +33,8 @@ from tightcut.matching import (
 from tightcut.structure import enumerate_barriers
 
 from conftest import (
+    brute_barriers,
     brute_components,
-    brute_is_barrier,
     brute_is_tight,
     brute_matching_numbers,
     brute_perfect_matchings,
@@ -786,16 +786,6 @@ def test_every_nontrivial_tight_cut_of_c6_is_witnessed(c6):
         assert classify_cut(c6, c).witnessed
 
 
-def _oracle_barriers(g):
-    """(members, components of g - members) for every vertex set the
-    brute-force oracle calls a barrier."""
-    edges = [ends for _, ends in g.edge_items()]
-    return [(frozenset(combo), brute_components(g.vertices, edges, combo))
-            for size in range(1, g.n + 1)
-            for combo in combinations(g.vertices, size)
-            if brute_is_barrier(g.vertices, edges, combo)]
-
-
 def _oracle_barrier_witnesses(c, barriers):
     """(members, shore index) for every barrier inside the opposite
     shore that has the shore among its odd components."""
@@ -840,7 +830,8 @@ def test_classify_barrier_witnesses_match_oracle(exhaustive_corpus):
     for g, cuts in cases:
         edges = [ends for _, ends in g.edge_items()]
         pms = brute_perfect_matchings(g.vertices, edges)
-        barriers = _oracle_barriers(g)
+        barriers = [(b, brute_components(g.vertices, edges, b))
+                    for b in brute_barriers(g)]
         for c in cuts:
             cls = classify_cut(g, c)
             got = [(b.members, i) for b, i in cls.barrier_witnesses]

@@ -176,7 +176,8 @@ def test_contract_rejects_bad_input(c6):
         c6.contract(set(range(6)))
     with pytest.raises(GraphError):
         c6.contract({0, 1}, 4)  # label collides with survivor
-    for label in (2.5, "x"):
+    # a bool is an int to isinstance, but serializes as false or true
+    for label in (2.5, "x", True):
         with pytest.raises(GraphError, match="is not an int"):
             c6.contract({3, 4, 5}, label)
 
@@ -331,11 +332,12 @@ def test_public_methods_match_the_edge_list():
 
 def _reference_check(vertices, edges):
     """The constructor's input checks, in its order, kept as the oracle
-    of its error text: int vertices, non-negative int edge ids, then,
-    edge by edge in id order, no loop and both ends in the graph."""
+    of its error text: int vertices, non-negative int edge ids, bools
+    excluded from both, then, edge by edge in id order, no loop and both
+    ends in the graph."""
     vset = set()
     for v in vertices:
-        if not isinstance(v, int):
+        if isinstance(v, bool) or not isinstance(v, int):
             raise GraphError(f"vertex {v!r} is not an int")
         vset.add(v)
     if isinstance(edges, Mapping):
@@ -368,6 +370,7 @@ def _reference_check(vertices, edges):
     ([0, 1], {True: (0, 1)}),
     ([0, 1], {1.0: (0, 1)}),
     ([0, 1], {None: (0, 1)}),
+    ([False, True, 2], [(False, 2)]),
 ])
 def test_constructor_rejects_as_the_reference_builder(vertices, edges):
     """Loops, edge ends outside the graph, non-int vertices and edge ids

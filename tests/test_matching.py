@@ -16,7 +16,6 @@ from tightcut.matching import (
     ENUMERATION_LIMIT,
     _dependence_row,
     _shore_missable,
-    all_perfect_matchings,
     find_perfect_matching,
     is_admissible,
     is_bicritical,
@@ -29,6 +28,7 @@ from tightcut.matching import (
 from tightcut.structure import barrier_core, enumerate_barriers
 
 from conftest import (
+    all_perfect_matchings,
     brute_is_critical,
     brute_is_matching_covered,
     brute_matching_numbers,

@@ -60,7 +60,7 @@ PUBLIC = {
     "verify": ("VerificationResult", "verify_certificate"),
 }
 
-CODE_LINE_BOUND = 2_787
+CODE_LINE_BOUND = 2_746
 
 
 def test_all_lists_the_public_names():
@@ -134,4 +134,6 @@ def test_code_lines_skip_docstrings_comments_and_blanks():
 
 
 def test_source_stays_under_the_code_line_bound():
-    assert sum(code_lines(p.read_text()) for p in PACKAGE) <= CODE_LINE_BOUND
+    # on failure, the count per module shows where the lines went
+    counts = {p.name: code_lines(p.read_text()) for p in PACKAGE}
+    assert sum(counts.values()) <= CODE_LINE_BOUND, counts

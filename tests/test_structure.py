@@ -44,6 +44,7 @@ from tightcut.structure import (
 from tightcut.sweep import SweepReport, dead_cut_setups
 
 from conftest import (
+    brute_barriers,
     brute_components,
     brute_confined_strict_barrier,
     brute_is_barrier,
@@ -125,18 +126,9 @@ def test_matching_covered_barriers_leave_only_odd_components(
     assert checked > len(graphs)
 
 
-def _oracle_barriers(g):
-    """Every barrier of g by size then lex order, by the subset oracle."""
-    edges = [ends for _, ends in g.edge_items()]
-    return [frozenset(combo)
-            for size in range(1, g.n)
-            for combo in combinations(g.vertices, size)
-            if brute_is_barrier(g.vertices, edges, combo)]
-
-
 def _check_barrier_search(g):
     """enumerate_barriers against the oracle."""
-    every = _oracle_barriers(g)
+    every = brute_barriers(g)
     assert [b.members for b in enumerate_barriers(g)] == every, g
     return len(every)
 
