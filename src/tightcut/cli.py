@@ -21,7 +21,7 @@ from .certificate import DecompositionCertificate
 from .cuts import classify_cut, is_tight, meets_once
 from .decompose import decompose_tight_cut
 from .dot import graph_to_dot
-from .edgelist import format_edge_list, parse_edge_list, write_edge_list
+from .edgelist import format_edge_list, parse_edge_list
 from .graph import Graph, GraphError, InternalInvariantError
 from .instances import (
     RANDOM_MAX_N,
@@ -51,8 +51,18 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
+    """Write text to the file at path, or to stdout for -."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
+
+
+def _human(path: str | None):
+    """Where a command prints its summary: stderr when its output file
+    is - (stdout), so that stdout holds the output alone."""
+    return sys.stderr if path == "-" else sys.stdout
 
 
 def _parse_shore(text: str) -> frozenset[int]:
@@ -141,7 +151,7 @@ def cmd_decompose(args) -> int:
     shore = _parse_shore(args.cut)
     c = g.boundary(shore)
     cert = decompose_tight_cut(g, c)
-    human = sys.stderr if args.json == "-" else sys.stdout
+    human = _human(args.json)
     print(f"input: {g.n} vertices, {g.m} edges, "
           f"cut shore {_set_text(c.shore)}", file=human)
     for index, step in enumerate(cert.steps, 1):
@@ -158,11 +168,7 @@ def cmd_decompose(args) -> int:
     payload = cert.to_json_dict()
     result = verify_certificate(g, c, payload)
     if args.json is not None:
-        text = json.dumps(payload, indent=2)
-        if args.json == "-":
-            print(text)
-        else:
-            _write_text(args.json, text + "\n")
+        _write_text(args.json, json.dumps(payload, indent=2) + "\n")
     if args.dot is not None:
         _write_dot_files(cert, args.dot)
     if not result.ok:
@@ -211,6 +217,8 @@ def _sweep_specs(args) -> list[CorpusSpec]:
 
 
 def cmd_sweep(args) -> int:
+    if args.harvest == "-":
+        raise GraphError("--harvest needs a directory, not -")
     specs = _sweep_specs(args)
     command = f"sweep --mode {args.mode}"
     if args.max_n is not None:
@@ -219,23 +227,26 @@ def cmd_sweep(args) -> int:
         command += f" --samples {args.samples} --seed {args.seed}"
     report = run_sweep(specs, include_fixtures=not args.no_fixtures,
                        command=command)
-    print(f"instances: {report.instances}")
+    human = _human(args.report)
+    print(f"instances: {report.instances}", file=human)
     print(f"tight cuts checked: {report.tight_cuts_checked} "
           f"({report.nontrivial_tight_cuts} nontrivial, on "
-          f"{report.graphs_with_nontrivial_tight_cut} graphs)")
-    print(f"witnesses verified: {report.witnesses_verified}")
+          f"{report.graphs_with_nontrivial_tight_cut} graphs)", file=human)
+    print(f"witnesses verified: {report.witnesses_verified}", file=human)
     print(f"contraction checks: {report.contraction_checks}, "
-          f"transfer checks: {report.transfer_checks}")
+          f"transfer checks: {report.transfer_checks}", file=human)
     print(f"barrier checks: {report.barrier_structure_checks}, "
-          f"two-separation cut checks: {report.twosep_cut_checks}")
+          f"two-separation cut checks: {report.twosep_cut_checks}",
+          file=human)
     print(f"lift scenarios: {report.lift_scenarios}, strict-barrier setups: "
           f"{report.strict_barrier_instances}, decompositions: "
-          f"{report.decompositions}")
+          f"{report.decompositions}", file=human)
     if report.branch_counts:
         inner = ", ".join(f"{k}={v}" for k, v in report.branch_counts.items())
-        print(f"branch counts: {inner}")
-    print(f"not-witnessed instances harvested: {len(report.harvested)}")
-    print(f"elapsed: {report.elapsed:.1f}s")
+        print(f"branch counts: {inner}", file=human)
+    print(f"not-witnessed instances harvested: {len(report.harvested)}",
+          file=human)
+    print(f"elapsed: {report.elapsed:.1f}s", file=human)
     if args.report is not None:
         _write_text(args.report,
                     json.dumps(report.to_json_dict(), indent=2) + "\n")
@@ -247,16 +258,16 @@ def cmd_sweep(args) -> int:
                       [tuple(pair) for pair in entry["edges"]])
             comment = (f"tight cut with shore {entry['shore']} is not "
                        f"witnessed; decomposition has r={entry['r']}")
-            write_edge_list(g, os.path.join(args.harvest, name + ".el"),
-                            comment=comment)
+            _write_text(os.path.join(args.harvest, name + ".el"),
+                        format_edge_list(g, comment=comment))
         _write_text(os.path.join(args.harvest, "manifest.json"),
                     json.dumps(report.harvested, indent=2) + "\n")
     if not report.ok:
-        print(f"violations: {len(report.violations)}")
+        print(f"violations: {len(report.violations)}", file=human)
         for kind, label, detail in report.violations[:20]:
-            print(f"  [{kind}] {label}: {detail}")
+            print(f"  [{kind}] {label}: {detail}", file=human)
         return 1
-    print("violations: 0")
+    print("violations: 0", file=human)
     return 0
 
 
@@ -278,11 +289,8 @@ def cmd_generate(args) -> int:
                               args.name.strip().lower()).strip("_") + ".el"
         comment = f"canonical graph {args.name.strip().upper()}"
     out = args.out if args.out is not None else default_name
-    if out == "-":
-        sys.stdout.write(format_edge_list(g, comment=comment))
-    else:
-        write_edge_list(g, out, comment=comment)
-        print(f"wrote {g.n} vertices, {g.m} edges to {out}")
+    _write_text(out, format_edge_list(g, comment=comment))
+    print(f"wrote {g.n} vertices, {g.m} edges to {out}", file=_human(out))
     return 0
 
 
@@ -322,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="total random samples, split over orders")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", metavar="FILE",
-                   help="write the full report as JSON")
+                   help="write the full report as JSON, - for stdout")
     p.add_argument("--harvest", metavar="DIR",
                    help="write not-witnessed instances as edge lists")
     p.add_argument("--no-fixtures", action="store_true",

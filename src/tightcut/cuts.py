@@ -72,11 +72,10 @@ def is_tight(g: Graph, c: Cut) -> bool:
     times contains such a pair. After the graph's cached perfect
     matching has rejected any cut it meets more than once (meets_once),
     _comatchable_among asks that of the cut's edges: at most |C|^2 / 2
-    Edmonds searches, and no blossom run. It passes no memo, so each
-    row search stops once its one target is outer: a single cut shares
-    no rows with another.
+    Edmonds searches, and no blossom run. It passes a fresh memo: a
+    single cut shares no rows with another.
     """
-    return meets_once(g, c) and not _comatchable_among(g, c.edge_ids)
+    return meets_once(g, c) and not _comatchable_among(g, c.edge_ids, {})
 
 
 def _shores_crossed_once(g: Graph, matchings: list[list[int]]

@@ -22,12 +22,12 @@ WitnessFinding, Step, DecompositionCertificate, VerificationResult and
 CorpusSpec), derive from one private base, _Value, as does the mutable
 SweepReport. Each lists its fields in __slots__, in constructor order.
 The base writes them through the slot descriptors, compares and hashes
-them, refuses every later assignment or deletion, rebuilds copies and
-pickles through the constructor and gives the field-list repr, so no
-value type generates code. The package's one generated code is
-structure.ShoreBarrier's: it is a typing.NamedTuple, whose class
-creation evals a __new__ on import. The four hot types (see _Value)
-keep their own constructor, comparison and hash.
+them over the class's compared fields, refuses every later assignment
+or deletion, rebuilds copies and pickles through the constructor and
+gives the field-list repr, so no value type generates code. The
+package's one generated code is structure.ShoreBarrier's: it is a
+typing.NamedTuple, whose class creation evals a __new__ on import. The
+four hot types (see _Value) keep only their own constructor.
 
 A graph memoizes what it derives in its own cache, and Graph._memo is
 the only way into that cache: every module asks it for a per-graph
@@ -68,12 +68,15 @@ class _Value:
     """Base of the value types: fields in __slots__, in constructor
     order, set by __init__ alone.
 
-    The generic __init__, __eq__ and __hash__ serve the cold types, each
-    built at most a few thousand times per gate sweep: they take the
-    fields by position or keyword, and compare and hash all of them.
-    Cut, Matching, Barrier and TwoSeparation, built up to 238,062 times,
-    write their own, which construct about three times and compare about
-    eight times faster, and leave the graph back-reference out.
+    Every value type compares and hashes here: equal only to an object
+    of its own class with equal compared fields, and hashed as the tuple
+    of them. A class names those fields in _compared, all its slots
+    unless it says otherwise; Cut, Matching, Barrier and TwoSeparation
+    leave their graph back-reference out. The generic __init__ serves
+    the cold types, each built at most a few thousand times per gate
+    sweep, and takes the fields by position or keyword. The four hot
+    types, built up to 238,062 times, write their own, which constructs
+    about three times faster.
     """
 
     __slots__ = ()
@@ -86,6 +89,7 @@ class _Value:
         # an __init__ writes its fields past __setattr__'s refusal
         cls._setters = tuple(getattr(cls, name).__set__
                              for name in cls.__slots__)
+        cls._compared = vars(cls).get("_compared", cls.__slots__)
 
     def __init__(self, *args, **kwargs):
         cls, names = type(self), self.__slots__
@@ -106,13 +110,16 @@ class _Value:
     def _fields(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))
 
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._compared))
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._key())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -571,6 +578,7 @@ class Cut(_Value):
     """An edge cut, stored by its lexicographically smaller shore."""
 
     __slots__ = ("shore", "edge_ids", "graph")
+    _compared = ("shore", "edge_ids")
 
     def __init__(self, shore: frozenset[int], edge_ids: frozenset[int],
                  graph: Graph):
@@ -578,14 +586,6 @@ class Cut(_Value):
         set_shore(self, shore)
         set_edge_ids(self, edge_ids)
         set_graph(self, graph)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.shore == other.shore and self.edge_ids == other.edge_ids
-
-    def __hash__(self):
-        return hash((self.shore, self.edge_ids))
 
     @property
     def other_shore(self) -> frozenset[int]:

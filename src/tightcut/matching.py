@@ -18,8 +18,7 @@ queries on vertex-deleted subgraphs, answered in one of three ways:
 - Searches with targets. A search given target positions stops as
   soon as every target is outer; its flags are then exact on the
   targets only, so the caller reads its targets and nothing else, and
-  such flags are never cached as a row. is_tight's co-matchable
-  searches run one per pair they ask about. On a graph with an odd
+  such flags are never cached as a row. On a graph with an odd
   cycle, is_matching_covered runs at most one per vertex, busiest
   first: from the vertex with the most non-mate edges not yet covered,
   against all of those neighbours, and keeps what each search shows
@@ -53,14 +52,15 @@ queries on vertex-deleted subgraphs, answered in one of three ways:
 Co-matchability, whether two disjoint edges lie together in some
 perfect matching, is decided by one routine, _comatchable_among, with
 those searches alone: per edge uv, one search for a perfect matching
-of g - u - v (_without_pair), then _row_search in g - u - v from it.
-is_tight asks it of one cut's edges. Tight-cut enumeration walks only
-the shores that every perfect matching _matching_partners finds
-crosses once, and asks it of those, through a memo of full rows that
-lives for one enumeration. Those matchings are g's cached one and
-those of the cycles the coverage test closed, with no search, then one
-search for each edge class none of them holds: on a matching covered
-graph with an odd cycle, none.
+of g - u - v (_without_pair), then _row_search in g - u - v from it,
+run to the end and kept in a memo. is_tight asks it of one cut's
+edges, with a fresh memo. Tight-cut enumeration walks only the shores
+that every perfect matching _matching_partners finds crosses once,
+and asks it of those, through one memo that lives for the whole
+enumeration. Those matchings are g's cached one and those of the
+cycles the coverage test closed, with no search, then one search for
+each edge class none of them holds: on a matching covered graph with
+an odd cycle, none.
 
 g's maximum matching is computed once per graph (_blossom_mates) and
 cached as a position list (_search_mates), the form every search starts
@@ -98,6 +98,7 @@ class Matching(_Value):
     """A set of pairwise disjoint edges of a host graph."""
 
     __slots__ = ("edges", "graph")
+    _compared = ("edges",)
 
     def __init__(self, edges: frozenset[int], graph: Graph):
         seen: set[int] = set()
@@ -110,14 +111,6 @@ class Matching(_Value):
         set_edges, set_graph = self._setters
         set_edges(self, edges)
         set_graph(self, graph)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.edges,))
 
     @property
     def is_perfect(self) -> bool:
@@ -530,7 +523,7 @@ def _matching_partners(g: Graph) -> tuple[list[list[int]], dict]:
     return matchings, memo
 
 
-def _comatchable_among(g: Graph, eids, memo: dict | None = None) -> bool:
+def _comatchable_among(g: Graph, eids, memo: dict) -> bool:
     """True iff two of the edges eids lie together in some perfect
     matching of g, which must have one.
 
@@ -544,34 +537,30 @@ def _comatchable_among(g: Graph, eids, memo: dict | None = None) -> bool:
     step is exact, so the answer does not depend on which perfect
     matching of g - i - j is used.
 
-    Without memo each row search has the target y and stops once y is
-    outer, as is_tight asks. A memo is a dict that lives for one
-    graph's tight-cut enumeration, filled by _matching_partners with a
-    perfect matching through every class, or _without_pair's answer for
-    it: a matching (a list) becomes the answer, with no search, on its
-    first read here. Each row search is kept in it under (i, j, x) and
-    runs to the end, so its flags are exact at every y, and a later cut
-    with edges at ij and x reads them without a search.
+    The memo is a dict that lives for one question (is_tight passes a
+    fresh one) or for one graph's tight-cut enumeration, filled by
+    _matching_partners with a perfect matching through every class, or
+    _without_pair's answer for it. A class the memo has not seen starts
+    from g's cached matching; a matching (a list) becomes the answer on
+    its first read here, with no search when it holds ij. Each row
+    search is kept in it under (i, j, x) and runs to the end, so its
+    flags are exact at every y, and a later cut with edges at ij and x
+    reads them without a search.
     """
     index, adj = g.positions()
     start = _search_mates(g)
     pos = sorted({(index[u], index[v]) for u, v in map(g.edge_ends, eids)})
     for k, (i, j) in enumerate(pos):
-        if memo is None:
-            got = _without_pair(adj, start, i, j)
-        else:
-            got = memo[i, j]
-            if type(got) is list:
-                got = memo[i, j] = _without_pair(adj, got, i, j)
+        got = memo.get((i, j), start)
+        if type(got) is list:
+            got = memo[i, j] = _without_pair(adj, got, i, j)
         if got is None:
             continue
         match, dead = got
         for x, y in pos[k + 1:]:
             if dead[x] or dead[y]:
                 continue
-            if memo is None:
-                outer = _row_search(adj, match[:], dead, x, (y,))
-            elif (i, j, x) in memo:
+            if (i, j, x) in memo:
                 outer = memo[i, j, x]
             else:
                 outer = memo[i, j, x] = _row_search(adj, match[:], dead, x)

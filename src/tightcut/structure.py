@@ -51,6 +51,7 @@ class Barrier(_Value):
     """A vertex set with one odd component outside it per member."""
 
     __slots__ = ("members", "odd_parts", "graph")
+    _compared = ("members", "odd_parts")
 
     def __init__(self, members: frozenset[int],
                  odd_parts: tuple[frozenset[int], ...], graph: Graph):
@@ -58,15 +59,6 @@ class Barrier(_Value):
         set_members(self, members)
         set_odd_parts(self, odd_parts)
         set_graph(self, graph)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.members == other.members
-                and self.odd_parts == other.odd_parts)
-
-    def __hash__(self):
-        return hash((self.members, self.odd_parts))
 
     @property
     def is_nontrivial(self) -> bool:
@@ -225,6 +217,7 @@ class TwoSeparation(_Value):
     """Two even-order sides meeting exactly in a separating vertex pair."""
 
     __slots__ = ("pair", "side1", "side2", "graph")
+    _compared = ("pair", "side1", "side2")
 
     def __init__(self, pair: tuple[int, int], side1: frozenset[int],
                  side2: frozenset[int], graph: Graph):
@@ -233,15 +226,6 @@ class TwoSeparation(_Value):
         set_side1(self, side1)
         set_side2(self, side2)
         set_graph(self, graph)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.pair == other.pair and self.side1 == other.side1
-                and self.side2 == other.side2)
-
-    def __hash__(self):
-        return hash((self.pair, self.side1, self.side2))
 
     def __repr__(self):
         return (f"TwoSeparation(pair={self.pair}, "

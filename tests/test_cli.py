@@ -420,6 +420,53 @@ def test_sweep_exits_1_and_lists_violations(capsys, monkeypatch):
     assert "  [twosep] K4: a made-up violation" in out
 
 
+def test_sweep_report_to_stdout(tmp_path, monkeypatch, capsys):
+    """--report - writes the JSON report to stdout, as --json - does for
+    decompose, and the summary to stderr; no file named - is left."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--mode", "exhaustive", "--max-n", "4",
+                 "--no-fixtures", "--report", "-"]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["ok"] is True and report["instances"] == 5
+    assert "instances: 5" in captured.err
+    assert "violations: 0" in captured.err
+    assert os.listdir(tmp_path) == []
+
+
+def test_sweep_report_to_stdout_keeps_violations_off_it(tmp_path,
+                                                        monkeypatch, capsys):
+    def failing(specs, include_fixtures, command):
+        report = SweepReport(command=command)
+        report.violations.append(("twosep", "K4", "a made-up violation"))
+        return report
+
+    monkeypatch.setattr(tightcut.cli, "run_sweep", failing)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--mode", "exhaustive", "--max-n", "4",
+                 "--report", "-"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["violations"] == [
+        {"kind": "twosep", "label": "K4", "detail": "a made-up violation"}]
+    assert "violations: 1" in captured.err
+    assert "  [twosep] K4: a made-up violation" in captured.err
+    assert os.listdir(tmp_path) == []
+
+
+def test_sweep_refuses_harvest_to_stdout(tmp_path, monkeypatch, capsys):
+    """--harvest names a directory, so - is a usage error before any
+    sweep runs, not a directory named -."""
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(tightcut.cli, "run_sweep", never)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--mode", "exhaustive", "--max-n", "4",
+                 "--no-fixtures", "--harvest", "-"]) == 2
+    assert "error: --harvest needs a directory" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_sweep_bad_bounds(capsys):
     assert main(["sweep", "--mode", "exhaustive", "--max-n", "12"]) == 2
     assert main(["sweep", "--mode", "random", "--max-n", "40"]) == 2
@@ -453,6 +500,15 @@ def test_generate_to_stdout(capsys):
     assert main(["generate", "petersen", "--out", "-"]) == 0
     g = parse_edge_list(capsys.readouterr().out)
     assert g.n == 10 and g.m == 15
+
+
+def test_generate_to_stdout_reports_on_stderr(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "K4", "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert parse_edge_list(captured.out).m == 6
+    assert captured.err == "wrote 4 vertices, 6 edges to -\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_generate_default_filename(tmp_path, monkeypatch, capsys):

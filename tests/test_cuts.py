@@ -391,7 +391,7 @@ def test_partner_matchings_are_perfect_matchings(exhaustive_corpus):
 def test_memo_answers_as_fresh_searches():
     """_comatchable_among with the memo that one enumeration keeps,
     filled by _matching_partners and then by every question before, answers as
-    it does with no memo, on every shore the cached perfect matching
+    it does with a fresh memo, on every shore the cached perfect matching
     crosses once and then on every two edges: the fixture
     contractions, and seeded n = 12 and 14 graphs with parallel edges
     and sparse labels."""
@@ -405,13 +405,13 @@ def test_memo_answers_as_fresh_searches():
         for _, cut in _shores_crossed_once(g, [_search_mates(g)]):
             eids = [e for e in g.edge_ids if cut >> e & 1]
             got = _comatchable_among(g, eids, memo)
-            assert got == _comatchable_among(g, eids), g
+            assert got == _comatchable_among(g, eids, {}), g
             answers.add(got)
         # then every two edges, so that rows of earlier cuts are read
         # at far ends they were not asked about
         for pair in combinations(g.edge_ids, 2):
             assert _comatchable_among(g, pair, memo) == \
-                _comatchable_among(g, pair), (g, pair)
+                _comatchable_among(g, pair, {}), (g, pair)
         rows += sum(len(key) == 3 for key in memo)
     assert answers == {False, True} and rows > len(graphs)
 

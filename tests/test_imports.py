@@ -8,7 +8,8 @@ decompose.py tests matching coverage only in its entry check, runs
 is_tight only on entry to the witness search and when a decomposition
 fails, and names no is_matchable, cuts.py names neither is_matchable
 nor matching_number, no module in src/ defines or names the eager
-co-matchable table (a test oracle), only _search_mates runs _blossom_mates,
+co-matchable table (a test oracle), _comatchable_among's memo has no
+default, only _search_mates runs _blossom_mates,
 matching.py keeps no second maximum matching, matching_number,
 is_matchable and is_matching_covered take g alone and _dependence_row
 (g, x), no module in src/ but matching.py names the 2-colouring that
@@ -55,7 +56,8 @@ from tightcut.decompose import _witness_from_edge, find_noncrossing_witness
 from tightcut.graph import Graph
 from tightcut.instances import CorpusSpec, canonical
 from tightcut.matching import (
-    _dependence_row, is_matchable, is_matching_covered, matching_number)
+    _comatchable_among, _dependence_row, is_matchable, is_matching_covered,
+    matching_number)
 from tightcut.sweep import run_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -380,6 +382,14 @@ def test_one_co_matchability_algorithm():
                for p in PACKAGE for node in ast.parse(p.read_text()).body
                if oracle_references(node, {"_blossom_mates"})}
     assert callers == {("matching.py", "_search_mates")}
+
+
+def test_comatchable_among_has_one_mode():
+    """_comatchable_among always reads and fills a memo: its memo
+    parameter has no default and no branch tests it for None."""
+    memo = inspect.signature(_comatchable_among).parameters["memo"]
+    assert memo.default is inspect.Parameter.empty
+    assert "memo is None" not in inspect.getsource(_comatchable_among)
 
 
 @pytest.mark.parametrize(

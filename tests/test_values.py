@@ -8,8 +8,13 @@ one hashes as the tuple of its compared fields, so set and dict order
 follow the fields alone; Step and DecompositionCertificate compare
 graphs, which are unhashable, and SweepReport is mutable. All but
 SweepReport refuse assignment and deletion. Copies and pickle round
-trips give equal objects, and every repr is pinned. Importing the
-package generates no code: it never loads the dataclasses module.
+trips give equal objects, and every repr is pinned. Every one of them
+compares and hashes through the one base, graph._Value: no class body
+defines __eq__ or a __hash__ method, and Cut, Matching, Barrier and
+TwoSeparation keep only their own constructor. No value type generates
+code, and importing the package never loads the dataclasses module;
+the package's one generated code is structure.ShoreBarrier's, a
+typing.NamedTuple, whose class creation evals a __new__.
 """
 
 import copy
@@ -110,6 +115,18 @@ def _declared(x) -> tuple[str, ...]:
 
 def test_every_value_type_has_a_fixture():
     assert {type(x) for x in VALUES.values()} == set(COMPARED)
+
+
+def test_value_types_compare_and_hash_in_the_base():
+    """One comparison rule: no value type writes its own __eq__ or
+    __hash__ (the mutable SweepReport sets __hash__ to None), and each
+    names its compared fields in _compared. The four hot types keep
+    their own constructor."""
+    for cls in COMPARED:
+        assert "__eq__" not in vars(cls), cls
+        assert vars(cls).get("__hash__") is None, cls
+        assert cls._compared == COMPARED[cls], cls
+    assert all("__init__" in vars(cls) for cls in BACK_REFERENCED)
 
 
 @pytest.mark.parametrize("name", NAMES)
