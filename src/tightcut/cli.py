@@ -44,10 +44,13 @@ from .verify import verify_certificate, verify_json
 
 def _read_text(path: str) -> str:
     """The text of the file at path, or of stdin for -."""
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -57,6 +60,13 @@ def _write_text(path: str, text: str) -> None:
         return
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
+
+
+def _refuse_stdout(option: str, path: str | None) -> None:
+    """An option that names a directory takes no -, and says so before
+    any work, rather than make a directory named -."""
+    if path == "-":
+        raise GraphError(f"{option} needs a directory, not -")
 
 
 def _human(path: str | None):
@@ -147,6 +157,7 @@ def _write_dot_files(cert: DecompositionCertificate, directory: str) -> None:
 
 
 def cmd_decompose(args) -> int:
+    _refuse_stdout("--dot", args.dot)
     g = parse_edge_list(_read_text(args.graph))
     shore = _parse_shore(args.cut)
     c = g.boundary(shore)
@@ -180,7 +191,13 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cert = json.loads(_read_text(args.certificate))
+    text = _read_text(args.certificate)
+    try:
+        cert = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # a syntax error, an int past sys.get_int_max_str_digits, or
+        # nesting past the parser's recursion limit
+        raise GraphError(f"invalid JSON: {exc}") from None
     result = verify_json(cert)
     if result.ok:
         print(f"certificate OK (r={cert['r']})")
@@ -217,8 +234,7 @@ def _sweep_specs(args) -> list[CorpusSpec]:
 
 
 def cmd_sweep(args) -> int:
-    if args.harvest == "-":
-        raise GraphError("--harvest needs a directory, not -")
+    _refuse_stdout("--harvest", args.harvest)
     specs = _sweep_specs(args)
     command = f"sweep --mode {args.mode}"
     if args.max_n is not None:
@@ -358,9 +374,6 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

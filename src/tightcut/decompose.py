@@ -27,19 +27,20 @@ test tightness there too, with is_tight: a witness that does not cross
 c proves nothing about c. decompose_tight_cut tests only the cheap
 necessary conditions (meets_once: an odd shore, met once by the cached
 perfect matching), and its certificate proves the rest. A returned
-certificate implies a tight cut. Every step passed _finding_failure,
-the WitnessFinding contract, and every final barrier passed is_barrier
-with the shore among its odd parts (classify_cut), or every final
-two-separation passed two_separation_cuts (twoseps_generating). So the
-final cut is tight in the last graph by Fact 1 of verify.py (witnessed
-cuts are tight), and tight in g by its Fact 2 (tightness pulls back
-through a contraction), once per step back: each contracted shore lies
-strictly inside a shore of the reference cut. On a cut that is not
-tight the loop still ends within g.n rounds, since each step contracts
-a shore of two or more vertices. It cannot return, so a guard raises
-InternalInvariantError, and only then does decompose_tight_cut run
-is_tight, with its at most |C|^2 / 2 co-matchable row searches, to
-tell bad input from a bug.
+certificate implies a tight cut. Every step left through _finish, the
+one exit that holds a finding to _finding_failure (the WitnessFinding
+contract) and counts its branch only once it passes; and every final
+barrier passed is_barrier with the shore among its odd parts
+(classify_cut), or every final two-separation passed
+two_separation_cuts (twoseps_generating). So the final cut is tight in
+the last graph by Fact 1 of verify.py (witnessed cuts are tight), and
+tight in g by its Fact 2 (tightness pulls back through a contraction),
+once per step back: each contracted shore lies strictly inside a shore
+of the reference cut. On a cut that is not tight the loop still ends
+within g.n rounds, since each step contracts a shore of two or more
+vertices. It cannot return, so a guard raises InternalInvariantError,
+and only then does decompose_tight_cut run is_tight, with its at most
+|C|^2 / 2 co-matchable row searches, to tell bad input from a bug.
 
 Every graph and cut the reduction builds from a tight cut is valid by
 the facts below, which continue the numbering of verify.py. Every step
@@ -191,11 +192,22 @@ def _require_decomposable(g: Graph, c: Cut) -> None:
         raise GraphError("cut is trivial")
 
 
+def _finish(g: Graph, c: Cut, finding: WitnessFinding, branch: str,
+            tally: BranchTally) -> WitnessFinding:
+    """The one exit of a found witness: finding passes _finding_failure
+    or raises InternalInvariantError naming branch, and only a finding
+    that passes counts for branch in tally."""
+    if (reason := _finding_failure(g, c, finding)) is not None:
+        raise InternalInvariantError(f"{branch}: {reason}")
+    tally.hit(branch)
+    return finding
+
+
 def _finish_barrier(g: Graph, c: Cut, members, shore: frozenset[int],
-                    branch: str) -> WitnessFinding:
-    """The finding of a barrier landed inside shore: its cut is the
-    boundary of the odd part that holds the opposite shore, and the
-    whole finding passes _finding_failure."""
+                    branch: str, tally: BranchTally) -> WitnessFinding:
+    """The finding of a barrier landed inside shore, through _finish:
+    its cut is the boundary of the odd part that holds the opposite
+    shore."""
     b = is_barrier(g, members)
     opposite = g.vertex_set - shore
     holder = None if b is None else next(
@@ -204,24 +216,19 @@ def _finish_barrier(g: Graph, c: Cut, members, shore: frozenset[int],
         raise InternalInvariantError(
             f"{branch}: {sorted(members)} is no barrier with an odd part "
             "holding the opposite shore")
-    finding = WitnessFinding(g.boundary(holder), b)
-    if (reason := _finding_failure(g, c, finding)) is not None:
-        raise InternalInvariantError(f"{branch}: {reason}")
-    return finding
+    return _finish(g, c, WitnessFinding(g.boundary(holder), b), branch, tally)
 
 
 def _finish_twosep(g: Graph, c: Cut, pair, side1, side2, cut_shore,
-                   branch: str) -> WitnessFinding:
+                   branch: str, tally: BranchTally) -> WitnessFinding:
     """The finding of a two-separation that generates the cut with
-    cut_shore, checked by _finding_failure."""
+    cut_shore, through _finish."""
     try:
         ts = make_two_separation(g, pair, side1, side2)
     except GraphError as exc:
         raise InternalInvariantError(f"{branch}: {exc}") from exc
-    finding = WitnessFinding(g.boundary(cut_shore), ts)
-    if (reason := _finding_failure(g, c, finding)) is not None:
-        raise InternalInvariantError(f"{branch}: {reason}")
-    return finding
+    return _finish(g, c, WitnessFinding(g.boundary(cut_shore), ts), branch,
+                   tally)
 
 
 def _shore_cut_vertices(g: Graph, c: Cut) -> frozenset[int]:
@@ -313,15 +320,11 @@ def _witness_from_edge(g: Graph, c: Cut, eid: int,
 
     if pivot is None:
         # the edge is the sole bridge between its endpoints' horizons
-        tally.hit(BRANCH_SOLE_CROSS_NEIGHBORS)
         dead = xu - {u}
         found = _strict_barrier_in(g.without_vertices((u, v)), dead)
-        members = found.barrier.members
-        if found.shore == dead:
-            return _finish_barrier(g, c, members | {u}, xu,
-                                   BRANCH_SOLE_CROSS_NEIGHBORS)
-        return _finish_barrier(g, c, members | {v}, xv,
-                               BRANCH_SOLE_CROSS_NEIGHBORS)
+        end, shore = (u, xu) if found.shore == dead else (v, xv)
+        return _finish_barrier(g, c, found.barrier.members | {end}, shore,
+                               BRANCH_SOLE_CROSS_NEIGHBORS, tally)
 
     pshore, oshore = (xu, xv) if pivot in xu else (xv, xu)
     in_shore_edges = [
@@ -333,9 +336,8 @@ def _witness_from_edge(g: Graph, c: Cut, eid: int,
     confined = found.barrier.members
     if found.shore == dead:
         # barrier and components live away from the pivot's horizon
-        tally.hit(BRANCH_FAR_SHORE_BARRIER)
         return _finish_barrier(g, c, confined | {pivot}, pshore,
-                               BRANCH_FAR_SHORE_BARRIER)
+                               BRANCH_FAR_SHORE_BARRIER, tally)
     if pivot in confined:
         raise InternalInvariantError("pivot inside the confined barrier")
     parts = stripped.components_without(confined)
@@ -349,16 +351,15 @@ def _witness_from_edge(g: Graph, c: Cut, eid: int,
     if not pivot_part <= oshore | {pivot}:
         raise InternalInvariantError("odd pivot component escapes the tagged shore")
     if len(confined) >= 2:
-        tally.hit(BRANCH_ODD_SIDE_BARRIER)
-        return _finish_barrier(g, c, confined, oshore, BRANCH_ODD_SIDE_BARRIER)
+        return _finish_barrier(g, c, confined, oshore, BRANCH_ODD_SIDE_BARRIER,
+                               tally)
 
     # single-member barrier: the pivot and that member separate the graph
-    tally.hit(BRANCH_ODD_SIDE_TWOSEP)
     z = min(confined)
     finding = _finish_twosep(
         g, c, (pivot, z), pivot_part | {z},
         (g.vertex_set - pivot_part) | {pivot}, (pivot_part - {pivot}) | {z},
-        BRANCH_ODD_SIDE_TWOSEP)
+        BRANCH_ODD_SIDE_TWOSEP, tally)
     if g.induced(oshore | {pivot}).is_2connected() and finding.cut != c:
         raise InternalInvariantError(
             "two-connected far side must reproduce the reference cut")
@@ -443,15 +444,13 @@ def _find_noncrossing_witness(g: Graph, c: Cut,
         # barrier holds s_label, and lifts with v in its place into xu, or
         # lies in the far shore xv and lifts unchanged; one that escapes
         # both fails _finish_barrier with xv as its shore
-        tally.hit(BRANCH_PULLBACK_BARRIER)
         lifted = _lift(g, shrunk, s_label, sub.witness.members, {v})
         if lifted is None:
             raise InternalInvariantError("inner witness is not a barrier")
         members = lifted.members
         return _finish_barrier(g, c, members, xu if v in members else xv,
-                               BRANCH_PULLBACK_BARRIER)
+                               BRANCH_PULLBACK_BARRIER, tally)
 
-    tally.hit(BRANCH_PULLBACK_TWOSEP)
     if sub.cut != c2:
         raise InternalInvariantError(
             "inner two-separation does not reproduce the reference cut")
@@ -459,7 +458,7 @@ def _find_noncrossing_witness(g: Graph, c: Cut,
     if z not in xv:
         raise InternalInvariantError("inner separation pair lands off the far shore")
     return _finish_twosep(g, c, (v, z), f1 | {v, z}, g.vertex_set - f1,
-                          f1 | {v}, BRANCH_PULLBACK_TWOSEP)
+                          f1 | {v}, BRANCH_PULLBACK_TWOSEP, tally)
 
 
 def _contract_step(g: Graph, tracked, step_cut: Cut, witness,
@@ -653,11 +652,8 @@ def _reduce(g: Graph, c: Cut, tally: BranchTally) -> DecompositionCertificate:
         picked = _min_holder_barrier(cur_g, tracked, start)
         if picked is not None:
             witness, step_cut, start = picked
-            finding = WitnessFinding(step_cut, witness)
-            if (reason := _finding_failure(cur_g, cur_c, finding)) is not None:
-                raise InternalInvariantError(
-                    f"{BRANCH_BARRIER_PHASE}: {reason}")
-            tally.hit(BRANCH_BARRIER_PHASE)
+            _finish(cur_g, cur_c, WitnessFinding(step_cut, witness),
+                    BRANCH_BARRIER_PHASE, tally)
         elif twoseps := twoseps_generating(cur_g, cur_c):
             # a barrier witness would lie in a candidate class, on which
             # _min_holder_barrier had raised (part (c) of its docstring)

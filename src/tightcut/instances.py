@@ -205,36 +205,35 @@ def enumerate_corpus(spec: CorpusSpec):
         raise GraphError(f"unknown corpus mode: {spec.mode!r}")
 
 
-def _double_bowtie() -> Graph:
+def _double_bowtie(dropped=()) -> Graph:
     # two triangle pairs hinged at 0 and 5; every cut edge is anchored
-    # at one of the hinges, so no cut edge is good
+    # at one of the hinges, so no cut edge is good. The edges in dropped
+    # are left out, keeping the order of the rest
     side_a = [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]
     side_b = [(5, 6), (5, 7), (6, 7), (5, 8), (5, 9), (8, 9)]
     across = [(1, 5), (2, 5), (3, 5), (4, 5),
               (0, 6), (0, 7), (0, 8), (0, 9)]
-    return Graph(range(10), side_a + side_b + across)
+    return Graph(range(10), [
+        e for e in side_a + side_b + across if e not in dropped])
 
 
 def _shielded_bowtie() -> Graph:
     # double bowtie with corner 2 shielded from the cut and the 0-1
     # chord dropped; the block split then pulls a barrier back up
     # instead of a 2-separation
-    side_a = [(0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]
-    side_b = [(5, 6), (5, 7), (6, 7), (5, 8), (5, 9), (8, 9)]
-    across = [(1, 5), (3, 5), (4, 5),
-              (0, 6), (0, 7), (0, 8), (0, 9)]
-    return Graph(range(10), side_a + side_b + across)
+    return _double_bowtie(dropped={(0, 1), (2, 5)})
 
 
-def _blocked_triangle() -> Graph:
+def _blocked_triangle(bridges=()) -> Graph:
     # triangle 0-1-2 behind a funnel: all three crossing matchings
     # need two partners inside the star at 8, so no witness exists
-    # at the cut itself and the search must contract first
+    # at the cut itself and the search must contract first. Edges in
+    # bridges are added after the funnel's
     return Graph(range(10), [
         (0, 1), (0, 2), (1, 2),
         (0, 3), (1, 4), (2, 5), (2, 6),
         (8, 7), (8, 9), (8, 6), (8, 5),
-        (4, 9), (5, 6), (3, 7),
+        (4, 9), (5, 6), (3, 7), *bridges,
     ])
 
 
@@ -242,13 +241,7 @@ def _bridged_triangle() -> Graph:
     # blocked triangle plus bridges 3-8 and 0-7; one barrier round
     # per side is not enough and the reduction has to walk through
     # an intermediate unwitnessed cut
-    return Graph(range(10), [
-        (0, 1), (0, 2), (1, 2),
-        (0, 3), (1, 4), (2, 5), (2, 6),
-        (8, 7), (8, 9), (8, 6), (8, 5),
-        (4, 9), (5, 6), (3, 7),
-        (3, 8), (0, 7),
-    ])
+    return _blocked_triangle(bridges=[(3, 8), (0, 7)])
 
 
 def _blocked_pair() -> Graph:

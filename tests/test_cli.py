@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import sys
 from collections import Counter
 from itertools import combinations
 
@@ -200,6 +201,22 @@ def test_decompose_chain_with_dot(blocked_file, tmp_path, capsys):
     assert main(["verify", cert_path]) == 0
 
 
+def test_decompose_refuses_dot_to_stdout(c6_file, tmp_path, monkeypatch,
+                                        capsys):
+    """--dot names a directory, so - is a usage error before anything is
+    decomposed, not a directory named -."""
+    def never(*args, **kwargs):
+        raise AssertionError("the cut was decomposed")
+
+    monkeypatch.setattr(tightcut.cli, "decompose_tight_cut", never)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["decompose", c6_file, "--cut", "0,1,2", "--dot", "-"]) == 2
+    assert "error: --dot needs a directory, not -" in capsys.readouterr().err
+    assert os.listdir(work) == []
+
+
 def test_decompose_prints_a_two_separation_step(tmp_path, capsys):
     g = next(g for name, g, _ in fixture_instances()
              if name == "bridged_triangle")
@@ -298,6 +315,32 @@ def test_verify_bad_files(tmp_path, capsys):
     assert main(["verify", str(hollow)]) == 1
     assert capsys.readouterr().out == \
         "certificate rejected: schema violation at $\n"
+
+
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
+    binary = tmp_path / "binary.el"
+    binary.write_bytes(b"\xff\xfe\x00p 2 1\n")
+    assert main(["check", str(binary)]) == 2
+    assert main(["verify", str(binary)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "not UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_verify_rejects_nesting_past_the_recursion_limit(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert main(["verify", str(deep)]) == 2
+    assert "error: invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="no limit on int string conversion")
+def test_verify_rejects_an_int_past_the_digit_limit(tmp_path, capsys):
+    huge = tmp_path / "huge.json"
+    huge.write_text("1" * (sys.get_int_max_str_digits() + 1))
+    assert main(["verify", str(huge)]) == 2
+    assert "error: invalid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value, failure", [

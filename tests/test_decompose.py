@@ -151,6 +151,20 @@ def test_find_witness_blocked_triangle():
                             BRANCH_SOLE_CROSS_NEIGHBORS: 1}
 
 
+def test_a_branch_counts_only_when_its_finding_passes(monkeypatch):
+    """A finding that fails the WitnessFinding contract raises with its
+    branch named, and that branch is not counted: only the routing count
+    that led to it stays in the tally."""
+    monkeypatch.setattr(tightcut.decompose, "_finding_failure",
+                        lambda g, c, finding: "rejected")
+    g, c = fixture_cut("blocked_triangle")
+    tally = BranchTally()
+    with pytest.raises(InternalInvariantError,
+                       match=f"^{BRANCH_SOLE_CROSS_NEIGHBORS}: rejected$"):
+        find_noncrossing_witness(g, c, tally)
+    assert tally.counts == {BRANCH_GOOD_EDGE: 1}
+
+
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_find_witness_postconditions(name):
     g, shore = FIXTURES[name]
